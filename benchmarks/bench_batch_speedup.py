@@ -16,16 +16,14 @@ reference-provenance rewrite enabled, on rings of 12/24/32 nodes.
 * ``batched`` — compiled plan executors, fused zero-/one-step rules,
   VID memoization (PR 3's "after" configuration).
 * ``columnar`` — windowed column-block evaluation with generated batch
-  kernels (selection vectors, bulk hash-index probes, inlined VID memo,
-  kernel-prefrozen storage rows).
+  kernels (selection vectors, bulk hash-index probes, inlined VID memo).
 
 All three produce bit-identical results — same fixpoints, VIDs,
 prov/ruleExec rows and counters — which the equivalence suite
 (``tests/test_plan_equivalence.py``) enforces; this benchmark asserts it
 again on the fixpoint sizes it measures.
 
-Run directly for the comparison table (the README "Performance" section
-reproduces it) and the machine-readable artifact
+Run directly for the comparison table and the machine-readable artifact
 ``results/BENCH_columnar_speedup.json``::
 
     PYTHONPATH=src python benchmarks/bench_batch_speedup.py [repeats] \

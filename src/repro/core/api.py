@@ -230,9 +230,6 @@ class ExspanNetwork:
             batch=self.query_batching,
             tracer=self.tracer,
         )
-        engine.add_update_listener(
-            lambda action, fact, service=query_service: service.on_tuple_update(fact)
-        )
         host.register_handler(
             DELTA_MESSAGE_KIND,
             lambda message, eng=engine: self._deliver_delta(eng, message),
@@ -257,7 +254,7 @@ class ExspanNetwork:
         """Bytes charged for shipping *delta* (tuple content + annotation)."""
         size = HEADER_OVERHEAD + 1  # header plus the insert/delete flag
         size += len(delta.fact.name)
-        size += payload_size(list(delta.fact.values))
+        size += payload_size(delta.fact.values)
         if delta.annotation is not None and engine.annotation_policy is not None:
             size += engine.annotation_policy.size(delta.annotation)
         return size

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "CacheKey",
@@ -103,11 +103,20 @@ class CacheEntry:
 class QueryResultCache:
     """Per-node bounded LRU cache of provenance query results."""
 
-    def __init__(self, node: Any, capacity: int = DEFAULT_CACHE_CAPACITY):
+    def __init__(
+        self,
+        node: Any,
+        capacity: int = DEFAULT_CACHE_CAPACITY,
+        on_watch: Optional[Callable[[], None]] = None,
+    ):
+        """``on_watch`` is called whenever the cache goes from watching no
+        vertex to watching one — the moment tuple updates start to matter
+        (see :meth:`watches_vertices`)."""
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.node = node
         self.capacity = capacity
+        self.on_watch = on_watch
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         # key -> ordered set (dict keyed by dependent, value unused) of the
         # (parent node, parent key) pairs that consumed this result.
@@ -128,7 +137,18 @@ class QueryResultCache:
     # vertex index maintenance
     # ------------------------------------------------------------------ #
     def _index_add(self, key: CacheKey) -> None:
+        if not self._by_vertex and self.on_watch is not None:
+            self.on_watch()
         self._by_vertex.setdefault(vertex_of(key), {})[key] = None
+
+    def watches_vertices(self) -> bool:
+        """True while some vertex's update could invalidate something here.
+
+        The vertex index covers cached entries *and* keys that only carry
+        reverse pointers, so when it is empty no tuple update can drop an
+        entry or reach a dependent.
+        """
+        return bool(self._by_vertex)
 
     def _index_discard(self, key: CacheKey) -> None:
         """Drop *key* from the vertex index once nothing references it."""

@@ -85,7 +85,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..datalog.ast import Fact
 from ..net.host import Host
 from ..net.message import Message, TRACE_CONTEXT_KEY
-from .cache import CacheKey, Dependent, QueryResultCache, vertex_of
+from .cache import (
+    DEFAULT_CACHE_CAPACITY,
+    CacheKey,
+    Dependent,
+    QueryResultCache,
+    vertex_of,
+)
 from .errors import QueryError
 from .rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from .storage import ProvenanceStore
@@ -273,11 +279,13 @@ class ProvenanceQueryService:
         #: Optional :class:`repro.obs.tracer.Tracer`; every resolution then
         #: opens a span linked into its root query's trace, across hosts.
         self.tracer = tracer
-        self.cache = (
-            QueryResultCache(self.node)
-            if cache_capacity is None
-            else QueryResultCache(self.node, capacity=cache_capacity)
+        self.cache = QueryResultCache(
+            self.node,
+            DEFAULT_CACHE_CAPACITY if cache_capacity is None else cache_capacity,
+            on_watch=self._watch_updates,
         )
+        #: Whether :meth:`on_tuple_update` is registered with the engine.
+        self._watching_updates = False
         self.coalesce = coalesce
         self.batch = batch
         self._specs: Dict[str, QuerySpec] = {}
@@ -606,6 +614,7 @@ class ProvenanceQueryService:
             return None
         self._inflight[slot] = record
         self._inflight_index.setdefault(vertex_of(key), {})[slot] = None
+        self._watch_updates()
         return record
 
     def _drop_record(self, record: _InFlight) -> None:
@@ -917,8 +926,20 @@ class ProvenanceQueryService:
     # ------------------------------------------------------------------ #
     # cache invalidation (Section 6.1)
     # ------------------------------------------------------------------ #
-    def on_tuple_update(self, fact: Fact) -> None:
-        """Called by the runtime whenever a local materialized tuple changes.
+    def _watch_updates(self) -> None:
+        """Subscribe to the engine's tuple updates (idempotent).
+
+        Called at the only two points where something an update could
+        invalidate comes into being: a resolution going in flight and the
+        cache starting to watch a vertex.  Until then the engine has no
+        listener from this service and maintenance pays nothing for it.
+        """
+        if not self._watching_updates:
+            self._watching_updates = True
+            self.store.engine.add_update_listener(self.on_tuple_update)
+
+    def on_tuple_update(self, action: str, fact: Fact) -> None:
+        """Engine update listener: a local materialized tuple (dis)appeared.
 
         Ordinary tuples invalidate their own vertex.  Changes to the
         ``prov`` / ``ruleExec`` tables invalidate the vertex they *describe*
@@ -926,7 +947,15 @@ class ProvenanceQueryService:
         of a tuple leaves the tuple itself untouched, so without this the
         vertex's cached result would silently keep the old derivation set —
         the stale-dependent hole the invalidation protocol must not have.
+
+        With nothing in flight and no vertex watched by the cache there is
+        nothing to taint or drop: the service unsubscribes, and the next
+        :meth:`_watch_updates` subscribes it again.
         """
+        if not self._inflight_index and not self.cache.watches_vertices():
+            self._watching_updates = False
+            self.store.engine.remove_update_listener(self.on_tuple_update)
+            return
         if fact.name == PROV_TABLE:
             kind, identifier = "v", fact.values[1]
         elif fact.name == RULE_EXEC_TABLE:

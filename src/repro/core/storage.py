@@ -87,11 +87,10 @@ class ProvenanceStore:
         # The VID -> tuple index is built lazily on first use and then
         # maintained *incrementally* through the engine's update listener —
         # the old rebuild-the-world-per-miss behaviour was O(all rows) per
-        # unresolvable VID, which query workloads hit constantly.  Until the
-        # first build the listener is a no-op, so nodes that never resolve a
-        # VID pay nothing.
+        # unresolvable VID, which query workloads hit constantly.  The
+        # listener is registered by that first build, so nodes that never
+        # resolve a VID pay nothing.
         self._vid_index_built = False
-        engine.add_update_listener(self._on_tuple_update)
 
     @property
     def node(self) -> Any:
@@ -153,9 +152,7 @@ class ProvenanceStore:
         return Fact(name, row)
 
     def _on_tuple_update(self, action: str, fact: Fact) -> None:
-        """Engine update listener: keep the VID index consistent once built."""
-        if not self._vid_index_built:
-            return
+        """Engine update listener: keep the (built) VID index consistent."""
         name = fact.name
         if name in (PROV_TABLE, RULE_EXEC_TABLE) or is_event_predicate(name):
             return
@@ -176,6 +173,7 @@ class ProvenanceStore:
                 vid = fact_vid(Fact(table.name, row))
                 self._vid_index[vid] = (table.name, row)
         self._vid_index_built = True
+        self.engine.add_update_listener(self._on_tuple_update)
 
     # ------------------------------------------------------------------ #
     # statistics helpers (used by tests and EXPERIMENTS.md reporting)

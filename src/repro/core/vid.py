@@ -35,7 +35,6 @@ from typing import Any, Dict, Iterable, Sequence
 from ..datalog.ast import Fact
 from ..datalog.functions import (
     clear_sha1_cache,
-    freeze_cache_key,
     set_sha1_caching,
     sha1_cache_stats,
     sha1_hex,
@@ -127,32 +126,42 @@ def tuple_preimage(name: str, values: Sequence[Any]) -> str:
     return name + "".join(render_value(value) for value in values)
 
 
+def _lists_as_tuples(value: Any) -> Any:
+    """*value* with lists made tuples, which :func:`render_value` renders alike."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_lists_as_tuples, value))
+    return value
+
+
 def tuple_vid(name: str, values: Sequence[Any]) -> str:
     """Compute the VID of the tuple ``name(values...)`` (memoized).
 
-    The cache key freezes lists into tuples via the same helper the
-    ``f_sha1`` memo uses (:func:`render_value` renders both identically, so
-    equal keys always map to equal digests); values that stay unhashable
-    (e.g. sets) skip the cache and fall through to direct computation.
+    Keyed by ``(name, values)`` as given: engine-built rows are hashable
+    tuples already.  Only when hashing rejects the key — a list attribute
+    handed in from outside (shell, service JSON) — are lists rewritten to
+    the tuples the row is stored with; values that stay unhashable (a set)
+    skip the cache and fall through to direct computation.
     """
     global _vid_hits, _vid_misses
     if _vid_caching:
+        key = (name, values if isinstance(values, tuple) else tuple(values))
         try:
-            key = (name, tuple(map(freeze_cache_key, values)))
             digest = _vid_cache.get(key)
-        except TypeError:  # unhashable attribute (e.g. a set): no cache
-            key = None
-            digest = None
-        if key is not None:
-            if digest is not None:
-                _vid_hits += 1
-                return digest
-            _vid_misses += 1
-            digest = sha1_hex(tuple_preimage(name, values))
-            if len(_vid_cache) >= VID_CACHE_LIMIT:
-                _vid_cache.clear()
-            _vid_cache[key] = digest
+        except TypeError:
+            try:
+                key = (name, _lists_as_tuples(values))
+                digest = _vid_cache.get(key)
+            except TypeError:
+                return sha1_hex(tuple_preimage(name, values))
+        if digest is not None:
+            _vid_hits += 1
             return digest
+        _vid_misses += 1
+        digest = sha1_hex(tuple_preimage(name, values))
+        if len(_vid_cache) >= VID_CACHE_LIMIT:
+            _vid_cache.clear()
+        _vid_cache[key] = digest
+        return digest
     return sha1_hex(tuple_preimage(name, values))
 
 

@@ -214,29 +214,49 @@ class Rule:
         return f"{self.label} {self.head} :- {body}."
 
 
-@dataclass(frozen=True, slots=True)
 class Fact:
     """A ground fact such as ``link(@a, b, 3).``
 
     Facts are stored as plain value tuples; the location value is
-    ``values[location_index]``.  Slotted: the engine creates one Fact per
-    matched body row and per derived head, so instance-dict overhead shows
-    up directly in fixpoint wall-clock.
+    ``values[location_index]``.  A plain slotted class rather than a frozen
+    dataclass: the engine creates one Fact per derived head, so construction
+    is three slot stores.  Facts are values — compared, hashed and printed
+    by their three fields — and nothing mutates one after construction.
     """
 
-    name: str
-    values: Tuple[Any, ...]
-    location_index: int = 0
+    __slots__ = ("name", "values", "location_index")
 
     def __init__(self, name: str, values: Sequence[Any], location_index: int = 0):
-        object.__setattr__(self, "name", name)
+        self.name = name
         # isinstance (not an exact-type check) so interned table rows —
         # tuple subclasses with cached hashes — are kept as-is rather than
         # copied down to plain tuples on every Fact construction.
-        object.__setattr__(
-            self, "values", values if isinstance(values, tuple) else tuple(values)
+        self.values: Tuple[Any, ...] = (
+            values if isinstance(values, tuple) else tuple(values)
         )
-        object.__setattr__(self, "location_index", location_index)
+        self.location_index = location_index
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Fact:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.values == other.values
+            and self.location_index == other.location_index
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.values, self.location_index))
+
+    def __repr__(self) -> str:
+        return (
+            f"Fact(name={self.name!r}, values={self.values!r}, "
+            f"location_index={self.location_index!r})"
+        )
+
+    def __reduce__(self):
+        # Shard pipes and checkpoints pickle facts; slots need this spelled out.
+        return (Fact, (self.name, self.values, self.location_index))
 
     @property
     def arity(self) -> int:

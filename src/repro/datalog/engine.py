@@ -68,7 +68,7 @@ from .ast import (
     Rule,
     is_event_predicate,
 )
-from .catalog import Catalog, Table
+from .catalog import Catalog, Table, freeze_value
 from .errors import EvaluationError, ValidationError
 from .functions import FunctionRegistry, default_registry
 from .plan import (
@@ -163,21 +163,11 @@ REFRESH = "refresh"
 
 @dataclass(slots=True)
 class Delta:
-    """A single insertion, deletion or annotation refresh of a fact.
-
-    ``frozen`` is a storage-layer side channel: columnar batch kernels that
-    can prove the frozen (hashable) image of the head value tuple at
-    code-generation time attach it here, letting
-    :meth:`~repro.datalog.catalog.Table.apply_delta_block` skip the
-    per-value freeze entirely.  It never participates in equality, repr or
-    the wire format, and ``None`` (the default everywhere else) simply
-    means "freeze from ``fact.values`` as usual".
-    """
+    """A single insertion, deletion or annotation refresh of a fact."""
 
     action: str
     fact: Fact
     annotation: Any = None
-    frozen: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.action not in (INSERT, DELETE, REFRESH):
@@ -447,6 +437,18 @@ class NDlogEngine:
         """
         self._update_listeners.append(listener)
 
+    def remove_update_listener(self, listener: Callable[[str, Fact], None]) -> None:
+        """Unregister *listener*; a listener may remove itself mid-notification.
+
+        The list is replaced, not mutated: a notification loop already
+        running keeps iterating the list it started with.
+        """
+        self._update_listeners = [
+            registered
+            for registered in self._update_listeners
+            if registered != listener
+        ]
+
     def set_send(self, send: Callable[[Any, Delta], None]) -> None:
         """Set the callback used to ship deltas to remote nodes."""
         self._send = send
@@ -518,13 +520,14 @@ class NDlogEngine:
     # ------------------------------------------------------------------ #
     def insert(self, fact: Fact, annotation: Any = None) -> None:
         """Enqueue insertion of a base or derived *fact* at this node."""
+        fact = _hashable_fact(fact)
         if annotation is None and self.annotation_policy is not None:
             annotation = self.annotation_policy.base(fact)
         self.enqueue(Delta(INSERT, fact, annotation))
 
     def delete(self, fact: Fact) -> None:
         """Enqueue deletion of *fact* at this node."""
-        self.enqueue(Delta(DELETE, fact))
+        self.enqueue(Delta(DELETE, _hashable_fact(fact)))
 
     def enqueue(self, delta: Delta) -> None:
         """Add *delta* to this node's FIFO processing queue."""
@@ -988,16 +991,7 @@ class NDlogEngine:
         compiled = self._aggregate_rules[rule.label]
         spec = compiled.spec
         group_values: List[Any] = [fn(env, self.functions) for fn in compiled.group_fns]
-        # Fast path: scalar group values (the common case) key directly; an
-        # unhashable tuple means a list member, which freezes to the same
-        # key form the slow path always produced.
         group_key = tuple(group_values)
-        try:
-            hash(group_key)
-        except TypeError:
-            group_key = tuple(
-                tuple(v) if isinstance(v, list) else v for v in group_values
-            )
         if spec.is_star:
             aggregated_value: Any = 1
         elif len(spec.variables_) == 1:
@@ -1035,9 +1029,7 @@ class NDlogEngine:
                         row.append(aggregate_result)
                     else:
                         row.append(next(group_iter))
-                new_row = tuple(
-                    tuple(v) if isinstance(v, list) else v for v in row
-                )
+                new_row = tuple(row)
         if new_row == old_row:
             return
         if old_row is not None:
@@ -1104,17 +1096,9 @@ class NDlogEngine:
     # ------------------------------------------------------------------ #
     # annotations (value-based provenance support)
     # ------------------------------------------------------------------ #
-    def _annotation_key(self, fact: Fact) -> Tuple[str, Tuple[Any, ...]]:
-        values = fact.values
-        try:
-            hash(values)
-        except TypeError:
-            values = tuple(_hashable(v) for v in values)
-        return (fact.name, values)
-
     def _store_annotation(self, fact: Fact, annotation: Any) -> bool:
         """Merge *annotation* into the store; return True when it changed."""
-        key = self._annotation_key(fact)
+        key = (fact.name, fact.values)
         existing = self._annotations.get(key)
         if existing is None:
             self._annotations[key] = annotation
@@ -1134,11 +1118,11 @@ class NDlogEngine:
         self._store_annotation(fact, annotation)
 
     def _lookup_annotation(self, fact: Fact) -> Any:
-        return self._annotations.get(self._annotation_key(fact))
+        return self._annotations.get((fact.name, fact.values))
 
     def _clear_annotation(self, fact: Fact) -> None:
         if self._annotations:
-            self._annotations.pop(self._annotation_key(fact), None)
+            self._annotations.pop((fact.name, fact.values), None)
 
     def _annotation_for(self, fact: Fact, source_delta: Delta) -> Any:
         if (
@@ -1156,7 +1140,7 @@ class NDlogEngine:
 
     def annotation_of(self, fact: Fact) -> Any:
         """Public accessor for a stored value-based provenance annotation."""
-        return self._lookup_annotation(fact)
+        return self._lookup_annotation(_hashable_fact(fact))
 
     # ------------------------------------------------------------------ #
     # convenience queries
@@ -1184,7 +1168,18 @@ _UNBOUND = _Unbound()
 _new_delta = Delta.__new__
 
 
-def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
+def _hashable_fact(fact: Fact) -> Fact:
+    """*fact* as the engine stores it: list and set attributes frozen.
+
+    The boundary for facts handed in from outside (``insert_fact``, the
+    service, replayed journals).  Everything the engine derives from them
+    is then hashable by construction — the list builtins return tuples —
+    so rows, aggregate groups and annotation keys are used as they are.
+    """
+    try:
+        hash(fact.values)
+    except TypeError:
+        return Fact(
+            fact.name, tuple(map(freeze_value, fact.values)), fact.location_index
+        )
+    return fact

@@ -14,7 +14,7 @@ query UDFs ``f_pEDB`` / ``f_pIDB`` / ``f_pRULE``) on a per-engine basis.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import EvaluationError, UnknownFunctionError
 
@@ -22,7 +22,6 @@ __all__ = [
     "FunctionRegistry",
     "default_registry",
     "sha1_hex",
-    "freeze_cache_key",
     "set_sha1_caching",
     "sha1_cache_stats",
     "clear_sha1_cache",
@@ -88,24 +87,6 @@ def sha1_cache_stats() -> Dict[str, int]:
     }
 
 
-def freeze_cache_key(value: Any) -> Any:
-    """Hashable cache-key form of one hash-input value.
-
-    Lists become tuples, which is safe because :func:`_stringify` (and
-    ``repro.core.vid.render_value``) render both identically — equal keys
-    always map to equal digests.  Shared by the ``f_sha1`` memo here and
-    the ``tuple_vid`` memo in :mod:`repro.core.vid`; values that remain
-    unhashable (sets, dicts) surface as ``TypeError`` at the cache lookup,
-    which callers treat as "skip the cache".
-    """
-    cls = value.__class__
-    if cls is str:  # the dominant case: names, addresses, digests
-        return value
-    if cls is list or cls is tuple or isinstance(value, (list, tuple)):
-        return tuple(map(freeze_cache_key, value))
-    return value
-
-
 def _stringify(value: Any) -> str:
     """Render *value* for hashing the way NDlog string concatenation does.
 
@@ -129,38 +110,29 @@ def _stringify(value: Any) -> str:
 def _f_sha1(args: Sequence[Any]) -> str:
     """``f_sha1(X)`` — SHA-1 of the concatenation of all arguments.
 
-    Memoized on the (frozen) argument tuple: the provenance rewrite
-    recomputes the same tuple-VID preimages on every rule firing a tuple
-    participates in, so each distinct preimage is stringified and hashed
-    once per cache lifetime instead of once per firing.
+    Memoized on the argument tuple: the provenance rewrite recomputes the
+    same tuple-VID preimages on every rule firing a tuple participates in,
+    so each distinct preimage is stringified and hashed once per cache
+    lifetime instead of once per firing.  Values built by the engine are
+    hashable (the list builtins return tuples); an argument that is not —
+    a list or dict handed in from outside — skips the memo.
     """
     global _sha1_hits, _sha1_misses
     if _sha1_caching:
-        # Most calls carry only scalars: try the raw argument tuple first
-        # (C-speed) and freeze lists into tuples only when hashing rejects
-        # it.  Both key forms coexist safely: a hashable raw tuple IS its
-        # own frozen image (lists are the only values freeze_cache_key changes,
-        # and any list makes the raw tuple unhashable).
+        key = tuple(args)
         try:
-            key = tuple(args)
             digest = _sha1_cache.get(key)
         except TypeError:
-            try:
-                key = tuple(map(freeze_cache_key, args))
-                digest = _sha1_cache.get(key)
-            except TypeError:  # unhashable argument (e.g. a dict): no cache
-                key = None
-                digest = None
-        if key is not None:
-            if digest is not None:
-                _sha1_hits += 1
-                return digest
-            _sha1_misses += 1
-            digest = sha1_hex("".join(map(_stringify, args)))
-            if len(_sha1_cache) >= SHA1_CACHE_LIMIT:
-                _sha1_cache.clear()
-            _sha1_cache[key] = digest
+            return sha1_hex("".join(map(_stringify, args)))
+        if digest is not None:
+            _sha1_hits += 1
             return digest
+        _sha1_misses += 1
+        digest = sha1_hex("".join(map(_stringify, args)))
+        if len(_sha1_cache) >= SHA1_CACHE_LIMIT:
+            _sha1_cache.clear()
+        _sha1_cache[key] = digest
+        return digest
     return sha1_hex("".join(map(_stringify, args)))
 
 
@@ -192,27 +164,32 @@ def note_sha1_hits(count: int) -> None:
     _sha1_hits += count
 
 
-def _f_concat(args: Sequence[Any]) -> List[Any]:
-    """``f_concat(A, B, ...)`` — concatenate scalars and lists into one list."""
+def _f_concat(args: Sequence[Any]) -> Tuple[Any, ...]:
+    """``f_concat(A, B, ...)`` — concatenate scalars and lists into one list.
+
+    NDlog lists are Python tuples: every value a rule builds is hashable
+    from birth, so rows, memo keys and index keys never need freezing.
+    """
     result: List[Any] = []
     for arg in args:
         if isinstance(arg, (list, tuple)):
             result.extend(arg)
         else:
             result.append(arg)
-    return result
+    return tuple(result)
 
 
-def _f_append(args: Sequence[Any]) -> List[Any]:
-    """``f_append(A, B, ...)`` — build a list of the arguments, flattening lists."""
+def _f_append(args: Sequence[Any]) -> Tuple[Any, ...]:
+    """``f_append(A, B, ...)`` — the arguments as one list (a tuple, see
+    ``f_concat``), flattening list arguments."""
     return _f_concat(args)
 
 
-def _f_empty(args: Sequence[Any]) -> List[Any]:
-    """``f_empty()`` — an empty list (used to initialize result buffers)."""
+def _f_empty(args: Sequence[Any]) -> Tuple[Any, ...]:
+    """``f_empty()`` — the empty list ``()`` (initializes result buffers)."""
     if args:
         raise EvaluationError("f_empty takes no arguments")
-    return []
+    return ()
 
 
 def _f_size(args: Sequence[Any]) -> int:

@@ -228,7 +228,7 @@ def batch_kernel_for(plan: CompiledDeltaPlan) -> Optional[Callable]:
     else:
         is_aggregate = plan.rule.is_aggregate_rule
         head = None if is_aggregate else plan.rule.head
-        label = plan.rule.label
+        label = f"{plan.rule.label}@{plan.trigger_position}"
         if is_aggregate:
             if not plan.steps:
                 kernel = generate_aggregate_kernel(
@@ -295,8 +295,8 @@ def _stringify_part(value) -> str:
 
     The dynamic non-string parts of provenance preimages are integer
     costs and VID buffers / path vectors — flat sequences of strings
-    (lists on freshly derived facts, tuples once frozen into a table
-    row) — for which ``str`` and ``"".join`` render the identical text
+    (tuples, or lists on facts handed in from outside) — for which
+    ``str`` and ``"".join`` render the identical text
     without the per-element Python recursion.  A sequence member that is
     not a string raises TypeError and falls back to the general renderer.
     """
@@ -311,7 +311,7 @@ def _stringify_part(value) -> str:
     return _stringify(value)
 
 
-def _concat2(a, b) -> list:
+def _concat2(a, b) -> tuple:
     """``f_concat(A, B)`` specialized to two arguments (path extension).
 
     Produces exactly ``functions._f_concat([a, b])`` — one level of
@@ -326,7 +326,7 @@ def _concat2(a, b) -> list:
         result.extend(b)
     else:
         result.append(b)
-    return result
+    return tuple(result)
 
 #: Expressions cheap and pure enough to evaluate twice in a conditional
 #: (a local name or a positional subscript of one).
@@ -361,8 +361,6 @@ class _KernelExprs:
         "str_exprs",
         "list_exprs",
         "const_strs",
-        "frozen_exprs",
-        "dyn_lists",
     )
 
     def __init__(self, namespace: Dict[str, Any]):
@@ -383,14 +381,6 @@ class _KernelExprs:
         #: Expression string -> raw value for string constants, so sha1
         #: preimage splicing can merge them into adjacent literal parts.
         self.const_strs: Dict[str, str] = {}
-        #: Expression strings whose value is already its own storage-frozen
-        #: image (strings, numbers, digests) — head rows built from them can
-        #: carry a precomputed ``Delta.frozen`` without per-value checks.
-        self.frozen_exprs: Set[str] = set()
-        #: Expression strings known to evaluate to a *flat new list* whose
-        #: element types are unknown (dynamic ``f_concat`` builds): their
-        #: frozen image is exactly ``tuple(value)``.
-        self.dyn_lists: Set[str] = set()
 
     def _temp(self) -> str:
         self._temps += 1
@@ -410,19 +400,14 @@ class _KernelExprs:
         if isinstance(term, Constant):
             value = term.value
             if value is None or value is True or value is False:
-                source = repr(value)
-                self.frozen_exprs.add(source)
-                return source
+                return repr(value)
             if type(value) is str:
                 source = repr(value)
                 self.str_exprs.add(source)
-                self.frozen_exprs.add(source)
                 self.const_strs[source] = value
                 return source
             if type(value) in (int, float):
-                source = repr(value)
-                self.frozen_exprs.add(source)
-                return source
+                return repr(value)
             return None
         if isinstance(term, UnaryOp):
             inner = self.term_source(term.operand, resolve, prelude, indent)
@@ -491,7 +476,7 @@ class _KernelExprs:
                         seq = f"({seq})"
                     return f"{seq}[{index_src}]"
             elif name in ("f_concat", "f_append"):
-                # All-known-element builds become list literals, and their
+                # All-known-element builds become tuple literals, and their
                 # element lists are remembered so downstream sha1 preimages
                 # splice the parts in without walking the list at runtime.
                 elements: Optional[List[str]] = []
@@ -505,7 +490,7 @@ class _KernelExprs:
                         break
                 if elements is not None:
                     self.inlined.add(name)
-                    source = "[" + ", ".join(elements) + "]"
+                    source = "(" + "".join(f"{element}, " for element in elements) + ")"
                     self.list_exprs[source] = elements
                     return source
                 if len(args) == 2:
@@ -513,13 +498,11 @@ class _KernelExprs:
                     # specialized helper skips the argument-list
                     # allocation and registry dispatch per call.
                     self.inlined.add(name)
-                    source = f"_concat2({args[0]}, {args[1]})"
-                    self.dyn_lists.add(source)
-                    return source
+                    return f"_concat2({args[0]}, {args[1]})"
             elif name == "f_empty" and not args:
                 self.inlined.add("f_empty")
-                self.list_exprs["[]"] = []
-                return "[]"
+                self.list_exprs["()"] = []
+                return "()"
             self.used.add(name)
             return f"_fn_{name}([{', '.join(args)}])"
         return None
@@ -616,7 +599,6 @@ class _KernelExprs:
         prelude.append(f"{indent}else:")
         prelude.append(f"{indent}    _hits += 1")
         self.str_exprs.add(digest)
-        self.frozen_exprs.add(digest)
         return digest
 
     # -- kernel assembly helpers ------------------------------------ #
@@ -653,10 +635,6 @@ def _fill_kernel_namespace(namespace: Dict[str, Any]) -> None:
     namespace["_Fact"] = Fact
     namespace["_Delta"] = Delta
     namespace["_new_delta"] = Delta.__new__
-    namespace["_new_fact"] = Fact.__new__
-    namespace["_fset_name"] = Fact.name.__set__
-    namespace["_fset_values"] = Fact.values.__set__
-    namespace["_fset_loc"] = Fact.location_index.__set__
     namespace["_EvaluationError"] = EvaluationError
     namespace["_replay"] = _replay
     namespace["_GENERIC"] = GENERIC_FALLBACK
@@ -669,17 +647,13 @@ def _fill_kernel_namespace(namespace: Dict[str, Any]) -> None:
     namespace["_freeze"] = freeze_value
 
 
-def _emit_kernel_source(
-    indent: str, head: Atom, frozen: Optional[str] = None
-) -> List[str]:
+def _emit_kernel_source(indent: str, head: Atom) -> List[str]:
     """Source lines emitting one head delta into the current slot buffer.
 
     The inlined body of ``NDlogEngine._emit`` for the
     no-policy/no-listener configuration the columnar pipeline requires,
     with the queue append replaced by the buffered ``_o.append`` and the
     counter bumps accumulated locally (flushed once per kernel call).
-    *frozen* names the local holding the head row's precomputed frozen
-    image (see :func:`_head_tuple_lines`), attached as ``Delta.frozen``.
     """
     i = indent
     loc = head.location_index
@@ -687,14 +661,7 @@ def _emit_kernel_source(
         f"{i}_firings += 1",
         f"{i}_d = _new_delta(_Delta)",
         f"{i}_d.action = _action",
-    ] + ([f"{i}_d.frozen = {frozen}"] if frozen else [f"{i}_d.frozen = None"]) + [
-        # Slot-descriptor construction: ~2x faster than Fact.__init__ and
-        # identical (head value tuples are always exact tuples here).
-        f"{i}_f = _new_fact(_Fact)",
-        f"{i}_fset_name(_f, {head.name!r})",
-        f"{i}_fset_values(_f, _hvals)",
-        f"{i}_fset_loc(_f, {loc!r})",
-        f"{i}_d.fact = _f",
+        f"{i}_d.fact = _Fact({head.name!r}, _hvals, {loc!r})",
         f"{i}_d.annotation = None",
         f"{i}_dest = _hvals[{loc!r}]",
         f"{i}if _dest == _address:",
@@ -741,39 +708,16 @@ def _literal_lines(
                 elements = builder.list_exprs.get(source)
                 if elements is not None:
                     builder.list_exprs[local] = elements
-            if source in builder.frozen_exprs:
-                builder.frozen_exprs.add(local)
-            elif source in builder.dyn_lists:
-                builder.dyn_lists.add(local)
         else:
             lines.append(f"{indent}if not {source}:")
             lines.append(f"{indent}    continue")
     return lines
 
 
-#: Positional reads of a probed build-side row.  Build-side rows come out of
-#: table storage, i.e. they are interned frozen tuples — any value read from
-#: one is already its own storage-frozen image.
-_ROW_READ = re.compile(r"row\[\d+\]\Z").match
-
-
 def _head_tuple_lines(
     builder: _KernelExprs, head: Atom, sources: Dict[str, str], indent: str
 ) -> Optional[List[str]]:
-    """Prelude + ``_hvals`` / ``_hfro`` lines for the head value tuple.
-
-    ``_hfro`` is the storage-frozen image of ``_hvals`` (what
-    ``catalog._freeze`` would produce value by value), attached to the
-    emitted delta so the apply phase of the *next* window skips freezing.
-    Parts whose frozen form is statically known (digests, constants,
-    build-side row reads, dynamic list builds) are passed through or
-    shallow-tupled directly; only trigger-value passthroughs of unknown
-    type pay the per-value class checks — the same checks
-    ``apply_delta_block`` would otherwise run, just hoisted to the single
-    point where the row is built.  Nested-container rows stay correct
-    because the catalog re-freezes from ``fact.values`` when the attached
-    image turns out unhashable.
-    """
+    """Prelude + the ``_hvals`` line building the head value tuple."""
     resolve = sources.get
     lines: List[str] = []
     parts = []
@@ -786,27 +730,6 @@ def _head_tuple_lines(
         lines.append(f"{indent}_hvals = ({parts[0]},)")
     else:
         lines.append(f"{indent}_hvals = (" + ", ".join(parts) + ")")
-    frozen_exprs = builder.frozen_exprs
-    str_exprs = builder.str_exprs
-    fro_parts: List[str] = []
-    for index, part in enumerate(parts):
-        read = f"_hvals[{index}]"
-        if part in frozen_exprs or part in str_exprs or _ROW_READ(part):
-            fro_parts.append(read)
-        elif part in builder.dyn_lists or part in builder.list_exprs:
-            fro_parts.append(f"tuple({read})")
-        else:
-            hv = f"_hv{index}"
-            lines.append(f"{indent}{hv} = {read}")
-            fro_parts.append(
-                f"({hv} if {hv}.__class__ is str or {hv}.__class__ is int"
-                f" else tuple({hv}) if {hv}.__class__ is list"
-                f" else _freeze({hv}))"
-            )
-    if len(fro_parts) == 1:
-        lines.append(f"{indent}_hfro = ({fro_parts[0]},)")
-    else:
-        lines.append(f"{indent}_hfro = (" + ", ".join(fro_parts) + ")")
     return lines
 
 
@@ -870,7 +793,7 @@ def generate_zero_step_kernel(
         "                _replay(plan, engine, (_delta.fact,), _delta, _o)"
     )
     body.append("                continue")
-    body.extend(_emit_kernel_source("            ", head, "_hfro"))
+    body.extend(_emit_kernel_source("            ", head))
     body.append("    finally:")
     body.append("        plan.executions += _matched")
     body.append("        _stats = engine.stats")
@@ -988,16 +911,7 @@ def generate_aggregate_kernel(
         body.append(f"            _gkey = ({key_parts[0]},)")
     else:
         body.append("            _gkey = (" + ", ".join(key_parts) + ")")
-    # Fused form of _apply_aggregate's hash-try/freeze: dict.get hashes the
-    # key anyway, and a TypeError means a list member, frozen identically.
-    body.append("            try:")
-    body.append("                _state = _groups_get(_gkey)")
-    body.append("            except TypeError:")
-    body.append(
-        "                _gkey = tuple("
-        "tuple(v) if isinstance(v, list) else v for v in _gkey)"
-    )
-    body.append("                _state = _groups_get(_gkey)")
+    body.append("            _state = _groups_get(_gkey)")
     body.append("            if _state is None:")
     body.append(f"                _state = _AggState({spec.func!r})")
     body.append("                _groups[_gkey] = _state")
@@ -1019,7 +933,7 @@ def generate_aggregate_kernel(
     group_iter = iter(group_names)
     for position in range(len(head.args)):
         name = "_res" if position == agg_index else next(group_iter)
-        row_parts.append(f"(tuple({name}) if isinstance({name}, list) else {name})")
+        row_parts.append(name)
     if len(row_parts) == 1:
         body.append(f"                _nrow = ({row_parts[0]},)")
     else:
@@ -1206,7 +1120,7 @@ def generate_one_step_kernel(
         f"{step_atom.name!r}, row, {step_atom.location_index!r})), _delta, _o)"
     )
     body.append("                    continue")
-    body.extend(_emit_kernel_source("                ", head, "_hfro"))
+    body.extend(_emit_kernel_source("                ", head))
     body.append("    finally:")
     body.append("        plan.executions += _matched")
     body.append("        _stats = engine.stats")

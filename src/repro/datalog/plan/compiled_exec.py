@@ -568,7 +568,7 @@ def _term_source(
 
 
 def generate_finalizer(
-    literal_infos, head: Optional[Atom], is_aggregate: bool
+    literal_infos, head: Optional[Atom], is_aggregate: bool, label: str
 ) -> Optional[Callable[..., None]]:
     """Generate a straight-line finalizer function for one compiled plan.
 
@@ -587,6 +587,11 @@ def generate_finalizer(
 
     Returns ``None`` when any term falls outside the supported source
     subset; callers keep the closure-based finalizer for those plans.
+
+    *label* (``rule@trigger-position``, here and in the fused executors)
+    goes into the code object's filename: profilers key functions by
+    ``(filename, line, name)``, and without it every generated function
+    would share one label and overwrite the others' rows.
     """
     lines = [
         "def finalize(plan, engine, env, body_facts, delta):",
@@ -648,12 +653,16 @@ def generate_finalizer(
     from ..ast import Fact  # local import: ast must not depend on this module
 
     namespace["_Fact"] = Fact
-    exec(compile(source_text, "<plan-finalizer>", "exec"), namespace)  # noqa: S102
+    exec(compile(source_text, f"<plan-finalizer {label}>", "exec"), namespace)  # noqa: S102
     return namespace["finalize"]
 
 
 def generate_zero_step_executor(
-    trigger_atom: Atom, literal_infos, head: Optional[Atom], is_aggregate: bool
+    trigger_atom: Atom,
+    literal_infos,
+    head: Optional[Atom],
+    is_aggregate: bool,
+    label: str,
 ) -> Optional[Callable[..., None]]:
     """Generate the fully fused executor for a plan with no join steps.
 
@@ -755,7 +764,7 @@ def generate_zero_step_executor(
     )
     _fill_runtime_namespace(namespace)
     source_text = "\n".join(lines)
-    exec(compile(source_text, "<plan-zero-step>", "exec"), namespace)  # noqa: S102
+    exec(compile(source_text, f"<plan-zero-step {label}>", "exec"), namespace)  # noqa: S102
     return namespace["execute0"]
 
 
@@ -826,6 +835,7 @@ def generate_one_step_executor(
     head: Optional[Atom],
     is_aggregate: bool,
     initial_literal_prefix: int,
+    label: str,
 ) -> Optional[Callable[..., None]]:
     """Generate the fused executor for a plan with exactly one join step.
 
@@ -962,16 +972,17 @@ def generate_one_step_executor(
         head_tuple = f"({head_sources[0]},)"
     else:
         head_tuple = "(" + ", ".join(head_sources) + ")"
-    lines.append(
-        f"        _bfact = _Fact({step_atom.name!r}, row, {step_atom.location_index!r})"
+    # The matched row as a Fact is read only off the hot path (error
+    # replay, rule listeners, annotation policies): built where it is used.
+    body_facts = (
+        f"(delta.fact, _Fact({step_atom.name!r}, row, "
+        f"{step_atom.location_index!r}))"
     )
     lines.append("        try:")
     lines.extend(body)
     lines.append(f"            _values = {head_tuple}")
     lines.append("        except Exception:")
-    lines.append(
-        "            plan._finalize_replay(engine, (delta.fact, _bfact), delta)"
-    )
+    lines.append(f"            plan._finalize_replay(engine, {body_facts}, delta)")
     lines.append("            continue")
     env_pairs = (
         [f"{name!r}: {row_sources[name]}" for _, name in t_binds]
@@ -984,7 +995,7 @@ def generate_one_step_executor(
             head_name=head.name,
             head_location_index=head.location_index,
             env_literal="{" + ", ".join(env_pairs) + "}",
-            body_facts_source="(delta.fact, _bfact)",
+            body_facts_source=body_facts,
         )
     )
     lines.append('    stats["tuples_scanned"] += scanned')
@@ -993,7 +1004,7 @@ def generate_one_step_executor(
     _fill_runtime_namespace(namespace)
     namespace["_freeze"] = freeze_value
     source_text = "\n".join(lines)
-    exec(compile(source_text, "<plan-one-step>", "exec"), namespace)  # noqa: S102
+    exec(compile(source_text, f"<plan-one-step {label}>", "exec"), namespace)  # noqa: S102
     return namespace["execute1"]
 
 

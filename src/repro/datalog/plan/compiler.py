@@ -220,9 +220,10 @@ class CompiledDeltaPlan:
             is_aggregate = self.rule.is_aggregate_rule
             head = None if is_aggregate else self.rule.head
             literals_c = compile_literals(self.literals)
+            label = f"{self.rule.label}@{self.trigger_position}"
             if not self.steps:
                 fused = generate_zero_step_executor(
-                    self.trigger_atom, self.literals, head, is_aggregate
+                    self.trigger_atom, self.literals, head, is_aggregate, label
                 )
             elif len(self.steps) == 1:
                 # A single-step plan has exactly one possible join order, so
@@ -234,6 +235,7 @@ class CompiledDeltaPlan:
                     head,
                     is_aggregate,
                     self.initial_literal_prefix,
+                    label,
                 )
             else:
                 fused = None
@@ -243,7 +245,7 @@ class CompiledDeltaPlan:
                 literals_c,
                 None if is_aggregate else compile_head(self.rule.head),
                 None if is_aggregate else compile_head_tuple(self.rule.head),
-                generate_finalizer(self.literals, head, is_aggregate),
+                generate_finalizer(self.literals, head, is_aggregate, label),
                 fused,
                 is_aggregate,
             )

@@ -46,6 +46,26 @@ TRACE_CONTEXT_KEY = "_tc"
 
 def payload_size(value: Any) -> int:
     """Return the estimated serialized size of *value* in bytes."""
+    # Exact-class dispatch for what nearly every payload is — strings,
+    # integers and flat sequences of them (a delta's value tuple) — sized
+    # in one loop; everything else takes the general ladder below, which
+    # charges the same bytes.
+    cls = value.__class__
+    if cls is str:
+        return len(value)
+    if cls is int:
+        return 4
+    if cls is tuple or cls is list:
+        size = 2
+        for item in value:
+            cls = item.__class__
+            if cls is str:
+                size += len(item)
+            elif cls is int:
+                size += 4
+            else:
+                size += payload_size(item)
+        return size
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, int):

@@ -77,7 +77,9 @@ class Topology:
         self._node_set: Set[Any] = set()
         self._node_kind: Dict[Any, str] = {}
         self._links: Dict[Tuple[Any, Any], LinkSpec] = {}
-        self._adjacency: Dict[Any, Set[Any]] = {}
+        # node -> {neighbour -> spec}: routing reads a link's spec straight
+        # off the adjacency instead of re-deriving its canonical key.
+        self._adjacency: Dict[Any, Dict[Any, LinkSpec]] = {}
         self._route_cache: Dict[Any, Dict[Any, float]] = {}
 
     # ------------------------------------------------------------------ #
@@ -89,7 +91,7 @@ class Topology:
         self._nodes.append(node)
         self._node_set.add(node)
         self._node_kind[node] = kind
-        self._adjacency[node] = set()
+        self._adjacency[node] = {}
 
     def add_link(self, a: Any, b: Any, spec: Optional[LinkSpec] = None) -> None:
         """Add a symmetric link between *a* and *b* (idempotent)."""
@@ -99,8 +101,8 @@ class Topology:
         self.add_node(b)
         spec = spec or LinkSpec()
         self._links[self._key(a, b)] = spec
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+        self._adjacency[a][b] = spec
+        self._adjacency[b][a] = spec
         self._route_cache.clear()
 
     def remove_link(self, a: Any, b: Any) -> bool:
@@ -109,8 +111,8 @@ class Topology:
         if key not in self._links:
             return False
         del self._links[key]
-        self._adjacency[a].discard(b)
-        self._adjacency[b].discard(a)
+        del self._adjacency[a][b]
+        del self._adjacency[b][a]
         self._route_cache.clear()
         return True
 
@@ -197,8 +199,7 @@ class Topology:
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor in self._adjacency.get(node, ()):
-                spec = self._links[self._key(node, neighbor)]
+            for neighbor, spec in self._adjacency.get(node, {}).items():
                 candidate = distance + spec.latency
                 if candidate < distances.get(neighbor, float("inf")):
                     distances[neighbor] = candidate

@@ -166,11 +166,28 @@ class Table:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _check_arity(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        if type(values) is InternedRow:
-            row: Tuple[Any, ...] = values
-        else:
-            row = tuple(map(_freeze, values))
+    def _find(
+        self, values: Sequence[Any]
+    ) -> Tuple[Tuple[Any, ...], Optional[InternedRow]]:
+        """``(row, stored)``: *values* as a hashable row, and its stored twin.
+
+        Hash first, freeze on ``TypeError``: rows the engine builds are
+        hashable tuples from birth and look up as they are.  The freeze
+        relies on equality, not identity — ``_freeze`` only rewrites
+        containers into equal tuples — so a hashable row is its own frozen
+        image; only rows handed in from outside (``insert_fact`` with a
+        list or set attribute, checkpoint and service JSON) take the detour.
+        """
+        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+            values = tuple(values)
+        try:
+            return values, self._rows.get(values)
+        except TypeError:
+            row = tuple([_freeze(v) for v in values])
+            return row, self._rows.get(row)
+
+    def _admit(self, row: Tuple[Any, ...]) -> InternedRow:
+        """Check a *new* row's arity and intern it with one derivation."""
         if self.arity is None:
             self.arity = len(row)
         elif len(row) != self.arity:
@@ -178,7 +195,11 @@ class Table:
                 f"relation {self.name!r} expects arity {self.arity}, "
                 f"got {len(row)}"
             )
-        return row
+        # Always a fresh canonical object: the incoming row may be another
+        # table's interned row, whose derivation count must not be touched.
+        interned = InternedRow(row)
+        interned.count = 1
+        return interned
 
     def _key_of(self, row: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
         getter = self._key_getter
@@ -191,15 +212,11 @@ class Table:
     # ------------------------------------------------------------------ #
     def insert(self, values: Sequence[Any]) -> InsertOutcome:
         """Insert one derivation of *values*; see :class:`InsertOutcome`."""
-        row = self._check_arity(values)
-        interned = self._rows.get(row)
+        row, interned = self._find(values)
         if interned is not None:
             interned.count += 1
             return _INSERTED_DUP
-        # Always a fresh canonical object: the incoming row may be another
-        # table's interned row, whose derivation count must not be touched.
-        interned = InternedRow(row)
-        interned.count = 1
+        interned = self._admit(row)
         replaced: Optional[Fact] = None
         key = self._key_of(interned)
         if key is not None:
@@ -217,8 +234,7 @@ class Table:
 
     def delete(self, values: Sequence[Any]) -> DeleteOutcome:
         """Remove one derivation of *values*; see :class:`DeleteOutcome`."""
-        row = self._check_arity(values)
-        interned = self._rows.get(row)
+        interned = self._find(values)[1]
         if interned is None:
             return _DELETED_ABSENT
         if interned.count <= 1:
@@ -232,16 +248,11 @@ class Table:
 
         Semantically one :meth:`insert` / :meth:`delete` per delta (REFRESH
         is a storage no-op), with the per-call overhead — method dispatch,
-        outcome allocation, unconditional value freezing — amortized over
-        the block.  Returns one code per delta telling the caller what to
-        propagate: ``None`` (nothing became visible/invisible), ``True``
-        (the delta's own fact must fire), or an evicted :class:`Fact`
-        (primary-key replacement: fire its DELETE, then the delta).
-
-        The freeze fast path relies on equality, not identity: a row whose
-        values are already hashable (no embedded lists/sets) looks up and
-        stores identically to its frozen image, because ``_freeze`` only
-        rewrites containers into equal tuples.
+        outcome allocation — amortized over the block.  Returns one code
+        per delta telling the caller what to propagate: ``None`` (nothing
+        became visible/invisible), ``True`` (the delta's own fact must
+        fire), or an evicted :class:`Fact` (primary-key replacement: fire
+        its DELETE, then the delta).
         """
         results: List[Any] = []
         append = results.append
@@ -250,65 +261,29 @@ class Table:
         key_getter = self._key_getter
         by_key = self._by_key
         index_list = self._index_list
-        name = self.name
-        location_index = self.location_index
         for delta in deltas:
             action = delta.action
+            if action == "refresh":  # no storage effect
+                append(None)
+                continue
+            row = delta.fact.values
+            try:
+                interned = rows_get(row)
+            except TypeError:
+                row, interned = self._find(row)
             if action == "insert":
-                # Kernel-prefrozen rows (see Delta.frozen) skip the freeze;
-                # getattr-with-default also absorbs deltas minted through
-                # Delta.__new__ by the per-tuple emitters, whose slot is
-                # never assigned.
-                row = getattr(delta, "frozen", None)
-                if row is None:
-                    values = delta.fact.values
-                    if type(values) is InternedRow:
-                        row = values
-                    else:
-                        # Branchless freeze: per-value class checks beat the
-                        # try-hash-except dance because list-carrying rows
-                        # (paths, VID buffers) are common on this path and
-                        # each would pay a raised TypeError.  Lists freeze
-                        # shallowly (one C-level tuple() — they are flat
-                        # scalar sequences in practice); a nested container
-                        # surfaces as TypeError at the lookup and reruns the
-                        # recursive deep freeze.
-                        row = tuple(
-                            [
-                                v
-                                if v.__class__ is str or v.__class__ is int
-                                else tuple(v)
-                                if v.__class__ is list
-                                else _freeze(v)
-                                for v in values
-                            ]
-                        )
-                try:
-                    interned = rows_get(row)
-                except TypeError:
-                    row = tuple([_freeze(v) for v in delta.fact.values])
-                    interned = rows_get(row)
                 if interned is not None:
                     interned.count += 1
                     append(None)
                     continue
-                arity = self.arity
-                if arity is None:
-                    self.arity = len(row)
-                elif len(row) != arity:
-                    raise SchemaError(
-                        f"relation {name!r} expects arity {arity}, "
-                        f"got {len(row)}"
-                    )
-                interned = InternedRow(row)
-                interned.count = 1
+                interned = self._admit(row)
                 code: Any = True
                 if key_getter is not None:
                     key = key_getter(interned)
                     existing = by_key.get(key)
                     if existing is not None and existing != interned:
                         self._remove_row(existing)
-                        code = Fact(name, existing, location_index)
+                        code = Fact(self.name, existing, self.location_index)
                     by_key[key] = interned
                 rows[interned] = interned
                 length = len(interned)
@@ -316,54 +291,22 @@ class Table:
                     if max_position < length:
                         index.setdefault(getter(interned), {})[interned] = None
                 append(code)
-            elif action == "delete":
-                row = getattr(delta, "frozen", None)
-                if row is None:
-                    values = delta.fact.values
-                    if type(values) is InternedRow:
-                        row = values
-                    else:
-                        row = tuple(
-                            [
-                                v
-                                if v.__class__ is str or v.__class__ is int
-                                else tuple(v)
-                                if v.__class__ is list
-                                else _freeze(v)
-                                for v in values
-                            ]
-                        )
-                arity = self.arity
-                if arity is None:
-                    self.arity = len(row)
-                elif len(row) != arity:
-                    raise SchemaError(
-                        f"relation {name!r} expects arity {arity}, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    interned = rows_get(row)
-                except TypeError:
-                    row = tuple([_freeze(v) for v in delta.fact.values])
-                    interned = rows_get(row)
-                if interned is None:
-                    append(None)
-                elif interned.count <= 1:
-                    self._remove_row(interned)
-                    append(True)
-                else:
-                    interned.count -= 1
-                    append(None)
-            else:  # REFRESH: no storage effect
+            elif interned is None:
+                append(None)
+            elif interned.count <= 1:
+                self._remove_row(interned)
+                append(True)
+            else:
+                interned.count -= 1
                 append(None)
         return results
 
     def delete_all(self, values: Sequence[Any]) -> DeleteOutcome:
         """Remove every derivation of *values* regardless of count."""
-        row = self._check_arity(values)
-        if row not in self._rows:
+        interned = self._find(values)[1]
+        if interned is None:
             return _DELETED_ABSENT
-        self._remove_row(row)
+        self._remove_row(interned)
         return _DELETED_GONE
 
     def _remove_row(self, row: Tuple[Any, ...]) -> None:
@@ -397,7 +340,7 @@ class Table:
             raise SchemaError(
                 f"relation {self.name!r}: duplicate checkpoint row {values!r}"
             )
-        self._rows[self._check_arity(values)].count = int(count)
+        self._find(values)[1].count = int(count)
 
     # ------------------------------------------------------------------ #
     # indexes
@@ -477,11 +420,11 @@ class Table:
     # queries
     # ------------------------------------------------------------------ #
     def __contains__(self, values: Sequence[Any]) -> bool:
-        return tuple(_freeze(v) for v in values) in self._rows
+        return self._find(values)[1] is not None
 
     def count(self, values: Sequence[Any]) -> int:
         """Return the derivation count for *values* (0 if absent)."""
-        interned = self._rows.get(tuple(_freeze(v) for v in values))
+        interned = self._find(values)[1]
         return interned.count if interned is not None else 0
 
     def rows(self) -> Iterator[Tuple[Any, ...]]:

@@ -3,7 +3,7 @@
 ``tests/test_plan_equivalence.py`` proves the columnar pipeline
 bit-identical to the interpreted ones; this module covers the machinery
 behind that result: generated-kernel dispatch and its guarded fallbacks,
-the ``Delta.frozen`` storage fast path, window bookkeeping under
+kernel-built rows interning like interpreter-built ones, window bookkeeping under
 ``max_steps``, primary-key replacement inside batches, EXPLAIN rendering,
 and the cache counters surfaced through ``metrics_snapshot``.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
 from repro.core.rewrite import rewrite_program
 from repro.datalog import Fact, StandaloneNetwork
-from repro.datalog.engine import INSERT, Delta, EvaluationError, NDlogEngine
+from repro.datalog.engine import EvaluationError, NDlogEngine
 from repro.datalog.functions import default_registry
 from repro.datalog.parser import parse_program
 from repro.datalog.plan.columnar import batch_kernel_for, describe_kernel
@@ -104,20 +104,13 @@ class TestKernelDispatch:
         assert all(batch_kernel_for(plan) is None for plan in multi)
 
 
-class TestFrozenSideChannel:
-    def test_delta_frozen_defaults_to_none_and_never_compares(self):
-        fact = Fact("link", ("a", "b", 1))
-        bare = Delta(INSERT, fact)
-        assert bare.frozen is None
-        tagged = Delta(INSERT, fact, None, ("a", "b", 1))
-        assert bare == tagged  # frozen is a side channel, not identity
-        assert "frozen" not in repr(tagged)
+class TestKernelBuiltRows:
+    def test_kernel_built_rows_intern_to_the_same_objects(self):
+        """Kernel-built rows and interpreter-built rows must collide.
 
-    def test_kernel_frozen_rows_intern_to_the_same_objects(self):
-        """Kernel-prefrozen rows and interpreter-frozen rows must collide.
-
-        Storage interning is keyed by the frozen row; if the kernels froze
-        a value differently than ``catalog._freeze`` the two pipelines
+        Storage interning is keyed by the row as built (tuples from
+        birth); if the kernels' inlined list builtins built a value
+        differently than ``f_concat`` / ``f_append`` the two pipelines
         would intern distinct rows and fixpoints would drift.
         """
         program = rewrite_program(pathvector_program())

@@ -10,12 +10,15 @@ from repro.core import (
     DELTA_MESSAGE_KIND,
     ExspanNetwork,
     ProvenanceMode,
+    QueryRequest,
     QueryResultCache,
+    SpecDescriptor,
     count_derivations,
     polynomial_query,
     tuple_vid,
 )
 from repro.core.errors import ProvenanceError
+from repro.core.vid import vid_cache_stats
 from repro.datalog import Fact
 from repro.net import ring_topology
 from repro.protocols import mincost_program, pathvector_program
@@ -235,3 +238,111 @@ class TestExspanNetworkFacade:
             (row[0], row[1]): row for _, row in network.tuples("bestPath")
         }
         assert list(best[("a", "c")][3]) == ["a", "b", "c"]
+
+
+def _update_listener_count(network) -> int:
+    return sum(len(node.engine._update_listeners) for node in network.nodes.values())
+
+
+CACHED_POLYNOMIAL = SpecDescriptor(kind="polynomial", use_cache=True)
+UNCACHED_POLYNOMIAL = SpecDescriptor(kind="polynomial")
+
+
+class TestUpdateHookSubscription:
+    """The query layer's tuple-update hook costs nothing until a cached
+    result or an in-flight resolution could actually be invalidated."""
+
+    def test_cold_cache_churn_never_reaches_the_hook(self, reference_network):
+        assert _update_listener_count(reference_network) == 0
+        before = vid_cache_stats()["vid"]
+        reference_network.remove_link("b", "c")
+        reference_network.run_to_fixpoint()
+        reference_network.add_link("b", "c", 2)
+        reference_network.run_to_fixpoint()
+        # no listener registered: no tuple_vid per update, no host turn opened
+        assert vid_cache_stats()["vid"] == before
+        assert _update_listener_count(reference_network) == 0
+
+    def test_warm_cache_remote_invalidation_matches_uncached(self, reference_network):
+        first = reference_network.execute(
+            QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL)
+        )
+        assert count_derivations(first.result) == 2
+        # link(b,c,2) lives at b and c; the cached root result lives at a
+        service_a = reference_network.node("a").query_service
+        assert service_a.cache.watches_vertices()
+        assert service_a._watching_updates
+        reference_network.remove_link("b", "c")
+        reference_network.run_to_fixpoint()
+        assert service_a.cache.invalidations >= 1
+        cached = reference_network.execute(
+            QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL)
+        )
+        fresh = reference_network.execute(
+            QueryRequest(fact=BEST_AC, spec=UNCACHED_POLYNOMIAL)
+        )
+        assert cached.result == fresh.result
+        assert count_derivations(cached.result) == 1
+
+    def test_update_during_resolution_marks_it_dirty(self, reference_network):
+        results = []
+        reference_network.submit(
+            QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL, issuer="d"),
+            results.append,
+        )
+        service_a = reference_network.node("a").query_service
+        while not service_a._inflight_index:  # the walk reaches a, then fans out
+            assert reference_network.simulator.step()
+        assert service_a._watching_updates
+        # a derivation of the tuple being resolved disappears mid-walk
+        reference_network.remove_link("a", "c")
+        reference_network.run_to_fixpoint()
+        assert len(results) == 1
+        assert reference_network.query_service_stats()["stale_drops"] >= 1
+        root_key = (
+            "v",
+            CACHED_POLYNOMIAL.canonical_name,
+            tuple_vid("bestPathCost", BEST_AC.values),
+        )
+        assert not service_a.cache.contains(root_key)
+        after = reference_network.execute(
+            QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL)
+        )
+        fresh = reference_network.execute(
+            QueryRequest(fact=BEST_AC, spec=UNCACHED_POLYNOMIAL)
+        )
+        assert after.result == fresh.result
+
+    def test_subscription_survives_clear_and_restore(self, reference_network, tmp_path):
+        request = QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL)
+        reference_network.execute(request)
+        for node in reference_network.nodes.values():
+            node.query_service.cache.clear()
+        # emptied caches unsubscribe lazily, on the next update they see
+        reference_network.remove_link("c", "d")
+        reference_network.run_to_fixpoint()
+        reference_network.add_link("c", "d", 3)
+        reference_network.run_to_fixpoint()
+        assert not any(
+            node.query_service._watching_updates
+            for node in reference_network.nodes.values()
+        )
+        # ... and the next cached result subscribes again
+        reference_network.execute(request)
+        reference_network.remove_link("b", "c")
+        reference_network.run_to_fixpoint()
+        assert count_derivations(reference_network.execute(request).result) == 1
+
+        path = str(tmp_path / "net.ckpt")
+        reference_network.checkpoint(path)
+        restored = ExspanNetwork.restore(
+            path,
+            reference_network.topology,
+            mincost_program(),
+            config=reference_network.config,
+        )
+        assert _update_listener_count(restored) == 0  # caches start cold
+        assert count_derivations(restored.execute(request).result) == 1
+        restored.add_link("b", "c", 2)
+        restored.run_to_fixpoint()
+        assert count_derivations(restored.execute(request).result) == 2

@@ -58,6 +58,33 @@ class TestTableBasics:
         with pytest.raises(SchemaError):
             table.insert(("a", "b"))
 
+    def test_delete_of_absent_row_does_not_pin_arity(self):
+        table = Table("link")
+        assert not table.delete(("x", "y")).was_present
+        assert table.arity is None
+        assert table.insert(("a", "b", 1)).became_visible  # a different width
+        assert table.arity == 3
+
+    def test_insert_pins_arity_and_delete_of_other_width_is_just_absent(self):
+        table = Table("link")
+        table.insert(("a", "b", 1))
+        assert not table.delete(("a", "b")).was_present
+        assert table.arity == 3
+        with pytest.raises(SchemaError):
+            table.insert(("a", "b"))
+
+    def test_set_and_nested_list_attributes_store_and_delete(self):
+        table = Table("t")
+        assert table.insert(("a", {"y", "x"}, ["p", ["q"]])).became_visible
+        assert list(table.rows()) == [("a", ("x", "y"), ("p", ("q",)))]
+        # the outside spelling and the stored spelling name the same row
+        assert ("a", {"x", "y"}, ["p", ["q"]]) in table
+        assert not table.insert(["a", ("x", "y"), ("p", ("q",))]).became_visible
+        assert table.count(("a", {"x", "y"}, ["p", ["q"]])) == 2
+        table.delete(("a", {"x", "y"}, ["p", ["q"]]))
+        assert table.delete(("a", ("x", "y"), ("p", ("q",)))).became_invisible
+        assert len(table) == 0
+
     def test_lists_are_frozen_for_storage(self):
         table = Table("path")
         table.insert(("a", "b", ["a", "x", "b"]))

@@ -40,14 +40,15 @@ class TestSha1:
 
 
 class TestListFunctions:
+    # NDlog lists are tuples: values are hashable from birth (see f_concat).
     def test_f_concat_flattens(self):
-        assert REGISTRY.call("f_concat", [["a"], "b", ["c", "d"]]) == ["a", "b", "c", "d"]
+        assert REGISTRY.call("f_concat", [["a"], "b", ("c", "d")]) == ("a", "b", "c", "d")
 
     def test_f_append_builds_list(self):
-        assert REGISTRY.call("f_append", ["x", "y"]) == ["x", "y"]
+        assert REGISTRY.call("f_append", ["x", "y"]) == ("x", "y")
 
     def test_f_empty(self):
-        assert REGISTRY.call("f_empty", []) == []
+        assert REGISTRY.call("f_empty", []) == ()
 
     def test_f_empty_rejects_arguments(self):
         with pytest.raises(EvaluationError):

@@ -366,6 +366,36 @@ class TestCompiledPlans:
             assert engine.table_rows("out1") == [("a", "x")], planner
             assert engine.table_rows("out2") == [("a", "x")], planner
 
+    def test_generated_code_is_labelled_per_rule_and_trigger_position(self):
+        # Profilers key a function by (co_filename, first line, name): with
+        # one shared filename every generated executor collapses into one
+        # row and cProfile's snapshot keeps whichever it saw last.
+        from repro.datalog.plan.columnar import batch_kernel_for
+
+        engine = NDlogEngine("a", planner="greedy", pipeline="columnar")
+        engine.load_program(
+            parse_program(
+                """
+                q1 out(@A,C) :- t(@A,B), u(@B,C).
+                q2 copy(@A,B) :- t(@A,B).
+                """
+            )
+        )
+        plans = {
+            (plan.rule.label, plan.trigger_position): plan
+            for plan in engine._plans.values()
+        }
+        for attribute in ("fused_exec", "_finalize_c"):
+            filenames = {
+                key: getattr(plan, attribute).__code__.co_filename
+                for key, plan in plans.items()
+            }
+            assert len(set(filenames.values())) == len(plans) == 3, filenames
+        assert plans[("q1", 1)].fused_exec.__code__.co_filename == "<plan-one-step q1@1>"
+        assert plans[("q2", 0)].fused_exec.__code__.co_filename == "<plan-zero-step q2@0>"
+        kernels = {batch_kernel_for(plan).__code__.co_filename for plan in plans.values()}
+        assert len(kernels) == 3, kernels
+
     def test_plan_compiler_is_reusable_across_positions(self):
         catalog = Catalog()
         catalog.declare(TableDecl("t", 2))
