@@ -1,6 +1,6 @@
 """CI durability gate for the pluggable storage engine.
 
-Three checks, in order, all deterministic (no wall-clock — repo policy):
+Four checks, in order, all deterministic (no wall-clock — repo policy):
 
 1. **Backend byte-identity** — the artifact a ``--storage sqlite`` run of
    the ``query_concurrency`` scenario produced must byte-match the
@@ -16,6 +16,10 @@ Three checks, in order, all deterministic (no wall-clock — repo policy):
    backend's SQL provenance answers (``nodeset``/``derivability``/
    ``reachable_base``) must equal the distributed query engine's and the
    in-RAM provenance graph's on the same tuples.
+4. **Mirror == engines** — in the restored process, after the scripted
+   churn, the mirrored ``tuples``/``prov``/``rule_exec`` rows must equal
+   the live engines' tables row for row, with nothing left in the
+   write-behind journal (the net-effect flush lost and invented nothing).
 
 Run from CI (after the sqlite scenario run)::
 
@@ -120,6 +124,24 @@ def _sql_cross_check(network):
     return failures
 
 
+def _mirror_check(network):
+    """Mirrored rows vs the live engines' tables; returns failures."""
+    network.storage_flush()
+    failures = []
+    pending = network.storage_stats()["journal_pending"]
+    if pending:
+        failures.append(f"{pending} journal op(s) still pending after a flush")
+    mirrored = network.storage.mirror_rows()
+    expected = network.storage.engine_rows()
+    for table in ("tuples", "prov", "rule_exec"):
+        if sorted(mirrored[table], key=repr) != sorted(expected[table], key=repr):
+            failures.append(
+                f"{table}: mirror holds {len(mirrored[table])} row(s), engines "
+                f"{len(expected[table])}, and they differ"
+            )
+    return failures
+
+
 def _run_phase(phase: str, ckpt_path: str) -> None:
     if phase == "crash":
         network = _build_network()
@@ -133,6 +155,7 @@ def _run_phase(phase: str, ckpt_path: str) -> None:
             "digests": _digests(network),
             "now": network.now,
             "sql_failures": _sql_cross_check(network),
+            "mirror_failures": _mirror_check(network),
         }
         network.close_storage()
         json.dump(payload, sys.stdout, sort_keys=True)
@@ -216,6 +239,13 @@ def _check_recovery(work_dir: str) -> None:
             print(f"  {failure}")
         _fail(f"{len(sql_failures)} SQL-vs-distributed mismatches after restore")
     print("ok: SQL provenance answers equal the distributed engine's after restore")
+
+    mirror_failures = restored_payload["mirror_failures"]
+    if mirror_failures:
+        for failure in mirror_failures:
+            print(f"  {failure}")
+        _fail("the sqlite mirror diverged from the live engines after restore + churn")
+    print("ok: mirrored tuples/prov/rule_exec rows equal the live engines' after churn")
     os.remove(ckpt_path)
 
 

@@ -812,6 +812,7 @@ class ExspanNetwork:
                 "journal_pending",
                 "flushes",
                 "flushed_ops",
+                "cancelled_ops",
                 "sql_queries",
                 "checkpoints",
                 "restores",

@@ -116,6 +116,7 @@ class StorageBackend:
             "journal_appends": 0,
             "flushes": 0,
             "flushed_ops": 0,
+            "cancelled_ops": 0,
             "sql_queries": 0,
             "checkpoints": 0,
             "restores": 0,

@@ -182,12 +182,12 @@ def _load_node(node: Any, snapshot: Dict[str, Any], backend: Any) -> None:
     for name, rows in snapshot["tables"].items():
         table = engine.catalog.table(name)
         for row, count in rows:
-            frozen = freeze_value(tuple(row))
+            frozen = freeze_value(row)  # JSON list -> hashable tuple, once
             table.load_row(frozen, count)
             if replay:
                 # Seed the write-behind mirror: storage-level loads bypass
                 # the engine listeners, so the backend journal must see the
-                # restored visible set explicitly.
+                # restored visible set explicitly (it keeps the row as is).
                 backend.record(address, "insert", name, frozen)
     from ..datalog.aggregates import AggregateState
 

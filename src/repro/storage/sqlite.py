@@ -5,7 +5,8 @@ onto one sqlite database (WAL mode) — base and derived tuples, the
 ``prov``/``ruleExec`` relations, and the VID index (each mirrored tuple row
 carries its content-derived VID).  The mirror is *write-behind*: the
 engine's update listener only appends to an in-RAM journal, and
-:meth:`SqliteBackend.flush` drains the journal in one WAL transaction, so
+:meth:`SqliteBackend.flush` drains the journal in one WAL transaction —
+folded to its net effect, one ``executemany`` per (table, action) — so
 the batched/columnar delta hot paths keep their in-RAM speed and the
 database lags the engine by at most one un-flushed journal.
 
@@ -42,7 +43,7 @@ import json
 import os
 import sqlite3
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..datalog.ast import Fact, is_event_predicate
 from .backend import StorageBackend, StorageError
@@ -120,9 +121,40 @@ reach(vid) AS (
 """
 
 
-def _encode(value: Any) -> str:
-    """Canonical JSON for a (frozen) value, row or node address."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=list)
+#: One journal entry: ``(address, action, name, row)``.
+_Op = Tuple[Any, str, str, Tuple[Any, ...]]
+#: One statement's worth of ops: ``(table, inserting, ops)``.
+_Batch = Tuple[int, bool, Iterable[_Op]]
+
+#: Mirrored tables, indexing the per-table structures of the write path.
+_TUPLES, _PROV, _RULE_EXEC = 0, 1, 2
+
+#: The six write statements, ``(delete, insert)`` per mirrored table.
+_TUPLES_SQL = (
+    "DELETE FROM tuples WHERE node = ? AND name = ? AND row = ?",
+    "INSERT OR REPLACE INTO tuples(node, name, row, vid) VALUES(?,?,?,?)",
+)
+_PROV_SQL = (
+    "DELETE FROM prov WHERE loc = ? AND vid = ? AND rid IS ? AND rloc = ?",
+    "INSERT INTO prov(loc, vid, rid, rloc) VALUES(?,?,?,?)",
+)
+_RULE_EXEC_SQL = (
+    "DELETE FROM rule_exec WHERE rloc = ? AND rid = ?",
+    "INSERT OR REPLACE INTO rule_exec(rloc, rid, rule, inputs) VALUES(?,?,?,?)",
+)
+
+#: Canonical JSON for a (frozen) value, row or node address: one shared
+#: encoder, the bytes ``json.dumps(..., sort_keys=True, separators=(",", ":"),
+#: default=list)`` produces.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=list).encode
+
+
+class _AddressTexts(dict):
+    """Per-flush memo of encoded node addresses (``loc``/``rloc``/``node``)."""
+
+    def __missing__(self, address: Any) -> str:
+        text = self[address] = _encode(address)
+        return text
 
 
 def _decode(text: str) -> Any:
@@ -156,9 +188,9 @@ class SqliteBackend(StorageBackend):
         self._connection.execute("PRAGMA synchronous=NORMAL")
         self._connection.executescript(_SCHEMA)
         self._connection.commit()
-        # Journal of (address, action, name, frozen values) visibility
-        # transitions, drained by flush() in arrival order.
-        self._journal: List[Tuple[Any, str, str, Tuple[Any, ...]]] = []
+        # Journal of (address, action, name, row) visibility transitions in
+        # arrival order; flush() folds it to its net effect and drains it.
+        self._journal: List[_Op] = []
         self._intervals_dirty = True
 
     # ------------------------------------------------------------------ #
@@ -170,15 +202,28 @@ class SqliteBackend(StorageBackend):
         counters = self.counters
 
         def _observe(action: str, fact: Fact, _address: Any = address) -> None:
-            # Freeze eagerly: the journal may outlive the fact's value
-            # list, and flush-time encoding needs hashable canonical rows.
-            journal.append((_address, action, fact.name, freeze_value(tuple(fact.values))))
+            # Journal the engine's row as it is: it has been a hashable
+            # tuple since it was built, so the journal cannot see it change.
+            # Hash first, freeze on TypeError (the rule Table._find applies)
+            # for the rows handed in from outside with a list attribute.
+            values = fact.values
+            try:
+                hash(values)
+            except TypeError:
+                values = freeze_value(values)
+            journal.append((_address, action, fact.name, values))
             counters["journal_appends"] += 1
 
         engine.add_update_listener(_observe)
 
     def record(self, address: Any, action: str, name: str, values: Any) -> None:
-        self._journal.append((address, action, name, freeze_value(tuple(values))))
+        if not isinstance(values, tuple):
+            values = tuple(values)
+        try:
+            hash(values)
+        except TypeError:
+            values = freeze_value(values)
+        self._journal.append((address, action, name, values))
         self.counters["journal_appends"] += 1
 
     def close(self) -> None:
@@ -209,77 +254,143 @@ class SqliteBackend(StorageBackend):
     # write-behind journal
     # ------------------------------------------------------------------ #
     def flush(self) -> int:
-        """Drain the journal into one WAL transaction; return op count."""
+        """Drain the journal's net effect into one WAL transaction.
+
+        Returns the number of journal ops drained (those the fold
+        cancelled included).  If a statement raises, the transaction rolls
+        back and the journal keeps every op, so the next flush retries.
+        """
         journal = self._journal
         if not journal:
             return 0
-        # Swap in a fresh list so listeners appending mid-flush (there are
-        # none today, but the invariant is cheap) never hit a shared list.
+        # Work on a snapshot and trim the journal only after the commit.
         drained = journal[:]
-        journal.clear()
-        prov_name = self._prov_table
-        rule_exec_name = self._rule_exec_table
+        folded = self._fold(drained)
+        if folded is None:
+            # Some key does not alternate insert/delete (only record() can
+            # do that): replay the whole window op by op, in journal order.
+            batches = [
+                (table, op[1] == "insert", (op,))
+                for op in drained
+                if (table := self._table_of(op[2])) is not None
+            ]
+            operations, cancelled = len(batches), 0
+        else:
+            batches, operations, cancelled = folded
+
         fact_vid = self._fact_vid
+        texts = _AddressTexts()
+
+        def tuples_row(op: _Op, inserting: bool) -> Tuple[Any, ...]:
+            address, _, name, values = op
+            if inserting:
+                vid = fact_vid(Fact(name, values))
+                return (texts[address], name, _encode(values), vid)
+            return (texts[address], name, _encode(values))
+
+        def prov_row(op: _Op, inserting: bool) -> Tuple[Any, ...]:
+            values = op[3]
+            return (texts[values[0]], values[1], values[2], texts[values[3]])
+
+        def rule_exec_row(op: _Op, inserting: bool) -> Tuple[Any, ...]:
+            values = op[3]
+            if inserting:
+                inputs = _encode(list(values[3]) if values[3] else [])
+                return (texts[values[0]], values[1], values[2], inputs)
+            return (texts[values[0]], values[1])
+
+        writers = (
+            (_TUPLES_SQL, tuples_row),
+            (_PROV_SQL, prov_row),
+            (_RULE_EXEC_SQL, rule_exec_row),
+        )
         connection = self._connection
-        operations = 0
-        graph_touched = False
         with connection:
-            execute = connection.execute
-            for address, action, name, values in drained:
-                if name == prov_name:
-                    loc, vid, rid, rloc = values[0], values[1], values[2], values[3]
-                    row = (_encode(loc), vid, rid, _encode(rloc))
-                    if action == "insert":
-                        execute(
-                            "INSERT INTO prov(loc, vid, rid, rloc) VALUES(?,?,?,?)",
-                            row,
-                        )
-                    else:
-                        execute(
-                            "DELETE FROM prov WHERE loc = ? AND vid = ? "
-                            "AND rid IS ? AND rloc = ?",
-                            row,
-                        )
-                    graph_touched = True
-                elif name == rule_exec_name:
-                    rloc, rid, rule = values[0], values[1], values[2]
-                    inputs = _encode(list(values[3]) if values[3] else [])
-                    if action == "insert":
-                        execute(
-                            "INSERT OR REPLACE INTO rule_exec"
-                            "(rloc, rid, rule, inputs) VALUES(?,?,?,?)",
-                            (_encode(rloc), rid, rule, inputs),
-                        )
-                    else:
-                        execute(
-                            "DELETE FROM rule_exec WHERE rloc = ? AND rid = ?",
-                            (_encode(rloc), rid),
-                        )
-                    graph_touched = True
-                elif is_event_predicate(name):
-                    continue  # transient events are never materialized
-                else:
-                    node = _encode(address)
-                    row_text = _encode(values)
-                    if action == "insert":
-                        vid = fact_vid(Fact(name, values))
-                        execute(
-                            "INSERT OR REPLACE INTO tuples(node, name, row, vid) "
-                            "VALUES(?,?,?,?)",
-                            (node, name, row_text, vid),
-                        )
-                    else:
-                        execute(
-                            "DELETE FROM tuples WHERE node = ? AND name = ? "
-                            "AND row = ?",
-                            (node, name, row_text),
-                        )
-                operations += 1
-        if graph_touched:
+            for table, inserting, ops in batches:
+                statements, row_of = writers[table]
+                # Rows are encoded as sqlite pulls them: no second, encoded
+                # copy of a 12k-op convergence or restore window.
+                connection.executemany(
+                    statements[inserting],
+                    (row_of(op, inserting) for op in ops),
+                )
+        del journal[: len(drained)]
+        if any(table != _TUPLES for table, _, _ in batches):
             self._intervals_dirty = True
         self.counters["flushes"] += 1
         self.counters["flushed_ops"] += operations
+        self.counters["cancelled_ops"] += cancelled
         return operations
+
+    def _table_of(self, name: str) -> Optional[int]:
+        """The mirrored table *name* lands in; None for transient events."""
+        if name == self._prov_table:
+            return _PROV
+        if name == self._rule_exec_table:
+            return _RULE_EXEC
+        return None if is_event_predicate(name) else _TUPLES
+
+    def _fold(self, drained: List[_Op]) -> Optional[Tuple[List[_Batch], int, int]]:
+        """Fold a journal window to its net effect, grouped per table.
+
+        Per database key the window's ops must alternate; then all that can
+        matter is one delete (if the window deletes the key at all: whatever
+        the database held before is gone) followed by one insert (if the
+        key's last op is one).  An insert a later delete voids never
+        reaches the database; a delete followed by an insert survives as
+        both, because that moves the row to the end of ``ORDER BY id``.
+        With at most one delete then one insert per key, "all deletes, then
+        all inserts, each in journal order" per table leaves the rows, in
+        the id order, an op-by-op replay would.  Returns ``(batches, ops,
+        cancelled ops)``, or None when some key does not alternate.
+        """
+        # Per table, by key and in journal order: the net deletes, and the
+        # inserts no later delete has voided.
+        windows: Tuple[Tuple[Dict[Any, _Op], Dict[Any, _Op]], ...] = (
+            ({}, {}),
+            ({}, {}),
+            ({}, {}),
+        )
+        tables: Dict[str, Optional[int]] = {}
+        operations = cancelled = 0
+        for op in drained:
+            address, action, name, values = op
+            try:
+                table = tables[name]
+            except KeyError:
+                table = tables[name] = self._table_of(name)
+            if table is None:
+                continue
+            operations += 1
+            if table == _TUPLES:
+                key = (address, name, values)
+            elif table == _PROV:
+                key = values
+            else:
+                key = values[:2]
+            deletes, inserts = windows[table]
+            if action == "insert":
+                if key in inserts:
+                    return None
+                inserts[key] = op
+            elif key in inserts:
+                del inserts[key]
+                if key in deletes:
+                    cancelled += 2
+                else:
+                    deletes[key] = op
+                    cancelled += 1
+            elif key in deletes:
+                return None
+            else:
+                deletes[key] = op
+        batches: List[_Batch] = []
+        for table, (deletes, inserts) in enumerate(windows):
+            if deletes:
+                batches.append((table, False, deletes.values()))
+            if inserts:
+                batches.append((table, True, inserts.values()))
+        return batches, operations, cancelled
 
     # ------------------------------------------------------------------ #
     # interval encoding
@@ -428,26 +539,21 @@ class SqliteBackend(StorageBackend):
             ).fetchall()
             return sorted((_decode(text) for (text,) in rows), key=lambda v: str(v))
         # subgraph: the reachable set comes from the interval encoding, the
-        # edge list from the mirrored prov/ruleExec rows.
-        reachable = set(
-            vid
-            for (vid,) in connection.execute(
-                _REACHABLE_CTE + "SELECT vid FROM reach", parameters
-            )
-        )
+        # edge list from the mirrored prov/ruleExec rows inside it.
         edges: List[Tuple[str, str, str]] = []
-        for vid, rid in connection.execute(
-            "SELECT vid, rid FROM prov WHERE rid IS NOT NULL ORDER BY id"
+        for vid, rid, inputs in connection.execute(
+            _REACHABLE_CTE
+            + """
+            SELECT p.vid, p.rid,
+                   (SELECT r.inputs FROM rule_exec r WHERE r.rid = p.rid LIMIT 1)
+            FROM prov p
+            WHERE p.rid IS NOT NULL AND p.vid IN (SELECT vid FROM reach)
+            """,
+            parameters,
         ):
-            if vid not in reachable:
-                continue
-            inputs_row = connection.execute(
-                "SELECT inputs FROM rule_exec WHERE rid = ? LIMIT 1", (rid,)
-            ).fetchone()
-            if inputs_row is None:
-                continue
-            for child in _decode(inputs_row[0]):
-                edges.append((vid, rid, child))
+            if inputs is not None:
+                for child in _decode(inputs):
+                    edges.append((vid, rid, child))
         return sorted(set(edges))
 
     # ------------------------------------------------------------------ #
@@ -463,6 +569,54 @@ class SqliteBackend(StorageBackend):
             (_decode(node), name, freeze_value(_decode(row)), vid)
             for node, name, row, vid in rows
         ]
+
+    def mirror_rows(self) -> Dict[str, List[Tuple[Any, ...]]]:
+        """The mirror decoded back to engine rows, per table in id order.
+
+        Flushed first.  ``tuples`` rows are ``(node, name, row)``; ``prov``
+        and ``rule_exec`` rows are the engines' ``prov``/``ruleExec`` rows.
+        """
+        self.flush()
+        select = self._connection.execute
+
+        def thaw(text: str) -> Any:
+            return freeze_value(_decode(text))
+
+        return {
+            "tuples": [
+                (thaw(node), name, thaw(row))
+                for node, name, row in select(
+                    "SELECT node, name, row FROM tuples ORDER BY id"
+                )
+            ],
+            "prov": [
+                (thaw(loc), vid, rid, thaw(rloc))
+                for loc, vid, rid, rloc in select(
+                    "SELECT loc, vid, rid, rloc FROM prov ORDER BY id"
+                )
+            ],
+            "rule_exec": [
+                (thaw(rloc), rid, rule, thaw(inputs))
+                for rloc, rid, rule, inputs in select(
+                    "SELECT rloc, rid, rule, inputs FROM rule_exec ORDER BY id"
+                )
+            ],
+        }
+
+    def engine_rows(self) -> Dict[str, List[Tuple[Any, ...]]]:
+        """What :meth:`mirror_rows` should hold: the engines' visible rows."""
+        rows: Tuple[List[Tuple[Any, ...]], ...] = ([], [], [])
+        for address, (engine, _store) in self.nodes.items():
+            for table in engine.catalog.tables():
+                index = self._table_of(table.name)
+                if index is None:
+                    continue
+                for row in table.rows():
+                    row = tuple(row)
+                    rows[index].append(
+                        (address, table.name, row) if index == _TUPLES else row
+                    )
+        return dict(zip(("tuples", "prov", "rule_exec"), rows))
 
     def graph_counts(self) -> Dict[str, int]:
         """Row counts of the mirrored provenance relations, flushed first."""

@@ -17,11 +17,14 @@ from repro.core.api import ExspanNetwork
 from repro.core.config import ExspanConfig
 from repro.core.errors import ProvenanceError
 from repro.core.rewrite import PROV_TABLE, RULE_EXEC_TABLE
-from repro.datalog.ast import is_event_predicate
+from repro.core.vid import fact_vid
+from repro.datalog.ast import Fact, is_event_predicate
 from repro.net.sharding import node_state_digest
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
+from repro.protocols.pathvector import pathvector_program
 from repro.storage import (
+    SQL_QUERY_KINDS,
     STORAGE_BACKENDS,
     MemoryBackend,
     SqliteBackend,
@@ -190,6 +193,64 @@ def test_sqlite_mirror_tracks_inserts_and_deletes(tmp_path):
             and table.name not in (PROV_TABLE, RULE_EXEC_TABLE)
         )
         assert after == engine_rows
+    finally:
+        network.close_storage()
+
+
+@pytest.mark.parametrize(
+    "program, table",
+    [(mincost_program, "bestPathCost"), (pathvector_program, "bestPath")],
+)
+def test_sqlite_mirror_equals_engines_under_churn(program, table):
+    """Five link flaps, a flush after every half-flap: mirror == engines."""
+    topology = ring_topology(6, seed=1)
+    network = ExspanNetwork(
+        topology, program(), config=ExspanConfig(seed=0, storage="sqlite")
+    )
+    storage = network.storage
+
+    def check_mirror():
+        network.storage_flush()
+        assert network.storage_stats()["journal_pending"] == 0
+        mirrored, expected = storage.mirror_rows(), storage.engine_rows()
+        for name in ("tuples", "prov", "rule_exec"):
+            assert expected[name], name
+            assert sorted(mirrored[name], key=repr) == sorted(expected[name], key=repr)
+
+    try:
+        network.seed_links()
+        network.run_to_fixpoint()
+        check_mirror()
+        for a, b, spec in sorted(topology.links(), key=repr)[:5]:
+            network.remove_link(a, b)
+            network.run_to_fixpoint()
+            check_mirror()
+            network.add_link(a, b, cost=spec.cost)
+            network.run_to_fixpoint()
+            check_mirror()
+        # The flaps did exercise the fold, not just plain inserts.
+        assert storage.counters["cancelled_ops"] > 0
+
+        graph = network.provenance_graph()
+        facts = sorted(values for _node, values in network.tuples(table))[:6]
+        for vid in (fact_vid(Fact(table, values)) for values in facts):
+            vertices, _rules = graph._subgraph(vid)
+            edges = {
+                (parent, rule.rid, child)
+                for parent in vertices
+                for rule in graph.derivations_of(parent)
+                for child in rule.input_vids
+            }
+            expected = {
+                "derivability": True,
+                "reachable": sorted(vertices),
+                "reachable_base": sorted(graph.reachable_base_tuples(vid)),
+                "nodeset": sorted(graph.nodes_involved(vid)),
+                "subgraph": sorted(edges),
+            }
+            assert set(expected) == set(SQL_QUERY_KINDS)
+            for kind, answer in expected.items():
+                assert network.sql_provenance(kind, vid=vid) == answer, kind
     finally:
         network.close_storage()
 
