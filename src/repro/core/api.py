@@ -40,6 +40,7 @@ import copy
 import random
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..datalog.ast import Fact, Program
@@ -230,10 +231,7 @@ class ExspanNetwork:
             batch=self.query_batching,
             tracer=self.tracer,
         )
-        host.register_handler(
-            DELTA_MESSAGE_KIND,
-            lambda message, eng=engine: self._deliver_delta(eng, message),
-        )
+        host.register_handler(DELTA_MESSAGE_KIND, partial(self._deliver_delta, engine))
         return ExspanNode(
             address=address,
             host=host,
@@ -243,23 +241,24 @@ class ExspanNetwork:
         )
 
     def _make_sender(self, host: Host, engine: NDlogEngine) -> Callable[[Any, Delta], None]:
+        network_send = self.network.send
+        source = host.address
+        policy = engine.annotation_policy
+        annotation_size = None if policy is None else policy.size
+
         def send(destination: Any, delta: Delta) -> None:
-            size = self._delta_size(engine, delta)
-            host.send(destination, DELTA_MESSAGE_KIND, delta, size=size)
+            # Bytes charged: header, the insert/delete flag, the tuple's
+            # content and (value-based provenance) its annotation.
+            fact = delta.fact
+            size = HEADER_OVERHEAD + 1 + len(fact.name) + payload_size(fact.values)
+            if annotation_size is not None and delta.annotation is not None:
+                size += annotation_size(delta.annotation)
+            network_send(source, destination, DELTA_MESSAGE_KIND, delta, size)
 
         return send
 
     @staticmethod
-    def _delta_size(engine: NDlogEngine, delta: Delta) -> int:
-        """Bytes charged for shipping *delta* (tuple content + annotation)."""
-        size = HEADER_OVERHEAD + 1  # header plus the insert/delete flag
-        size += len(delta.fact.name)
-        size += payload_size(delta.fact.values)
-        if delta.annotation is not None and engine.annotation_policy is not None:
-            size += engine.annotation_policy.size(delta.annotation)
-        return size
-
-    def _deliver_delta(self, engine: NDlogEngine, message: Message) -> None:
+    def _deliver_delta(engine: NDlogEngine, message: Message) -> None:
         engine.receive(message.payload)
         engine.run()
 

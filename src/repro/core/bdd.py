@@ -94,7 +94,8 @@ class BddManager:
         self._apply_cache_limit = apply_cache_limit
         self._next_id = 2
         self._vars: Set[str] = set()
-        self._node_count_cache: Dict[int, int] = {}
+        # node id -> (node count, wire size), measured in one walk.
+        self._size_cache: Dict[int, Tuple[int, int]] = {}
         self._support_cache: Dict[int, FrozenSet[str]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -166,7 +167,7 @@ class BddManager:
             "apply_cache_misses": self.cache_misses,
             "apply_cache_flushes": self.cache_flushes,
             "apply_cache_entries": len(self._apply_cache),
-            "node_count_cached": len(self._node_count_cache),
+            "node_count_cached": len(self._size_cache),
             "support_cached": len(self._support_cache),
         }
 
@@ -344,10 +345,19 @@ class Bdd:
 
     def node_count(self) -> int:
         """Number of internal nodes, excluding the terminals (cached)."""
-        cached = self.manager._node_count_cache.get(self.node_id)
+        return self._sizes()[0]
+
+    def _sizes(self) -> Tuple[int, int]:
+        """``(node count, wire size)`` from one walk, cached per node id."""
+        cached = self.manager._size_cache.get(self.node_id)
         if cached is None:
-            cached = sum(1 for _ in self._reachable_nodes())
-            self.manager._node_count_cache[self.node_id] = cached
+            count = 0
+            names: Set[str] = set()
+            for node in self._reachable_nodes():
+                count += 1
+                names.add(node.var)
+            cached = (count, 2 + BDD_NODE_BYTES * count + sum(map(len, names)))
+            self.manager._size_cache[self.node_id] = cached
         return cached
 
     def _reachable_nodes(self) -> Iterable[_Node]:
@@ -397,11 +407,10 @@ class Bdd:
         A serialized BDD must carry, besides its node structure, the mapping
         from variable indices to the identifiers they stand for (base-tuple
         VIDs, node ids, ...), so the size grows with both the node count and
-        the total length of the variable names in the BDD's support.
+        the total length of the variable names in the BDD's support.  Every
+        value-mode delta ships one, so it is cached with the node count.
         """
-        structure = 2 + BDD_NODE_BYTES * self.node_count()
-        dictionary = sum(len(name) for name in self.support())
-        return structure + dictionary
+        return self._sizes()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_false:

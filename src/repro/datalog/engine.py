@@ -286,6 +286,10 @@ class NDlogEngine:
         self._firings_by_predicate: Dict[str, List[_Firing]] = defaultdict(list)
         #: name -> is_event_predicate(name), filled on first sight.
         self._event_names: Dict[str, bool] = {}
+        #: name -> (is event, table or None, firings): everything run()'s
+        #: singleton path needs to know about a predicate, resolved on first
+        #: sight and dropped whenever the rule set changes.
+        self._dispatch: Dict[str, Tuple[bool, Optional[Table], Sequence[_Firing]]] = {}
         self._aggregate_rules: Dict[str, _CompiledAggregateRule] = {}
         self._rule_listeners: List[Callable[[RuleFiring], None]] = []
         self._update_listeners: List[Callable[[str, Fact], None]] = []
@@ -345,6 +349,7 @@ class NDlogEngine:
         for decl in program.declarations:
             if not self.catalog.has_table(decl.name):
                 self.catalog.declare(decl)
+        self._dispatch.clear()
         for rule in program.rules:
             self.add_rule(rule)
         if self._columnar:
@@ -383,6 +388,8 @@ class NDlogEngine:
                 self._plans[(id(rule), position)] = plan
                 self.stats["plans_compiled"] += 1
             self._firings_by_predicate[atom.name].append(_Firing(rule, position, plan))
+        # A predicate already seen with no firings must pick this rule up.
+        self._dispatch.clear()
         if self._columnar_info:
             # Firings lists (and their batch kernels) just changed shape.
             self._columnar_info.clear()
@@ -598,50 +605,86 @@ class NDlogEngine:
                 steps += 1
             return steps
         queue = self._queue
-        stats = self.stats
-        event_names = self._event_names
+        dispatch = self._dispatch
+        # With no annotation to merge and no span to emit, a singleton is
+        # applied and fired right here (the body of _apply_insert /
+        # _apply_delete / _fire_rules, minus their frames).
+        fused = self._fast and self.annotation_policy is None and self.tracer is None
         steps = 0
-        while queue:
-            if max_steps is not None and steps >= max_steps:
-                break
-            delta = queue.popleft()
-            fact = delta.fact
-            name = fact.name
-            action = delta.action
-            limit = None if max_steps is None else max_steps - steps
-            if queue and (limit is None or limit >= 2):
-                head = queue[0]
-                if head.fact.name == name and head.action == action:
-                    # A run of same-(predicate, action) deltas: drain it and
-                    # process with one dispatch.  `limit` bounds the batch so
-                    # run(max_steps=N) never processes more than N deltas.
-                    batch = [delta, queue.popleft()]
-                    while queue and (limit is None or len(batch) < limit):
-                        head = queue[0]
-                        if head.fact.name != name or head.action != action:
-                            break
-                        batch.append(queue.popleft())
-                    self._process_batch(name, action, batch)
-                    steps += len(batch)
+        singletons = 0
+        try:
+            while queue:
+                if max_steps is not None and steps >= max_steps:
+                    break
+                delta = queue.popleft()
+                fact = delta.fact
+                name = fact.name
+                action = delta.action
+                limit = None if max_steps is None else max_steps - steps
+                if queue and (limit is None or limit >= 2):
+                    head = queue[0]
+                    if head.fact.name == name and head.action == action:
+                        # A run of same-(predicate, action) deltas: drain it and
+                        # process with one dispatch.  `limit` bounds the batch so
+                        # run(max_steps=N) never processes more than N deltas.
+                        batch = [delta, queue.popleft()]
+                        while queue and (limit is None or len(batch) < limit):
+                            head = queue[0]
+                            if head.fact.name != name or head.action != action:
+                                break
+                            batch.append(queue.popleft())
+                        self._process_batch(name, action, batch)
+                        steps += len(batch)
+                        continue
+                # Singleton: skip the batch list entirely.
+                singletons += 1
+                steps += 1
+                resolved = dispatch.get(name)
+                if resolved is None:
+                    is_event = is_event_predicate(name)
+                    resolved = dispatch[name] = (
+                        is_event,
+                        None if is_event else self.catalog.table(name, fact.arity),
+                        self._firings_by_predicate.get(name, ()),
+                    )
+                is_event, table, firings = resolved
+                if not fused:
+                    if is_event:
+                        if firings:
+                            self._fire_rules(firings, delta)
+                    elif action == INSERT:
+                        self._apply_insert(table, firings, delta)
+                    elif action == DELETE:
+                        self._apply_delete(table, firings, delta)
+                    else:
+                        self._apply_refresh(table, firings, delta)
                     continue
-            # Singleton: skip the batch list entirely.
-            stats["deltas_processed"] += 1
-            is_event = event_names.get(name)
-            if is_event is None:
-                is_event = event_names[name] = is_event_predicate(name)
-            firings = self._firings_by_predicate.get(name, ())
-            if is_event:
-                if firings:
-                    self._fire_rules(firings, delta)
-            else:
-                table = self.catalog.table(name, fact.arity)
-                if action == INSERT:
-                    self._apply_insert(table, firings, delta)
-                elif action == DELETE:
-                    self._apply_delete(table, firings, delta)
-                else:
-                    self._apply_refresh(table, firings, delta)
-            steps += 1
+                values = fact.values
+                if not is_event:
+                    if action == INSERT:
+                        outcome = table.insert(values)
+                        if not outcome.became_visible:
+                            continue
+                        if outcome.replaced is not None:
+                            self._retract_replaced(firings, outcome.replaced)
+                    elif action == DELETE:
+                        if not table.delete(values).became_invisible:
+                            continue
+                        if self._annotations:
+                            self._clear_annotation(fact)
+                    else:
+                        continue  # REFRESH carries nothing without a policy
+                    if self._update_listeners:
+                        self._notify_update(action, fact)
+                for firing in firings:
+                    plan = firing.plan
+                    if plan is not None and plan.fused_exec is not None:
+                        plan.fused_exec(plan, self, values, delta)
+                    else:
+                        # Multi-step plans: staleness checks and recompiles.
+                        self._fire_rules((firing,), delta)
+        finally:
+            self.stats["deltas_processed"] += singletons
         return steps
 
     def _process_window(self, window: List[Delta]) -> None:
@@ -703,10 +746,7 @@ class NDlogEngine:
         fact = delta.fact
         outcome = table.insert(fact.values)
         if outcome.replaced is not None:
-            self._clear_annotation(outcome.replaced)
-            if self._update_listeners:
-                self._notify_update(DELETE, outcome.replaced)
-            self._fire_rules(firings, Delta(DELETE, outcome.replaced))
+            self._retract_replaced(firings, outcome.replaced)
         annotation_changed = False
         if self.annotation_policy is not None and delta.annotation is not None:
             annotation_changed = self._store_annotation(fact, delta.annotation)
@@ -721,6 +761,13 @@ class NDlogEngine:
             self._fire_rules(
                 firings, Delta(REFRESH, fact, self._lookup_annotation(fact))
             )
+
+    def _retract_replaced(self, firings, replaced: Fact) -> None:
+        """Propagate a primary-key eviction as the deletion it is."""
+        self._clear_annotation(replaced)
+        if self._update_listeners:
+            self._notify_update(DELETE, replaced)
+        self._fire_rules(firings, Delta(DELETE, replaced))
 
     def _apply_delete(self, table: Table, firings, delta: Delta) -> None:
         fact = delta.fact
@@ -754,11 +801,6 @@ class NDlogEngine:
     def _notify_update(self, action: str, fact: Fact) -> None:
         for listener in self._update_listeners:
             listener(action, fact)
-
-    def _trigger_rules(self, delta: Delta) -> None:
-        firings = self._firings_by_predicate.get(delta.fact.name, ())
-        if firings:
-            self._fire_rules(firings, delta)
 
     def _fire_rules(self, firings, delta: Delta) -> None:
         """Fire every registered (rule, position) for *delta*'s predicate.
@@ -1113,9 +1155,6 @@ class NDlogEngine:
             return bool(left == right)
         except Exception:  # pragma: no cover - exotic annotation types
             return left is right
-
-    def _merge_annotation(self, fact: Fact, annotation: Any) -> None:
-        self._store_annotation(fact, annotation)
 
     def _lookup_annotation(self, fact: Fact) -> Any:
         return self._annotations.get((fact.name, fact.values))

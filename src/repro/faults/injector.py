@@ -146,7 +146,7 @@ class FaultInjector:
         return self
 
     # ------------------------------------------------------------------ #
-    # send path (called from Network._dispatch)
+    # send path (called from Network.send / send_batch)
     # ------------------------------------------------------------------ #
     def outbound(self, message: Message) -> Message:
         """Fault-injecting replacement for the network's dispatch path."""

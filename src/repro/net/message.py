@@ -105,7 +105,7 @@ def batch_size(kind: str, payloads: Sequence[Any]) -> int:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight between two hosts.
 

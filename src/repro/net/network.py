@@ -44,6 +44,7 @@ exact per shard and merge by concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NetworkError, NoRouteError, UnknownNodeError
@@ -163,20 +164,6 @@ class Network:
     def shard_id(self) -> Optional[int]:
         return self._shard_id
 
-    def is_local(self, address: Any) -> bool:
-        """Whether *address* is simulated by this network (shard)."""
-        if self._shard_map is None:
-            return True
-        return self._shard_map.get(address) == self._shard_id
-
-    def rank(self, address: Any) -> int:
-        """Deterministic rank of *address* (its delivery-key component)."""
-        rank = self._rank.get(address)
-        if rank is None:
-            rank = len(self._rank)
-            self._rank[address] = rank
-        return rank
-
     # ------------------------------------------------------------------ #
     # messaging
     # ------------------------------------------------------------------ #
@@ -188,11 +175,17 @@ class Network:
         payload: Any,
         size: Optional[int] = None,
     ) -> Message:
-        """Send a message; returns the in-flight :class:`Message`."""
-        message = Message(source=source, destination=destination, kind=kind, payload=payload)
-        if size is not None:
-            message.size = size
-        return self._dispatch(message)
+        """Send a message; returns the in-flight :class:`Message`.
+
+        With a fault injector installed the message detours through its
+        outbound hook (which may drop, duplicate, delay or suppress it);
+        the injector calls back into :meth:`_transmit` for each physical
+        transmission it decides to perform.
+        """
+        message = Message(source, destination, kind, payload, 0 if size is None else size)
+        if self.fault_injector is not None:
+            return self.fault_injector.outbound(message)
+        return self._transmit(message)
 
     def send_batch(
         self,
@@ -207,26 +200,11 @@ class Network:
         The batch pays one header (see :func:`~repro.net.message.batch_size`)
         and is recorded as one message in the traffic statistics; the
         receiving host dispatches its handler once per payload, in order.
+        Takes the same fault-injector detour as :meth:`send`.
         """
         message = Message(
-            source=source,
-            destination=destination,
-            kind=kind,
-            payload=tuple(payloads),
-            batch=True,
+            source, destination, kind, tuple(payloads), 0 if size is None else size, batch=True
         )
-        if size is not None:
-            message.size = size
-        return self._dispatch(message)
-
-    def _dispatch(self, message: Message) -> Message:
-        """Common path: bill the message, record it, schedule its delivery.
-
-        With a fault injector installed the message detours through its
-        outbound hook (which may drop, duplicate, delay or suppress it);
-        the injector calls back into :meth:`_transmit` for each physical
-        transmission it decides to perform.
-        """
         if self.fault_injector is not None:
             return self.fault_injector.outbound(message)
         return self._transmit(message)
@@ -247,41 +225,46 @@ class Network:
         # Validate the destination BEFORE billing anything, so a failed
         # send cannot corrupt the traffic counters (and a sharded network
         # rejects unknown nodes at send time instead of parking them).
-        local = self.is_local(message.destination)
+        source = message.source
+        destination = message.destination
+        shard_map = self._shard_map
+        local = shard_map is None or shard_map.get(destination) == self._shard_id
         if local:
-            destination_host = self.host(message.destination)
-        elif message.destination not in self._shard_map:
-            raise UnknownNodeError(message.destination)
-        message.compute_size()
-        message.sent_at = self.simulator.now
-        self.stats.record(
-            self.simulator.now, message.source, message.destination, message.size,
-            message.kind,
-        )
-        latency = self._latency(message.source, message.destination, message.size)
-        latency += extra_latency
-        message.delivered_at = self.simulator.now + latency
-        seq = self._source_seq.get(message.source, 0)
-        self._source_seq[message.source] = seq + 1
+            destination_host = self._hosts.get(destination)
+            if destination_host is None:
+                raise UnknownNodeError(destination)
+        elif destination not in shard_map:
+            raise UnknownNodeError(destination)
+        size = message.size
+        if size <= 0:
+            size = message.compute_size()
+        now = self.simulator._now
+        message.sent_at = now
+        self.stats.record(now, source, destination, size, message.kind)
+        delivered_at = now + (self._latency(source, destination, size) + extra_latency)
+        message.delivered_at = delivered_at
+        seq = self._source_seq.get(source, 0)
+        self._source_seq[source] = seq + 1
+        rank = self._rank.get(source)
+        if rank is None:
+            rank = self._rank[source] = len(self._rank)
         # Deliveries colliding at one instant execute in send-time order
         # first (matching the causal FIFO a single global queue produces),
         # then by (source rank, per-source sequence) — every component is a
         # pure function of the sender's local history, never of global
         # scheduling order, so shards reconstruct the same total order.
-        key = (message.sent_at, self.rank(message.source), seq)
+        key = (now, rank, seq)
         if drop:
             return message
         if local:
             event = self.simulator.schedule_at(
-                message.delivered_at,
-                lambda: destination_host.deliver(message),
-                key=key,
+                delivered_at, partial(destination_host.deliver, message), key
             )
             if self.fault_injector is not None:
-                self.fault_injector.track_delivery(message.destination, event)
+                self.fault_injector.track_delivery(destination, event)
         else:
             self.outbound.append(
-                OutboundMessage(time=message.delivered_at, key=key, message=message)
+                OutboundMessage(time=delivered_at, key=key, message=message)
             )
         return message
 
@@ -295,7 +278,7 @@ class Network:
         """
         destination_host = self.host(message.destination)
         event = self.simulator.schedule_at(
-            time, lambda: destination_host.deliver(message), key=key
+            time, partial(destination_host.deliver, message), key
         )
         if self.fault_injector is not None:
             self.fault_injector.track_delivery(message.destination, event)
@@ -317,16 +300,10 @@ class Network:
                 return float("inf")
             latency = self.default_latency
         if self.model_transmission_delay:
-            a_to_b = self.topology
             # approximate transmission delay using the slowest first-hop link
-            neighbors = a_to_b.neighbors(source)
-            if neighbors:
-                slowest = min(
-                    (a_to_b.link(source, neighbor).bandwidth for neighbor in neighbors),
-                    default=0.0,
-                )
-                if slowest:
-                    latency += size / slowest
+            slowest = self.topology.slowest_link_bandwidth(source)
+            if slowest:
+                latency += size / slowest
         return latency
 
     # ------------------------------------------------------------------ #

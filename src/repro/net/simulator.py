@@ -11,7 +11,11 @@ Event ordering
 --------------
 Events are ordered by ``(time, key, sequence)``.  ``key`` is an optional
 tuple supplied by the scheduler; events with equal keys fall back
-to FIFO insertion order.  The network layer keys every message delivery by
+to FIFO insertion order.  A heap entry is the plain tuple ``(time, key,
+sequence, event)``: ``sequence`` is unique, so the heap orders entries by
+C-level tuple comparison and never looks at the :class:`ScheduledEvent`
+in the last slot (which only carries the callback and the cancellation
+flag).  The network layer keys every message delivery by
 ``(send time, source rank, per-source send sequence)``, which makes the
 execution order of same-instant deliveries a pure function of *which host
 sent what, when*
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import SimulationError
 
@@ -70,18 +74,18 @@ COMPACT_RATIO = 1.0
 _DEFAULT_KEY: Tuple[int, ...] = ()
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class ScheduledEvent:
-    """An event in the simulator queue (ordered by time, key, sequence)."""
+    """An event in the simulator queue (queued under time, key, sequence)."""
 
     time: float
     key: Tuple[int, ...]
     sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
     # Back-reference so cancel() can keep the owner's live-event counter
     # exact; detached (None) once the event leaves the queue.
-    _owner: Optional["Simulator"] = field(default=None, compare=False, repr=False)
+    _owner: Optional["Simulator"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so that it is skipped when dequeued."""
@@ -109,7 +113,8 @@ class Simulator:
             raise SimulationError(f"compact_ratio must be > 0, got {compact_ratio}")
         self._now = 0.0
         self._sequence = 0
-        self._queue: List[ScheduledEvent] = []
+        # Heap of (time, key, sequence, event); see "Event ordering".
+        self._queue: List[Tuple[float, Tuple[Any, ...], int, ScheduledEvent]] = []
         self._live = 0
         self._cancelled_in_queue = 0
         self._safe_time = 0.0
@@ -192,11 +197,10 @@ class Simulator:
                 f"{self._safe_time} (window-barrier violation)",
                 time=time, safe_time=self._safe_time,
             )
-        event = ScheduledEvent(
-            time=time, key=key, sequence=self._sequence, callback=callback, _owner=self
-        )
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = ScheduledEvent(time, key, sequence, callback, False, self)
+        heapq.heappush(self._queue, (time, key, sequence, event))
         self._live += 1
         return event
 
@@ -212,7 +216,7 @@ class Simulator:
             self._cancelled_in_queue > self.compact_min_cancelled
             and self._cancelled_in_queue > self._live * self.compact_ratio
         ):
-            self._queue = [event for event in self._queue if not event.cancelled]
+            self._queue = [entry for entry in self._queue if not entry[3].cancelled]
             heapq.heapify(self._queue)
             self._cancelled_in_queue = 0
             self.compactions += 1
@@ -220,7 +224,7 @@ class Simulator:
     def _pop(self) -> Optional[ScheduledEvent]:
         """Pop the next live event, discarding tombstones along the way."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 self._cancelled_in_queue -= 1
                 continue
@@ -322,10 +326,10 @@ class Simulator:
         return self.run(until=None, max_events=max_events)
 
     def _peek(self) -> Optional[ScheduledEvent]:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
             self._cancelled_in_queue -= 1
-        return self._queue[0] if self._queue else None
+        return self._queue[0][3] if self._queue else None
 
     def advance_to(self, time: float) -> None:
         """Advance the clock with no events (used by workload generators)."""

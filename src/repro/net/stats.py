@@ -66,7 +66,9 @@ class TrafficStats:
     def __init__(self, max_records: Optional[int] = None) -> None:
         if max_records is not None and max_records < 0:
             raise ValueError(f"max_records must be >= 0, got {max_records}")
-        self._records: List[MessageRecord] = []
+        # One plain (time, source, destination, size, kind) tuple per
+        # message — MessageRecord's field order; records() materializes.
+        self._records: List[Tuple[float, Any, Any, int, str]] = []
         self._max_records = max_records
         self.messages_sent = 0
         self.dropped_records = 0
@@ -85,10 +87,10 @@ class TrafficStats:
     def record(self, time: float, source: Any, destination: Any, size: int, kind: str) -> None:
         self.messages_sent += 1
         if self._max_records is None:
-            self._records.append(MessageRecord(time, source, destination, size, kind))
+            self._records.append((time, source, destination, size, kind))
             return
         if len(self._records) < self._max_records:
-            self._records.append(MessageRecord(time, source, destination, size, kind))
+            self._records.append((time, source, destination, size, kind))
         else:
             self.dropped_records += 1
         totals = self._kind_totals.get(kind)
@@ -117,10 +119,16 @@ class TrafficStats:
     # aggregate views
     # ------------------------------------------------------------------ #
     def records(self, kinds: Optional[Iterable[str]] = None) -> List[MessageRecord]:
+        return [MessageRecord(*row) for row in self._rows(kinds)]
+
+    def _rows(
+        self, kinds: Optional[Iterable[str]]
+    ) -> List[Tuple[float, Any, Any, int, str]]:
+        """The retained raw tuples of the given *kinds* (all when ``None``)."""
         if kinds is None:
-            return list(self._records)
+            return self._records
         wanted = set(kinds)
-        return [record for record in self._records if record.kind in wanted]
+        return [row for row in self._records if row[4] in wanted]
 
     def _selected_kind_totals(
         self, kinds: Optional[Iterable[str]]
@@ -136,12 +144,12 @@ class TrafficStats:
     def total_bytes(self, kinds: Optional[Iterable[str]] = None) -> int:
         if self._kind_totals is not None:
             return int(sum(totals[1] for totals in self._selected_kind_totals(kinds)))
-        return sum(record.size for record in self.records(kinds))
+        return sum(row[3] for row in self._rows(kinds))
 
     def total_messages(self, kinds: Optional[Iterable[str]] = None) -> int:
         if self._kind_totals is not None:
             return int(sum(totals[0] for totals in self._selected_kind_totals(kinds)))
-        return len(self.records(kinds))
+        return len(self._rows(kinds))
 
     def kind_totals(self) -> Dict[str, Tuple[int, int]]:
         """Per-kind ``(messages, bytes)`` totals (exact in both modes)."""
@@ -151,10 +159,10 @@ class TrafficStats:
                 for kind, totals in sorted(self._kind_totals.items())
             }
         per_kind: Dict[str, List[int]] = {}
-        for record in self._records:
-            totals = per_kind.setdefault(record.kind, [0, 0])
+        for _, _, _, size, kind in self._records:
+            totals = per_kind.setdefault(kind, [0, 0])
             totals[0] += 1
-            totals[1] += record.size
+            totals[1] += size
         return {kind: (totals[0], totals[1]) for kind, totals in sorted(per_kind.items())}
 
     def bytes_by_sender(self, kinds: Optional[Iterable[str]] = None) -> Dict[Any, int]:
@@ -167,8 +175,8 @@ class TrafficStats:
                     per_node[source] += size
             return dict(per_node)
         per_node = defaultdict(int)
-        for record in self.records(kinds):
-            per_node[record.source] += record.size
+        for _, source, _, size, _ in self._rows(kinds):
+            per_node[source] += size
         return dict(per_node)
 
     def average_bytes_per_node(
@@ -191,14 +199,14 @@ class TrafficStats:
 
         Returns ``[(bucket_start_time, bytes_per_second_per_node), ...]``.
         """
-        records = self.records(kinds)
+        rows = self._rows(kinds)
         if end is None:
-            end = max((record.time for record in records), default=start) + bucket
+            end = max((row[0] for row in rows), default=start) + bucket
         buckets: Dict[int, float] = defaultdict(float)
-        for record in records:
-            if record.time < start or record.time >= end:
+        for time, _, _, size, _ in rows:
+            if time < start or time >= end:
                 continue
-            buckets[int((record.time - start) // bucket)] += record.size
+            buckets[int((time - start) // bucket)] += size
         series: List[Tuple[float, float]] = []
         total_buckets = max(int((end - start) / bucket + 0.999), 1)
         denominator = bucket * max(node_count, 1)
@@ -239,8 +247,7 @@ class TrafficStats:
                 (totals[2] for totals in self._selected_kind_totals(kinds)),
                 default=0.0,
             )
-        records = self.records(kinds)
-        return max((record.time for record in records), default=0.0)
+        return max((row[0] for row in self._rows(kinds)), default=0.0)
 
     def __len__(self) -> int:
         return len(self._records)

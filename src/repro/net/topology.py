@@ -68,6 +68,23 @@ class LinkSpec:
     tier: str = TIER_STUB
 
 
+_INFINITY = float("inf")
+_NO_LINKS: Dict[Any, LinkSpec] = {}
+_NO_TARGET = object()
+
+
+class _RouteSearch:
+    """One source's Dijkstra, suspended between :meth:`Topology.latency_between` calls."""
+
+    __slots__ = ("settled", "tentative", "heap", "pushes")
+
+    def __init__(self, source: Any) -> None:
+        self.settled: Dict[Any, float] = {}
+        self.tentative: Dict[Any, float] = {source: 0.0}
+        self.heap: List[Tuple[float, int, Any]] = [(0.0, 0, source)]
+        self.pushes = 0
+
+
 class Topology:
     """An undirected graph of nodes with per-link attributes."""
 
@@ -80,7 +97,8 @@ class Topology:
         # node -> {neighbour -> spec}: routing reads a link's spec straight
         # off the adjacency instead of re-deriving its canonical key.
         self._adjacency: Dict[Any, Dict[Any, LinkSpec]] = {}
-        self._route_cache: Dict[Any, Dict[Any, float]] = {}
+        # source -> its resumable shortest-path search (latency_between).
+        self._route_cache: Dict[Any, _RouteSearch] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -155,6 +173,13 @@ class Topology:
     def degree(self, node: Any) -> int:
         return len(self._adjacency.get(node, ()))
 
+    def slowest_link_bandwidth(self, node: Any) -> float:
+        """The lowest bandwidth among *node*'s links (0.0 when it has none)."""
+        return min(
+            (spec.bandwidth for spec in self._adjacency.get(node, _NO_LINKS).values()),
+            default=0.0,
+        )
+
     def links_by_tier(self, tier: str) -> List[Tuple[Any, Any, LinkSpec]]:
         return [(a, b, spec) for a, b, spec in self.links() if spec.tier == tier]
 
@@ -177,41 +202,63 @@ class Topology:
     # routing (latency between arbitrary node pairs)
     # ------------------------------------------------------------------ #
     def latency_between(self, source: Any, destination: Any) -> float:
-        """Shortest-path latency between two nodes (Dijkstra, cached)."""
+        """Shortest-path latency between two nodes (resumable Dijkstra).
+
+        Each source keeps its search — settled distances, tentative
+        distances, heap and push counter — in the route cache.  A lookup
+        returns the settled distance when there is one and otherwise
+        *resumes* the search until the destination is popped.  A popped
+        node's distance is final and the heap evolves exactly as in a full
+        run, so every answer is the float a full Dijkstra computes (same
+        additions in the same order); a message to a neighbour settles a
+        handful of nodes instead of the whole graph.  Any
+        :meth:`add_link` / :meth:`remove_link` discards every search.
+        """
         if source == destination:
             return 0.0
-        table = self._route_cache.get(source)
-        if table is None:
-            table = self._dijkstra(source)
-            self._route_cache[source] = table
-        try:
-            return table[destination]
-        except KeyError:
-            raise NoRouteError(source, destination) from None
+        search = self._route_cache.get(source)
+        if search is None:
+            search = self._route_cache[source] = _RouteSearch(source)
+        distance = search.settled.get(destination)
+        if distance is None:
+            distance = self._settle(search, destination)
+            if distance is None:
+                raise NoRouteError(source, destination)
+        return distance
 
-    def _dijkstra(self, source: Any) -> Dict[Any, float]:
-        distances: Dict[Any, float] = {source: 0.0}
-        heap: List[Tuple[float, int, Any]] = [(0.0, 0, source)]
-        sequence = 0
-        visited: Set[Any] = set()
+    def _settle(self, search: "_RouteSearch", target: Any) -> Optional[float]:
+        """Resume *search* until *target* is settled; ``None`` = unreachable."""
+        settled = search.settled
+        tentative = search.tentative
+        heap = search.heap
+        pushes = search.pushes
+        adjacency = self._adjacency
+        found = None
         while heap:
             distance, _, node = heapq.heappop(heap)
-            if node in visited:
+            if node in settled:
                 continue
-            visited.add(node)
-            for neighbor, spec in self._adjacency.get(node, {}).items():
+            settled[node] = distance
+            for neighbor, spec in adjacency.get(node, _NO_LINKS).items():
                 candidate = distance + spec.latency
-                if candidate < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = candidate
-                    sequence += 1
-                    heapq.heappush(heap, (candidate, sequence, neighbor))
-        return distances
+                if candidate < tentative.get(neighbor, _INFINITY):
+                    tentative[neighbor] = candidate
+                    pushes += 1
+                    heapq.heappush(heap, (candidate, pushes, neighbor))
+            if node == target:
+                # Its edges are relaxed first, so the search resumes from a
+                # state the uninterrupted run also passes through.
+                found = distance
+                break
+        search.pushes = pushes
+        return found
 
     def is_connected(self) -> bool:
         if not self._nodes:
             return True
-        reachable = self._dijkstra(self._nodes[0])
-        return len(reachable) == len(self._nodes)
+        search = _RouteSearch(self._nodes[0])
+        self._settle(search, _NO_TARGET)  # equals no node: runs the heap dry
+        return len(search.settled) == len(self._nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -534,9 +534,18 @@ class ServiceThread:
         return self._address
 
     def stop(self, timeout: float = 30.0) -> None:
+        """Ask the server to stop and join its thread (idempotent).
+
+        A client's ``shutdown`` op may close the loop at any instant, so
+        nothing is checked first and no coroutine is created that could be
+        left unawaited: a closed loop means the server already stopped.
+        """
         loop, server = self._loop, self._server
-        if loop is not None and server is not None and self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(server.stop(), loop)
+        if loop is not None and server is not None:
+            try:
+                loop.call_soon_threadsafe(server._stopping.set)
+            except RuntimeError:
+                pass  # event loop is closed: already stopped
         self._thread.join(timeout=timeout)
 
     def __enter__(self) -> "ServiceThread":

@@ -201,47 +201,88 @@ class Table:
         interned.count = 1
         return interned
 
-    def _key_of(self, row: Tuple[Any, ...]) -> Optional[Tuple[Any, ...]]:
-        getter = self._key_getter
-        if getter is None:
-            return None
-        return getter(row)
-
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
     def insert(self, values: Sequence[Any]) -> InsertOutcome:
-        """Insert one derivation of *values*; see :class:`InsertOutcome`."""
-        row, interned = self._find(values)
+        """Insert one derivation of *values*; see :class:`InsertOutcome`.
+
+        One function on purpose (this and :meth:`delete` run once per
+        delta): the lookup follows :meth:`_find`'s hash-first rule and a new
+        row is admitted as in :meth:`_admit`.
+        """
+        rows = self._rows
+        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+            values = tuple(values)
+        try:
+            interned = rows.get(values)
+        except TypeError:
+            values = tuple([_freeze(v) for v in values])
+            interned = rows.get(values)
         if interned is not None:
             interned.count += 1
             return _INSERTED_DUP
-        interned = self._admit(row)
+        if self.arity is None:
+            self.arity = len(values)
+        elif len(values) != self.arity:
+            raise SchemaError(
+                f"relation {self.name!r} expects arity {self.arity}, "
+                f"got {len(values)}"
+            )
+        # Always a fresh canonical object: *values* may be another table's
+        # interned row, whose derivation count must not be touched.
+        interned = InternedRow(values)
+        interned.count = 1
         replaced: Optional[Fact] = None
-        key = self._key_of(interned)
-        if key is not None:
-            existing = self._by_key.get(key)
+        key_getter = self._key_getter
+        if key_getter is not None:
+            key = key_getter(interned)
+            by_key = self._by_key
+            existing = by_key.get(key)
             if existing is not None and existing != interned:
                 # primary-key update: evict the old row entirely
                 self._remove_row(existing)
                 replaced = Fact(self.name, existing, self.location_index)
-            self._by_key[key] = interned
-        self._rows[interned] = interned
-        self._index_add(interned)
+            by_key[key] = interned
+        rows[interned] = interned
+        length = len(interned)
+        for max_position, getter, index in self._index_list:
+            if max_position < length:  # else: too short to ever match
+                index.setdefault(getter(interned), {})[interned] = None
         if replaced is None:
             return _INSERTED_NEW
         return InsertOutcome(became_visible=True, replaced=replaced)
 
     def delete(self, values: Sequence[Any]) -> DeleteOutcome:
         """Remove one derivation of *values*; see :class:`DeleteOutcome`."""
-        interned = self._find(values)[1]
+        rows = self._rows
+        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+            values = tuple(values)
+        try:
+            interned = rows.get(values)
+        except TypeError:
+            interned = rows.get(tuple([_freeze(v) for v in values]))
         if interned is None:
             return _DELETED_ABSENT
-        if interned.count <= 1:
-            self._remove_row(interned)
-            return _DELETED_GONE
-        interned.count -= 1
-        return _DELETED_KEPT
+        if interned.count > 1:
+            interned.count -= 1
+            return _DELETED_KEPT
+        del rows[interned]
+        key_getter = self._key_getter
+        if key_getter is not None:
+            key = key_getter(interned)
+            if self._by_key.get(key) == interned:
+                del self._by_key[key]
+        length = len(interned)
+        for max_position, getter, index in self._index_list:
+            if max_position < length:
+                key = getter(interned)
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.pop(interned, None)
+                    if not bucket:
+                        del index[key]
+        return _DELETED_GONE
 
     def apply_delta_block(self, deltas: Sequence[Any]) -> List[Any]:
         """Apply a columnar block of deltas in order; per-delta fire codes.
@@ -309,12 +350,10 @@ class Table:
         self._remove_row(interned)
         return _DELETED_GONE
 
-    def _remove_row(self, row: Tuple[Any, ...]) -> None:
-        self._rows.pop(row, None)
-        key = self._key_of(row)
-        if key is not None and self._by_key.get(key) == row:
-            del self._by_key[key]
-        self._index_remove(row)
+    def _remove_row(self, row: InternedRow) -> None:
+        """Evict stored *row* whatever its count: delete its last derivation."""
+        row.count = 1
+        self.delete(row)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -345,25 +384,6 @@ class Table:
     # ------------------------------------------------------------------ #
     # indexes
     # ------------------------------------------------------------------ #
-    def _index_add(self, row: Tuple[Any, ...]) -> None:
-        length = len(row)
-        for max_position, getter, index in self._index_list:
-            if max_position >= length:
-                continue  # row too short for this index; it can never match
-            index.setdefault(getter(row), {})[row] = None
-
-    def _index_remove(self, row: Tuple[Any, ...]) -> None:
-        length = len(row)
-        for max_position, getter, index in self._index_list:
-            if max_position >= length:
-                continue
-            key = getter(row)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.pop(row, None)
-                if not bucket:
-                    del index[key]
-
     def _ensure_index(
         self, positions: Tuple[int, ...]
     ) -> Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], None]]:

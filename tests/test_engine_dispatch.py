@@ -1,0 +1,245 @@
+"""``NDlogEngine.run()``'s singleton dispatch: resolved once, fused, invalidated.
+
+The batched loop resolves a predicate's event flag, table and firing list
+once, and — with no annotation policy and no tracer — applies and fires a
+singleton delta in place.  Neither may be observable: a rule added later
+must fire, and attaching or detaching a listener or a tracer between
+``run()`` calls must leave the same state and the same ``engine.stats`` as
+an engine that never switched paths.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
+from repro.datalog import Fact
+from repro.datalog.ast import TableDecl
+from repro.datalog.engine import DELETE, INSERT, PIPELINES, REFRESH, Delta, NDlogEngine
+from repro.datalog.parser import parse_program
+from repro.net.sharding import collect_digest, collect_summary
+from repro.net.topology import TIER_STUB, transit_stub_topology
+from repro.obs import Tracer
+from repro.protocols import mincost_program, pathvector_program
+
+#: Everything the fused path special-cases, on one node: a keyed table
+#: (primary-key replacement), an event predicate, a two-step join (a plan
+#: with no fused executor), an aggregate and a plain copy rule.
+SOURCE = """
+    k1 cost(@S,D,C) :- link(@S,D,C).
+    k2 eSeen(@S,D) :- cost(@S,D,C).
+    k3 seen(@S,D) :- eSeen(@S,D).
+    k4 two(@S,E,C) :- cost(@S,D,C1), hop(@S,D,E,C2), known(@S,E), C=C1+C2.
+    k5 best(@S,min<C>) :- cost(@S,D,C).
+"""
+TABLES = ("link", "cost", "seen", "hop", "known", "two", "best")
+
+
+def program():
+    parsed = parse_program(SOURCE, name="dispatch")
+    parsed.add_declaration(TableDecl("link", 3, (0, 1)))
+    return parsed
+
+
+def fact_of(relation: str, key: int) -> Fact:
+    if relation == "link":
+        return Fact("link", ("n", f"d{key % 2}", key))  # same key, new cost: replacement
+    if relation == "hop":
+        return Fact("hop", ("n", f"d{key % 2}", f"e{key % 3}", key))
+    return Fact("known", ("n", f"e{key % 3}"))
+
+
+def apply(engine: NDlogEngine, operations) -> None:
+    """One ``run()`` per operation: every delta takes the singleton path."""
+    for action, relation, key in operations:
+        fact = fact_of(relation, key)
+        if action == INSERT:
+            engine.insert(fact)
+        elif action == DELETE:
+            engine.delete(fact)
+        else:
+            engine.enqueue(Delta(REFRESH, fact))
+        engine.run()
+
+
+def state(engine: NDlogEngine):
+    return {name: engine.table_rows(name) for name in TABLES}, dict(engine.stats)
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from([INSERT, INSERT, DELETE, REFRESH]),
+        st.sampled_from(["link", "hop", "known"]),
+        st.integers(0, 5),
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(operations)
+def test_fused_singletons_equal_delta_and_columnar(ops):
+    """No policy, no tracer: ``batched`` takes the fused path; same everything."""
+    states = {}
+    for pipeline in PIPELINES:
+        engine = NDlogEngine("n", program(), pipeline=pipeline)
+        updates, firings = [], []
+        engine.add_update_listener(lambda action, fact: updates.append((action, fact)))
+        engine.add_rule_listener(
+            lambda firing: firings.append((firing.rule.label, firing.action, firing.head_fact))
+        )
+        apply(engine, ops)
+        states[pipeline] = (state(engine), updates, firings)
+    for pipeline in PIPELINES:
+        assert states[pipeline] == states["delta"], pipeline
+
+
+def test_rule_added_after_its_predicate_was_seen_fires():
+    engine = NDlogEngine("n")
+    engine.insert(Fact("red", ("n", "a")))
+    engine.run()  # `red` is now resolved with no firings
+    engine.add_rule(parse_program("r1 mid(@S,D) :- red(@S,D).").rules[0])
+    engine.insert(Fact("red", ("n", "b")))
+    engine.run()
+    assert engine.table_rows("mid") == [("n", "b")]
+
+
+def test_load_program_twice_matches_the_interpreter():
+    first = "r1 mid(@S,D) :- red(@S,D)."
+    second = "r2 top(@S,D) :- mid(@S,D)."
+    states = {}
+    for pipeline in PIPELINES:
+        engine = NDlogEngine("n", pipeline=pipeline)
+        for index, source in enumerate((first, second, first)):
+            engine.load_program(parse_program(source))
+            engine.insert(Fact("red", ("n", f"d{index}")))
+            engine.run()
+        states[pipeline] = (
+            {name: engine.catalog.table(name).rows_with_counts() for name in ("red", "mid", "top")},
+            dict(engine.stats),
+        )
+    # d1 reached top through r2; d2 was derived by both copies of r1.
+    assert states["batched"][0]["mid"][-1] == (("n", "d2"), 2)
+    assert states["batched"][0]["top"] == [(("n", "d1"), 1), (("n", "d2"), 1)]
+    for pipeline in PIPELINES:
+        assert states[pipeline] == states["delta"], pipeline
+
+
+PHASES = [
+    [(INSERT, "link", 1), (INSERT, "hop", 1), (INSERT, "known", 1), (INSERT, "link", 3)],
+    [(INSERT, "link", 5), (DELETE, "hop", 1), (INSERT, "hop", 4), (INSERT, "known", 4)],
+    [(DELETE, "link", 5), (REFRESH, "known", 1), (INSERT, "link", 2), (DELETE, "known", 4)],
+]
+
+
+def update_listener():
+    seen = []
+
+    def listener(action, fact):
+        seen.append((action, fact))
+
+    return (
+        lambda engine: engine.add_update_listener(listener),
+        lambda engine: engine.remove_update_listener(listener),
+        seen,
+    )
+
+
+def rule_listener():
+    seen = []
+
+    def listener(firing):
+        seen.append((firing.rule.label, firing.action, firing.head_fact))
+
+    return (
+        lambda engine: engine.add_rule_listener(listener),
+        lambda engine: engine._rule_listeners.remove(listener),
+        seen,
+    )
+
+
+def tracer():
+    installed = Tracer()
+    return (
+        lambda engine: engine.set_tracer(installed),
+        lambda engine: engine.set_tracer(None),
+        installed.spans,
+    )
+
+
+@pytest.mark.parametrize("instrument", [update_listener, rule_listener, tracer])
+def test_attaching_between_runs_switches_paths_without_a_trace_in_stats(instrument):
+    def drive(attach_at, detach_at):
+        """Final state, and what the instrument saw during each phase."""
+        attach, detach, seen = instrument()
+        engine = NDlogEngine("n", program())
+        per_phase = []
+        for index, phase in enumerate(PHASES):
+            if index == attach_at:
+                attach(engine)
+            if index == detach_at:
+                detach(engine)
+            before = len(seen)
+            apply(engine, phase)
+            per_phase.append(list(seen[before:]))
+        return state(engine), per_phase
+
+    never, nothing = drive(None, None)
+    always, everything = drive(0, None)
+    middle, some = drive(1, 2)
+    assert nothing == [[], [], []] and all(everything)
+    assert always == never and middle == never
+    # The middle phase was observed, and only it.
+    assert some[0] == [] and some[2] == []
+    if instrument is tracer:  # span records carry ids: compare their names
+        names = lambda spans: [span.name for span in spans]  # noqa: E731
+        assert names(some[1]) == names(everything[1])
+    else:
+        assert some[1] == everything[1]
+
+
+def flap_script(program_factory, mode, traced: bool):
+    topology = transit_stub_topology(
+        domains=1, transit_per_domain=2, stubs_per_transit=2, nodes_per_stub=3, seed=0
+    )
+    installed = Tracer() if traced else None
+    network = ExspanNetwork(
+        topology, program_factory(), config=ExspanConfig(mode=mode), tracer=installed
+    )
+    network.seed_links()
+    network.run_to_fixpoint()
+    for a, b in sorted((a, b) for a, b, _ in topology.links_by_tier(TIER_STUB))[:4]:
+        cost = topology.link(a, b).cost
+        network.remove_link(a, b)
+        network.run_to_fixpoint()
+        network.add_link(a, b, cost)
+        network.run_to_fixpoint()
+    return network, installed
+
+
+#: ``plan.exec`` spans / all spans of the traced scripts below, recorded on
+#: the commit before the fused path landed (the tracer keeps its span shape).
+PARENT_SPANS = {
+    "mincost-value": (1808, 4725),
+    "pathvector-ref": (11374, 13351),
+}
+
+
+@pytest.mark.parametrize(
+    "label, program_factory, mode",
+    [
+        ("mincost-value", lambda: mincost_program(max_cost=16), ProvenanceMode.VALUE),
+        ("pathvector-ref", pathvector_program, ProvenanceMode.REFERENCE),
+    ],
+)
+def test_traced_flaps_equal_untraced_and_keep_their_spans(label, program_factory, mode):
+    plain, _ = flap_script(program_factory, mode, traced=False)
+    traced, installed = flap_script(program_factory, mode, traced=True)
+    assert collect_summary(traced) == collect_summary(plain)
+    assert collect_digest(traced) == collect_digest(plain)
+    assert traced.planner_stats() == plain.planner_stats()
+    plan_exec = sum(1 for span in installed.spans if span.name == "plan.exec")
+    assert (plan_exec, len(installed.spans)) == PARENT_SPANS[label]

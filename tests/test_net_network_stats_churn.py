@@ -87,6 +87,45 @@ class TestNetworkDelivery:
         assert received == []
 
 
+class TestTransmissionDelay:
+    """``model_transmission_delay=True``: size over the slowest first-hop link."""
+
+    @staticmethod
+    def sorted_neighbour_formula(topology, source, destination, size):
+        """What ``Network._latency`` computed before it read the adjacency."""
+        if source == destination:
+            return 0.0
+        latency = topology.latency_between(source, destination)
+        neighbors = topology.neighbors(source)
+        if neighbors:
+            slowest = min(
+                (topology.link(source, neighbor).bandwidth for neighbor in neighbors),
+                default=0.0,
+            )
+            if slowest:
+                latency += size / slowest
+        return latency
+
+    def test_every_pair_and_size_equals_the_sorted_neighbour_formula(self):
+        topology = transit_stub_topology(
+            domains=1, transit_per_domain=2, stubs_per_transit=1, nodes_per_stub=5
+        )
+        assert topology.node_count() == 12
+        network = Network(topology, model_transmission_delay=True)
+        for source in topology.nodes:
+            for destination in topology.nodes:
+                for size in (1, 1500, 1_000_000):
+                    assert network._latency(source, destination, size) == (
+                        self.sorted_neighbour_formula(topology, source, destination, size)
+                    )
+
+    def test_slowest_link_bandwidth_of_an_isolated_node_is_zero(self):
+        topology = Topology()
+        topology.add_node("alone")
+        assert topology.slowest_link_bandwidth("alone") == 0.0
+        assert topology.slowest_link_bandwidth("unknown") == 0.0
+
+
 class TestTrafficStats:
     def test_totals_and_filters(self):
         stats = TrafficStats()

@@ -13,13 +13,17 @@ import os
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _record_perf():
+def _tool(name: str):
     spec = importlib.util.spec_from_file_location(
-        "record_perf", os.path.join(REPO, "benchmarks", "record_perf.py")
+        name, os.path.join(REPO, "benchmarks", f"{name}.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _record_perf():
+    return _tool("record_perf")
 
 
 def test_readme_table_is_the_render_of_bench_perf_json():
@@ -42,3 +46,32 @@ def test_rows_carry_every_declared_workload_and_metric():
         for contract in row["workloads"].values():
             assert contract["correct"] and contract["failed"] == 0
             assert set(contract["metrics"]) == metrics
+
+
+def test_ab_pairs_alternates_sides_and_refuses_unequal_work(monkeypatch, capsys):
+    """The A/B tool with a canned ruler: order, win count, and the equalities."""
+    ab_pairs = _tool("ab_pairs")
+    assert ab_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    calls = []
+
+    def ruler(root, workload, seed, seconds):
+        side = os.path.basename(root)
+        calls.append((seed, side))
+        wire = 2.5 if (side, seed) == ("change", unequal_seed) else 2.0
+        return {
+            "op_ms_p50": 10.0 if side == "parent" else 8.0, "wire_mb": wire,
+            "attempted": 5, "failed": 0, "correct": True,
+        }
+
+    monkeypatch.setattr(ab_pairs, "ruler", ruler)
+    argv = ["ab_pairs.py", "--parent", "/x/parent", "--change", "/x/change",
+            "--workload", "maint_mc_value", "--seeds", "1-4"]
+    monkeypatch.setattr("sys.argv", argv)
+    unequal_seed = None
+    assert ab_pairs.main() == 0
+    assert calls == [(1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+                     (3, "parent"), (3, "change"), (4, "change"), (4, "parent")]
+    assert "change won 4 of 4 pairs" in capsys.readouterr().out
+    unequal_seed = 3
+    assert ab_pairs.main() == 1
+    assert "NOT COMPARABLE: seed 3: wire_mb" in capsys.readouterr().out

@@ -407,6 +407,43 @@ class TestRandomInterleavings:
 
     @settings(max_examples=40, deadline=None)
     @given(operations=_ops)
+    def test_pipelines_agree_without_a_policy(self, operations):
+        """No annotation policy: ``batched`` applies singletons in its run loop.
+
+        One ``run()`` per operation keeps every delta a singleton, so the
+        batched engine takes its fused apply-and-fire path throughout; the
+        interpreter stays the oracle for it and for ``columnar``
+        (tests/test_engine_dispatch.py probes the same path with keyed
+        tables, events, joins and listeners).
+        """
+        from repro.datalog.engine import Delta, REFRESH
+
+        states = {}
+        for pipeline in PIPELINES:
+            engine = NDlogEngine(
+                "n", parse_program(_PROPERTY_PROGRAM), pipeline=pipeline
+            )
+            for action, relation, key in operations:
+                fact = Fact(relation, ("n", f"d{key}"))
+                if action == "insert":
+                    engine.insert(fact)
+                elif action == "delete":
+                    engine.delete(fact)
+                else:
+                    engine.enqueue(Delta(REFRESH, fact))
+                engine.run()
+            states[pipeline] = (
+                {
+                    name: engine.catalog.table(name).rows_with_counts()
+                    for name in ("red", "blue", "mid", "top")
+                },
+                dict(engine.stats),
+            )
+        for pipeline in PIPELINES:
+            assert states[pipeline] == states["delta"], pipeline
+
+    @settings(max_examples=40, deadline=None)
+    @given(operations=_ops)
     def test_columnar_equals_batched_with_self_join(self, operations):
         """Columnar windowing on a self-join program, random interleavings.
 

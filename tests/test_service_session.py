@@ -8,7 +8,9 @@ derivation order) are identical to the same queries executed serially
 in-process on an identically constructed network.
 """
 
+import gc
 import threading
+import warnings
 
 import pytest
 
@@ -214,3 +216,37 @@ def test_graceful_shutdown_drains():
     service.stop()
     with pytest.raises(OSError):
         ServiceClient(*service.address, timeout=2)
+
+
+def _shutdown_then_stop(forced_window: bool) -> None:
+    network = ExspanNetwork(
+        ring_topology(3, seed=0), mincost_program(), config=ExspanConfig(seed=0)
+    )
+    service = ServiceThread(network)
+    service.start()
+    with ServiceClient(*service.address) as client:
+        assert client.shutdown_server()["stopping"] is True
+    if forced_window:
+        # The worst interleaving, made deterministic: the loop is closed but
+        # stop() still believes the thread is alive.
+        service._thread.join(timeout=30)
+        assert service._loop.is_closed()
+        service._thread.is_alive = lambda: True
+    service.stop()
+    assert not threading.Thread.is_alive(service._thread)
+
+
+def test_stop_after_client_shutdown_never_races():
+    """``stop()`` after a client-initiated shutdown: no error, nothing unawaited.
+
+    The shutdown op closes the event loop on the service thread while the
+    embedding thread calls ``stop()``; whichever wins, ``stop()`` must
+    return quietly and leave no ``ServiceServer.stop`` coroutine behind.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for round_ in range(50):
+            _shutdown_then_stop(forced_window=round_ % 10 == 0)
+        gc.collect()
+    unawaited = [w for w in caught if "never awaited" in str(w.message)]
+    assert not unawaited, [str(w.message) for w in unawaited]
