@@ -55,7 +55,7 @@ from ..obs import runtime as obs_runtime
 from .config import ExspanConfig
 from .errors import ProvenanceError, QueryTimeoutError
 from .modes import PreparedProgram, ProvenanceMode, prepare_program
-from .provenance_graph import ProvenanceGraph, build_global_graph
+from .provenance_graph import ProvenanceGraph, build_global_graph, build_rooted_graph
 from .query import ProvenanceQueryService, QueryOutcome, QuerySpec
 from .requests import QueryRequest, QueryResult, SpecDescriptor
 from .storage import ProvenanceStore
@@ -623,9 +623,20 @@ class ExspanNetwork:
             self.node_count, kinds=[DELTA_MESSAGE_KIND]
         )
 
-    def provenance_graph(self) -> ProvenanceGraph:
-        """Materialize the global provenance graph (offline analysis helper)."""
-        return build_global_graph(node.store for node in self.nodes.values())
+    def provenance_graph(
+        self, root: Optional[Fact] = None, max_depth: Optional[int] = None
+    ) -> ProvenanceGraph:
+        """The provenance graph under *root*, or the whole graph without one.
+
+        With *root*, walked outward from that tuple for *max_depth* tuple
+        hops (``None``: unbounded) at the cost of its derivation subtree —
+        what serves ``prov`` requests.  Without, every row of every node is
+        copied: the offline analysis helper and the walk's test oracle.
+        """
+        if root is None:
+            return build_global_graph(node.store for node in self.nodes.values())
+        stores = {address: node.store for address, node in self.nodes.items()}
+        return build_rooted_graph(stores, root, max_depth)
 
     def provenance_row_counts(self) -> Dict[str, int]:
         """Total prov / ruleExec rows across the network."""

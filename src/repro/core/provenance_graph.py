@@ -14,13 +14,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..datalog.ast import Fact
 from .storage import ProvEntry, ProvenanceStore, RuleExecEntry
 from .vid import fact_vid
 
-__all__ = ["TupleVertex", "RuleVertex", "ProvenanceGraph", "build_global_graph"]
+__all__ = [
+    "TupleVertex",
+    "RuleVertex",
+    "ProvenanceGraph",
+    "build_global_graph",
+    "build_rooted_graph",
+]
 
 
 @dataclass
@@ -283,8 +289,11 @@ class ProvenanceGraph:
 def build_global_graph(stores: Iterable[ProvenanceStore]) -> ProvenanceGraph:
     """Assemble the global provenance graph from every node's local tables.
 
-    This is an offline analysis helper (and the centralized baseline's view);
-    the distributed query engine never needs the global graph.
+    This copies every ``prov`` / ``ruleExec`` row of every store, so its cost
+    is linear in the network.  It is the offline analysis helper, the
+    centralized baseline's view and the oracle the tests compare
+    :func:`build_rooted_graph` against; requests about one tuple are served
+    by the rooted walk, and the distributed query engine needs neither.
     """
     graph = ProvenanceGraph()
     for store in stores:
@@ -292,4 +301,48 @@ def build_global_graph(stores: Iterable[ProvenanceStore]) -> ProvenanceGraph:
             graph.add_prov_entry(entry, fact=store.fact_for_vid(entry.vid))
         for rule_entry in store.all_rule_exec_entries():
             graph.add_rule_exec(rule_entry)
+    return graph
+
+
+def build_rooted_graph(
+    stores: Mapping[Any, ProvenanceStore], root: Fact, max_depth: Optional[int] = None
+) -> ProvenanceGraph:
+    """The provenance graph within *max_depth* tuple hops of *root* (``None``: all of it).
+
+    Reads the tables the way Section 5 traverses them — a tuple's ``prov``
+    rows at its own node, each derivation's ``ruleExec`` row where the rule
+    fired, whose inputs live there too (rule bodies are localized) — so the
+    cost follows the derivation subtree, not the network.  This serves
+    requests about one tuple; anything rendered from it, rooted at *root*
+    and bounded by *max_depth*, equals what :func:`build_global_graph` gives.
+
+    Breadth-first, so every vertex is loaded at its *minimum* depth:
+    :meth:`ProvenanceGraph.to_text_tree` may first meet a vertex on a longer
+    path and still expands it there.  *stores* maps node address to store.
+    """
+    graph = ProvenanceGraph()
+    root_vid = fact_vid(root)
+    seen = {root_vid}
+    queue = deque([(root_vid, root.location, 0)])
+    while queue:
+        vid, location, depth = queue.popleft()
+        try:
+            store = stores.get(location)
+        except TypeError:  # an unhashable value from outside names no node
+            store = None
+        if store is None:
+            continue
+        for entry in store.prov_entries(vid):
+            graph.add_prov_entry(entry, fact=store.fact_for_vid(vid))
+            if depth == max_depth or entry.is_base or entry.rid in graph.rules:
+                continue
+            rule_store = stores.get(entry.rule_location)
+            rule_entry = None if rule_store is None else rule_store.rule_exec(entry.rid)
+            if rule_entry is None:
+                continue
+            graph.add_rule_exec(rule_entry)
+            for child in rule_entry.input_vids:
+                if child not in seen:
+                    seen.add(child)
+                    queue.append((child, entry.rule_location, depth + 1))
     return graph

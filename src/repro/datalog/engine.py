@@ -351,7 +351,7 @@ class NDlogEngine:
                 self.catalog.declare(decl)
         self._dispatch.clear()
         for rule in program.rules:
-            self.add_rule(rule)
+            self._install_rule(rule)  # program.validate() checked every rule
         if self._columnar:
             # Warm the columnar dispatch metadata (and generate the batch
             # kernels, which are memoized program-wide) at load time, so the
@@ -366,6 +366,9 @@ class NDlogEngine:
     def add_rule(self, rule: Rule) -> None:
         """Register a single rule with the engine."""
         rule.validate()
+        self._install_rule(rule)
+
+    def _install_rule(self, rule: Rule) -> None:
         self.rules.append(rule)
         aggregate = rule.head.aggregate()
         if aggregate is not None:

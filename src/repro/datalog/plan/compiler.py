@@ -92,6 +92,11 @@ _KEY_EXPR = 2
 _STATIC_PARTS: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
 _STATIC_PARTS_LIMIT = 4096
 
+#: Process-wide memo of a rule's normal form and join graph, keyed by
+#: id(rule) under the same pinning and wholesale limit: rules are immutable
+#: and every node's compiler analyses the same program.
+_ANALYSES: Dict[int, Tuple[NormalizedRule, JoinGraph]] = {}
+
 
 @dataclass(frozen=True)
 class LookupSpec:
@@ -617,16 +622,17 @@ class PlanCompiler:
         self.optimizer = (
             optimizer if optimizer is not None else GreedyOptimizer(self.cost_model)
         )
-        self._normalized: Dict[str, Tuple[NormalizedRule, JoinGraph]] = {}
 
-    def _analysis(self, rule: Rule) -> Tuple[NormalizedRule, JoinGraph]:
-        cached = self._normalized.get(rule.label)
-        if cached is not None and cached[0].rule is rule:
-            return cached
-        normalized = normalize_rule(rule)
-        graph = construct_join_graph(normalized)
-        self._normalized[rule.label] = (normalized, graph)
-        return normalized, graph
+    @staticmethod
+    def _analysis(rule: Rule) -> Tuple[NormalizedRule, JoinGraph]:
+        cached = _ANALYSES.get(id(rule))
+        if cached is None or cached[0].rule is not rule:
+            normalized = normalize_rule(rule)
+            cached = (normalized, construct_join_graph(normalized))
+            if len(_ANALYSES) >= _STATIC_PARTS_LIMIT:
+                _ANALYSES.clear()
+            _ANALYSES[id(rule)] = cached
+        return cached
 
     def compile(self, rule: Rule, trigger_position: int) -> CompiledDeltaPlan:
         """Compile the delta plan for *rule* triggered at *trigger_position*."""

@@ -60,6 +60,11 @@ def _require(condition: bool, message: str) -> None:
         raise ProtocolError("bad-request", message)
 
 
+def _positive_int(value: Any) -> bool:
+    """JSON ``true`` is a Python int; a count or a depth it is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 class ExspanService:
     """Op dispatch for one hosted network (transport-independent).
 
@@ -137,7 +142,7 @@ class ExspanService:
         _require(isinstance(table, str), "tuples requires a 'table' name")
         # catalog.table() auto-creates on first use; validate first so a
         # typo surfaces as an error instead of minting an empty table.
-        if table not in self.network.predicates():
+        if not any(node.engine.catalog.has_table(table) for node in self.network.nodes.values()):
             raise ProtocolError("query-error", f"unknown table {table!r}")
         rows = self.network.tuples(table)
         return {
@@ -161,7 +166,7 @@ class ExspanService:
         request = QueryRequest.from_dict(payload)
         max_events = params.get("max_events")
         _require(
-            max_events is None or (isinstance(max_events, int) and max_events > 0),
+            max_events is None or _positive_int(max_events),
             "max_events must be a positive int",
         )
         result = self.network.execute(request, max_events=max_events)
@@ -200,7 +205,7 @@ class ExspanService:
     def op_run_until_idle(self, params: Dict[str, Any]) -> Dict[str, Any]:
         max_events = params.get("max_events")
         _require(
-            max_events is None or (isinstance(max_events, int) and max_events > 0),
+            max_events is None or _positive_int(max_events),
             "max_events must be a positive int",
         )
         executed = self.network.simulator.run_until_idle(max_events=max_events)
@@ -275,8 +280,8 @@ class ExspanService:
     def op_prov(self, params: Dict[str, Any]) -> Dict[str, Any]:
         fact = self._fact(params)
         depth = params.get("depth", 8)
-        _require(isinstance(depth, int) and depth > 0, "depth must be a positive int")
-        graph = self.network.provenance_graph()
+        _require(_positive_int(depth), "depth must be a positive int")
+        graph = self.network.provenance_graph(root=fact, max_depth=depth)
         vid = fact_vid(fact)
         return {
             "fact": encode_fact(fact),

@@ -51,6 +51,9 @@ def raw(service):
         sock.close()
 
 
+LINK = {"name": "link", "values": ["n0", "n1", 1]}
+
+
 def _hello(sock):
     send_frame(sock, {"id": 0, "op": "hello", "params": {"protocol": PROTOCOL_VERSION}})
     response = recv_frame(sock)
@@ -178,6 +181,30 @@ class TestRequests:
             with pytest.raises(ServiceError) as excinfo:
                 client.call("tuples", table="nonexistent")
             assert excinfo.value.code == "query-error"
+
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("prov", {"fact": LINK, "depth": True}),
+            ("query", {"fact": LINK, "spec": {"kind": "polynomial"}, "max_events": True}),
+            ("run_until_idle", {"max_events": True}),
+        ],
+    )
+    def test_boolean_is_not_a_count(self, service, op, params):
+        """``isinstance(True, int)`` holds; ``true`` is still not a depth or a budget."""
+        with ServiceClient(*service.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.call(op, **params)
+            assert excinfo.value.code == "bad-request"
+
+    def test_prov_depth_bounds_the_walk_not_the_work(self, service):
+        """A huge ``depth`` is legal and costs the derivation subtree, not the bound."""
+        with ServiceClient(*service.address, timeout=30) as client:
+            _, values = client.call("tuples", table="bestPathCost")["rows"][0]
+            fact = {"name": "bestPathCost", "values": values}
+            deep = client.call("prov", fact=fact, depth=1000000)
+            assert deep["tree"] == client.call("prov", fact=fact, depth=64)["tree"]
+            assert "rule " in deep["tree"]
 
     def test_bad_fact_payload(self, service):
         with ServiceClient(*service.address) as client:

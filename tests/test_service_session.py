@@ -154,6 +154,33 @@ def test_mutations_visible_across_clients():
             assert ("n0", "n3", 7) not in final
 
 
+def test_prov_replies_equal_the_whole_graph_rendering_through_churn():
+    """``prov`` walks from the root; its bytes are the whole-graph oracle's."""
+    network = _network()
+    link = {"name": "link", "values": ["n0", "n3", 7]}
+
+    def check(client):
+        # Closed loop: the server is idle between calls, so this thread may
+        # read the network it hosts.
+        whole = network.provenance_graph()
+        for table in ("bestPathCost", "link"):
+            for _, values in network.tuples(table):
+                fact = {"name": table, "values": list(values)}
+                for depth in (1, 3, 8):
+                    reply = client.call("prov", fact=fact, depth=depth)
+                    assert reply["tree"] == whole.to_text_tree(reply["vid"], max_depth=depth)
+
+    with ServiceThread(network) as service:
+        with ServiceClient(*service.address) as client:
+            check(client)
+            client.call("insert", fact=link)
+            client.call("fixpoint")
+            check(client)
+            client.call("delete", fact=link)
+            client.call("fixpoint")
+            check(client)
+
+
 def network_rows(client, table):
     return [(node, tuple(values)) for node, values in client.call("tuples", table=table)["rows"]]
 
