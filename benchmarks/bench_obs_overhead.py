@@ -7,11 +7,11 @@ engine whose tracer was never installed — or was detached again via
 ``set_tracer`` adds and removes; see
 :meth:`repro.datalog.engine.NDlogEngine.set_tracer`).
 
-This benchmark measures that claim on the same workload as
-``bench_batch_speedup.py`` (PATHVECTOR + reference-provenance rewrite on
-rings, batched pipeline), in three configurations:
+This benchmark measures that claim on PATHVECTOR under the
+reference-provenance rewrite on rings (batched pipeline), in three
+configurations:
 
-- ``pristine``  — tracing never touched (exactly ``bench_batch_speedup``)
+- ``pristine``  — tracing never touched
 - ``detached``  — a tracer was installed and then removed before timing;
   guards that detaching restores the pristine hot path
 - ``traced``    — a recording tracer attached (the advisory enabled cost)

@@ -285,8 +285,9 @@ class ExspanNetwork:
         """All rows of *table* across every node, as ``(node, row)`` pairs."""
         rows: List[Tuple[Any, Tuple[Any, ...]]] = []
         for address, node in self.nodes.items():
-            for row in node.engine.catalog.table(table).rows():
-                rows.append((address, row))
+            stored = node.engine.catalog.get(table)  # a read creates nothing
+            if stored is not None:
+                rows.extend((address, row) for row in stored.rows())
         return rows
 
     def random_tuple(self, table: str) -> Optional[Tuple[Any, Fact]]:

@@ -47,7 +47,7 @@ _MODES_BY_NAME: Dict[str, ProvenanceMode] = {
 }
 
 _PLANNERS = (None, "greedy", "naive")
-_PIPELINES = (None, "batched", "delta", "columnar")
+_PIPELINES = (None, "batched", "delta")
 _VALUE_POLICIES = ("bdd", "polynomial")
 
 
@@ -85,8 +85,7 @@ class ExspanConfig:
         ``planner`` — rule planner (``None`` = process default,
         ``"greedy"`` or ``"naive"``);
         ``pipeline`` — delta pipeline (``None`` = process default,
-        ``"batched"``, ``"delta"``, or the vectorized ``"columnar"``;
-        all three are bit-identical).
+        ``"batched"`` or ``"delta"``; the two are bit-identical).
 
     Workload
         ``link_cost`` — default cost for runtime-added links;

@@ -15,7 +15,7 @@ to tuples" the paper assumes (here a lazily-maintained index over the node's
 materialized tables).
 
 This is the per-node *view* layer of the pluggable storage engine
-(:mod:`repro.storage`): the rows themselves live in the interned-row
+(:mod:`repro.storage`): the rows themselves live in the
 :class:`~repro.storage.memory.Table` tier, every network's
 :class:`~repro.storage.backend.StorageBackend` receives each node's store
 through ``attach_node`` (serving cross-node ``fact_for_vid`` lookups and,
@@ -99,13 +99,22 @@ class ProvenanceStore:
     # ------------------------------------------------------------------ #
     # prov table
     # ------------------------------------------------------------------ #
+    def _rows(self, name: str, bound: Optional[Dict[int, Any]] = None):
+        """Rows of local table *name* (``[]`` when absent), optionally by key.
+
+        A read never creates the table: ``Catalog.get``, not ``table``.
+        """
+        table = self.engine.catalog.get(name)
+        if table is None:
+            return []
+        return table.lookup(bound) if bound else table.rows()
+
     def prov_entries(self, vid: str) -> List[ProvEntry]:
         """All local derivations of the tuple vertex *vid*."""
-        table = self.engine.catalog.table(PROV_TABLE)
-        entries: List[ProvEntry] = []
-        for row in table.lookup({1: vid}):
-            entries.append(ProvEntry(row[0], row[1], row[2], row[3]))
-        return entries
+        return [
+            ProvEntry(row[0], row[1], row[2], row[3])
+            for row in self._rows(PROV_TABLE, {1: vid})
+        ]
 
     def derivation_count(self, vid: str) -> int:
         """Number of alternative derivations recorded locally for *vid*."""
@@ -116,24 +125,23 @@ class ProvenanceStore:
         return any(entry.is_base for entry in self.prov_entries(vid))
 
     def all_prov_entries(self) -> List[ProvEntry]:
-        table = self.engine.catalog.table(PROV_TABLE)
-        return [ProvEntry(row[0], row[1], row[2], row[3]) for row in table.rows()]
+        return [
+            ProvEntry(row[0], row[1], row[2], row[3]) for row in self._rows(PROV_TABLE)
+        ]
 
     # ------------------------------------------------------------------ #
     # ruleExec table
     # ------------------------------------------------------------------ #
     def rule_exec(self, rid: str) -> Optional[RuleExecEntry]:
         """Look up the rule execution vertex *rid* stored at this node."""
-        table = self.engine.catalog.table(RULE_EXEC_TABLE)
-        for row in table.lookup({1: rid}):
+        for row in self._rows(RULE_EXEC_TABLE, {1: rid}):
             input_vids = row[3] if isinstance(row[3], (list, tuple)) else (row[3],)
             return RuleExecEntry(row[0], row[1], row[2], tuple(input_vids))
         return None
 
     def all_rule_exec_entries(self) -> List[RuleExecEntry]:
-        table = self.engine.catalog.table(RULE_EXEC_TABLE)
         entries = []
-        for row in table.rows():
+        for row in self._rows(RULE_EXEC_TABLE):
             input_vids = row[3] if isinstance(row[3], (list, tuple)) else (row[3],)
             entries.append(RuleExecEntry(row[0], row[1], row[2], tuple(input_vids)))
         return entries
@@ -179,7 +187,9 @@ class ProvenanceStore:
     # statistics helpers (used by tests and EXPERIMENTS.md reporting)
     # ------------------------------------------------------------------ #
     def prov_row_count(self) -> int:
-        return len(self.engine.catalog.table(PROV_TABLE))
+        table = self.engine.catalog.get(PROV_TABLE)
+        return 0 if table is None else len(table)
 
     def rule_exec_row_count(self) -> int:
-        return len(self.engine.catalog.table(RULE_EXEC_TABLE))
+        table = self.engine.catalog.get(RULE_EXEC_TABLE)
+        return 0 if table is None else len(table)

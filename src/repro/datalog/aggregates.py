@@ -23,7 +23,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError
 
-__all__ = ["AggregateState", "create_aggregate_state", "SUPPORTED_AGGREGATES"]
+__all__ = ["AggregateState", "SUPPORTED_AGGREGATES"]
 
 SUPPORTED_AGGREGATES = ("min", "max", "count", "sum", "agglist")
 
@@ -146,8 +146,3 @@ class AggregateState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AggregateState({self.func}, n={self._count})"
-
-
-def create_aggregate_state(func: str) -> AggregateState:
-    """Factory for :class:`AggregateState` (kept for symmetry with tests)."""
-    return AggregateState(func)

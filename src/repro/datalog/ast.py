@@ -20,6 +20,7 @@ classes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,12 @@ __all__ = [
     "Program",
     "is_event_predicate",
 ]
+
+
+#: Rule lists already validated, keyed by the rules' ids (see
+#: :meth:`Program.validate`); dropped wholesale at the limit.
+_VALIDATED: Dict[Tuple[int, ...], Tuple["Rule", ...]] = {}
+_VALIDATED_LIMIT = 256
 
 
 def is_event_predicate(name: str) -> bool:
@@ -228,9 +235,6 @@ class Fact:
 
     def __init__(self, name: str, values: Sequence[Any], location_index: int = 0):
         self.name = name
-        # isinstance (not an exact-type check) so interned table rows —
-        # tuple subclasses with cached hashes — are kept as-is rather than
-        # copied down to plain tuples on every Fact construction.
         self.values: Tuple[Any, ...] = (
             values if isinstance(values, tuple) else tuple(values)
         )
@@ -338,13 +342,24 @@ class Program:
         return [name for name in self.relation_names() if name not in derived]
 
     def validate(self) -> None:
-        """Validate every rule and check label uniqueness."""
+        """Validate every rule and check label uniqueness.
+
+        Memoised on the rules' identities (rules are immutable): every node
+        of a network loads the same program, and only the first pays.
+        """
+        key = tuple(map(id, self.rules))
+        validated = _VALIDATED.get(key)
+        if validated is not None and all(map(operator.is_, validated, self.rules)):
+            return
         seen: Dict[str, Rule] = {}
         for rule in self.rules:
             if rule.label in seen:
                 raise ValidationError(f"duplicate rule label {rule.label!r}")
             seen[rule.label] = rule
             rule.validate()
+        if len(_VALIDATED) >= _VALIDATED_LIMIT:
+            _VALIDATED.clear()
+        _VALIDATED[key] = tuple(self.rules)  # pins the ids against reuse
 
     def extended(self, other: "Program", name: Optional[str] = None) -> "Program":
         """Return a new program combining this program with *other*."""

@@ -1,6 +1,6 @@
 """Relation storage for a single NDlog node (compatibility re-export).
 
-The interned-row :class:`Table` / :class:`Catalog` machinery moved to
+The :class:`Table` / :class:`Catalog` machinery moved to
 :mod:`repro.storage.memory` when the pluggable storage engine landed —
 storage is a subsystem of its own now, with the in-RAM tier as its default
 backend and sqlite as the durable one.  This module keeps the historical
@@ -14,15 +14,11 @@ from ..storage.memory import (
     Catalog,
     DeleteOutcome,
     InsertOutcome,
-    InternedRow,
     Table,
-    _freeze,
-    _subkey_getter,
     freeze_value,
 )
 
 __all__ = [
-    "InternedRow",
     "Table",
     "Catalog",
     "InsertOutcome",

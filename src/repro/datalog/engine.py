@@ -20,18 +20,23 @@ ExSPAN paper:
   tuple is only propagated when it first appears and only deleted when its
   last derivation disappears (cascaded deletions).
 
-The default ``pipeline="batched"`` drains the queue in maximal runs of
-consecutive deltas sharing one (predicate, action) pair and routes each
-through the closure-compiled plan executors
+There are two pipelines.  The default ``pipeline="batched"`` drains the
+queue in maximal runs of consecutive deltas sharing one (predicate, action)
+pair and routes each through the closure-compiled plan executors
 (:mod:`repro.datalog.plan.compiler`).  Batching amortizes the per-delta
 dispatch (event check, table resolution, rule-list lookup, counter updates)
 without reordering anything: deltas inside a batch are still applied and
 fired strictly in FIFO order, and derived deltas always join the back of
-the queue, so the batched pipeline is bit-identical to the legacy
-``pipeline="delta"`` interpreter — same fixpoints, same provenance VIDs,
-same annotation merges, same ``tuples_scanned`` counters.  The legacy
-pipeline is retained as the equivalence-test reference and the "before"
-measurement of the speedup benchmarks.
+the queue.  ``pipeline="delta"`` is the legacy one-delta-at-a-time
+interpreter, retained as the equivalence oracle: the two give the same
+fixpoints, provenance VIDs, annotation merges and ``tuples_scanned``
+counters.
+
+On the batched path a *sink* table — a materialised predicate no rule
+reads, such as ``prov`` and ``ruleExec`` under reference provenance — is
+not queued at all: a locally derived sink row is applied where it is
+emitted (see :meth:`NDlogEngine._refresh_sinks`), which keeps every
+table's row order because a sink has no firings.
 
 The engine exposes two extension points used by the ExSPAN provenance layer:
 
@@ -79,9 +84,6 @@ from .plan import (
     compile_term,
     explain_plans,
 )
-from .plan.columnar import EmissionCapture
-from .plan.columnar import predicate_info as _columnar_predicate_info
-from .plan.columnar import process_window as _columnar_process_window
 from .plan.compiler import STALENESS_CHECK_PERIOD
 from .terms import AggregateSpec, Constant, Variable
 
@@ -109,12 +111,9 @@ PLANNERS = ("greedy", "naive")
 
 #: Delta pipelines: "batched" drains the queue in per-(predicate, action)
 #: runs and executes closure-compiled plans; "delta" is the legacy
-#: one-delta-at-a-time interpreter, kept as the equivalence reference and
-#: the "before" side of the batching benchmarks; "columnar" drains whole
-#: queue windows and evaluates join plans as vectorized batch kernels over
-#: column blocks (:mod:`repro.datalog.plan.columnar`).  Results are
-#: bit-identical across all three.
-PIPELINES = ("batched", "delta", "columnar")
+#: one-delta-at-a-time interpreter, kept as the equivalence oracle.
+#: Results are bit-identical across the two.
+PIPELINES = ("batched", "delta")
 
 _DEFAULT_PLANNER = "greedy"
 _DEFAULT_PIPELINE = "batched"
@@ -282,13 +281,10 @@ class NDlogEngine:
         self._send = send
         self.annotation_policy = annotation_policy
         self._queue: deque[Delta] = deque()
-        self._rules_by_predicate: Dict[str, List[Tuple[Rule, int]]] = defaultdict(list)
         self._firings_by_predicate: Dict[str, List[_Firing]] = defaultdict(list)
-        #: name -> is_event_predicate(name), filled on first sight.
-        self._event_names: Dict[str, bool] = {}
-        #: name -> (is event, table or None, firings): everything run()'s
-        #: singleton path needs to know about a predicate, resolved on first
-        #: sight and dropped whenever the rule set changes.
+        #: name -> (is event, table or None, firings): everything run()
+        #: needs to know about a predicate, resolved on first sight
+        #: (:meth:`_resolve`) and dropped whenever the rule set changes.
         self._dispatch: Dict[str, Tuple[bool, Optional[Table], Sequence[_Firing]]] = {}
         self._aggregate_rules: Dict[str, _CompiledAggregateRule] = {}
         self._rule_listeners: List[Callable[[RuleFiring], None]] = []
@@ -311,24 +307,15 @@ class NDlogEngine:
                 f"unknown pipeline {self.pipeline!r}; expected one of {PIPELINES}"
             )
         #: True when the batched pipeline (and compiled plan execution) runs.
-        #: The columnar pipeline is a superset of batched: configurations
-        #: its kernels cannot vectorize fall back to this exact loop.
-        self._batched = self.pipeline in ("batched", "columnar")
+        self._batched = self.pipeline == "batched"
         #: True when _fire_rules may take the compiled fast path.
         self._fast = self._batched and self.planner == "greedy"
-        #: True when run() may enter the columnar window evaluator (the
-        #: per-run annotation-policy / rule-listener checks still apply).
-        self._columnar = self.pipeline == "columnar" and self.planner == "greedy"
-        #: ``engine.columnar.*`` observability counters.  Deliberately NOT
-        #: part of :attr:`stats`: stats feed the deterministic artifact
-        #: digests (and the equivalence tests compare them verbatim), while
-        #: window/segment/kernel counts are pipeline-specific by nature.
-        self.columnar_counters: Dict[str, int] = defaultdict(int)
-        #: predicate name -> plan.columnar.PredicateInfo, invalidated on
-        #: add_rule (firings lists and their kernels change).
-        self._columnar_info: Dict[str, Any] = {}
-        #: Shared emission-capture shim for the columnar fallback paths.
-        self._columnar_capture = EmissionCapture()
+        #: True where the fused path runs (see :meth:`_refresh_sinks`).
+        self._lean = False
+        #: Sink predicate name -> its applier (see :meth:`_refresh_sinks`):
+        #: the tables whose derived rows are applied where they are emitted.
+        #: Empty unless the fused path runs.
+        self._sinks: Dict[str, Callable[[str, Tuple[Any, ...], int], None]] = {}
         # keyed by (id(rule), position): rule *identity*, not label, because
         # load_program may be called more than once and distinct rules with
         # the same label must not clobber each other's plans (self.rules
@@ -352,13 +339,7 @@ class NDlogEngine:
         self._dispatch.clear()
         for rule in program.rules:
             self._install_rule(rule)  # program.validate() checked every rule
-        if self._columnar:
-            # Warm the columnar dispatch metadata (and generate the batch
-            # kernels, which are memoized program-wide) at load time, so the
-            # first fixpoint pays evaluation cost only — matching the
-            # batched pipeline's load-time plan compilation.
-            for name in self._firings_by_predicate:
-                _columnar_predicate_info(self, name)
+        self._refresh_sinks()
         for fact in program.facts:
             if fact.location == self.address:
                 self.insert(fact)
@@ -367,6 +348,7 @@ class NDlogEngine:
         """Register a single rule with the engine."""
         rule.validate()
         self._install_rule(rule)
+        self._refresh_sinks()
 
     def _install_rule(self, rule: Rule) -> None:
         self.rules.append(rule)
@@ -384,7 +366,6 @@ class NDlogEngine:
                 ),
             )
         for position, atom in enumerate(rule.body_atoms):
-            self._rules_by_predicate[atom.name].append((rule, position))
             plan = None
             if self.planner == "greedy":
                 plan = self._plan_compiler.compile(rule, position)
@@ -393,9 +374,80 @@ class NDlogEngine:
             self._firings_by_predicate[atom.name].append(_Firing(rule, position, plan))
         # A predicate already seen with no firings must pick this rule up.
         self._dispatch.clear()
-        if self._columnar_info:
-            # Firings lists (and their batch kernels) just changed shape.
-            self._columnar_info.clear()
+
+    def _refresh_sinks(self) -> None:
+        """Recompute which tables are applied where their rows are emitted.
+
+        A *sink* is a materialised predicate that some rule derives and no
+        rule reads — ``prov`` and ``ruleExec`` under reference provenance.
+        It has no firings, and every row of it reaches this node through
+        the one FIFO queue, so applying a locally derived row at emission
+        (the table write, primary-key eviction and update listeners, with
+        no :class:`Delta` and no queue entry) keeps each table's row order,
+        bucket order and per-table listener sequence.  Exactness needs one
+        guard, kept both here and in :meth:`enqueue`: a predicate is a sink
+        only while none of its deltas is queued, so a sink that receives a
+        delta from outside the engine's own emissions is queued again.
+
+        Only where the fused path runs (``_lean``) — batched and greedy, no
+        annotation policy, no rule listener, no tracer; otherwise the map
+        stays empty and every row is queued, which keeps traced spans
+        unchanged and ``pipeline="delta"`` an independent oracle.
+        """
+        self._sinks = {}
+        self._lean = (
+            self._fast
+            and self.annotation_policy is None
+            and not self._rule_listeners
+            and self.tracer is None
+        )
+        if not self._lean:
+            return
+        pending = {delta.fact.name for delta in self._queue}
+        for rule in self.rules:
+            name = rule.head.name
+            if (
+                name in self._sinks
+                or name in pending
+                or self._firings_by_predicate.get(name)
+                or is_event_predicate(name)
+            ):
+                continue
+            self._sinks[name] = self._sink_applier(name)
+
+    def _sink_applier(self, name: str) -> Callable[[str, Tuple[Any, ...], int], None]:
+        """``apply(action, values, location_index)`` for sink table *name*.
+
+        The body of run()'s fused singleton path for a table with no
+        firings.  The table is resolved on first use, as the queued path
+        would create it; the :class:`Fact` is built only for a listener.
+        """
+        catalog = self.catalog
+        stats = self.stats
+        table = catalog.get(name)
+
+        def apply(action: str, values: Tuple[Any, ...], location_index: int) -> None:
+            nonlocal table
+            stats["deltas_processed"] += 1
+            if table is None:
+                table = catalog.table(name, len(values))
+            if action == INSERT:
+                outcome = table.insert(values)
+                if not outcome.became_visible:
+                    return
+                if outcome.replaced is not None:
+                    self._retract_replaced((), outcome.replaced)
+            elif action == DELETE:
+                if not table.delete(values).became_invisible:
+                    return
+                if self._annotations:
+                    self._clear_annotation(Fact(name, values, location_index))
+            else:
+                return  # REFRESH carries nothing without a policy
+            if self._update_listeners:
+                self._notify_update(action, Fact(name, values, location_index))
+
+        return apply
 
     def explain(self, label: Optional[str] = None) -> str:
         """Render the compiled evaluation plans (``EXPLAIN`` for NDlog).
@@ -423,19 +475,12 @@ class NDlogEngine:
                 plans = matching(lambda rule_label: rule_label.startswith(label + "_"))
         if not plans:
             return f"no compiled plans for rule label {label!r}"
-        if self.pipeline == "columnar":
-            from .plan.explain import columnar_summary
-
-            return (
-                explain_plans(plans, pipeline="columnar")
-                + "\n\n"
-                + columnar_summary(self.columnar_counters)
-            )
         return explain_plans(plans)
 
     def add_rule_listener(self, listener: Callable[[RuleFiring], None]) -> None:
         """Register a callback invoked after every successful rule firing."""
         self._rule_listeners.append(listener)
+        self._refresh_sinks()
 
     def add_update_listener(self, listener: Callable[[str, Fact], None]) -> None:
         """Register a callback invoked when a materialized tuple appears/disappears.
@@ -477,12 +522,11 @@ class NDlogEngine:
             self.__dict__.pop("run", None)
             self.__dict__.pop("_process_batch", None)
             self.__dict__.pop("_fire_rules", None)
-            self.__dict__.pop("_process_window", None)
         else:
             self.__dict__["run"] = self._traced_run
             self.__dict__["_process_batch"] = self._traced_process_batch
             self.__dict__["_fire_rules"] = self._traced_fire_rules
-            self.__dict__["_process_window"] = self._traced_process_window
+        self._refresh_sinks()
 
     def _traced_run(self, max_steps: Optional[int] = None) -> int:
         if not self._queue:
@@ -516,15 +560,6 @@ class NDlogEngine:
         ):
             NDlogEngine._fire_rules(self, firings, delta)
 
-    def _traced_process_window(self, window: List[Delta]) -> None:
-        with self.tracer.span(
-            "engine.columnar.window",
-            cat="engine",
-            host=self.address,
-            deltas=len(window),
-        ):
-            _columnar_process_window(self, window, tracer=self.tracer)
-
     # ------------------------------------------------------------------ #
     # external updates
     # ------------------------------------------------------------------ #
@@ -540,7 +575,13 @@ class NDlogEngine:
         self.enqueue(Delta(DELETE, _hashable_fact(fact)))
 
     def enqueue(self, delta: Delta) -> None:
-        """Add *delta* to this node's FIFO processing queue."""
+        """Add *delta* to this node's FIFO processing queue.
+
+        A delta for a sink table turns that sink back into a queued table:
+        rows the engine derives later must stay behind this one.
+        """
+        if self._sinks:
+            self._sinks.pop(delta.fact.name, None)
         self._queue.append(delta)
 
     def receive(self, delta: Delta) -> None:
@@ -559,52 +600,26 @@ class NDlogEngine:
     def run(self, max_steps: Optional[int] = None) -> int:
         """Process queued deltas until the queue drains (local fixpoint).
 
-        Returns the number of deltas processed.  ``max_steps`` bounds the
-        work done in one call, which the simulator uses to interleave nodes.
+        Returns the number of queued deltas processed; ``max_steps`` bounds
+        them.  Rows of sink tables are applied where they are emitted (see
+        :meth:`_refresh_sinks`): they count in ``deltas_processed`` but
+        never occupy the queue.
 
         The batched pipeline drains maximal runs of *consecutive* deltas
         sharing one (predicate, action) pair and processes them together.
         Derived deltas always join the back of the queue, exactly as when
         they are produced one delta at a time, so batching changes dispatch
         cost only — never processing order or results.
-
-        The columnar pipeline drains whole queue *windows* and hands them to
-        the vectorized kernels (:mod:`repro.datalog.plan.columnar`); every
-        buffered emission rejoins the queue in exact per-tuple order, so it
-        too is bit-identical.  Configurations the kernels cannot vectorize
-        (annotation policies, rule listeners, the naive planner) run the
-        batched loop below unchanged.
         """
-        if (
-            self._columnar
-            and self.annotation_policy is None
-            and not self._rule_listeners
-        ):
-            queue = self._queue
-            steps = 0
-            while queue:
-                if max_steps is not None:
-                    limit = max_steps - steps
-                    if limit <= 0:
-                        break
-                    if limit < len(queue):
-                        window = [queue.popleft() for _ in range(limit)]
-                    else:
-                        window = list(queue)
-                        queue.clear()
-                else:
-                    window = list(queue)
-                    queue.clear()
-                self._process_window(window)
-                steps += len(window)
-            return steps
         if not self._batched:
             steps = 0
             while self._queue:
                 if max_steps is not None and steps >= max_steps:
                     break
                 delta = self._queue.popleft()
-                self._process_delta(delta)
+                # The unbatched oracle: one delta per call, and no span (the
+                # class attribute, not a traced override).
+                NDlogEngine._process_batch(self, delta.fact.name, delta.action, (delta,))
                 steps += 1
             return steps
         queue = self._queue
@@ -644,12 +659,7 @@ class NDlogEngine:
                 steps += 1
                 resolved = dispatch.get(name)
                 if resolved is None:
-                    is_event = is_event_predicate(name)
-                    resolved = dispatch[name] = (
-                        is_event,
-                        None if is_event else self.catalog.table(name, fact.arity),
-                        self._firings_by_predicate.get(name, ()),
-                    )
+                    resolved = self._resolve(name, fact.arity)
                 is_event, table, firings = resolved
                 if not fused:
                     if is_event:
@@ -690,21 +700,24 @@ class NDlogEngine:
             self.stats["deltas_processed"] += singletons
         return steps
 
-    def _process_window(self, window: List[Delta]) -> None:
-        """Evaluate one drained queue window through the columnar kernels."""
-        _columnar_process_window(self, window)
+    def _resolve(
+        self, name: str, arity: int
+    ) -> Tuple[bool, Optional[Table], Sequence[_Firing]]:
+        """Resolve and cache *name*'s ``(is event, table or None, firings)``."""
+        is_event = is_event_predicate(name)
+        resolved = self._dispatch[name] = (
+            is_event,
+            None if is_event else self.catalog.table(name, arity),
+            self._firings_by_predicate.get(name, ()),
+        )
+        return resolved
 
-    def columnar_stats(self) -> Dict[str, int]:
-        """Snapshot of the ``engine.columnar.*`` observability counters."""
-        return dict(self.columnar_counters)
-
-    def _process_batch(self, name: str, action: str, batch: List[Delta]) -> None:
+    def _process_batch(self, name: str, action: str, batch: Sequence[Delta]) -> None:
         """Apply one (predicate, action) run of deltas, strictly in order."""
         self.stats["deltas_processed"] += len(batch)
-        firings = self._firings_by_predicate.get(name, ())
-        is_event = self._event_names.get(name)
-        if is_event is None:
-            is_event = self._event_names[name] = is_event_predicate(name)
+        is_event, table, firings = self._dispatch.get(name) or self._resolve(
+            name, batch[0].fact.arity
+        )
         if is_event:
             # Events are transient: they trigger rules but never materialize.
             # Deletion deltas flow through events too, so that cascaded
@@ -714,7 +727,6 @@ class NDlogEngine:
                 for delta in batch:
                     self._fire_rules(firings, delta)
             return
-        table = self.catalog.table(name, batch[0].fact.arity)
         if action == INSERT:
             for delta in batch:
                 self._apply_insert(table, firings, delta)
@@ -724,23 +736,6 @@ class NDlogEngine:
         else:
             for delta in batch:
                 self._apply_refresh(table, firings, delta)
-
-    def _process_delta(self, delta: Delta) -> None:
-        """Legacy single-delta processing (``pipeline="delta"``)."""
-        self.stats["deltas_processed"] += 1
-        fact = delta.fact
-        name = fact.name
-        firings = self._firings_by_predicate.get(name, ())
-        if is_event_predicate(name):
-            self._fire_rules(firings, delta)
-            return
-        table = self.catalog.table(name, fact.arity)
-        if delta.is_refresh:
-            self._apply_refresh(table, firings, delta)
-        elif delta.is_insert:
-            self._apply_insert(table, firings, delta)
-        else:
-            self._apply_delete(table, firings, delta)
 
     # ------------------------------------------------------------------ #
     # delta application (shared by both pipelines)
@@ -1035,8 +1030,8 @@ class NDlogEngine:
     ) -> None:
         compiled = self._aggregate_rules[rule.label]
         spec = compiled.spec
-        group_values: List[Any] = [fn(env, self.functions) for fn in compiled.group_fns]
-        group_key = tuple(group_values)
+        functions = self.functions
+        group_key = tuple([fn(env, functions) for fn in compiled.group_fns])
         if spec.is_star:
             aggregated_value: Any = 1
         elif len(spec.variables_) == 1:
@@ -1047,44 +1042,47 @@ class NDlogEngine:
         if state is None:
             state = AggregateState(spec.func)
             compiled.groups[group_key] = state
-        if delta.is_refresh:
+        head = rule.head
+        emitted = compiled.emitted
+        if delta.action == REFRESH:
             # Annotation refresh: the group's membership is unchanged, but the
             # annotation of the currently-emitted row must be re-propagated.
-            emitted_row = compiled.emitted.get(group_key)
+            emitted_row = emitted.get(group_key)
             if emitted_row is not None:
-                emitted_fact = Fact(rule.head.name, emitted_row, rule.head.location_index)
+                emitted_fact = Fact(head.name, emitted_row, head.location_index)
                 self._emit(rule, REFRESH, emitted_fact, env, body_facts, delta)
             return
-        if delta.is_insert:
+        if delta.action == INSERT:
             state.insert(aggregated_value)
         else:
             state.delete(aggregated_value)
 
-        old_row = compiled.emitted.get(group_key)
+        old_row = emitted.get(group_key)
         new_row: Optional[Tuple[Any, ...]] = None
-        if not state.is_empty or spec.func in ("count", "sum"):
-            if state.is_empty and spec.func in ("count", "sum"):
-                new_row = None
-            else:
-                aggregate_result = state.current()
-                row: List[Any] = []
-                group_iter = iter(group_values)
-                for index in range(len(rule.head.args)):
-                    if index == compiled.aggregate_index:
-                        row.append(aggregate_result)
-                    else:
-                        row.append(next(group_iter))
-                new_row = tuple(row)
+        if not state.is_empty:
+            index = compiled.aggregate_index
+            new_row = group_key[:index] + (state.current(),) + group_key[index:]
         if new_row == old_row:
             return
+        # On the fused path the pair skips _emit: no policy to combine, no
+        # listener to tell.  Either way the delete goes out before the insert.
+        lean = self._lean and not self._rule_listeners
         if old_row is not None:
-            old_fact = Fact(rule.head.name, old_row, rule.head.location_index)
-            self._emit(rule, DELETE, old_fact, env, body_facts, delta)
-            del compiled.emitted[group_key]
+            old_fact = Fact(head.name, old_row, head.location_index)
+            if lean:
+                self.stats["rule_firings"] += 1
+                self._route(rule, DELETE, old_fact, None)
+            else:
+                self._emit(rule, DELETE, old_fact, env, body_facts, delta)
+            del emitted[group_key]
         if new_row is not None:
-            new_fact = Fact(rule.head.name, new_row, rule.head.location_index)
-            compiled.emitted[group_key] = new_row
-            self._emit(rule, INSERT, new_fact, env, body_facts, delta)
+            new_fact = Fact(head.name, new_row, head.location_index)
+            emitted[group_key] = new_row
+            if lean:
+                self.stats["rule_firings"] += 1
+                self._route(rule, INSERT, new_fact, None)
+            else:
+                self._emit(rule, INSERT, new_fact, env, body_facts, delta)
 
     # ------------------------------------------------------------------ #
     # emission
@@ -1119,8 +1117,18 @@ class NDlogEngine:
             annotation = self.annotation_policy.combine(
                 rule, body_annotations, self.address
             )
+        self._route(rule, action, head_fact, annotation)
 
+    def _route(
+        self, rule: Rule, action: str, head_fact: Fact, annotation: Any
+    ) -> None:
+        """Deliver one derived row: a local sink, the local queue, or the wire."""
         destination = head_fact.values[head_fact.location_index]
+        if destination == self.address:
+            sink = self._sinks.get(head_fact.name)
+            if sink is not None:
+                sink(action, head_fact.values, head_fact.location_index)
+                return
         # Construct the delta without __init__: `action` was validated when
         # the source delta (or aggregate emission constant) was built.
         delta = _new_delta(Delta)

@@ -55,10 +55,12 @@ def sha1_hex(text: str) -> str:
 #: fixpoint round because the hot keys (tuple VID preimages) recur densely.
 SHA1_CACHE_LIMIT = 1 << 17
 
+#: Never rebound, only cleared: generated plan code binds ``.get`` once
+#: and probes the memo inline (``plan.compiled_exec._assignment_source``).
 _sha1_cache: Dict[tuple, str] = {}
 _sha1_caching = True
-_sha1_hits = 0
-_sha1_misses = 0
+#: ``[hits, misses]``: a list, so the inline probe counts a hit in place.
+_sha1_counts = [0, 0]
 
 
 def set_sha1_caching(enabled: bool) -> None:
@@ -71,18 +73,16 @@ def set_sha1_caching(enabled: bool) -> None:
 
 def clear_sha1_cache() -> None:
     """Drop every cached digest (tests / benchmark isolation)."""
-    global _sha1_hits, _sha1_misses
     _sha1_cache.clear()
-    _sha1_hits = 0
-    _sha1_misses = 0
+    _sha1_counts[:] = [0, 0]
 
 
 def sha1_cache_stats() -> Dict[str, int]:
     """Entries / hits / misses / limit of the ``f_sha1`` memo (diagnostics)."""
     return {
         "entries": len(_sha1_cache),
-        "hits": _sha1_hits,
-        "misses": _sha1_misses,
+        "hits": _sha1_counts[0],
+        "misses": _sha1_counts[1],
         "limit": SHA1_CACHE_LIMIT,
     }
 
@@ -117,7 +117,6 @@ def _f_sha1(args: Sequence[Any]) -> str:
     hashable (the list builtins return tuples); an argument that is not —
     a list or dict handed in from outside — skips the memo.
     """
-    global _sha1_hits, _sha1_misses
     if _sha1_caching:
         key = tuple(args)
         try:
@@ -125,9 +124,9 @@ def _f_sha1(args: Sequence[Any]) -> str:
         except TypeError:
             return sha1_hex("".join(map(_stringify, args)))
         if digest is not None:
-            _sha1_hits += 1
+            _sha1_counts[0] += 1
             return digest
-        _sha1_misses += 1
+        _sha1_counts[1] += 1
         digest = sha1_hex("".join(map(_stringify, args)))
         if len(_sha1_cache) >= SHA1_CACHE_LIMIT:
             _sha1_cache.clear()
@@ -136,36 +135,8 @@ def _f_sha1(args: Sequence[Any]) -> str:
     return sha1_hex("".join(map(_stringify, args)))
 
 
-def sha1_for_preimage(preimage: str) -> str:
-    """Digest (and cache) an already-concatenated ``f_sha1`` preimage.
-
-    The columnar batch kernels build the stringified preimage inline (the
-    static argument structure of the provenance rewrite's ``f_sha1`` calls
-    is known at kernel-generation time, so the per-call list allocation and
-    argument freezing of :func:`_f_sha1` can be skipped entirely) and memo
-    their digests by the preimage string itself.  Preimage-keyed and
-    frozen-argument-keyed entries coexist safely in the one bounded cache:
-    string keys never compare equal to tuple keys, and both map to the same
-    digest values.
-    """
-    global _sha1_misses
-    digest = sha1_hex(preimage)
-    if _sha1_caching:
-        _sha1_misses += 1
-        if len(_sha1_cache) >= SHA1_CACHE_LIMIT:
-            _sha1_cache.clear()
-        _sha1_cache[preimage] = digest
-    return digest
-
-
-def note_sha1_hits(count: int) -> None:
-    """Credit *count* memo hits observed by an inlined batch-kernel loop."""
-    global _sha1_hits
-    _sha1_hits += count
-
-
 def _f_concat(args: Sequence[Any]) -> Tuple[Any, ...]:
-    """``f_concat(A, B, ...)`` — concatenate scalars and lists into one list.
+    """``f_concat(A, B, ...)`` (and ``f_append``) — scalars and lists as one list.
 
     NDlog lists are Python tuples: every value a rule builds is hashable
     from birth, so rows, memo keys and index keys never need freezing.
@@ -177,12 +148,6 @@ def _f_concat(args: Sequence[Any]) -> Tuple[Any, ...]:
         else:
             result.append(arg)
     return tuple(result)
-
-
-def _f_append(args: Sequence[Any]) -> Tuple[Any, ...]:
-    """``f_append(A, B, ...)`` — the arguments as one list (a tuple, see
-    ``f_concat``), flattening list arguments."""
-    return _f_concat(args)
 
 
 def _f_empty(args: Sequence[Any]) -> Tuple[Any, ...]:
@@ -292,7 +257,7 @@ class FunctionRegistry:
 _DEFAULTS: Dict[str, Callable[[Sequence[Any]], Any]] = {
     "f_sha1": _f_sha1,
     "f_concat": _f_concat,
-    "f_append": _f_append,
+    "f_append": _f_concat,
     "f_empty": _f_empty,
     "f_size": _f_size,
     "f_item": _f_item,

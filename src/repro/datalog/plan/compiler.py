@@ -367,7 +367,7 @@ class CompiledDeltaPlan:
                 scanned = 0
         else:
             stats["full_scans"] += 1
-            rows = table.rows_list()
+            rows = table.rows()
             scanned = len(rows)
         matcher = step.matcher
         prefix = step.prefix_literals

@@ -206,10 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--pipeline", choices=PIPELINES, default=None,
-        help="default delta-evaluation pipeline for every trial (delta, "
-        "batched or columnar; all three are bit-identical by contract, so "
-        "artifacts are byte-identical for any choice — the CI columnar "
-        "gate strict-compares them against committed baselines)",
+        help="default delta-evaluation pipeline for every trial (delta or "
+        "batched; the two are bit-identical by contract, so artifacts are "
+        "byte-identical for either choice)",
     )
     run_parser.add_argument(
         "--storage", default=None, metavar="SPEC",

@@ -319,11 +319,9 @@ def run(
     ``shards`` value must match byte for byte, which is how CI verifies
     the engine's determinism guarantee against the committed baselines.
     ``pipeline`` follows the ``shards`` convention exactly: it sets the
-    process-wide default delta-evaluation pipeline (``"delta"``,
-    ``"batched"`` or ``"columnar"``) without entering kwargs or
-    fingerprints — every pipeline is bit-identical by contract, and the CI
-    columnar gate re-runs the suite under ``pipeline="columnar"`` and
-    strict-compares the artifacts against the committed baselines.
+    process-wide default delta-evaluation pipeline (``"delta"`` or
+    ``"batched"``) without entering kwargs or fingerprints — the two are
+    bit-identical by contract.
     ``trace_dir`` mirrors ``shards``: it enables span tracing for every
     executed trial, writes one Chrome trace per trial into the directory
     and adds the advisory per-trial ``"phases"`` breakdown — while the

@@ -2,7 +2,7 @@
 
 This package owns tuple storage for the whole system:
 
-* :mod:`repro.storage.memory` — the interned-row :class:`Table` /
+* :mod:`repro.storage.memory` — the tuple-row :class:`Table` /
   :class:`Catalog` machinery (formerly ``repro.datalog.catalog``, which
   re-exports it for compatibility) plus :class:`MemoryBackend`, the
   default backend that adds nothing on top of the in-RAM tier;
@@ -41,7 +41,6 @@ from .memory import (
     Catalog,
     DeleteOutcome,
     InsertOutcome,
-    InternedRow,
     MemoryBackend,
     Table,
     freeze_value,
@@ -60,7 +59,6 @@ __all__ = [
     "make_backend",
     "parse_storage_spec",
     "validate_storage_spec",
-    "InternedRow",
     "Table",
     "Catalog",
     "InsertOutcome",

@@ -3,7 +3,7 @@
 Every :class:`~repro.core.api.ExspanNetwork` owns exactly one
 :class:`StorageBackend`.  The backend does **not** sit on the delta hot
 path: the authoritative, always-consulted copy of every relation stays the
-in-RAM interned-row :class:`~repro.storage.memory.Table`.  A backend is the
+in-RAM :class:`~repro.storage.memory.Table`.  A backend is the
 *durability and analytics* layer underneath it — it observes visibility
 transitions through the engine's update-listener hook and may mirror them
 to disk (write-behind), answer SQL-compiled provenance queries, and carry

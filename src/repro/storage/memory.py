@@ -1,4 +1,4 @@
-"""In-RAM relation storage: interned-row tables, catalogs, MemoryBackend.
+"""In-RAM relation storage: tuple-row tables, catalogs, MemoryBackend.
 
 Each node in the network owns a :class:`Catalog` of :class:`Table` objects.
 A table stores only the tuples whose location specifier equals the owning
@@ -17,14 +17,13 @@ primary key of an existing fact with different non-key attributes, the old
 fact is *replaced* (an update), which mirrors RapidNet's ``materialize``
 semantics and is relied upon by routing tables such as ``bestHop``.
 
-Rows are *interned*: each table hash-conses its stored tuples into one
-canonical :class:`InternedRow` per distinct value tuple.  An interned row
-caches its hash after the first computation, so the row dict, the
-primary-key map and every secondary index stop re-hashing the same tuple on
-each insert, delete and probe; sharing one object also makes the dict
-equality checks on those structures identity hits.  The pool only holds
-live rows (entries are dropped when the last derivation disappears), so its
-memory is bounded by the table's current cardinality.
+Rows are plain tuples, and a table is one dict from each stored row to its
+derivation count — plado's ``Table = set[tuple]`` plus counts.  The
+primary-key map and every secondary-index bucket hold the same tuple
+object the dict keys on, so a new row costs its dict entries and nothing
+else: no per-row wrapper object, no Python-level ``__hash__``.  Rows the
+engine builds are hashable tuples from birth and are stored as they are;
+only rows handed in from outside (lists, sets) are frozen on the way in.
 
 This module is the storage engine's in-RAM tier.  It used to live at
 ``repro.datalog.catalog``, which now re-exports it; every backend —
@@ -54,7 +53,6 @@ from ..datalog.errors import SchemaError
 from .backend import StorageBackend
 
 __all__ = [
-    "InternedRow",
     "Table",
     "Catalog",
     "InsertOutcome",
@@ -62,33 +60,6 @@ __all__ = [
     "freeze_value",
     "MemoryBackend",
 ]
-
-
-class InternedRow(tuple):
-    """A hash-consed table row: a tuple whose hash is computed once.
-
-    Instances are created only by :meth:`Table.insert`, so at most one
-    exists per distinct live row of a table.  Equality, ordering, repr and
-    JSON serialization are inherited from ``tuple`` unchanged — interning
-    is invisible to everything except the hash profile.  The canonical
-    object also carries the row's *derivation count* (``count``), which
-    lets insert/delete bump a plain attribute instead of rewriting a dict
-    entry.
-    """
-
-    # Lazily cached in the instance dict on first hash (tuple subclasses
-    # cannot carry nonempty __slots__, so the per-instance dict is the one
-    # canonical copy's storage cost — shared with ``count``).
-    _cached_hash: Optional[int] = None
-    #: Derivation count maintained by the owning Table.
-    count: int = 0
-
-    def __hash__(self) -> int:
-        cached = self._cached_hash
-        if cached is None:
-            cached = tuple.__hash__(self)
-            self._cached_hash = cached
-        return cached
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,9 +115,9 @@ class Table:
         self._key_getter = (
             _subkey_getter(self.key_positions) if self.key_positions else None
         )
-        # frozen tuple -> canonical InternedRow (which carries .count).
-        # One dict serves as row set, intern pool and count store at once.
-        self._rows: Dict[Tuple[Any, ...], InternedRow] = {}
+        # row (a hashable tuple) -> derivation count: the row set and the
+        # count store at once.
+        self._rows: Dict[Tuple[Any, ...], int] = {}
         # primary key -> full tuple (only when key_positions declared)
         self._by_key: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         # (positions) -> {values -> ordered set (dict) of full tuples}.
@@ -166,10 +137,8 @@ class Table:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _find(
-        self, values: Sequence[Any]
-    ) -> Tuple[Tuple[Any, ...], Optional[InternedRow]]:
-        """``(row, stored)``: *values* as a hashable row, and its stored twin.
+    def _find(self, values: Sequence[Any]) -> Tuple[Tuple[Any, ...], Optional[int]]:
+        """``(row, count)``: *values* as a hashable row, and its count or None.
 
         Hash first, freeze on ``TypeError``: rows the engine builds are
         hashable tuples from birth and look up as they are.  The freeze
@@ -178,28 +147,13 @@ class Table:
         image; only rows handed in from outside (``insert_fact`` with a
         list or set attribute, checkpoint and service JSON) take the detour.
         """
-        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+        if values.__class__ is not tuple:
             values = tuple(values)
         try:
             return values, self._rows.get(values)
         except TypeError:
             row = tuple([_freeze(v) for v in values])
             return row, self._rows.get(row)
-
-    def _admit(self, row: Tuple[Any, ...]) -> InternedRow:
-        """Check a *new* row's arity and intern it with one derivation."""
-        if self.arity is None:
-            self.arity = len(row)
-        elif len(row) != self.arity:
-            raise SchemaError(
-                f"relation {self.name!r} expects arity {self.arity}, "
-                f"got {len(row)}"
-            )
-        # Always a fresh canonical object: the incoming row may be another
-        # table's interned row, whose derivation count must not be touched.
-        interned = InternedRow(row)
-        interned.count = 1
-        return interned
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -208,19 +162,20 @@ class Table:
         """Insert one derivation of *values*; see :class:`InsertOutcome`.
 
         One function on purpose (this and :meth:`delete` run once per
-        delta): the lookup follows :meth:`_find`'s hash-first rule and a new
-        row is admitted as in :meth:`_admit`.
+        delta): the lookup follows :meth:`_find`'s hash-first rule.  A new
+        row is stored as the tuple it arrived as, in the row dict, the
+        primary-key map and every index bucket alike.
         """
         rows = self._rows
-        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+        if values.__class__ is not tuple:
             values = tuple(values)
         try:
-            interned = rows.get(values)
+            count = rows.get(values)
         except TypeError:
             values = tuple([_freeze(v) for v in values])
-            interned = rows.get(values)
-        if interned is not None:
-            interned.count += 1
+            count = rows.get(values)
+        if count is not None:
+            rows[values] = count + 1
             return _INSERTED_DUP
         if self.arity is None:
             self.arity = len(values)
@@ -229,26 +184,22 @@ class Table:
                 f"relation {self.name!r} expects arity {self.arity}, "
                 f"got {len(values)}"
             )
-        # Always a fresh canonical object: *values* may be another table's
-        # interned row, whose derivation count must not be touched.
-        interned = InternedRow(values)
-        interned.count = 1
         replaced: Optional[Fact] = None
         key_getter = self._key_getter
         if key_getter is not None:
-            key = key_getter(interned)
+            key = key_getter(values)
             by_key = self._by_key
             existing = by_key.get(key)
-            if existing is not None and existing != interned:
+            if existing is not None and existing != values:
                 # primary-key update: evict the old row entirely
                 self._remove_row(existing)
                 replaced = Fact(self.name, existing, self.location_index)
-            by_key[key] = interned
-        rows[interned] = interned
-        length = len(interned)
+            by_key[key] = values
+        rows[values] = 1
+        length = len(values)
         for max_position, getter, index in self._index_list:
             if max_position < length:  # else: too short to ever match
-                index.setdefault(getter(interned), {})[interned] = None
+                index.setdefault(getter(values), {})[values] = None
         if replaced is None:
             return _INSERTED_NEW
         return InsertOutcome(became_visible=True, replaced=replaced)
@@ -256,103 +207,46 @@ class Table:
     def delete(self, values: Sequence[Any]) -> DeleteOutcome:
         """Remove one derivation of *values*; see :class:`DeleteOutcome`."""
         rows = self._rows
-        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+        if values.__class__ is not tuple:
             values = tuple(values)
         try:
-            interned = rows.get(values)
+            count = rows.get(values)
         except TypeError:
-            interned = rows.get(tuple([_freeze(v) for v in values]))
-        if interned is None:
+            values = tuple([_freeze(v) for v in values])
+            count = rows.get(values)
+        if count is None:
             return _DELETED_ABSENT
-        if interned.count > 1:
-            interned.count -= 1
+        if count > 1:
+            rows[values] = count - 1
             return _DELETED_KEPT
-        del rows[interned]
+        del rows[values]
         key_getter = self._key_getter
         if key_getter is not None:
-            key = key_getter(interned)
-            if self._by_key.get(key) == interned:
+            key = key_getter(values)
+            if self._by_key.get(key) == values:
                 del self._by_key[key]
-        length = len(interned)
+        length = len(values)
         for max_position, getter, index in self._index_list:
             if max_position < length:
-                key = getter(interned)
+                key = getter(values)
                 bucket = index.get(key)
                 if bucket is not None:
-                    bucket.pop(interned, None)
+                    bucket.pop(values, None)
                     if not bucket:
                         del index[key]
         return _DELETED_GONE
 
-    def apply_delta_block(self, deltas: Sequence[Any]) -> List[Any]:
-        """Apply a columnar block of deltas in order; per-delta fire codes.
-
-        Semantically one :meth:`insert` / :meth:`delete` per delta (REFRESH
-        is a storage no-op), with the per-call overhead — method dispatch,
-        outcome allocation — amortized over the block.  Returns one code
-        per delta telling the caller what to propagate: ``None`` (nothing
-        became visible/invisible), ``True`` (the delta's own fact must
-        fire), or an evicted :class:`Fact` (primary-key replacement: fire
-        its DELETE, then the delta).
-        """
-        results: List[Any] = []
-        append = results.append
-        rows = self._rows
-        rows_get = rows.get
-        key_getter = self._key_getter
-        by_key = self._by_key
-        index_list = self._index_list
-        for delta in deltas:
-            action = delta.action
-            if action == "refresh":  # no storage effect
-                append(None)
-                continue
-            row = delta.fact.values
-            try:
-                interned = rows_get(row)
-            except TypeError:
-                row, interned = self._find(row)
-            if action == "insert":
-                if interned is not None:
-                    interned.count += 1
-                    append(None)
-                    continue
-                interned = self._admit(row)
-                code: Any = True
-                if key_getter is not None:
-                    key = key_getter(interned)
-                    existing = by_key.get(key)
-                    if existing is not None and existing != interned:
-                        self._remove_row(existing)
-                        code = Fact(self.name, existing, self.location_index)
-                    by_key[key] = interned
-                rows[interned] = interned
-                length = len(interned)
-                for max_position, getter, index in index_list:
-                    if max_position < length:
-                        index.setdefault(getter(interned), {})[interned] = None
-                append(code)
-            elif interned is None:
-                append(None)
-            elif interned.count <= 1:
-                self._remove_row(interned)
-                append(True)
-            else:
-                interned.count -= 1
-                append(None)
-        return results
-
     def delete_all(self, values: Sequence[Any]) -> DeleteOutcome:
         """Remove every derivation of *values* regardless of count."""
-        interned = self._find(values)[1]
-        if interned is None:
+        row, count = self._find(values)
+        if count is None:
             return _DELETED_ABSENT
-        self._remove_row(interned)
+        self._remove_row(row)
         return _DELETED_GONE
 
-    def _remove_row(self, row: InternedRow) -> None:
+    def _remove_row(self, row: Tuple[Any, ...]) -> None:
         """Evict stored *row* whatever its count: delete its last derivation."""
-        row.count = 1
+        self._rows[row] = 1
         self.delete(row)
 
     def clear(self) -> None:
@@ -379,7 +273,7 @@ class Table:
             raise SchemaError(
                 f"relation {self.name!r}: duplicate checkpoint row {values!r}"
             )
-        self._find(values)[1].count = int(count)
+        self._rows[self._find(values)[0]] = int(count)
 
     # ------------------------------------------------------------------ #
     # indexes
@@ -444,15 +338,10 @@ class Table:
 
     def count(self, values: Sequence[Any]) -> int:
         """Return the derivation count for *values* (0 if absent)."""
-        interned = self._find(values)[1]
-        return interned.count if interned is not None else 0
+        return self._find(values)[1] or 0
 
-    def rows(self) -> Iterator[Tuple[Any, ...]]:
-        """Iterate over distinct rows (ignoring derivation counts)."""
-        return iter(list(self._rows))
-
-    def rows_list(self) -> List[Tuple[Any, ...]]:
-        """The distinct rows as a list (compiled full-scan entry point)."""
+    def rows(self) -> List[Tuple[Any, ...]]:
+        """The distinct rows in insertion order (ignoring derivation counts)."""
         return list(self._rows)
 
     def rows_with_counts(self) -> List[Tuple[Tuple[Any, ...], int]]:
@@ -462,11 +351,7 @@ class Table:
         (a restored table must survive the same number of deletions), and
         insertion order is part of determinism (see :meth:`load_row`).
         """
-        return [(row, row.count) for row in self._rows.values()]
-
-    def facts(self) -> Iterator[Fact]:
-        for row in self.rows():
-            yield Fact(self.name, row, self.location_index)
+        return list(self._rows.items())
 
     def lookup(self, bound: Dict[int, Any]) -> Iterator[Tuple[Any, ...]]:
         """Yield rows whose attributes match the {position: value} constraints.
@@ -500,39 +385,6 @@ class Table:
             index = self._ensure_index(positions)
         return index.get(key)
 
-    def probe_index(
-        self, positions: Tuple[int, ...]
-    ) -> Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], None]]:
-        """The raw hash index over *positions* (built on first use).
-
-        Returned for repeated probing against a table known to be stable;
-        the columnar kernels hoist ``index.get`` out of their batch loops.
-        Callers must not mutate the table while holding the reference.
-        """
-        index = self._indexes.get(positions)
-        if index is None:
-            index = self._ensure_index(positions)
-        return index
-
-    def probe_many(
-        self, positions: Tuple[int, ...], keys: Sequence[Tuple[Any, ...]]
-    ) -> List[Optional[Dict[Tuple[Any, ...], None]]]:
-        """Bulk index probe: the per-key bucket (or ``None``) for each key.
-
-        One C-speed ``map`` over the whole key column instead of a Python
-        call per probe — the probe half of the columnar hash-join kernels.
-        Keys must already be frozen in canonical (sorted-position) order,
-        exactly as :meth:`probe` expects them.
-        """
-        index = self._indexes.get(positions)
-        if index is None:
-            index = self._ensure_index(positions)
-        return list(map(index.get, keys))
-
-    def column(self, position: int) -> List[Any]:
-        """Extract one attribute column across the current rows."""
-        return [row[position] for row in self._rows]
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -545,14 +397,15 @@ def _subkey_getter(
 ) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
     """A C-speed ``row -> (row[p0], row[p1], ...)`` key extractor.
 
-    Single-position getters are wrapped so every key stays a tuple (index
-    and primary-key dictionaries key on tuples regardless of width).
+    Every key is a tuple, whatever its width (index and primary-key
+    dictionaries key on tuples): a single position slices the row, which
+    returns the same 1-tuple without a Python-level frame.
     """
     if len(positions) == 1:
         position = positions[0]
-        return lambda row: (row[position],)
+        return itemgetter(slice(position, position + 1))
     if not positions:
-        return lambda row: ()
+        return itemgetter(slice(0, 0))
     return itemgetter(*positions)
 
 

@@ -81,7 +81,7 @@ operations = st.lists(
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(operations)
-def test_fused_singletons_equal_delta_and_columnar(ops):
+def test_fused_singletons_equal_delta(ops):
     """No policy, no tracer: ``batched`` takes the fused path; same everything."""
     states = {}
     for pipeline in PIPELINES:

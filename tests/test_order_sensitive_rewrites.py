@@ -35,7 +35,6 @@ from repro.storage.memory import (
     _INSERTED_DUP,
     _INSERTED_NEW,
     InsertOutcome,
-    InternedRow,
     Table,
     _freeze,
 )
@@ -304,7 +303,7 @@ class LadderTable(Table):
     """``Table`` with the parent commit's insert/delete call ladder."""
 
     def _find(self, values):
-        if values.__class__ is not InternedRow and values.__class__ is not tuple:
+        if values.__class__ is not tuple:
             values = tuple(values)
         try:
             return values, self._rows.get(values)
@@ -319,9 +318,7 @@ class LadderTable(Table):
             raise SchemaError(
                 f"relation {self.name!r} expects arity {self.arity}, got {len(row)}"
             )
-        interned = InternedRow(row)
-        interned.count = 1
-        return interned
+        return row
 
     def _key_of(self, row):
         getter = self._key_getter
@@ -330,40 +327,40 @@ class LadderTable(Table):
         return getter(row)
 
     def insert(self, values):
-        row, interned = self._find(values)
-        if interned is not None:
-            interned.count += 1
+        row, count = self._find(values)
+        if count is not None:
+            self._rows[row] = count + 1
             return _INSERTED_DUP
-        interned = self._admit(row)
+        row = self._admit(row)
         replaced = None
-        key = self._key_of(interned)
+        key = self._key_of(row)
         if key is not None:
             existing = self._by_key.get(key)
-            if existing is not None and existing != interned:
+            if existing is not None and existing != row:
                 self._remove_row(existing)
                 replaced = Fact(self.name, existing, self.location_index)
-            self._by_key[key] = interned
-        self._rows[interned] = interned
-        self._index_add(interned)
+            self._by_key[key] = row
+        self._rows[row] = 1
+        self._index_add(row)
         if replaced is None:
             return _INSERTED_NEW
         return InsertOutcome(became_visible=True, replaced=replaced)
 
     def delete(self, values):
-        interned = self._find(values)[1]
-        if interned is None:
+        row, count = self._find(values)
+        if count is None:
             return _DELETED_ABSENT
-        if interned.count <= 1:
-            self._remove_row(interned)
+        if count <= 1:
+            self._remove_row(row)
             return _DELETED_GONE
-        interned.count -= 1
+        self._rows[row] = count - 1
         return _DELETED_KEPT
 
     def delete_all(self, values):
-        interned = self._find(values)[1]
-        if interned is None:
+        row, count = self._find(values)
+        if count is None:
             return _DELETED_ABSENT
-        self._remove_row(interned)
+        self._remove_row(row)
         return _DELETED_GONE
 
     def _remove_row(self, row):

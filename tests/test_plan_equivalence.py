@@ -7,10 +7,9 @@ Two independent axes are swept:
   many tuples are scanned*, never what is derived.
 * **pipeline** — ``"delta"`` (the legacy one-delta-at-a-time term-tree
   interpreter) vs ``"batched"`` (per-(predicate, action) batch drain with
-  closure-compiled and exec-generated plan executors) vs ``"columnar"``
-  (windowed column-block evaluation with generated batch kernels).  The
-  optimized pipelines may only change dispatch cost, never processing
-  order — the interpreter is the equivalence oracle for both.
+  closure-compiled and exec-generated plan executors).  The optimized
+  pipeline may only change dispatch cost, never processing order — the
+  interpreter is its equivalence oracle.
 
 Fixpoints, provenance tables (prov / ruleExec with their VIDs), and
 value-based annotations all feed the paper's results and must be identical
@@ -182,13 +181,12 @@ class TestProvenanceEquivalence:
 
 
 class TestBatchedPipelineEquivalence:
-    """``batched`` and ``columnar`` vs ``delta``: byte-identical.
+    """``batched`` vs ``delta``: byte-identical.
 
     The batched pipeline is the default; the legacy interpreter is retained
-    precisely so this sweep can prove the compiled/generated executors —
-    and the columnar batch kernels layered above them — change nothing but
-    wall-clock.  Every loop runs all of ``PIPELINES`` and every pipeline
-    must match the interpreter exactly.
+    precisely so this sweep can prove the compiled/generated executors
+    change nothing but wall-clock.  Every loop runs all of ``PIPELINES``
+    and every pipeline must match the interpreter exactly.
     """
 
     @pytest.mark.parametrize(
@@ -290,7 +288,7 @@ class TestBatchedPipelineEquivalence:
             "from repro.protocols import pathvector_program\n"
             "from repro.net import ring_topology\n"
             "topology = ring_topology(6, seed=2)\n"
-            "for pipeline in ('batched', 'delta', 'columnar'):\n"
+            "for pipeline in ('batched', 'delta'):\n"
             "    net = StandaloneNetwork(topology.nodes,\n"
             "        rewrite_program(pathvector_program()), pipeline=pipeline)\n"
             "    for s, d, c in topology.link_facts():\n"
@@ -319,9 +317,9 @@ class TestBatchedPipelineEquivalence:
                 text=True,
                 check=True,
             ).stdout.split()
-            assert len(output) == 3
+            assert len(output) == 2
             digests.update(output)
-        # one digest: all three pipelines, all three hash seeds, same bytes
+        # one digest: both pipelines, all three hash seeds, same bytes
         assert len(digests) == 1
 
 
@@ -412,9 +410,9 @@ class TestRandomInterleavings:
 
         One ``run()`` per operation keeps every delta a singleton, so the
         batched engine takes its fused apply-and-fire path throughout; the
-        interpreter stays the oracle for it and for ``columnar``
-        (tests/test_engine_dispatch.py probes the same path with keyed
-        tables, events, joins and listeners).
+        interpreter stays the oracle for it (tests/test_engine_dispatch.py
+        probes the same path with keyed tables, events, joins and
+        listeners).
         """
         from repro.datalog.engine import Delta, REFRESH
 
@@ -441,46 +439,6 @@ class TestRandomInterleavings:
             )
         for pipeline in PIPELINES:
             assert states[pipeline] == states["delta"], pipeline
-
-    @settings(max_examples=40, deadline=None)
-    @given(operations=_ops)
-    def test_columnar_equals_batched_with_self_join(self, operations):
-        """Columnar windowing on a self-join program, random interleavings.
-
-        The self-join (``link`` twice in one rule body) forces the columnar
-        segmenter into SEQUENTIAL mode — a rule reading the predicate its
-        own head writes means in-window deltas conflict, so each block must
-        replay one delta at a time.  Random insert/delete/refresh streams
-        over it are the sharpest probe of window-boundary bookkeeping.
-        """
-        program = parse_program(
-            """
-            j1 two(@S,D) :- red(@S,M), red(@M,D).
-            j2 red(@S,D) :- blue(@S,D).
-            """
-        )
-        states = {}
-        for pipeline in ("batched", "columnar"):
-            engine = NDlogEngine("n", program, pipeline=pipeline)
-            for action, relation, key in operations:
-                fact = Fact(relation, ("n", f"d{key % 2}" if key > 1 else "n"))
-                if action == "insert":
-                    engine.insert(fact)
-                elif action == "delete":
-                    engine.delete(fact)
-                else:
-                    from repro.datalog.engine import Delta, REFRESH
-
-                    engine.enqueue(Delta(REFRESH, fact))
-                engine.run()
-            states[pipeline] = (
-                {
-                    name: engine.table_rows(name)
-                    for name in ("red", "blue", "two")
-                },
-                dict(engine.stats),
-            )
-        assert states["columnar"] == states["batched"]
 
 
 class TestScanReduction:

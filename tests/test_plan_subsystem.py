@@ -370,9 +370,7 @@ class TestCompiledPlans:
         # Profilers key a function by (co_filename, first line, name): with
         # one shared filename every generated executor collapses into one
         # row and cProfile's snapshot keeps whichever it saw last.
-        from repro.datalog.plan.columnar import batch_kernel_for
-
-        engine = NDlogEngine("a", planner="greedy", pipeline="columnar")
+        engine = NDlogEngine("a", planner="greedy")
         engine.load_program(
             parse_program(
                 """
@@ -393,8 +391,6 @@ class TestCompiledPlans:
             assert len(set(filenames.values())) == len(plans) == 3, filenames
         assert plans[("q1", 1)].fused_exec.__code__.co_filename == "<plan-one-step q1@1>"
         assert plans[("q2", 0)].fused_exec.__code__.co_filename == "<plan-zero-step q2@0>"
-        kernels = {batch_kernel_for(plan).__code__.co_filename for plan in plans.values()}
-        assert len(kernels) == 3, kernels
 
     def test_plan_compiler_is_reusable_across_positions(self):
         catalog = Catalog()
@@ -408,3 +404,120 @@ class TestCompiledPlans:
         assert plan0.steps[0].atom.name == "u"
         assert plan1.steps[0].atom.name == "t"
         assert "emit" in explain_plan(plan0)
+
+
+# ---------------------------------------------------------------------- #
+# re-registered builtins in generated code
+# ---------------------------------------------------------------------- #
+def _ring_rows(functions=None, pipeline="batched"):
+    """Rewritten PATHVECTOR to fixpoint on a six-node ring: every row."""
+    from repro.core.rewrite import rewrite_program
+    from repro.datalog import StandaloneNetwork
+    from repro.net import ring_topology
+    from repro.protocols import pathvector_program
+
+    topology = ring_topology(6, seed=0)
+    network = StandaloneNetwork(
+        topology.nodes,
+        rewrite_program(pathvector_program()),
+        functions=functions,
+        pipeline=pipeline,
+    )
+    for source, destination, cost in topology.link_facts():
+        network.insert(Fact("link", (source, destination, cost)))
+    network.run()
+    names = set()
+    for engine in network.engines.values():
+        names.update(engine.catalog.names())
+    return {name: network.all_rows(name) for name in sorted(names)}
+
+
+def _registry_with_sha1(function):
+    from repro.datalog.functions import default_registry
+
+    functions = default_registry()
+    functions.register("f_sha1", function)
+    return functions
+
+
+def test_reregistered_builtin_falls_back_to_the_registered_function():
+    """Generated code resolves builtins per call; the result must not change.
+
+    Re-registering ``f_sha1`` with an equal implementation takes generated
+    code off its inline memo probe and through the registry on every call.
+    """
+    from repro.datalog.functions import _f_sha1
+
+    reference = _ring_rows()
+    assert _ring_rows(_registry_with_sha1(lambda args: _f_sha1(args))) == reference
+
+
+def test_reregistered_f_sha1_wins_over_the_inline_memo_probe():
+    """A different ``f_sha1`` must reach every VID, even with a warm memo."""
+    from repro.datalog.functions import sha1_hex
+
+    default = _ring_rows()  # warms the process-wide memo with default digests
+
+    def salted(args):
+        return sha1_hex("salt" + "".join(map(str, args)))
+
+    rows = {
+        pipeline: _ring_rows(_registry_with_sha1(salted), pipeline)
+        for pipeline in ("batched", "delta")
+    }
+    assert rows["batched"] == rows["delta"]
+    assert rows["batched"]["prov"] != default["prov"]
+
+
+def test_inline_memo_probe_counts_like_the_builtin():
+    """Hits and misses per run are the interpreter's, caching on or off."""
+    from repro.core.vid import clear_vid_caches, set_vid_caching
+    from repro.datalog.functions import sha1_cache_stats
+
+    counts = {}
+    try:
+        for caching in (True, False):
+            set_vid_caching(caching)
+            for pipeline in ("batched", "delta"):
+                clear_vid_caches()
+                _ring_rows(pipeline=pipeline)
+                stats = sha1_cache_stats()
+                counts[caching, pipeline] = (stats["hits"], stats["misses"], stats["entries"])
+    finally:
+        set_vid_caching(True)
+    assert counts[True, "batched"] == counts[True, "delta"]
+    assert counts[True, "batched"][0] > 0  # the rewrite does hit the memo
+    assert counts[False, "batched"] == counts[False, "delta"] == (0, 0, 0)
+
+
+def test_metrics_snapshot_exposes_sha1_and_vid_cache_counters():
+    from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
+    from repro.net import ring_topology
+    from repro.protocols import mincost_program
+
+    network = ExspanNetwork(
+        ring_topology(5, seed=0),
+        mincost_program(),
+        config=ExspanConfig(mode=ProvenanceMode.REFERENCE),
+    )
+    network.seed_links()
+    network.run_to_fixpoint()
+    snapshot = network.metrics_snapshot()
+    counters = snapshot["counters"]
+    for layer in ("sha1", "vid"):
+        assert f"cache.{layer}.hits" in counters
+        assert f"cache.{layer}.misses" in counters
+        assert snapshot["gauges"][f"cache.{layer}.limit"] > 0
+    # the rewrite workload actually exercises the sha1 memo
+    assert counters["cache.sha1.hits"] + counters["cache.sha1.misses"] > 0
+
+
+@pytest.mark.parametrize("head", ["there", "eThere"])
+def test_remote_derivation_without_send_callback_raises(head):
+    """Generated emission reports a remote head it cannot ship, sink or not."""
+    from repro.datalog.errors import EvaluationError
+
+    engine = NDlogEngine("n", parse_program(f"r1 {head}(@D,S) :- here(@S,D)."))
+    engine.insert(Fact("here", ("n", "m")))
+    with pytest.raises(EvaluationError, match="no .*send callback"):
+        engine.run()

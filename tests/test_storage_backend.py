@@ -358,6 +358,29 @@ def test_checkpoint_restore_onto_sqlite(tmp_path):
         restored.close_storage()
 
 
+def test_reads_never_create_tables(tmp_path):
+    """A VALUE-mode ``prov`` walk and an unknown relation create nothing."""
+    network = ExspanNetwork(
+        ring_topology(5, seed=1), mincost_program(), config=ExspanConfig(mode="value")
+    )
+    network.seed_links()
+    network.run_to_fixpoint()
+
+    def snapshot(name):
+        path = str(tmp_path / name)
+        network.checkpoint(path)
+        with open(path, "rb") as handle:
+            return network.predicates(), handle.read()
+
+    before = snapshot("before.ckpt")
+    assert PROV_TABLE not in before[0]
+    address, row = network.tuples("bestPathCost")[0]
+    network.provenance_graph(root=Fact("bestPathCost", row), max_depth=3)
+    assert network.tuples("nosuch") == []
+    assert network.provenance_row_counts() == {"prov": 0, "ruleExec": 0}
+    assert snapshot("after.ckpt") == before
+
+
 def test_restore_rejects_mismatched_topology(tmp_path):
     network = _run_mincost(size=6, seed=3)
     path = str(tmp_path / "net.ckpt")
