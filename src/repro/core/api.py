@@ -53,7 +53,7 @@ from ..net.simulator import Simulator
 from ..net.topology import LinkSpec, Topology
 from ..obs import runtime as obs_runtime
 from .config import ExspanConfig
-from .errors import ProvenanceError, QueryTimeoutError
+from .errors import ProvenanceError, QueryError, QueryTimeoutError
 from .modes import PreparedProgram, ProvenanceMode, prepare_program
 from .provenance_graph import ProvenanceGraph, build_global_graph, build_rooted_graph
 from .query import ProvenanceQueryService, QueryOutcome, QuerySpec
@@ -165,10 +165,13 @@ class ExspanNetwork:
         if tracer is not None:
             tracer.set_clock(lambda: self.simulator.now)
             self.simulator.tracer = tracer
-        #: Specs built from :class:`SpecDescriptor`, keyed by canonical
-        #: name, so repeated requests reuse one live spec (and one BDD
-        #: manager / cache namespace) instead of rebuilding per query.
-        self._descriptor_specs: Dict[str, QuerySpec] = {}
+        #: Specs built from :class:`SpecDescriptor`, keyed by descriptor,
+        #: so repeated requests reuse one live spec (and one BDD manager /
+        #: cache namespace) instead of rebuilding per query.
+        self._descriptor_specs: Dict[SpecDescriptor, QuerySpec] = {}
+        #: The spec object installed on every node under each name, so an
+        #: installed spec is not reinstalled per query.
+        self._installed_specs: Dict[str, QuerySpec] = {}
         self.storage: StorageBackend = make_backend(
             self._resolve_storage_spec(config)
         )
@@ -424,21 +427,28 @@ class ExspanNetwork:
     def register_spec(self, spec: Union[QuerySpec, SpecDescriptor]) -> str:
         """Install a query customization on every node; returns its name.
 
-        Accepts a live :class:`QuerySpec` or a declarative
-        :class:`SpecDescriptor` (built once and memoized by canonical
-        name, so repeated registration of an equal descriptor reuses the
-        same live spec).
+        Accepts a live :class:`QuerySpec` (the last registration under a
+        name wins) or a declarative :class:`SpecDescriptor`, built once and
+        memoized: an equal descriptor reuses the live spec, and a different
+        descriptor under a name one already holds raises
+        :class:`QueryError`, so a name denotes one spec and one cache
+        namespace.  Registering the spec installed under its name is one
+        dict probe.
         """
         if isinstance(spec, SpecDescriptor):
-            name = spec.canonical_name
-            built = self._descriptor_specs.get(name)
+            built = self._descriptor_specs.get(spec)
             if built is None:
-                built = spec.build()
-                self._descriptor_specs[name] = built
+                name = spec.canonical_name
+                if any(other.name == name for other in self._descriptor_specs.values()):
+                    raise QueryError(f"spec name {name!r} is bound to another descriptor")
+                built = self._descriptor_specs[spec] = spec.build()
             spec = built
-        for node in self.nodes.values():
-            node.query_service.register_spec(spec)
-        return spec.name
+        name = spec.name
+        if self._installed_specs.get(name) is not spec:
+            for node in self.nodes.values():
+                node.query_service.register_spec(spec)
+            self._installed_specs[name] = spec
+        return name
 
     def spec_names(self) -> List[str]:
         """Names of every registered query spec (sorted)."""

@@ -72,8 +72,8 @@ DEFAULT_CACHE_CAPACITY = 4096
 def vertex_of(key: CacheKey) -> Tuple[str, str]:
     """The ``(kind, identifier)`` vertex a cache key refers to.
 
-    Shared by the cache's per-vertex entry index and the query service's
-    in-flight index, so both stay in lockstep with the key layout.
+    Keys the cache's per-vertex entry index; the query service's in-flight
+    index spells the same ``(key[0], key[2])`` inline on its hot path.
     """
     return (key[0], key[2])
 

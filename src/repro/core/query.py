@@ -19,6 +19,12 @@ NDlog rules keeps the continuation bookkeeping explicit while preserving the
 message pattern (and therefore the bandwidth / latency behaviour) of the
 paper's rules.
 
+A vertex costs one index probe (``prov`` by VID, ``ruleExec`` by RID) whose
+raw rows ``(loc, vid, rid, rloc)`` / ``(rloc, rid, rule, inputs)`` are read
+in place.  A VID becomes a :class:`~repro.datalog.ast.Fact` only for a base
+tuple (null RID; only ``f_edb`` reads it), so a node that visits only
+derived tuples never builds the store's VID index.
+
 Concurrency model
 -----------------
 The service is a *concurrent, pipelined* engine: any number of root queries
@@ -78,7 +84,7 @@ statistics):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,11 +96,10 @@ from .cache import (
     CacheKey,
     Dependent,
     QueryResultCache,
-    vertex_of,
 )
 from .errors import QueryError
 from .rewrite import PROV_TABLE, RULE_EXEC_TABLE
-from .storage import ProvenanceStore
+from .storage import ProvenanceStore, rule_inputs
 from .vid import fact_vid
 
 __all__ = [
@@ -220,16 +225,18 @@ def _combine_heights(child_heights: Sequence[_Height]) -> _Height:
     return tallest + 1
 
 
-@dataclass
 class _InFlight:
     """One pending vertex resolution that concurrent traversals share."""
 
-    key: CacheKey
-    depth: int
-    waiters: List[_Waiter] = field(default_factory=list)
-    #: Set when the vertex is invalidated mid-resolution: the result is
-    #: still delivered but never cached, and consumers are invalidated.
-    dirty: bool = False
+    __slots__ = ("key", "depth", "waiters", "dirty")
+
+    def __init__(self, key: CacheKey, depth: int, waiters: List[_Waiter]):
+        self.key = key
+        self.depth = depth
+        self.waiters = waiters
+        #: Set when the vertex is invalidated mid-resolution: the result is
+        #: still delivered but never cached, and consumers are invalidated.
+        self.dirty = False
 
 
 class _SlotFanIn:
@@ -600,21 +607,26 @@ class ProvenanceQueryService:
         reaches the vertex with a different remaining depth could explore a
         different frontier when the bound binds, so it resolves separately.
         """
-        record = _InFlight(key=key, depth=depth, waiters=[(parent, on_done)])
         if not self.coalesce:
             # Ablation mode: resolutions run independently and are invisible
             # to dirty-marking, reproducing the pre-concurrency engine's
             # message pattern (and its weaker mid-flight update semantics).
-            return record
+            return _InFlight(key, depth, [(parent, on_done)])
         slot = (key, depth)
         pending = self._inflight.get(slot)
         if pending is not None:
             pending.waiters.append((parent, on_done))
             self.coalesced_inflight += 1
             return None
-        self._inflight[slot] = record
-        self._inflight_index.setdefault(vertex_of(key), {})[slot] = None
-        self._watch_updates()
+        record = self._inflight[slot] = _InFlight(key, depth, [(parent, on_done)])
+        vertex = (key[0], key[2])  # cache.vertex_of(key), without the call
+        slots = self._inflight_index.get(vertex)
+        if slots is None:
+            self._inflight_index[vertex] = {slot: None}
+        else:
+            slots[slot] = None
+        if not self._watching_updates:
+            self._watch_updates()
         return record
 
     def _drop_record(self, record: _InFlight) -> None:
@@ -622,7 +634,7 @@ class ProvenanceQueryService:
         slot = (record.key, record.depth)
         if self._inflight.get(slot) is record:
             del self._inflight[slot]
-            vertex = vertex_of(record.key)
+            vertex = (record.key[0], record.key[2])
             slots = self._inflight_index.get(vertex)
             if slots is not None:
                 slots.pop(slot, None)
@@ -694,8 +706,8 @@ class ProvenanceQueryService:
         if record is None:
             return
 
-        entries = self.store.prov_entries(vid)
-        if not entries:
+        rows = self.store.probe(PROV_TABLE, vid)
+        if not rows:
             # Unknown vertices are never cached themselves (the tuple may
             # appear later) — but an ancestor embedding this missing answer
             # may be, so keep the reverse pointer: when a prov row for this
@@ -707,15 +719,19 @@ class ProvenanceQueryService:
             on_done(spec.missing(), 1)
             return
 
-        fact = self.store.fact_for_vid(vid)
+        # Rows are (loc, vid, rid, rloc); the live bucket is read through
+        # here, before any continuation runs.
+        is_base = False
+        derivations = []
+        node_filter = spec.node_filter
+        for row in rows:
+            if row[2] is None:
+                is_base = True
+            elif node_filter is None or node_filter(row[3]):
+                derivations.append(row)
         initial_results: List[Any] = []
-        if any(entry.is_base for entry in entries):
-            initial_results.append(spec.f_edb(vid, fact, self.node))
-        derivations = [
-            entry
-            for entry in entries
-            if not entry.is_base and spec.allow_node(entry.rule_location)
-        ]
+        if is_base:
+            initial_results.append(spec.f_edb(vid, self.store.fact_for_vid(vid), self.node))
 
         def finish(results: List[Any], height: _Height) -> None:
             self._finish_resolution(
@@ -763,10 +779,10 @@ class ProvenanceQueryService:
             len(derivations),
             lambda slots, height: finish(list(initial_results) + slots, height),
         )
-        for index, entry in enumerate(derivations):
+        for index, row in enumerate(derivations):
             self._ask_rule_vertex(
-                entry.rid,
-                entry.rule_location,
+                row[2],
+                row[3],
                 spec,
                 parent_key,
                 fan_in.collector(index),
@@ -801,16 +817,14 @@ class ProvenanceQueryService:
             if not remaining or threshold_reached():
                 finish(results, _combine_heights(heights))
                 return
-            entry = remaining.pop(0)
+            row = remaining.pop(0)
 
             def on_child(result: Any, height: _Height) -> None:
                 results.append(result)
                 heights.append(height)
                 advance()
 
-            self._ask_rule_vertex(
-                entry.rid, entry.rule_location, spec, parent_key, on_child, depth, tc
-            )
+            self._ask_rule_vertex(row[2], row[3], spec, parent_key, on_child, depth, tc)
 
         advance()
 
@@ -886,8 +900,10 @@ class ProvenanceQueryService:
         if record is None:
             return
 
-        rule_entry = self.store.rule_exec(rid)
-        if rule_entry is None or not spec.allow_rule(rule_entry.rule_label, self.node):
+        # Rows are (rloc, rid, rule, inputs); a RID names one execution.
+        row = next(iter(self.store.probe(RULE_EXEC_TABLE, rid)), None)
+        rule_filter = spec.rule_filter
+        if row is None or (rule_filter is not None and not rule_filter(row[2], self.node)):
             # As for unknown tuple vertices: the missing answer itself is
             # not cached, but cached ancestors embedding it must remain
             # reachable by invalidation should the ruleExec row appear.
@@ -897,14 +913,11 @@ class ProvenanceQueryService:
             on_done(spec.missing(), 1)
             return
 
-        children = list(rule_entry.input_vids)
+        children = rule_inputs(row)
 
         def finish(results: List[Any], height: _Height) -> None:
             self._finish_resolution(
-                record,
-                spec,
-                spec.f_rule(list(results), rule_entry.rule_label, self.node),
-                height,
+                record, spec, spec.f_rule(list(results), row[2], self.node), height
             )
 
         if not children:

@@ -387,29 +387,30 @@ class QueryRequest:
 # ---------------------------------------------------------------------- #
 # annotation encoding
 # ---------------------------------------------------------------------- #
-def _encode_expression(expression: ProvenanceExpression) -> Dict[str, Any]:
+def _encode_polynomial(expression: ProvenanceExpression) -> Tuple[str, Dict[str, Any]]:
+    """``(str(expression), tree)`` in one walk of the polynomial."""
     if isinstance(expression, Literal):
-        return {"op": "lit", "label": expression.label}
+        return expression.label, {"op": "lit", "label": expression.label}
     if isinstance(expression, Sum):
-        node: Dict[str, Any] = {
-            "op": "sum",
-            "terms": [_encode_expression(term) for term in expression.terms],
-        }
-        if expression.location is not None:
-            node["loc"] = expression.location
-        return node
+        terms = [_encode_polynomial(term) for term in expression.terms]
+        node: Dict[str, Any] = {"op": "sum", "terms": [tree for _, tree in terms]}
+        location = expression.location
+        if location is not None:
+            node["loc"] = location
+        suffix = f"@{location}" if location else ""
+        return "(" + " + ".join([text for text, _ in terms]) + ")" + suffix, node
     if isinstance(expression, Product):
-        node = {
-            "op": "prod",
-            "factors": [_encode_expression(factor) for factor in expression.factors],
-        }
-        if expression.rule is not None:
-            node["rule"] = expression.rule
-        if expression.location is not None:
-            node["loc"] = expression.location
-        return node
+        factors = [_encode_polynomial(factor) for factor in expression.factors]
+        node = {"op": "prod", "factors": [tree for _, tree in factors]}
+        rule, location = expression.rule, expression.location
+        if rule is not None:
+            node["rule"] = rule
+        if location is not None:
+            node["loc"] = location
+        prefix = f"<{rule}@{location}>" if rule else ""
+        return prefix + "(" + " * ".join([text for text, _ in factors]) + ")", node
     if expression is EMPTY or not expression.children():
-        return {"op": "empty"}
+        return str(expression), {"op": "empty"}
     raise QueryError(f"cannot encode provenance expression {expression!r}")
 
 
@@ -450,10 +451,11 @@ def encode_annotation(value: Any) -> Dict[str, Any]:
     if isinstance(value, str):
         return {"kind": "str", "value": value}
     if isinstance(value, ProvenanceExpression):
+        text, tree = _encode_polynomial(value)
         return {
             "kind": "polynomial",
-            "text": str(value),
-            "tree": _encode_expression(value),
+            "text": text,
+            "tree": tree,
             "wire_size": value.wire_size(),
         }
     if isinstance(value, Bdd):

@@ -158,9 +158,14 @@ class Sum(ProvenanceExpression):
             products.update(term.to_dnf())
         return _absorb_products(products)
 
+    def __post_init__(self) -> None:
+        # Sized once, from the children's sizes: a message then costs a
+        # lookup, not a subtree walk.  Not a field: eq/hash ignore it.
+        size = 2 + (len(self.location) if self.location else 0)
+        object.__setattr__(self, "_size", size + sum(t.wire_size() for t in self.terms))
+
     def wire_size(self) -> int:
-        overhead = 2 + (len(self.location) if self.location else 0)
-        return overhead + sum(term.wire_size() for term in self.terms)
+        return self._size
 
     def __str__(self) -> str:
         inner = " + ".join(str(term) for term in self.terms)
@@ -204,10 +209,14 @@ class Product(ProvenanceExpression):
             }
         return _absorb_products(products)
 
+    def __post_init__(self) -> None:
+        # Sized once, as for Sum.
+        size = 2 + (len(self.rule) if self.rule else 0)
+        size += len(self.location) if self.location else 0
+        object.__setattr__(self, "_size", size + sum(f.wire_size() for f in self.factors))
+
     def wire_size(self) -> int:
-        overhead = 2 + (len(self.rule) if self.rule else 0)
-        overhead += len(self.location) if self.location else 0
-        return overhead + sum(factor.wire_size() for factor in self.factors)
+        return self._size
 
     def __str__(self) -> str:
         inner = " * ".join(str(factor) for factor in self.factors)

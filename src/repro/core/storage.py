@@ -9,10 +9,11 @@ The provenance rewrite maintains two ordinary NDlog tables at every node:
   the rule label ``R`` and the VIDs of its input tuples.
 
 :class:`ProvenanceStore` wraps one node's
-:class:`~repro.datalog.engine.NDlogEngine` and gives the distributed query
-service typed access to these tables, plus the "systems table that maps VIDs
-to tuples" the paper assumes (here a lazily-maintained index over the node's
-materialized tables).
+:class:`~repro.datalog.engine.NDlogEngine` and reads these tables by VID or
+RID with one index probe (:meth:`ProvenanceStore.probe`: raw rows for the
+distributed query service, typed entries for the graph builders), plus the
+"systems table that maps VIDs to tuples" the paper assumes (here a
+lazily-maintained index over the node's materialized tables).
 
 This is the per-node *view* layer of the pluggable storage engine
 (:mod:`repro.storage`): the rows themselves live in the
@@ -27,14 +28,20 @@ use from whatever the tables then contain.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..datalog.ast import Fact, is_event_predicate
 from ..datalog.engine import NDlogEngine
 from .rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from .vid import fact_vid
 
-__all__ = ["ProvEntry", "RuleExecEntry", "ProvenanceStore"]
+__all__ = ["ProvEntry", "RuleExecEntry", "ProvenanceStore", "rule_inputs"]
+
+
+def rule_inputs(row: Sequence[Any]) -> Tuple[str, ...]:
+    """The input VIDs of a ``ruleExec`` row (a lone VID reads as one input)."""
+    inputs = row[3]
+    return tuple(inputs) if isinstance(inputs, (list, tuple)) else (inputs,)
 
 
 class ProvEntry:
@@ -97,54 +104,54 @@ class ProvenanceStore:
         return self.engine.address
 
     # ------------------------------------------------------------------ #
-    # prov table
+    # prov / ruleExec rows
     # ------------------------------------------------------------------ #
-    def _rows(self, name: str, bound: Optional[Dict[int, Any]] = None):
-        """Rows of local table *name* (``[]`` when absent), optionally by key.
+    def probe(self, name: str, key: Any) -> Collection[Tuple[Any, ...]]:
+        """Rows of local table *name* with *key* at position 1 (VID or RID).
 
-        A read never creates the table: ``Catalog.get``, not ``table``.
+        The one read path: a single index probe returning the live bucket
+        (``()`` if none), to be iterated fully before anything can mutate
+        the table.  A read never creates the table: ``Catalog.get``.
         """
         table = self.engine.catalog.get(name)
         if table is None:
-            return []
-        return table.lookup(bound) if bound else table.rows()
+            return ()
+        return table.probe((1,), (key,)) or ()
+
+    def _all_rows(self, name: str) -> List[Tuple[Any, ...]]:
+        table = self.engine.catalog.get(name)
+        return [] if table is None else table.rows()
 
     def prov_entries(self, vid: str) -> List[ProvEntry]:
         """All local derivations of the tuple vertex *vid*."""
         return [
-            ProvEntry(row[0], row[1], row[2], row[3])
-            for row in self._rows(PROV_TABLE, {1: vid})
+            ProvEntry(row[0], row[1], row[2], row[3]) for row in self.probe(PROV_TABLE, vid)
         ]
 
     def derivation_count(self, vid: str) -> int:
         """Number of alternative derivations recorded locally for *vid*."""
-        return len(self.prov_entries(vid))
+        return len(self.probe(PROV_TABLE, vid))
 
     def is_base(self, vid: str) -> bool:
         """True when *vid* has a base-tuple (null RID) prov entry locally."""
-        return any(entry.is_base for entry in self.prov_entries(vid))
+        return any(row[2] is None for row in self.probe(PROV_TABLE, vid))
 
     def all_prov_entries(self) -> List[ProvEntry]:
         return [
-            ProvEntry(row[0], row[1], row[2], row[3]) for row in self._rows(PROV_TABLE)
+            ProvEntry(row[0], row[1], row[2], row[3]) for row in self._all_rows(PROV_TABLE)
         ]
 
-    # ------------------------------------------------------------------ #
-    # ruleExec table
-    # ------------------------------------------------------------------ #
     def rule_exec(self, rid: str) -> Optional[RuleExecEntry]:
         """Look up the rule execution vertex *rid* stored at this node."""
-        for row in self._rows(RULE_EXEC_TABLE, {1: rid}):
-            input_vids = row[3] if isinstance(row[3], (list, tuple)) else (row[3],)
-            return RuleExecEntry(row[0], row[1], row[2], tuple(input_vids))
+        for row in self.probe(RULE_EXEC_TABLE, rid):
+            return RuleExecEntry(row[0], row[1], row[2], rule_inputs(row))
         return None
 
     def all_rule_exec_entries(self) -> List[RuleExecEntry]:
-        entries = []
-        for row in self._rows(RULE_EXEC_TABLE):
-            input_vids = row[3] if isinstance(row[3], (list, tuple)) else (row[3],)
-            entries.append(RuleExecEntry(row[0], row[1], row[2], tuple(input_vids)))
-        return entries
+        return [
+            RuleExecEntry(row[0], row[1], row[2], rule_inputs(row))
+            for row in self._all_rows(RULE_EXEC_TABLE)
+        ]
 
     # ------------------------------------------------------------------ #
     # VID -> tuple resolution (the "systems table" of Section 5.2.1)

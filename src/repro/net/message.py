@@ -47,15 +47,16 @@ TRACE_CONTEXT_KEY = "_tc"
 def payload_size(value: Any) -> int:
     """Return the estimated serialized size of *value* in bytes."""
     # Exact-class dispatch for what nearly every payload is — strings,
-    # integers and flat sequences of them (a delta's value tuple) — sized
-    # in one loop; everything else takes the general ladder below, which
-    # charges the same bytes.
+    # integers, containers of them (a delta's value tuple, a query
+    # message's dict) each sized in one loop, and annotations that know
+    # their own size; everything else takes the general ladder below,
+    # which charges the same bytes.
     cls = value.__class__
     if cls is str:
         return len(value)
     if cls is int:
         return 4
-    if cls is tuple or cls is list:
+    if cls is tuple or cls is list or cls is set or cls is frozenset:
         size = 2
         for item in value:
             cls = item.__class__
@@ -66,8 +67,24 @@ def payload_size(value: Any) -> int:
             else:
                 size += payload_size(item)
         return size
-    if value is None or isinstance(value, bool):
+    if cls is dict:
+        size = 2
+        for key, item in value.items():
+            if key != TRACE_CONTEXT_KEY:
+                size += len(key) if key.__class__ is str else payload_size(key)
+                cls = item.__class__
+                if cls is str:
+                    size += len(item)
+                elif cls is int:
+                    size += 4
+                else:
+                    size += payload_size(item)
+        return size
+    if value is None or cls is bool:
         return 1
+    wire_size = getattr(value, "wire_size", None)
+    if wire_size is not None:
+        return int(wire_size())
     if isinstance(value, int):
         return 4
     if isinstance(value, float):
@@ -84,8 +101,6 @@ def payload_size(value: Any) -> int:
             for key, item in value.items()
             if key != TRACE_CONTEXT_KEY
         )
-    if hasattr(value, "wire_size"):
-        return int(value.wire_size())
     # Fallback: size of the repr — deterministic and monotone in content.
     return len(repr(value))
 

@@ -195,6 +195,23 @@ class TestConvergence:
         assert stats["replayed_entries"] > 0
         assert convergence_digest(network) == reference
 
+    def test_a_restarted_node_still_answers_an_installed_spec(self):
+        """The network installs a spec once; a rebuilt node gets it back."""
+        descriptor = SpecDescriptor(kind="polynomial")
+        network = build_network("attempts=8; crash:c@0.0015:restart=0.02")
+        network.register_spec(descriptor)
+        network.seed_links()
+        network.run_to_fixpoint()
+        assert network.fault_injector.stats()["restarts"] == 1
+        fault_free = run_fixpoint()
+        rows = [row for _, row in fault_free.tuples("bestPathCost") if row[0] == "c"]
+        assert rows
+        for row, issuer in zip(rows, ("a", "c") * len(rows)):
+            request = QueryRequest(fact=Fact("bestPathCost", row), spec=descriptor, issuer=issuer)
+            assert network.execute(request).canonical_bytes() == (
+                fault_free.execute(request).canonical_bytes()
+            )
+
     def test_flap_converges_and_restores_cost(self, reference):
         network = run_fixpoint("attempts=8; flap:a-b@0.001:up=0.01")
         stats = network.fault_injector.stats()

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import provenance_graph as graph_module
 from repro.core.api import ExspanNetwork
 from repro.core.config import ExspanConfig
+from repro.core.requests import QueryRequest, SpecDescriptor
 from repro.core.storage import ProvenanceStore
 from repro.core.vid import fact_vid
 from repro.datalog.ast import Fact
@@ -31,7 +32,6 @@ from repro.net.topology import (
 )
 from repro.protocols.mincost import mincost_program
 from repro.protocols.pathvector import pathvector_program
-from repro.storage.memory import Table
 
 PROGRAMS = {
     # The cost bound is above every diameter here: it changes no converged
@@ -225,9 +225,11 @@ def test_one_prov_costs_its_subtree_not_the_network(monkeypatch):
     monkeypatch.setattr(ProvenanceStore, "all_prov_entries", whole_table_read)
     monkeypatch.setattr(ProvenanceStore, "all_rule_exec_entries", whole_table_read)
     lookups = []
-    table_lookup = Table.lookup
+    store_probe = ProvenanceStore.probe
     monkeypatch.setattr(
-        Table, "lookup", lambda self, *args: lookups.append(self.name) or table_lookup(self, *args)
+        ProvenanceStore,
+        "probe",
+        lambda self, name, key: lookups.append(name) or store_probe(self, name, key),
     )
     graph = network.provenance_graph(root=root, max_depth=2)
     monkeypatch.undo()
@@ -238,3 +240,34 @@ def test_one_prov_costs_its_subtree_not_the_network(monkeypatch):
     indexed = {address for address, node in network.nodes.items() if node.store._vid_index_built}
     assert indexed <= visited
     assert len(visited) < 10
+
+
+def test_a_query_indexes_vids_only_where_it_meets_base_tuples():
+    """Only ``f_edb`` reads a tuple, so a node visited for derived tuples builds no VID index."""
+
+    def converged():
+        network = ExspanNetwork(
+            line_topology(3), mincost_program(max_cost=8), config=ExspanConfig(seed=0)
+        )
+        network.seed_links()
+        network.run_to_fixpoint()
+        return network
+
+    # At n0 the walk meets bestPathCost and pathCost, both derived; the
+    # pathCost rule fired at n1, where the walk meets the base links.
+    request = QueryRequest(
+        fact=Fact("bestPathCost", ("n0", "n2", 2)), spec=SpecDescriptor(kind="polynomial")
+    )
+    network = converged()
+    answer = network.execute(request)
+    assert answer.annotation["kind"] == "polynomial"
+    root = network.nodes["n0"]
+    assert root.store._vid_index_built is False
+    assert root.store._on_tuple_update not in root.engine._update_listeners
+    assert network.nodes["n1"].store._vid_index_built
+
+    # The same answer as when every visited tuple was resolved to its fact.
+    indexed = converged()
+    for node in indexed.nodes.values():
+        node.store.fact_for_vid("")
+    assert indexed.execute(request).canonical_bytes() == answer.canonical_bytes()

@@ -12,6 +12,10 @@ import struct
 import pytest
 
 from repro.core.config import ExspanConfig
+from repro.core.customizations import polynomial_query
+from repro.core.errors import QueryError
+from repro.core.requests import QueryRequest, SpecDescriptor
+from repro.datalog.ast import Fact
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
 from repro.core.api import ExspanNetwork
@@ -29,14 +33,18 @@ from repro.service import (
 )
 
 
-@pytest.fixture(scope="module")
-def service():
+def converged_ring():
     network = ExspanNetwork(
         ring_topology(4, seed=0), mincost_program(), config=ExspanConfig(seed=0)
     )
     network.seed_links()
     network.run_to_fixpoint()
-    with ServiceThread(network) as thread:
+    return network
+
+
+@pytest.fixture(scope="module")
+def service():
+    with ServiceThread(converged_ring()) as thread:
         yield thread
 
 
@@ -219,3 +227,50 @@ class TestRequests:
             response = recv_frame(raw)
             assert response["id"] == request_id
             assert response["ok"] is True
+
+
+class TestSpecNames:
+    """One name, one spec: a descriptor cannot take over another's name."""
+
+    COUNT = {"kind": "derivations", "name": "polynomial"}
+
+    def test_in_process(self):
+        network = converged_ring()
+        _, row = network.tuples("bestPathCost")[0]
+        fact = Fact("bestPathCost", row)
+
+        def ask(spec):
+            return network.execute(QueryRequest(fact=fact, spec=spec))
+
+        counted = ask(SpecDescriptor.from_dict(self.COUNT))
+        assert counted.annotation["kind"] == "int"
+        with pytest.raises(QueryError):
+            ask(SpecDescriptor(kind="polynomial"))
+        # An equal descriptor shares the spec.
+        assert ask(SpecDescriptor.from_dict(self.COUNT)).canonical_bytes() == (
+            counted.canonical_bytes()
+        )
+        # A live spec still replaces whatever its name held; the descriptor
+        # is installed again when next asked for.
+        network.register_spec(polynomial_query(name="polynomial"))
+        assert ask("polynomial").annotation["kind"] == "polynomial"
+        assert ask(SpecDescriptor.from_dict(self.COUNT)).canonical_bytes() == (
+            counted.canonical_bytes()
+        )
+
+    def test_over_the_wire(self):
+        with ServiceThread(converged_ring()) as thread:
+            with ServiceClient(*thread.address) as client:
+                _, values = client.call("tuples", table="bestPathCost")["rows"][0]
+                fact = {"name": "bestPathCost", "values": values}
+                assert client.call("register_spec", spec=self.COUNT)["name"] == "polynomial"
+                counted = client.call("query", fact=fact, spec="polynomial")
+                assert counted["annotation"]["kind"] == "int"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call("query", fact=fact, spec={"kind": "polynomial"})
+                assert excinfo.value.code == "query-error"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call("register_spec", spec={"kind": "polynomial"})
+                assert excinfo.value.code == "query-error"
+                again = client.call("query", fact=fact, spec=self.COUNT)
+                assert again["annotation"] == counted["annotation"]
