@@ -43,6 +43,7 @@ via :func:`collect_digest` / :func:`collect_summary`.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field
@@ -361,6 +362,7 @@ class _WorkerConfig:
 
 def _worker_main(conn, config: _WorkerConfig) -> None:
     """Run one shard: build the local slice, then serve barrier commands."""
+    gc.freeze()  # no collection walks (or copy-on-writes) the driver's inherited heap
     try:
         from ..core.api import ExspanNetwork
         from ..obs import runtime as obs_runtime

@@ -8,7 +8,11 @@ engine's update listener only appends to an in-RAM journal, and
 :meth:`SqliteBackend.flush` drains the journal in one WAL transaction —
 folded to its net effect, one ``executemany`` per (table, action) — so
 the batched delta hot path keeps their in-RAM speed and the
-database lags the engine by at most one un-flushed journal.
+database lags the engine by at most one un-flushed journal.  The backend
+owns the row ids: a key → id map per table (loaded from the file by the
+first flush) assigns them in insertion order and turns a delete into
+``DELETE … WHERE id = ?``, or into nothing for a key the database never
+held; it also keeps ``tuples``/``rule_exec`` keys unique.
 
 On top of the mirrored ``prov``/``ruleExec`` rows the backend maintains a
 **pre/post-order interval encoding** of the provenance DAG (the
@@ -32,13 +36,16 @@ The schema (see also ``docs/STORAGE.md``)::
     intervals(vid TEXT PRIMARY KEY, pre INTEGER, post INTEGER)
     extra_edges(parent_pre INTEGER, child_vid TEXT)
 
-Values, rows and node addresses are stored as canonical JSON
-(sorted keys, compact separators) so the database contents are a
-deterministic function of the engine state.
+with an index on each column the SQL queries probe: ``prov(vid)``,
+``rule_exec(rid)``, ``intervals(pre)``, ``extra_edges(parent_pre)``.
+Values, rows and node addresses are stored as canonical JSON (sorted
+keys, compact separators) so the database contents are a deterministic
+function of the engine state.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sqlite3
@@ -64,10 +71,8 @@ CREATE TABLE IF NOT EXISTS tuples(
     node TEXT NOT NULL,
     name TEXT NOT NULL,
     row TEXT NOT NULL,
-    vid TEXT NOT NULL,
-    UNIQUE(node, name, row)
+    vid TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS tuples_vid ON tuples(vid);
 CREATE TABLE IF NOT EXISTS prov(
     id INTEGER PRIMARY KEY,
     loc TEXT NOT NULL,
@@ -81,8 +86,7 @@ CREATE TABLE IF NOT EXISTS rule_exec(
     rloc TEXT NOT NULL,
     rid TEXT NOT NULL,
     rule TEXT NOT NULL,
-    inputs TEXT NOT NULL,
-    UNIQUE(rloc, rid)
+    inputs TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS rule_exec_rid ON rule_exec(rid);
 CREATE TABLE IF NOT EXISTS intervals(
@@ -123,25 +127,20 @@ reach(vid) AS (
 
 #: One journal entry: ``(address, action, name, row)``.
 _Op = Tuple[Any, str, str, Tuple[Any, ...]]
-#: One statement's worth of ops: ``(table, inserting, ops)``.
-_Batch = Tuple[int, bool, Iterable[_Op]]
+#: One statement's worth of keyed ops: ``(table, inserting, ((key, op), ...))``.
+_Batch = Tuple[int, bool, Iterable[Tuple[Any, _Op]]]
 
 #: Mirrored tables, indexing the per-table structures of the write path.
 _TUPLES, _PROV, _RULE_EXEC = 0, 1, 2
+_TABLE_NAMES = ("tuples", "prov", "rule_exec")
 
-#: The six write statements, ``(delete, insert)`` per mirrored table.
-_TUPLES_SQL = (
-    "DELETE FROM tuples WHERE node = ? AND name = ? AND row = ?",
-    "INSERT OR REPLACE INTO tuples(node, name, row, vid) VALUES(?,?,?,?)",
+#: Per mirrored table, rows go in with the id the backend assigned and go out by it.
+_INSERT_SQL = (
+    "INSERT INTO tuples(id, node, name, row, vid) VALUES(?,?,?,?,?)",
+    "INSERT INTO prov(id, loc, vid, rid, rloc) VALUES(?,?,?,?,?)",
+    "INSERT INTO rule_exec(id, rloc, rid, rule, inputs) VALUES(?,?,?,?,?)",
 )
-_PROV_SQL = (
-    "DELETE FROM prov WHERE loc = ? AND vid = ? AND rid IS ? AND rloc = ?",
-    "INSERT INTO prov(loc, vid, rid, rloc) VALUES(?,?,?,?)",
-)
-_RULE_EXEC_SQL = (
-    "DELETE FROM rule_exec WHERE rloc = ? AND rid = ?",
-    "INSERT OR REPLACE INTO rule_exec(rloc, rid, rule, inputs) VALUES(?,?,?,?)",
-)
+_DELETE_SQL = tuple(f"DELETE FROM {name} WHERE id = ?" for name in _TABLE_NAMES)
 
 #: Canonical JSON for a (frozen) value, row or node address: one shared
 #: encoder, the bytes ``json.dumps(..., sort_keys=True, separators=(",", ":"),
@@ -159,6 +158,10 @@ class _AddressTexts(dict):
 
 def _decode(text: str) -> Any:
     return json.loads(text)
+
+
+def _thaw(text: str) -> Any:
+    return freeze_value(_decode(text))
 
 
 class SqliteBackend(StorageBackend):
@@ -192,27 +195,22 @@ class SqliteBackend(StorageBackend):
         # arrival order; flush() folds it to its net effect and drains it.
         self._journal: List[_Op] = []
         self._intervals_dirty = True
+        # Per mirrored table: key -> row id (prov: a tuple, as record() can
+        # insert a row twice), and the next id; the first flush loads both.
+        self._ids: Tuple[Dict[Any, Any], ...] = ({}, {}, {})
+        self._next_ids: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
     def attach_node(self, address: Any, engine: Any, store: Any) -> None:
         super().attach_node(address, engine, store)
-        journal = self._journal
-        counters = self.counters
+        append = self._journal.append
 
         def _observe(action: str, fact: Fact, _address: Any = address) -> None:
-            # Journal the engine's row as it is: it has been a hashable
-            # tuple since it was built, so the journal cannot see it change.
-            # Hash first, freeze on TypeError (the rule Table._find applies)
-            # for the rows handed in from outside with a list attribute.
-            values = fact.values
-            try:
-                hash(values)
-            except TypeError:
-                values = freeze_value(values)
-            journal.append((_address, action, fact.name, values))
-            counters["journal_appends"] += 1
+            # A row that reaches a listener is a Table key: a hashable
+            # tuple the journal cannot see change.
+            append((_address, action, fact.name, fact.values))
 
         engine.add_update_listener(_observe)
 
@@ -224,22 +222,22 @@ class SqliteBackend(StorageBackend):
         except TypeError:
             values = freeze_value(values)
         self._journal.append((address, action, name, values))
-        self.counters["journal_appends"] += 1
 
     def close(self) -> None:
-        if self._connection is not None:
-            try:
+        """Flush, release the connection (and an ephemeral file), re-raise a failed flush."""
+        try:
+            if self._connection is not None:
                 self.flush()
-            except sqlite3.Error:  # pragma: no cover - best-effort close
-                pass
-            self._connection.close()
-            self._connection = None  # type: ignore[assignment]
-        if self._ephemeral and self.path:
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.unlink(self.path + suffix)
-                except OSError:
-                    pass
+        finally:
+            if self._connection is not None:
+                self._connection.close()
+                self._connection = None  # type: ignore[assignment]
+            if self._ephemeral and self.path:
+                for suffix in ("", "-wal", "-shm"):
+                    try:
+                        os.unlink(self.path + suffix)
+                    except OSError:
+                        pass
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         # Networks rarely close their backend explicitly (trial functions
@@ -258,22 +256,21 @@ class SqliteBackend(StorageBackend):
 
         Returns the number of journal ops drained (those the fold
         cancelled included).  If a statement raises, the transaction rolls
-        back and the journal keeps every op, so the next flush retries.
+        back and journal, id maps and counters stay as they were: a retry.
         """
         journal = self._journal
         if not journal:
             return 0
+        if self._next_ids is None:
+            self._adopt()
         # Work on a snapshot and trim the journal only after the commit.
         drained = journal[:]
         folded = self._fold(drained)
         if folded is None:
             # Some key does not alternate insert/delete (only record() can
             # do that): replay the whole window op by op, in journal order.
-            batches = [
-                (table, op[1] == "insert", (op,))
-                for op in drained
-                if (table := self._table_of(op[2])) is not None
-            ]
+            # A one-op window always folds, to itself and its key.
+            batches = [batch for op in drained for batch in self._fold([op])[0]]
             operations, cancelled = len(batches), 0
         else:
             batches, operations, cancelled = folded
@@ -281,46 +278,87 @@ class SqliteBackend(StorageBackend):
         fact_vid = self._fact_vid
         texts = _AddressTexts()
 
-        def tuples_row(op: _Op, inserting: bool) -> Tuple[Any, ...]:
+        def tuples_row(row_id: int, op: _Op) -> Tuple[Any, ...]:
             address, _, name, values = op
-            if inserting:
-                vid = fact_vid(Fact(name, values))
-                return (texts[address], name, _encode(values), vid)
-            return (texts[address], name, _encode(values))
+            vid = fact_vid(Fact(name, values))
+            return (row_id, texts[address], name, _encode(values), vid)
 
-        def prov_row(op: _Op, inserting: bool) -> Tuple[Any, ...]:
+        def prov_row(row_id: int, op: _Op) -> Tuple[Any, ...]:
             values = op[3]
-            return (texts[values[0]], values[1], values[2], texts[values[3]])
+            return (row_id, texts[values[0]], values[1], values[2], texts[values[3]])
 
-        def rule_exec_row(op: _Op, inserting: bool) -> Tuple[Any, ...]:
+        def rule_exec_row(row_id: int, op: _Op) -> Tuple[Any, ...]:
             values = op[3]
-            if inserting:
-                inputs = _encode(list(values[3]) if values[3] else [])
-                return (texts[values[0]], values[1], values[2], inputs)
-            return (texts[values[0]], values[1])
+            inputs = _encode(list(values[3]) if values[3] else [])
+            return (row_id, texts[values[0]], values[1], values[2], inputs)
 
-        writers = (
-            (_TUPLES_SQL, tuples_row),
-            (_PROV_SQL, prov_row),
-            (_RULE_EXEC_SQL, rule_exec_row),
-        )
+        row_builders = (tuples_row, prov_row, rule_exec_row)
+        # The window's effect on the id maps, applied only after the commit:
+        # per table, key -> what the map will hold (None once deleted).
+        ids, next_ids = self._ids, self._next_ids[:]
+        staged: Tuple[Dict[Any, Any], ...] = ({}, {}, {})
+
+        def inserted(table: int, items: Iterable[Tuple[Any, _Op]], dead: List[int]):
+            # Rows are encoded as sqlite pulls them: no second, encoded copy
+            # of a 12k-op convergence or restore window.
+            held, changed, row_of = ids[table], staged[table], row_builders[table]
+            for key, op in items:
+                row_id = next_ids[table]
+                next_ids[table] = row_id + 1
+                current = changed[key] if key in changed else held.get(key)
+                if table == _PROV:
+                    changed[key] = (current or ()) + (row_id,)
+                else:  # re-inserting a held key replaces its row
+                    dead += (current,) if current else ()
+                    changed[key] = row_id
+                yield row_of(row_id, op)
+
         connection = self._connection
         with connection:
-            for table, inserting, ops in batches:
-                statements, row_of = writers[table]
-                # Rows are encoded as sqlite pulls them: no second, encoded
-                # copy of a 12k-op convergence or restore window.
-                connection.executemany(
-                    statements[inserting],
-                    (row_of(op, inserting) for op in ops),
-                )
+            for table, inserting, items in batches:
+                dead: List[int] = []
+                if inserting:
+                    connection.executemany(_INSERT_SQL[table], inserted(table, items, dead))
+                else:
+                    held, changed = ids[table], staged[table]
+                    for key, _ in items:
+                        current = changed[key] if key in changed else held.get(key)
+                        if current:
+                            dead += current if table == _PROV else (current,)
+                            changed[key] = None
+                if dead:
+                    connection.executemany(_DELETE_SQL[table], zip(dead))
+        for held, changed in zip(ids, staged):
+            for key, value in changed.items():
+                held.pop(key, None)  # swap in the engine-shared key for an adopted one
+                if value:
+                    held[key] = value
+        self._next_ids = next_ids
         del journal[: len(drained)]
         if any(table != _TUPLES for table, _, _ in batches):
             self._intervals_dirty = True
+        self.counters["journal_appends"] += len(drained)
         self.counters["flushes"] += 1
         self.counters["flushed_ops"] += operations
         self.counters["cancelled_ops"] += cancelled
         return operations
+
+    def _adopt(self) -> None:
+        """Load the id maps from the rows the file already holds."""
+        address = functools.lru_cache(maxsize=None)(_thaw)  # few addresses, many rows
+        tuples, prov, rule_exec = self._ids
+        select = self._connection.execute
+        for row_id, node, name, row in select("SELECT id, node, name, row FROM tuples"):
+            tuples[(address(node), name, _thaw(row))] = row_id
+        for row_id, loc, vid, rid, rloc in select("SELECT id, loc, vid, rid, rloc FROM prov"):
+            key = (address(loc), vid, rid, address(rloc))
+            prov[key] = prov.get(key, ()) + (row_id,)
+        for row_id, rloc, rid in select("SELECT id, rloc, rid FROM rule_exec"):
+            rule_exec[(address(rloc), rid)] = row_id
+        self._next_ids = [
+            select(f"SELECT COALESCE(MAX(id), 0) + 1 FROM {name}").fetchone()[0]  # noqa: S608
+            for name in _TABLE_NAMES
+        ]
 
     def _table_of(self, name: str) -> Optional[int]:
         """The mirrored table *name* lands in; None for transient events."""
@@ -342,7 +380,8 @@ class SqliteBackend(StorageBackend):
         With at most one delete then one insert per key, "all deletes, then
         all inserts, each in journal order" per table leaves the rows, in
         the id order, an op-by-op replay would.  Returns ``(batches, ops,
-        cancelled ops)``, or None when some key does not alternate.
+        cancelled ops)`` with each op paired with its key, or None when
+        some key does not alternate.
         """
         # Per table, by key and in journal order: the net deletes, and the
         # inserts no later delete has voided.
@@ -387,9 +426,9 @@ class SqliteBackend(StorageBackend):
         batches: List[_Batch] = []
         for table, (deletes, inserts) in enumerate(windows):
             if deletes:
-                batches.append((table, False, deletes.values()))
+                batches.append((table, False, deletes.items()))
             if inserts:
-                batches.append((table, True, inserts.values()))
+                batches.append((table, True, inserts.items()))
         return batches, operations, cancelled
 
     # ------------------------------------------------------------------ #
@@ -578,25 +617,21 @@ class SqliteBackend(StorageBackend):
         """
         self.flush()
         select = self._connection.execute
-
-        def thaw(text: str) -> Any:
-            return freeze_value(_decode(text))
-
         return {
             "tuples": [
-                (thaw(node), name, thaw(row))
+                (_thaw(node), name, _thaw(row))
                 for node, name, row in select(
                     "SELECT node, name, row FROM tuples ORDER BY id"
                 )
             ],
             "prov": [
-                (thaw(loc), vid, rid, thaw(rloc))
+                (_thaw(loc), vid, rid, _thaw(rloc))
                 for loc, vid, rid, rloc in select(
                     "SELECT loc, vid, rid, rloc FROM prov ORDER BY id"
                 )
             ],
             "rule_exec": [
-                (thaw(rloc), rid, rule, thaw(inputs))
+                (_thaw(rloc), rid, rule, _thaw(inputs))
                 for rloc, rid, rule, inputs in select(
                     "SELECT rloc, rid, rule, inputs FROM rule_exec ORDER BY id"
                 )
@@ -631,4 +666,6 @@ class SqliteBackend(StorageBackend):
     def stats(self) -> Dict[str, Any]:
         snapshot = super().stats()
         snapshot["journal_pending"] = len(self._journal)
+        # The counter holds the ops flushes drained; the listener counts none.
+        snapshot["journal_appends"] += snapshot["journal_pending"]
         return snapshot

@@ -1,12 +1,15 @@
-"""The sqlite write path: net-effect fold, per-table grouping, failed flushes.
+"""The sqlite write path: net-effect fold, id maps, failed flushes.
 
 ``SqliteBackend.flush`` folds a journal window to its net effect and hands
-sqlite one ``executemany`` per (table, action).  The contract is that after
-every flush the three mirrored tables, read in ``ORDER BY id`` order, hold
-exactly the rows the one-statement-per-op replay would have left — row ids
-may be renumbered, their order may not.  That replay is kept here as the
-oracle (:class:`OpByOpBackend`).  A flush that raises must leave database
-and journal as they were, so the retry loses nothing.
+sqlite one ``executemany`` per (table, action), addressing rows by the ids
+the backend assigned.  The contract is that after every flush the three
+mirrored tables, read in ``ORDER BY id`` order, hold exactly the rows the
+one-statement-per-op replay would have left — row ids may be renumbered,
+their order may not.  That replay is kept here as the oracle
+(:class:`OpByOpBackend`), on a schema whose ``UNIQUE`` constraints define
+replace-on-reinsert for ``tuples``/``rule_exec``.  A flush that raises must
+leave database, journal and id maps as they were, so the retry loses
+nothing.
 """
 
 import sqlite3
@@ -20,9 +23,44 @@ from repro.datalog.ast import Fact, is_event_predicate
 from repro.storage import SqliteBackend
 from repro.storage.sqlite import _encode
 
+#: The oracle's mirrored tables: rows found by their content, keys kept
+#: unique by the constraints, ``INSERT OR REPLACE`` moving a row to the end.
+_ORACLE_SCHEMA = """
+DROP TABLE tuples;
+DROP TABLE prov;
+DROP TABLE rule_exec;
+CREATE TABLE tuples(
+    id INTEGER PRIMARY KEY,
+    node TEXT NOT NULL,
+    name TEXT NOT NULL,
+    row TEXT NOT NULL,
+    vid TEXT NOT NULL,
+    UNIQUE(node, name, row)
+);
+CREATE TABLE prov(
+    id INTEGER PRIMARY KEY,
+    loc TEXT NOT NULL,
+    vid TEXT NOT NULL,
+    rid TEXT,
+    rloc TEXT NOT NULL
+);
+CREATE TABLE rule_exec(
+    id INTEGER PRIMARY KEY,
+    rloc TEXT NOT NULL,
+    rid TEXT NOT NULL,
+    rule TEXT NOT NULL,
+    inputs TEXT NOT NULL,
+    UNIQUE(rloc, rid)
+);
+"""
+
 
 class OpByOpBackend(SqliteBackend):
     """The oracle: one statement per journal op, in journal order."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self._connection.executescript(_ORACLE_SCHEMA)
 
     def flush(self):
         drained = self._journal[:]
@@ -152,9 +190,13 @@ def test_insert_then_delete_never_reaches_the_database(backend):
     backend.record("n0", "insert", "link", ("n0", "n2", 1))
     backend.record("n0", "delete", "link", ("n0", "n1", 1))
     changes = backend._connection.total_changes
+    statements = []
+    backend._connection.set_trace_callback(statements.append)
     assert backend.flush() == 3
     assert backend.counters["cancelled_ops"] == 1
     assert backend._connection.total_changes == changes + 1  # one row written
+    # The database never held the voided insert, so its delete is no statement.
+    assert [text for text in statements if text.startswith("DELETE")] == []
     assert [row for _, _, row in backend.mirror_rows()["tuples"]] == [("n0", "n2", 1)]
 
 
@@ -208,6 +250,43 @@ def test_record_journals_hashable_rows_as_they_are(backend):
 
 
 # ---------------------------------------------------------------------- #
+# a reopened file: the backend adopts the rows it already holds
+# ---------------------------------------------------------------------- #
+def test_reopened_file_adopts_its_rows(tmp_path):
+    path = str(tmp_path / "reopened.sqlite")
+    oracle = OpByOpBackend(":memory:")
+
+    def replay(backend, window):
+        for action, (address, name, values) in window:
+            backend.record(address, action, name, values)
+            oracle.record(address, action, name, values)
+        backend.flush()
+        oracle.flush()
+        assert _contents(backend) == _contents(oracle)
+
+    # Every row, and one prov row twice: only record() can insert a copy.
+    writer = SqliteBackend(path)
+    replay(writer, [("insert", row) for row in _ROWS + [_ROWS[6]]])
+    writer.close()
+    reopened = SqliteBackend(path)
+    try:
+        replay(
+            reopened,
+            [
+                ("delete", _ROWS[0]),  # an adopted row
+                ("insert", _ROWS[1]),  # re-inserting an adopted key replaces it
+                ("delete", _ROWS[6]),  # every adopted copy
+                ("delete", _ROWS[9]),  # the adopted ruleExec row of (n0, r1)
+                ("insert", ("n2", "link", ("n2", "n0", 3))),  # ids follow the adopted ones
+            ],
+        )
+        assert reopened.stats()["journal_appends"] == 5
+    finally:
+        reopened.close()
+        oracle.close()
+
+
+# ---------------------------------------------------------------------- #
 # a flush that raises loses nothing
 # ---------------------------------------------------------------------- #
 def test_failed_flush_keeps_journal_and_database(tmp_path):
@@ -216,20 +295,71 @@ def test_failed_flush_keeps_journal_and_database(tmp_path):
     try:
         backend._connection.execute("PRAGMA busy_timeout=0")
         backend.record("n0", "insert", "link", ("n0", "n1", 1))
+        backend.flush()
         backend.record("n0", "insert", "link", ("n0", "n2", 1))
+        backend.record("n0", "delete", "link", ("n0", "n1", 1))
+        backend.record("n0", "insert", "link", ("n0", "n1", 1))
         before = dict(backend.counters)
+        ids = [dict(held) for held in backend._ids], list(backend._next_ids)
         blocker.execute("BEGIN EXCLUSIVE")
         with pytest.raises(sqlite3.OperationalError, match="locked"):
             backend.flush()
-        assert backend.stats()["journal_pending"] == 2
+        assert backend.stats()["journal_pending"] == 3
         assert backend.counters == before
+        assert ([dict(held) for held in backend._ids], backend._next_ids) == ids
         blocker.execute("ROLLBACK")
-        assert backend.flush() == 2
+        assert backend.flush() == 3
         assert backend.stats()["journal_pending"] == 0
         assert [row for _, _, row in backend.mirror_rows()["tuples"]] == [
-            ("n0", "n1", 1),
             ("n0", "n2", 1),
+            ("n0", "n1", 1),
         ]
+        # The ids the retry assigned are the ones later deletes find.
+        backend.record("n0", "delete", "link", ("n0", "n1", 1))
+        backend.record("n0", "delete", "link", ("n0", "n2", 1))
+        assert backend.flush() == 2
+        assert backend.mirror_rows()["tuples"] == []
     finally:
         blocker.close()
         backend.close()
+
+
+def test_failed_commit_leaves_the_id_maps_untouched(backend):
+    # Every statement runs; the deferred foreign key then fails the COMMIT.
+    connection = backend._connection
+    connection.executescript(
+        """
+        PRAGMA foreign_keys = ON;
+        CREATE TABLE guard(id INTEGER PRIMARY KEY);
+        CREATE TABLE guarded(
+            ref INTEGER REFERENCES guard(id) DEFERRABLE INITIALLY DEFERRED
+        );
+        CREATE TRIGGER poison AFTER INSERT ON tuples WHEN NEW.name = 'poison'
+        BEGIN INSERT INTO guarded VALUES(1); END;
+        """
+    )
+    backend.record("n0", "insert", "link", ("n0", "n1", 1))
+    backend.flush()
+    ids = [dict(held) for held in backend._ids], list(backend._next_ids)
+    backend.record("n0", "delete", "link", ("n0", "n1", 1))
+    backend.record("n0", "insert", "poison", ("n0",))
+    with pytest.raises(sqlite3.IntegrityError, match="FOREIGN KEY"):
+        backend.flush()
+    assert ([dict(held) for held in backend._ids], backend._next_ids) == ids
+    connection.execute("DROP TRIGGER poison")
+    assert backend.flush() == 2
+    assert backend.mirror_rows()["tuples"] == [("n0", "poison", ("n0",))]
+
+
+def test_close_reraises_an_unflushable_journal(tmp_path):
+    backend = SqliteBackend(str(tmp_path / "locked.sqlite"))
+    blocker = sqlite3.connect(backend.path, isolation_level=None)
+    try:
+        backend._connection.execute("PRAGMA busy_timeout=0")
+        backend.record("n0", "insert", "link", ("n0", "n1", 1))
+        blocker.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            backend.close()
+        assert backend._connection is None  # released all the same
+    finally:
+        blocker.close()
