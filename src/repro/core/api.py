@@ -24,27 +24,23 @@ Typical usage (see ``examples/quickstart.py``)::
     print(answer.result)
 
 Construction knobs live in one validated, frozen
-:class:`~repro.core.config.ExspanConfig`; the historical keyword sprawl
-(``mode=``, ``planner=``, ``query_cache_capacity=``, ...) still works
-through a deprecation shim that assembles the equivalent config.
-Provenance queries go through the one typed request/response entry point
-(:meth:`ExspanNetwork.execute` / :meth:`ExspanNetwork.submit`, both taking
-a :class:`~repro.core.requests.QueryRequest`); the older
-``register_query_spec`` / ``issue_query`` / ``query_provenance`` trio is
-deprecated and forwards to the same machinery.
+:class:`~repro.core.config.ExspanConfig`.  Provenance queries go through
+the one typed request/response entry point (:meth:`ExspanNetwork.execute`
+/ :meth:`ExspanNetwork.submit`, both taking a
+:class:`~repro.core.requests.QueryRequest`); :meth:`ExspanNetwork.register_spec`
+installs a customization ahead of time.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..datalog.ast import Fact, Program
-from ..datalog.engine import Delta, NDlogEngine, RuleFiring
+from ..datalog.engine import Delta, NDlogEngine
 from ..datalog.functions import default_registry
 from ..net.host import Host
 from ..net.message import HEADER_OVERHEAD, Message, payload_size
@@ -88,17 +84,12 @@ class ExspanNetwork:
         config: Optional[ExspanConfig] = None,
         *,
         tracer: Any = None,
-        **legacy_kwargs: Any,
     ):
         """Build a network from *topology*, *program* and one *config*.
 
         ``config`` carries every construction knob (see
         :class:`~repro.core.config.ExspanConfig`); omitting it uses the
-        documented defaults.  The pre-config keyword surface (``mode=``,
-        ``planner=``, ``query_cache_capacity=``, ``local_addresses=``,
-        ...) still works through a deprecation shim that assembles the
-        equivalent config — construction through either path is
-        bit-identical.
+        documented defaults, and anything else is a :class:`TypeError`.
 
         ``tracer`` stays a direct keyword because it is runtime wiring,
         not configuration: it installs an observability tracer across the
@@ -108,29 +99,10 @@ class ExspanNetwork:
         automatically.  Tracing never perturbs results: fixpoints, VIDs,
         counters and traffic bytes are identical with it on or off.
         """
-        if isinstance(config, ProvenanceMode):
-            # Positional legacy form: ExspanNetwork(topology, program, mode).
-            legacy_kwargs["mode"] = config
-            config = None
-        if legacy_kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=ExspanConfig(...) or legacy keyword "
-                    f"arguments, not both (got {sorted(legacy_kwargs)})"
-                )
-            unknown = sorted(set(legacy_kwargs) - set(ExspanConfig.field_names()))
-            if unknown:
-                raise TypeError(f"unknown ExspanNetwork arguments: {unknown}")
-            warnings.warn(
-                "constructing ExspanNetwork from individual keyword arguments "
-                f"({sorted(legacy_kwargs)}) is deprecated; pass "
-                "config=ExspanConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ExspanConfig(**legacy_kwargs)
-        elif config is None:
+        if config is None:
             config = ExspanConfig()
+        elif not isinstance(config, ExspanConfig):
+            raise TypeError(f"config must be an ExspanConfig, got {config!r}")
         self.config = config
         self.topology = topology
         self.mode = config.mode
@@ -521,83 +493,6 @@ class ExspanNetwork:
         if isinstance(spec, str):
             return spec
         return self.register_spec(spec)
-
-    # ------------------------------------------------------------------ #
-    # provenance queries — deprecated pre-request-API surface
-    # ------------------------------------------------------------------ #
-    def register_query_spec(self, spec: QuerySpec) -> None:
-        """Deprecated: use :meth:`register_spec`."""
-        warnings.warn(
-            "ExspanNetwork.register_query_spec is deprecated; use "
-            "register_spec (or pass the spec on a QueryRequest)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.register_spec(spec)
-
-    def issue_query(
-        self,
-        fact: Fact,
-        spec: Union[QuerySpec, str],
-        issuer: Optional[Any] = None,
-        target: Optional[Any] = None,
-        on_complete: Optional[Callable[[QueryOutcome], None]] = None,
-    ) -> str:
-        """Deprecated: use :meth:`submit` with a :class:`QueryRequest`.
-
-        The callback keeps receiving the raw :class:`QueryOutcome` for
-        compatibility.
-        """
-        warnings.warn(
-            "ExspanNetwork.issue_query is deprecated; use "
-            "submit(QueryRequest(...), on_complete)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec_name = self._ensure_spec(spec)
-        target_node = target if target is not None else fact.location
-        issuer_node = issuer if issuer is not None else target_node
-        service = self.node(issuer_node).query_service
-        callback = on_complete if on_complete is not None else (lambda outcome: None)
-        return service.query(fact_vid(fact), target_node, spec_name, callback)
-
-    def query_provenance(
-        self,
-        fact: Fact,
-        spec: Union[QuerySpec, str],
-        issuer: Optional[Any] = None,
-        target: Optional[Any] = None,
-        max_events: Optional[int] = None,
-    ) -> QueryOutcome:
-        """Deprecated: use :meth:`execute` with a :class:`QueryRequest`.
-
-        Returns the raw :class:`QueryOutcome` for compatibility; the
-        result value is identical to ``execute(...).result``.
-        """
-        warnings.warn(
-            "ExspanNetwork.query_provenance is deprecated; use "
-            "execute(QueryRequest(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = QueryRequest(fact=fact, spec=spec, issuer=issuer, target=target)
-        spec_name = self._ensure_spec(request.spec)
-        outcomes: List[QueryOutcome] = []
-        service_issuer = (
-            request.issuer
-            if request.issuer is not None
-            else (request.target if request.target is not None else fact.location)
-        )
-        target_node = request.target if request.target is not None else fact.location
-        self.node(service_issuer).query_service.query(
-            fact_vid(fact), target_node, spec_name, outcomes.append
-        )
-        self.simulator.run_until_idle(max_events=max_events)
-        if not outcomes:
-            raise QueryTimeoutError(
-                f"provenance query for {fact} did not complete"
-            )
-        return outcomes[0]
 
     # ------------------------------------------------------------------ #
     # analysis / statistics

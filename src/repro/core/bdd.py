@@ -105,10 +105,6 @@ class BddManager:
     # ------------------------------------------------------------------ #
     # variables and terminals
     # ------------------------------------------------------------------ #
-    @property
-    def variable_count(self) -> int:
-        return len(self._vars)
-
     def false(self) -> "Bdd":
         return Bdd(self, self.FALSE_ID)
 

@@ -16,16 +16,15 @@ value object with documented defaults:
   canonical JSON form the always-on query service uses to describe the
   network it hosts over the wire.
 
-``ExspanNetwork(topology, program, mode=..., planner=...)`` still works
-through a deprecation shim that assembles the equivalent config (and warns
-once per call site); new code should pass ``config=ExspanConfig(...)``.
+``ExspanNetwork(topology, program, config=ExspanConfig(...))`` is the one
+way to build a network.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .errors import ProvenanceError
 from .modes import ProvenanceMode
@@ -82,10 +81,10 @@ class ExspanConfig:
         (``"bdd"`` or ``"polynomial"``);
         ``collector`` — collector node for centralized mode (defaults to
         the topology's first node);
-        ``planner`` — rule planner (``None`` = process default,
-        ``"greedy"`` or ``"naive"``);
-        ``pipeline`` — delta pipeline (``None`` = process default,
-        ``"batched"`` or ``"delta"``; the two are bit-identical).
+        ``planner`` — rule planner (``None`` = ``"greedy"``, or
+        ``"naive"``);
+        ``pipeline`` — delta pipeline (``None`` = ``"batched"``, or
+        ``"delta"``; the two are bit-identical).
 
     Workload
         ``link_cost`` — default cost for runtime-added links;
@@ -231,13 +230,3 @@ class ExspanConfig:
         if unknown:
             raise ProvenanceError(f"unknown ExspanConfig keys: {unknown}")
         return cls(**dict(payload))
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        """The config's field names (the legacy-kwarg shim's vocabulary)."""
-        return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def freeze_addresses(addresses: Optional[Iterable[Any]]) -> Optional[Tuple[Any, ...]]:
-    """Normalize an optional address iterable to a tuple (or ``None``)."""
-    return None if addresses is None else tuple(addresses)

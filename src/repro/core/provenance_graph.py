@@ -92,12 +92,6 @@ class ProvenanceGraph:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def tuple_vertex(self, vid: str) -> Optional[TupleVertex]:
-        return self.tuples.get(vid)
-
-    def rule_vertex(self, rid: str) -> Optional[RuleVertex]:
-        return self.rules.get(rid)
-
     def derivations_of(self, vid: str) -> List[RuleVertex]:
         vertex = self.tuples.get(vid)
         if vertex is None:

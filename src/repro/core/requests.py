@@ -1,10 +1,8 @@
 """The consolidated public query API: typed requests, typed results.
 
-Until this layer existed the provenance engine had three in-process entry
-points (``register_query_spec`` / ``issue_query`` / ``query_provenance``)
-taking live :class:`~repro.core.query.QuerySpec` objects full of callables —
-unusable from outside the interpreter.  This module defines the one
-request/response surface everything now shares:
+A live :class:`~repro.core.query.QuerySpec` is full of callables, so it
+cannot leave the interpreter.  This module defines the one
+request/response surface every caller shares:
 
 * :class:`SpecDescriptor` — a declarative, JSON-serializable description of
   a query customization (kind + traversal + knobs).  ``build()`` maps it

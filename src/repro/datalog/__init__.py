@@ -1,9 +1,9 @@
 """NDlog: the declarative networking substrate used by ExSPAN.
 
 The package provides the language front end (:mod:`repro.datalog.parser`,
-:mod:`repro.datalog.ast`), builtin functions and aggregates, per-node storage
-(:mod:`repro.datalog.catalog`), and the pipelined semi-naive evaluation
-engine (:mod:`repro.datalog.engine`).
+:mod:`repro.datalog.ast`), builtin functions and aggregates, and the
+pipelined semi-naive evaluation engine (:mod:`repro.datalog.engine`).  Each
+engine keeps its tables in a :class:`repro.storage.memory.Catalog`.
 """
 
 from .aggregates import AggregateState
@@ -17,7 +17,6 @@ from .ast import (
     TableDecl,
     is_event_predicate,
 )
-from .catalog import Catalog, Table
 from .engine import (
     DELETE,
     INSERT,
@@ -26,8 +25,6 @@ from .engine import (
     Delta,
     NDlogEngine,
     RuleFiring,
-    default_planner,
-    set_default_planner,
 )
 from .plan import (
     CostModel,
@@ -71,8 +68,6 @@ __all__ = [
     "Rule",
     "TableDecl",
     "is_event_predicate",
-    "Catalog",
-    "Table",
     "DELETE",
     "INSERT",
     "PLANNERS",
@@ -80,8 +75,6 @@ __all__ = [
     "Delta",
     "NDlogEngine",
     "RuleFiring",
-    "default_planner",
-    "set_default_planner",
     "CostModel",
     "GreedyOptimizer",
     "IndexManager",

@@ -1,7 +1,7 @@
 """Per-node NDlog evaluation engine (batched pipelined semi-naive evaluation).
 
 Each network node runs one :class:`NDlogEngine`.  The engine owns the node's
-:class:`~repro.datalog.catalog.Catalog` of materialized tables, a FIFO queue
+:class:`~repro.storage.memory.Catalog` of materialized tables, a FIFO queue
 of pending :class:`Delta` updates, and a compiled form of the NDlog program.
 
 Evaluation follows the pipelined semi-naive (PSN) strategy described in the
@@ -73,7 +73,7 @@ from .ast import (
     Rule,
     is_event_predicate,
 )
-from .catalog import Catalog, Table, freeze_value
+from ..storage.memory import Catalog, Table, freeze_value
 from .errors import EvaluationError, ValidationError
 from .functions import FunctionRegistry, default_registry
 from .plan import (
@@ -97,57 +97,19 @@ __all__ = [
     "REFRESH",
     "PLANNERS",
     "PIPELINES",
-    "default_planner",
-    "set_default_planner",
-    "default_pipeline",
-    "set_default_pipeline",
 ]
 
-#: Evaluation strategies: "greedy" routes deltas through compiled plans from
-#: the cost-based planner (:mod:`repro.datalog.plan`); "naive" is the
-#: unoptimized left-to-right nested-loop join with no secondary indexes,
-#: kept so benchmarks can quantify what the planner buys.
+#: Evaluation strategies: "greedy" (the default) routes deltas through
+#: compiled plans from the cost-based planner (:mod:`repro.datalog.plan`);
+#: "naive" is the unoptimized left-to-right nested-loop join with no
+#: secondary indexes, kept so benchmarks can quantify what the planner buys.
 PLANNERS = ("greedy", "naive")
 
-#: Delta pipelines: "batched" drains the queue in per-(predicate, action)
-#: runs and executes closure-compiled plans; "delta" is the legacy
-#: one-delta-at-a-time interpreter, kept as the equivalence oracle.
-#: Results are bit-identical across the two.
+#: Delta pipelines: "batched" (the default) drains the queue in
+#: per-(predicate, action) runs and executes closure-compiled plans;
+#: "delta" is the legacy one-delta-at-a-time interpreter, kept as the
+#: equivalence oracle.  Results are bit-identical across the two.
 PIPELINES = ("batched", "delta")
-
-_DEFAULT_PLANNER = "greedy"
-_DEFAULT_PIPELINE = "batched"
-
-
-def default_planner() -> str:
-    """The strategy engines use when constructed without an explicit one."""
-    return _DEFAULT_PLANNER
-
-
-def set_default_planner(name: str) -> None:
-    """Set the process-wide default planner (experiment harness plumbing)."""
-    global _DEFAULT_PLANNER
-    if name not in PLANNERS:
-        raise ValueError(f"unknown planner {name!r}; expected one of {PLANNERS}")
-    _DEFAULT_PLANNER = name
-
-
-def default_pipeline() -> str:
-    """The pipeline engines use when constructed without an explicit one."""
-    return _DEFAULT_PIPELINE
-
-
-def set_default_pipeline(name: str) -> None:
-    """Set the process-wide default pipeline (experiment harness plumbing).
-
-    Like :func:`set_default_planner` this is an execution-environment knob:
-    all pipelines produce bit-identical results, so it never participates
-    in scenario fingerprints — the CI artifact gates exploit exactly that.
-    """
-    global _DEFAULT_PIPELINE
-    if name not in PIPELINES:
-        raise ValueError(f"unknown pipeline {name!r}; expected one of {PIPELINES}")
-    _DEFAULT_PIPELINE = name
 
 
 INSERT = "insert"
@@ -296,12 +258,12 @@ class NDlogEngine:
         #: Never feeds :attr:`stats` — engine counters are part of the
         #: deterministic state digest and must not see tracing.
         self.tracer = None
-        self.planner = planner if planner is not None else default_planner()
+        self.planner = planner if planner is not None else "greedy"
         if self.planner not in PLANNERS:
             raise ValidationError(
                 f"unknown planner {self.planner!r}; expected one of {PLANNERS}"
             )
-        self.pipeline = pipeline if pipeline is not None else default_pipeline()
+        self.pipeline = pipeline if pipeline is not None else "batched"
         if self.pipeline not in PIPELINES:
             raise ValidationError(
                 f"unknown pipeline {self.pipeline!r}; expected one of {PIPELINES}"
@@ -1197,11 +1159,12 @@ class NDlogEngine:
     # ------------------------------------------------------------------ #
     def table_rows(self, name: str) -> List[Tuple[Any, ...]]:
         """Return the rows of local table *name* (sorted, for stable tests)."""
-        table = self.catalog.table(name)
-        return sorted(table.rows(), key=repr)
+        table = self.catalog.get(name)  # a read creates nothing
+        return [] if table is None else sorted(table.rows(), key=repr)
 
     def has_fact(self, name: str, values: Sequence[Any]) -> bool:
-        return tuple(values) in self.catalog.table(name)
+        table = self.catalog.get(name)
+        return table is not None and tuple(values) in table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NDlogEngine(address={self.address!r}, rules={len(self.rules)})"

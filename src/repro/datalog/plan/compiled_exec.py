@@ -33,7 +33,7 @@ from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ast import Assignment, Atom, is_event_predicate
-from ..catalog import freeze_value
+from ...storage.memory import freeze_value
 from ..errors import EvaluationError
 from ..functions import _f_sha1, _sha1_cache, _sha1_counts
 from ..terms import (

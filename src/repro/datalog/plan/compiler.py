@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..ast import Assignment, Atom, Fact, Rule
-from ..catalog import freeze_value
+from ...storage.memory import freeze_value
 from ..errors import EvaluationError
 from .compiled_exec import (
     compile_head,

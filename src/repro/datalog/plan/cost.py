@@ -5,7 +5,7 @@ given the set of variables already bound.  It is deliberately simple — the
 same shape classical Datalog evaluators use:
 
 * the base cardinality is the *live* row count of the relation's local
-  fragment (taken from the owning :class:`~repro.datalog.catalog.Catalog`),
+  fragment (taken from the owning :class:`~repro.storage.memory.Catalog`),
   so plans compiled after tables have filled up see real sizes;
 * every bound argument position multiplies the estimate by a fixed
   selectivity factor (equality predicates on hash-indexed positions);
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from ..catalog import Catalog
+from ...storage.memory import Catalog
 from .normalize import AtomSignature
 
 __all__ = ["CostEstimate", "CatalogStatistics", "CostModel", "DEFAULT_SELECTIVITY"]

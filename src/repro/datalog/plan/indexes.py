@@ -9,10 +9,10 @@ front (so the first delta does not pay a lazy build during evaluation) and
 records it, and the table keeps it consistent incrementally on every
 insert and delete.
 
-The manager also owns the counters benchmarks read: how many indexes were
-registered and how many index entries exist, which — together with the
-engine's ``tuples_scanned`` / ``index_lookups`` counters — lets reports
-show scan-count reductions rather than just wall-clock.
+The manager also owns the counter benchmarks read: how many indexes were
+registered, which — together with the engine's ``tuples_scanned`` /
+``index_lookups`` counters — lets reports show scan-count reductions
+rather than just wall-clock.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, MutableMapping, Optional, Set, Tuple
 
-from ..catalog import Catalog
+from ...storage.memory import Catalog
 
 __all__ = ["IndexManager"]
 
@@ -66,15 +66,6 @@ class IndexManager:
     def is_registered(self, name: str, positions: Iterable[int]) -> bool:
         canonical = tuple(sorted(set(positions)))
         return canonical in self._registered.get(name, ())
-
-    def index_entry_count(self) -> int:
-        """Total rows currently held across all registered indexes."""
-        total = 0
-        for name, position_sets in self._registered.items():
-            table = self.catalog.table(name)
-            for positions in position_sets:
-                total += table.index_size(positions)
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         count = sum(len(v) for v in self._registered.values())

@@ -84,13 +84,6 @@ class NormalizedRule:
     def signature(self, position: int) -> AtomSignature:
         return self.atoms[position]
 
-    def atom_variables(self) -> FrozenSet[str]:
-        """Every variable bound by at least one body atom."""
-        names: set = set()
-        for signature in self.atoms:
-            names.update(signature.var_positions)
-        return frozenset(names)
-
     def evaluable_literal_prefix(self, atom_bound: FrozenSet[str]) -> int:
         """How many leading literals are evaluable given *atom_bound* vars.
 

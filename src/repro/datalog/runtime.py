@@ -119,7 +119,9 @@ class StandaloneNetwork:
         """Union of table *name* across every node (sorted for stable tests)."""
         rows: List[Tuple[Any, ...]] = []
         for engine in self.engines.values():
-            rows.extend(engine.catalog.table(name).rows())
+            table = engine.catalog.get(name)  # a read creates nothing
+            if table is not None:
+                rows.extend(table.rows())
         return sorted(rows, key=repr)
 
     def planner_stats(self) -> Dict[str, int]:

@@ -1,75 +1,44 @@
 """Experiment harness: regenerate every figure of the paper's evaluation.
 
 The declarative scenario registry (:mod:`repro.experiments.scenarios`)
-describes every sweep; the orchestrator
+describes every sweep, and :func:`~repro.experiments.scenarios.run_figure`
+runs one figure in process; the orchestrator
 (:mod:`repro.experiments.orchestrator`, CLI ``python -m repro.experiments
 run|list|compare``) fans the independent trials across a process pool and
 writes versioned ``BENCH_*.json`` artifacts with a CI regression gate.
-See :mod:`repro.experiments.figures` for the per-figure runners,
-:mod:`repro.experiments.trials` for the atomic measurements,
+See :mod:`repro.experiments.trials` for the atomic measurements,
 :mod:`repro.experiments.workloads` for the query / packet / churn workload
 generators and :mod:`repro.experiments.reporting` for the shape checks that
 compare the reproduction against the paper's reported trends.
 """
 
-from .figures import (
-    MODE_LABELS,
-    all_figures,
-    build_network,
-    figure_06_mincost_communication,
-    figure_07_pathvector_communication,
-    figure_08_packetforward_bandwidth,
-    figure_09_mincost_churn,
-    figure_10_pathvector_churn,
-    figure_11_caching_bandwidth,
-    figure_12_caching_latency,
-    figure_13_traversal_bandwidth,
-    figure_14_traversal_latency,
-    figure_15_polynomial_vs_bdd,
-    figure_16_testbed_bandwidth,
-    figure_17_testbed_fixpoint,
-)
 from .metrics import FigureResult, Series, format_table
 from .orchestrator import CompareReport, RunReport, compare, run
 from .reporting import check_shape, paper_expectations, render_report
-from .runner import FIGURE_RUNNERS, run_figures
 from .scenarios import (
     SCENARIOS,
     Scenario,
     TrialSpec,
     assemble_figure,
+    figure_scenarios,
     get_scenario,
     register,
     run_figure,
     scenario_for_figure,
     unregister,
 )
+from .trials import MODE_LABELS, build_network
 from .workloads import PacketWorkload, QueryWorkload, make_churn
 
 __all__ = [
     "MODE_LABELS",
-    "all_figures",
     "build_network",
-    "figure_06_mincost_communication",
-    "figure_07_pathvector_communication",
-    "figure_08_packetforward_bandwidth",
-    "figure_09_mincost_churn",
-    "figure_10_pathvector_churn",
-    "figure_11_caching_bandwidth",
-    "figure_12_caching_latency",
-    "figure_13_traversal_bandwidth",
-    "figure_14_traversal_latency",
-    "figure_15_polynomial_vs_bdd",
-    "figure_16_testbed_bandwidth",
-    "figure_17_testbed_fixpoint",
     "FigureResult",
     "Series",
     "format_table",
     "check_shape",
     "paper_expectations",
     "render_report",
-    "FIGURE_RUNNERS",
-    "run_figures",
     "PacketWorkload",
     "QueryWorkload",
     "make_churn",
@@ -77,6 +46,7 @@ __all__ = [
     "Scenario",
     "TrialSpec",
     "assemble_figure",
+    "figure_scenarios",
     "get_scenario",
     "register",
     "unregister",

@@ -23,8 +23,8 @@ job runs it against the committed baselines under ``benchmarks/baselines/``.
 ``trace`` validates captured trace files against the Chrome trace-event
 schema and prints their flamegraph-style phase summaries.
 
-The legacy per-figure report (tables plus the paper's qualitative shape
-checks) remains available as ``python -m repro.experiments.runner``.
+The per-figure report (tables plus the paper's qualitative shape checks)
+is ``python benchmarks/bench_figures.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ..datalog.engine import PIPELINES, PLANNERS
+from ..datalog.engine import PLANNERS
 from ..obs.export import (
     load_trace,
     phase_summary,
@@ -80,7 +80,6 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
             resume=not arguments.no_resume,
             planner=arguments.planner,
             shards=arguments.shards,
-            pipeline=arguments.pipeline,
             verbose=arguments.verbose,
             trace_dir=arguments.trace,
             storage=arguments.storage,
@@ -203,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker-shard count for shard-capable trials (the "
         "sharded engine is bit-identical to serial, so artifacts are "
         "byte-identical for any value — CI exploits that as a gate)",
-    )
-    run_parser.add_argument(
-        "--pipeline", choices=PIPELINES, default=None,
-        help="default delta-evaluation pipeline for every trial (delta or "
-        "batched; the two are bit-identical by contract, so artifacts are "
-        "byte-identical for either choice)",
     )
     run_parser.add_argument(
         "--storage", default=None, metavar="SPEC",

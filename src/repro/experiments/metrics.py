@@ -1,6 +1,6 @@
 """Result containers and formatting for the experiment harness.
 
-Every figure runner in :mod:`repro.experiments.figures` returns a
+Every figure run (:func:`repro.experiments.scenarios.run_figure`) returns a
 :class:`FigureResult`: a set of named series (one per curve in the paper's
 figure) plus enough metadata to print a readable table.  The harness prints
 these rows; EXPERIMENTS.md records the comparison against the paper.

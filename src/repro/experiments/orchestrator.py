@@ -36,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.requests import canonical_json
 from ..obs.export import phase_breakdown, write_chrome_trace
 from ..obs.runtime import disable_tracing, enable_tracing
 from .scenarios import (
@@ -45,7 +46,6 @@ from .scenarios import (
     resolve_scenarios,
     run_trial_spec,
 )
-from ..datalog.engine import set_default_pipeline
 from .trials import TRIAL_FUNCTIONS, set_default_faults, set_default_shards
 
 __all__ = [
@@ -99,14 +99,10 @@ DEFAULT_COMPARE_KEYS: Tuple[str, ...] = (
 )
 
 
-def _canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def trial_fingerprint(fn: str, kwargs: Mapping[str, Any]) -> str:
     """Content hash identifying one trial configuration (drives resume)."""
     digest = hashlib.sha256(
-        _canonical_json({"schema": SCHEMA_VERSION, "fn": fn, "kwargs": kwargs}).encode()
+        canonical_json({"schema": SCHEMA_VERSION, "fn": fn, "kwargs": kwargs}).encode()
     )
     return digest.hexdigest()[:16]
 
@@ -207,15 +203,12 @@ _TRACE_DIR: Optional[str] = None
 def _configure_worker(
     shards: int,
     trace_dir: Optional[str],
-    pipeline: Optional[str] = None,
     storage: Optional[str] = None,
     faults: Optional[str] = None,
 ) -> None:
-    """Process-pool initializer: shard count, trace dir, pipeline, storage, faults."""
+    """Process-pool initializer: shard count, trace dir, storage, faults."""
     global _TRACE_DIR
     set_default_shards(shards)
-    if pipeline is not None:
-        set_default_pipeline(pipeline)
     if storage is not None:
         from ..storage.backend import set_default_storage
 
@@ -300,7 +293,6 @@ def run(
     resume: bool = True,
     planner: Optional[str] = None,
     shards: Optional[int] = None,
-    pipeline: Optional[str] = None,
     verbose: bool = False,
     trace_dir: Optional[str] = None,
     storage: Optional[str] = None,
@@ -318,10 +310,6 @@ def run(
     bit-identical to the serial one — artifacts produced under any
     ``shards`` value must match byte for byte, which is how CI verifies
     the engine's determinism guarantee against the committed baselines.
-    ``pipeline`` follows the ``shards`` convention exactly: it sets the
-    process-wide default delta-evaluation pipeline (``"delta"`` or
-    ``"batched"``) without entering kwargs or fingerprints — the two are
-    bit-identical by contract.
     ``trace_dir`` mirrors ``shards``: it enables span tracing for every
     executed trial, writes one Chrome trace per trial into the directory
     and adds the advisory per-trial ``"phases"`` breakdown — while the
@@ -348,8 +336,6 @@ def run(
     global _TRACE_DIR
     if shards is not None:
         set_default_shards(shards)
-    if pipeline is not None:
-        set_default_pipeline(pipeline)
     if storage is not None:
         from ..storage.backend import set_default_storage
 
@@ -414,7 +400,6 @@ def run(
                 initargs=(
                     shards if shards is not None else 1,
                     trace_dir,
-                    pipeline,
                     storage,
                     faults,
                 ),

@@ -204,8 +204,8 @@ def assemble_figure(
 def run_figure(name: str, scale: str = "quick", **overrides: Any) -> FigureResult:
     """Run one scenario serially in-process and return its figure result.
 
-    This is the thin path the ``figure_XX`` wrappers and the benchmark
-    suite use; the orchestrator uses the same expansion and assembly but
+    This is the path ``benchmarks/bench_figures.py`` and in-process
+    callers use; the orchestrator uses the same expansion and assembly but
     executes the trial specs across a process pool.
     """
     scenario = get_scenario(name)

@@ -120,9 +120,8 @@ def build_network(
     """Build, seed and (optionally) fixpoint an :class:`ExspanNetwork`.
 
     ``planner`` selects the per-node evaluation strategy (``"greedy"`` /
-    ``"naive"``); ``None`` uses the process-wide default, which
-    ``repro.experiments.runner --planner`` controls.  When a process-wide
-    fault plan is set (``--faults``), it is installed before the network
+    ``"naive"``); ``None`` means ``"greedy"``.  When a process-wide fault
+    plan is set (``--faults``), it is installed before the network
     is seeded, so the whole fixpoint runs under injected faults.
     """
     network = ExspanNetwork(

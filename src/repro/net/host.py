@@ -69,9 +69,6 @@ class Host:
         """Register *handler* for messages of the given *kind*."""
         self._handlers[kind] = handler
 
-    def has_handler(self, kind: str) -> bool:
-        return kind in self._handlers
-
     # ------------------------------------------------------------------ #
     # sending / receiving
     # ------------------------------------------------------------------ #

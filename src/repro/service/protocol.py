@@ -3,9 +3,10 @@
 Every message on the socket — in either direction — is one *frame*:
 
 * a 4-byte big-endian unsigned length ``N``;
-* ``N`` bytes of UTF-8 canonical JSON (sorted keys, compact separators —
-  the same canonical form :mod:`repro.core.requests` uses, so a frame's
-  bytes are a deterministic function of its payload).
+* ``N`` bytes of UTF-8 canonical JSON
+  (:func:`repro.core.requests.canonical_json`: sorted keys, compact
+  separators, so a frame's bytes are a deterministic function of its
+  payload).
 
 Requests are ``{"id": ..., "op": ..., "params": {...}}``; responses echo
 the id as ``{"id": ..., "ok": true, "result": ...}`` or
@@ -25,6 +26,8 @@ import json
 import socket
 import struct
 from typing import Any, Dict, Optional
+
+from ..core.requests import canonical_json
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -87,7 +90,7 @@ class FrameError(ProtocolError):
 
 def canonical_payload_bytes(payload: Any) -> bytes:
     """Canonical JSON bytes of *payload* (sorted keys, compact separators)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json(payload).encode("utf-8")
 
 
 def encode_frame(payload: Any, max_frame: int = MAX_FRAME_BYTES) -> bytes:

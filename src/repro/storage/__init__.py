@@ -3,9 +3,9 @@
 This package owns tuple storage for the whole system:
 
 * :mod:`repro.storage.memory` — the tuple-row :class:`Table` /
-  :class:`Catalog` machinery (formerly ``repro.datalog.catalog``, which
-  re-exports it for compatibility) plus :class:`MemoryBackend`, the
-  default backend that adds nothing on top of the in-RAM tier;
+  :class:`Catalog` machinery every engine evaluates against, plus
+  :class:`MemoryBackend`, the default backend that adds nothing on top of
+  the in-RAM tier;
 * :mod:`repro.storage.backend` — the :class:`StorageBackend` interface,
   spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``) and
   the process-wide default knob (:func:`default_storage` /
@@ -16,15 +16,13 @@ This package owns tuple storage for the whole system:
 * :mod:`repro.storage.checkpoint` — snapshot-consistent network
   checkpoint & restore (``ExspanNetwork.checkpoint``/``restore``).
 
-Backend choice is an execution-environment knob like ``--shards`` and
-``--pipeline``: never fingerprinted, and results are byte-identical under
-any backend.
+Backend choice is an execution-environment knob like ``--shards``: never
+fingerprinted, and results are byte-identical under any backend.
 """
 
-# Imported first to break the import cycle with repro.datalog: its catalog
-# module re-exports repro.storage.memory, so whichever package is imported
-# first must let the other finish loading the memory tier (see trace in
-# the module docstrings).
+# Imported first to break the import cycle with repro.datalog: its engine
+# imports repro.storage.memory, so whichever package is imported first must
+# let the other finish loading the memory tier.
 from .. import datalog as _datalog  # noqa: F401
 
 from .backend import (

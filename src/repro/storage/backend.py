@@ -10,7 +10,7 @@ to disk (write-behind), answer SQL-compiled provenance queries, and carry
 checkpoint/restore bookkeeping.
 
 Backend selection follows the execution-environment knob convention
-established by ``--shards`` and ``--pipeline``: the spec is never part of a
+established by ``--shards``: the spec is never part of a
 trial fingerprint, and results (fixpoints, VIDs, prov/ruleExec rows,
 annotations, planner/traffic counters) must be byte-identical under any
 backend.  ``MemoryBackend`` registers no listeners at all, so the default
@@ -75,9 +75,9 @@ def validate_storage_spec(spec: str) -> str:
     return spec
 
 
-# Process-wide default, mirroring ``default_pipeline``/``set_default_pipeline``
-# in the engine: CLI layers set it once per process (and per pool worker) so
-# trial functions never carry the knob in their fingerprinted kwargs.
+# Process-wide default, like ``set_default_shards`` in the trials: CLI layers
+# set it once per process (and per pool worker) so trial functions never
+# carry the knob in their fingerprinted kwargs.
 _DEFAULT_STORAGE = "memory"
 
 

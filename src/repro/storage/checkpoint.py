@@ -40,17 +40,13 @@ import os
 import tempfile
 from typing import Any, Dict, List
 
-from ..datalog.ast import Fact
 from .memory import freeze_value
+from .sqlite import _encode as _canonical
 
 __all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint", "restore_network"]
 
 CHECKPOINT_FORMAT = "exspan-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=list)
 
 
 def _address_key(address: Any) -> str:
@@ -116,7 +112,7 @@ def save_checkpoint(network: Any, path: str) -> Dict[str, Any]:
             for address, node in network.nodes.items()
         },
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list)
+    text = _canonical(payload)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".checkpoint-")
@@ -271,8 +267,3 @@ def restore_network(
     network.simulator._now = payload["now"]
     network.simulator.events_executed = payload["events_executed"]
     return network
-
-
-def checkpoint_fact_key(fact: Fact) -> Any:  # pragma: no cover - debug helper
-    """The canonical row a fact serializes to (debugging aid)."""
-    return freeze_value(tuple(fact.values))

@@ -25,8 +25,7 @@ else: no per-row wrapper object, no Python-level ``__hash__``.  Rows the
 engine builds are hashable tuples from birth and are stored as they are;
 only rows handed in from outside (lists, sets) are frozen on the way in.
 
-This module is the storage engine's in-RAM tier.  It used to live at
-``repro.datalog.catalog``, which now re-exports it; every backend —
+This module is the storage engine's in-RAM tier.  Every backend —
 including the persistent ones — keeps this tier as the authoritative copy
 consulted by evaluation, and :class:`MemoryBackend` is the backend that
 adds nothing on top of it.

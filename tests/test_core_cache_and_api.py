@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.errors import ProvenanceError
 from repro.core.vid import vid_cache_stats
-from repro.datalog import Fact
+from repro.datalog import Fact, StandaloneNetwork
 from repro.net import ring_topology
 from repro.protocols import mincost_program, pathvector_program
 
@@ -91,10 +91,10 @@ class TestCachedQueries:
     def test_second_query_uses_fewer_messages(self, reference_network):
         spec = polynomial_query(name="cached", use_cache=True)
         reference_network.stats.reset()
-        first = reference_network.query_provenance(BEST_AC, spec)
+        first = reference_network.execute(QueryRequest(BEST_AC, spec))
         first_messages = reference_network.stats.total_messages(["prov"])
         reference_network.stats.reset()
-        second = reference_network.query_provenance(BEST_AC, spec)
+        second = reference_network.execute(QueryRequest(BEST_AC, spec))
         second_messages = reference_network.stats.total_messages(["prov"])
         assert count_derivations(first.result) == count_derivations(second.result) == 2
         assert second_messages < first_messages
@@ -103,36 +103,36 @@ class TestCachedQueries:
 
     def test_cached_result_latency_is_lower(self, reference_network):
         spec = polynomial_query(name="cached-latency", use_cache=True)
-        first = reference_network.query_provenance(BEST_AC, spec)
-        second = reference_network.query_provenance(BEST_AC, spec)
+        first = reference_network.execute(QueryRequest(BEST_AC, spec))
+        second = reference_network.execute(QueryRequest(BEST_AC, spec))
         assert second.latency <= first.latency
 
     def test_cache_shared_by_overlapping_subqueries(self, reference_network):
         """A query for pathCost(@a,c,5) warms the cache for bestPathCost(@a,c,5)."""
         spec = polynomial_query(name="cached-shared", use_cache=True)
-        reference_network.query_provenance(Fact("pathCost", ("a", "c", 5)), spec)
+        reference_network.execute(QueryRequest(Fact("pathCost", ("a", "c", 5)), spec))
         reference_network.stats.reset()
-        reference_network.query_provenance(BEST_AC, spec)
+        reference_network.execute(QueryRequest(BEST_AC, spec))
         messages_after_warm = reference_network.stats.total_messages(["prov"])
         # the bestPathCost query is answered from the cached pathCost subtree
         assert messages_after_warm == 0
 
     def test_invalidation_after_link_deletion(self, reference_network):
         spec = polynomial_query(name="cached-invalidate", use_cache=True)
-        before = reference_network.query_provenance(BEST_AC, spec)
+        before = reference_network.execute(QueryRequest(BEST_AC, spec))
         assert count_derivations(before.result) == 2
         # deleting link a-c removes the direct derivation and must invalidate
         # the cached result along the reverse path
         reference_network.remove_link("a", "c")
         reference_network.run_to_fixpoint()
-        after = reference_network.query_provenance(BEST_AC, spec)
+        after = reference_network.execute(QueryRequest(BEST_AC, spec))
         assert count_derivations(after.result) == 1
         assert set(after.result.literals()) == {"link(b,a,3)", "link(b,c,2)"}
         assert reference_network.cache_stats()["invalidations"] >= 1
 
     def test_cache_disabled_spec_never_populates_cache(self, reference_network):
         spec = polynomial_query(name="uncached", use_cache=False)
-        reference_network.query_provenance(BEST_AC, spec)
+        reference_network.execute(QueryRequest(BEST_AC, spec))
         assert all(
             len(node.query_service.cache) == 0
             for node in reference_network.nodes.values()
@@ -156,7 +156,7 @@ class TestExspanNetworkFacade:
     def test_maintenance_and_query_bytes_tracked_separately(self, reference_network):
         assert reference_network.maintenance_bytes() > 0
         assert reference_network.query_bytes() == 0
-        reference_network.query_provenance(BEST_AC, polynomial_query(name="sep"))
+        reference_network.execute(QueryRequest(BEST_AC, polynomial_query(name="sep")))
         assert reference_network.query_bytes() > 0
 
     def test_unknown_node_rejected(self, reference_network):
@@ -172,6 +172,16 @@ class TestExspanNetworkFacade:
 
     def test_random_tuple_empty_table(self, reference_network):
         assert reference_network.random_tuple("doesNotExist") is None
+
+    def test_reads_create_no_tables(self, reference_network):
+        before = reference_network.predicates()
+        engine = reference_network.engine("a")
+        assert not engine.has_fact("nosuch", ("a",))
+        assert engine.table_rows("nosuch") == []
+        assert reference_network.predicates() == before
+        standalone = StandaloneNetwork(["a"], mincost_program())
+        assert standalone.all_rows("nosuch") == []
+        assert "nosuch" not in standalone.engine("a").catalog
 
     def test_add_link_updates_routes(self, reference_network):
         reference_network.add_link("a", "d", cost=1)

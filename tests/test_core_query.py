@@ -12,6 +12,7 @@ from repro.core import (
     GranularitySpec,
     ProvenanceMode,
     QueryError,
+    QueryRequest,
     TraversalOrder,
     bdd_query,
     count_derivations,
@@ -57,7 +58,7 @@ BEST_AC = Fact("bestPathCost", ("a", "c", 5))
 
 class TestPolynomialQuery:
     def test_polynomial_for_paper_example(self, figure3_network):
-        outcome = figure3_network.query_provenance(BEST_AC, polynomial_query(name="p1"))
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, polynomial_query(name="p1")))
         expression = outcome.result
         # two alternative derivations: direct link and via b (Figure 4)
         assert count_derivations(expression) == 2
@@ -68,38 +69,38 @@ class TestPolynomialQuery:
         spec = polynomial_query(
             name="p-node", granularity=GranularitySpec(Granularity.NODE)
         )
-        outcome = figure3_network.query_provenance(BEST_AC, spec)
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, spec))
         # node-level provenance of bestPathCost(@a,c,5) is <a + a*b>
         assert set(outcome.result.literals()) == {"a", "b"}
         assert count_derivations(outcome.result) == 2
 
     def test_rule_annotations_present_in_rendering(self, figure3_network):
-        outcome = figure3_network.query_provenance(BEST_AC, polynomial_query(name="p2"))
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, polynomial_query(name="p2")))
         text = str(outcome.result)
         assert "sp3@a" in text
         assert "sp2@b" in text
 
     def test_query_latency_positive_when_remote_hops_needed(self, figure3_network):
-        outcome = figure3_network.query_provenance(BEST_AC, polynomial_query(name="p3"))
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, polynomial_query(name="p3")))
         assert outcome.latency > 0.0
 
     def test_query_from_remote_issuer(self, figure3_network):
-        outcome = figure3_network.query_provenance(
-            BEST_AC, polynomial_query(name="p4"), issuer="d"
+        outcome = figure3_network.execute(
+            QueryRequest(BEST_AC, polynomial_query(name="p4"), issuer="d")
         )
         assert count_derivations(outcome.result) == 2
         assert outcome.issuer == "d"
 
     def test_query_for_base_tuple(self, figure3_network):
-        outcome = figure3_network.query_provenance(
-            Fact("link", ("a", "b", 3)), polynomial_query(name="p5")
+        outcome = figure3_network.execute(
+            QueryRequest(Fact("link", ("a", "b", 3)), polynomial_query(name="p5"))
         )
         assert set(outcome.result.literals()) == {"link(a,b,3)"}
         assert count_derivations(outcome.result) == 1
 
     def test_query_for_unknown_tuple_returns_empty(self, figure3_network):
-        outcome = figure3_network.query_provenance(
-            Fact("bestPathCost", ("a", "zzz", 1)), polynomial_query(name="p6")
+        outcome = figure3_network.execute(
+            QueryRequest(Fact("bestPathCost", ("a", "zzz", 1)), polynomial_query(name="p6"))
         )
         assert count_derivations(outcome.result) == 0
 
@@ -113,40 +114,44 @@ class TestPolynomialQuery:
 
 class TestOtherCustomizations:
     def test_derivation_count_matches_polynomial(self, figure3_network):
-        poly = figure3_network.query_provenance(BEST_AC, polynomial_query(name="c1"))
-        count = figure3_network.query_provenance(BEST_AC, derivation_count_query(name="c2"))
+        poly = figure3_network.execute(QueryRequest(BEST_AC, polynomial_query(name="c1")))
+        count = figure3_network.execute(QueryRequest(BEST_AC, derivation_count_query(name="c2")))
         assert count.result == count_derivations(poly.result)
 
     def test_node_set_query_matches_graph(self, figure3_network):
-        outcome = figure3_network.query_provenance(BEST_AC, node_set_query(name="n1"))
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, node_set_query(name="n1")))
         assert outcome.result == frozenset({"a", "b"})
 
     def test_derivability_query_default_true(self, figure3_network):
-        outcome = figure3_network.query_provenance(BEST_AC, derivability_query(name="d1"))
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, derivability_query(name="d1")))
         assert outcome.result is True
 
     def test_derivability_with_trusted_nodes(self, figure3_network):
         granularity = GranularitySpec(Granularity.NODE)
-        trusting_a = figure3_network.query_provenance(
-            BEST_AC,
-            derivability_query(name="d2", trusted={"a"}, granularity=granularity),
+        trusting_a = figure3_network.execute(
+            QueryRequest(
+                BEST_AC,
+                derivability_query(name="d2", trusted={"a"}, granularity=granularity),
+            )
         )
         # the direct derivation only involves node a, so trusting a suffices
         assert trusting_a.result is True
-        trusting_b = figure3_network.query_provenance(
-            BEST_AC,
-            derivability_query(name="d3", trusted={"b"}, granularity=granularity),
+        trusting_b = figure3_network.execute(
+            QueryRequest(
+                BEST_AC,
+                derivability_query(name="d3", trusted={"b"}, granularity=granularity),
+            )
         )
         assert trusting_b.result is False
 
     def test_bdd_query_condenses_to_polynomial_dnf(self, figure3_network):
-        poly = figure3_network.query_provenance(BEST_AC, polynomial_query(name="b1"))
-        bdd = figure3_network.query_provenance(BEST_AC, bdd_query(name="b2"))
+        poly = figure3_network.execute(QueryRequest(BEST_AC, polynomial_query(name="b1")))
+        bdd = figure3_network.execute(QueryRequest(BEST_AC, bdd_query(name="b2")))
         assert bdd.result.satisfying_products() == poly.result.to_dnf()
 
     def test_bdd_query_node_granularity_absorbs(self, figure3_network):
         spec = bdd_query(name="b3", granularity=GranularitySpec(Granularity.NODE))
-        outcome = figure3_network.query_provenance(BEST_AC, spec)
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, spec))
         # <a + a*b> condenses to <a> (Section 3, Representation)
         assert outcome.result.support() == frozenset({"a"})
 
@@ -154,7 +159,7 @@ class TestOtherCustomizations:
         # restrict traversal to rule executions at node a only
         projection = domain_projection(["a"], domain_of=lambda node: str(node))
         spec = polynomial_query(name="proj", node_filter=projection)
-        outcome = figure3_network.query_provenance(BEST_AC, spec)
+        outcome = figure3_network.execute(QueryRequest(BEST_AC, spec))
         # the sp2@b derivation is projected away, leaving the direct one
         assert count_derivations(outcome.result) == 1
         assert set(outcome.result.literals()) == {"link(a,c,5)"}
@@ -165,18 +170,16 @@ class TestTraversalOrders:
         target = None
         for node, row in grid_network.tuples("bestPathCost"):
             fact = Fact("bestPathCost", row)
-            outcome = grid_network.query_provenance(
-                fact, derivation_count_query(name="probe")
-            )
+            outcome = grid_network.execute(QueryRequest(fact, derivation_count_query(name="probe")))
             if outcome.result >= 3:
                 target = fact
                 break
         assert target is not None, "expected a multi-derivation tuple on the grid"
-        bfs = grid_network.query_provenance(
-            target, derivation_count_query(name="t-bfs", traversal=TraversalOrder.BFS)
+        bfs = grid_network.execute(
+            QueryRequest(target, derivation_count_query(name="t-bfs", traversal=TraversalOrder.BFS))
         )
-        dfs = grid_network.query_provenance(
-            target, derivation_count_query(name="t-dfs", traversal=TraversalOrder.DFS)
+        dfs = grid_network.execute(
+            QueryRequest(target, derivation_count_query(name="t-dfs", traversal=TraversalOrder.DFS))
         )
         assert bfs.result == dfs.result
 
@@ -184,25 +187,25 @@ class TestTraversalOrders:
         target = None
         for node, row in grid_network.tuples("bestPathCost"):
             fact = Fact("bestPathCost", row)
-            probe = grid_network.query_provenance(
-                fact, derivation_count_query(name="probe2")
-            )
+            probe = grid_network.execute(QueryRequest(fact, derivation_count_query(name="probe2")))
             if probe.result > 3:
                 target = fact
                 exact = probe.result
                 break
         assert target is not None
         grid_network.stats.reset()
-        full = grid_network.query_provenance(
-            target, derivation_count_query(name="full", traversal=TraversalOrder.BFS)
+        full = grid_network.execute(
+            QueryRequest(target, derivation_count_query(name="full", traversal=TraversalOrder.BFS))
         )
         full_messages = grid_network.stats.total_messages(["prov"])
         grid_network.stats.reset()
-        thresholded = grid_network.query_provenance(
-            target,
-            derivation_count_query(
-                name="thr", traversal=TraversalOrder.DFS_THRESHOLD, threshold=3
-            ),
+        thresholded = grid_network.execute(
+            QueryRequest(
+                target,
+                derivation_count_query(
+                    name="thr", traversal=TraversalOrder.DFS_THRESHOLD, threshold=3
+                ),
+            )
         )
         threshold_messages = grid_network.stats.total_messages(["prov"])
         assert full.result == exact
@@ -213,19 +216,19 @@ class TestTraversalOrders:
         target = None
         for node, row in grid_network.tuples("bestPathCost"):
             fact = Fact("bestPathCost", row)
-            probe = grid_network.query_provenance(
-                fact, derivation_count_query(name="probe3")
-            )
+            probe = grid_network.execute(QueryRequest(fact, derivation_count_query(name="probe3")))
             if probe.result >= 3:
                 target = fact
                 exact = probe.result
                 break
         assert target is not None
-        moonwalk = grid_network.query_provenance(
-            target,
-            derivation_count_query(
-                name="moon", traversal=TraversalOrder.RANDOM_MOONWALK, moonwalk_width=1
-            ),
+        moonwalk = grid_network.execute(
+            QueryRequest(
+                target,
+                derivation_count_query(
+                    name="moon", traversal=TraversalOrder.RANDOM_MOONWALK, moonwalk_width=1
+                ),
+            )
         )
         # a single random walk explores at most one derivation per vertex
         assert 1 <= moonwalk.result <= exact
@@ -235,5 +238,5 @@ class TestTraversalOrders:
         spec = node_set_query(
             name="ns-thr", traversal=TraversalOrder.DFS_THRESHOLD, threshold=2
         )
-        outcome = grid_network.query_provenance(Fact("bestPathCost", row), spec)
+        outcome = grid_network.execute(QueryRequest(Fact("bestPathCost", row), spec))
         assert len(outcome.result) >= 1

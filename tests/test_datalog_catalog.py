@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.datalog.ast import TableDecl
-from repro.datalog.catalog import Catalog, Table
+from repro.storage.memory import Catalog, Table
 from repro.datalog.errors import SchemaError
 
 

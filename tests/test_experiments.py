@@ -1,4 +1,4 @@
-"""Tests for the experiment harness: metrics, workloads, figure runners, reporting."""
+"""Tests for the experiment harness: metrics, workloads, figure runs, reporting."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import ExspanNetwork, ProvenanceMode, polynomial_query
 from repro.experiments import (
-    FIGURE_RUNNERS,
     FigureResult,
     MODE_LABELS,
     PacketWorkload,
@@ -14,16 +13,14 @@ from repro.experiments import (
     Series,
     build_network,
     check_shape,
-    figure_13_traversal_bandwidth,
-    figure_16_testbed_bandwidth,
-    figure_17_testbed_fixpoint,
     format_table,
     make_churn,
     paper_expectations,
     render_report,
-    run_figures,
+    run_figure,
+    scenario_for_figure,
 )
-from repro.experiments.figures import _size_topology
+from repro.experiments.trials import size_topology
 from repro.net import ring_topology
 from repro.protocols import mincost_program, packetforward_program, pathvector_program
 
@@ -109,7 +106,7 @@ class TestWorkloads:
 
     def test_make_churn_wires_network_callbacks(self):
         network = build_network(
-            _size_topology(24, 0), mincost_program(max_cost=16), ProvenanceMode.NONE
+            size_topology(24, 0), mincost_program(max_cost=16), ProvenanceMode.NONE
         )
         before_links = network.topology.link_count()
         churn = make_churn(network, links_per_round=2, interval=0.1, seed=4)
@@ -130,7 +127,7 @@ class TestFigureRunners:
         }
 
     def test_figure_17_small(self):
-        result = figure_17_testbed_fixpoint(sizes=(6, 10))
+        result = run_figure("fig17_testbed_fixpoint", sizes=(6, 10))
         assert result.figure_id == "Figure 17"
         assert set(result.series) == set(MODE_LABELS.values())
         for series in result.series.values():
@@ -139,28 +136,28 @@ class TestFigureRunners:
         assert all(holds for _, holds in checks)
 
     def test_figure_16_small(self):
-        result = figure_16_testbed_bandwidth(size=8)
+        result = run_figure("fig16_testbed_bandwidth", size=8)
         assert len(result.series) == 3
         assert any("total KB per node" in key for key in result.notes)
 
     def test_figure_13_small(self):
-        result = figure_13_traversal_bandwidth(grid_side=3, duration=0.5)
+        result = run_figure("fig13_traversal_bandwidth", grid_side=3, duration=0.5)
         assert set(result.series) == {"BFS", "DFS", "DFS-Threshold"}
 
     def test_run_figures_selection_and_unknown_id(self):
-        results = run_figures(["17"], verbose=False)
-        assert len(results) == 1
+        result = run_figure(scenario_for_figure("17").name, sizes=(6,))
+        assert result.figure_id == "Figure 17"
         with pytest.raises(KeyError):
-            run_figures(["99"], verbose=False)
+            scenario_for_figure("99")
 
     def test_all_figures_have_runners_and_expectations(self):
         expectations = paper_expectations()
         for figure_number in range(6, 18):
-            assert str(figure_number) in FIGURE_RUNNERS
+            assert scenario_for_figure(str(figure_number)).figure == str(figure_number)
             assert f"Figure {figure_number}" in expectations
 
     def test_render_report_includes_checks(self):
-        result = figure_17_testbed_fixpoint(sizes=(6,))
+        result = run_figure("fig17_testbed_fixpoint", sizes=(6,))
         report = render_report([result])
         assert "Figure 17" in report
         assert "[OK " in report or "[FAIL" in report

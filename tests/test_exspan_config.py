@@ -1,8 +1,8 @@
-"""ExspanConfig validation and the legacy-kwargs deprecation shim.
+"""ExspanConfig validation and the one way to construct a network.
 
 The consolidation contract: every constructor knob lives on one frozen,
-validated ``ExspanConfig``; old-style keyword construction still works
-through a shim that warns but builds a bit-identical network.
+validated ``ExspanConfig``, passed as ``config=``; the pre-config keyword
+and positional forms are type errors.
 """
 
 import dataclasses
@@ -15,16 +15,6 @@ from repro.core.errors import ProvenanceError
 from repro.core.modes import ProvenanceMode
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
-
-
-def _fixpoint_state(network):
-    network.seed_links()
-    network.run_to_fixpoint()
-    return (
-        sorted(map(tuple, (row for _, row in network.tuples("bestPathCost")))),
-        network.stats_snapshot(),
-        network.now,
-    )
 
 
 class TestValidation:
@@ -84,12 +74,20 @@ class TestValidation:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ExspanConfig"):
-            ExspanNetwork(ring_topology(4, seed=0), mincost_program(), seed=0)
+    """The removed pre-config forms fail fast, at the call."""
 
-    def test_positional_mode_warns(self):
-        with pytest.warns(DeprecationWarning):
+    def test_legacy_kwargs_rejected(self):
+        defaults = ExspanConfig()
+        for field in dataclasses.fields(ExspanConfig):
+            with pytest.raises(TypeError):
+                ExspanNetwork(
+                    ring_topology(4, seed=0),
+                    mincost_program(),
+                    **{field.name: getattr(defaults, field.name)},
+                )
+
+    def test_positional_mode_is_a_type_error(self):
+        with pytest.raises(TypeError, match="ExspanConfig"):
             ExspanNetwork(ring_topology(4, seed=0), mincost_program(), ProvenanceMode.NONE)
 
     def test_config_plus_kwargs_is_an_error(self):
@@ -104,21 +102,3 @@ class TestDeprecationShim:
     def test_unknown_kwarg_is_an_error(self):
         with pytest.raises(TypeError):
             ExspanNetwork(ring_topology(4, seed=0), mincost_program(), warp_drive=True)
-
-    def test_legacy_construction_bit_identical(self):
-        """Old-kwarg construction must behave exactly like ExspanConfig."""
-        with pytest.warns(DeprecationWarning):
-            legacy = ExspanNetwork(
-                ring_topology(5, seed=0),
-                mincost_program(),
-                mode=ProvenanceMode.REFERENCE,
-                seed=0,
-                planner="greedy",
-            )
-        modern = ExspanNetwork(
-            ring_topology(5, seed=0),
-            mincost_program(),
-            config=ExspanConfig(mode=ProvenanceMode.REFERENCE, seed=0, planner="greedy"),
-        )
-        assert legacy.config == modern.config
-        assert _fixpoint_state(legacy) == _fixpoint_state(modern)

@@ -16,6 +16,7 @@ from repro.core import (
     Granularity,
     GranularitySpec,
     ProvenanceMode,
+    QueryRequest,
     bdd_query,
     count_derivations,
     derivability_query,
@@ -71,8 +72,8 @@ class TestControlAndDataPlaneTogether:
             if row[0] == "n0" and row[1] == "n2"
         )
         path = list(best_path_row[3])
-        outcome = network.query_provenance(
-            Fact("bestPath", best_path_row), polynomial_query(name="route-prov")
+        outcome = network.execute(
+            QueryRequest(Fact("bestPath", best_path_row), polynomial_query(name="route-prov"))
         )
         literals = set(outcome.result.literals())
         # every consecutive hop of the path appears as a link base tuple
@@ -87,9 +88,7 @@ class TestControlAndDataPlaneTogether:
 
     def test_bestpath_has_single_derivation(self, network):
         _, fact = network.random_tuple("bestPath")
-        outcome = network.query_provenance(
-            fact, derivation_count_query(name="pv-count")
-        )
+        outcome = network.execute(QueryRequest(fact, derivation_count_query(name="pv-count")))
         assert outcome.result >= 1
 
 
@@ -107,30 +106,30 @@ class TestTrustManagementScenario:
 
     def test_node_level_provenance_identifies_participants(self, network):
         node, fact = network.random_tuple("bestPathCost")
-        nodes_involved = network.query_provenance(
-            fact, node_set_query(name="tm-nodes")
-        ).result
+        nodes_involved = network.execute(QueryRequest(fact, node_set_query(name="tm-nodes"))).result
         assert fact.values[0] in nodes_involved
         assert len(nodes_involved) >= 1
 
     def test_derivability_respects_trusted_node_set(self, network):
         node, fact = network.random_tuple("bestPathCost")
-        participants = network.query_provenance(
-            fact, node_set_query(name="tm-nodes2")
-        ).result
+        participants = network.execute(QueryRequest(fact, node_set_query(name="tm-nodes2"))).result
         granularity = GranularitySpec(Granularity.NODE)
-        trusted_all = network.query_provenance(
-            fact,
-            derivability_query(
-                name="tm-trust-all", trusted=participants, granularity=granularity
-            ),
+        trusted_all = network.execute(
+            QueryRequest(
+                fact,
+                derivability_query(
+                    name="tm-trust-all", trusted=participants, granularity=granularity
+                ),
+            )
         )
         assert trusted_all.result is True
-        trusted_none = network.query_provenance(
-            fact,
-            derivability_query(
-                name="tm-trust-none", trusted={"nobody"}, granularity=granularity
-            ),
+        trusted_none = network.execute(
+            QueryRequest(
+                fact,
+                derivability_query(
+                    name="tm-trust-none", trusted={"nobody"}, granularity=granularity
+                ),
+            )
         )
         assert trusted_none.result is False
 
@@ -140,7 +139,7 @@ class TestTrustManagementScenario:
             name="tm-domain",
             granularity=GranularitySpec(Granularity.TRUST_DOMAIN),
         )
-        outcome = network.query_provenance(fact, spec)
+        outcome = network.execute(QueryRequest(fact, spec))
         # domain identifiers are node-name prefixes like "s0" / "t0"
         assert all(
             name.startswith(("s", "t")) and "_" not in name
@@ -158,17 +157,15 @@ class TestDynamicMaintenance:
         network.seed_links()
         network.run_to_fixpoint()
         corner_to_corner = Fact("bestPathCost", ("g0_0", "g2_2", 4))
-        before = network.query_provenance(
-            corner_to_corner, derivation_count_query(name="dyn-count")
+        before = network.execute(
+            QueryRequest(corner_to_corner, derivation_count_query(name="dyn-count"))
         )
         assert before.result >= 2  # several equal-cost grid paths
         # add a shortcut: best cost drops to 1 with a single derivation
         network.add_link("g0_0", "g2_2", cost=1)
         network.run_to_fixpoint()
         shortcut = Fact("bestPathCost", ("g0_0", "g2_2", 1))
-        after = network.query_provenance(
-            shortcut, polynomial_query(name="dyn-poly")
-        )
+        after = network.execute(QueryRequest(shortcut, polynomial_query(name="dyn-poly")))
         assert count_derivations(after.result) == 1
         assert set(after.result.literals()) == {"link(g0_0,g2_2,1)"}
         # the old cost-4 tuple is gone everywhere
@@ -189,8 +186,8 @@ class TestDynamicMaintenance:
         for _ in range(5):
             node, fact = network.random_tuple("bestPathCost")
             vid = tuple_vid("bestPathCost", fact.values)
-            distributed_nodes = network.query_provenance(
-                fact, node_set_query(name="cons-nodes")
+            distributed_nodes = network.execute(
+                QueryRequest(fact, node_set_query(name="cons-nodes"))
             ).result
             graph_nodes = graph.nodes_involved(vid)
             assert distributed_nodes == graph_nodes

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
+from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode, QueryRequest
 from repro.core.customizations import derivation_count_query
 from repro.datalog.ast import Fact
 from repro.net.message import TRACE_CONTEXT_KEY, payload_size
@@ -453,11 +453,11 @@ def _run_workload(tracer=None):
         config=ExspanConfig(mode=ProvenanceMode.REFERENCE, seed=0),
         tracer=tracer,
     )
-    net.register_query_spec(QUERY_SPEC)
+    net.register_spec(QUERY_SPEC)
     net.seed_links()
     latency = net.run_to_fixpoint()
     fact = Fact("bestPathCost", ("c0_1", "c0_2", 1))
-    outcome = net.query_provenance(fact, "obscnt", issuer="c1_1")
+    outcome = net.execute(QueryRequest(fact, "obscnt", issuer="c1_1"))
     return net, latency, outcome
 
 
@@ -483,11 +483,11 @@ class TestTracedRunDeterminism:
                 mode=ProvenanceMode.REFERENCE, seed=0, traffic_record_cap=10
             ),
         )
-        bounded_net.register_query_spec(QUERY_SPEC)
+        bounded_net.register_spec(QUERY_SPEC)
         bounded_net.seed_links()
         bounded_net.run_to_fixpoint()
-        bounded_net.query_provenance(
-            Fact("bestPathCost", ("c0_1", "c0_2", 1)), "obscnt", issuer="c1_1"
+        bounded_net.execute(
+            QueryRequest(Fact("bestPathCost", ("c0_1", "c0_2", 1)), "obscnt", issuer="c1_1")
         )
         assert len(bounded_net.stats) == 10
         assert bounded_net.stats.dropped_records > 0

@@ -20,7 +20,6 @@ from repro.experiments import (
     unregister,
 )
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.figures import figure_17_testbed_fixpoint
 from repro.experiments.orchestrator import (
     SCHEMA_VERSION,
     artifact_path,
@@ -79,10 +78,8 @@ class TestRegistry:
         scenario = get_scenario("fig09_mincost_churn")
         with pytest.raises(TypeError, match="links_per_rounds"):
             scenario.params("quick", {"links_per_rounds": 8})  # typo
-        from repro.experiments.figures import figure_09_mincost_churn
-
         with pytest.raises(TypeError):
-            figure_09_mincost_churn(links_per_rounds=8)
+            run_figure("fig09_mincost_churn", links_per_rounds=8)
 
     def test_override_keys_match_what_expansion_consumes(self):
         # Mode-sweeping scenarios take modes/planner overrides...
@@ -108,10 +105,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             scenario_for_figure("99")
 
-    def test_run_figure_matches_wrapper(self):
+    def test_run_figure_matches_assembled_trials(self):
+        scenario = get_scenario("fig17_testbed_fixpoint")
+        trials = [run_trial_spec(spec) for spec in scenario.trials("quick", {"sizes": (6,)})]
         direct = run_figure("fig17_testbed_fixpoint", sizes=(6,))
-        wrapped = figure_17_testbed_fixpoint(sizes=(6,))
-        assert direct.render() == wrapped.render()
+        assert direct.render() == assemble_figure(scenario, trials).render()
 
 
 # ---------------------------------------------------------------------- #

@@ -32,7 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode, polynomial_query
+from repro.core import (
+    ExspanConfig,
+    ExspanNetwork,
+    ProvenanceMode,
+    QueryRequest,
+    polynomial_query,
+)
 from repro.datalog import Fact, StandaloneNetwork
 from repro.datalog.engine import AnnotationPolicy, NDlogEngine, PIPELINES
 from repro.datalog.parser import parse_program
@@ -77,6 +83,7 @@ class TestStandaloneFixpointEquivalence:
             net = _run_standalone(program_factory(), planner, topology)
             snapshots[planner] = _standalone_snapshot(net)
         assert snapshots["naive"] == snapshots["greedy"]
+        assert len(snapshots["greedy"]["bestPathCost"]) == 10 * 9  # every pair routed
 
     @pytest.mark.parametrize(
         "program_factory",
@@ -147,8 +154,8 @@ class TestProvenanceEquivalence:
             snapshot = _network_snapshot(network)
             # query the provenance polynomial of a deterministic tuple
             row = snapshot[queried][0]
-            outcome = network.query_provenance(
-                Fact(queried, row[1]), polynomial_query(name=f"poly-{planner}")
+            outcome = network.execute(
+                QueryRequest(Fact(queried, row[1]), polynomial_query(name=f"poly-{planner}"))
             )
             results[planner] = (snapshot, str(outcome.result))
         naive_snapshot, naive_poly = results["naive"]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.datalog import Fact, NDlogEngine, parse_program, parse_rule
 from repro.datalog.ast import Atom, Rule, TableDecl
-from repro.datalog.catalog import Catalog, Table
+from repro.storage.memory import Catalog, Table
 from repro.datalog.errors import SchemaError, ValidationError
 from repro.datalog.plan import (
     CatalogStatistics,

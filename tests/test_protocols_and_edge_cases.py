@@ -1,4 +1,4 @@
-"""Additional coverage: protocol variants, query edge cases, runner CLI."""
+"""Additional coverage: protocol variants and query edge cases."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from repro.core import (
     ExspanConfig,
     ExspanNetwork,
     ProvenanceMode,
+    QueryRequest,
     QueryTimeoutError,
     TraversalOrder,
     derivation_count_query,
@@ -17,7 +18,6 @@ from repro.core import (
 )
 from repro.core.query import QuerySpec
 from repro.datalog import Fact, StandaloneNetwork
-from repro.experiments.runner import main as runner_main
 from repro.net import line_topology, ring_topology
 from repro.protocols import (
     link_facts,
@@ -100,21 +100,21 @@ class TestQueryEdgeCases:
 
     def test_max_depth_truncates_traversal(self, network):
         fact = Fact("bestPathCost", ("a", "d", 8))
-        full = network.query_provenance(fact, polynomial_query(name="deep"))
+        full = network.execute(QueryRequest(fact, polynomial_query(name="deep")))
         shallow_spec = polynomial_query(name="shallow")
         shallow_spec.max_depth = 2
-        shallow = network.query_provenance(fact, shallow_spec)
+        shallow = network.execute(QueryRequest(fact, shallow_spec))
         assert count_derivations(full.result) >= count_derivations(shallow.result)
 
     def test_missing_result_for_zero_depth(self, network):
         spec = derivation_count_query(name="zero-depth")
         spec.max_depth = 0
-        outcome = network.query_provenance(Fact("bestPathCost", ("a", "c", 5)), spec)
+        outcome = network.execute(QueryRequest(Fact("bestPathCost", ("a", "c", 5)), spec))
         assert outcome.result == 0
 
     def test_query_outcome_metadata(self, network):
         fact = Fact("bestPathCost", ("a", "c", 5))
-        outcome = network.query_provenance(fact, polynomial_query(name="meta"), issuer="d")
+        outcome = network.execute(QueryRequest(fact, polynomial_query(name="meta"), issuer="d"))
         assert outcome.issuer == "d"
         assert outcome.target == "a"
         assert outcome.completed_at >= outcome.issued_at
@@ -122,23 +122,23 @@ class TestQueryEdgeCases:
 
     def test_spec_registration_is_idempotent(self, network):
         spec = polynomial_query(name="idempotent")
-        network.register_query_spec(spec)
-        network.register_query_spec(spec)
-        outcome = network.query_provenance(Fact("bestPathCost", ("a", "c", 5)), "idempotent")
+        network.register_spec(spec)
+        network.register_spec(spec)
+        outcome = network.execute(QueryRequest(Fact("bestPathCost", ("a", "c", 5)), "idempotent"))
         assert outcome.result is not None
 
     def test_moonwalk_width_larger_than_derivations(self, network):
         spec = derivation_count_query(
             name="wide-moon", traversal=TraversalOrder.RANDOM_MOONWALK, moonwalk_width=50
         )
-        outcome = network.query_provenance(Fact("bestPathCost", ("a", "c", 5)), spec)
+        outcome = network.execute(QueryRequest(Fact("bestPathCost", ("a", "c", 5)), spec))
         # width larger than the number of derivations explores all of them
         assert outcome.result == 2
 
     def test_rule_filter_blocks_specific_rules(self, network):
         spec = polynomial_query(name="no-sp2")
         spec.rule_filter = lambda rule_label, node: rule_label != "sp2"
-        outcome = network.query_provenance(Fact("bestPathCost", ("a", "c", 5)), spec)
+        outcome = network.execute(QueryRequest(Fact("bestPathCost", ("a", "c", 5)), spec))
         # sp2-based derivation is filtered; only the direct sp1 one remains
         assert count_derivations(outcome.result) == 1
 
@@ -153,18 +153,6 @@ class TestQueryEdgeCases:
         assert spec.allow_node("anything")
         assert spec.allow_rule("sp1", "a")
         assert spec.missing() is None
-
-
-class TestRunnerCli:
-    def test_runner_main_single_figure(self, capsys):
-        exit_code = runner_main(["--figure", "17", "--quiet"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "Figure 17" in captured.out
-
-    def test_runner_rejects_unknown_figure(self):
-        with pytest.raises(KeyError):
-            runner_main(["--figure", "99", "--quiet"])
 
 
 class TestSimulatedNetworkSmallTopologies:
@@ -188,7 +176,7 @@ class TestSimulatedNetworkSmallTopologies:
         network.run_to_fixpoint()
         costs = {(row[0], row[1]): row[2] for _, row in network.tuples("bestPathCost")}
         assert costs == {("n0", "n1"): 1, ("n1", "n0"): 1}
-        outcome = network.query_provenance(
-            Fact("bestPathCost", ("n0", "n1", 1)), polynomial_query(name="tiny")
+        outcome = network.execute(
+            QueryRequest(Fact("bestPathCost", ("n0", "n1", 1)), polynomial_query(name="tiny"))
         )
         assert count_derivations(outcome.result) == 1

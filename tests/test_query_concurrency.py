@@ -29,6 +29,7 @@ from repro.core import (
     ExspanConfig,
     ExspanNetwork,
     ProvenanceMode,
+    QueryRequest,
     QueryResultCache,
     derivation_count_query,
     node_set_query,
@@ -90,7 +91,7 @@ def _plan_mixed_queries(network: ExspanNetwork, specs, count: int, seed: int):
 def _run_plan(network: ExspanNetwork, planned, serial: bool):
     """Issue the plan; returns [(spec name, vid, repr(result)), ...]."""
     for _, _, _, spec in planned:
-        network.register_query_spec(spec)
+        network.register_spec(spec)
     buckets = [[] for _ in planned]
     for index, (issuer, target, fact, spec) in enumerate(planned):
         def issue(issuer=issuer, target=target, fact=fact, spec=spec, bucket=buckets[index]):
@@ -196,7 +197,7 @@ class TestConcurrentSerialEquivalence:
         spec.max_depth = 2  # cannot cover any derived tuple's subgraph
         rows = network.tuples("bestPathCost")
         for _, row in rows[:5]:
-            network.query_provenance(Fact("bestPathCost", row), spec)
+            network.execute(QueryRequest(Fact("bestPathCost", row), spec))
         for node in network.nodes.values():
             for entry_key in list(node.query_service.cache._entries):
                 entry = node.query_service.cache._entries[entry_key]
@@ -205,6 +206,7 @@ class TestConcurrentSerialEquivalence:
     def test_coalescing_and_batching_knobs_preserve_results(self):
         """Every knob combination answers identically (message counts differ)."""
         results = {}
+        traffic = {}
         for coalesce in (True, False):
             for batch in (True, False):
                 network = _reference_network(
@@ -212,6 +214,7 @@ class TestConcurrentSerialEquivalence:
                     query_coalescing=coalesce,
                     query_batching=batch,
                 )
+                network.stats.reset()
                 workload = BurstQueryWorkload(
                     network,
                     derivation_count_query(name="knobs", use_cache=True),
@@ -224,8 +227,12 @@ class TestConcurrentSerialEquivalence:
                 results[(coalesce, batch)] = [
                     (o.vid, repr(o.result)) for o in workload.outcomes
                 ]
+                traffic[(coalesce, batch)] = (network.query_messages(), network.query_bytes())
         reference = results[(True, True)]
         assert all(value == reference for value in results.values())
+        # both knobs on sends fewer prov messages and bytes than both off
+        on, off = traffic[(True, True)], traffic[(False, False)]
+        assert on[0] < off[0] and on[1] < off[1]
 
 
 class TestInvalidationUnderConcurrency:
@@ -235,9 +242,9 @@ class TestInvalidationUnderConcurrency:
     def _assert_cache_consistent(network: ExspanNetwork, facts, cached_spec) -> None:
         """Answers served through *cached_spec* must match a fresh traversal."""
         for index, fact in enumerate(facts):
-            cached = network.query_provenance(fact, cached_spec)
-            uncached = network.query_provenance(
-                fact, polynomial_query(name=f"fresh-{index}", use_cache=False)
+            cached = network.execute(QueryRequest(fact, cached_spec))
+            uncached = network.execute(
+                QueryRequest(fact, polynomial_query(name=f"fresh-{index}", use_cache=False))
             )
             assert repr(cached.result) == repr(uncached.result)
         for node in network.nodes.values():
@@ -255,7 +262,7 @@ class TestInvalidationUnderConcurrency:
     def test_random_interleavings(self, ops):
         network = _reference_network(ring_topology(8, seed=3))
         spec = polynomial_query(name="hyp-cached", use_cache=True)
-        network.register_query_spec(spec)
+        network.register_spec(spec)
         rows = network.tuples("bestPathCost")
         addresses = network.addresses()
         chord = (addresses[0], addresses[4])
@@ -297,7 +304,7 @@ class TestInvalidationUnderConcurrency:
         for step in range(10):
             network = _reference_network(figure3_topology())
             spec = polynomial_query(name="race", use_cache=True)
-            network.register_query_spec(spec)
+            network.register_spec(spec)
             network.node("d").query_service.query_fact(
                 target_fact, "a", spec.name, lambda outcome: None
             )
@@ -319,7 +326,7 @@ class TestMissingVertexDependents:
         prov/ruleExec row can invalidate the stale ancestor."""
         network = _reference_network(figure3_topology())
         spec = polynomial_query(name="miss-dep", use_cache=True)
-        network.register_query_spec(spec)
+        network.register_spec(spec)
         service = network.node("a").query_service
         parent = ("d", ("r", "miss-dep", "rid-parent"))
         results = []
@@ -436,7 +443,7 @@ class TestBoundedCache:
         network = _reference_network(ring_topology(6, seed=1), query_cache_capacity=3)
         spec = polynomial_query(name="tiny-cache", use_cache=True)
         for _, row in network.tuples("bestPathCost")[:8]:
-            network.query_provenance(Fact("bestPathCost", row), spec)
+            network.execute(QueryRequest(Fact("bestPathCost", row), spec))
         assert all(
             len(node.query_service.cache) <= 3 for node in network.nodes.values()
         )
@@ -446,9 +453,9 @@ class TestBoundedCache:
         # eviction is not allowed to leave stale answers behind
         for _, row in network.tuples("bestPathCost")[:8]:
             fact = Fact("bestPathCost", row)
-            cached = network.query_provenance(fact, spec)
-            fresh = network.query_provenance(
-                fact, polynomial_query(name=f"fresh-{row[1]}", use_cache=False)
+            cached = network.execute(QueryRequest(fact, spec))
+            fresh = network.execute(
+                QueryRequest(fact, polynomial_query(name=f"fresh-{row[1]}", use_cache=False))
             )
             assert repr(cached.result) == repr(fresh.result)
 

@@ -676,5 +676,6 @@ def test_parallelism_report_counts_every_event():
         report = sharded.parallelism_report()
     assert report["events_total"] == serial.simulator.events_executed
     assert 0 < report["events_critical_path"] <= report["events_total"]
-    assert report["attainable_speedup"] >= 1.0
+    # the windowed schedule admits real parallelism at 4 shards (3.9x here)
+    assert report["attainable_speedup"] > 1.5
     assert report["windows"] == len(sharded.window_loads)

@@ -1,8 +1,7 @@
 """Pluggable storage engine: spec parsing, byte-identity, sqlite mirror.
 
-The storage backend is an execution-environment knob (the ``--shards`` /
-``--pipeline`` convention): results must be byte-identical under any
-backend.  These tests pin that contract — the memory default adds
+The storage backend is an execution-environment knob (the ``--shards``
+convention): results must be byte-identical under any backend.  These tests pin that contract — the memory default adds
 nothing, the sqlite mirror tracks the engines through inserts *and*
 deletes, metrics only appear when a persistent backend is attached, and
 an in-process checkpoint round-trip (including aggregate-rule state)
