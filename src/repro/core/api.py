@@ -216,7 +216,7 @@ class ExspanNetwork:
         )
 
     def _make_sender(self, host: Host, engine: NDlogEngine) -> Callable[[Any, Delta], None]:
-        network_send = self.network.send
+        transmit = self.network.transmit
         source = host.address
         policy = engine.annotation_policy
         annotation_size = None if policy is None else policy.size
@@ -228,13 +228,14 @@ class ExspanNetwork:
             size = HEADER_OVERHEAD + 1 + len(fact.name) + payload_size(fact.values)
             if annotation_size is not None and delta.annotation is not None:
                 size += annotation_size(delta.annotation)
-            network_send(source, destination, DELTA_MESSAGE_KIND, delta, size)
+            transmit(Message(source, destination, DELTA_MESSAGE_KIND, delta, size))
 
         return send
 
     @staticmethod
     def _deliver_delta(engine: NDlogEngine, message: Message) -> None:
-        engine.receive(message.payload)
+        engine.stats["deltas_received"] += 1
+        engine.enqueue(message.payload)
         engine.run()
 
     # ------------------------------------------------------------------ #

@@ -386,9 +386,19 @@ class QueryRequest:
 # annotation encoding
 # ---------------------------------------------------------------------- #
 def _encode_polynomial(expression: ProvenanceExpression) -> Tuple[str, Dict[str, Any]]:
-    """``(str(expression), tree)`` in one walk of the polynomial."""
+    """``(str(expression), tree)`` in one walk of the polynomial.
+
+    Memoized on each ``Sum``/``Product`` node (expressions are immutable)
+    from its second encoding on, so a subtree shared by cached answers is
+    encoded twice per lifetime, and a node encoded once (most read-only
+    answers) holds no copy.  Memoized trees are shared between answers:
+    never mutate them.
+    """
     if isinstance(expression, Literal):
         return expression.label, {"op": "lit", "label": expression.label}
+    memo = getattr(expression, "_encoded", None)
+    if memo:
+        return memo
     if isinstance(expression, Sum):
         terms = [_encode_polynomial(term) for term in expression.terms]
         node: Dict[str, Any] = {"op": "sum", "terms": [tree for _, tree in terms]}
@@ -396,8 +406,8 @@ def _encode_polynomial(expression: ProvenanceExpression) -> Tuple[str, Dict[str,
         if location is not None:
             node["loc"] = location
         suffix = f"@{location}" if location else ""
-        return "(" + " + ".join([text for text, _ in terms]) + ")" + suffix, node
-    if isinstance(expression, Product):
+        encoded = "(" + " + ".join([text for text, _ in terms]) + ")" + suffix, node
+    elif isinstance(expression, Product):
         factors = [_encode_polynomial(factor) for factor in expression.factors]
         node = {"op": "prod", "factors": [tree for _, tree in factors]}
         rule, location = expression.rule, expression.location
@@ -406,10 +416,14 @@ def _encode_polynomial(expression: ProvenanceExpression) -> Tuple[str, Dict[str,
         if location is not None:
             node["loc"] = location
         prefix = f"<{rule}@{location}>" if rule else ""
-        return prefix + "(" + " * ".join([text for text, _ in factors]) + ")", node
-    if expression is EMPTY or not expression.children():
+        encoded = prefix + "(" + " * ".join([text for text, _ in factors]) + ")", node
+    elif expression is EMPTY or not expression.children():
         return str(expression), {"op": "empty"}
-    raise QueryError(f"cannot encode provenance expression {expression!r}")
+    else:
+        raise QueryError(f"cannot encode provenance expression {expression!r}")
+    # The first encoding marks the node with (); the second memoizes.
+    object.__setattr__(expression, "_encoded", () if memo is None else encoded)
+    return encoded
 
 
 def _decode_expression(payload: Mapping[str, Any]) -> ProvenanceExpression:

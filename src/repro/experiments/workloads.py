@@ -87,8 +87,8 @@ class QueryWorkload:
 
     def _candidate_tuples(self, address: Any) -> List[Tuple[Any, ...]]:
         if self.local_tuples_only:
-            table = self.network.node(address).engine.catalog.table(self.table)
-            return list(table.rows())
+            table = self.network.node(address).engine.catalog.get(self.table)
+            return [] if table is None else list(table.rows())  # a read creates nothing
         return [row for _, row in self.network.tuples(self.table)]
 
     def _issue(self, issuer: Any, target: Any, fact: Fact) -> Callable[[], None]:

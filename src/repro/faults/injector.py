@@ -373,7 +373,7 @@ class FaultInjector:
         tracked.append(event)
         if len(tracked) > _TRACK_PRUNE:
             self._tracked[destination] = [
-                pending for pending in tracked if pending._owner is not None
+                event for event in tracked if event.pending
             ]
 
     def _crash(self, fault: CrashFault) -> None:
@@ -392,7 +392,7 @@ class FaultInjector:
         self.counters["crashes"] = self.counters.get("crashes", 0) + 1
         cancelled = 0
         for event in self._tracked.pop(node, ()):
-            if event._owner is not None:
+            if event.pending:
                 event.cancel()
                 cancelled += 1
         self.counters["cancelled_deliveries"] = (

@@ -108,11 +108,13 @@ class Host:
         # flushed sends only *schedule* deliveries — but take a snapshot
         # anyway so the loop is immune to re-entrant enqueues.
         outbox, self._outbox = self._outbox, {}
+        transmit = self.network.transmit
+        address = self.address
         for (destination, kind), payloads in outbox.items():
             if len(payloads) == 1:
-                self.send(destination, kind, payloads[0])
+                transmit(Message(address, destination, kind, payloads[0]))
             else:
-                self.network.send_batch(self.address, destination, kind, payloads)
+                transmit(Message(address, destination, kind, tuple(payloads), batch=True))
                 self.batches_sent += 1
                 self.messages_batched += len(payloads)
 
@@ -123,7 +125,8 @@ class Host:
         receive hook — duplicate suppression, FIFO-restore buffering,
         journaling and ack generation — which calls back into
         :meth:`dispatch_delivery` for each message actually handed to the
-        application.  Fault-free runs dispatch directly.
+        application.  Fault-free, the network schedules
+        :meth:`dispatch_delivery` itself.
         """
         injector = self.network.fault_injector
         if injector is not None:
@@ -132,7 +135,7 @@ class Host:
         self.dispatch_delivery(message)
 
     def dispatch_delivery(self, message: Message) -> None:
-        """Count the arrival and dispatch the registered handler."""
+        """Count the arrival and run the registered handler in one turn."""
         if not self.up:
             return
         self.messages_received += 1
@@ -143,28 +146,22 @@ class Host:
                 f"host {self.address!r} has no handler for message kind "
                 f"{message.kind!r}"
             )
-        self.begin_turn()
+        self._turn_depth += 1  # begin_turn / end_turn, inline
         try:
             if message.batch:
+                source, destination, kind = message.source, message.destination, message.kind
+                sent_at, delivered_at = message.sent_at, message.delivered_at
                 for item in message.payload:
                     # Per-item views carry size 0: the envelope's bytes were
                     # billed once on send and counted once above — claiming
                     # the full batch size on every item would overstate it.
-                    handler(
-                        Message(
-                            source=message.source,
-                            destination=message.destination,
-                            kind=message.kind,
-                            payload=item,
-                            size=0,
-                            sent_at=message.sent_at,
-                            delivered_at=message.delivered_at,
-                        )
-                    )
+                    handler(Message(source, destination, kind, item, 0, sent_at, delivered_at))
             else:
                 handler(message)
         finally:
-            self.end_turn()
+            self._turn_depth -= 1
+            if self._turn_depth == 0 and self._outbox:
+                self._flush_outbox()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.address!r})"

@@ -13,9 +13,9 @@ disabled by default because the paper's workloads are far from saturating
 the configured capacities.
 
 Besides single-payload :meth:`Network.send`, the network ships batched
-messages (:meth:`Network.send_batch`): several payloads for one destination
-share one envelope and one header charge — see :mod:`repro.net.host` for
-the turn-scoped outbox that produces them.
+messages (:meth:`Network.transmit` of a ``batch=True`` message): several
+payloads for one destination share one envelope and one header charge —
+see :mod:`repro.net.host` for the turn-scoped outbox that produces them.
 
 Deterministic delivery order
 ----------------------------
@@ -44,17 +44,18 @@ exact per shard and merge by concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NetworkError, NoRouteError, UnknownNodeError
 from .host import Host
-from .message import HEADER_OVERHEAD, Message, payload_size
+from .message import Message
 from .simulator import Simulator
 from .stats import TrafficStats
 from .topology import Topology
 
 __all__ = ["Network", "OutboundMessage"]
+
+_INFINITY = float("inf")
 
 
 @dataclass(frozen=True)
@@ -175,36 +176,22 @@ class Network:
         payload: Any,
         size: Optional[int] = None,
     ) -> Message:
-        """Send a message; returns the in-flight :class:`Message`.
-
-        With a fault injector installed the message detours through its
-        outbound hook (which may drop, duplicate, delay or suppress it);
-        the injector calls back into :meth:`_transmit` for each physical
-        transmission it decides to perform.
-        """
-        message = Message(source, destination, kind, payload, 0 if size is None else size)
-        if self.fault_injector is not None:
-            return self.fault_injector.outbound(message)
-        return self._transmit(message)
-
-    def send_batch(
-        self,
-        source: Any,
-        destination: Any,
-        kind: str,
-        payloads: Sequence[Any],
-        size: Optional[int] = None,
-    ) -> Message:
-        """Send several payloads to one destination as a single message.
-
-        The batch pays one header (see :func:`~repro.net.message.batch_size`)
-        and is recorded as one message in the traffic statistics; the
-        receiving host dispatches its handler once per payload, in order.
-        Takes the same fault-injector detour as :meth:`send`.
-        """
-        message = Message(
-            source, destination, kind, tuple(payloads), 0 if size is None else size, batch=True
+        """Send a message; returns the in-flight :class:`Message`."""
+        return self.transmit(
+            Message(source, destination, kind, payload, 0 if size is None else size)
         )
+
+    def transmit(self, message: Message) -> Message:
+        """Put a built message on the wire; returns it.
+
+        A batched message (``batch=True``) carries several payloads for one
+        destination in one envelope and pays one header (see
+        :func:`~repro.net.message.batch_size`).  With a fault injector
+        installed the message detours through its outbound hook (which may
+        drop, duplicate, delay or suppress it); the injector calls back into
+        :meth:`_transmit` for each physical transmission it decides to
+        perform.
+        """
         if self.fault_injector is not None:
             return self.fault_injector.outbound(message)
         return self._transmit(message)
@@ -217,6 +204,7 @@ class Network:
     ) -> Message:
         """Bill one physical transmission and schedule (or park) delivery.
 
+        The one send path: size, bill, route latency, order key, push.
         ``extra_latency`` adds fault-injected delay on top of the routed
         latency; ``drop`` bills the send (the sender did put bytes on the
         wire) but never schedules delivery.  Both are no-ops in fault-free
@@ -240,8 +228,23 @@ class Network:
             size = message.compute_size()
         now = self.simulator._now
         message.sent_at = now
-        self.stats.record(now, source, destination, size, message.kind)
-        delivered_at = now + (self._latency(source, destination, size) + extra_latency)
+        self.stats.append((now, source, destination, size, message.kind))
+        if source == destination:
+            latency = extra_latency
+        else:
+            try:
+                latency = self.topology.latency_between(source, destination)
+            except NoRouteError:
+                # A partitioned network delivers never (a very large latency)
+                # rather than raising inside protocol code.
+                latency = _INFINITY if self._drop_disconnected else self.default_latency
+            if self.model_transmission_delay:
+                # approximate transmission delay using the slowest first-hop link
+                slowest = self.topology.slowest_link_bandwidth(source)
+                if slowest:
+                    latency += size / slowest
+            latency += extra_latency
+        delivered_at = now + latency
         message.delivered_at = delivered_at
         seq = self._source_seq.get(source, 0)
         self._source_seq[source] = seq + 1
@@ -256,16 +259,15 @@ class Network:
         key = (now, rank, seq)
         if drop:
             return message
-        if local:
-            event = self.simulator.schedule_at(
-                delivered_at, partial(destination_host.deliver, message), key
+        if not local:
+            self.outbound.append(OutboundMessage(time=delivered_at, key=key, message=message))
+        elif self.fault_injector is None:
+            self.simulator.schedule_at(
+                delivered_at, destination_host.dispatch_delivery, key, message
             )
-            if self.fault_injector is not None:
-                self.fault_injector.track_delivery(destination, event)
         else:
-            self.outbound.append(
-                OutboundMessage(time=delivered_at, key=key, message=message)
-            )
+            event = self.simulator.schedule_at(delivered_at, destination_host.deliver, key, message)
+            self.fault_injector.track_delivery(destination, event)
         return message
 
     def inject(self, message: Message, time: float, key: Tuple[float, int, int]) -> None:
@@ -277,34 +279,16 @@ class Network:
         precede the safe time (the conservative-lookahead guarantee).
         """
         destination_host = self.host(message.destination)
-        event = self.simulator.schedule_at(
-            time, partial(destination_host.deliver, message), key
-        )
-        if self.fault_injector is not None:
+        if self.fault_injector is None:
+            self.simulator.schedule_at(time, destination_host.dispatch_delivery, key, message)
+        else:
+            event = self.simulator.schedule_at(time, destination_host.deliver, key, message)
             self.fault_injector.track_delivery(message.destination, event)
 
     def drain_outbound(self) -> List[OutboundMessage]:
         """Return and clear the cross-shard messages parked since last drain."""
         drained, self.outbound = self.outbound, []
         return drained
-
-    def _latency(self, source: Any, destination: Any, size: int) -> float:
-        if source == destination:
-            return 0.0
-        try:
-            latency = self.topology.latency_between(source, destination)
-        except NoRouteError:
-            if self._drop_disconnected:
-                # Deliver never: model a partitioned network by a very large
-                # latency rather than raising inside protocol code.
-                return float("inf")
-            latency = self.default_latency
-        if self.model_transmission_delay:
-            # approximate transmission delay using the slowest first-hop link
-            slowest = self.topology.slowest_link_bandwidth(source)
-            if slowest:
-                latency += size / slowest
-        return latency
 
     # ------------------------------------------------------------------ #
     # execution helpers

@@ -11,15 +11,17 @@ Event ordering
 --------------
 Events are ordered by ``(time, key, sequence)``.  ``key`` is an optional
 tuple supplied by the scheduler; events with equal keys fall back
-to FIFO insertion order.  A heap entry is the plain tuple ``(time, key,
-sequence, event)``: ``sequence`` is unique, so the heap orders entries by
-C-level tuple comparison and never looks at the :class:`ScheduledEvent`
-in the last slot (which only carries the callback and the cancellation
-flag).  The network layer keys every message delivery by
-``(send time, source rank, per-source send sequence)``, which makes the
-execution order of same-instant deliveries a pure function of *which host
-sent what, when*
-rather than of global scheduling order.  That invariance is what lets the
+to FIFO insertion order.  A heap entry is the :class:`ScheduledEvent`
+itself, a list ``[time, key, sequence, callback, argument, owner]``:
+``sequence`` is unique, so the heap orders entries by C-level comparison
+of the first three slots and never looks at the rest.  The entry is also
+the caller's handle (cancel it, ask whether it is pending), so an event
+costs one object, and a message delivery carries its message in the
+``argument`` slot instead of in a ``partial``.  The network layer keys
+every message delivery by ``(send time, source rank, per-source send
+sequence)``, which makes the execution order of same-instant deliveries a
+pure function of *which host sent what, when* rather than of global
+scheduling order.  That invariance is what lets the
 sharded engine (:mod:`repro.net.sharding`) partition one simulation across
 worker processes and still execute bit-identically to this single-process
 simulator: a per-shard queue can reconstruct the very same total order
@@ -49,7 +51,7 @@ constructor knobs (huge sharded runs tune them through
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import SimulationError
@@ -73,28 +75,40 @@ COMPACT_RATIO = 1.0
 #: and the sharded engine.
 _DEFAULT_KEY: Tuple[int, ...] = ()
 
+_INFINITY = float("inf")
 
-@dataclass(slots=True)
-class ScheduledEvent:
-    """An event in the simulator queue (queued under time, key, sequence)."""
 
-    time: float
-    key: Tuple[int, ...]
-    sequence: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-    # Back-reference so cancel() can keep the owner's live-event counter
-    # exact; detached (None) once the event leaves the queue.
-    _owner: Optional["Simulator"] = field(default=None, repr=False)
+class ScheduledEvent(list):
+    """A queued callback: ``[time, key, sequence, callback, argument, owner]``.
+
+    The callback runs as ``callback()``, or ``callback(argument)`` when an
+    argument was scheduled.  Cancelling clears the callback slot (the
+    tombstone the run loop skips); the owner slot is cleared once the event
+    leaves the queue, so it is ``None`` exactly when the event is no longer
+    pending.
+    """
+
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[3] is None
+
+    @property
+    def pending(self) -> bool:
+        """True while the event sits in its simulator's queue."""
+        return self[5] is not None
 
     def cancel(self) -> None:
         """Mark the event so that it is skipped when dequeued."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._owner is not None:
-            self._owner._note_cancelled()
-            self._owner = None
+        owner = self[5]
+        self[3] = self[5] = None
+        if owner is not None:
+            owner._note_cancelled()
 
 
 class Simulator:
@@ -113,8 +127,9 @@ class Simulator:
             raise SimulationError(f"compact_ratio must be > 0, got {compact_ratio}")
         self._now = 0.0
         self._sequence = 0
-        # Heap of (time, key, sequence, event); see "Event ordering".
-        self._queue: List[Tuple[float, Tuple[Any, ...], int, ScheduledEvent]] = []
+        # Heap of ScheduledEvent entries; see "Event ordering".  Compaction
+        # rewrites it in place, so the run loop's alias stays valid.
+        self._queue: List[ScheduledEvent] = []
         self._live = 0
         self._cancelled_in_queue = 0
         self._safe_time = 0.0
@@ -174,17 +189,20 @@ class Simulator:
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         key: Tuple[int, ...] = _DEFAULT_KEY,
+        argument: Any = None,
     ) -> ScheduledEvent:
         """Schedule *callback* at absolute simulated *time*.
 
-        ``key`` participates in the event ordering between ``time`` and the
-        FIFO sequence; see the module docstring.  Scheduling before the
-        current clock or before :attr:`safe_time` raises — the latter
-        guards the sharded window barriers against float round-off drift
-        (an event sneaking into an already-executed window would silently
-        diverge from the serial engine).
+        The callback is called with *argument* when one is given (a message
+        delivery passes its message), else with no arguments.  ``key``
+        participates in the event ordering between ``time`` and the FIFO
+        sequence; see the module docstring.  Scheduling before the current
+        clock or before :attr:`safe_time` raises — the latter guards the
+        sharded window barriers against float round-off drift (an event
+        sneaking into an already-executed window would silently diverge
+        from the serial engine).
         """
         if time < self._now:
             raise SimulationError(
@@ -199,8 +217,8 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = ScheduledEvent(time, key, sequence, callback, False, self)
-        heapq.heappush(self._queue, (time, key, sequence, event))
+        event = ScheduledEvent((time, key, sequence, callback, argument, self))
+        heapq.heappush(self._queue, event)
         self._live += 1
         return event
 
@@ -216,56 +234,63 @@ class Simulator:
             self._cancelled_in_queue > self.compact_min_cancelled
             and self._cancelled_in_queue > self._live * self.compact_ratio
         ):
-            self._queue = [entry for entry in self._queue if not entry[3].cancelled]
-            heapq.heapify(self._queue)
+            queue = self._queue
+            queue[:] = [event for event in queue if event[3] is not None]
+            heapq.heapify(queue)
             self._cancelled_in_queue = 0
             self.compactions += 1
-
-    def _pop(self) -> Optional[ScheduledEvent]:
-        """Pop the next live event, discarding tombstones along the way."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            event._owner = None
-            self._live -= 1
-            return event
-        return None
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when queue is empty."""
-        event = self._pop()
-        if event is None:
-            return False
-        self._now = event.time
+    def _run(self, limit: float, max_events: Optional[int]) -> Tuple[int, Optional[float]]:
+        """Execute live events due at or before *limit*, at most *max_events*.
+
+        The one event loop behind :meth:`run`, :meth:`run_until_idle` and
+        :meth:`run_window`: pop, skip tombstones, set the clock, call back,
+        count.  Returns the number executed and the time of the next live
+        event (``None`` when the queue drained).
+        """
+        queue = self._queue
+        heappop = heapq.heappop
         tracer = self.tracer
-        if tracer is None:
-            event.callback()
-        else:
-            with tracer.span("sim.event", cat="sim"):
-                event.callback()
-        self.events_executed += 1
-        return True
+        stop = -1 if max_events is None else max(max_events, 0)
+        executed = 0
+        while queue:
+            event = queue[0]
+            callback = event[3]
+            if callback is None:
+                heappop(queue)
+                self._cancelled_in_queue -= 1
+                continue
+            time = event[0]
+            if time > limit or executed == stop:
+                return executed, time
+            heappop(queue)
+            event[5] = None
+            self._live -= 1
+            self._now = time
+            argument = event[4]
+            if tracer is not None:
+                with tracer.span("sim.event", cat="sim"):
+                    if argument is None:
+                        callback()
+                    else:
+                        callback(argument)
+            elif argument is None:
+                callback()
+            else:
+                callback(argument)
+            self.events_executed += 1
+            executed += 1
+        return executed, None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue empties, *until* is reached, or
         *max_events* have executed.  Returns the number of events executed."""
-        executed = 0
-        while self._queue:
-            next_event = self._peek()
-            if next_event is None:
-                break
-            if until is not None and next_event.time > until:
-                self._now = until
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            if self.step():
-                executed += 1
+        executed, next_time = self._run(_INFINITY if until is None else until, max_events)
+        if until is not None and next_time is not None and next_time > until:
+            self._now = until
         return executed
 
     def run_window(self, horizon: float, max_events: Optional[int] = None) -> int:
@@ -283,21 +308,16 @@ class Simulator:
             raise SimulationError(
                 f"window horizon {horizon} precedes safe time {self._safe_time}"
             )
-        executed = 0
-        drained = True
-        while True:
-            next_event = self._peek()
-            if next_event is None or next_event.time >= horizon:
-                break
-            if max_events is not None and executed >= max_events:
-                # Truncated: live pre-horizon events remain, so the horizon
-                # is NOT safe — their callbacks may legitimately schedule
-                # before it.  The safe time only advances to "now".
-                drained = False
-                break
-            if self.step():
-                executed += 1
-        self._safe_time = horizon if drained else max(self._safe_time, self._now)
+        # The largest float below the horizon: "at or before" it is exactly
+        # "strictly before" the horizon.
+        executed, next_time = self._run(math.nextafter(horizon, -_INFINITY), max_events)
+        if next_time is None or next_time >= horizon:
+            self._safe_time = horizon
+        else:
+            # Truncated by max_events: live pre-horizon events remain, so the
+            # horizon is NOT safe — their callbacks may legitimately schedule
+            # before it.  The safe time only advances to "now".
+            self._safe_time = max(self._safe_time, self._now)
         return executed
 
     def reopen_window(self, time: float) -> None:
@@ -318,18 +338,11 @@ class Simulator:
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` when idle."""
-        event = self._peek()
-        return event.time if event is not None else None
+        return self._run(-_INFINITY, 0)[1]  # executes nothing, drops tombstones
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:
         """Run until no events remain (network fixpoint)."""
         return self.run(until=None, max_events=max_events)
-
-    def _peek(self) -> Optional[ScheduledEvent]:
-        while self._queue and self._queue[0][3].cancelled:
-            heapq.heappop(self._queue)
-            self._cancelled_in_queue -= 1
-        return self._queue[0][3] if self._queue else None
 
     def advance_to(self, time: float) -> None:
         """Advance the clock with no events (used by workload generators)."""

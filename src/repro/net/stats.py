@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import merged_counters
 
@@ -70,7 +70,6 @@ class TrafficStats:
         # message — MessageRecord's field order; records() materializes.
         self._records: List[Tuple[float, Any, Any, int, str]] = []
         self._max_records = max_records
-        self.messages_sent = 0
         self.dropped_records = 0
         # Streaming aggregates, maintained only in bounded mode (the
         # unbounded default computes every view from the raw records, so
@@ -79,18 +78,28 @@ class TrafficStats:
             None if max_records is None else {}
         )
         self._sender_kind_bytes: Dict[Tuple[Any, str], int] = {}
+        #: Records one ``(time, source, destination, size, kind)`` row: the
+        #: list's own ``append`` when unbounded, so billing a message costs
+        #: the network no Python frame.
+        self.append: Callable[[Tuple[float, Any, Any, int, str]], None] = (
+            self._records.append if max_records is None else self._append_bounded
+        )
 
     @property
     def max_records(self) -> Optional[int]:
         return self._max_records
 
+    @property
+    def messages_sent(self) -> int:
+        return len(self._records) + self.dropped_records
+
     def record(self, time: float, source: Any, destination: Any, size: int, kind: str) -> None:
-        self.messages_sent += 1
-        if self._max_records is None:
-            self._records.append((time, source, destination, size, kind))
-            return
+        self.append((time, source, destination, size, kind))
+
+    def _append_bounded(self, row: Tuple[float, Any, Any, int, str]) -> None:
+        time, source, _, size, kind = row
         if len(self._records) < self._max_records:
-            self._records.append((time, source, destination, size, kind))
+            self._records.append(row)
         else:
             self.dropped_records += 1
         totals = self._kind_totals.get(kind)
@@ -109,7 +118,6 @@ class TrafficStats:
     def reset(self) -> None:
         """Drop all records (used between experiment phases)."""
         self._records.clear()
-        self.messages_sent = 0
         self.dropped_records = 0
         if self._kind_totals is not None:
             self._kind_totals = {}

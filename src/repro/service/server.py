@@ -320,6 +320,10 @@ class ServiceServer:
         self._response_cache: Dict[Tuple[Any, Any], Dict[str, Any]] = {}
         self._response_cache_cap = 512
         self.idempotent_replays = 0
+        # Open connections: handler task -> its writer, so the drain can
+        # close them and await their handlers instead of leaving them to
+        # be cancelled mid-read when the loop shuts down.
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -339,12 +343,17 @@ class ServiceServer:
         self._stopping.set()
 
     async def _drain(self) -> None:
-        """Stop accepting, let in-flight requests finish, quiesce the sim."""
+        """Stop accepting, let in-flight requests finish, quiesce the sim,
+        then close every open connection and await its handler."""
         assert self._server is not None
         self._server.close()
         await self._idle.wait()
         async with self._engine_lock:
             self.service.network.simulator.run_until_idle()
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()  # a handler blocked in read_frame sees EOF
+        await asyncio.gather(*handlers, return_exceptions=True)
         await self._server.wait_closed()
 
     # ------------------------------------------------------------------ #
@@ -353,6 +362,8 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             writer.write(encode_frame(self.service.greeting(), max_frame=self.max_frame))
             await writer.drain()
@@ -384,6 +395,7 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     async def _send(self, writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
         try:

@@ -302,7 +302,7 @@ class TestUpdateHookSubscription:
         )
         service_a = reference_network.node("a").query_service
         while not service_a._inflight_index:  # the walk reaches a, then fans out
-            assert reference_network.simulator.step()
+            assert reference_network.simulator.run(max_events=1) == 1
         assert service_a._watching_updates
         # a derivation of the tuple being resolved disappears mid-walk
         reference_network.remove_link("a", "c")

@@ -92,6 +92,12 @@ class TestWorkloads:
         small_network.simulator.run_until_idle()
         assert len(workload.outcomes) == scheduled
 
+    def test_query_workload_over_an_unknown_table_creates_no_table(self, small_network):
+        before = small_network.predicates()
+        workload = QueryWorkload(small_network, polynomial_query(name="wl3"), table="nosuch")
+        assert workload.run() == []
+        assert small_network.predicates() == before
+
     def test_packet_workload_delivers_packets(self):
         program = pathvector_program().extended(packetforward_program(), "pv+fwd")
         network = build_network(ring_topology(6, seed=2), program, ProvenanceMode.NONE)

@@ -92,7 +92,7 @@ class TestTransmissionDelay:
 
     @staticmethod
     def sorted_neighbour_formula(topology, source, destination, size):
-        """What ``Network._latency`` computed before it read the adjacency."""
+        """The routed latency the network computed before it read the adjacency."""
         if source == destination:
             return 0.0
         latency = topology.latency_between(source, destination)
@@ -115,7 +115,9 @@ class TestTransmissionDelay:
         for source in topology.nodes:
             for destination in topology.nodes:
                 for size in (1, 1500, 1_000_000):
-                    assert network._latency(source, destination, size) == (
+                    # The clock is at 0.0, so a send arrives at its latency.
+                    message = network.send(source, destination, "ping", None, size=size)
+                    assert message.delivered_at == (
                         self.sorted_neighbour_formula(topology, source, destination, size)
                     )
 

@@ -9,6 +9,7 @@ in-process on an identically constructed network.
 """
 
 import gc
+import logging
 import threading
 import warnings
 
@@ -277,3 +278,27 @@ def test_stop_after_client_shutdown_never_races():
         gc.collect()
     unawaited = [w for w in caught if "never awaited" in str(w.message)]
     assert not unawaited, [str(w.message) for w in unawaited]
+
+
+def test_stop_with_a_client_still_connected_logs_no_asyncio_error(caplog):
+    """``stop()`` before the client closes: the drain closes the open
+    connection and awaits its handler, so no task is cancelled mid-read and
+    the event loop reports no callback exception."""
+    network = _network()
+    service = ServiceThread(network)
+    service.start()
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        for _ in range(3):
+            client = ServiceClient(*service.address)
+            assert client.call("ping")["now"] >= 0
+            # a second client that never completes its handshake
+            idle = ServiceClient(*service.address)
+            service.stop()
+            assert not service._thread.is_alive()
+            client.close()
+            idle.close()
+            service = ServiceThread(network)
+            service.start()
+        service.stop()
+    errors = [record.getMessage() for record in caplog.records if record.levelno >= logging.ERROR]
+    assert errors == []

@@ -8,7 +8,11 @@ replaced, kept below as an oracle: the ``isinstance`` ladder, the recursive
 ``wire_size`` and the three-walk encoder (``str`` + tree + size).  The
 payloads are random nested values of every type a message can carry, with
 polynomials that share subterms and carry ``None`` and ``""`` locations.
-Seeded mutants of the fast paths must fail the same check.
+The encoder memoizes a ``Sum``/``Product``'s encoding on the node at its
+second encoding, so every value is encoded three times (the third answer
+comes from the memo) and shared subterms meet the memo inside the walks.
+Seeded mutants of the fast paths, the memo among them, must fail the same
+check.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ import textwrap
 import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
-from repro.core import requests
+from paper_example import figure3_topology
+from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode, QueryRequest, requests
 from repro.core.bdd import Bdd, BddManager, export_bdd
-from repro.core.requests import canonical_json
+from repro.core.requests import QueryResult, SpecDescriptor, canonical_json
+from repro.datalog import Fact
 from repro.core.semiring import EMPTY, Literal, Product, ProvenanceExpression, Sum
 from repro.net import message
 from repro.net.message import HEADER_OVERHEAD, TRACE_CONTEXT_KEY, Message
+from repro.protocols import mincost_program
 
 
 # ---------------------------------------------------------------------- #
@@ -200,13 +207,14 @@ def mismatches(case):
             wrong.append(f"wire_size of {expression!r}")
     for value in (*pool, bdd, payload):
         expected_annotation = oracle_encode_annotation(value)
-        annotation = requests.encode_annotation(value)
-        try:
-            same = canonical_json(annotation) == canonical_json(expected_annotation)
-        except TypeError:  # a set holding bytes or polynomials is no JSON
-            same = annotation == expected_annotation
-        if not same:
-            wrong.append(f"encode_annotation of {value!r}")
+        for call in ("first", "memoizing", "memoized"):
+            annotation = requests.encode_annotation(value)
+            try:
+                same = canonical_json(annotation) == canonical_json(expected_annotation)
+            except TypeError:  # a set holding bytes or polynomials is no JSON
+                same = annotation == expected_annotation
+            if not same:
+                wrong.append(f"{call} encode_annotation of {value!r}")
     return wrong
 
 
@@ -275,17 +283,54 @@ MUTANTS = {
         'if location else ""',
         'if location is not None else ""',
     ),
+    "encoding memoized on the class, not the node": (
+        requests,
+        "_encode_polynomial",
+        'object.__setattr__(expression, "_encoded",',
+        'setattr(type(expression), "_encoded",',
+    ),
+    "memo hit returns a stale tree": (
+        requests,
+        "_encode_polynomial",
+        "if memo:\n        return memo\n",
+        'if memo:\n        return memo[0], {"op": "empty"}\n',
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_seeded_mutants_fail_the_oracle_check(name, monkeypatch):
     owner, attribute, old, new = MUTANTS[name]
-    # The stale-size mutant writes a class attribute; undo removes it.
+    # Two mutants write class attributes; undo removes them.
     monkeypatch.setattr(Sum, "_size", None, raising=False)
+    for cls in (Sum, Product):
+        monkeypatch.setattr(cls, "_encoded", None, raising=False)
     monkeypatch.setattr(owner, attribute, mutant(owner, attribute, old, new))
     find(
         CASES,
         lambda case: bool(mismatches(case)),
         settings=settings(CHECK_SETTINGS, max_examples=2000, phases=[Phase.generate]),
     )
+
+
+def test_a_cached_answer_equals_its_wire_round_trip():
+    """Two answers of one cached query share memoized trees; a round trip
+    through the wire form changes neither of them."""
+    network = ExspanNetwork(
+        figure3_topology(),
+        mincost_program(),
+        config=ExspanConfig(mode=ProvenanceMode.REFERENCE),
+    )
+    network.seed_links()
+    network.run_to_fixpoint()
+    request = QueryRequest(
+        Fact("bestPathCost", ("a", "c", 5)), SpecDescriptor(kind="polynomial", use_cache=True)
+    )
+    first, second, third = (network.execute(request) for _ in range(3))
+    assert first.annotation["kind"] == "polynomial"
+    assert second.annotation["tree"] is third.annotation["tree"]  # served from the memo
+    before = third.canonical_bytes()
+    round_tripped = QueryResult.from_dict(second.to_dict())
+    assert round_tripped.canonical_bytes() == second.canonical_bytes() == before
+    assert third.canonical_bytes() == first.canonical_bytes() == before
+    assert round_tripped.result == third.result
