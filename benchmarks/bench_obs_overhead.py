@@ -1,4 +1,4 @@
-"""Disabled-tracer overhead guard on the batched-pipeline workload.
+"""Disabled-tracer overhead guard on the engine's fixpoint workload.
 
 The observability layer promises **zero overhead when disabled**: an
 engine whose tracer was never installed — or was detached again via
@@ -8,7 +8,7 @@ engine whose tracer was never installed — or was detached again via
 :meth:`repro.datalog.engine.NDlogEngine.set_tracer`).
 
 This benchmark measures that claim on PATHVECTOR under the
-reference-provenance rewrite on rings (batched pipeline), in three
+reference-provenance rewrite on rings, in three
 configurations:
 
 - ``pristine``  — tracing never touched
@@ -56,9 +56,7 @@ CONFIGS = ("pristine", "detached", "traced")
 
 def _build(size: int) -> Tuple[StandaloneNetwork, List]:
     topology = ring_topology(size, seed=0)
-    network = StandaloneNetwork(
-        topology.nodes, rewrite_program(pathvector_program()), pipeline="batched"
-    )
+    network = StandaloneNetwork(topology.nodes, rewrite_program(pathvector_program()))
     return network, topology.link_facts()
 
 

@@ -107,8 +107,6 @@ class ExspanNetwork:
         self.topology = topology
         self.mode = config.mode
         self.link_cost = config.link_cost
-        self.planner = config.planner
-        self.pipeline = config.pipeline
         self.query_cache_capacity = config.query_cache_capacity
         self.query_coalescing = config.query_coalescing
         self.query_batching = config.query_batching
@@ -124,8 +122,6 @@ class ExspanNetwork:
             topology,
             local_nodes=config.local_addresses,
             shard_map=config.shard_map,
-            compact_min_cancelled=config.compact_min_cancelled,
-            compact_ratio=config.compact_ratio,
             traffic_record_cap=config.traffic_record_cap,
         )
         self.simulator: Simulator = self.network.simulator
@@ -188,8 +184,6 @@ class ExspanNetwork:
             address,
             functions=default_registry(),
             annotation_policy=policy,
-            planner=self.planner,
-            pipeline=self.pipeline,
         )
         engine.set_send(self._make_sender(host, engine))
         engine.load_program(self.prepared.program)

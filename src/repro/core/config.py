@@ -1,8 +1,7 @@
 """Consolidated, validated construction configuration for ExSPAN networks.
 
-:class:`ExspanNetwork` grew one keyword argument per PR — planner and
-pipeline selection, query-cache capacity, coalescing/batching ablation
-flags, simulator heap-compaction tuning, bounded traffic statistics,
+:class:`ExspanNetwork` grew one keyword argument per PR — query-cache
+capacity, coalescing/batching ablation flags, bounded traffic statistics,
 sharding placement — until every caller (and every layer forwarding the
 kwargs, like the sharded engine's worker bootstrap) had to repeat the whole
 sprawl.  :class:`ExspanConfig` freezes that surface into one validated
@@ -45,8 +44,6 @@ _MODES_BY_NAME: Dict[str, ProvenanceMode] = {
     "reference": ProvenanceMode.REFERENCE,
 }
 
-_PLANNERS = (None, "greedy", "naive")
-_PIPELINES = (None, "batched", "delta")
 _VALUE_POLICIES = ("bdd", "polynomial")
 
 
@@ -80,11 +77,7 @@ class ExspanConfig:
         ``value_policy`` — annotation representation for value mode
         (``"bdd"`` or ``"polynomial"``);
         ``collector`` — collector node for centralized mode (defaults to
-        the topology's first node);
-        ``planner`` — rule planner (``None`` = ``"greedy"``, or
-        ``"naive"``);
-        ``pipeline`` — delta pipeline (``None`` = ``"batched"``, or
-        ``"delta"``; the two are bit-identical).
+        the topology's first node).
 
     Workload
         ``link_cost`` — default cost for runtime-added links;
@@ -96,9 +89,7 @@ class ExspanConfig:
         ``query_coalescing`` / ``query_batching`` — concurrency ablations,
         both on by default.
 
-    Simulator / statistics
-        ``compact_min_cancelled`` / ``compact_ratio`` — event-heap
-        compaction tuning (``None`` = simulator defaults);
+    Statistics
         ``traffic_record_cap`` — bounded traffic-statistics mode
         (``None`` = unbounded history).
 
@@ -109,9 +100,9 @@ class ExspanConfig:
     Storage
         ``storage`` — storage backend spec (``None`` = process default,
         ``"memory"``, ``"sqlite"``, or ``"sqlite:<path>"``).  An
-        execution-environment knob like ``pipeline``: results are
-        byte-identical under any backend, and the spec is only emitted
-        in :meth:`to_dict` when explicitly set.
+        execution-environment knob: results are byte-identical under any
+        backend, and the spec is only emitted in :meth:`to_dict` when
+        explicitly set.
     """
 
     mode: ProvenanceMode = ProvenanceMode.REFERENCE
@@ -119,13 +110,9 @@ class ExspanConfig:
     value_policy: str = "bdd"
     link_cost: int = 1
     seed: int = 0
-    planner: Optional[str] = None
-    pipeline: Optional[str] = None
     query_cache_capacity: Optional[int] = None
     query_coalescing: bool = True
     query_batching: bool = True
-    compact_min_cancelled: Optional[int] = None
-    compact_ratio: Optional[float] = None
     traffic_record_cap: Optional[int] = None
     local_addresses: Optional[Tuple[Any, ...]] = None
     shard_map: Optional[Mapping[Any, int]] = field(default=None)
@@ -138,14 +125,6 @@ class ExspanConfig:
             f"value_policy must be one of {_VALUE_POLICIES}, got {self.value_policy!r}",
         )
         _require(
-            self.planner in _PLANNERS,
-            f"planner must be one of {_PLANNERS}, got {self.planner!r}",
-        )
-        _require(
-            self.pipeline in _PIPELINES,
-            f"pipeline must be one of {_PIPELINES}, got {self.pipeline!r}",
-        )
-        _require(
             isinstance(self.link_cost, int) and not isinstance(self.link_cost, bool),
             f"link_cost must be an int, got {self.link_cost!r}",
         )
@@ -153,18 +132,13 @@ class ExspanConfig:
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an int, got {self.seed!r}",
         )
-        for name in ("query_cache_capacity", "traffic_record_cap", "compact_min_cancelled"):
+        for name in ("query_cache_capacity", "traffic_record_cap"):
             value = getattr(self, name)
             _require(
                 value is None
                 or (isinstance(value, int) and not isinstance(value, bool) and value >= 0),
                 f"{name} must be None or a non-negative int, got {value!r}",
             )
-        _require(
-            self.compact_ratio is None
-            or (isinstance(self.compact_ratio, (int, float)) and self.compact_ratio > 0),
-            f"compact_ratio must be None or > 0, got {self.compact_ratio!r}",
-        )
         for name in ("query_coalescing", "query_batching"):
             _require(
                 isinstance(getattr(self, name), bool),
@@ -206,13 +180,9 @@ class ExspanConfig:
             "value_policy": self.value_policy,
             "link_cost": self.link_cost,
             "seed": self.seed,
-            "planner": self.planner,
-            "pipeline": self.pipeline,
             "query_cache_capacity": self.query_cache_capacity,
             "query_coalescing": self.query_coalescing,
             "query_batching": self.query_batching,
-            "compact_min_cancelled": self.compact_min_cancelled,
-            "compact_ratio": self.compact_ratio,
             "traffic_record_cap": self.traffic_record_cap,
         }
         if self.local_addresses is not None:

@@ -20,7 +20,6 @@ from .ast import (
 from .engine import (
     DELETE,
     INSERT,
-    PLANNERS,
     AnnotationPolicy,
     Delta,
     NDlogEngine,
@@ -70,7 +69,6 @@ __all__ = [
     "is_event_predicate",
     "DELETE",
     "INSERT",
-    "PLANNERS",
     "AnnotationPolicy",
     "Delta",
     "NDlogEngine",

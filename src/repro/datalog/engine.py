@@ -20,23 +20,22 @@ ExSPAN paper:
   tuple is only propagated when it first appears and only deleted when its
   last derivation disappears (cascaded deletions).
 
-There are two pipelines.  The default ``pipeline="batched"`` drains the
-queue in maximal runs of consecutive deltas sharing one (predicate, action)
-pair and routes each through the closure-compiled plan executors
-(:mod:`repro.datalog.plan.compiler`).  Batching amortizes the per-delta
-dispatch (event check, table resolution, rule-list lookup, counter updates)
-without reordering anything: deltas inside a batch are still applied and
-fired strictly in FIFO order, and derived deltas always join the back of
-the queue.  ``pipeline="delta"`` is the legacy one-delta-at-a-time
-interpreter, retained as the equivalence oracle: the two give the same
-fixpoints, provenance VIDs, annotation merges and ``tuples_scanned``
-counters.
+There is one way to run a rule.  Every (rule, trigger position) pair is
+compiled by the greedy planner (:mod:`repro.datalog.plan`) into a plan
+with generated or closure-compiled executors, and :meth:`NDlogEngine.run`
+drains the queue in maximal runs of consecutive deltas sharing one
+(predicate, action) pair.  Batching amortizes the per-delta dispatch
+(event check, table resolution, rule-list lookup, counter updates) without
+reordering anything: deltas inside a batch are still applied and fired
+strictly in FIFO order, and derived deltas always join the back of the
+queue.  The term-tree interpreter and the nested-loop join this executor
+must equal live in the test suite (``tests/oracle/``).
 
-On the batched path a *sink* table — a materialised predicate no rule
-reads, such as ``prov`` and ``ruleExec`` under reference provenance — is
-not queued at all: a locally derived sink row is applied where it is
-emitted (see :meth:`NDlogEngine._refresh_sinks`), which keeps every
-table's row order because a sink has no firings.
+A *sink* table — a materialised predicate no rule reads, such as ``prov``
+and ``ruleExec`` under reference provenance — is not queued at all: a
+locally derived sink row is applied where it is emitted (see
+:meth:`NDlogEngine._refresh_sinks`), which keeps every table's row order
+because a sink has no firings.
 
 The engine exposes two extension points used by the ExSPAN provenance layer:
 
@@ -95,21 +94,7 @@ __all__ = [
     "INSERT",
     "DELETE",
     "REFRESH",
-    "PLANNERS",
-    "PIPELINES",
 ]
-
-#: Evaluation strategies: "greedy" (the default) routes deltas through
-#: compiled plans from the cost-based planner (:mod:`repro.datalog.plan`);
-#: "naive" is the unoptimized left-to-right nested-loop join with no
-#: secondary indexes, kept so benchmarks can quantify what the planner buys.
-PLANNERS = ("greedy", "naive")
-
-#: Delta pipelines: "batched" (the default) drains the queue in
-#: per-(predicate, action) runs and executes closure-compiled plans;
-#: "delta" is the legacy one-delta-at-a-time interpreter, kept as the
-#: equivalence oracle.  Results are bit-identical across the two.
-PIPELINES = ("batched", "delta")
 
 
 INSERT = "insert"
@@ -204,21 +189,21 @@ class _CompiledAggregateRule:
     groups: Dict[Tuple[Any, ...], AggregateState] = field(default_factory=dict)
     emitted: Dict[Tuple[Any, ...], Tuple[Any, ...]] = field(default_factory=dict)
     #: closure-compiled evaluators of the non-aggregate head arguments, in
-    #: head order (used by both pipelines; equivalent to Term.evaluate).
+    #: head order (equivalent to Term.evaluate).
     group_fns: Tuple[Any, ...] = ()
 
 
 class _Firing:
     """One (rule, trigger position) registration with its resolved plan.
 
-    The batched pipeline iterates these instead of re-looking plans up in
-    the ``(id(rule), position)`` dict on every delta; ``plan`` is swapped in
+    The run loop iterates these instead of re-looking plans up in the
+    ``(id(rule), position)`` dict on every delta; ``plan`` is swapped in
     place on staleness recompiles.
     """
 
     __slots__ = ("rule", "position", "plan")
 
-    def __init__(self, rule: Rule, position: int, plan: Optional[CompiledDeltaPlan]):
+    def __init__(self, rule: Rule, position: int, plan: CompiledDeltaPlan):
         self.rule = rule
         self.position = position
         self.plan = plan
@@ -234,8 +219,6 @@ class NDlogEngine:
         functions: Optional[FunctionRegistry] = None,
         send: Optional[Callable[[Any, Delta], None]] = None,
         annotation_policy: Optional[AnnotationPolicy] = None,
-        planner: Optional[str] = None,
-        pipeline: Optional[str] = None,
     ):
         self.address = address
         self.functions = functions if functions is not None else default_registry()
@@ -258,20 +241,6 @@ class NDlogEngine:
         #: Never feeds :attr:`stats` — engine counters are part of the
         #: deterministic state digest and must not see tracing.
         self.tracer = None
-        self.planner = planner if planner is not None else "greedy"
-        if self.planner not in PLANNERS:
-            raise ValidationError(
-                f"unknown planner {self.planner!r}; expected one of {PLANNERS}"
-            )
-        self.pipeline = pipeline if pipeline is not None else "batched"
-        if self.pipeline not in PIPELINES:
-            raise ValidationError(
-                f"unknown pipeline {self.pipeline!r}; expected one of {PIPELINES}"
-            )
-        #: True when the batched pipeline (and compiled plan execution) runs.
-        self._batched = self.pipeline == "batched"
-        #: True when _fire_rules may take the compiled fast path.
-        self._fast = self._batched and self.planner == "greedy"
         #: True where the fused path runs (see :meth:`_refresh_sinks`).
         self._lean = False
         #: Sink predicate name -> its applier (see :meth:`_refresh_sinks`):
@@ -313,8 +282,17 @@ class NDlogEngine:
         self._refresh_sinks()
 
     def _install_rule(self, rule: Rule) -> None:
-        self.rules.append(rule)
         aggregate = rule.head.aggregate()
+        # Aggregate state is keyed by rule label, so an aggregate rule's
+        # label must name no other installed rule.
+        if rule.label in self._aggregate_rules or (
+            aggregate is not None
+            and any(installed.label == rule.label for installed in self.rules)
+        ):
+            raise ValidationError(
+                f"rule label {rule.label!r} is shared with an aggregate rule"
+            )
+        self.rules.append(rule)
         if aggregate is not None:
             index, spec = aggregate
             self._aggregate_rules[rule.label] = _CompiledAggregateRule(
@@ -328,11 +306,9 @@ class NDlogEngine:
                 ),
             )
         for position, atom in enumerate(rule.body_atoms):
-            plan = None
-            if self.planner == "greedy":
-                plan = self._plan_compiler.compile(rule, position)
-                self._plans[(id(rule), position)] = plan
-                self.stats["plans_compiled"] += 1
+            plan = self._plan_compiler.compile(rule, position)
+            self._plans[(id(rule), position)] = plan
+            self.stats["plans_compiled"] += 1
             self._firings_by_predicate[atom.name].append(_Firing(rule, position, plan))
         # A predicate already seen with no firings must pick this rule up.
         self._dispatch.clear()
@@ -351,15 +327,13 @@ class NDlogEngine:
         only while none of its deltas is queued, so a sink that receives a
         delta from outside the engine's own emissions is queued again.
 
-        Only where the fused path runs (``_lean``) — batched and greedy, no
-        annotation policy, no rule listener, no tracer; otherwise the map
-        stays empty and every row is queued, which keeps traced spans
-        unchanged and ``pipeline="delta"`` an independent oracle.
+        Only where the fused path runs (``_lean``) — no annotation policy,
+        no rule listener, no tracer; otherwise the map stays empty and every
+        row is queued, which keeps traced spans unchanged.
         """
         self._sinks = {}
         self._lean = (
-            self._fast
-            and self.annotation_policy is None
+            self.annotation_policy is None
             and not self._rule_listeners
             and self.tracer is None
         )
@@ -418,10 +392,8 @@ class NDlogEngine:
         rule named by *label*.  A label with no exact match falls back to
         prefix matching (``label_*``) so asking for a source rule like
         ``sp1`` shows its provenance-rewritten variants (``sp1_phead``,
-        ``sp1_pexec``, ...).  Only available with ``planner="greedy"``.
+        ``sp1_pexec``, ...).
         """
-        if self.planner != "greedy":
-            return f"planner={self.planner!r}: no compiled plans (nested-loop joins)"
 
         def matching(predicate) -> List[CompiledDeltaPlan]:
             return sorted(
@@ -492,11 +464,11 @@ class NDlogEngine:
 
     def _traced_run(self, max_steps: Optional[int] = None) -> int:
         if not self._queue:
-            return NDlogEngine.run(self, max_steps)
+            return type(self).run(self, max_steps)
         with self.tracer.span(
             "fixpoint.round", cat="engine", host=self.address
         ) as span:
-            steps = NDlogEngine.run(self, max_steps)
+            steps = type(self).run(self, max_steps)
             span.add(deltas=steps)
         return steps
 
@@ -509,7 +481,7 @@ class NDlogEngine:
             action=action,
             deltas=len(batch),
         ):
-            NDlogEngine._process_batch(self, name, action, batch)
+            type(self)._process_batch(self, name, action, batch)
 
     def _traced_fire_rules(self, firings, delta: Delta) -> None:
         with self.tracer.span(
@@ -520,7 +492,7 @@ class NDlogEngine:
             action=delta.action,
             rule=",".join(firing.rule.label for firing in firings),
         ):
-            NDlogEngine._fire_rules(self, firings, delta)
+            type(self)._fire_rules(self, firings, delta)
 
     # ------------------------------------------------------------------ #
     # external updates
@@ -567,29 +539,18 @@ class NDlogEngine:
         :meth:`_refresh_sinks`): they count in ``deltas_processed`` but
         never occupy the queue.
 
-        The batched pipeline drains maximal runs of *consecutive* deltas
-        sharing one (predicate, action) pair and processes them together.
-        Derived deltas always join the back of the queue, exactly as when
-        they are produced one delta at a time, so batching changes dispatch
-        cost only — never processing order or results.
+        It drains maximal runs of *consecutive* deltas sharing one
+        (predicate, action) pair and processes them together.  Derived
+        deltas always join the back of the queue, exactly as when they are
+        produced one delta at a time, so batching changes dispatch cost
+        only — never processing order or results.
         """
-        if not self._batched:
-            steps = 0
-            while self._queue:
-                if max_steps is not None and steps >= max_steps:
-                    break
-                delta = self._queue.popleft()
-                # The unbatched oracle: one delta per call, and no span (the
-                # class attribute, not a traced override).
-                NDlogEngine._process_batch(self, delta.fact.name, delta.action, (delta,))
-                steps += 1
-            return steps
         queue = self._queue
         dispatch = self._dispatch
         # With no annotation to merge and no span to emit, a singleton is
         # applied and fired right here (the body of _apply_insert /
         # _apply_delete / _fire_rules, minus their frames).
-        fused = self._fast and self.annotation_policy is None and self.tracer is None
+        fused = self.annotation_policy is None and self.tracer is None
         steps = 0
         singletons = 0
         try:
@@ -653,7 +614,7 @@ class NDlogEngine:
                         self._notify_update(action, fact)
                 for firing in firings:
                     plan = firing.plan
-                    if plan is not None and plan.fused_exec is not None:
+                    if plan.fused_exec is not None:
                         plan.fused_exec(plan, self, values, delta)
                     else:
                         # Multi-step plans: staleness checks and recompiles.
@@ -700,7 +661,7 @@ class NDlogEngine:
                 self._apply_refresh(table, firings, delta)
 
     # ------------------------------------------------------------------ #
-    # delta application (shared by both pipelines)
+    # delta application
     # ------------------------------------------------------------------ #
     def _apply_insert(self, table: Table, firings, delta: Delta) -> None:
         fact = delta.fact
@@ -765,146 +726,42 @@ class NDlogEngine:
     def _fire_rules(self, firings, delta: Delta) -> None:
         """Fire every registered (rule, position) for *delta*'s predicate.
 
-        The batched pipeline routes matches through the closure-compiled
-        plan executors; the legacy pipeline (and the naive planner) use the
-        interpreted path.  Both preserve rule registration order, so head
-        deltas are enqueued identically.
+        Firings run in rule registration order, so head deltas are enqueued
+        in the same order however each plan executes.
         """
-        if self._fast:
-            values = delta.fact.values
-            for firing in firings:
-                plan = firing.plan
-                if plan is None:
-                    # Plan not compiled yet (rule added outside add_rule's
-                    # greedy path); match generically, then compile.
-                    self._evaluate_delta_rule(firing.rule, firing.position, delta)
-                    continue
-                fused = plan.fused_exec
-                if fused is not None:
-                    # Fully fused path (zero- and one-step plans): trigger
-                    # match + probe + literals + emission in one generated
-                    # function, no binding dict.  Such plans never go stale
-                    # (staleness needs >= 2 reorderable steps).
-                    fused(plan, self, values, delta)
-                    continue
-                binder = plan.trigger_binder
-                if binder is not None:
-                    binding = binder(values)
-                else:
-                    binding = self._match_atom(plan.trigger_atom, values, {})
-                if binding is None:
-                    continue
-                # Staleness re-check mirrors _plan_for: only after a trigger
-                # match, so `executions` counts (and recompile points) are
-                # identical to the legacy pipeline's.
-                if (
-                    plan.multi_step
-                    and plan.executions % STALENESS_CHECK_PERIOD == 0
-                    and plan.is_stale(self._statistics)
-                ):
-                    plan = self._plan_compiler.compile(firing.rule, firing.position)
-                    plan.executions = 1  # keep the staleness period aligned
-                    firing.plan = plan
-                    self._plans[(id(firing.rule), firing.position)] = plan
-                    self.stats["plans_recompiled"] += 1
-                plan.execute(self, delta, binding)
-            return
+        values = delta.fact.values
         for firing in firings:
-            self._evaluate_delta_rule(firing.rule, firing.position, delta)
-
-    # ------------------------------------------------------------------ #
-    # delta-rule evaluation (interpreted path)
-    # ------------------------------------------------------------------ #
-    def _evaluate_delta_rule(self, rule: Rule, position: int, delta: Delta) -> None:
-        body_atoms = rule.body_atoms
-        trigger_atom = body_atoms[position]
-        binding = self._match_atom(trigger_atom, delta.fact.values, {})
-        if binding is None:
-            return
-        if self.planner == "greedy":
-            plan = self._plan_for(rule, position)
-            if self._batched:
-                plan.execute(self, delta, binding)
-            else:
-                plan.execute_interpreted(self, delta, binding)
-            return
-        partial = [(trigger_atom, delta.fact)]
-        self._join_remaining(rule, body_atoms, position, binding, partial, delta)
-
-    def _plan_for(self, rule: Rule, position: int) -> CompiledDeltaPlan:
-        """Fetch the compiled plan, recompiling when cardinalities drifted.
-
-        Plans are compiled at :meth:`add_rule` time with whatever the tables
-        held then (usually nothing).  Multi-step plans are therefore
-        re-costed periodically against live cardinalities — a different join
-        order never changes results, only scan counts.
-        """
-        plan = self._plans.get((id(rule), position))
-        if plan is None:
-            plan = self._plan_compiler.compile(rule, position)
-            self._plans[(id(rule), position)] = plan
-            self.stats["plans_compiled"] += 1
-            return plan
-        if plan.should_check_staleness() and plan.is_stale(self._statistics):
-            plan = self._plan_compiler.compile(rule, position)
-            plan.executions = 1  # keep the staleness check period aligned
-            self._plans[(id(rule), position)] = plan
-            self.stats["plans_recompiled"] += 1
-        return plan
-
-    def _join_remaining(
-        self,
-        rule: Rule,
-        body_atoms: Tuple[Atom, ...],
-        trigger_position: int,
-        binding: Dict[str, Any],
-        matched: List[Tuple[Atom, Fact]],
-        delta: Delta,
-        next_index: int = 0,
-    ) -> None:
-        """Naive depth-first nested-loop join of the remaining body atoms.
-
-        This is the ``planner="naive"`` baseline: atoms are joined strictly
-        left to right and every candidate row of each body table is examined
-        with no secondary-index support — the textbook strategy the planner
-        subsystem (:mod:`repro.datalog.plan`) is measured against.
-
-        Note this is deliberately *not* the pre-planner engine's code path,
-        which already constrained lookups with lazily-built hash indexes;
-        that behaviour lives on inside the greedy planner (which adds join
-        ordering, eager index registration, expression constraints and
-        condition pushdown on top).  Benchmark numbers comparing the two
-        planners therefore quantify the full cost of unindexed evaluation,
-        not the delta against the previous engine.
-        """
-        index = next_index
-        while index < len(body_atoms) and (
-            index == trigger_position or body_atoms[index] is None
-        ):
-            index += 1
-        if index >= len(body_atoms):
-            self._finalize_binding(rule, binding, matched, delta)
-            return
-        atom = body_atoms[index]
-        table = self.catalog.table(atom.name)
-        self.stats["full_scans"] += 1
-        scanned = 0
-        for row in table.rows():
-            scanned += 1
-            extended = self._match_atom(atom, row, binding)
-            if extended is None:
+            plan = firing.plan
+            fused = plan.fused_exec
+            if fused is not None:
+                # Fully fused path (zero- and one-step plans): trigger
+                # match + probe + literals + emission in one generated
+                # function, no binding dict.  Such plans never go stale
+                # (staleness needs >= 2 reorderable steps).
+                fused(plan, self, values, delta)
                 continue
-            fact = Fact(atom.name, row, atom.location_index)
-            self._join_remaining(
-                rule,
-                body_atoms,
-                trigger_position,
-                extended,
-                matched + [(atom, fact)],
-                delta,
-                index + 1,
-            )
-        self.stats["tuples_scanned"] += scanned
+            binder = plan.trigger_binder
+            if binder is not None:
+                binding = binder(values)
+            else:
+                binding = self._match_atom(plan.trigger_atom, values, {})
+            if binding is None:
+                continue
+            # Plans are compiled against whatever the tables held at
+            # add_rule time, so multi-step plans are re-costed against live
+            # cardinalities every STALENESS_CHECK_PERIOD trigger matches.  A
+            # different join order never changes results, only scan counts.
+            if (
+                plan.multi_step
+                and plan.executions % STALENESS_CHECK_PERIOD == 0
+                and plan.is_stale(self._statistics)
+            ):
+                plan = self._plan_compiler.compile(firing.rule, firing.position)
+                plan.executions = 1  # keep the staleness period aligned
+                firing.plan = plan
+                self._plans[(id(firing.rule), firing.position)] = plan
+                self.stats["plans_recompiled"] += 1
+            plan.execute(self, delta, binding)
 
     def _match_atom(
         self, atom: Atom, values: Sequence[Any], binding: Mapping[str, Any]

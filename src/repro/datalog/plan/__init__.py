@@ -11,10 +11,11 @@ evaluation plans:
 * :mod:`~repro.datalog.plan.compiler` — executable compiled plans;
 * :mod:`~repro.datalog.plan.explain` — human-readable plan rendering.
 
-The subsystem sits entirely behind :class:`~repro.datalog.engine.NDlogEngine`
-(``planner="greedy"`` enables it, ``planner="naive"`` keeps the unoptimized
-left-to-right nested-loop strategy for comparison); plans never change what
-a rule derives, only how many tuples are scanned deriving it.
+The subsystem sits entirely behind :class:`~repro.datalog.engine.NDlogEngine`,
+which compiles a greedy plan for every rule and runs nothing else; plans
+never change what a rule derives, only how many tuples are scanned deriving
+it.  The left-to-right nested-loop join and the term-tree interpreter they
+are checked against live in ``tests/oracle/``.
 """
 
 from .compiled_exec import compile_term

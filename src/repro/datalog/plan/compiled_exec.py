@@ -1,11 +1,11 @@
-"""Closure-compiled execution primitives for the batched delta pipeline.
+"""Closure-compiled and generated executors of compiled delta plans.
 
-The interpreted evaluation path walks :class:`~repro.datalog.terms.Term`
-trees and re-classifies every atom argument (variable? constant?
-expression?) on every delta.  That generic dispatch dominates the per-node
-fixpoint cost once join *order* is already optimal, so this module compiles
-each (rule, trigger position) plan down to plain Python closures once, at
-plan-compile time:
+Interpreting a rule walks :class:`~repro.datalog.terms.Term` trees and
+re-classifies every atom argument (variable? constant? expression?) on
+every delta.  That generic dispatch dominates the per-node fixpoint cost
+once join *order* is already optimal, so this module compiles each
+(rule, trigger position) plan down to plain Python once, at plan-compile
+time:
 
 * :func:`compile_term` — one closure per term, mirroring ``Term.evaluate``
   exactly (same values, same :class:`EvaluationError` messages, same
@@ -17,13 +17,16 @@ plan-compile time:
 * :func:`compile_literals` / :func:`compile_head` — the rule's non-atom
   literal sequence and head-argument evaluators.
 
-Equivalence with the interpreted path is the hard requirement (results feed
-provenance VIDs, annotations and the committed benchmark baselines), so
-every compiled form either reproduces the interpreted semantics exactly or
-declines to compile (returns ``None``) and the caller falls back to the
-interpreted code.  Expression arguments inside atoms are the one declined
-case: the interpreter evaluates them under the partially-extended binding
-of the *same* atom, which a static specialization cannot mirror safely.
+Equivalence with term-tree evaluation (``Term.evaluate``,
+``NDlogEngine._match_atom`` and ``_finalize_binding``) is the hard
+requirement — results feed provenance VIDs, annotations and the committed
+benchmark baselines, and ``tests/oracle/`` holds the interpreters they are
+checked against — so every compiled form either reproduces those semantics
+exactly or declines to compile (returns ``None``) and the caller falls back
+to the generic code.  Expression arguments inside atoms are the one
+declined case: matching evaluates them under the partially-extended
+binding of the *same* atom, which a static specialization cannot mirror
+safely.
 """
 
 from __future__ import annotations

@@ -14,35 +14,28 @@ For every rule and every body-atom position a delta can arrive at, the
 * the secondary indexes each step needs, registered eagerly with the
   :class:`~repro.datalog.plan.indexes.IndexManager`.
 
-Every plan carries two execution forms:
+A plan runs in one of two forms, both built from :mod:`.compiled_exec`:
+the generated *fused* executor (zero- and one-step plans, see
+:attr:`CompiledDeltaPlan.fused_exec`), or :meth:`CompiledDeltaPlan.execute`
+over closure-compiled trigger binders, per-step matchers, precomputed index
+key tuples and a generated finalizer.
 
-* :meth:`CompiledDeltaPlan.execute` — the *batched-pipeline* form built
-  from closure-compiled primitives (:mod:`.compiled_exec`): trigger
-  binders, per-step matchers, precomputed index key tuples and compiled
-  literal/head evaluators.  This is what the engine's batched delta
-  pipeline runs.
-* :meth:`CompiledDeltaPlan.execute_interpreted` — the original
-  term-tree-walking interpreter, retained verbatim.  The legacy per-delta
-  pipeline (``pipeline="delta"``) runs it, the equivalence tests compare
-  the two, and the speedup benchmarks use it as the "before" measurement.
-
-Equivalence with the naive path is a hard requirement (the engine's results
-feed provenance VIDs and annotations), so both executions are careful to
-mirror the naive semantics exactly:
+Both must equal a left-to-right nested-loop join walked over term trees
+(the oracles in ``tests/oracle/``), because the engine's results feed
+provenance VIDs and annotations:
 
 * lookup constraints are built only from variables bound by the trigger
   atom and earlier *atoms* — never from assignment-derived variables, which
-  the naive path also ignores during matching;
+  a nested-loop join also ignores during matching;
 * pushed-down literals are evaluated with the same overwrite-in-body-order
   semantics as finalization, and any :class:`EvaluationError` defers the
   literal (and everything after it) back to finalization instead of
   pruning, so error behaviour is unchanged;
-* matched body facts are handed to the engine in the naive order (trigger
-  first, then remaining atoms in body order) regardless of the join order,
-  keeping provenance annotation combination bit-identical;
+* matched body facts are handed to the engine in body order (trigger
+  first, then the remaining atoms) regardless of the join order, keeping
+  provenance annotation combination bit-identical;
 * the ``index_lookups`` / ``full_scans`` / ``tuples_scanned`` counters are
-  incremented identically by both forms (they are stored in benchmark
-  artifacts the CI regression gate byte-compares).
+  stored in benchmark artifacts the CI regression gate byte-compares.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..ast import Assignment, Atom, Fact, Rule
+from ..ast import Atom, Fact, Rule
 from ...storage.memory import freeze_value
 from ..errors import EvaluationError
 from .compiled_exec import (
@@ -287,12 +280,6 @@ class CompiledDeltaPlan:
     # ------------------------------------------------------------------ #
     # staleness
     # ------------------------------------------------------------------ #
-    def should_check_staleness(self) -> bool:
-        return (
-            len(self.steps) >= 2
-            and self.executions % STALENESS_CHECK_PERIOD == 0
-        )
-
     def is_stale(self, statistics: CatalogStatistics) -> bool:
         """True when join-relevant cardinalities drifted far from compile time.
 
@@ -309,7 +296,7 @@ class CompiledDeltaPlan:
         return False
 
     # ------------------------------------------------------------------ #
-    # batched-pipeline execution (closure-compiled fast path)
+    # execution
     # ------------------------------------------------------------------ #
     def execute(self, engine, delta, binding: Dict[str, Any]) -> None:
         """Run the compiled plan for *delta* given the trigger *binding*."""
@@ -346,9 +333,9 @@ class CompiledDeltaPlan:
                 try:
                     key = step.build_key(step.full_sources, binding, functions)
                 except EvaluationError:
-                    # Same fallback as the interpreter: drop every
-                    # expression constraint, keep the var/const ones, and
-                    # let the per-row match filter (identically to naive).
+                    # Drop every expression constraint, keep the var/const
+                    # ones (the compiler pre-registered that index), and let
+                    # the per-row match reject rows as a full scan would.
                     positions = step.fallback_positions
                     if positions:
                         key = step.build_key(
@@ -397,11 +384,10 @@ class CompiledDeltaPlan:
         """Compiled finalization: literals, then aggregate or head emission.
 
         Mirrors ``NDlogEngine._finalize_binding`` exactly, including the
-        error-message wrapping.  Unlike the interpreter it takes *ownership*
-        of ``binding`` instead of copying it into a fresh environment: every
-        caller on the compiled path hands over a dict built for exactly one
-        finalization (the trigger binder's, or a step matcher's extension),
-        so mutating it in place is unobservable.
+        error-message wrapping, but takes *ownership* of ``binding`` instead
+        of copying it into a fresh environment: every caller hands over a
+        dict built for exactly one finalization (the trigger binder's, or a
+        step matcher's extension), so mutating it in place is unobservable.
         """
         env = binding
         functions = engine.functions
@@ -460,7 +446,7 @@ class CompiledDeltaPlan:
 
     @staticmethod
     def _apply_prefix(engine, binding, literals) -> bool:
-        """Compiled pushdown prefix; same deferral semantics as interpreted."""
+        """Pushed-down literal prefix: False prunes, EvaluationError defers."""
         env = dict(binding)
         functions = engine.functions
         for is_assign, name, fn, _literal in literals:
@@ -472,132 +458,6 @@ class CompiledDeltaPlan:
             else:
                 try:
                     if not fn(env, functions):
-                        return False
-                except EvaluationError:
-                    return True
-        return True
-
-    # ------------------------------------------------------------------ #
-    # interpreted execution (legacy pipeline and equivalence reference)
-    # ------------------------------------------------------------------ #
-    def execute_interpreted(self, engine, delta, binding: Dict[str, Any]) -> None:
-        """Run the plan by walking term trees (the pre-batching code path)."""
-        self.executions += 1
-        if not self.steps:
-            matched = [(self.trigger_atom, delta.fact)]
-            engine._finalize_binding(self.rule, binding, matched, delta)
-            return
-        if self.initial_literal_prefix and not self._apply_literal_prefix(
-            engine, binding, self.initial_literal_prefix
-        ):
-            return
-        facts: Dict[int, Fact] = {}
-        self._join(engine, delta, binding, 0, facts)
-
-    def _join(
-        self,
-        engine,
-        delta,
-        binding: Dict[str, Any],
-        step_index: int,
-        facts: Dict[int, Fact],
-    ) -> None:
-        if step_index == len(self.steps):
-            matched = [(self.trigger_atom, delta.fact)]
-            for position, atom in self.body_order:
-                matched.append((atom, facts[position]))
-            engine._finalize_binding(self.rule, binding, matched, delta)
-            return
-        step = self.steps[step_index]
-        constraints = self._constraints(engine, step, binding)
-        table = engine.catalog.table(step.atom.name)
-        stats = engine.stats
-        if constraints:
-            stats["index_lookups"] += 1
-        else:
-            stats["full_scans"] += 1
-        scanned = 0
-        for row in table.lookup(constraints):
-            scanned += 1
-            extended = engine._match_atom(step.atom, row, binding)
-            if extended is None:
-                continue
-            if step.literal_prefix and not self._apply_literal_prefix(
-                engine, extended, step.literal_prefix
-            ):
-                continue
-            facts[step.body_position] = Fact(
-                step.atom.name, row, step.atom.location_index
-            )
-            self._join(engine, delta, extended, step_index + 1, facts)
-        stats["tuples_scanned"] += scanned
-
-    def _constraints(
-        self, engine, step: CompiledStep, binding: Dict[str, Any]
-    ) -> Dict[int, Any]:
-        """Build the {position: value} lookup constraints for *step*.
-
-        If any expression constraint fails to evaluate, every expression
-        constraint is dropped and only the variable/constant ones remain:
-        that fallback position set is also pre-registered by the compiler,
-        so the lookup never builds an untracked index inside the evaluation
-        loop.  Dropping constraints is always safe — the surviving rows are
-        filtered by ``_match_atom`` exactly as the naive path would.
-        """
-        constraints: Dict[int, Any] = {}
-        expr_specs = []
-        for spec in step.lookups:
-            if spec.kind == "var":
-                constraints[spec.position] = binding[spec.source]
-            elif spec.kind == "const":
-                constraints[spec.position] = spec.source
-            else:
-                expr_specs.append(spec)
-        for spec in expr_specs:
-            try:
-                value = spec.source.evaluate(binding, engine.functions)
-            except EvaluationError:
-                # The naive path evaluates the expression per row inside
-                # _match_atom and rejects rows on EvaluationError; fall back
-                # to the var/const index so it does the same here.
-                for dropped in expr_specs:
-                    constraints.pop(dropped.position, None)
-                break
-            constraints[spec.position] = value
-        return constraints
-
-    def _apply_literal_prefix(
-        self, engine, binding: Mapping[str, Any], count: int
-    ) -> bool:
-        """Evaluate the first *count* non-atom literals; False prunes.
-
-        Mirrors finalization: literals run in body order against an
-        environment seeded with the atom bindings, assignments overwrite.
-        An EvaluationError stops pushdown (the literal runs again at
-        finalization, which owns error reporting), it never prunes.
-
-        Prefixes are cumulative — step k re-evaluates literals [0, count)
-        rather than slicing from the previous step's count.  That repeats
-        some assignment evaluations on bodies with three or more atoms, but
-        it keeps the environment construction textually identical to
-        finalization's (the equivalence-critical property); the repeated
-        work is bounded by the prefix length, which is zero unless the
-        prefix contains a pruning condition.
-        """
-        env = dict(binding)
-        functions = engine.functions
-        for info in self.literals[:count]:
-            literal = info.literal
-            if isinstance(literal, Assignment):
-                try:
-                    env[literal.variable.name] = literal.expression.evaluate(
-                        env, functions
-                    )
-                except EvaluationError:
-                    return True
-            else:
-                try:
-                    if not literal.expression.evaluate(env, functions):
                         return False
                 except EvaluationError:
                     return True
@@ -651,8 +511,8 @@ class PlanCompiler:
                 signature.name, estimate.bound_positions
             )
             # Pre-register the fallback index used when an expression
-            # constraint fails to evaluate at runtime (see _constraints), so
-            # that path never lazily builds an untracked index mid-delta.
+            # constraint fails to evaluate at runtime (see _join_compiled),
+            # so that path never lazily builds an untracked index mid-delta.
             fallback = tuple(
                 spec.position for spec in lookups if spec.kind != "expr"
             )

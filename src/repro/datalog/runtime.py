@@ -30,8 +30,6 @@ class StandaloneNetwork:
         program: Optional[Program] = None,
         functions: Optional[FunctionRegistry] = None,
         annotation_policy_factory: Optional[Callable[[Any], Any]] = None,
-        planner: Optional[str] = None,
-        pipeline: Optional[str] = None,
     ):
         self.engines: Dict[Any, NDlogEngine] = {}
         self._pending: deque[Tuple[Any, Delta]] = deque()
@@ -47,8 +45,6 @@ class StandaloneNetwork:
                 functions=functions.copy() if functions is not None else None,
                 send=self._make_sender(address),
                 annotation_policy=policy,
-                planner=planner,
-                pipeline=pipeline,
             )
             self.engines[address] = engine
         if program is not None:

@@ -4,7 +4,7 @@ Subcommands::
 
     python -m repro.experiments list                    # registered scenarios
     python -m repro.experiments run --all --quick --workers 4
-    python -m repro.experiments run 6 7 planner_ablation --paper
+    python -m repro.experiments run 6 7 churn_intensity --paper
     python -m repro.experiments run 13 --trace traces   # + Chrome traces
     python -m repro.experiments compare benchmarks/baselines results
     python -m repro.experiments trace traces/TRACE_*.json
@@ -33,7 +33,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ..datalog.engine import PLANNERS
 from ..obs.export import (
     load_trace,
     phase_summary,
@@ -78,7 +77,6 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
             workers=arguments.workers,
             results_dir=arguments.results_dir,
             resume=not arguments.no_resume,
-            planner=arguments.planner,
             shards=arguments.shards,
             verbose=arguments.verbose,
             trace_dir=arguments.trace,
@@ -192,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--no-resume", action="store_true",
         help="re-execute trials even when a fresh artifact exists",
-    )
-    run_parser.add_argument(
-        "--planner", choices=PLANNERS, default=None,
-        help="force an NDlog evaluation strategy into every trial",
     )
     run_parser.add_argument(
         "--shards", type=int, default=None,

@@ -28,7 +28,6 @@ Three properties the CI regression gate depends on:
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
 import time
@@ -46,7 +45,7 @@ from .scenarios import (
     resolve_scenarios,
     run_trial_spec,
 )
-from .trials import TRIAL_FUNCTIONS, set_default_faults, set_default_shards
+from .trials import set_default_faults, set_default_shards
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -258,12 +257,6 @@ def _run_task(task: Tuple[str, str, str, Dict[str, Any]]) -> Dict[str, Any]:
     return outcome
 
 
-def _accepts_planner(fn_name: str) -> bool:
-    """Whether a trial function takes a ``planner`` kwarg (query-workload
-    trials run on a fixed reference-provenance network and do not)."""
-    return "planner" in inspect.signature(TRIAL_FUNCTIONS[fn_name]).parameters
-
-
 @dataclass
 class RunReport:
     """What one orchestrator invocation did."""
@@ -291,7 +284,6 @@ def run(
     workers: int = 1,
     results_dir: str = DEFAULT_RESULTS_DIR,
     resume: bool = True,
-    planner: Optional[str] = None,
     shards: Optional[int] = None,
     verbose: bool = False,
     trace_dir: Optional[str] = None,
@@ -301,12 +293,9 @@ def run(
     """Run scenarios and write one ``BENCH_<scenario>.json`` per scenario.
 
     ``names`` mixes scenario names and figure numbers (``None`` = all).
-    ``planner`` forces an evaluation strategy into every trial whose
-    function takes one and does not already sweep it (it becomes part of
-    the trial fingerprints, so planner-forced artifacts never alias
-    default ones).  ``shards`` sets the process-wide default worker-shard
-    count for shard-capable trials; unlike ``planner`` it deliberately does
-    **not** enter kwargs or fingerprints, because the sharded engine is
+    ``shards`` sets the process-wide default worker-shard count for
+    shard-capable trials; it deliberately does **not** enter kwargs or
+    fingerprints, because the sharded engine is
     bit-identical to the serial one — artifacts produced under any
     ``shards`` value must match byte for byte, which is how CI verifies
     the engine's determinism guarantee against the committed baselines.
@@ -361,23 +350,6 @@ def run(
     for scenario in scenarios:
         params = scenario.params(scale)
         specs = scenario.trials(scale)
-        if planner is not None:
-            injected = [
-                spec
-                if "planner" in spec.kwargs or not _accepts_planner(spec.fn)
-                else TrialSpec(
-                    spec.scenario,
-                    spec.trial_id,
-                    spec.fn,
-                    {**spec.kwargs, "planner": planner},
-                )
-                for spec in specs
-            ]
-            if injected != specs:
-                # Record the forced planner only where it actually applied;
-                # query-workload scenarios keep truthful params.
-                params = {**params, "planner": planner}
-            specs = injected
         fingerprints = [trial_fingerprint(spec.fn, spec.kwargs) for spec in specs]
         fresh = (
             _fresh_results(load_artifact(artifact_path(results_dir, scenario.name)))

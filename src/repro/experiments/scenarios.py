@@ -11,10 +11,11 @@ back into the :class:`~repro.experiments.metrics.FigureResult` the
 reporting layer and shape checks consume.
 
 Adding an experiment means registering a scenario here — no new script:
-the two registry-only scenarios at the bottom (a churn-intensity sweep
-sized for the paper's 200-node networks, and a planner ablation) are the
-proof.  Every figure 6-17 of the paper is registered; registry completeness
-is enforced by ``tests/test_orchestrator.py``.
+the registry-only scenarios at the bottom (a churn-intensity sweep sized
+for the paper's 200-node networks, query concurrency, a sharded scale sweep
+and fault-plan convergence) are the proof.  Every figure 6-17 of the paper
+is registered; registry completeness is enforced by
+``tests/test_orchestrator.py``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class Scenario:
         silently run an experiment with default parameters); a ``None``
         value means "use the scale's default".  Beyond the scenario's own
         parameters, only the extra keys its expansion actually consumes
-        are accepted (``modes``/``planner``, advertised via the expansion
-        function's ``override_keys`` attribute).
+        are accepted (``modes``, advertised via the expansion function's
+        ``override_keys`` attribute).
         """
         if scale not in ("quick", "paper"):
             raise ValueError(f"unknown scale {scale!r} (expected 'quick' or 'paper')")
@@ -228,7 +229,7 @@ def _expand_size_mode(fn: str, *extra_keys: str):
     """Sweep (size, mode): Figures 6, 7 and 17."""
 
     def expand(params: Mapping[str, Any]) -> List[TrialSpec]:
-        fixed = _pick(params, "seed", "planner", *extra_keys)
+        fixed = _pick(params, "seed", *extra_keys)
         return [
             TrialSpec(
                 scenario=params["_scenario"],
@@ -240,7 +241,7 @@ def _expand_size_mode(fn: str, *extra_keys: str):
             for mode in _modes(params)
         ]
 
-    expand.override_keys = ("modes", "planner")
+    expand.override_keys = ("modes",)
     return expand
 
 
@@ -248,7 +249,7 @@ def _expand_mode(fn: str, *extra_keys: str):
     """Sweep provenance modes at one size: Figures 8, 9, 10 and 16."""
 
     def expand(params: Mapping[str, Any]) -> List[TrialSpec]:
-        fixed = _pick(params, "size", "seed", "planner", *extra_keys)
+        fixed = _pick(params, "size", "seed", *extra_keys)
         return [
             TrialSpec(
                 scenario=params["_scenario"],
@@ -259,7 +260,7 @@ def _expand_mode(fn: str, *extra_keys: str):
             for mode in _modes(params)
         ]
 
-    expand.override_keys = ("modes", "planner")
+    expand.override_keys = ("modes",)
     return expand
 
 
@@ -267,7 +268,7 @@ def _expand_variants(fn: str, axis: str, values_key: str, *extra_keys: str):
     """Sweep one categorical axis (cache on/off, traversal, representation).
 
     These query-workload trials run on a fixed reference-provenance
-    network, so there is no ``modes``/``planner`` knob to pass through.
+    network, so there is no ``modes`` knob to pass through.
     """
 
     def expand(params: Mapping[str, Any]) -> List[TrialSpec]:
@@ -539,8 +540,7 @@ _scenario(
 # ---------------------------------------------------------------------- #
 def _expand_churn_intensity(params: Mapping[str, Any]) -> List[TrialSpec]:
     fixed = _pick(
-        params, "program", "size", "rounds", "interval", "bucket", "seed",
-        "max_cost", "planner",
+        params, "program", "size", "rounds", "interval", "bucket", "seed", "max_cost"
     )
     return [
         TrialSpec(
@@ -554,7 +554,7 @@ def _expand_churn_intensity(params: Mapping[str, Any]) -> List[TrialSpec]:
     ]
 
 
-_expand_churn_intensity.override_keys = ("modes", "planner")
+_expand_churn_intensity.override_keys = ("modes",)
 
 
 _scenario(
@@ -647,7 +647,7 @@ _scenario(
 
 
 def _expand_scale_sweep(params: Mapping[str, Any]) -> List[TrialSpec]:
-    fixed = _pick(params, "mode", "seed", "planner")
+    fixed = _pick(params, "mode", "seed")
     return [
         TrialSpec(
             scenario=params["_scenario"],
@@ -659,9 +659,6 @@ def _expand_scale_sweep(params: Mapping[str, Any]) -> List[TrialSpec]:
         for size in params["sizes"]
         for shards in params["shards"]
     ]
-
-
-_expand_scale_sweep.override_keys = ("planner",)
 
 
 _scenario(
@@ -691,21 +688,6 @@ _scenario(
         "shards": (1, 2, 4, 8),
     },
 )
-
-
-def _expand_planner_ablation(params: Mapping[str, Any]) -> List[TrialSpec]:
-    fixed = _pick(params, "seed")
-    return [
-        TrialSpec(
-            scenario=params["_scenario"],
-            trial_id=f"program={program}/size={size}/planner={planner}",
-            fn="planner_fixpoint",
-            kwargs={"program": program, "size": size, "planner": planner, **fixed},
-        )
-        for program in params["programs"]
-        for size in params["sizes"]
-        for planner in params["planners"]
-    ]
 
 
 def _expand_chaos(params: Mapping[str, Any]) -> List[TrialSpec]:
@@ -761,24 +743,4 @@ _scenario(
         ),
         "shards": (1, 2, 4),
     },
-)
-
-
-_scenario(
-    "planner_ablation",
-    _expand_planner_ablation,
-    title="Evaluation work vs planner strategy (ring fixpoint)",
-    x_label="Number of Nodes",
-    y_label="Tuples Scanned",
-    description=(
-        "Registry-only sweep: tuples scanned to fixpoint under the naive "
-        "left-to-right strategy vs the cost-based greedy planner."
-    ),
-    quick={
-        "programs": ("pathvector", "mincost"),
-        "sizes": (8, 12),
-        "planners": ("naive", "greedy"),
-        "seed": 1,
-    },
-    paper={"sizes": (16, 24, 32)},
 )

@@ -17,7 +17,7 @@ Contract for every ``*_trial`` function here:
   them verbatim in the artifact and fingerprints them for resume);
 * deterministic: same kwargs, same result, in any process;
 * returns a plain-dict :func:`trial_result` with the measured series, notes,
-  planner counters and traffic counters.
+  engine counters (the ``planner`` section) and traffic counters.
 
 The provenance modes travel as short strings (``"value"``, ``"ref"``,
 ``"none"``) and are mapped to :class:`~repro.core.modes.ProvenanceMode` and
@@ -37,7 +37,6 @@ from ..core.customizations import (
 )
 from ..core.modes import ProvenanceMode
 from ..core.query import TraversalOrder
-from ..datalog import Fact, StandaloneNetwork
 from ..datalog.ast import Program
 from ..net.sharding import ScriptOp, ShardedExspanNetwork, collect_summary
 from ..net.stats import cdf_points
@@ -81,7 +80,6 @@ __all__ = [
     "representation_trial",
     "testbed_bandwidth_trial",
     "testbed_fixpoint_trial",
-    "planner_fixpoint_trial",
     "chaos_convergence_trial",
 ]
 
@@ -115,19 +113,15 @@ def build_network(
     mode: ProvenanceMode,
     seed: int = 0,
     run_to_fixpoint: bool = True,
-    planner: Optional[str] = None,
 ) -> ExspanNetwork:
     """Build, seed and (optionally) fixpoint an :class:`ExspanNetwork`.
 
-    ``planner`` selects the per-node evaluation strategy (``"greedy"`` /
-    ``"naive"``); ``None`` means ``"greedy"``.  When a process-wide fault
-    plan is set (``--faults``), it is installed before the network
-    is seeded, so the whole fixpoint runs under injected faults.
+    When a process-wide fault plan is set (``--faults``), it is installed
+    before the network is seeded, so the whole fixpoint runs under
+    injected faults.
     """
     network = ExspanNetwork(
-        topology,
-        program,
-        config=ExspanConfig(mode=mode, seed=seed, planner=planner),
+        topology, program, config=ExspanConfig(mode=mode, seed=seed)
     )
     plan = resolve_faults(None)
     if plan is not None:
@@ -186,7 +180,6 @@ def fixpoint_summary(
     program: Program,
     mode: ProvenanceMode,
     seed: int = 0,
-    planner: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Seed + fixpoint a network, serial or sharded, and summarize it.
@@ -198,10 +191,10 @@ def fixpoint_summary(
     """
     count = resolve_shards(shards)
     if count <= 1:
-        network = build_network(topology, program, mode, seed=seed, planner=planner)
+        network = build_network(topology, program, mode, seed=seed)
         return collect_summary(network)
     with ShardedExspanNetwork(
-        topology, program, mode=mode, shards=count, seed=seed, planner=planner,
+        topology, program, mode=mode, shards=count, seed=seed,
         faults=resolve_faults(None),
     ) as sharded:
         sharded.seed_links()
@@ -294,7 +287,6 @@ def comm_cost_trial(
     mode: str,
     seed: int = 0,
     max_cost: Optional[int] = None,
-    planner: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Per-node communication cost (MB) to fixpoint at one (size, mode).
@@ -304,8 +296,7 @@ def comm_cost_trial(
     """
     topology = size_topology(size, seed)
     summary = fixpoint_summary(
-        topology, _program(program, max_cost), _mode(mode), seed=seed,
-        planner=planner, shards=shards,
+        topology, _program(program, max_cost), _mode(mode), seed=seed, shards=shards
     )
     node_count = topology.node_count()
     per_node_mb = summary["traffic"]["maintenance_bytes"] / node_count / 1e6
@@ -324,12 +315,11 @@ def packet_bandwidth_trial(
     duration: float = 2.0,
     bucket: float = 0.25,
     seed: int = 0,
-    planner: Optional[str] = None,
 ) -> Dict[str, Any]:
     """PACKETFORWARD data-plane bandwidth (MBps) over time for one mode."""
     topology = size_topology(size, seed)
     program = pathvector_program().extended(packetforward_program(), "pv+fwd")
-    network = build_network(topology, program, _mode(mode), seed=seed, planner=planner)
+    network = build_network(topology, program, _mode(mode), seed=seed)
     control_plane_end = network.now
     network.stats.reset()
     workload = PacketWorkload(
@@ -369,13 +359,10 @@ def _churn_timeseries(
     bucket: float,
     seed: int,
     max_cost: Optional[int],
-    planner: Optional[str],
 ) -> Tuple[ExspanNetwork, List[Tuple[float, float]], int]:
     """Run the stub-link churn workload; return (network, series, events)."""
     topology = size_topology(size, seed)
-    network = build_network(
-        topology, _program(program, max_cost), _mode(mode), seed=seed, planner=planner
-    )
+    network = build_network(topology, _program(program, max_cost), _mode(mode), seed=seed)
     start = network.now
     network.stats.reset()
     churn = make_churn(
@@ -408,12 +395,10 @@ def churn_trial(
     bucket: float = 0.25,
     seed: int = 0,
     max_cost: Optional[int] = None,
-    planner: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Maintenance bandwidth (MBps) over time under churn for one mode."""
     network, timeseries, events = _churn_timeseries(
-        program, size, mode, rounds, links_per_round, interval, bucket, seed,
-        max_cost, planner,
+        program, size, mode, rounds, links_per_round, interval, bucket, seed, max_cost
     )
     label = MODE_LABELS[_mode(mode)]
     points = [[time, bytes_per_second / 1e6] for time, bytes_per_second in timeseries]
@@ -431,7 +416,6 @@ def churn_intensity_trial(
     bucket: float = 0.25,
     seed: int = 0,
     max_cost: Optional[int] = None,
-    planner: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Mean churn-window bandwidth (MBps) at one churn intensity.
 
@@ -440,8 +424,7 @@ def churn_intensity_trial(
     provenance maintenance scales with the rate of topology change.
     """
     network, timeseries, events = _churn_timeseries(
-        program, size, mode, rounds, links_per_round, interval, bucket, seed,
-        max_cost, planner,
+        program, size, mode, rounds, links_per_round, interval, bucket, seed, max_cost
     )
     values = [bytes_per_second for _, bytes_per_second in timeseries]
     mean_mbps = (sum(values) / len(values) if values else 0.0) / 1e6
@@ -758,13 +741,10 @@ def testbed_bandwidth_trial(
     mode: str,
     bucket: float = 0.002,
     seed: int = 0,
-    planner: Optional[str] = None,
 ) -> Dict[str, Any]:
     """PATHVECTOR bandwidth (KBps) over time on the ring testbed topology."""
     topology = ring_topology(size, seed=seed)
-    network = build_network(
-        topology, pathvector_program(), _mode(mode), seed=seed, planner=planner
-    )
+    network = build_network(topology, pathvector_program(), _mode(mode), seed=seed)
     end = max(network.now, bucket)
     timeseries = network.stats.bandwidth_timeseries(
         bucket, network.node_count, start=0.0, end=end, kinds=[DELTA_MESSAGE_KIND]
@@ -785,14 +765,12 @@ def testbed_fixpoint_trial(
     size: int,
     mode: str,
     seed: int = 0,
-    planner: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """PATHVECTOR fixpoint latency (s) at one (size, mode) on the testbed."""
     topology = ring_topology(size, seed=seed)
     summary = fixpoint_summary(
-        topology, pathvector_program(), _mode(mode), seed=seed, planner=planner,
-        shards=shards,
+        topology, pathvector_program(), _mode(mode), seed=seed, shards=shards
     )
     label = MODE_LABELS[_mode(mode)]
     return _summary_result(
@@ -820,7 +798,6 @@ def scale_fixpoint_trial(
     shards: int,
     mode: str = "ref",
     seed: int = 0,
-    planner: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Fixpoint one paper-scale topology on the sharded engine.
 
@@ -833,8 +810,7 @@ def scale_fixpoint_trial(
     """
     topology = scale_topology(size, seed)
     summary = fixpoint_summary(
-        topology, _program(program), _mode(mode), seed=seed, planner=planner,
-        shards=shards,
+        topology, _program(program), _mode(mode), seed=seed, shards=shards
     )
     node_count = topology.node_count()
     per_node_mb = summary["traffic"]["maintenance_bytes"] / node_count / 1e6
@@ -844,39 +820,6 @@ def scale_fixpoint_trial(
         f"{label} messages @n={node_count}": summary["traffic"]["total_messages"],
     }
     return _summary_result(summary, {label: [[node_count, per_node_mb]]}, notes)
-
-
-# ---------------------------------------------------------------------- #
-# Planner ablation (registry-only): evaluation work per strategy
-# ---------------------------------------------------------------------- #
-def planner_fixpoint_trial(
-    program: str,
-    size: int,
-    planner: str,
-    seed: int = 1,
-) -> Dict[str, Any]:
-    """Tuples scanned to fixpoint on a ring, for one planner strategy.
-
-    Uses :class:`StandaloneNetwork` (instant delivery, no simulator) so the
-    measurement isolates pure evaluation work; the y value is the network
-    -wide ``tuples_scanned`` counter, the quantity the CI regression gate
-    watches most closely.
-    """
-    topology = ring_topology(size, seed=seed)
-    network = StandaloneNetwork(topology.nodes, _program(program), planner=planner)
-    for source, destination, cost in topology.link_facts():
-        network.insert(Fact("link", (source, destination, cost)))
-    network.run()
-    stats = network.planner_stats()
-    label = f"{program} ({planner})"
-    return trial_result(
-        {label: [[size, stats["tuples_scanned"]]]},
-        # Size is part of the note key: one messages count per curve point
-        # (assemble_figure merges notes across trials by key).
-        {f"{label} messages @n={size}": network.messages_sent},
-        stats,
-        {"total_messages": network.messages_sent},
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -1001,7 +944,6 @@ TRIAL_FUNCTIONS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "representation": representation_trial,
     "testbed_bandwidth": testbed_bandwidth_trial,
     "testbed_fixpoint": testbed_fixpoint_trial,
-    "planner_fixpoint": planner_fixpoint_trial,
     "scale_fixpoint": scale_fixpoint_trial,
     "chaos_convergence": chaos_convergence_trial,
 }

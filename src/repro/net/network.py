@@ -85,23 +85,13 @@ class Network:
         model_transmission_delay: bool = False,
         local_nodes: Optional[Iterable[Any]] = None,
         shard_map: Optional[Mapping[Any, int]] = None,
-        compact_min_cancelled: Optional[int] = None,
-        compact_ratio: Optional[float] = None,
         traffic_record_cap: Optional[int] = None,
     ):
         """``traffic_record_cap`` bounds the per-message records retained by
         :class:`~repro.net.stats.TrafficStats` (aggregate counters stay
         exact); ``None`` keeps the default unbounded history."""
         self.topology = topology
-        if simulator is not None:
-            self.simulator = simulator
-        else:
-            kwargs: Dict[str, Any] = {}
-            if compact_min_cancelled is not None:
-                kwargs["compact_min_cancelled"] = compact_min_cancelled
-            if compact_ratio is not None:
-                kwargs["compact_ratio"] = compact_ratio
-            self.simulator = Simulator(**kwargs)
+        self.simulator = simulator if simulator is not None else Simulator()
         self.stats = TrafficStats(max_records=traffic_record_cap)
         self.default_latency = default_latency
         self.model_transmission_delay = model_transmission_delay

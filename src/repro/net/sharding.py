@@ -337,10 +337,6 @@ class _WorkerConfig:
     seed: int
     link_cost: int
     value_policy: str
-    planner: Optional[str]
-    pipeline: Optional[str]
-    compact_min_cancelled: Optional[int]
-    compact_ratio: Optional[float]
     query_specs: Sequence[Any] = field(default_factory=tuple)
     #: When set, the worker builds its own shard-tagged tracer; spans are
     #: pulled over the pipe by the driver's ``"spans"`` verb and merged in
@@ -391,12 +387,8 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 seed=config.seed,
                 link_cost=config.link_cost,
                 value_policy=config.value_policy,
-                planner=config.planner,
-                pipeline=config.pipeline,
                 local_addresses=tuple(local),
                 shard_map=config.assignment,
-                compact_min_cancelled=config.compact_min_cancelled,
-                compact_ratio=config.compact_ratio,
                 traffic_record_cap=config.traffic_record_cap,
                 storage=config.storage,
             ),
@@ -553,10 +545,6 @@ class ShardedExspanNetwork:
         seed: int = 0,
         link_cost: int = 1,
         value_policy: str = "bdd",
-        planner: Optional[str] = None,
-        pipeline: Optional[str] = None,
-        compact_min_cancelled: Optional[int] = None,
-        compact_ratio: Optional[float] = None,
         partition: Optional[Mapping[Any, int]] = None,
         query_specs: Sequence[Any] = (),
         tracer: Any = None,
@@ -641,10 +629,6 @@ class ShardedExspanNetwork:
                 seed=seed,
                 link_cost=link_cost,
                 value_policy=value_policy,
-                planner=planner,
-                pipeline=pipeline,
-                compact_min_cancelled=compact_min_cancelled,
-                compact_ratio=compact_ratio,
                 query_specs=tuple(query_specs),
                 trace=self.tracer is not None,
                 traffic_record_cap=traffic_record_cap,

@@ -100,8 +100,7 @@ def build_network(
 ) -> ExspanNetwork:
     """Build, seed, and (by default) converge a network from string specs."""
     if config is None:
-        # greedy planning so the service's EXPLAIN op has plans to render
-        config = ExspanConfig(mode=mode, seed=seed, planner="greedy")
+        config = ExspanConfig(mode=mode, seed=seed)
     network = ExspanNetwork(
         build_topology(topology_spec, seed=seed),
         build_program(program_spec),

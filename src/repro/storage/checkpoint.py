@@ -46,7 +46,7 @@ from .sqlite import _encode as _canonical
 __all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint", "restore_network"]
 
 CHECKPOINT_FORMAT = "exspan-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _address_key(address: Any) -> str:

@@ -16,6 +16,8 @@ from repro.datalog import (
 from repro.datalog.engine import REFRESH
 from repro.datalog.errors import EvaluationError
 
+from oracle import ENGINES
+
 
 def single_node_engine(source: str, address: str = "n") -> NDlogEngine:
     """An engine whose remote sends loop back locally (single-node tests)."""
@@ -406,21 +408,16 @@ class TestRefreshRacesAheadOfInsert:
     queue, letting deltas that arrived later (including the rest of the
     refresh's own batch) overtake it.  The fix applies the conversion at
     the refresh's own queue position, preserving FIFO arrival order — in
-    both the batched and the legacy pipeline.
+    the engine and in its interpreter oracle.
     """
 
-    def _engine(self, pipeline: str) -> NDlogEngine:
-        engine = NDlogEngine(
+    @pytest.mark.parametrize("engine_class", ENGINES.values(), ids=ENGINES)
+    def test_converted_insert_keeps_its_queue_position(self, engine_class):
+        engine = engine_class(
             "n",
             parse_program("r1 reach(@S,D) :- red(@S,D)."),
             annotation_policy=_SetAnnotationPolicy(),
-            pipeline=pipeline,
         )
-        return engine
-
-    @pytest.mark.parametrize("pipeline", ["batched", "delta"])
-    def test_converted_insert_keeps_its_queue_position(self, pipeline):
-        engine = self._engine(pipeline)
         seen = []
         engine.add_update_listener(
             lambda action, fact: seen.append(
@@ -443,13 +440,9 @@ class TestRefreshRacesAheadOfInsert:
         )
         assert engine.has_fact("red", ("n", "m"))
 
-    @pytest.mark.parametrize("pipeline", ["batched", "delta"])
-    def test_refresh_without_policy_or_annotation_is_ignored(self, pipeline):
-        engine = NDlogEngine(
-            "n",
-            parse_program("r1 reach(@S,D) :- red(@S,D)."),
-            pipeline=pipeline,
-        )
+    @pytest.mark.parametrize("engine_class", ENGINES.values(), ids=ENGINES)
+    def test_refresh_without_policy_or_annotation_is_ignored(self, engine_class):
+        engine = engine_class("n", parse_program("r1 reach(@S,D) :- red(@S,D)."))
         engine.enqueue(Delta(REFRESH, Fact("red", ("n", "m")), None))
         engine.run()
         assert not engine.has_fact("red", ("n", "m"))

@@ -45,11 +45,11 @@ class TestValidation:
         [
             {"link_cost": "cheap"},
             {"value_policy": "magic"},
-            {"planner": "quantum"},
-            {"pipeline": "hyperloop"},
+            {"seed": "7"},
+            {"traffic_record_cap": -3},
             {"query_cache_capacity": -1},
-            {"compact_min_cancelled": -2},
-            {"compact_ratio": 0},
+            {"query_batching": 1},
+            {"storage": "tape"},
             {"query_coalescing": "yes"},
             {"local_addresses": ("n0",)},  # requires shard_map too
         ],
@@ -58,8 +58,28 @@ class TestValidation:
         with pytest.raises(ProvenanceError):
             ExspanConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("planner", "greedy"),
+            ("pipeline", "batched"),
+            ("compact_min_cancelled", 7),
+            ("compact_ratio", 2.5),
+        ],
+    )
+    def test_removed_knobs_are_rejected(self, name, value):
+        # One executor and simulator-default compaction: the old keywords
+        # are not fields, and a description carrying one is unknown.
+        with pytest.raises(TypeError):
+            ExspanConfig(**{name: value})
+        with pytest.raises(ProvenanceError, match=name):
+            ExspanConfig.from_dict({"mode": "ref", name: value})
+
+    def test_twelve_fields(self):
+        assert len(dataclasses.fields(ExspanConfig)) == 12
+
     def test_round_trip_through_dict(self):
-        config = ExspanConfig(mode="value", seed=3, planner="greedy", query_batching=False)
+        config = ExspanConfig(mode="value", seed=3, query_batching=False)
         clone = ExspanConfig.from_dict(config.to_dict())
         assert clone == config
 

@@ -12,8 +12,7 @@ from collections import deque
 import pytest
 
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
-from repro.datalog import Fact, NDlogEngine, parse_program
-from repro.datalog.engine import PIPELINES
+from repro.datalog import Fact, parse_program
 from repro.net import ring_topology
 from repro.net.sharding import collect_digest
 from repro.protocols import (
@@ -22,6 +21,8 @@ from repro.protocols import (
     packetforward_program,
     pathvector_program,
 )
+
+from oracle import ENGINES
 
 PROGRAMS = {
     "mincost": mincost_program,
@@ -125,10 +126,10 @@ class TestBoundaryFreeze:
         r2 copies(@N,L,count<*>) :- t(@N,L).
     """
 
-    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @pytest.mark.parametrize("engine_class", ENGINES.values(), ids=ENGINES)
     @pytest.mark.parametrize("value", [["x", "y"], {"y", "x"}, ["x", ["y"]]])
-    def test_unhashable_attribute_stores_derives_and_deletes(self, value, pipeline):
-        engine = NDlogEngine("a", parse_program(self.PROGRAM), pipeline=pipeline)
+    def test_unhashable_attribute_stores_derives_and_deletes(self, value, engine_class):
+        engine = engine_class("a", parse_program(self.PROGRAM))
         engine._queue = _HashingQueue(engine._queue)
         engine.insert(Fact("t", ("a", value)))
         engine.run()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import glob
 import json
 import os
 
@@ -48,7 +49,7 @@ class TestRegistry:
             assert scenario.trials("paper"), scenario.name
 
     def test_registry_only_scenarios_exist(self):
-        for name in ("churn_intensity", "planner_ablation"):
+        for name in ("churn_intensity", "query_concurrency", "scale_sweep", "chaos_convergence"):
             scenario = get_scenario(name)
             assert scenario.figure is None
             assert scenario.trials("quick")
@@ -82,20 +83,32 @@ class TestRegistry:
             run_figure("fig09_mincost_churn", links_per_rounds=8)
 
     def test_override_keys_match_what_expansion_consumes(self):
-        # Mode-sweeping scenarios take modes/planner overrides...
-        specs = get_scenario("fig09_mincost_churn").trials(
-            "quick", {"modes": ("none",), "planner": "naive"}
-        )
+        # Mode-sweeping scenarios take a modes override...
+        specs = get_scenario("fig09_mincost_churn").trials("quick", {"modes": ("none",)})
         assert [spec.kwargs["mode"] for spec in specs] == ["none"]
-        assert all(spec.kwargs["planner"] == "naive" for spec in specs)
-        # ...but query-workload scenarios reject them instead of silently
-        # dropping them (their trials have no modes/planner knob).
+        # ...but query-workload scenarios reject it instead of silently
+        # dropping it (their trials have no modes knob).
         for name in ("fig11_caching_bandwidth", "fig13_traversal_bandwidth"):
-            with pytest.raises(TypeError, match="planner"):
-                get_scenario(name).params("quick", {"planner": "naive"})
+            with pytest.raises(TypeError, match="modes"):
+                get_scenario(name).params("quick", {"modes": ("none",)})
+        # One executor: there is no evaluation strategy to override.
+        with pytest.raises(TypeError, match="planner"):
+            get_scenario("fig09_mincost_churn").params("quick", {"planner": "naive"})
+
+    def test_every_scenario_has_exactly_one_committed_baseline(self):
+        # CI's fail-closed compare reads every BENCH_*.json under
+        # benchmarks/baselines/: a retired scenario must take its baseline
+        # with it, and a new one must commit one.
+        baselines = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "baselines")
+        committed = {
+            os.path.basename(path)[len("BENCH_") : -len(".json")]
+            for path in glob.glob(os.path.join(baselines, "BENCH_*.json"))
+        }
+        assert committed == set(SCENARIOS)
+        assert len(SCENARIOS) == 16
 
     def test_duplicate_registration_rejected(self):
-        scenario = get_scenario("planner_ablation")
+        scenario = get_scenario("churn_intensity")
         with pytest.raises(ValueError):
             register(scenario)
 
@@ -200,26 +213,6 @@ class TestOrchestratorRun:
         dump_artifact(path, artifact)
         repaired = run([tiny_scenario.name], results_dir=str(tmp_path))
         assert (repaired.executed, repaired.skipped) == (1, 3)
-
-    def test_planner_override_changes_fingerprints(self, tiny_scenario, tmp_path):
-        default = run([tiny_scenario.name], results_dir=str(tmp_path))
-        assert default.executed == 4
-        forced = run([tiny_scenario.name], results_dir=str(tmp_path), planner="greedy")
-        assert (forced.executed, forced.skipped) == (4, 0)
-        artifact = load_artifact(artifact_path(str(tmp_path), tiny_scenario.name))
-        assert artifact["params"]["planner"] == "greedy"
-        assert all(t["kwargs"]["planner"] == "greedy" for t in artifact["trials"])
-
-    def test_planner_override_skips_query_trials(self, tmp_path):
-        # Figure-12 trials run query workloads on a fixed reference-mode
-        # network and take no planner kwarg; forcing a planner must not
-        # crash them (it simply does not apply).
-        report = run(["12"], results_dir=str(tmp_path), planner="greedy")
-        assert report.executed == 2
-        artifact = load_artifact(artifact_path(str(tmp_path), "fig12_caching_latency"))
-        assert all("planner" not in t["kwargs"] for t in artifact["trials"])
-        # The artifact must not claim a planner that never applied.
-        assert "planner" not in artifact["params"]
 
     def test_figure_number_selector(self, tiny_scenario, tmp_path):
         report = run(["17"], results_dir=str(tmp_path))
@@ -382,10 +375,17 @@ class TestCli:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "fig06_mincost_comm" in out and "planner_ablation" in out
+        assert "fig06_mincost_comm" in out and "chaos_convergence" in out
+        assert "planner_ablation" not in out
 
     def test_run_requires_selection(self, capsys):
         assert cli_main(["run"]) == 2
+
+    def test_planner_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--planner", "naive", "6"])
+        assert exit_info.value.code == 2
+        assert "--planner" in capsys.readouterr().err
 
     def test_run_unknown_scenario_is_an_error_not_a_traceback(self, capsys):
         assert cli_main(["run", "bogus_scenario"]) == 2

@@ -1,15 +1,14 @@
-"""Engine-level equivalence: every evaluation strategy must match bit-for-bit.
+"""Engine-level equivalence: the engine must match its oracles bit-for-bit.
 
-Two independent axes are swept:
+The engine (greedy plans, batched drain, closure-compiled and generated
+executors) is compared against the two interpreters in ``tests/oracle/``:
 
-* **planner** — ``"naive"`` (left-to-right nested loops) vs ``"greedy"``
-  (cost-based compiled plans).  The compiled path may only change *how
-  many tuples are scanned*, never what is derived.
-* **pipeline** — ``"delta"`` (the legacy one-delta-at-a-time term-tree
-  interpreter) vs ``"batched"`` (per-(predicate, action) batch drain with
-  closure-compiled and exec-generated plan executors).  The optimized
-  pipeline may only change dispatch cost, never processing order — the
-  interpreter is its equivalence oracle.
+* :class:`~oracle.NestedLoopEngine` (left-to-right nested loops over full
+  scans).  Planning may only change *how many tuples are scanned*, never
+  what is derived.
+* :class:`~oracle.InterpretedEngine` (one delta at a time, term trees
+  walked over the planner's join order).  The compiled executors may only
+  change dispatch cost, never processing order or any counter.
 
 Fixpoints, provenance tables (prov / ruleExec with their VIDs), and
 value-based annotations all feed the paper's results and must be identical
@@ -40,7 +39,7 @@ from repro.core import (
     polynomial_query,
 )
 from repro.datalog import Fact, StandaloneNetwork
-from repro.datalog.engine import AnnotationPolicy, NDlogEngine, PIPELINES
+from repro.datalog.engine import AnnotationPolicy, NDlogEngine
 from repro.datalog.parser import parse_program
 from repro.net import ring_topology
 from repro.protocols import (
@@ -50,7 +49,10 @@ from repro.protocols import (
     pathvector_program,
 )
 
-PLANNERS = ("naive", "greedy")
+from oracle import ENGINES, NestedLoopEngine, built_with
+
+#: The nested-loop oracle and the planned engine.
+PLANNERS = {"naive": NestedLoopEngine, "greedy": NDlogEngine}
 
 
 def _standalone_snapshot(net: StandaloneNetwork) -> dict:
@@ -61,7 +63,8 @@ def _standalone_snapshot(net: StandaloneNetwork) -> dict:
 
 
 def _run_standalone(program, planner: str, topology, deletions=()):
-    net = StandaloneNetwork(topology.nodes, program, planner=planner)
+    with built_with(PLANNERS[planner]):
+        net = StandaloneNetwork(topology.nodes, program)
     for source, destination, cost in topology.link_facts():
         net.insert(Fact("link", (source, destination, cost)))
     net.run()
@@ -143,12 +146,13 @@ class TestProvenanceEquivalence:
         self, program_factory, queried
     ):
         results = {}
-        for planner in PLANNERS:
-            network = ExspanNetwork(
-                ring_topology(8, seed=11),
-                program_factory(),
-                config=ExspanConfig(mode=ProvenanceMode.REFERENCE, planner=planner),
-            )
+        for planner, engine_class in PLANNERS.items():
+            with built_with(engine_class):
+                network = ExspanNetwork(
+                    ring_topology(8, seed=11),
+                    program_factory(),
+                    config=ExspanConfig(mode=ProvenanceMode.REFERENCE),
+                )
             network.seed_links()
             network.run_to_fixpoint()
             snapshot = _network_snapshot(network)
@@ -165,16 +169,13 @@ class TestProvenanceEquivalence:
 
     def test_value_based_annotations_match(self):
         results = {}
-        for planner in PLANNERS:
-            network = ExspanNetwork(
-                ring_topology(6, seed=13),
-                mincost_program(),
-                config=ExspanConfig(
-                    mode=ProvenanceMode.VALUE,
-                    value_policy="polynomial",
-                    planner=planner,
-                ),
-            )
+        for planner, engine_class in PLANNERS.items():
+            with built_with(engine_class):
+                network = ExspanNetwork(
+                    ring_topology(6, seed=13),
+                    mincost_program(),
+                    config=ExspanConfig(mode=ProvenanceMode.VALUE, value_policy="polynomial"),
+                )
             network.seed_links()
             network.run_to_fixpoint()
             annotations = {}
@@ -187,13 +188,16 @@ class TestProvenanceEquivalence:
         assert results["naive"] == results["greedy"]
 
 
-class TestBatchedPipelineEquivalence:
-    """``batched`` vs ``delta``: byte-identical.
+def _standalone(engine_class, program, topology):
+    with built_with(engine_class):
+        return StandaloneNetwork(topology.nodes, program)
 
-    The batched pipeline is the default; the legacy interpreter is retained
-    precisely so this sweep can prove the compiled/generated executors
-    change nothing but wall-clock.  Every loop runs all of ``PIPELINES``
-    and every pipeline must match the interpreter exactly.
+
+class TestBatchedPipelineEquivalence:
+    """The engine vs :class:`~oracle.InterpretedEngine`: byte-identical.
+
+    The interpreter exists so this sweep can prove the batched drain and
+    the compiled/generated executors change nothing but wall-clock.
     """
 
     @pytest.mark.parametrize(
@@ -204,18 +208,15 @@ class TestBatchedPipelineEquivalence:
     def test_fixpoints_identical_across_pipelines(self, program_factory):
         topology = ring_topology(10, seed=3)
         snapshots = {}
-        for pipeline in PIPELINES:
-            net = StandaloneNetwork(
-                topology.nodes, program_factory(), pipeline=pipeline
-            )
+        for name, engine_class in ENGINES.items():
+            net = _standalone(engine_class, program_factory(), topology)
             for source, destination, cost in topology.link_facts():
                 net.insert(Fact("link", (source, destination, cost)))
             net.run()
-            snapshots[pipeline] = (_standalone_snapshot(net), net.planner_stats())
-        # Same fixpoints AND the same evaluation counters: batching must not
+            snapshots[name] = (_standalone_snapshot(net), net.planner_stats())
+        # Same fixpoints AND the same evaluation counters: compiling must not
         # change tuples_scanned / index_lookups (they feed BENCH artifacts).
-        for pipeline in PIPELINES:
-            assert snapshots[pipeline] == snapshots["delta"], pipeline
+        assert snapshots["compiled"] == snapshots["interpreted"]
 
     @pytest.mark.parametrize(
         "program_factory",
@@ -227,19 +228,16 @@ class TestBatchedPipelineEquivalence:
         topology = ring_topology(8, seed=5)
         source, destination, cost = topology.link_facts()[0]
         snapshots = {}
-        for pipeline in PIPELINES:
-            net = StandaloneNetwork(
-                topology.nodes, program_factory(), pipeline=pipeline
-            )
+        for name, engine_class in ENGINES.items():
+            net = _standalone(engine_class, program_factory(), topology)
             for s, d, c in topology.link_facts():
                 net.insert(Fact("link", (s, d, c)))
             net.run()
             net.delete(Fact("link", (source, destination, cost)))
             net.delete(Fact("link", (destination, source, cost)))
             net.run()
-            snapshots[pipeline] = _standalone_snapshot(net)
-        for pipeline in PIPELINES:
-            assert snapshots[pipeline] == snapshots["delta"], pipeline
+            snapshots[name] = _standalone_snapshot(net)
+        assert snapshots["compiled"] == snapshots["interpreted"]
 
     def test_packetforward_identical_across_pipelines(self):
         topology = ring_topology(8, seed=7)
@@ -247,8 +245,8 @@ class TestBatchedPipelineEquivalence:
             packetforward_program(), name="pv+fwd"
         )
         snapshots = {}
-        for pipeline in PIPELINES:
-            net = StandaloneNetwork(topology.nodes, program, pipeline=pipeline)
+        for name, engine_class in ENGINES.items():
+            net = _standalone(engine_class, program, topology)
             for s, d, c in topology.link_facts():
                 net.insert(Fact("link", (s, d, c)))
             net.run()
@@ -256,22 +254,22 @@ class TestBatchedPipelineEquivalence:
                 target = topology.nodes[(index + 3) % len(topology.nodes)]
                 net.insert(packet_event(node, node, target, f"payload-{index}"))
             net.run()
-            snapshots[pipeline] = _standalone_snapshot(net)
-        for pipeline in PIPELINES:
-            assert snapshots[pipeline] == snapshots["delta"], pipeline
-        assert len(snapshots["batched"]["recvPacket"]) == len(topology.nodes)
+            snapshots[name] = _standalone_snapshot(net)
+        assert snapshots["compiled"] == snapshots["interpreted"]
+        assert len(snapshots["compiled"]["recvPacket"]) == len(topology.nodes)
 
     @pytest.mark.parametrize("mode", [ProvenanceMode.REFERENCE, ProvenanceMode.VALUE])
     def test_provenance_identical_across_pipelines(self, mode):
         """prov / ruleExec VIDs and value annotations match exactly."""
         results = {}
-        for pipeline in PIPELINES:
+        for name, engine_class in ENGINES.items():
             kwargs = {"value_policy": "polynomial"} if mode is ProvenanceMode.VALUE else {}
-            network = ExspanNetwork(
-                ring_topology(8, seed=11),
-                mincost_program(),
-                config=ExspanConfig(mode=mode, pipeline=pipeline, **kwargs),
-            )
+            with built_with(engine_class):
+                network = ExspanNetwork(
+                    ring_topology(8, seed=11),
+                    mincost_program(),
+                    config=ExspanConfig(mode=mode, **kwargs),
+                )
             network.seed_links()
             network.run_to_fixpoint()
             snapshot = _network_snapshot(network)
@@ -282,22 +280,23 @@ class TestBatchedPipelineEquivalence:
                     for row in engine.table_rows("bestPathCost"):
                         annotation = engine.annotation_of(Fact("bestPathCost", row))
                         annotations[(address, row)] = str(annotation)
-            results[pipeline] = (snapshot, annotations)
-        for pipeline in PIPELINES:
-            assert results[pipeline] == results["delta"], pipeline
+            results[name] = (snapshot, annotations)
+        assert results["compiled"] == results["interpreted"]
 
     def test_equivalence_invariant_under_hash_seed(self):
-        """Snapshot digests agree across pipelines AND across hash seeds."""
+        """Snapshot digests agree with the interpreter AND across hash seeds."""
         script = (
             "import hashlib, json\n"
             "from repro.datalog import Fact, StandaloneNetwork\n"
             "from repro.core.rewrite import rewrite_program\n"
             "from repro.protocols import pathvector_program\n"
             "from repro.net import ring_topology\n"
+            "from oracle import ENGINES, built_with\n"
             "topology = ring_topology(6, seed=2)\n"
-            "for pipeline in ('batched', 'delta'):\n"
-            "    net = StandaloneNetwork(topology.nodes,\n"
-            "        rewrite_program(pathvector_program()), pipeline=pipeline)\n"
+            "for engine_class in ENGINES.values():\n"
+            "    with built_with(engine_class):\n"
+            "        net = StandaloneNetwork(topology.nodes,\n"
+            "            rewrite_program(pathvector_program()))\n"
             "    for s, d, c in topology.link_facts():\n"
             "        net.insert(Fact('link', (s, d, c)))\n"
             "    net.run()\n"
@@ -314,8 +313,12 @@ class TestBatchedPipelineEquivalence:
             env = dict(os.environ)
             env["PYTHONHASHSEED"] = seed
             src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
-            env["PYTHONPATH"] = os.path.abspath(src_dir) + os.pathsep + env.get(
-                "PYTHONPATH", ""
+            env["PYTHONPATH"] = os.pathsep.join(
+                [
+                    os.path.abspath(src_dir),
+                    os.path.dirname(os.path.abspath(__file__)),  # the oracle
+                    env.get("PYTHONPATH", ""),
+                ]
             )
             output = subprocess.run(
                 [sys.executable, "-c", script],
@@ -326,7 +329,7 @@ class TestBatchedPipelineEquivalence:
             ).stdout.split()
             assert len(output) == 2
             digests.update(output)
-        # one digest: both pipelines, all three hash seeds, same bytes
+        # one digest: engine and interpreter, all three hash seeds, same bytes
         assert len(digests) == 1
 
 
@@ -373,14 +376,13 @@ class TestRandomInterleavings:
     @settings(max_examples=40, deadline=None)
     @given(operations=_ops)
     def test_batched_equals_delta_on_random_interleavings(self, operations):
-        """Random insert/delete/refresh sequences agree across pipelines."""
+        """Random insert/delete/refresh sequences agree with the interpreter."""
         states = {}
-        for pipeline in PIPELINES:
-            engine = NDlogEngine(
+        for name, engine_class in ENGINES.items():
+            engine = engine_class(
                 "n",
                 parse_program(_PROPERTY_PROGRAM),
                 annotation_policy=_MergeCountPolicy(),
-                pipeline=pipeline,
             )
             for action, relation, key in operations:
                 fact = Fact(relation, ("n", f"d{key}"))
@@ -406,17 +408,16 @@ class TestRandomInterleavings:
                 for name in ("mid", "top")
                 for row in engine.table_rows(name)
             }
-            states[pipeline] = (tables, annotations, dict(engine.stats))
-        for pipeline in PIPELINES:
-            assert states[pipeline] == states["delta"], pipeline
+            states[name] = (tables, annotations, dict(engine.stats))
+        assert states["compiled"] == states["interpreted"]
 
     @settings(max_examples=40, deadline=None)
     @given(operations=_ops)
     def test_pipelines_agree_without_a_policy(self, operations):
-        """No annotation policy: ``batched`` applies singletons in its run loop.
+        """No annotation policy: the engine applies singletons in its run loop.
 
         One ``run()`` per operation keeps every delta a singleton, so the
-        batched engine takes its fused apply-and-fire path throughout; the
+        engine takes its fused apply-and-fire path throughout; the
         interpreter stays the oracle for it (tests/test_engine_dispatch.py
         probes the same path with keyed tables, events, joins and
         listeners).
@@ -424,10 +425,8 @@ class TestRandomInterleavings:
         from repro.datalog.engine import Delta, REFRESH
 
         states = {}
-        for pipeline in PIPELINES:
-            engine = NDlogEngine(
-                "n", parse_program(_PROPERTY_PROGRAM), pipeline=pipeline
-            )
+        for name, engine_class in ENGINES.items():
+            engine = engine_class("n", parse_program(_PROPERTY_PROGRAM))
             for action, relation, key in operations:
                 fact = Fact(relation, ("n", f"d{key}"))
                 if action == "insert":
@@ -437,15 +436,14 @@ class TestRandomInterleavings:
                 else:
                     engine.enqueue(Delta(REFRESH, fact))
                 engine.run()
-            states[pipeline] = (
+            states[name] = (
                 {
-                    name: engine.catalog.table(name).rows_with_counts()
-                    for name in ("red", "blue", "mid", "top")
+                    table: engine.catalog.table(table).rows_with_counts()
+                    for table in ("red", "blue", "mid", "top")
                 },
                 dict(engine.stats),
             )
-        for pipeline in PIPELINES:
-            assert states[pipeline] == states["delta"], pipeline
+        assert states["compiled"] == states["interpreted"]
 
 
 class TestScanReduction:

@@ -20,6 +20,8 @@ from repro.datalog.plan import (
 )
 from repro.datalog.terms import BinaryOp, Constant, Variable
 
+from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
+
 
 # ---------------------------------------------------------------------- #
 # normalization
@@ -258,7 +260,7 @@ class TestIndexMaintenance:
 # ---------------------------------------------------------------------- #
 class TestCompiledPlans:
     def test_engine_compiles_one_plan_per_rule_and_position(self):
-        engine = NDlogEngine("a", planner="greedy")
+        engine = NDlogEngine("a")
         engine.load_program(
             parse_program("p1 out(@A,C) :- t(@A,B), u(@B,C).")
         )
@@ -266,11 +268,14 @@ class TestCompiledPlans:
         assert engine.stats["indexes_registered"] >= 1
 
     def test_invalid_planner_name_is_rejected(self):
-        with pytest.raises(ValidationError):
-            NDlogEngine("a", planner="quadratic")
+        # One executor: there is no strategy to name.
+        with pytest.raises(TypeError):
+            NDlogEngine("a", planner="greedy")
+        with pytest.raises(TypeError):
+            NDlogEngine("a", pipeline="batched")
 
     def test_stale_plan_is_recompiled_when_cardinalities_drift(self):
-        engine = NDlogEngine("a", planner="greedy")
+        engine = NDlogEngine("a")
         engine.load_program(
             parse_program("p2 out(@A,D) :- t(@A,B), u(@B,C), v(@C,D).")
         )
@@ -284,8 +289,8 @@ class TestCompiledPlans:
 
     def test_condition_pushdown_skips_doomed_scans(self):
         program = parse_program("p3 out(@A,B) :- t(@A,C), u(@A,B), C < 5.")
-        greedy = NDlogEngine("a", planner="greedy", program=program)
-        naive = NDlogEngine("a", planner="naive", program=program)
+        greedy = NDlogEngine("a", program=program)
+        naive = NestedLoopEngine("a", program=program)
         for engine in (greedy, naive):
             for i in range(20):
                 engine.catalog.table("u").insert(("a", f"b{i}"))
@@ -298,8 +303,8 @@ class TestCompiledPlans:
 
     def test_expression_arguments_become_lookup_constraints(self):
         program = parse_program("p4 out(@A,B) :- t(@A,B), u(@A, B + 1).")
-        greedy = NDlogEngine("a", planner="greedy", program=program)
-        naive = NDlogEngine("a", planner="naive", program=program)
+        greedy = NDlogEngine("a", program=program)
+        naive = NestedLoopEngine("a", program=program)
         for engine in (greedy, naive):
             for i in range(10):
                 engine.catalog.table("u").insert(("a", i))
@@ -315,8 +320,8 @@ class TestCompiledPlans:
         # back to the var-only constraint set — whose index the compiler
         # pre-registered — and reject rows per-row exactly like naive.
         program = parse_program("p7 out(@A,B) :- t(@A,B), u(@A, B / 2).")
-        greedy = NDlogEngine("a", planner="greedy", program=program)
-        naive = NDlogEngine("a", planner="naive", program=program)
+        greedy = NDlogEngine("a", program=program)
+        naive = NestedLoopEngine("a", program=program)
         assert greedy.index_manager.is_registered("u", (0, 1))
         assert greedy.index_manager.is_registered("u", (0,))  # the fallback
         for engine in (greedy, naive):
@@ -331,7 +336,7 @@ class TestCompiledPlans:
     def test_assignment_only_prefixes_are_not_pushed_down(self):
         # An evaluable prefix of pure assignments cannot prune, and finalize
         # re-evaluates literals anyway — the compiler must not schedule it.
-        engine = NDlogEngine("a", planner="greedy")
+        engine = NDlogEngine("a")
         engine.load_program(
             parse_program("p8 out(@A,C) :- t(@A,B), C = B + 1, u(@A,C).")
         )
@@ -341,7 +346,7 @@ class TestCompiledPlans:
         assert plan.initial_literal_prefix == 0
 
     def test_explain_describes_the_chosen_plan(self):
-        engine = NDlogEngine("a", planner="greedy")
+        engine = NDlogEngine("a")
         engine.load_program(
             parse_program("p5 out(@A,C) :- t(@A,B), u(@B,C), C != A.")
         )
@@ -350,27 +355,42 @@ class TestCompiledPlans:
         assert "delta on t" in text and "delta on u" in text
         assert "index(0,)" in text
         assert "est_rows" in text
-        # unknown labels and the naive planner degrade gracefully
+        # unknown labels degrade gracefully
         assert "no compiled plans" in engine.explain("nope")
-        assert "nested-loop" in NDlogEngine("b", planner="naive").explain()
 
     def test_duplicate_rule_labels_across_programs_keep_separate_plans(self):
         # load_program may be called more than once; two distinct rules that
         # happen to share a label must not clobber each other's plans.
-        for planner in ("greedy", "naive"):
-            engine = NDlogEngine("a", planner=planner)
+        for engine_class in (NDlogEngine, InterpretedEngine, NestedLoopEngine):
+            engine = engine_class("a")
             engine.load_program(parse_program("r1 out1(@A,B) :- t(@A,B)."))
             engine.load_program(parse_program("r1 out2(@A,B) :- t(@A,B)."))
             engine.insert(Fact("t", ("a", "x")))
             engine.run()
-            assert engine.table_rows("out1") == [("a", "x")], planner
-            assert engine.table_rows("out2") == [("a", "x")], planner
+            assert engine.table_rows("out1") == [("a", "x")], engine_class
+            assert engine.table_rows("out2") == [("a", "x")], engine_class
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("r1 best(@S,min<C>) :- cost(@S,C).", "r1 most(@S,max<D>) :- load(@S,D)."),
+            ("r1 best(@S,min<C>) :- t(@S,C).", "r1 copy(@S,C,X) :- t(@S,C), X = C + 1."),
+            ("r1 copy(@S,C) :- t(@S,C).", "r1 best(@S,min<C>) :- t(@S,C)."),
+        ],
+        ids=["aggregate-then-aggregate", "aggregate-then-plain", "plain-then-aggregate"],
+    )
+    def test_label_shared_with_an_aggregate_rule_is_rejected(self, first, second):
+        # Aggregate state is keyed by rule label: a second rule under an
+        # aggregate rule's label would read (or be routed into) its groups.
+        engine = NDlogEngine("a", parse_program(first))
+        with pytest.raises(ValidationError, match="aggregate"):
+            engine.load_program(parse_program(second))
 
     def test_generated_code_is_labelled_per_rule_and_trigger_position(self):
         # Profilers key a function by (co_filename, first line, name): with
         # one shared filename every generated executor collapses into one
         # row and cProfile's snapshot keeps whichever it saw last.
-        engine = NDlogEngine("a", planner="greedy")
+        engine = NDlogEngine("a")
         engine.load_program(
             parse_program(
                 """
@@ -409,7 +429,7 @@ class TestCompiledPlans:
 # ---------------------------------------------------------------------- #
 # re-registered builtins in generated code
 # ---------------------------------------------------------------------- #
-def _ring_rows(functions=None, pipeline="batched"):
+def _ring_rows(functions=None, engine_class=NDlogEngine):
     """Rewritten PATHVECTOR to fixpoint on a six-node ring: every row."""
     from repro.core.rewrite import rewrite_program
     from repro.datalog import StandaloneNetwork
@@ -417,12 +437,10 @@ def _ring_rows(functions=None, pipeline="batched"):
     from repro.protocols import pathvector_program
 
     topology = ring_topology(6, seed=0)
-    network = StandaloneNetwork(
-        topology.nodes,
-        rewrite_program(pathvector_program()),
-        functions=functions,
-        pipeline=pipeline,
-    )
+    with built_with(engine_class):
+        network = StandaloneNetwork(
+            topology.nodes, rewrite_program(pathvector_program()), functions=functions
+        )
     for source, destination, cost in topology.link_facts():
         network.insert(Fact("link", (source, destination, cost)))
     network.run()
@@ -462,11 +480,11 @@ def test_reregistered_f_sha1_wins_over_the_inline_memo_probe():
         return sha1_hex("salt" + "".join(map(str, args)))
 
     rows = {
-        pipeline: _ring_rows(_registry_with_sha1(salted), pipeline)
-        for pipeline in ("batched", "delta")
+        name: _ring_rows(_registry_with_sha1(salted), engine_class)
+        for name, engine_class in ENGINES.items()
     }
-    assert rows["batched"] == rows["delta"]
-    assert rows["batched"]["prov"] != default["prov"]
+    assert rows["compiled"] == rows["interpreted"]
+    assert rows["compiled"]["prov"] != default["prov"]
 
 
 def test_inline_memo_probe_counts_like_the_builtin():
@@ -478,16 +496,16 @@ def test_inline_memo_probe_counts_like_the_builtin():
     try:
         for caching in (True, False):
             set_vid_caching(caching)
-            for pipeline in ("batched", "delta"):
+            for name, engine_class in ENGINES.items():
                 clear_vid_caches()
-                _ring_rows(pipeline=pipeline)
+                _ring_rows(engine_class=engine_class)
                 stats = sha1_cache_stats()
-                counts[caching, pipeline] = (stats["hits"], stats["misses"], stats["entries"])
+                counts[caching, name] = (stats["hits"], stats["misses"], stats["entries"])
     finally:
         set_vid_caching(True)
-    assert counts[True, "batched"] == counts[True, "delta"]
-    assert counts[True, "batched"][0] > 0  # the rewrite does hit the memo
-    assert counts[False, "batched"] == counts[False, "delta"] == (0, 0, 0)
+    assert counts[True, "compiled"] == counts[True, "interpreted"]
+    assert counts[True, "compiled"][0] > 0  # the rewrite does hit the memo
+    assert counts[False, "compiled"] == counts[False, "interpreted"] == (0, 0, 0)
 
 
 def test_metrics_snapshot_exposes_sha1_and_vid_cache_counters():

@@ -520,16 +520,6 @@ def test_compaction_knob_validation():
         Simulator(compact_ratio=0.0)
 
 
-def test_exspan_network_threads_compaction_knobs():
-    net = ExspanNetwork(
-        ring_topology(4, seed=0),
-        mincost_program(),
-        config=ExspanConfig(compact_min_cancelled=7, compact_ratio=2.5),
-    )
-    assert net.simulator.compact_min_cancelled == 7
-    assert net.simulator.compact_ratio == 2.5
-
-
 # ---------------------------------------------------------------------- #
 # cross-shard counter merge helpers
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
-"""The batched fast paths equal the queued oracle, ``pipeline="delta"``.
+"""The engine's fast paths equal the queued oracle, :class:`~oracle.InterpretedEngine`.
 
-The batched pipeline pays for a derivation's rows once: a table row is a
+The engine pays for a derivation's rows once: a table row is a
 plain tuple with its count in the table's dict, a *sink* table (a
 materialised predicate no rule reads) is applied where its row is emitted,
 generated code probes the ``f_sha1`` memo inline, and aggregates emit
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
 from repro.core.vid import clear_vid_caches, vid_cache_stats
 from repro.datalog import Fact, StandaloneNetwork
-from repro.datalog.engine import INSERT, PIPELINES, AnnotationPolicy, Delta, NDlogEngine
+from repro.datalog.engine import INSERT, AnnotationPolicy, Delta, NDlogEngine
 from repro.datalog.parser import parse_program
 from repro.net.topology import grid_topology, ring_topology, transit_stub_topology
 from repro.obs import Tracer
@@ -38,6 +38,8 @@ from repro.protocols import (
     packetforward_program,
     pathvector_program,
 )
+
+from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
 
 PROPERTY = settings(derandomize=True, max_examples=4, deadline=None)
 
@@ -97,9 +99,8 @@ def observed_state(engines, observer):
 
 
 def assert_all_equal_delta(states):
-    for pipeline in PIPELINES:
-        for part in states["delta"]:
-            assert states[pipeline][part] == states["delta"][part], (pipeline, part)
+    for part in states["interpreted"]:
+        assert states["compiled"][part] == states["interpreted"][part], part
 
 
 # ---------------------------------------------------------------------- #
@@ -132,13 +133,12 @@ script = st.lists(
 )
 
 
-def drive(program, mode, topology_factory, ops, pipeline):
+def drive(program, mode, topology_factory, ops, engine_class):
     clear_vid_caches()
     topology = topology_factory()
     links = sorted((a, b) for a, b, _ in topology.links())
-    network = ExspanNetwork(
-        topology, PROGRAMS[program](), config=ExspanConfig(mode=mode, pipeline=pipeline)
-    )
+    with built_with(engine_class):
+        network = ExspanNetwork(topology, PROGRAMS[program](), config=ExspanConfig(mode=mode))
     engines = [node.engine for node in network.nodes.values()]
     observer = Observer(engines)
     network.seed_links()
@@ -171,8 +171,8 @@ def drive(program, mode, topology_factory, ops, pipeline):
 @given(ops=script)
 def test_protocols_equal_the_queued_oracle(program, mode, topology, ops):
     states = {
-        pipeline: drive(program, MODES[mode], TOPOLOGIES[topology], ops, pipeline)
-        for pipeline in PIPELINES
+        name: drive(program, MODES[mode], TOPOLOGIES[topology], ops, engine_class)
+        for name, engine_class in ENGINES.items()
     }
     assert_all_equal_delta(states)
 
@@ -210,9 +210,10 @@ hand_op = st.one_of(
 )
 
 
-def drive_hand_written(ops, pipeline):
+def drive_hand_written(ops, engine_class):
     clear_vid_caches()
-    network = StandaloneNetwork(NODES, parse_program(HAND_WRITTEN), pipeline=pipeline)
+    with built_with(engine_class):
+        network = StandaloneNetwork(NODES, parse_program(HAND_WRITTEN))
     engines = list(network.engines.values())
     observer = Observer(engines)
     for op in ops:
@@ -229,7 +230,7 @@ def drive_hand_written(ops, pipeline):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(ops=st.lists(hand_op, min_size=1, max_size=30))
 def test_hand_written_sinks_equal_the_queued_oracle(ops):
-    states = {pipeline: drive_hand_written(ops, pipeline) for pipeline in PIPELINES}
+    states = {name: drive_hand_written(ops, cls) for name, cls in ENGINES.items()}
     assert_all_equal_delta(states)
 
 
@@ -247,9 +248,7 @@ def test_sinks_are_the_unread_materialised_heads():
     assert sorted(engine._sinks) == ["cheap", "heard", "low", "seen"]
     engine.add_rule_listener(lambda firing: None)
     assert engine._sinks == {}
-    for off_the_fused_path in (
-        {"pipeline": "delta"},
-        {"planner": "naive"},
-        {"annotation_policy": AnnotationPolicy()},
-    ):
-        assert NDlogEngine("a", parse_program(HAND_WRITTEN), **off_the_fused_path)._sinks == {}
+    policy = {"annotation_policy": AnnotationPolicy()}
+    assert NDlogEngine("a", parse_program(HAND_WRITTEN), **policy)._sinks == {}
+    for oracle_class in (InterpretedEngine, NestedLoopEngine):
+        assert oracle_class("a", parse_program(HAND_WRITTEN))._sinks == {}

@@ -386,3 +386,25 @@ def test_restore_rejects_mismatched_topology(tmp_path):
     network.checkpoint(path)
     with pytest.raises(ProvenanceError):
         ExspanNetwork.restore(path, ring_topology(5, seed=3), mincost_program())
+
+
+def test_restore_rejects_a_version_1_checkpoint(tmp_path):
+    """Version 2 dropped four config keys; an old file fails by version."""
+    import json
+
+    from repro.storage.checkpoint import CHECKPOINT_VERSION, restore_network
+
+    assert CHECKPOINT_VERSION == 2
+    network = _run_mincost(size=4, seed=3)
+    path = str(tmp_path / "net.ckpt")
+    network.checkpoint(path)
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["version"] = 1
+    payload["config"].update(
+        planner=None, pipeline=None, compact_min_cancelled=None, compact_ratio=None
+    )
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    with pytest.raises(ProvenanceError, match="unsupported checkpoint version 1"):
+        restore_network(path, ring_topology(4, seed=3), mincost_program())
