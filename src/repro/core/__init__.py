@@ -1,7 +1,7 @@
 """ExSPAN core: the paper's primary contribution.
 
 Provenance data model and storage (:mod:`repro.core.vid`,
-:mod:`repro.core.storage`), the automatic maintenance rewrite
+:mod:`repro.core.provenance_store`), the automatic maintenance rewrite
 (:mod:`repro.core.rewrite`), provenance distribution modes
 (:mod:`repro.core.modes`), the distributed query engine and its
 optimizations (:mod:`repro.core.query`, :mod:`repro.core.cache`),
@@ -61,7 +61,7 @@ from .semiring import (
     sum_of,
     var,
 )
-from .storage import ProvEntry, ProvenanceStore, RuleExecEntry
+from .provenance_store import ProvEntry, ProvenanceStore, RuleExecEntry
 from .vid import NULL_RID, fact_vid, rule_rid, tuple_vid
 
 __all__ = [

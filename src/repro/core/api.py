@@ -54,8 +54,8 @@ from .modes import PreparedProgram, ProvenanceMode, prepare_program
 from .provenance_graph import ProvenanceGraph, build_global_graph, build_rooted_graph
 from .query import ProvenanceQueryService, QueryOutcome, QuerySpec
 from .requests import QueryRequest, QueryResult, SpecDescriptor
-from .storage import ProvenanceStore
-from ..storage.backend import StorageBackend, default_storage, make_backend, parse_storage_spec
+from .provenance_store import ProvenanceStore
+from ..storage.backend import StorageBackend, make_backend, parse_storage_spec
 from .vid import fact_vid
 
 __all__ = ["ExspanNode", "ExspanNetwork", "DELTA_MESSAGE_KIND"]
@@ -157,13 +157,13 @@ class ExspanNetwork:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _resolve_storage_spec(config: ExspanConfig) -> str:
-        """The storage spec this instance uses (config first, else process default).
+        """The storage spec this instance uses (``None`` in the config means memory).
 
         A sharded worker with an explicit sqlite path gets a per-shard
         suffix (``<path>.shard<N>``) so forked processes never contend on
         one WAL; the whole-network restore helpers reassemble per shard.
         """
-        spec = config.storage if config.storage is not None else default_storage()
+        spec = config.storage if config.storage is not None else "memory"
         kind, path = parse_storage_spec(spec)
         if (
             kind == "sqlite"

@@ -98,7 +98,7 @@ class ExspanConfig:
         one shard of a larger simulation (see :mod:`repro.net.sharding`).
 
     Storage
-        ``storage`` — storage backend spec (``None`` = process default,
+        ``storage`` — storage backend spec (``None`` = memory,
         ``"memory"``, ``"sqlite"``, or ``"sqlite:<path>"``).  An
         execution-environment knob: results are byte-identical under any
         backend, and the spec is only emitted in :meth:`to_dict` when

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..datalog.ast import Fact
-from .storage import ProvEntry, ProvenanceStore, RuleExecEntry
+from .provenance_store import ProvEntry, ProvenanceStore, RuleExecEntry
 from .vid import fact_vid
 
 __all__ = [

@@ -99,7 +99,7 @@ from .cache import (
 )
 from .errors import QueryError
 from .rewrite import PROV_TABLE, RULE_EXEC_TABLE
-from .storage import ProvenanceStore, rule_inputs
+from .provenance_store import ProvenanceStore, rule_inputs
 from .vid import fact_vid
 
 __all__ = [

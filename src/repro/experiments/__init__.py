@@ -27,11 +27,12 @@ from .scenarios import (
     scenario_for_figure,
     unregister,
 )
-from .trials import MODE_LABELS, build_network
+from .trials import MODE_LABELS, ExecutionEnv, build_network
 from .workloads import PacketWorkload, QueryWorkload, make_churn
 
 __all__ = [
     "MODE_LABELS",
+    "ExecutionEnv",
     "build_network",
     "FigureResult",
     "Series",

@@ -47,6 +47,7 @@ from .orchestrator import (
     wall_clock_report,
 )
 from .scenarios import SCENARIOS
+from .trials import ExecutionEnv
 
 __all__ = ["main"]
 
@@ -71,17 +72,25 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         print("run: select scenarios (names or figure numbers) or pass --all")
         return 2
     try:
+        env = ExecutionEnv(
+            shards=arguments.shards,
+            storage=arguments.storage,
+            faults=arguments.faults,
+            trace_dir=arguments.trace,
+        )
+    except ValueError as error:
+        # A bad --shards/--storage/--faults fails before any trial runs.
+        print(f"run: error: {error}")
+        return 2
+    try:
         report = run(
             names,
             scale="paper" if arguments.paper else "quick",
             workers=arguments.workers,
             results_dir=arguments.results_dir,
             resume=not arguments.no_resume,
-            shards=arguments.shards,
             verbose=arguments.verbose,
-            trace_dir=arguments.trace,
-            storage=arguments.storage,
-            faults=arguments.faults,
+            env=env,
         )
     except KeyError as error:
         # Unknown scenario name / figure number: an error line, not a trace.
@@ -192,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute trials even when a fresh artifact exists",
     )
     run_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="default worker-shard count for shard-capable trials (the "
+        "--shards", type=int, default=1,
+        help="worker-shard count for shard-capable trials (the "
         "sharded engine is bit-identical to serial, so artifacts are "
         "byte-identical for any value — CI exploits that as a gate)",
     )
     run_parser.add_argument(
         "--storage", default=None, metavar="SPEC",
-        help="default storage backend for every trial (memory, sqlite or "
+        help="storage backend for every trial (memory, sqlite or "
         "sqlite:<path>; every backend is byte-identical by contract, so "
         "artifacts match the committed baselines under any choice — the "
         "CI durability gate strict-compares a sqlite run against them)",
@@ -208,10 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default=None, metavar="PLAN",
         help="inject a fault plan (parse_fault_spec grammar, e.g. "
         "'seed=3; drop:*->*:p=0.2,n=20') into every trial network; "
-        "final protocol tables still converge, but traffic counters are "
-        "perturbed, so never compare faulted artifacts against the "
-        "committed baselines — the CI chaos gate checks convergence "
-        "digests instead (benchmarks/chaos_gate.py)",
+        "the plan enters each trial's fingerprint, so a later clean run "
+        "re-executes; final protocol tables still converge, but traffic "
+        "counters are perturbed, so never compare faulted artifacts "
+        "against the committed baselines — the CI chaos gate checks "
+        "convergence digests instead (benchmarks/chaos_gate.py)",
     )
     run_parser.add_argument(
         "--trace", nargs="?", const="traces", default=None, metavar="DIR",

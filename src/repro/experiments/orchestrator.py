@@ -15,9 +15,10 @@ Three properties the CI regression gate depends on:
   1``, and re-running an unchanged tree reproduces the committed baseline
   byte for byte.
 * **Resumability** — every trial is fingerprinted over its schema version,
-  function name and kwargs.  A re-run loads the existing artifact and
-  skips any trial whose stored fingerprint still matches, so iterating on
-  one scenario never re-pays for the other eleven.
+  function name, kwargs and (when set) the run's fault plan.  A re-run
+  loads the existing artifact and skips any trial whose stored
+  fingerprint still matches, so iterating on one scenario never re-pays
+  for the other eleven.
 * **Comparability** — :func:`compare` diffs two artifact directories on
   the planner/traffic counters (tuples scanned, full scans, bytes,
   messages) and reports regressions beyond a relative threshold; the CI
@@ -45,7 +46,7 @@ from .scenarios import (
     resolve_scenarios,
     run_trial_spec,
 )
-from .trials import set_default_faults, set_default_shards
+from .trials import ExecutionEnv
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -98,12 +99,18 @@ DEFAULT_COMPARE_KEYS: Tuple[str, ...] = (
 )
 
 
-def trial_fingerprint(fn: str, kwargs: Mapping[str, Any]) -> str:
-    """Content hash identifying one trial configuration (drives resume)."""
-    digest = hashlib.sha256(
-        canonical_json({"schema": SCHEMA_VERSION, "fn": fn, "kwargs": kwargs}).encode()
-    )
-    return digest.hexdigest()[:16]
+def trial_fingerprint(
+    fn: str, kwargs: Mapping[str, Any], faults: Optional[str] = None
+) -> str:
+    """Content hash identifying one trial configuration (drives resume).
+
+    A fault plan changes results, so it enters the hash; the key is left
+    out when there is none, so fault-free fingerprints never change.
+    """
+    payload: Dict[str, Any] = {"schema": SCHEMA_VERSION, "fn": fn, "kwargs": kwargs}
+    if faults is not None:
+        payload["faults"] = faults
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
 def artifact_path(results_dir: str, scenario_name: str) -> str:
@@ -191,32 +198,6 @@ def _fresh_results(
     }
 
 
-#: Per-process trace output directory; ``None`` disables tracing.  Set by
-#: :func:`_configure_worker` (pool initializer) or directly by :func:`run`
-#: for the in-process path.  Like the ``shards`` default it deliberately
-#: never enters trial kwargs or fingerprints: tracing must not change what
-#: a trial *is*, only what it additionally emits.
-_TRACE_DIR: Optional[str] = None
-
-
-def _configure_worker(
-    shards: int,
-    trace_dir: Optional[str],
-    storage: Optional[str] = None,
-    faults: Optional[str] = None,
-) -> None:
-    """Process-pool initializer: shard count, trace dir, storage, faults."""
-    global _TRACE_DIR
-    set_default_shards(shards)
-    if storage is not None:
-        from ..storage.backend import set_default_storage
-
-        set_default_storage(storage)
-    if faults is not None:
-        set_default_faults(faults)
-    _TRACE_DIR = trace_dir
-
-
 def _trace_filename(scenario: str, trial_id: str) -> str:
     safe = "".join(
         ch if ch.isalnum() or ch in "-_." else "-" for ch in f"{scenario}_{trial_id}"
@@ -224,22 +205,20 @@ def _trace_filename(scenario: str, trial_id: str) -> str:
     return f"TRACE_{safe}.json"
 
 
-def _run_task(task: Tuple[str, str, str, Dict[str, Any]]) -> Dict[str, Any]:
+def _run_task(task: Tuple[str, str, str, Dict[str, Any], ExecutionEnv]) -> Dict[str, Any]:
     """Worker entry point: run one trial spec (must stay module-level).
 
     Returns ``{"result": ..., "wall_seconds": ...}``; the wall-clock is
-    advisory (see :data:`ADVISORY_TRIAL_KEYS`).  When a trace directory is
-    configured, the trial runs under a process-wide trace session, its
-    Chrome trace is written to ``TRACE_<scenario>_<trial>.json`` and the
-    per-phase wall breakdown is returned under the advisory ``"phases"``
-    key.
+    advisory (see :data:`ADVISORY_TRIAL_KEYS`).  When ``env.trace_dir`` is
+    set, the trial runs under a trace session, its Chrome trace is written
+    to ``TRACE_<scenario>_<trial>.json`` and the per-phase wall breakdown
+    is returned under the advisory ``"phases"`` key.
     """
-    scenario, trial_id, fn, kwargs = task
-    trace_dir = _TRACE_DIR
-    session = enable_tracing() if trace_dir is not None else None
+    scenario, trial_id, fn, kwargs, env = task
+    session = enable_tracing() if env.trace_dir is not None else None
     started = time.perf_counter()
     try:
-        result = run_trial_spec(TrialSpec(scenario, trial_id, fn, kwargs))
+        result = run_trial_spec(TrialSpec(scenario, trial_id, fn, kwargs), env)
     finally:
         if session is not None:
             disable_tracing()
@@ -249,9 +228,9 @@ def _run_task(task: Tuple[str, str, str, Dict[str, Any]]) -> Dict[str, Any]:
     }
     if session is not None:
         outcome["phases"] = phase_breakdown(session.phase_aggregates())
-        os.makedirs(trace_dir, exist_ok=True)
+        os.makedirs(env.trace_dir, exist_ok=True)
         write_chrome_trace(
-            os.path.join(trace_dir, _trace_filename(scenario, trial_id)),
+            os.path.join(env.trace_dir, _trace_filename(scenario, trial_id)),
             session.span_records(),
         )
     return outcome
@@ -284,53 +263,20 @@ def run(
     workers: int = 1,
     results_dir: str = DEFAULT_RESULTS_DIR,
     resume: bool = True,
-    shards: Optional[int] = None,
     verbose: bool = False,
-    trace_dir: Optional[str] = None,
-    storage: Optional[str] = None,
-    faults: Optional[str] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> RunReport:
     """Run scenarios and write one ``BENCH_<scenario>.json`` per scenario.
 
     ``names`` mixes scenario names and figure numbers (``None`` = all).
-    ``shards`` sets the process-wide default worker-shard count for
-    shard-capable trials; it deliberately does **not** enter kwargs or
-    fingerprints, because the sharded engine is
-    bit-identical to the serial one — artifacts produced under any
-    ``shards`` value must match byte for byte, which is how CI verifies
-    the engine's determinism guarantee against the committed baselines.
-    ``trace_dir`` mirrors ``shards``: it enables span tracing for every
-    executed trial, writes one Chrome trace per trial into the directory
-    and adds the advisory per-trial ``"phases"`` breakdown — while the
-    artifacts stay byte-identical to an untraced run (that identity is the
-    tracing subsystem's own CI gate).  Resumed trials were not executed,
-    so they carry no trace or phases; pass ``resume=False`` to capture a
-    complete trace set.  With ``resume`` (the default), trials whose
+    Every executed trial runs under *env* (see :class:`ExecutionEnv` for
+    the four knobs and which of them may change results); nothing of it
+    outlives this call.  With ``resume`` (the default), trials whose
     stored fingerprint still matches are reused from the existing artifact
-    instead of re-executed.
-    ``storage`` also follows the ``shards`` convention: it sets the
-    process-wide default storage backend (``"memory"``, ``"sqlite"`` or
-    ``"sqlite:<path>"``) without entering kwargs or fingerprints — every
-    backend is byte-identical by contract, and the CI durability gate
-    re-runs a scenario under ``storage="sqlite"`` and strict-compares the
-    artifact against the committed memory-backend baselines.
-    ``faults`` is the one knob that deliberately breaks the byte-identity
-    convention: it installs a process-wide fault plan (a
-    ``parse_fault_spec`` string) into every trial network, perturbing the
-    message-level traffic counters — so faulted artifacts are for chaos
-    experimentation, never for comparing against the committed baselines.
-    The invariant faults *do* preserve is convergence of the final
-    protocol tables, which ``benchmarks/chaos_gate.py`` gates by digest.
+    instead of re-executed.  Resumed trials were not executed, so they
+    carry no trace or phases; pass ``resume=False`` to capture a complete
+    trace set.
     """
-    global _TRACE_DIR
-    if shards is not None:
-        set_default_shards(shards)
-    if storage is not None:
-        from ..storage.backend import set_default_storage
-
-        set_default_storage(storage)
-    if faults is not None:
-        set_default_faults(faults)
     scenarios = resolve_scenarios(names)
     report = RunReport(scale=scale, workers=workers)
 
@@ -346,11 +292,13 @@ def run(
             Dict[Tuple[str, str], Dict[str, Any]],
         ]
     ] = []
-    pending: List[Tuple[str, str, str, Dict[str, Any]]] = []
+    pending: List[Tuple[str, str, str, Dict[str, Any], ExecutionEnv]] = []
     for scenario in scenarios:
         params = scenario.params(scale)
         specs = scenario.trials(scale)
-        fingerprints = [trial_fingerprint(spec.fn, spec.kwargs) for spec in specs]
+        fingerprints = [
+            trial_fingerprint(spec.fn, spec.kwargs, env.faults) for spec in specs
+        ]
         fresh = (
             _fresh_results(load_artifact(artifact_path(results_dir, scenario.name)))
             if resume
@@ -361,29 +309,17 @@ def run(
             if (spec.trial_id, fingerprint) in fresh:
                 report.skipped += 1
             else:
-                pending.append((spec.scenario, spec.trial_id, spec.fn, dict(spec.kwargs)))
+                pending.append(
+                    (spec.scenario, spec.trial_id, spec.fn, dict(spec.kwargs), env)
+                )
 
     executed: Dict[Tuple[str, str], Dict[str, Any]] = {}
     if pending:
         if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_configure_worker,
-                initargs=(
-                    shards if shards is not None else 1,
-                    trace_dir,
-                    storage,
-                    faults,
-                ),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_task, pending, chunksize=1))
         else:
-            previous_trace_dir = _TRACE_DIR
-            _TRACE_DIR = trace_dir
-            try:
-                results = [_run_task(task) for task in pending]
-            finally:
-                _TRACE_DIR = previous_trace_dir
+            results = [_run_task(task) for task in pending]
         for task, result in zip(pending, results):
             executed[(task[0], task[1])] = result
         report.executed = len(pending)

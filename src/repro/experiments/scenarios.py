@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import FigureResult
-from .trials import MAINTENANCE_MODES, TRIAL_FUNCTIONS
+from .trials import MAINTENANCE_MODES, TRIAL_FUNCTIONS, ExecutionEnv
 
 __all__ = [
     "TrialSpec",
@@ -175,9 +175,9 @@ def resolve_scenarios(names: Optional[Sequence[str]] = None) -> List[Scenario]:
 # ---------------------------------------------------------------------- #
 # execution and assembly
 # ---------------------------------------------------------------------- #
-def run_trial_spec(spec: TrialSpec) -> Dict[str, Any]:
-    """Execute one trial in the current process (workers call this too)."""
-    return TRIAL_FUNCTIONS[spec.fn](**spec.kwargs)
+def run_trial_spec(spec: TrialSpec, env: ExecutionEnv = ExecutionEnv()) -> Dict[str, Any]:
+    """Execute one trial under *env* in the current process (workers too)."""
+    return TRIAL_FUNCTIONS[spec.fn](**spec.kwargs, env=env)
 
 
 def assemble_figure(
@@ -202,8 +202,10 @@ def assemble_figure(
     return figure
 
 
-def run_figure(name: str, scale: str = "quick", **overrides: Any) -> FigureResult:
-    """Run one scenario serially in-process and return its figure result.
+def run_figure(
+    name: str, scale: str = "quick", env: ExecutionEnv = ExecutionEnv(), **overrides: Any
+) -> FigureResult:
+    """Run one scenario serially in-process under *env*; return its figure.
 
     This is the path ``benchmarks/bench_figures.py`` and in-process
     callers use; the orchestrator uses the same expansion and assembly but
@@ -211,7 +213,7 @@ def run_figure(name: str, scale: str = "quick", **overrides: Any) -> FigureResul
     """
     scenario = get_scenario(name)
     specs = scenario.trials(scale, overrides)
-    return assemble_figure(scenario, [run_trial_spec(spec) for spec in specs])
+    return assemble_figure(scenario, [run_trial_spec(spec, env) for spec in specs])
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,10 @@ Contract for every ``*_trial`` function here:
   function up in :data:`TRIAL_FUNCTIONS` by name);
 * keyword arguments are JSON-serializable scalars (the orchestrator stores
   them verbatim in the artifact and fingerprints them for resume);
-* deterministic: same kwargs, same result, in any process;
+* deterministic: same kwargs and :class:`ExecutionEnv`, same result, in
+  any process;
+* takes ``env: ExecutionEnv = ExecutionEnv()`` — the execution knobs
+  (shards, storage, faults) arrive here, never through process globals;
 * returns a plain-dict :func:`trial_result` with the measured series, notes,
   engine counters (the ``planner`` section) and traffic counters.
 
@@ -26,6 +29,7 @@ to the paper's legend labels here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.api import DELTA_MESSAGE_KIND, ExspanNetwork
@@ -38,6 +42,7 @@ from ..core.customizations import (
 from ..core.modes import ProvenanceMode
 from ..core.query import TraversalOrder
 from ..datalog.ast import Program
+from ..faults.plan import parse_fault_spec
 from ..net.sharding import ScriptOp, ShardedExspanNetwork, collect_summary
 from ..net.stats import cdf_points
 from ..net.topology import (
@@ -51,6 +56,7 @@ from ..net.topology import (
 from ..protocols.mincost import mincost_program
 from ..protocols.packetforward import packetforward_program
 from ..protocols.pathvector import pathvector_program
+from ..storage.backend import StorageError, validate_storage_spec
 from .workloads import BurstQueryWorkload, PacketWorkload, QueryWorkload, make_churn
 
 __all__ = [
@@ -58,11 +64,8 @@ __all__ = [
     "MODE_LABELS",
     "PROGRAM_FACTORIES",
     "TRIAL_FUNCTIONS",
+    "ExecutionEnv",
     "build_network",
-    "set_default_shards",
-    "resolve_shards",
-    "set_default_faults",
-    "resolve_faults",
     "fixpoint_summary",
     "size_topology",
     "scale_topology",
@@ -107,72 +110,82 @@ PROGRAM_FACTORIES: Dict[str, Callable[..., Program]] = {
 }
 
 
+@dataclass(frozen=True)
+class ExecutionEnv:
+    """How a trial executes, as opposed to what it measures.
+
+    Built once per run (the CLI builds it from ``--shards``, ``--storage``,
+    ``--faults`` and ``--trace``) and handed to every trial, in-process or
+    in a pool worker; nothing outlives the run that passed it.
+
+    * ``shards`` — worker-shard count for the shard-capable trials that do
+      not sweep it themselves (``1`` = serial in-process).  The sharded
+      engine is bit-identical to the serial one, so artifacts match byte
+      for byte under any value; CI diffs a ``--shards 2`` run against the
+      committed baselines.
+    * ``storage`` — storage backend spec (``"memory"``, ``"sqlite"`` or
+      ``"sqlite:<path>"``; ``None`` = memory) for every trial network.
+      Every backend is byte-identical by contract; the CI durability gate
+      strict-compares a sqlite run against the baselines.
+    * ``faults`` — a ``parse_fault_spec`` plan installed into every
+      network :func:`build_network` and :func:`fixpoint_summary` build.
+      Faults perturb the traffic counters, so a faulted artifact is never
+      compared against the baselines, and the plan enters each trial's
+      fingerprint so a later clean run does not reuse faulted trials.
+      What faults preserve is convergence of the final protocol tables,
+      which ``benchmarks/chaos_gate.py`` gates by digest.
+    * ``trace_dir`` — when set, the orchestrator traces every executed
+      trial, writes one Chrome trace per trial into the directory and
+      records the advisory ``"phases"`` breakdown; artifacts stay
+      byte-identical to an untraced run.
+
+    Only ``faults`` changes results; the other three stay out of trial
+    kwargs and fingerprints.
+    """
+
+    shards: int = 1
+    storage: Optional[str] = None
+    faults: Optional[str] = None
+    trace_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.shards, int) or self.shards < 1:
+            raise ValueError(f"shards must be an int >= 1, got {self.shards!r}")
+        if self.storage is not None:
+            try:
+                validate_storage_spec(self.storage)
+            except StorageError as exc:
+                raise ValueError(str(exc)) from None
+        if self.faults is not None:
+            try:
+                parse_fault_spec(self.faults)
+            except ValueError as exc:
+                raise ValueError(f"bad fault plan {self.faults!r}: {exc}") from None
+
+
 def build_network(
     topology: Topology,
     program: Program,
     mode: ProvenanceMode,
     seed: int = 0,
     run_to_fixpoint: bool = True,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> ExspanNetwork:
     """Build, seed and (optionally) fixpoint an :class:`ExspanNetwork`.
 
-    When a process-wide fault plan is set (``--faults``), it is installed
-    before the network is seeded, so the whole fixpoint runs under
-    injected faults.
+    The network uses ``env.storage``; ``env.faults``, when set, is
+    installed before the network is seeded, so the whole fixpoint runs
+    under injected faults.
     """
     network = ExspanNetwork(
-        topology, program, config=ExspanConfig(mode=mode, seed=seed)
+        topology, program,
+        config=ExspanConfig(mode=mode, seed=seed, storage=env.storage),
     )
-    plan = resolve_faults(None)
-    if plan is not None:
-        network.install_faults(plan)
+    network.install_faults(env.faults)  # None installs nothing
     network.seed_links()
     if run_to_fixpoint:
         network.run_to_fixpoint()
     return network
-
-
-#: Process-wide default worker count for shard-capable trials.  ``1`` means
-#: serial in-process execution.  Like ``PYTHONHASHSEED``, this is an
-#: *execution environment* knob, never part of a trial's kwargs or
-#: fingerprint: the sharded engine is bit-identical to the serial one, so
-#: artifacts produced under any default must be byte-identical — which is
-#: exactly what the CI determinism check verifies by diffing a
-#: ``--shards 2`` run against the committed (serial) baselines.
-DEFAULT_SHARDS = 1
-
-
-def set_default_shards(shards: int) -> None:
-    """Set the process-wide shard default (orchestrator ``--shards``)."""
-    global DEFAULT_SHARDS
-    DEFAULT_SHARDS = max(1, int(shards))
-
-
-def resolve_shards(explicit: Optional[int]) -> int:
-    """Effective shard count: the explicit kwarg, else the process default."""
-    return DEFAULT_SHARDS if explicit is None else max(1, int(explicit))
-
-
-#: Process-wide default fault plan (a ``parse_fault_spec`` string) injected
-#: into every trial network, or ``None`` for fault-free runs.  Unlike
-#: ``DEFAULT_SHARDS`` this knob is **not** byte-identity preserving on
-#: traffic counters — retransmits and duplicate suppression change the
-#: message-level series — so faulted artifacts must never be compared
-#: against the committed baselines.  What *is* preserved is convergence:
-#: any quiescing plan yields the same final protocol tables, which the
-#: chaos gate (``benchmarks/chaos_gate.py``) checks by digest.
-DEFAULT_FAULTS: Optional[str] = None
-
-
-def set_default_faults(faults: Optional[str]) -> None:
-    """Set the process-wide fault-plan default (orchestrator ``--faults``)."""
-    global DEFAULT_FAULTS
-    DEFAULT_FAULTS = faults or None
-
-
-def resolve_faults(explicit: Optional[str]) -> Optional[str]:
-    """Effective fault spec: the explicit kwarg, else the process default."""
-    return DEFAULT_FAULTS if explicit is None else (explicit or None)
 
 
 def fixpoint_summary(
@@ -180,22 +193,20 @@ def fixpoint_summary(
     program: Program,
     mode: ProvenanceMode,
     seed: int = 0,
-    shards: Optional[int] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
-    """Seed + fixpoint a network, serial or sharded, and summarize it.
+    """Seed + fixpoint a network on ``env.shards`` shards and summarize it.
 
     The summary dict (:func:`repro.net.sharding.collect_summary`) carries
     every counter the fixpoint trials report; the sharded engine produces
     the identical dict for any worker count, so trials built on this helper
     yield byte-identical artifacts under any ``shards`` setting.
     """
-    count = resolve_shards(shards)
-    if count <= 1:
-        network = build_network(topology, program, mode, seed=seed)
-        return collect_summary(network)
+    if env.shards <= 1:
+        return collect_summary(build_network(topology, program, mode, seed=seed, env=env))
     with ShardedExspanNetwork(
-        topology, program, mode=mode, shards=count, seed=seed,
-        faults=resolve_faults(None),
+        topology, program, mode=mode, shards=env.shards, seed=seed,
+        storage=env.storage, faults=env.faults,
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
@@ -287,16 +298,16 @@ def comm_cost_trial(
     mode: str,
     seed: int = 0,
     max_cost: Optional[int] = None,
-    shards: Optional[int] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Per-node communication cost (MB) to fixpoint at one (size, mode).
 
-    ``shards`` (default: the process-wide ``--shards`` setting) selects the
-    sharded multi-process engine; results are identical for any value.
+    ``env.shards`` selects the sharded multi-process engine; results are
+    identical for any value.
     """
     topology = size_topology(size, seed)
     summary = fixpoint_summary(
-        topology, _program(program, max_cost), _mode(mode), seed=seed, shards=shards
+        topology, _program(program, max_cost), _mode(mode), seed=seed, env=env
     )
     node_count = topology.node_count()
     per_node_mb = summary["traffic"]["maintenance_bytes"] / node_count / 1e6
@@ -315,11 +326,12 @@ def packet_bandwidth_trial(
     duration: float = 2.0,
     bucket: float = 0.25,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """PACKETFORWARD data-plane bandwidth (MBps) over time for one mode."""
     topology = size_topology(size, seed)
     program = pathvector_program().extended(packetforward_program(), "pv+fwd")
-    network = build_network(topology, program, _mode(mode), seed=seed)
+    network = build_network(topology, program, _mode(mode), seed=seed, env=env)
     control_plane_end = network.now
     network.stats.reset()
     workload = PacketWorkload(
@@ -359,10 +371,13 @@ def _churn_timeseries(
     bucket: float,
     seed: int,
     max_cost: Optional[int],
+    env: ExecutionEnv,
 ) -> Tuple[ExspanNetwork, List[Tuple[float, float]], int]:
     """Run the stub-link churn workload; return (network, series, events)."""
     topology = size_topology(size, seed)
-    network = build_network(topology, _program(program, max_cost), _mode(mode), seed=seed)
+    network = build_network(
+        topology, _program(program, max_cost), _mode(mode), seed=seed, env=env
+    )
     start = network.now
     network.stats.reset()
     churn = make_churn(
@@ -395,10 +410,12 @@ def churn_trial(
     bucket: float = 0.25,
     seed: int = 0,
     max_cost: Optional[int] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Maintenance bandwidth (MBps) over time under churn for one mode."""
     network, timeseries, events = _churn_timeseries(
-        program, size, mode, rounds, links_per_round, interval, bucket, seed, max_cost
+        program, size, mode, rounds, links_per_round, interval, bucket, seed,
+        max_cost, env,
     )
     label = MODE_LABELS[_mode(mode)]
     points = [[time, bytes_per_second / 1e6] for time, bytes_per_second in timeseries]
@@ -416,6 +433,7 @@ def churn_intensity_trial(
     bucket: float = 0.25,
     seed: int = 0,
     max_cost: Optional[int] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Mean churn-window bandwidth (MBps) at one churn intensity.
 
@@ -424,7 +442,8 @@ def churn_intensity_trial(
     provenance maintenance scales with the rate of topology change.
     """
     network, timeseries, events = _churn_timeseries(
-        program, size, mode, rounds, links_per_round, interval, bucket, seed, max_cost
+        program, size, mode, rounds, links_per_round, interval, bucket, seed,
+        max_cost, env,
     )
     values = [bytes_per_second for _, bytes_per_second in timeseries]
     mean_mbps = (sum(values) / len(values) if values else 0.0) / 1e6
@@ -436,13 +455,15 @@ def churn_intensity_trial(
 # ---------------------------------------------------------------------- #
 # Figures 11-15: provenance query workloads
 # ---------------------------------------------------------------------- #
-def _query_network(size: int, seed: int) -> ExspanNetwork:
+def _query_network(size: int, seed: int, env: ExecutionEnv) -> ExspanNetwork:
     """A reference-provenance MINCOST network used by the query experiments."""
     topology = size_topology(size, seed)
-    return build_network(topology, mincost_program(), ProvenanceMode.REFERENCE, seed=seed)
+    return build_network(
+        topology, mincost_program(), ProvenanceMode.REFERENCE, seed=seed, env=env
+    )
 
 
-def _grid_query_network(side: int, seed: int) -> ExspanNetwork:
+def _grid_query_network(side: int, seed: int, env: ExecutionEnv) -> ExspanNetwork:
     """A grid-topology MINCOST network with abundant equal-cost multipaths.
 
     The paper's 100-node transit-stub networks give ``bestPathCost`` tuples
@@ -452,7 +473,9 @@ def _grid_query_network(side: int, seed: int) -> ExspanNetwork:
     shortest paths make multi-derivation tuples the common case.
     """
     topology = grid_topology(side, side)
-    return build_network(topology, mincost_program(), ProvenanceMode.REFERENCE, seed=seed)
+    return build_network(
+        topology, mincost_program(), ProvenanceMode.REFERENCE, seed=seed, env=env
+    )
 
 
 def _run_query_workload(
@@ -488,10 +511,11 @@ def caching_bandwidth_trial(
     duration: float = 2.0,
     bucket: float = 0.25,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Per-node query bandwidth (KBps) with or without result caching."""
     label, spec_name = _CACHE_VARIANTS[bool(use_cache)]
-    network = _query_network(size, seed)
+    network = _query_network(size, seed, env)
     spec = polynomial_query(name=spec_name, use_cache=bool(use_cache))
     workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
     timeseries = network.stats.bandwidth_timeseries(
@@ -512,10 +536,11 @@ def caching_latency_trial(
     duration: float = 2.0,
     cdf_samples: int = 20,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Query completion-latency CDF with or without result caching."""
     label, spec_name = _CACHE_VARIANTS[bool(use_cache)]
-    network = _query_network(size, seed)
+    network = _query_network(size, seed, env)
     spec = polynomial_query(name=spec_name, use_cache=bool(use_cache))
     workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
     latencies = [outcome.latency for outcome in workload.outcomes]
@@ -554,9 +579,10 @@ def traversal_bandwidth_trial(
     bucket: float = 0.25,
     threshold: int = 3,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """#DERIVATION query bandwidth (KBps) for one traversal strategy."""
-    network = _grid_query_network(grid_side, seed)
+    network = _grid_query_network(grid_side, seed, env)
     spec = _traversal_spec(traversal, threshold)
     workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
     timeseries = network.stats.bandwidth_timeseries(
@@ -578,9 +604,10 @@ def traversal_latency_trial(
     cdf_samples: int = 20,
     threshold: int = 3,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """#DERIVATION query latency CDF for one traversal strategy."""
-    network = _grid_query_network(grid_side, seed)
+    network = _grid_query_network(grid_side, seed, env)
     spec = _traversal_spec(traversal, threshold)
     workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
     latencies = [outcome.latency for outcome in workload.outcomes]
@@ -645,6 +672,7 @@ def query_concurrency_trial(
     seed: int = 0,
     coalescing: bool = True,
     batching: bool = True,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Prov-kind traffic (KB) for k simultaneous queriers on one variant.
 
@@ -665,6 +693,7 @@ def query_concurrency_trial(
             seed=seed,
             query_coalescing=coalescing,
             query_batching=batching,
+            storage=env.storage,
         ),
     )
     network.seed_links()
@@ -707,6 +736,7 @@ def representation_trial(
     duration: float = 2.0,
     bucket: float = 0.25,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Query bandwidth (KBps) for one provenance-result representation.
 
@@ -718,7 +748,7 @@ def representation_trial(
     }
     if representation not in specs:
         raise ValueError(f"unknown representation {representation!r}")
-    network = _query_network(size, seed)
+    network = _query_network(size, seed, env)
     workload = _run_query_workload(
         network, specs[representation](), queries_per_second, duration, seed
     )
@@ -741,10 +771,11 @@ def testbed_bandwidth_trial(
     mode: str,
     bucket: float = 0.002,
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """PATHVECTOR bandwidth (KBps) over time on the ring testbed topology."""
     topology = ring_topology(size, seed=seed)
-    network = build_network(topology, pathvector_program(), _mode(mode), seed=seed)
+    network = build_network(topology, pathvector_program(), _mode(mode), seed=seed, env=env)
     end = max(network.now, bucket)
     timeseries = network.stats.bandwidth_timeseries(
         bucket, network.node_count, start=0.0, end=end, kinds=[DELTA_MESSAGE_KIND]
@@ -765,12 +796,12 @@ def testbed_fixpoint_trial(
     size: int,
     mode: str,
     seed: int = 0,
-    shards: Optional[int] = None,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """PATHVECTOR fixpoint latency (s) at one (size, mode) on the testbed."""
     topology = ring_topology(size, seed=seed)
     summary = fixpoint_summary(
-        topology, pathvector_program(), _mode(mode), seed=seed, shards=shards
+        topology, pathvector_program(), _mode(mode), seed=seed, env=env
     )
     label = MODE_LABELS[_mode(mode)]
     return _summary_result(
@@ -798,6 +829,7 @@ def scale_fixpoint_trial(
     shards: int,
     mode: str = "ref",
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Fixpoint one paper-scale topology on the sharded engine.
 
@@ -806,11 +838,13 @@ def scale_fixpoint_trial(
     engine's headline guarantee on the record: every curve of a scale
     sweep is **identical** across shard counts (the CI gate diffs them),
     while wall-clock (advisory ``wall_seconds`` in the artifact) drops as
-    workers are added on multi-core machines.
+    workers are added on multi-core machines.  The explicit ``shards``
+    sweep axis overrides ``env.shards``.
     """
     topology = scale_topology(size, seed)
     summary = fixpoint_summary(
-        topology, _program(program), _mode(mode), seed=seed, shards=shards
+        topology, _program(program), _mode(mode), seed=seed,
+        env=replace(env, shards=shards),
     )
     node_count = topology.node_count()
     per_node_mb = summary["traffic"]["maintenance_bytes"] / node_count / 1e6
@@ -852,6 +886,7 @@ def chaos_convergence_trial(
     shards: int = 1,
     mode: str = "ref",
     seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Fixpoint one tie-free ring under a fault plan and check convergence.
 
@@ -865,7 +900,9 @@ def chaos_convergence_trial(
 
     ``program="packetforward"`` runs the data plane: PATHVECTOR builds
     the routes, packets are injected post-fixpoint, and the convergence
-    check covers the materialized ``recvPacket`` deliveries too.
+    check covers the materialized ``recvPacket`` deliveries too.  The
+    trial's own ``faults`` and ``shards`` kwargs are its sweep axes; of
+    *env* it reads only ``storage``.
     """
     from ..faults import convergence_digest
     from ..protocols.packetforward import packet_event
@@ -884,7 +921,8 @@ def chaos_convergence_trial(
 
     def serial_run(plan):
         network = ExspanNetwork(
-            topology, resolved, config=ExspanConfig(mode=_mode(mode), seed=seed)
+            topology, resolved,
+            config=ExspanConfig(mode=_mode(mode), seed=seed, storage=env.storage),
         )
         if plan is not None:
             network.install_faults(plan)
@@ -905,7 +943,7 @@ def chaos_convergence_trial(
     else:
         with ShardedExspanNetwork(
             topology, resolved, mode=_mode(mode), shards=shards, seed=seed,
-            faults=faults, supervise=True,
+            storage=env.storage, faults=faults, supervise=True,
         ) as sharded:
             sharded.seed_links()
             sharded.run_to_fixpoint()

@@ -343,9 +343,9 @@ class _WorkerConfig:
     #: deterministic (sim time, shard, seq) order.
     trace: bool = False
     traffic_record_cap: Optional[int] = None
-    #: Storage backend spec (``None`` = worker-process default, i.e.
-    #: memory).  Explicit sqlite paths are suffixed per shard by the
-    #: worker's ExspanNetwork so forked processes never share one WAL.
+    #: Storage backend spec (``None`` = memory).  Explicit sqlite paths
+    #: are suffixed per shard by the worker's ExspanNetwork so forked
+    #: processes never share one WAL.
     storage: Optional[str] = None
     #: Serialized non-empty :class:`~repro.faults.plan.FaultPlan`
     #: (``FaultPlan.to_dict()``), or ``None`` for the fault-free fast
@@ -437,11 +437,13 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 # at), so re-opening the window back to the op instant is
                 # sound — see Simulator.reopen_window.
                 net.simulator.reopen_window(time)
+                # The parent already routed each op to its shard(s); the
+                # serial path keeps per-issuer query ids serial-identical.
                 for op in ops:
-                    _apply_worker_op(net, op, outcomes, issued)
+                    _apply_serial_op(net, op, outcomes, issued)
                 conn.send(("ok", _worker_window_reply(net, len(ops))))
             elif verb == "summary":
-                conn.send(("ok", _worker_summary(net)))
+                conn.send(("ok", collect_summary(net)))
             elif verb == "digest":
                 conn.send(("ok", collect_digest(net)))
             elif verb == "cdigest":
@@ -503,20 +505,6 @@ def _inject_envelopes(net, envelopes, manager_for_destination) -> None:
             tseq=fields.get("tseq"),
         )
         net.network.inject(message, time, key)
-
-
-def _apply_worker_op(
-    net, op: ScriptOp, outcomes: Dict[str, Dict[str, Any]], issued: Dict[Any, int]
-) -> None:
-    # Fact ops were already routed to the owning shard by the parent; link
-    # ops go to every shard; query ops to the issuer's shard.  All reuse
-    # the serial op application (per-issuer query numbering included, so
-    # auto query ids match the serial engine's).
-    _apply_serial_op(net, op, outcomes, issued)
-
-
-def _worker_summary(net) -> Dict[str, Any]:
-    return collect_summary(net)
 
 
 # ---------------------------------------------------------------------- #

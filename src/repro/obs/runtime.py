@@ -5,9 +5,9 @@ inside library code, so tracing is switched on per *process* rather than
 threaded through every constructor: :func:`enable_tracing` opens a
 :class:`TraceSession`, and every :class:`~repro.core.api.ExspanNetwork`
 (or sharded driver) built while a session is active registers a fresh
-tracer with it automatically.  Mirrors the
-``set_default_shards``/``resolve_shards`` pattern in
-:mod:`repro.experiments.trials`.
+tracer with it automatically.  The experiment orchestrator opens one
+session around each trial whose ``ExecutionEnv.trace_dir`` is set and
+closes it when the trial returns, so no session outlives its trial.
 
 Shard worker processes call :func:`disable_tracing` on startup: they
 inherit the parent's session state via ``fork``, but their spans are

@@ -6,18 +6,18 @@ This package owns tuple storage for the whole system:
   :class:`Catalog` machinery every engine evaluates against, plus
   :class:`MemoryBackend`, the default backend that adds nothing on top of
   the in-RAM tier;
-* :mod:`repro.storage.backend` — the :class:`StorageBackend` interface,
-  spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``) and
-  the process-wide default knob (:func:`default_storage` /
-  :func:`set_default_storage`, the ``--storage`` CLI convention);
+* :mod:`repro.storage.backend` — the :class:`StorageBackend` interface
+  and spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``;
+  ``None`` means memory);
 * :mod:`repro.storage.sqlite` — the write-behind sqlite (WAL) mirror with
   the pre/post-order interval encoding of the provenance DAG and the
   SQL-compiled reachability/subgraph query path;
 * :mod:`repro.storage.checkpoint` — snapshot-consistent network
   checkpoint & restore (``ExspanNetwork.checkpoint``/``restore``).
 
-Backend choice is an execution-environment knob like ``--shards``: never
-fingerprinted, and results are byte-identical under any backend.
+Backend choice is an execution-environment knob (``ExspanConfig.storage``,
+or ``ExecutionEnv.storage`` for experiment trials): never fingerprinted,
+and results are byte-identical under any backend.
 """
 
 # Imported first to break the import cycle with repro.datalog: its engine
@@ -29,10 +29,8 @@ from .backend import (
     STORAGE_BACKENDS,
     StorageBackend,
     StorageError,
-    default_storage,
     make_backend,
     parse_storage_spec,
-    set_default_storage,
     validate_storage_spec,
 )
 from .memory import (
@@ -52,8 +50,6 @@ __all__ = [
     "StorageError",
     "MemoryBackend",
     "SqliteBackend",
-    "default_storage",
-    "set_default_storage",
     "make_backend",
     "parse_storage_spec",
     "validate_storage_spec",

@@ -1,4 +1,4 @@
-"""The pluggable storage-backend interface and the process-wide default.
+"""The pluggable storage-backend interface and spec parsing.
 
 Every :class:`~repro.core.api.ExspanNetwork` owns exactly one
 :class:`StorageBackend`.  The backend does **not** sit on the delta hot
@@ -9,12 +9,13 @@ transitions through the engine's update-listener hook and may mirror them
 to disk (write-behind), answer SQL-compiled provenance queries, and carry
 checkpoint/restore bookkeeping.
 
-Backend selection follows the execution-environment knob convention
-established by ``--shards``: the spec is never part of a
-trial fingerprint, and results (fixpoints, VIDs, prov/ruleExec rows,
-annotations, planner/traffic counters) must be byte-identical under any
-backend.  ``MemoryBackend`` registers no listeners at all, so the default
-configuration is bit-identical to the pre-refactor engine by construction.
+Backend selection is an execution-environment knob: the spec travels in
+``ExspanConfig.storage`` (the experiments' ``ExecutionEnv.storage``, set
+by ``--storage``), is never part of a trial fingerprint, and results
+(fixpoints, VIDs, prov/ruleExec rows, annotations, planner/traffic
+counters) must be byte-identical under any backend.  ``MemoryBackend``
+registers no listeners at all, so the default configuration is
+bit-identical to the pre-refactor engine by construction.
 
 Specs
 -----
@@ -36,10 +37,8 @@ __all__ = [
     "STORAGE_BACKENDS",
     "StorageBackend",
     "StorageError",
-    "default_storage",
     "make_backend",
     "parse_storage_spec",
-    "set_default_storage",
     "validate_storage_spec",
 ]
 
@@ -73,24 +72,6 @@ def validate_storage_spec(spec: str) -> str:
     """Validate *spec* and return it unchanged (config-layer entry point)."""
     parse_storage_spec(spec)
     return spec
-
-
-# Process-wide default, like ``set_default_shards`` in the trials: CLI layers
-# set it once per process (and per pool worker) so trial functions never
-# carry the knob in their fingerprinted kwargs.
-_DEFAULT_STORAGE = "memory"
-
-
-def default_storage() -> str:
-    """The storage spec used when a network's config leaves it unset."""
-    return _DEFAULT_STORAGE
-
-
-def set_default_storage(spec: Optional[str]) -> str:
-    """Set the process-wide default storage spec (``None`` resets to memory)."""
-    global _DEFAULT_STORAGE
-    _DEFAULT_STORAGE = validate_storage_spec(spec) if spec is not None else "memory"
-    return _DEFAULT_STORAGE
 
 
 class StorageBackend:
@@ -198,8 +179,8 @@ class StorageBackend:
 
 
 def make_backend(spec: Optional[str] = None) -> StorageBackend:
-    """Build the backend named by *spec* (``None`` means the process default)."""
-    kind, path = parse_storage_spec(spec if spec is not None else default_storage())
+    """Build the backend named by *spec* (``None`` means memory)."""
+    kind, path = parse_storage_spec(spec if spec is not None else "memory")
     if kind == "memory":
         from .memory import MemoryBackend
 

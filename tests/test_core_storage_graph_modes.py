@@ -23,7 +23,7 @@ from repro.core import (
     tuple_vid,
 )
 from repro.core.modes import CENTRAL_PROV_TABLE, CENTRAL_RULE_EXEC_TABLE
-from repro.core.storage import ProvEntry, RuleExecEntry
+from repro.core.provenance_store import ProvEntry, RuleExecEntry
 from repro.datalog import Fact, StandaloneNetwork, parse_program
 from repro.protocols import mincost_program
 

@@ -637,6 +637,7 @@ class TestOrchestratorTracing:
     def test_traced_artifacts_are_byte_identical_and_traces_valid(
         self, tiny_scenario, tmp_path
     ):
+        from repro.experiments import ExecutionEnv
         from repro.experiments.orchestrator import (
             artifact_path,
             canonical_artifact_bytes,
@@ -649,7 +650,7 @@ class TestOrchestratorTracing:
         traced = run(
             [tiny_scenario.name],
             results_dir=str(tmp_path / "traced"),
-            trace_dir=trace_dir,
+            env=ExecutionEnv(trace_dir=trace_dir),
         )
         assert plain.executed == traced.executed == 2
 
@@ -685,6 +686,7 @@ class TestOrchestratorTracing:
     def test_parallel_traced_run_matches_serial_traced_run(
         self, tiny_scenario, tmp_path
     ):
+        from repro.experiments import ExecutionEnv
         from repro.experiments.orchestrator import (
             artifact_path,
             canonical_artifact_bytes,
@@ -694,13 +696,13 @@ class TestOrchestratorTracing:
         serial = run(
             [tiny_scenario.name],
             results_dir=str(tmp_path / "s"),
-            trace_dir=str(tmp_path / "ts"),
+            env=ExecutionEnv(trace_dir=str(tmp_path / "ts")),
         )
         parallel = run(
             [tiny_scenario.name],
             workers=2,
             results_dir=str(tmp_path / "p"),
-            trace_dir=str(tmp_path / "tp"),
+            env=ExecutionEnv(trace_dir=str(tmp_path / "tp")),
         )
         assert serial.executed == parallel.executed
         assert canonical_artifact_bytes(
@@ -713,6 +715,7 @@ class TestOrchestratorTracing:
         )
 
     def test_trace_cli_validates_and_summarizes(self, tiny_scenario, tmp_path, capsys):
+        from repro.experiments import ExecutionEnv
         from repro.experiments.__main__ import main as cli_main
         from repro.experiments.orchestrator import run
 
@@ -720,7 +723,7 @@ class TestOrchestratorTracing:
         run(
             [tiny_scenario.name],
             results_dir=str(tmp_path / "results"),
-            trace_dir=str(trace_dir),
+            env=ExecutionEnv(trace_dir=str(trace_dir)),
         )
         files = sorted(str(path) for path in trace_dir.iterdir())
         assert cli_main(["trace", *files, "--top", "2"]) == 0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import (
     SCENARIOS,
+    ExecutionEnv,
     Scenario,
     TrialSpec,
     assemble_figure,
@@ -221,6 +222,55 @@ class TestOrchestratorRun:
     def test_trial_functions_are_deterministic(self):
         spec = TrialSpec("x", "t", "testbed_fixpoint", {"size": 5, "mode": "none"})
         assert run_trial_spec(spec) == run_trial_spec(spec)
+
+
+# ---------------------------------------------------------------------- #
+# execution environment: no knob outlives its run
+# ---------------------------------------------------------------------- #
+BASELINES = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "baselines")
+FIG16 = "fig16_testbed_bandwidth"
+FAULTS = "seed=3; attempts=8; drop:*->*:p=0.2,n=20"
+
+
+def _matches_fig16_baseline(results_dir):
+    return _artifact_bytes(results_dir, FIG16) == _artifact_bytes(BASELINES, FIG16)
+
+
+class TestExecutionEnv:
+    def test_faulted_sqlite_sharded_run_does_not_leak_into_the_next(self, tmp_path):
+        env = ExecutionEnv(shards=2, storage="sqlite", faults=FAULTS)
+        run(["16"], results_dir=str(tmp_path / "env"), env=env)
+        assert not _matches_fig16_baseline(tmp_path / "env")  # the faults did bite
+        run(["16"], results_dir=str(tmp_path / "plain"))
+        assert _matches_fig16_baseline(tmp_path / "plain")
+
+    def test_clean_resume_after_faulted_run_reexecutes_every_trial(self, tmp_path):
+        faulted = run(["16"], results_dir=str(tmp_path), env=ExecutionEnv(faults=FAULTS))
+        assert (faulted.executed, faulted.skipped) == (3, 0)
+        clean = run(["16"], results_dir=str(tmp_path))
+        assert (clean.executed, clean.skipped) == (3, 0)
+        assert _matches_fig16_baseline(tmp_path)
+        again = run(["16"], results_dir=str(tmp_path), env=ExecutionEnv(shards=2))
+        assert (again.executed, again.skipped) == (0, 3)  # shards stay out
+
+    def test_only_faults_enter_the_fingerprint(self):
+        kwargs = {"size": 5, "mode": "ref"}
+        plain = trial_fingerprint("testbed_fixpoint", kwargs)
+        assert trial_fingerprint("testbed_fixpoint", kwargs, None) == plain
+        assert trial_fingerprint("testbed_fixpoint", kwargs, FAULTS) != plain
+        for path in glob.glob(os.path.join(BASELINES, "BENCH_*.json")):
+            for trial in load_artifact(path)["trials"]:
+                assert trial["fingerprint"] == trial_fingerprint(trial["fn"], trial["kwargs"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--faults", "garbage"], ["--storage", "bogus"], ["--shards", "0"]],
+    )
+    def test_cli_rejects_a_bad_env_before_any_trial_runs(self, flags, tmp_path, capsys):
+        results = str(tmp_path / "results")
+        assert cli_main(["run", "16", "--results-dir", results, *flags]) == 2
+        assert capsys.readouterr().out.startswith("run: error: ")
+        assert not os.path.exists(results)
 
 
 # ---------------------------------------------------------------------- #

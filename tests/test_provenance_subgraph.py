@@ -20,7 +20,7 @@ from repro.core import provenance_graph as graph_module
 from repro.core.api import ExspanNetwork
 from repro.core.config import ExspanConfig
 from repro.core.requests import QueryRequest, SpecDescriptor
-from repro.core.storage import ProvenanceStore
+from repro.core.provenance_store import ProvenanceStore
 from repro.core.vid import fact_vid
 from repro.datalog.ast import Fact
 from repro.datalog.parser import parse_program

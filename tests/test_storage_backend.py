@@ -1,10 +1,11 @@
 """Pluggable storage engine: spec parsing, byte-identity, sqlite mirror.
 
-The storage backend is an execution-environment knob (the ``--shards``
-convention): results must be byte-identical under any backend.  These tests pin that contract — the memory default adds
-nothing, the sqlite mirror tracks the engines through inserts *and*
-deletes, metrics only appear when a persistent backend is attached, and
-an in-process checkpoint round-trip (including aggregate-rule state)
+The storage backend is an execution-environment knob
+(``ExspanConfig.storage``, ``ExecutionEnv.storage``): results must be
+byte-identical under any backend.  These tests pin that contract — the
+memory default adds nothing, the sqlite mirror tracks the engines through
+inserts *and* deletes, metrics only appear when a persistent backend is
+attached, and an in-process checkpoint round-trip (including aggregate-rule state)
 reproduces every digest and keeps evolving identically afterwards.
 """
 
@@ -18,6 +19,7 @@ from repro.core.errors import ProvenanceError
 from repro.core.rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from repro.core.vid import fact_vid
 from repro.datalog.ast import Fact, is_event_predicate
+from repro.experiments import ExecutionEnv
 from repro.net.sharding import node_state_digest
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
@@ -29,10 +31,8 @@ from repro.storage import (
     SqliteBackend,
     StorageBackend,
     StorageError,
-    default_storage,
     make_backend,
     parse_storage_spec,
-    set_default_storage,
 )
 
 
@@ -90,17 +90,21 @@ def test_ephemeral_sqlite_removed_on_close():
     assert not os.path.exists(path)
 
 
-def test_default_storage_knob():
-    assert default_storage() == "memory"
-    set_default_storage("sqlite")
-    try:
-        assert default_storage() == "sqlite"
-        assert isinstance(make_backend(), SqliteBackend)
-    finally:
-        set_default_storage("memory")
-    assert isinstance(make_backend(), MemoryBackend)
-    with pytest.raises(StorageError):
-        set_default_storage("bogus")
+def test_execution_env_validates_its_fields():
+    assert isinstance(make_backend(), MemoryBackend)  # no spec means memory
+    assert ExecutionEnv() == ExecutionEnv(shards=1, storage=None, faults=None, trace_dir=None)
+    env = ExecutionEnv(shards=2, storage="sqlite:/tmp/x.db", faults="seed=3; drop:*->*:p=0.2")
+    assert (env.shards, env.storage) == (2, "sqlite:/tmp/x.db")
+    for bad in (
+        {"storage": "bogus"},
+        {"storage": "memory:/tmp/x"},
+        {"faults": "garbage"},
+        {"faults": "drop:a->b:p=oops"},
+        {"shards": 0},
+        {"shards": "2"},
+    ):
+        with pytest.raises(ValueError):
+            ExecutionEnv(**bad)
 
 
 def test_memory_backend_rejects_sql():
@@ -126,7 +130,7 @@ def test_config_validates_storage_spec():
         ExspanConfig(storage="flatfile")
 
 
-def test_config_to_dict_omits_default_storage():
+def test_config_to_dict_omits_unset_storage():
     assert "storage" not in ExspanConfig().to_dict()
     assert ExspanConfig(storage="sqlite").to_dict()["storage"] == "sqlite"
 
