@@ -186,12 +186,16 @@ class Rule:
     def validate(self) -> None:
         """Check rule safety.
 
-        Every variable used in the head, in conditions and in assignment
+        Every body-atom argument is a variable or a constant, and every
+        variable used in the head, in conditions and in assignment
         right-hand sides must be bound either by a body atom or by an earlier
         assignment.  Raises :class:`ValidationError` on violation.
         """
         bound: set[str] = set()
         for atom in self.body_atoms:
+            for index, arg in enumerate(atom.args):
+                if not isinstance(arg, (Variable, Constant)):
+                    self._reject_expression_argument(atom, index)
             bound.update(atom.variables())
         for literal in self.body:
             if isinstance(literal, Assignment):
@@ -215,6 +219,28 @@ class Rule:
                     f"rule {self.label}: head variable {name!r} is not bound "
                     "by the rule body"
                 )
+
+    def _reject_expression_argument(self, atom: Atom, index: int) -> None:
+        """Refuse an expression inside a body atom, naming its rewrite.
+
+        Matching such an atom would evaluate the expression under whatever
+        the delta happened to bind, so the fixpoint would depend on arrival
+        order; a fresh variable plus an equality condition does not.
+        """
+        names = set(self.variables())
+        fresh, suffix = "X", 0
+        while fresh in names:
+            suffix += 1
+            fresh = f"X{suffix}"
+        args = list(atom.args)
+        expression = args[index]
+        args[index] = Variable(fresh)
+        rewritten = Atom(atom.name, tuple(args), atom.location_index)
+        raise ValidationError(
+            f"rule {self.label}: body atom {atom} has the expression argument "
+            f"{expression}; bind a fresh variable and compare it instead, "
+            f"e.g. {rewritten}, {fresh} == {expression}"
+        )
 
     def __str__(self) -> str:
         body = ", ".join(str(lit) for lit in self.body)

@@ -86,16 +86,12 @@ class CostModel:
         """Argument positions constrainable when *bound_vars* are known.
 
         Constants are always constrainable, variable positions when the
-        variable is bound, and expression positions when every variable the
-        expression reads is bound.
+        variable is bound.
         """
         positions = set(signature.const_positions)
         for name, var_positions in signature.var_positions.items():
             if name in bound_vars:
                 positions.update(var_positions)
-        for position, reads in signature.expr_positions.items():
-            if reads <= bound_vars:
-                positions.add(position)
         return tuple(sorted(positions))
 
     def estimate(

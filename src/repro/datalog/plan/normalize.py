@@ -5,9 +5,9 @@ directly: it first *normalizes* a rule into a shape that makes the
 information a join optimizer needs explicit:
 
 * per body atom, which argument positions are bound to which variables
-  (:attr:`AtomSignature.var_positions`), which hold constants
-  (:attr:`AtomSignature.const_positions`) and which hold compound
-  expressions (:attr:`AtomSignature.expr_positions`);
+  (:attr:`AtomSignature.var_positions`) and which hold constants
+  (:attr:`AtomSignature.const_positions`) — ``Rule.validate`` admits
+  nothing else in a body atom;
 * the rule's non-atom literals (assignments and conditions) in body order,
   each with the set of variables it reads and — for assignments — the
   variable it binds.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..ast import Assignment, Atom, Condition, Rule
-from ..terms import Constant, Variable
+from ..terms import Variable
 
 __all__ = ["AtomSignature", "LiteralInfo", "NormalizedRule", "normalize_rule"]
 
@@ -42,8 +42,6 @@ class AtomSignature:
     var_positions: Dict[str, Tuple[int, ...]]
     #: argument position -> constant value.
     const_positions: Dict[int, object]
-    #: argument position -> variables read by the compound term stored there.
-    expr_positions: Dict[int, FrozenSet[str]]
 
     @property
     def variables(self) -> FrozenSet[str]:
@@ -106,21 +104,17 @@ class NormalizedRule:
 def _atom_signature(atom: Atom, position: int) -> AtomSignature:
     var_positions: Dict[str, list] = {}
     const_positions: Dict[int, object] = {}
-    expr_positions: Dict[int, FrozenSet[str]] = {}
     for index, arg in enumerate(atom.args):
         if isinstance(arg, Variable):
             if not arg.is_wildcard:
                 var_positions.setdefault(arg.name, []).append(index)
-        elif isinstance(arg, Constant):
-            const_positions[index] = arg.value
         else:
-            expr_positions[index] = frozenset(arg.variables())
+            const_positions[index] = arg.value
     return AtomSignature(
         atom=atom,
         position=position,
         var_positions={name: tuple(ps) for name, ps in var_positions.items()},
         const_positions=const_positions,
-        expr_positions=expr_positions,
     )
 
 
