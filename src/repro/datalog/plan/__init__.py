@@ -18,7 +18,6 @@ it.  The left-to-right nested-loop join and the term-tree interpreter they
 are checked against live in ``tests/oracle/``.
 """
 
-from .compiled_exec import compile_term
 from .compiler import CompiledDeltaPlan, CompiledStep, LookupSpec, PlanCompiler
 from .cost import CatalogStatistics, CostEstimate, CostModel, DEFAULT_SELECTIVITY
 from .explain import explain_plan, explain_plans
@@ -44,7 +43,6 @@ __all__ = [
     "LookupSpec",
     "NormalizedRule",
     "OrderedStep",
-    "compile_term",
     "construct_join_graph",
     "explain_plan",
     "explain_plans",

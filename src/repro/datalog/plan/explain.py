@@ -20,9 +20,7 @@ __all__ = ["explain_plan", "explain_plans"]
 def _render_lookup(spec: LookupSpec) -> str:
     if spec.kind == "var":
         return f"[{spec.position}]={spec.source}"
-    if spec.kind == "const":
-        return f"[{spec.position}]={spec.source!r}"
-    return f"[{spec.position}]=({spec.source})"
+    return f"[{spec.position}]={spec.source!r}"
 
 
 def _render_step(number: int, step: CompiledStep) -> List[str]:

@@ -27,9 +27,9 @@ from repro.protocols import mincost_program, pathvector_program
 from oracle import ENGINES
 
 #: Everything the fused path special-cases, on one node: a keyed table
-#: (primary-key replacement), an event predicate, a two-step join (a plan
-#: with no fused executor, so its generated finalizer runs) whose literals
-#: test a body variable and then overwrite it — their order is observable —
+#: (primary-key replacement), an event predicate, a two-step join (nested
+#: probes in one generated function) whose literals test a body variable
+#: and then overwrite it — their order is observable —
 #: an aggregate and a plain copy rule.
 SOURCE = """
     k1 cost(@S,D,C) :- link(@S,D,C).
