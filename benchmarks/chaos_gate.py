@@ -100,7 +100,7 @@ def _serial_digest(program, plan):
     return convergence_digest(network)
 
 
-def _sharded_digest(program, plan, supervise=False):
+def _sharded_digest(program, plan):
     from repro.core.modes import ProvenanceMode
     from repro.experiments.trials import chaos_topology
     from repro.net.sharding import ScriptOp, ShardedExspanNetwork
@@ -114,7 +114,6 @@ def _sharded_digest(program, plan, supervise=False):
         shards=2,
         seed=0,
         faults=plan,
-        supervise=supervise,
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
@@ -172,7 +171,7 @@ def check_sharded_matrix(failures, references):
 def check_worker_kill(failures, references):
     """Check 4: a SIGKILLed shard worker is restarted and still converges."""
     plan = "attempts=8; killworker:1@1"
-    digest, stats = _sharded_digest("mincost", plan, supervise=True)
+    digest, stats = _sharded_digest("mincost", plan)
     if digest != references["mincost"]:
         failures.append(f"worker-kill: digest diverged ({digest[:16]})")
     if stats.get("workers_killed", 0) < 1:

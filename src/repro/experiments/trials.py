@@ -943,7 +943,7 @@ def chaos_convergence_trial(
     else:
         with ShardedExspanNetwork(
             topology, resolved, mode=_mode(mode), shards=shards, seed=seed,
-            storage=env.storage, faults=faults, supervise=True,
+            storage=env.storage, faults=faults,
         ) as sharded:
             sharded.seed_links()
             sharded.run_to_fixpoint()

@@ -539,7 +539,6 @@ class ShardedExspanNetwork:
         traffic_record_cap: Optional[int] = None,
         storage: Optional[str] = None,
         faults: Any = None,
-        supervise: bool = False,
     ):
         from ..core.modes import ProvenanceMode
         from ..obs import runtime as obs_runtime
@@ -553,11 +552,10 @@ class ShardedExspanNetwork:
         self.fault_plan = plan
         self._fault_flaps = plan is not None and plan.has_flaps()
         self._pending_kills = list(plan.worker_kills) if plan is not None else []
-        if self._pending_kills:
-            # A SIGKILLed worker can only rejoin the barrier protocol if the
-            # supervisor is on to restart and replay it.
-            supervise = True
-        self._supervise = bool(supervise)
+        # Supervision is on exactly when the plan kills workers: a SIGKILLed
+        # worker can only rejoin the barrier protocol if the supervisor
+        # restarts and replays it, and nothing else needs the command log.
+        self._supervise = bool(self._pending_kills)
         self.supervisor_restarts = 0
         self.workers_killed = 0
         self._windows_run = 0
@@ -709,8 +707,8 @@ class ShardedExspanNetwork:
     def _command_all(self, commands: List[Tuple]) -> List[Any]:
         """Send one command per shard, then gather replies (concurrent).
 
-        With ``supervise=True``, a dead worker (broken pipe / EOF — e.g.
-        SIGKILLed by a :class:`~repro.faults.plan.WorkerKill` fault) is
+        Under a fault plan with worker kills, a dead worker (broken pipe /
+        EOF — SIGKILLed by a :class:`~repro.faults.plan.WorkerKill` fault) is
         restarted from its config, caught up by replaying its command log,
         and handed the in-flight command again; the barrier then proceeds
         as if nothing happened.  A worker that *reports* an error (its

@@ -36,7 +36,7 @@ def reference():
     return convergence_digest(network)
 
 
-def run_sharded(faults=None, supervise=False):
+def run_sharded(faults=None):
     with ShardedExspanNetwork(
         chaos_topology(SIZE, seed=0),
         mincost_program(),
@@ -44,7 +44,6 @@ def run_sharded(faults=None, supervise=False):
         shards=2,
         seed=0,
         faults=faults,
-        supervise=supervise,
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
@@ -84,15 +83,14 @@ class TestShardedConvergence:
 # ---------------------------------------------------------------------- #
 class TestWorkerSupervision:
     def test_sigkilled_worker_is_revived_and_converges(self, reference):
-        digest, stats, _ = run_sharded("attempts=8; killworker:1@1", supervise=True)
+        digest, stats, _ = run_sharded("attempts=8; killworker:1@1")
         assert stats["workers_killed"] >= 1
         assert stats["restarts"] >= 1
         assert stats["logged_commands"] > 0
         assert digest == reference
 
     def test_kill_plan_forces_supervision_on(self, reference):
-        # Without an explicit supervise=True the engine must still turn
-        # supervision on — a kill plan is unsurvivable otherwise.
+        # Supervision follows the plan: a kill plan is unsurvivable without it.
         digest, stats, _ = run_sharded("attempts=8; killworker:0@1")
         assert stats["supervised"] == 1
         assert stats["workers_killed"] >= 1
