@@ -39,21 +39,9 @@ from repro.protocols import (
     pathvector_program,
 )
 
-from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
+from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with, table_state
 
 PROPERTY = settings(derandomize=True, max_examples=4, deadline=None)
-
-
-def table_state(table):
-    return (
-        table.rows_with_counts(),
-        list(table._by_key.items()),
-        [
-            (positions, [(key, list(bucket)) for key, bucket in index.items()])
-            for positions, index in table._indexes.items()
-        ],
-        table.arity,
-    )
 
 
 class Observer:
