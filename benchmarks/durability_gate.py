@@ -80,15 +80,6 @@ def _phase_b(network):
     network.run_to_fixpoint()
 
 
-def _digests(network):
-    from repro.net.sharding import node_state_digest
-
-    return {
-        address: node_state_digest(node.engine)
-        for address, node in network.nodes.items()
-    }
-
-
 def _sql_cross_check(network):
     """SQL path vs distributed engine vs in-RAM graph; returns failures."""
     from repro.core.requests import QueryRequest, SpecDescriptor
@@ -143,6 +134,8 @@ def _mirror_check(network):
 
 
 def _run_phase(phase: str, ckpt_path: str) -> None:
+    from repro.net.sharding import collect_digest
+
     if phase == "crash":
         network = _build_network()
         _phase_a(network)
@@ -152,7 +145,7 @@ def _run_phase(phase: str, ckpt_path: str) -> None:
         network = _restore_network(ckpt_path)
         _phase_b(network)
         payload = {
-            "digests": _digests(network),
+            "digests": collect_digest(network),
             "now": network.now,
             "sql_failures": _sql_cross_check(network),
             "mirror_failures": _mirror_check(network),
@@ -163,7 +156,7 @@ def _run_phase(phase: str, ckpt_path: str) -> None:
         network = _build_network()
         _phase_a(network)
         _phase_b(network)
-        payload = {"digests": _digests(network), "now": network.now}
+        payload = {"digests": collect_digest(network), "now": network.now}
         network.close_storage()
         json.dump(payload, sys.stdout, sort_keys=True)
     else:

@@ -11,12 +11,7 @@ Entry points:
 """
 
 from .injector import ACK_KIND, APP_KINDS, FaultInjector
-from .oracle import (
-    collect_convergence,
-    convergence_digest,
-    digest_convergence,
-    node_convergence_state,
-)
+from .oracle import convergence_digest, digest_convergence
 from .plan import (
     CrashFault,
     FaultPlan,
@@ -38,8 +33,6 @@ __all__ = [
     "StragglerFault",
     "WorkerKill",
     "parse_fault_spec",
-    "node_convergence_state",
-    "collect_convergence",
     "digest_convergence",
     "convergence_digest",
 ]

@@ -8,70 +8,44 @@ application update exactly once.  Therefore any fault plan that
 quiesces must leave every node in a state whose digest is byte-identical
 to the fault-free run's.
 
-The digest deliberately includes table rows *with derivation counts*
-and canonical annotations, and deliberately excludes every traffic or
-evaluation counter (``engine.stats``, retransmit tallies, ...): faults
+The digest hashes part of each node's strict digest
+(:func:`repro.net.sharding.node_state_digest`, the order-independent
+projection of :func:`~repro.storage.checkpoint.node_state`) — table rows
+*with derivation counts* and encoded annotations — with
+:func:`~repro.core.requests.canonical_json`.  It excludes every traffic
+or evaluation counter (``engine.stats``, retransmit tallies, ...): faults
 legitimately change how much work was done, never what was derived.
-Compare with :func:`repro.net.sharding.node_state_digest`, the stricter
-digest used for serial-vs-sharded equivalence, which *does* include
-counters because sharding must not change the work either.
+Aggregate groups stay out only because ``BENCH_chaos_convergence.json``
+stores this hash.  The strict digest itself, used for serial-vs-sharded
+equivalence, *does* include counters and aggregate groups because
+sharding must not change the work either.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Dict, Mapping
 
-from ..net.sharding import _canonical_annotation
+from ..core.requests import canonical_json
+from ..net.sharding import collect_digest
 
-__all__ = [
-    "node_convergence_state",
-    "collect_convergence",
-    "digest_convergence",
-    "convergence_digest",
-]
+__all__ = ["digest_convergence", "convergence_digest"]
 
 
-def node_convergence_state(engine) -> Dict[str, Any]:
-    """Canonical converged state of one node: rows+counts, annotations."""
-    tables = {
-        table.name: sorted(
-            [repr(row), count] for row, count in table.rows_with_counts()
-        )
-        for table in engine.catalog.tables()
-        if len(table)
-    }
-    annotations = {
-        repr(key): _canonical_annotation(annotation)
-        for key, annotation in engine._annotations.items()
-    }
-    return {"tables": tables, "annotations": dict(sorted(annotations.items()))}
-
-
-def collect_convergence(net) -> Dict[str, Dict[str, Any]]:
-    """Per-node convergence states of a (serial or shard-local) network.
-
-    Keys are ``repr(address)`` so the mapping is JSON-canonicalizable and
-    merges deterministically across shard workers.
-    """
-    return {
-        repr(address): node_convergence_state(node.engine)
-        for address, node in net.nodes.items()
-    }
-
-
-def digest_convergence(states: Mapping[str, Dict[str, Any]]) -> str:
-    """SHA-256 over the canonical-JSON rendering of per-node states."""
-    canonical = json.dumps(
-        {key: states[key] for key in sorted(states)},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=repr,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def digest_convergence(digests: Mapping[Any, Dict[str, Any]]) -> str:
+    """SHA-256 over the rows and annotations of per-node strict digests."""
+    projected = {}
+    for address, digest in digests.items():
+        # Rows as sorted [repr, count] pairs: the encoding the hashes in
+        # BENCH_chaos_convergence.json were recorded with.
+        tables = {
+            name: [[row, count] for row, count in rows.items()]
+            for name, rows in digest["tables"].items()
+        }
+        projected[repr(address)] = {"tables": tables, "annotations": digest["annotations"]}
+    return hashlib.sha256(canonical_json(projected).encode("utf-8")).hexdigest()
 
 
 def convergence_digest(net) -> str:
     """The convergence digest of a serial :class:`ExspanNetwork`."""
-    return digest_convergence(collect_convergence(net))
+    return digest_convergence(collect_digest(net))

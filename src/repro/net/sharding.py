@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.bdd import Bdd, export_bdd, import_bdd
 from ..datalog.ast import Fact, Program
 from ..datalog.engine import Delta
+from ..storage.checkpoint import node_state
 from .errors import NetworkError, SimulationError
 from .message import Message
 from .network import OutboundMessage
@@ -178,37 +179,34 @@ def _encode_outbound(
 # ---------------------------------------------------------------------- #
 # state digests (shared by serial and sharded paths)
 # ---------------------------------------------------------------------- #
-def _canonical_annotation(annotation: Any) -> Any:
-    if isinstance(annotation, Bdd):
-        return ("bdd", export_bdd(annotation))
-    return repr(annotation)
-
-
 def node_state_digest(engine) -> Dict[str, Any]:
-    """Canonical per-node state: table rows, annotations, counters.
+    """The strict digest of one node: its :func:`node_state`, order-independent.
 
-    Everything is rendered order-independently (sorted by repr), so the
-    digest of a node is identical whether it was computed in a serial run
-    or inside a shard worker — the equivalence the sharding tests assert.
+    Per table a ``{repr(row): derivation count}`` mapping, annotations and
+    aggregate groups, all sorted by repr, plus the counters — so the digest
+    of a node is identical whether it was computed in a serial run or inside
+    a shard worker, the equivalence the sharding tests assert.
     """
-    tables = {
-        table.name: sorted(repr(row) for row in table.rows())
-        for table in engine.catalog.tables()
-        if len(table)
-    }
+    state = node_state(engine)
     annotations = {
-        repr(key): _canonical_annotation(annotation)
-        for key, annotation in engine._annotations.items()
+        repr((name, tuple(values))): encoded for name, values, encoded in state["annotations"]
     }
     return {
-        "tables": tables,
+        "tables": {
+            name: dict(sorted((repr(tuple(row)), count) for row, count in rows))
+            for name, rows in state["tables"].items()
+            if rows
+        },
         "annotations": dict(sorted(annotations.items())),
-        "stats": dict(sorted(engine.stats.items())),
+        "aggregates": {
+            label: sorted(groups, key=repr) for label, groups in state["aggregates"].items()
+        },
+        "stats": state["stats"],
     }
 
 
 def collect_digest(net) -> Dict[Any, Dict[str, Any]]:
-    """Per-node state digests of a (serial) :class:`ExspanNetwork`."""
+    """Per-node strict digests of a (serial or shard-local) network."""
     return {address: node_state_digest(node.engine) for address, node in net.nodes.items()}
 
 
@@ -446,10 +444,6 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 conn.send(("ok", collect_summary(net)))
             elif verb == "digest":
                 conn.send(("ok", collect_digest(net)))
-            elif verb == "cdigest":
-                from ..faults.oracle import collect_convergence
-
-                conn.send(("ok", collect_convergence(net)))
             elif verb == "fstats":
                 injector = net.network.fault_injector
                 conn.send(
@@ -1062,7 +1056,7 @@ class ShardedExspanNetwork:
         }
 
     def digest(self) -> Dict[Any, Dict[str, Any]]:
-        """Per-node state digests, byte-comparable to :func:`collect_digest`."""
+        """Per-node strict digests, byte-comparable to :func:`collect_digest`."""
         merged: Dict[Any, Dict[str, Any]] = {}
         for reply in self._command_all([("digest",)] * self.shards):
             merged.update(reply)
@@ -1071,18 +1065,15 @@ class ShardedExspanNetwork:
         return {node: merged[node] for node in self.topology.nodes if node in merged}
 
     def convergence_digest(self) -> str:
-        """The counter-free convergence digest, merged across shards.
+        """The counter-free convergence digest, derived from :meth:`digest`.
 
         Byte-comparable to :func:`repro.faults.oracle.convergence_digest`
-        of a serial run: the per-node states are keyed by ``repr(address)``
-        and the digest sorts them, so shard count cannot affect it.
+        of a serial run: the digest keys nodes by ``repr(address)`` and
+        sorts them, so shard count cannot affect it.
         """
         from ..faults.oracle import digest_convergence
 
-        merged: Dict[str, Dict[str, Any]] = {}
-        for reply in self._command_all([("cdigest",)] * self.shards):
-            merged.update(reply)
-        return digest_convergence(merged)
+        return digest_convergence(self.digest())
 
     def fault_stats(self) -> Dict[str, int]:
         """Fault/transport counters summed across every shard's injector."""

@@ -43,7 +43,14 @@ from typing import Any, Dict, List
 from .memory import freeze_value
 from .sqlite import _encode as _canonical
 
-__all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint", "restore_network"]
+__all__ = [
+    "CHECKPOINT_FORMAT",
+    "CHECKPOINT_VERSION",
+    "node_state",
+    "save_checkpoint",
+    "load_checkpoint",
+    "restore_network",
+]
 
 CHECKPOINT_FORMAT = "exspan-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -54,11 +61,17 @@ def _address_key(address: Any) -> str:
     return _canonical(address)
 
 
-def _snapshot_node(node: Any) -> Dict[str, Any]:
-    """Serialize one node's engine state (tables, annotations, counters)."""
+def node_state(engine: Any) -> Dict[str, Any]:
+    """One node's engine state: the checkpoint payload and the digest source.
+
+    Tables hold their rows in insertion order with derivation counts,
+    annotations their canonical encoded form, aggregate rules their group
+    state, plus the evaluation counters.  This is the only reader of an
+    engine's state outside the engine: the strict and convergence digests
+    and the sqlite mirror oracle are projections of it.
+    """
     from ..core.requests import encode_annotation
 
-    engine = node.engine
     tables: Dict[str, List[Any]] = {}
     for table in engine.catalog.tables():
         rows = [[list(row), count] for row, count in table.rows_with_counts()]
@@ -108,7 +121,7 @@ def save_checkpoint(network: Any, path: str) -> Dict[str, Any]:
         "events_executed": network.simulator.events_executed,
         "addresses": sorted(_address_key(address) for address in network.nodes),
         "nodes": {
-            _address_key(address): _snapshot_node(node)
+            _address_key(address): node_state(node.engine)
             for address, node in network.nodes.items()
         },
     }
@@ -142,7 +155,10 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     from ..core.errors import ProvenanceError
 
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError:  # truncated JSON or non-UTF-8 bytes
+            payload = None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ProvenanceError(f"{path}: not an ExSPAN checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -227,9 +243,10 @@ def restore_network(
     *topology* and *program* must be the ones the checkpointed network was
     built from (the member addresses are verified; VIDs would diverge
     loudly on a mismatched program).  ``config`` overrides the saved
-    config wholesale; ``storage`` overrides just the storage spec (e.g.
-    restore a memory-backend checkpoint onto sqlite or vice versa — the
-    backend is an execution-environment knob, never part of the state).
+    config wholesale; ``storage`` then overrides just the storage spec of
+    whichever config applies (e.g. restore a memory-backend checkpoint onto
+    sqlite or vice versa — the backend is an execution-environment knob,
+    never part of the state).
     """
     from ..core.api import ExspanNetwork
     from ..core.config import ExspanConfig
@@ -237,14 +254,9 @@ def restore_network(
 
     payload = load_checkpoint(path)
     if config is None:
-        saved = dict(payload["config"])
-        if storage is not None:
-            saved["storage"] = storage
-        elif "storage" in saved:
-            # The saved spec may point at another process's database; only
-            # reuse it when the caller asks for nothing else.
-            saved["storage"] = payload["config"].get("storage")
-        config = ExspanConfig.from_dict(saved)
+        config = ExspanConfig.from_dict(payload["config"])
+    if storage is not None:
+        config = config.replace(storage=storage)
     network = ExspanNetwork(topology, program, config=config, tracer=tracer)
     expected = payload["addresses"]
     actual = sorted(_address_key(address) for address in network.nodes)

@@ -640,17 +640,17 @@ class SqliteBackend(StorageBackend):
 
     def engine_rows(self) -> Dict[str, List[Tuple[Any, ...]]]:
         """What :meth:`mirror_rows` should hold: the engines' visible rows."""
+        from .checkpoint import node_state
+
         rows: Tuple[List[Tuple[Any, ...]], ...] = ([], [], [])
         for address, (engine, _store) in self.nodes.items():
-            for table in engine.catalog.tables():
-                index = self._table_of(table.name)
+            for name, counted in node_state(engine)["tables"].items():
+                index = self._table_of(name)
                 if index is None:
                     continue
-                for row in table.rows():
+                for row, _count in counted:
                     row = tuple(row)
-                    rows[index].append(
-                        (address, table.name, row) if index == _TUPLES else row
-                    )
+                    rows[index].append((address, name, row) if index == _TUPLES else row)
         return dict(zip(("tuples", "prov", "rule_exec"), rows))
 
     def graph_counts(self) -> Dict[str, int]:

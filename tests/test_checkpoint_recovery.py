@@ -34,7 +34,7 @@ DRIVER = textwrap.dedent(
     from repro.core.api import ExspanNetwork
     from repro.core.config import ExspanConfig
     from repro.datalog.ast import Fact
-    from repro.net.sharding import node_state_digest
+    from repro.net.sharding import collect_digest
     from repro.net.topology import ring_topology
     from repro.protocols.mincost import mincost_program
     from repro.protocols.packetforward import packet_event, packetforward_program
@@ -72,12 +72,8 @@ DRIVER = textwrap.dedent(
             network.run_to_fixpoint()
 
     def emit(network):
-        digests = {
-            address: node_state_digest(node.engine)
-            for address, node in network.nodes.items()
-        }
         payload = {
-            "digests": digests,
+            "digests": collect_digest(network),
             "now": network.now,
             "planner": network.planner_stats(),
         }

@@ -12,9 +12,9 @@ from collections import deque
 import pytest
 
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
+from repro.core.bdd import Bdd, export_bdd
 from repro.datalog import Fact, parse_program
 from repro.net import ring_topology
-from repro.net.sharding import collect_digest
 from repro.protocols import (
     mincost_program,
     packet_event,
@@ -101,9 +101,41 @@ def churned_network(program: str, mode: ProvenanceMode, watch: bool) -> ExspanNe
     return network
 
 
+def _canonical_annotation(annotation):
+    if isinstance(annotation, Bdd):
+        return ("bdd", export_bdd(annotation))
+    return repr(annotation)
+
+
+def _frozen_node_digest(engine):
+    """The strict digest's encoding when the goldens were recorded.
+
+    A frozen copy, so the goldens keep pinning the same state even as the
+    shared digest (``repro.net.sharding.node_state_digest``) grows stricter:
+    distinct rows sorted by repr, repr-keyed annotations, counters.
+    """
+    tables = {
+        table.name: sorted(repr(row) for row in table.rows())
+        for table in engine.catalog.tables()
+        if len(table)
+    }
+    annotations = {
+        repr(key): _canonical_annotation(annotation)
+        for key, annotation in engine._annotations.items()
+    }
+    return {
+        "tables": tables,
+        "annotations": dict(sorted(annotations.items())),
+        "stats": dict(sorted(engine.stats.items())),
+    }
+
+
 def state_digest(network: ExspanNetwork) -> str:
     canonical = json.dumps(
-        {repr(address): digest for address, digest in collect_digest(network).items()},
+        {
+            repr(address): _frozen_node_digest(node.engine)
+            for address, node in network.nodes.items()
+        },
         sort_keys=True,
         default=repr,
     )

@@ -20,7 +20,7 @@ from repro.core.rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from repro.core.vid import fact_vid
 from repro.datalog.ast import Fact, is_event_predicate
 from repro.experiments import ExecutionEnv
-from repro.net.sharding import node_state_digest
+from repro.net.sharding import collect_digest
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
 from repro.protocols.pathvector import pathvector_program
@@ -34,13 +34,6 @@ from repro.storage import (
     make_backend,
     parse_storage_spec,
 )
-
-
-def _digests(network):
-    return {
-        address: node_state_digest(node.engine)
-        for address, node in network.nodes.items()
-    }
 
 
 def _run_mincost(storage=None, size=6, seed=1):
@@ -142,7 +135,7 @@ def test_sqlite_backend_bit_identical_to_memory():
     memory_net = _run_mincost()
     sqlite_net = _run_mincost(storage="sqlite")
     try:
-        assert _digests(sqlite_net) == _digests(memory_net)
+        assert collect_digest(sqlite_net) == collect_digest(memory_net)
         assert sqlite_net.stats_snapshot() == memory_net.stats_snapshot()
     finally:
         sqlite_net.close_storage()
@@ -322,7 +315,7 @@ def _checkpoint_round_trip(tmp_path, storage=None):
 
 def test_checkpoint_restore_byte_identical(tmp_path):
     network, restored = _checkpoint_round_trip(tmp_path)
-    assert _digests(restored) == _digests(network)
+    assert collect_digest(restored) == collect_digest(network)
     # Engine counters ride along in the snapshot; traffic counters don't
     # (a restored process never re-sent the original messages).
     assert restored.planner_stats() == network.planner_stats()
@@ -342,7 +335,7 @@ def test_checkpoint_restore_then_evolve_identically(tmp_path):
         net.run_to_fixpoint()
         net.add_link("n2", "n5", cost=2)
         net.run_to_fixpoint()
-    assert _digests(restored) == _digests(network)
+    assert collect_digest(restored) == collect_digest(network)
     assert sorted(restored.tuples("bestPathCost")) == sorted(
         network.tuples("bestPathCost")
     )
@@ -352,7 +345,7 @@ def test_checkpoint_restore_onto_sqlite(tmp_path):
     """Restoring onto a persistent backend replays rows into the mirror."""
     network, restored = _checkpoint_round_trip(tmp_path, storage="sqlite")
     try:
-        assert _digests(restored) == _digests(network)
+        assert collect_digest(restored) == collect_digest(network)
         restored.storage_flush()
         assert restored.storage.row_count() > 0
         assert restored.storage.counters["restores"] == 1
@@ -412,3 +405,75 @@ def test_restore_rejects_a_version_1_checkpoint(tmp_path):
         json.dump(payload, handle)
     with pytest.raises(ProvenanceError, match="unsupported checkpoint version 1"):
         restore_network(path, ring_topology(4, seed=3), mincost_program())
+
+
+def test_restore_applies_storage_over_an_explicit_config(tmp_path):
+    """``storage=`` overrides the backend of a caller-supplied config too."""
+    network = _run_mincost(size=4, seed=3)
+    path = str(tmp_path / "net.ckpt")
+    network.checkpoint(path)
+    restored = ExspanNetwork.restore(
+        path,
+        ring_topology(4, seed=3),
+        mincost_program(),
+        config=ExspanConfig(seed=0),
+        storage="sqlite",
+    )
+    try:
+        assert restored.storage.kind == "sqlite"
+        assert restored.config.storage == "sqlite"
+        assert collect_digest(restored) == collect_digest(network)
+    finally:
+        restored.close_storage()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-utf8"])
+def test_load_checkpoint_rejects_a_damaged_file(tmp_path, damage):
+    from repro.storage.checkpoint import load_checkpoint
+
+    network = _run_mincost(size=4, seed=3)
+    path = str(tmp_path / "net.ckpt")
+    network.checkpoint(path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    damaged = data[: len(data) // 2] if damage == "truncated" else b"\xff" + data
+    with open(path, "wb") as handle:
+        handle.write(damaged)
+    with pytest.raises(ProvenanceError, match="not an ExSPAN checkpoint file"):
+        load_checkpoint(path)
+
+
+def test_strict_digest_sees_counts_and_aggregate_groups(tmp_path):
+    """One derivation count or one aggregate multiset entry changes the digest."""
+    import json
+
+    network = _run_mincost(size=4, seed=3)
+    path = str(tmp_path / "net.ckpt")
+    network.checkpoint(path)
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    first = payload["nodes"][payload["addresses"][0]]
+
+    def restored_digest(edit=None):
+        edited = json.loads(json.dumps(payload))
+        if edit is not None:
+            edit(edited["nodes"][payload["addresses"][0]])
+        edited_path = str(tmp_path / "edited.ckpt")
+        with open(edited_path, "w", encoding="utf-8") as handle:
+            json.dump(edited, handle)
+        restored = ExspanNetwork.restore(edited_path, ring_topology(4, seed=3), mincost_program())
+        return collect_digest(restored)
+
+    table = next(name for name, rows in first["tables"].items() if rows)
+    (label,) = first["aggregates"]
+
+    def bump_count(state):
+        state["tables"][table][0][1] += 1
+
+    def bump_group(state):
+        state["aggregates"][label][0][1][0][1] += 1
+
+    unmodified = restored_digest()
+    assert unmodified == collect_digest(network)
+    assert restored_digest(bump_count) != unmodified
+    assert restored_digest(bump_group) != unmodified
