@@ -13,9 +13,10 @@ Four checks, in order, all deterministic (no wall-clock — repo policy):
    restores from the file, continues scripted churn to fixpoint, and its
    digests must equal an uninterrupted process running the same script.
 3. **SQL-vs-distributed oracle** — in the restored process, the sqlite
-   backend's SQL provenance answers (``nodeset``/``derivability``/
-   ``reachable_base``) must equal the distributed query engine's and the
-   in-RAM provenance graph's on the same tuples.
+   backend's SQL provenance answers must equal the distributed query
+   engine's (``nodeset``/``derivability``) and the in-RAM provenance
+   graph's (``nodeset``/``reachable_base``/``reachable``/``subgraph``) on
+   the same tuples.
 4. **Mirror == engines** — in the restored process, after the scripted
    churn, the mirrored ``tuples``/``prov``/``rule_exec`` rows must equal
    the live engines' tables row for row, with nothing left in the
@@ -112,6 +113,17 @@ def _sql_cross_check(network):
             graph.reachable_base_tuples(vid)
         ):
             failures.append(f"reachable_base mismatch vs graph for {values}")
+        vertices, _rules = graph._subgraph(vid)
+        if network.sql_provenance("reachable", fact) != sorted(vertices):
+            failures.append(f"reachable mismatch vs graph for {values}")
+        edges = {
+            (parent, rule.rid, child)
+            for parent in vertices
+            for rule in graph.derivations_of(parent)
+            for child in rule.input_vids
+        }
+        if network.sql_provenance("subgraph", fact) != sorted(edges):
+            failures.append(f"subgraph mismatch vs graph for {values}")
     return failures
 
 
@@ -231,7 +243,7 @@ def _check_recovery(work_dir: str) -> None:
         for failure in sql_failures:
             print(f"  {failure}")
         _fail(f"{len(sql_failures)} SQL-vs-distributed mismatches after restore")
-    print("ok: SQL provenance answers equal the distributed engine's after restore")
+    print("ok: SQL answers equal the distributed engine's and the graph's after restore")
 
     mirror_failures = restored_payload["mirror_failures"]
     if mirror_failures:

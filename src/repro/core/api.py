@@ -615,10 +615,9 @@ class ExspanNetwork:
     ) -> List[Any]:
         """Answer a provenance query through the backend's SQL path.
 
-        The second, independent oracle: the sqlite backend compiles
-        reachability/subgraph queries over the pre/post-order interval
-        encoding of the provenance DAG to indexed range scans + recursive
-        CTEs (see ``docs/STORAGE.md``).  *kind* is one of
+        The second, independent oracle: the sqlite backend walks its
+        mirrored ``prov``/``ruleExec`` rows from the root with one recursive
+        CTE (see ``docs/STORAGE.md``).  *kind* is one of
         ``repro.storage.SQL_QUERY_KINDS``; address the root tuple by
         *fact* or *vid*.  Requires ``storage='sqlite'``.
         """

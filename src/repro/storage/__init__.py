@@ -9,9 +9,9 @@ This package owns tuple storage for the whole system:
 * :mod:`repro.storage.backend` — the :class:`StorageBackend` interface
   and spec parsing (``"memory"`` / ``"sqlite"`` / ``"sqlite:<path>"``;
   ``None`` means memory);
-* :mod:`repro.storage.sqlite` — the write-behind sqlite (WAL) mirror with
-  the pre/post-order interval encoding of the provenance DAG and the
-  SQL-compiled reachability/subgraph query path;
+* :mod:`repro.storage.sqlite` — the write-behind sqlite (WAL) mirror and
+  the SQL reachability/subgraph query path, a recursive walk over the
+  mirrored ``prov``/``ruleExec`` rows;
 * :mod:`repro.storage.checkpoint` — snapshot-consistent network
   checkpoint & restore (``ExspanNetwork.checkpoint``/``restore``).
 

@@ -1,4 +1,4 @@
-"""Write-behind sqlite backend with an interval-encoded provenance DAG.
+"""Write-behind sqlite backend whose SQL walks the mirrored provenance rows.
 
 :class:`SqliteBackend` mirrors every visibility transition of every node
 onto one sqlite database (WAL mode) — base and derived tuples, the
@@ -14,17 +14,14 @@ first flush) assigns them in insertion order and turns a delete into
 ``DELETE … WHERE id = ?``, or into nothing for a key the database never
 held; it also keeps ``tuples``/``rule_exec`` keys unique.
 
-On top of the mirrored ``prov``/``ruleExec`` rows the backend maintains a
-**pre/post-order interval encoding** of the provenance DAG (the
-XPath-accelerator trick): a DFS spanning forest assigns every tuple vertex
-a ``[pre, post]`` interval such that tree descendants satisfy
-``child.pre BETWEEN parent.pre AND parent.post`` — one indexed range scan —
-and the residual non-tree DAG edges (shared sub-derivations, cycles) are
-kept in ``extra_edges`` and closed with a recursive CTE whose ``UNION``
-dedup guarantees termination on cyclic reachability.  Reachability,
-reachable-base-tuple, node-set and subgraph queries all compile onto this
-encoding, giving a second, independent oracle for the distributed query
-engine (cross-checked in ``tests/test_storage_sql.py``).
+Provenance questions are answered from the mirrored ``prov``/``ruleExec``
+rows themselves, by the walk the paper's query rules take: one
+root-anchored recursive CTE steps ``prov(vid, rid)`` → ``rule_exec(rid)``
+→ the row's input VIDs, and its ``UNION`` dedup makes it terminate on
+cyclic provenance.  Reachability, reachable-base-tuple, node-set and
+subgraph queries all read that walk, giving a second, independent oracle
+for the distributed query engine (cross-checked in
+``tests/test_storage_sql.py``).
 
 The schema (see also ``docs/STORAGE.md``)::
 
@@ -33,11 +30,9 @@ The schema (see also ``docs/STORAGE.md``)::
     prov(id INTEGER PRIMARY KEY, loc TEXT, vid TEXT, rid TEXT, rloc TEXT)
     rule_exec(id INTEGER PRIMARY KEY, rloc TEXT, rid TEXT, rule TEXT,
               inputs TEXT)
-    intervals(vid TEXT PRIMARY KEY, pre INTEGER, post INTEGER)
-    extra_edges(parent_pre INTEGER, child_vid TEXT)
 
-with an index on each column the SQL queries probe: ``prov(vid)``,
-``rule_exec(rid)``, ``intervals(pre)``, ``extra_edges(parent_pre)``.
+with an index on each column the walk probes: ``prov(vid)`` and
+``rule_exec(rid)``.
 Values, rows and node addresses are stored as canonical JSON (sorted
 keys, compact separators) so the database contents are a deterministic
 function of the engine state.
@@ -50,7 +45,7 @@ import json
 import os
 import sqlite3
 import tempfile
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..datalog.ast import Fact, is_event_predicate
 from .backend import StorageBackend, StorageError
@@ -89,38 +84,21 @@ CREATE TABLE IF NOT EXISTS rule_exec(
     inputs TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS rule_exec_rid ON rule_exec(rid);
-CREATE TABLE IF NOT EXISTS intervals(
-    vid TEXT PRIMARY KEY,
-    pre INTEGER NOT NULL,
-    post INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS intervals_pre ON intervals(pre);
-CREATE TABLE IF NOT EXISTS extra_edges(
-    parent_pre INTEGER NOT NULL,
-    child_vid TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS extra_edges_parent ON extra_edges(parent_pre);
 """
 
-#: Recursive interval-closure over the DAG: seed with the root's interval,
-#: then repeatedly pull in the intervals of children reached through
-#: non-tree edges whose parent lies inside an already-entered interval.
-#: ``UNION`` (not ``UNION ALL``) dedups entries, so cyclic extra edges
-#: terminate.  The final reachable set is every vertex whose ``pre`` falls
-#: inside an entered interval — indexed range scans on ``intervals_pre``.
-_REACHABLE_CTE = """
-WITH RECURSIVE entry(pre, post) AS (
-    SELECT pre, post FROM intervals WHERE vid = :root
+#: The derivation walk from the root: the root, if it has a ``prov`` row,
+#: then the inputs of each ``ruleExec`` row a reached vertex's ``prov`` rows
+#: name.  ``UNION`` (not ``UNION ALL``) dedups vertices, so cyclic
+#: provenance terminates.  ``step`` is one derivation edge out of a
+#: reached vertex.
+_REACH_CTE = """
+WITH RECURSIVE reach(vid) AS (
+    SELECT :root WHERE EXISTS (SELECT 1 FROM prov WHERE vid = :root)
     UNION
-    SELECT i.pre, i.post
-    FROM entry
-    JOIN extra_edges e ON e.parent_pre BETWEEN entry.pre AND entry.post
-    JOIN intervals i ON i.vid = e.child_vid
-),
-reach(vid) AS (
-    SELECT DISTINCT t.vid
-    FROM intervals t
-    JOIN entry ON t.pre BETWEEN entry.pre AND entry.post
+    SELECT step.value FROM reach
+    JOIN prov p ON p.vid = reach.vid
+    JOIN rule_exec e ON e.rid = p.rid
+    JOIN json_each(e.inputs) step
 )
 """
 
@@ -194,7 +172,6 @@ class SqliteBackend(StorageBackend):
         # Journal of (address, action, name, row) visibility transitions in
         # arrival order; flush() folds it to its net effect and drains it.
         self._journal: List[_Op] = []
-        self._intervals_dirty = True
         # Per mirrored table: key -> row id (prov: a tuple, as record() can
         # insert a row twice), and the next id; the first flush loads both.
         self._ids: Tuple[Dict[Any, Any], ...] = ({}, {}, {})
@@ -261,6 +238,7 @@ class SqliteBackend(StorageBackend):
         journal = self._journal
         if not journal:
             return 0
+        connection = self._open()
         if self._next_ids is None:
             self._adopt()
         # Work on a snapshot and trim the journal only after the commit.
@@ -313,7 +291,6 @@ class SqliteBackend(StorageBackend):
                     changed[key] = row_id
                 yield row_of(row_id, op)
 
-        connection = self._connection
         with connection:
             for table, inserting, items in batches:
                 dead: List[int] = []
@@ -335,13 +312,17 @@ class SqliteBackend(StorageBackend):
                     held[key] = value
         self._next_ids = next_ids
         del journal[: len(drained)]
-        if any(table != _TUPLES for table, _, _ in batches):
-            self._intervals_dirty = True
         self.counters["journal_appends"] += len(drained)
         self.counters["flushes"] += 1
         self.counters["flushed_ops"] += operations
         self.counters["cancelled_ops"] += cancelled
         return operations
+
+    def _open(self) -> sqlite3.Connection:
+        """The connection; a :class:`StorageError` once :meth:`close` released it."""
+        if self._connection is None:
+            raise StorageError(f"sqlite backend is closed: {self.path}")
+        return self._connection
 
     def _adopt(self) -> None:
         """Load the id maps from the rows the file already holds."""
@@ -432,88 +413,13 @@ class SqliteBackend(StorageBackend):
         return batches, operations, cancelled
 
     # ------------------------------------------------------------------ #
-    # interval encoding
-    # ------------------------------------------------------------------ #
-    def _ensure_intervals(self) -> None:
-        if not self._intervals_dirty:
-            return
-        self._rebuild_intervals()
-        self._intervals_dirty = False
-
-    def _rebuild_intervals(self) -> None:
-        """Recompute the pre/post-order encoding from the mirrored graph.
-
-        Deterministic: vertices are rooted in ``prov`` insertion order and
-        children follow the stored ``ruleExec`` input order, so the same
-        graph always yields the same intervals regardless of hash seed.
-        """
-        connection = self._connection
-        prov_rows = connection.execute("SELECT vid, rid FROM prov ORDER BY id").fetchall()
-        rule_inputs: Dict[str, List[str]] = {}
-        for rid, inputs in connection.execute(
-            "SELECT rid, inputs FROM rule_exec ORDER BY id"
-        ):
-            rule_inputs.setdefault(rid, _decode(inputs))
-        children: Dict[str, List[str]] = {}
-        order: List[str] = []
-        for vid, rid in prov_rows:
-            bucket = children.get(vid)
-            if bucket is None:
-                bucket = children[vid] = []
-                order.append(vid)
-            if rid is not None:
-                bucket.extend(rule_inputs.get(rid, ()))
-        pre: Dict[str, int] = {}
-        post: Dict[str, int] = {}
-        extra: List[Tuple[int, str]] = []
-        counter = 0
-        for root in order:
-            if root in pre:
-                continue
-            pre[root] = counter
-            counter += 1
-            stack: List[Tuple[str, Iterator[str]]] = [
-                (root, iter(children.get(root, ())))
-            ]
-            while stack:
-                vertex, child_iter = stack[-1]
-                descended = False
-                for child in child_iter:
-                    if child in pre:
-                        # Non-tree DAG edge (shared sub-derivation or
-                        # cycle): closed by the recursive CTE at query time.
-                        extra.append((pre[vertex], child))
-                    else:
-                        pre[child] = counter
-                        counter += 1
-                        stack.append((child, iter(children.get(child, ()))))
-                        descended = True
-                        break
-                if not descended:
-                    post[vertex] = counter
-                    counter += 1
-                    stack.pop()
-        with connection:
-            connection.execute("DELETE FROM intervals")
-            connection.execute("DELETE FROM extra_edges")
-            connection.executemany(
-                "INSERT INTO intervals(vid, pre, post) VALUES(?,?,?)",
-                [(vid, pre[vid], post[vid]) for vid in pre],
-            )
-            connection.executemany(
-                "INSERT INTO extra_edges(parent_pre, child_vid) VALUES(?,?)",
-                extra,
-            )
-
-    # ------------------------------------------------------------------ #
     # SQL query path
     # ------------------------------------------------------------------ #
     def sql_query(self, kind: str, root_vid: str) -> Any:
         """Answer a provenance query from the database alone.
 
-        Flushes the journal, refreshes the interval encoding if the graph
-        changed, then compiles *kind* onto indexed range scans plus the
-        recursive interval-closure CTE.  Supported kinds:
+        Flushes the journal, then walks the mirrored ``prov``/``rule_exec``
+        rows from the root with one recursive CTE.  Supported kinds:
 
         ``reachable``
             Sorted VIDs of every tuple vertex in the derivation subgraph.
@@ -525,10 +431,10 @@ class SqliteBackend(StorageBackend):
             SQL twin of the distributed NODESET query / Figure 5's
             ``nodes_involved``.
         ``derivability``
-            True when the root vertex exists in the provenance graph (the
-            trust-free derivability check).
+            True when the root vertex has a ``prov`` row (the trust-free
+            derivability check).
         ``subgraph``
-            Sorted ``[parent_vid, rid, child_vid]`` edges of the
+            Sorted ``(parent_vid, rid, child_vid)`` edges of the
             derivation subgraph.
         """
         if kind not in SQL_QUERY_KINDS:
@@ -537,63 +443,49 @@ class SqliteBackend(StorageBackend):
                 f"(expected one of {SQL_QUERY_KINDS})"
             )
         self.flush()
-        self._ensure_intervals()
-        self.counters["sql_queries"] += 1
-        connection = self._connection
+        connection = self._open()
         parameters = {"root": root_vid}
         if kind == "derivability":
             found = connection.execute(
-                "SELECT 1 FROM intervals WHERE vid = :root LIMIT 1", parameters
+                "SELECT 1 FROM prov WHERE vid = :root LIMIT 1", parameters
             ).fetchone()
-            return found is not None
-        if kind == "reachable":
+            answer: Any = found is not None
+        elif kind == "nodeset":
             rows = connection.execute(
-                _REACHABLE_CTE + "SELECT vid FROM reach ORDER BY vid", parameters
-            ).fetchall()
-            return [vid for (vid,) in rows]
-        if kind == "reachable_base":
-            rows = connection.execute(
-                _REACHABLE_CTE
+                _REACH_CTE
                 + """
-                SELECT r.vid FROM reach r
-                WHERE EXISTS (
-                    SELECT 1 FROM prov p WHERE p.vid = r.vid AND p.rid IS NULL
-                )
-                ORDER BY r.vid
-                """,
-                parameters,
-            ).fetchall()
-            return [vid for (vid,) in rows]
-        if kind == "nodeset":
-            rows = connection.execute(
-                _REACHABLE_CTE
-                + """
-                SELECT DISTINCT p.loc FROM prov p
-                WHERE p.vid IN (SELECT vid FROM reach)
+                SELECT p.loc FROM reach JOIN prov p ON p.vid = reach.vid
                 UNION
-                SELECT DISTINCT p.rloc FROM prov p
-                WHERE p.rid IS NOT NULL AND p.vid IN (SELECT vid FROM reach)
+                SELECT e.rloc FROM reach
+                JOIN prov p ON p.vid = reach.vid
+                JOIN rule_exec e ON e.rid = p.rid
+                """,
+                parameters,
+            )
+            answer = sorted((_decode(text) for (text,) in rows), key=str)
+        elif kind == "subgraph":
+            answer = connection.execute(
+                _REACH_CTE
+                + """
+                SELECT DISTINCT p.vid, p.rid, step.value FROM reach
+                JOIN prov p ON p.vid = reach.vid
+                JOIN rule_exec e ON e.rid = p.rid
+                JOIN json_each(e.inputs) step
+                ORDER BY 1, 2, 3
                 """,
                 parameters,
             ).fetchall()
-            return sorted((_decode(text) for (text,) in rows), key=lambda v: str(v))
-        # subgraph: the reachable set comes from the interval encoding, the
-        # edge list from the mirrored prov/ruleExec rows inside it.
-        edges: List[Tuple[str, str, str]] = []
-        for vid, rid, inputs in connection.execute(
-            _REACHABLE_CTE
-            + """
-            SELECT p.vid, p.rid,
-                   (SELECT r.inputs FROM rule_exec r WHERE r.rid = p.rid LIMIT 1)
-            FROM prov p
-            WHERE p.rid IS NOT NULL AND p.vid IN (SELECT vid FROM reach)
-            """,
-            parameters,
-        ):
-            if inputs is not None:
-                for child in _decode(inputs):
-                    edges.append((vid, rid, child))
-        return sorted(set(edges))
+        else:
+            query = _REACH_CTE + "SELECT vid FROM reach"
+            if kind == "reachable_base":
+                query += """
+                WHERE EXISTS (
+                    SELECT 1 FROM prov p WHERE p.vid = reach.vid AND p.rid IS NULL
+                )"""
+            rows = connection.execute(query + " ORDER BY vid", parameters)
+            answer = [vid for (vid,) in rows]
+        self.counters["sql_queries"] += 1
+        return answer
 
     # ------------------------------------------------------------------ #
     # inspection helpers (tests, durability gate)
@@ -601,7 +493,7 @@ class SqliteBackend(StorageBackend):
     def tuple_rows(self) -> List[Tuple[Any, str, Tuple[Any, ...], str]]:
         """Decoded ``(node, name, row, vid)`` mirror rows, flushed first."""
         self.flush()
-        rows = self._connection.execute(
+        rows = self._open().execute(
             "SELECT node, name, row, vid FROM tuples ORDER BY node, name, row"
         ).fetchall()
         return [
@@ -616,7 +508,7 @@ class SqliteBackend(StorageBackend):
         and ``rule_exec`` rows are the engines' ``prov``/``ruleExec`` rows.
         """
         self.flush()
-        select = self._connection.execute
+        select = self._open().execute
         return {
             "tuples": [
                 (_thaw(node), name, _thaw(row))
@@ -654,11 +546,12 @@ class SqliteBackend(StorageBackend):
         return dict(zip(("tuples", "prov", "rule_exec"), rows))
 
     def graph_counts(self) -> Dict[str, int]:
-        """Row counts of the mirrored provenance relations, flushed first."""
+        """Row counts of the three mirrored relations, flushed first."""
         self.flush()
+        connection = self._open()
         counts = {}
-        for table in ("tuples", "prov", "rule_exec", "intervals", "extra_edges"):
-            counts[table] = self._connection.execute(
+        for table in _TABLE_NAMES:
+            counts[table] = connection.execute(
                 f"SELECT COUNT(*) FROM {table}"  # noqa: S608 - fixed names
             ).fetchone()[0]
         return counts

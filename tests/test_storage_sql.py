@@ -1,19 +1,23 @@
 """SQL provenance path vs the in-RAM graph and the distributed engine.
 
-The sqlite backend's pre/post-order interval encoding turns provenance
-reachability into indexed range scans plus one recursive interval-closure
-CTE.  That makes it a *second, independent* oracle for the same
-questions the paper's distributed query engine answers — so every kind
-is cross-checked here against both:
+The sqlite backend answers provenance questions with one root-anchored
+recursive CTE over its mirrored ``prov``/``ruleExec`` rows.  That makes
+it a *second, independent* oracle for the same questions the paper's
+distributed query engine answers — so its kinds are cross-checked here
+against both:
 
-* the in-RAM :class:`~repro.core.provenance_graph.ProvenanceGraph`
-  (``nodes_involved`` / ``reachable_base_tuples``), and
+* the in-RAM :class:`~repro.core.provenance_graph.ProvenanceGraph`: every
+  kind, for MINCOST and PATHVECTOR, at fixpoint and in the middle of a
+  retraction (reachable tuples, base tuples, nodes, derivability and the
+  ``(vid, rid, input)`` edges), and
 * the distributed query engine itself
   (``net.execute(QueryRequest(..., SpecDescriptor(kind=...)))``).
 
-A PATHVECTOR case exercises cyclic provenance (mutually-derivable
-paths): the CTE's ``UNION`` dedup is what makes it terminate.
+PATHVECTOR's provenance is cyclic (mutually-derivable paths): the CTE's
+``UNION`` dedup is what makes it terminate.
 """
+
+import re
 
 import pytest
 
@@ -50,17 +54,55 @@ def _query_facts(network, table="bestPathCost", limit=6):
 # ---------------------------------------------------------------------- #
 # vs the in-RAM provenance graph
 # ---------------------------------------------------------------------- #
-def test_sql_matches_graph_oracle(mincost_net):
-    graph = mincost_net.provenance_graph()
-    for fact in _query_facts(mincost_net):
-        vid = fact_vid(fact)
-        assert mincost_net.sql_provenance("derivability", fact) is True
-        assert mincost_net.sql_provenance("nodeset", vid=vid) == sorted(
-            graph.nodes_involved(vid)
-        )
-        assert mincost_net.sql_provenance("reachable_base", vid=vid) == sorted(
-            graph.reachable_base_tuples(vid)
-        )
+#: program -> (topology, program, the derived table whose facts are queried)
+_PROGRAMS = {
+    "mincost": (lambda: ring_topology(6, seed=1), mincost_program, "bestPathCost"),
+    "pathvector": (lambda: ring_topology(5, seed=2), pathvector_program, "path"),
+}
+
+
+def _graph_answers(graph, vid):
+    """What each SQL kind must answer for *vid*, read off the in-RAM graph."""
+    vertices, _rules = graph._subgraph(vid)
+    edges = {
+        (parent, rule.rid, child)
+        for parent in vertices
+        for rule in graph.derivations_of(parent)
+        for child in rule.input_vids
+    }
+    return {
+        "reachable": sorted(vertices),
+        "reachable_base": sorted(graph.reachable_base_tuples(vid)),
+        "nodeset": sorted(graph.nodes_involved(vid)),
+        "derivability": vid in graph.tuples,
+        "subgraph": sorted(edges),
+    }
+
+
+@pytest.mark.parametrize("moment", ["fixpoint", "mid_churn"])
+@pytest.mark.parametrize("program", sorted(_PROGRAMS))
+def test_sql_matches_graph_oracle(program, moment):
+    topology, build, table = _PROGRAMS[program]
+    network = ExspanNetwork(topology(), build(), config=ExspanConfig(seed=0, storage="sqlite"))
+    try:
+        network.seed_links()
+        network.run_to_fixpoint()
+        if moment == "mid_churn":
+            # Stop while the retraction is still in flight: some prov rows
+            # name a ruleExec row its node has already retracted.
+            network.remove_link("n0", "n1")
+            network.run_for(0.001)
+            assert network.simulator.pending_events, "the window must end mid-churn"
+            network.storage_flush()
+        graph = network.provenance_graph()
+        vids = [fact_vid(fact) for fact in _query_facts(network, table, limit=8)]
+        for vid in vids + ["0" * 40]:
+            expected = _graph_answers(graph, vid)
+            assert set(expected) == set(SQL_QUERY_KINDS)
+            for kind, answer in expected.items():
+                assert network.sql_provenance(kind, vid=vid) == answer, (kind, vid)
+    finally:
+        network.close_storage()
 
 
 def test_sql_reachable_superset_of_bases(mincost_net):
@@ -92,11 +134,6 @@ def test_sql_subgraph_edges_consistent(mincost_net):
     assert reachable - children == {vid} or vid in children
 
 
-def test_sql_derivability_false_for_unknown_vid(mincost_net):
-    assert mincost_net.sql_provenance("derivability", vid="0" * 40) is False
-    assert mincost_net.sql_provenance("nodeset", vid="0" * 40) == []
-
-
 # ---------------------------------------------------------------------- #
 # vs the distributed query engine
 # ---------------------------------------------------------------------- #
@@ -120,31 +157,6 @@ def test_sql_derivability_matches_distributed_engine(mincost_net):
 
 
 # ---------------------------------------------------------------------- #
-# cyclic provenance: PATHVECTOR's mutually-derivable paths
-# ---------------------------------------------------------------------- #
-def test_sql_terminates_on_cyclic_provenance():
-    network = ExspanNetwork(
-        ring_topology(5, seed=2),
-        pathvector_program(),
-        config=ExspanConfig(seed=0, storage="sqlite"),
-    )
-    try:
-        network.seed_links()
-        network.run_to_fixpoint()
-        graph = network.provenance_graph()
-        for fact in _query_facts(network, table="path", limit=8):
-            vid = fact_vid(fact)
-            assert network.sql_provenance("nodeset", vid=vid) == sorted(
-                graph.nodes_involved(vid)
-            )
-            assert network.sql_provenance("reachable_base", vid=vid) == sorted(
-                graph.reachable_base_tuples(vid)
-            )
-    finally:
-        network.close_storage()
-
-
-# ---------------------------------------------------------------------- #
 # error surface
 # ---------------------------------------------------------------------- #
 def test_sql_provenance_argument_validation(mincost_net):
@@ -155,6 +167,34 @@ def test_sql_provenance_argument_validation(mincost_net):
         mincost_net.sql_provenance("nodeset", fact, vid="deadbeef")
     with pytest.raises(StorageError):
         mincost_net.sql_provenance("frobnicate", fact)
+
+
+def test_closed_backend_raises_storage_error(tmp_path):
+    network = ExspanNetwork(
+        ring_topology(4, seed=0),
+        mincost_program(),
+        config=ExspanConfig(seed=0, storage="sqlite"),
+    )
+    network.seed_links()
+    network.run_to_fixpoint()
+    fact = _query_facts(network, limit=1)[0]
+    assert network.sql_provenance("reachable", fact)
+    network.close_storage()
+    closed = re.escape(f"sqlite backend is closed: {network.storage.path}")
+    with pytest.raises(StorageError, match=closed):
+        network.sql_provenance("reachable", fact)
+    # The engines keep journaling after the close; draining that fails too.
+    network.remove_link("n0", "n1")
+    network.run_to_fixpoint()
+    assert network.storage_stats()["journal_pending"] > 0
+    with pytest.raises(StorageError, match=closed):
+        network.storage_flush()
+    with pytest.raises(StorageError, match=closed):
+        network.checkpoint(str(tmp_path / "after-close.json"))
+    with pytest.raises(StorageError, match=closed):
+        network.sql_provenance("nodeset", fact)
+    # Only the query that ran is counted.
+    assert network.storage_stats()["sql_queries"] == 1
 
 
 def test_sql_requires_persistent_backend():
