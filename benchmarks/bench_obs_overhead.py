@@ -1,34 +1,22 @@
-"""Disabled-tracer overhead guard on the engine's fixpoint workload.
+"""Tracer overhead on the engine's fixpoint workload.
 
-The observability layer promises **zero overhead when disabled**: an
-engine whose tracer was never installed — or was detached again via
-``set_tracer(None)`` — must run the exact pre-instrumentation hot path
-(the traced variants live in instance ``__dict__`` overrides that
-``set_tracer`` adds and removes; see
-:meth:`repro.datalog.engine.NDlogEngine.set_tracer`).
+An engine's tracer is a plain attribute: ``None`` (the default) or a
+:class:`repro.obs.Tracer`.  This benchmark runs PATHVECTOR under the
+reference-provenance rewrite on rings in two configurations:
 
-This benchmark measures that claim on PATHVECTOR under the
-reference-provenance rewrite on rings, in three
-configurations:
-
-- ``pristine``  — tracing never touched
-- ``detached``  — a tracer was installed and then removed before timing;
-  guards that detaching restores the pristine hot path
+- ``pristine``  — no tracer
 - ``traced``    — a recording tracer attached (the advisory enabled cost)
 
-All three produce bit-identical fixpoints and planner counters, which the
+Both produce bit-identical fixpoints and planner counters, which the
 table run asserts outright (determinism is exact, so it always gates).
 
-Timing, per this repo's CI policy, **never gates by default**: wall-clock
-assertions are machine-dependent and flaky in shared runners, so the
-comparison table is advisory.  Pass ``--assert-overhead [PCT]`` to opt in
-locally: it fails the run when the ``detached`` configuration is more
-than PCT percent slower than ``pristine`` (default 2.0, the acceptance
-bar's ceiling).
+Timing, per this repo's CI policy, never gates: wall-clock is
+machine-dependent and flaky in shared runners, so the comparison table
+is advisory.
 
 Run directly for the comparison table::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py [repeats] [--assert-overhead [PCT]]
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py [repeats]
 
 or through pytest-benchmark for the 12-node cases.
 """
@@ -49,9 +37,8 @@ from repro.protocols import pathvector_program
 
 SIZES = (12, 24)
 DEFAULT_REPEATS = 3
-DEFAULT_OVERHEAD_PCT = 2.0
 
-CONFIGS = ("pristine", "detached", "traced")
+CONFIGS = ("pristine", "traced")
 
 
 def _build(size: int) -> Tuple[StandaloneNetwork, List]:
@@ -65,9 +52,7 @@ def _configure(network: StandaloneNetwork, config: str) -> None:
         return
     tracer = Tracer()
     for engine in network.engines.values():
-        engine.set_tracer(tracer)
-        if config == "detached":
-            engine.set_tracer(None)
+        engine.tracer = tracer
 
 
 def run_fixpoint(size: int, config: str) -> StandaloneNetwork:
@@ -118,91 +103,45 @@ def test_fixpoint_tracer_never_installed(benchmark):
     assert len(network.all_rows("prov")) > 0
 
 
-def test_fixpoint_tracer_detached(benchmark):
-    network = benchmark(lambda: run_fixpoint(SIZES[0], "detached"))
-    assert len(network.all_rows("prov")) > 0
-
-
 def test_fixpoint_tracer_enabled(benchmark):
     network = benchmark(lambda: run_fixpoint(SIZES[0], "traced"))
     assert len(network.all_rows("prov")) > 0
 
 
 def test_configs_bit_identical():
-    """Tracing on, off or detached: every table and counter must agree."""
+    """Tracing on or off: every table and counter must agree."""
     pristine = _snapshot(run_fixpoint(SIZES[0], "pristine"))
-    detached = _snapshot(run_fixpoint(SIZES[0], "detached"))
     traced = _snapshot(run_fixpoint(SIZES[0], "traced"))
-    assert pristine == detached == traced
-
-
-def test_detached_engine_restores_class_methods():
-    """The structural form of the zero-overhead claim (timing-free)."""
-    network, _ = _build(SIZES[0])
-    _configure(network, "detached")
-    for engine in network.engines.values():
-        for name in ("run", "_process_batch", "_fire_rules"):
-            assert name not in engine.__dict__
-        assert engine.run.__func__ is type(engine).run
+    assert pristine == traced
 
 
 # ---------------------------------------------------------------------- #
 # standalone comparison table
 # ---------------------------------------------------------------------- #
-def main(repeats: int, assert_overhead: float = None) -> int:
+def main(repeats: int) -> int:
     print(
-        "Disabled-tracer overhead: PATHVECTOR + provenance rewrite "
+        "Tracer overhead: PATHVECTOR + provenance rewrite "
         f"(ring, StandaloneNetwork fixpoint, best of {repeats})"
     )
-    header = (
-        f"{'nodes':>5} {'pristine s':>11} {'detached s':>11} {'traced s':>10} "
-        f"{'detached %':>11} {'traced %':>9}"
-    )
+    header = f"{'nodes':>5} {'pristine s':>11} {'traced s':>10} {'traced %':>9}"
     print(header)
     print("-" * len(header))
-    status = 0
     for size in SIZES:
         snapshots = {config: _snapshot(run_fixpoint(size, config)) for config in CONFIGS}
-        assert snapshots["pristine"] == snapshots["detached"] == snapshots["traced"], (
+        assert snapshots["pristine"] == snapshots["traced"], (
             f"tracing perturbed the {size}-node fixpoint"
         )
         best = _measure(size, repeats)
-        detached_pct = (best["detached"] / best["pristine"] - 1.0) * 100.0
         traced_pct = (best["traced"] / best["pristine"] - 1.0) * 100.0
         print(
-            f"{size:>5} {best['pristine']:>11.3f} {best['detached']:>11.3f} "
-            f"{best['traced']:>10.3f} {detached_pct:>+10.1f}% {traced_pct:>+8.1f}%"
+            f"{size:>5} {best['pristine']:>11.3f} {best['traced']:>10.3f} "
+            f"{traced_pct:>+8.1f}%"
         )
-        if assert_overhead is not None and detached_pct > assert_overhead:
-            print(
-                f"      FAIL: detached tracer {detached_pct:+.1f}% exceeds "
-                f"the {assert_overhead:.1f}% bound"
-            )
-            status = 1
-    if assert_overhead is None:
-        print("\nadvisory only; pass --assert-overhead to gate (local runs)")
-    elif status == 0:
-        print(f"\nOK: detached overhead within {assert_overhead:.1f}% on every size")
-    return status
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description="disabled-tracer overhead table")
-    parser.add_argument("repeats", nargs="?", type=int, default=DEFAULT_REPEATS)
-    parser.add_argument(
-        "--assert-overhead",
-        nargs="?",
-        type=float,
-        const=DEFAULT_OVERHEAD_PCT,
-        default=None,
-        metavar="PCT",
-        help="fail when the detached config exceeds PCT%% over pristine "
-        f"(default {DEFAULT_OVERHEAD_PCT}%%; off unless given — timing "
-        "assertions are advisory in CI by repo policy)",
-    )
-    return parser.parse_args(argv)
+    print("\nadvisory only: timings never gate")
+    return 0
 
 
 if __name__ == "__main__":
-    arguments = _parse_args(sys.argv[1:])
-    sys.exit(main(arguments.repeats, arguments.assert_overhead))
+    parser = argparse.ArgumentParser(description="tracer overhead table")
+    parser.add_argument("repeats", nargs="?", type=int, default=DEFAULT_REPEATS)
+    sys.exit(main(parser.parse_args().repeats))

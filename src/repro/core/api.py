@@ -185,10 +185,9 @@ class ExspanNetwork:
             functions=default_registry(),
             annotation_policy=policy,
         )
+        engine.tracer = self.tracer
         engine.set_send(self._make_sender(host, engine))
         engine.load_program(self.prepared.program)
-        if self.tracer is not None:
-            engine.set_tracer(self.tracer)
         store = ProvenanceStore(engine)
         self.storage.attach_node(address, engine, store)
         query_service = ProvenanceQueryService(

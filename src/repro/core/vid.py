@@ -23,9 +23,8 @@ memoized twice: :func:`tuple_vid` keeps a bounded ``(name, values) ->
 digest`` cache here, and the ``f_sha1`` builtin the rewrite layer evaluates
 keeps the matching bounded preimage cache in
 :mod:`repro.datalog.functions`.  Both caches only trade CPU for bounded
-memory — cached and uncached computation produce identical digests — and
-:func:`set_vid_caching` toggles the pair together (the speedup benchmarks
-use that for honest before/after numbers).
+memory: cached and uncached computation produce identical digests.
+:func:`clear_vid_caches` drops the pair together.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Any, Dict, Iterable, Sequence
 from ..datalog.ast import Fact
 from ..datalog.functions import (
     clear_sha1_cache,
-    set_sha1_caching,
     sha1_cache_stats,
     sha1_hex,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "rule_preimage",
     "rule_rid",
     "NULL_RID",
-    "set_vid_caching",
     "clear_vid_caches",
     "vid_cache_stats",
     "VID_CACHE_LIMIT",
@@ -64,22 +61,8 @@ NULL_RID = None
 VID_CACHE_LIMIT = 1 << 17
 
 _vid_cache: Dict[tuple, str] = {}
-_vid_caching = True
 _vid_hits = 0
 _vid_misses = 0
-
-
-def set_vid_caching(enabled: bool) -> None:
-    """Enable/disable VID memoization here *and* in the ``f_sha1`` builtin.
-
-    Used by the speedup benchmarks to measure the un-memoized baseline;
-    results are identical either way, only wall-clock changes.
-    """
-    global _vid_caching
-    _vid_caching = bool(enabled)
-    if not _vid_caching:
-        _vid_cache.clear()
-    set_sha1_caching(enabled)
 
 
 def clear_vid_caches() -> None:
@@ -143,26 +126,24 @@ def tuple_vid(name: str, values: Sequence[Any]) -> str:
     skip the cache and fall through to direct computation.
     """
     global _vid_hits, _vid_misses
-    if _vid_caching:
-        key = (name, values if isinstance(values, tuple) else tuple(values))
+    key = (name, values if isinstance(values, tuple) else tuple(values))
+    try:
+        digest = _vid_cache.get(key)
+    except TypeError:
         try:
+            key = (name, _lists_as_tuples(values))
             digest = _vid_cache.get(key)
         except TypeError:
-            try:
-                key = (name, _lists_as_tuples(values))
-                digest = _vid_cache.get(key)
-            except TypeError:
-                return sha1_hex(tuple_preimage(name, values))
-        if digest is not None:
-            _vid_hits += 1
-            return digest
-        _vid_misses += 1
-        digest = sha1_hex(tuple_preimage(name, values))
-        if len(_vid_cache) >= VID_CACHE_LIMIT:
-            _vid_cache.clear()
-        _vid_cache[key] = digest
+            return sha1_hex(tuple_preimage(name, values))
+    if digest is not None:
+        _vid_hits += 1
         return digest
-    return sha1_hex(tuple_preimage(name, values))
+    _vid_misses += 1
+    digest = sha1_hex(tuple_preimage(name, values))
+    if len(_vid_cache) >= VID_CACHE_LIMIT:
+        _vid_cache.clear()
+    _vid_cache[key] = digest
+    return digest
 
 
 def fact_vid(fact: Fact) -> str:

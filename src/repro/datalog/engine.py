@@ -1,4 +1,4 @@
-"""Per-node NDlog evaluation engine (batched pipelined semi-naive evaluation).
+"""Per-node NDlog evaluation engine (pipelined semi-naive evaluation).
 
 Each network node runs one :class:`NDlogEngine`.  The engine owns the node's
 :class:`~repro.storage.memory.Catalog` of materialized tables, a FIFO queue
@@ -22,14 +22,10 @@ ExSPAN paper:
 
 There is one way to run a rule.  Every (rule, trigger position) pair is
 compiled by the greedy planner (:mod:`repro.datalog.plan`) into a plan
-run by one generated function, and :meth:`NDlogEngine.run`
-drains the queue in maximal runs of consecutive deltas sharing one
-(predicate, action) pair.  Batching amortizes the per-delta dispatch
-(event check, table resolution, rule-list lookup, counter updates) without
-reordering anything: deltas inside a batch are still applied and fired
-strictly in FIFO order, and derived deltas always join the back of the
-queue.  The term-tree interpreter and the nested-loop join this executor
-must equal live in the test suite (``tests/oracle/``).
+run by one generated function, and :meth:`NDlogEngine.run` takes one
+delta at a time: pop it, apply it, fire its plans.  The term-tree
+interpreter and the nested-loop join this executor must equal live in the
+test suite (``tests/oracle/``).
 
 A *sink* table — a materialised predicate no rule reads, such as ``prov``
 and ``ruleExec`` under reference provenance — is not queued at all: a
@@ -214,7 +210,7 @@ class NDlogEngine:
         self._annotations: Dict[Tuple[str, Tuple[Any, ...]], Any] = {}
         self.rules: List[Rule] = []
         self.stats: Dict[str, int] = defaultdict(int)
-        #: Tracer installed via :meth:`set_tracer`; ``None`` when untraced.
+        #: Optional :class:`repro.obs.tracer.Tracer`; ``None`` when untraced.
         #: Never feeds :attr:`stats` — engine counters are part of the
         #: deterministic state digest and must not see tracing.
         self.tracer = None
@@ -303,15 +299,11 @@ class NDlogEngine:
         delta from outside the engine's own emissions is queued again.
 
         Only where the fused path runs (``_lean``) — no annotation policy,
-        no rule listener, no tracer; otherwise the map stays empty and every
-        row is queued, which keeps traced spans unchanged.
+        no rule listener; otherwise the map stays empty and every row is
+        queued.
         """
         self._sinks = {}
-        self._lean = (
-            self.annotation_policy is None
-            and not self._rule_listeners
-            and self.tracer is None
-        )
+        self._lean = self.annotation_policy is None and not self._rule_listeners
         if not self._lean:
             return
         pending = {delta.fact.name for delta in self._queue}
@@ -417,58 +409,6 @@ class NDlogEngine:
         """Set the callback used to ship deltas to remote nodes."""
         self._send = send
 
-    def set_tracer(self, tracer) -> None:
-        """Install (or remove, with ``None``) an observability tracer.
-
-        Enabling tracing rebinds :meth:`run`, :meth:`_process_batch` and
-        :meth:`_fire_rules` to traced wrappers through the instance dict, so
-        the untraced hot path carries *zero* per-delta overhead — not even a
-        ``tracer is None`` check — which is what keeps the disabled-tracer
-        cost on the batch benchmarks at noise level.
-        """
-        self.tracer = tracer
-        if tracer is None:
-            self.__dict__.pop("run", None)
-            self.__dict__.pop("_process_batch", None)
-            self.__dict__.pop("_fire_rules", None)
-        else:
-            self.__dict__["run"] = self._traced_run
-            self.__dict__["_process_batch"] = self._traced_process_batch
-            self.__dict__["_fire_rules"] = self._traced_fire_rules
-        self._refresh_sinks()
-
-    def _traced_run(self, max_steps: Optional[int] = None) -> int:
-        if not self._queue:
-            return type(self).run(self, max_steps)
-        with self.tracer.span(
-            "fixpoint.round", cat="engine", host=self.address
-        ) as span:
-            steps = type(self).run(self, max_steps)
-            span.add(deltas=steps)
-        return steps
-
-    def _traced_process_batch(self, name: str, action: str, batch) -> None:
-        with self.tracer.span(
-            "engine.batch",
-            cat="engine",
-            host=self.address,
-            predicate=name,
-            action=action,
-            deltas=len(batch),
-        ):
-            type(self)._process_batch(self, name, action, batch)
-
-    def _traced_fire_rules(self, firings, delta: Delta) -> None:
-        with self.tracer.span(
-            "plan.exec",
-            cat="engine",
-            host=self.address,
-            predicate=delta.fact.name,
-            action=delta.action,
-            rule=",".join(plan.rule.label for plan in firings),
-        ):
-            type(self)._fire_rules(self, firings, delta)
-
     # ------------------------------------------------------------------ #
     # external updates
     # ------------------------------------------------------------------ #
@@ -506,63 +446,55 @@ class NDlogEngine:
     # ------------------------------------------------------------------ #
     # evaluation loop
     # ------------------------------------------------------------------ #
-    def run(self, max_steps: Optional[int] = None) -> int:
+    def run(self) -> int:
         """Process queued deltas until the queue drains (local fixpoint).
 
-        Returns the number of queued deltas processed; ``max_steps`` bounds
-        them.  Rows of sink tables are applied where they are emitted (see
-        :meth:`_refresh_sinks`): they count in ``deltas_processed`` but
-        never occupy the queue.
+        One delta at a time, in FIFO order: pop it, apply it to its table,
+        fire the plans its predicate triggers.  Derived local deltas join
+        the back of the queue.  Returns the number of queued deltas
+        processed.  Rows of sink tables are applied where they are emitted
+        (see :meth:`_refresh_sinks`): they count in ``deltas_processed``
+        but never occupy the queue.
 
-        It drains maximal runs of *consecutive* deltas sharing one
-        (predicate, action) pair and processes them together.  Derived
-        deltas always join the back of the queue, exactly as when they are
-        produced one delta at a time, so batching changes dispatch cost
-        only — never processing order or results.
+        With a tracer set, a run that finds deltas queued is one
+        ``fixpoint.round`` span, and every delta that fires a plan one
+        ``plan.exec`` span (see :meth:`_fire_rules`).
         """
+        tracer = self.tracer
+        if tracer is None or not self._queue:
+            return self._drain(None)
+        with tracer.span("fixpoint.round", cat="engine", host=self.address) as span:
+            steps = self._drain(tracer)
+            span.add(deltas=steps)
+        return steps
+
+    def _drain(self, tracer) -> int:
+        """:meth:`run`'s delta loop; *tracer* is ``self.tracer``, read once."""
         queue = self._queue
         dispatch = self._dispatch
-        # With no annotation to merge and no span to emit, a singleton is
-        # applied and fired right here (the body of _apply_insert /
-        # _apply_delete / _fire_rules, minus their frames).
-        fused = self.annotation_policy is None and self.tracer is None
+        # With no annotation to merge, a delta is applied and fired right
+        # here (the body of _apply_insert / _apply_delete / _fire_rules,
+        # minus their frames).
+        fused = self.annotation_policy is None
         steps = 0
-        singletons = 0
         try:
             while queue:
-                if max_steps is not None and steps >= max_steps:
-                    break
                 delta = queue.popleft()
+                steps += 1
                 fact = delta.fact
                 name = fact.name
                 action = delta.action
-                limit = None if max_steps is None else max_steps - steps
-                if queue and (limit is None or limit >= 2):
-                    head = queue[0]
-                    if head.fact.name == name and head.action == action:
-                        # A run of same-(predicate, action) deltas: drain it and
-                        # process with one dispatch.  `limit` bounds the batch so
-                        # run(max_steps=N) never processes more than N deltas.
-                        batch = [delta, queue.popleft()]
-                        while queue and (limit is None or len(batch) < limit):
-                            head = queue[0]
-                            if head.fact.name != name or head.action != action:
-                                break
-                            batch.append(queue.popleft())
-                        self._process_batch(name, action, batch)
-                        steps += len(batch)
-                        continue
-                # Singleton: skip the batch list entirely.
-                singletons += 1
-                steps += 1
                 resolved = dispatch.get(name)
                 if resolved is None:
                     resolved = self._resolve(name, fact.arity)
                 is_event, table, firings = resolved
                 if not fused:
+                    # Events are transient: they trigger rules but never
+                    # materialize.  Deletion deltas flow through events too, so
+                    # that cascaded deletions reach the prov / ruleExec tables
+                    # maintained by the provenance rewrite (Section 4.2.1).
                     if is_event:
-                        if firings:
-                            self._fire_rules(firings, delta)
+                        self._fire_rules(firings, delta)
                     elif action == INSERT:
                         self._apply_insert(table, firings, delta)
                     elif action == DELETE:
@@ -587,10 +519,13 @@ class NDlogEngine:
                         continue  # REFRESH carries nothing without a policy
                     if self._update_listeners:
                         self._notify_update(action, fact)
+                if tracer is not None:
+                    self._fire_rules(firings, delta)
+                    continue
                 for plan in firings:
                     plan.fused_exec(plan, self, values, delta)
         finally:
-            self.stats["deltas_processed"] += singletons
+            self.stats["deltas_processed"] += steps
         return steps
 
     def _resolve(
@@ -604,31 +539,6 @@ class NDlogEngine:
             self._firings_by_predicate.get(name, ()),
         )
         return resolved
-
-    def _process_batch(self, name: str, action: str, batch: Sequence[Delta]) -> None:
-        """Apply one (predicate, action) run of deltas, strictly in order."""
-        self.stats["deltas_processed"] += len(batch)
-        is_event, table, firings = self._dispatch.get(name) or self._resolve(
-            name, batch[0].fact.arity
-        )
-        if is_event:
-            # Events are transient: they trigger rules but never materialize.
-            # Deletion deltas flow through events too, so that cascaded
-            # deletions reach the prov / ruleExec tables maintained by the
-            # provenance rewrite (Section 4.2.1).
-            if firings:
-                for delta in batch:
-                    self._fire_rules(firings, delta)
-            return
-        if action == INSERT:
-            for delta in batch:
-                self._apply_insert(table, firings, delta)
-        elif action == DELETE:
-            for delta in batch:
-                self._apply_delete(table, firings, delta)
-        else:
-            for delta in batch:
-                self._apply_refresh(table, firings, delta)
 
     # ------------------------------------------------------------------ #
     # delta application
@@ -678,9 +588,8 @@ class NDlogEngine:
             # The refresh raced ahead of the insert (deltas from different
             # derivations interleave freely).  Apply it as an insert *at
             # this queue position*: re-enqueueing at the back would let the
-            # converted insert jump behind deltas that arrived after it —
-            # and behind the rest of its own batch — reordering annotation
-            # merges relative to FIFO arrival order.
+            # converted insert jump behind deltas that arrived after it,
+            # reordering annotation merges relative to FIFO arrival order.
             self._apply_insert(table, firings, Delta(INSERT, fact, delta.annotation))
             return
         changed = self._store_annotation(fact, delta.annotation)
@@ -697,11 +606,27 @@ class NDlogEngine:
         """Fire every registered (rule, position) for *delta*'s predicate.
 
         Firings run in rule registration order, so head deltas are enqueued
-        in the same order however each plan executes.
+        in the same order however each plan executes.  With a tracer set,
+        a non-empty firing list is one ``plan.exec`` span.
         """
+        if not firings:
+            return
         values = delta.fact.values
-        for plan in firings:
-            plan.fused_exec(plan, self, values, delta)
+        tracer = self.tracer
+        if tracer is None:
+            for plan in firings:
+                plan.fused_exec(plan, self, values, delta)
+            return
+        with tracer.span(
+            "plan.exec",
+            cat="engine",
+            host=self.address,
+            predicate=delta.fact.name,
+            action=delta.action,
+            rule=",".join(plan.rule.label for plan in firings),
+        ):
+            for plan in firings:
+                plan.fused_exec(plan, self, values, delta)
 
     def _recost(self, plan: CompiledDeltaPlan) -> Optional[CompiledDeltaPlan]:
         """The recompiled plan if *plan* went stale, else ``None``.
@@ -836,10 +761,9 @@ class NDlogEngine:
             return
         # On the fused path the pair skips _emit: no policy to combine, no
         # listener to tell.  Either way the delete goes out before the insert.
-        lean = self._lean and not self._rule_listeners
         if old_row is not None:
             old_fact = Fact(head.name, old_row, head.location_index)
-            if lean:
+            if self._lean:
                 self.stats["rule_firings"] += 1
                 self._route(rule, DELETE, old_fact, None)
             else:
@@ -848,7 +772,7 @@ class NDlogEngine:
         if new_row is not None:
             new_fact = Fact(head.name, new_row, head.location_index)
             emitted[group_key] = new_row
-            if lean:
+            if self._lean:
                 self.stats["rule_firings"] += 1
                 self._route(rule, INSERT, new_fact, None)
             else:

@@ -22,7 +22,6 @@ __all__ = [
     "FunctionRegistry",
     "default_registry",
     "sha1_hex",
-    "set_sha1_caching",
     "sha1_cache_stats",
     "clear_sha1_cache",
 ]
@@ -58,17 +57,8 @@ SHA1_CACHE_LIMIT = 1 << 17
 #: Never rebound, only cleared: generated plan code binds ``.get`` once
 #: and probes the memo inline (``plan.compiled_exec._assignment_source``).
 _sha1_cache: Dict[tuple, str] = {}
-_sha1_caching = True
 #: ``[hits, misses]``: a list, so the inline probe counts a hit in place.
 _sha1_counts = [0, 0]
-
-
-def set_sha1_caching(enabled: bool) -> None:
-    """Toggle ``f_sha1`` memoization (benchmarks use this for before/after)."""
-    global _sha1_caching
-    _sha1_caching = bool(enabled)
-    if not _sha1_caching:
-        _sha1_cache.clear()
 
 
 def clear_sha1_cache() -> None:
@@ -117,22 +107,20 @@ def _f_sha1(args: Sequence[Any]) -> str:
     hashable (the list builtins return tuples); an argument that is not —
     a list or dict handed in from outside — skips the memo.
     """
-    if _sha1_caching:
-        key = tuple(args)
-        try:
-            digest = _sha1_cache.get(key)
-        except TypeError:
-            return sha1_hex("".join(map(_stringify, args)))
-        if digest is not None:
-            _sha1_counts[0] += 1
-            return digest
-        _sha1_counts[1] += 1
-        digest = sha1_hex("".join(map(_stringify, args)))
-        if len(_sha1_cache) >= SHA1_CACHE_LIMIT:
-            _sha1_cache.clear()
-        _sha1_cache[key] = digest
+    key = tuple(args)
+    try:
+        digest = _sha1_cache.get(key)
+    except TypeError:
+        return sha1_hex("".join(map(_stringify, args)))
+    if digest is not None:
+        _sha1_counts[0] += 1
         return digest
-    return sha1_hex("".join(map(_stringify, args)))
+    _sha1_counts[1] += 1
+    digest = sha1_hex("".join(map(_stringify, args)))
+    if len(_sha1_cache) >= SHA1_CACHE_LIMIT:
+        _sha1_cache.clear()
+    _sha1_cache[key] = digest
+    return digest
 
 
 def _f_concat(args: Sequence[Any]) -> Tuple[Any, ...]:

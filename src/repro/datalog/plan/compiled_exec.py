@@ -126,9 +126,8 @@ class _Source:
         registered builtin only on a miss (which counts the miss and fills
         the memo).  A hit counts as one, exactly as inside the builtin.  The
         memo is skipped when ``f_sha1`` was re-registered (the registered
-        function wins) and misses whenever caching is off (the memo is then
-        empty); an unhashable key falls through to the builtin, which hashes
-        it directly.
+        function wins); an unhashable key falls through to the builtin,
+        which hashes it directly.
         """
         i = indent
         if isinstance(expression, FunctionCall) and expression.name == "f_sha1":

@@ -585,6 +585,7 @@ class ShardedExspanNetwork:
         self._next_times: List[Optional[float]] = [None] * self.shards
         self._now = 0.0
         self._closed = False
+        self._query_counter = 0
         # Driver-side tracer (shard -1): holds barrier/window phase spans
         # and, after collect_spans(), every worker's spans merged in.
         if tracer is None:
@@ -821,7 +822,7 @@ class ShardedExspanNetwork:
                 if lookahead is not None
                 else _DEFAULT_LATENCY
             )
-        if self.shards > 1 and getattr(self, "_fault_flaps", False):
+        if self.shards > 1 and self._fault_flaps:
             # Link flaps execute *inside* the workers, so the driver's
             # topology replica never sees the down period: while a flapped
             # link is out the network may be disconnected and charge the
@@ -1009,7 +1010,7 @@ class ShardedExspanNetwork:
         (see the sharding module docstring for why raw result objects
         cannot cross process boundaries in general).
         """
-        self._query_counter = getattr(self, "_query_counter", 0) + 1
+        self._query_counter += 1
         query_id = f"shq-{self._query_counter}"
         self.apply_ops(
             [

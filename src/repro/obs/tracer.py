@@ -9,9 +9,8 @@ Every instrumentation point in the stack follows one pattern::
 
 so a disabled tracer (the default: ``self.tracer is None``) costs exactly
 one attribute load and one identity check — nothing is allocated, no
-clock is read.  The hottest engine path avoids even that by rebinding its
-instance methods when a tracer is installed (see
-:meth:`repro.datalog.engine.NDlogEngine.set_tracer`).
+clock is read.  The engine's fused delta loop reads its tracer once per
+:meth:`repro.datalog.engine.NDlogEngine.run`, not once per delta.
 
 Time axes
 ---------

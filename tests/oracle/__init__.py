@@ -1,17 +1,18 @@
 """Test oracles for the NDlog engine: the two ways ``src/`` no longer runs a rule.
 
 :class:`~repro.datalog.engine.NDlogEngine` has one executor — every greedy
-plan runs as one generated function, deltas drained in batches, sink
+plan runs as one generated function, the no-policy delta loop fused, sink
 tables applied at emission.  The engines here subclass it
 and replace exactly that executor, so every equivalence test compares the
 compiled path against an independent walk over :class:`Rule` ASTs and
 plain tables:
 
-* :class:`InterpretedEngine` processes one delta per step, queues every
-  row (no sinks, no fused path) and runs each rule by walking term trees
-  over the planner's join order, re-costing multi-step plans on the same
-  schedule as the engine.  Tables, index buckets, listener sequences,
-  sends and every ``engine.stats`` counter must equal the engine's.
+* :class:`InterpretedEngine` dispatches each delta through the
+  ``_apply_*`` methods, queues every row (no sinks, no fused path) and
+  runs each rule by walking term trees over the planner's join order,
+  re-costing multi-step plans on the same schedule as the engine.
+  Tables, index buckets, listener sequences, sends and every
+  ``engine.stats`` counter must equal the engine's.
 * :class:`NestedLoopEngine` joins the body atoms strictly left to right
   over full scans, with no plan at all.  Derived rows must equal the
   engine's; ``tuples_scanned`` is what the planner saves.
@@ -32,7 +33,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Tuple
 import repro.core.api
 import repro.datalog.runtime
 from repro.datalog.ast import Assignment, Atom, Fact, Rule
-from repro.datalog.engine import Delta, NDlogEngine
+from repro.datalog.engine import DELETE, INSERT, Delta, NDlogEngine
 from repro.datalog.errors import EvaluationError
 from repro.datalog.plan.compiler import STALENESS_CHECK_PERIOD, CompiledDeltaPlan, CompiledStep
 
@@ -46,15 +47,24 @@ class InterpretedEngine(NDlogEngine):
         self._sinks = {}
         self._lean = False
 
-    def run(self, max_steps=None) -> int:
+    def run(self) -> int:
         steps = 0
         while self._queue:
-            if max_steps is not None and steps >= max_steps:
-                break
             delta = self._queue.popleft()
-            # The class attribute, not a traced override: no batch span.
-            NDlogEngine._process_batch(self, delta.fact.name, delta.action, (delta,))
             steps += 1
+            self.stats["deltas_processed"] += 1
+            fact = delta.fact
+            is_event, table, firings = self._dispatch.get(fact.name) or self._resolve(
+                fact.name, fact.arity
+            )
+            if is_event:
+                self._fire_rules(firings, delta)
+            elif delta.action == INSERT:
+                self._apply_insert(table, firings, delta)
+            elif delta.action == DELETE:
+                self._apply_delete(table, firings, delta)
+            else:
+                self._apply_refresh(table, firings, delta)
         return steps
 
     def _fire_rules(self, firings, delta: Delta) -> None:

@@ -458,16 +458,6 @@ class TestDeltaValidation:
         assert delta.is_refresh
         assert not delta.is_insert
 
-    def test_max_steps_bounds_batched_processing(self):
-        """run(max_steps=N) must never process more than N deltas, even
-        when a same-(predicate, action) run could be drained as a batch."""
-        engine = single_node_engine("r1 reach(@S,D) :- link(@S,D,C).")
-        for index in range(5):
-            engine.insert(Fact("link", ("n", f"m{index}", 1)))
-        assert engine.run(max_steps=1) == 1
-        assert engine.run(max_steps=3) == 3
-        assert engine.run() >= 1  # drain the rest
-
     def test_engine_stats_track_processing(self):
         engine = single_node_engine("r1 reach(@S,D) :- link(@S,D,C).")
         engine.insert(Fact("link", ("n", "m", 1)))

@@ -1,14 +1,16 @@
-"""``NDlogEngine.run()``'s singleton dispatch: resolved once, fused, invalidated.
+"""``NDlogEngine.run()``'s delta dispatch: resolved once, fused, invalidated.
 
-The batched loop resolves a predicate's event flag, table and firing list
-once, and — with no annotation policy and no tracer — applies and fires a
-singleton delta in place.  Neither may be observable: a rule added later
-must fire, and attaching or detaching a listener or a tracer between
-``run()`` calls must leave the same state and the same ``engine.stats`` as
-an engine that never switched paths.
+The delta loop resolves a predicate's event flag, table and firing list
+once, and — with no annotation policy — applies and fires a delta in
+place.  Neither may be observable: a rule added later must fire, and
+attaching or detaching a listener or a tracer between ``run()`` calls must
+leave the same state and the same ``engine.stats`` as an engine that never
+switched paths.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from repro.net.topology import TIER_STUB, transit_stub_topology
 from repro.obs import Tracer
 from repro.protocols import mincost_program, pathvector_program
 
-from oracle import ENGINES
+from oracle import ENGINES, built_with
 
 #: Everything the fused path special-cases, on one node: a keyed table
 #: (primary-key replacement), an event predicate, a two-step join (nested
@@ -56,7 +58,7 @@ def fact_of(relation: str, key: int) -> Fact:
 
 
 def apply(engine: NDlogEngine, operations) -> None:
-    """One ``run()`` per operation: every delta takes the singleton path."""
+    """One ``run()`` per operation."""
     for action, relation, key in operations:
         fact = fact_of(relation, key)
         if action == INSERT:
@@ -86,7 +88,7 @@ operations = st.lists(
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(operations)
 def test_fused_singletons_equal_delta(ops):
-    """No policy, no tracer: the engine takes the fused path; same everything."""
+    """No policy: the engine takes the fused path; same everything."""
     states = {}
     for name, engine_class in ENGINES.items():
         engine = engine_class("n", program())
@@ -165,11 +167,14 @@ def rule_listener():
 
 def tracer():
     installed = Tracer()
-    return (
-        lambda engine: engine.set_tracer(installed),
-        lambda engine: engine.set_tracer(None),
-        installed.spans,
-    )
+
+    def attach(engine):
+        engine.tracer = installed
+
+    def detach(engine):
+        engine.tracer = None
+
+    return attach, detach, installed.spans
 
 
 @pytest.mark.parametrize("instrument", [update_listener, rule_listener, tracer])
@@ -222,11 +227,23 @@ def flap_script(program_factory, mode, traced: bool):
     return network, installed
 
 
-#: ``plan.exec`` spans / all spans of the traced scripts below, recorded on
-#: the commit before the fused path landed (the tracer keeps its span shape).
+#: Spans per name of the traced scripts below, recorded on the commit before
+#: the engine's batch drain was deleted, less its ``engine.batch`` spans and
+#: the ``plan.exec`` spans of sink rows that fired nothing (5,344 of
+#: pathvector-ref's 11,374): a tracer no longer changes what is queued.
 PARENT_SPANS = {
-    "mincost-value": (1808, 4725),
-    "pathvector-ref": (11374, 13351),
+    "mincost-value": {
+        "plan.exec": 1808,
+        "fixpoint.round": 1448,
+        "sim.event": 1418,
+        "net.fixpoint": 9,
+    },
+    "pathvector-ref": {
+        "plan.exec": 6030,
+        "fixpoint.round": 702,
+        "sim.event": 672,
+        "net.fixpoint": 9,
+    },
 }
 
 
@@ -243,5 +260,27 @@ def test_traced_flaps_equal_untraced_and_keep_their_spans(label, program_factory
     assert collect_summary(traced) == collect_summary(plain)
     assert collect_digest(traced) == collect_digest(plain)
     assert traced.planner_stats() == plain.planner_stats()
-    plan_exec = sum(1 for span in installed.spans if span.name == "plan.exec")
-    assert (plan_exec, len(installed.spans)) == PARENT_SPANS[label]
+    assert Counter(span.name for span in installed.spans) == PARENT_SPANS[label]
+
+
+class CountingEngine(NDlogEngine):
+    """Sums what every ``run()`` returns: the deltas that were queued."""
+
+    queued = 0
+
+    def run(self) -> int:
+        steps = super().run()
+        CountingEngine.queued += steps
+        return steps
+
+
+def test_a_traced_run_queues_what_an_untraced_one_does():
+    """The ``fixpoint.round`` spans count the deltas an untraced run takes
+    off its queues: a tracer applies sink rows at emission too."""
+    CountingEngine.queued = 0
+    with built_with(CountingEngine):
+        flap_script(pathvector_program, ProvenanceMode.REFERENCE, traced=False)
+    _, installed = flap_script(pathvector_program, ProvenanceMode.REFERENCE, traced=True)
+    rounds = [span for span in installed.spans if span.name == "fixpoint.round"]
+    assert CountingEngine.queued > 0
+    assert sum(dict(span.args)["deltas"] for span in rounds) == CountingEngine.queued

@@ -423,20 +423,22 @@ class TestZeroOverheadStructure:
         traced[TRACE_CONTEXT_KEY] = ["t0.12345", "s0.67890"]
         assert payload_size(traced) == payload_size(plain)
 
-    def test_engine_hot_path_rebinds_only_when_traced(self):
+    def test_engine_tracer_is_a_plain_attribute(self):
         net = ExspanNetwork(
             ring_topology(4, seed=0), mincost_program(), config=ExspanConfig(seed=0)
         )
         engine = next(iter(net.nodes.values())).engine
-        overridden = ("run", "_process_batch", "_fire_rules")
-        # Untraced: no instance-dict shadowing, the class methods run bare.
-        assert net.tracer is None and net.simulator.tracer is None
-        assert all(name not in engine.__dict__ for name in overridden)
-        engine.set_tracer(Tracer())
-        assert all(name in engine.__dict__ for name in overridden)
-        engine.set_tracer(None)
-        assert all(name not in engine.__dict__ for name in overridden)
-        assert engine.run.__func__ is type(engine).run
+        assert net.tracer is None and engine.tracer is None
+        cls = type(engine)
+        methods = {name for name in dir(cls) if callable(getattr(cls, name))}
+        sinks = dict(engine._sinks)
+        assert sinks  # prov / ruleExec are applied at emission
+        for installed in (Tracer(), None):
+            engine.tracer = installed
+            # No method is shadowed through the instance dict, and a
+            # tracer keeps the sinks.
+            assert methods.isdisjoint(vars(engine))
+            assert engine._sinks == sinks
 
 
 # ---------------------------------------------------------------------- #

@@ -482,24 +482,18 @@ def test_reregistered_f_sha1_wins_over_the_inline_memo_probe():
 
 
 def test_inline_memo_probe_counts_like_the_builtin():
-    """Hits and misses per run are the interpreter's, caching on or off."""
-    from repro.core.vid import clear_vid_caches, set_vid_caching
+    """Hits and misses per run are the interpreter's."""
+    from repro.core.vid import clear_vid_caches
     from repro.datalog.functions import sha1_cache_stats
 
     counts = {}
-    try:
-        for caching in (True, False):
-            set_vid_caching(caching)
-            for name, engine_class in ENGINES.items():
-                clear_vid_caches()
-                _ring_rows(engine_class=engine_class)
-                stats = sha1_cache_stats()
-                counts[caching, name] = (stats["hits"], stats["misses"], stats["entries"])
-    finally:
-        set_vid_caching(True)
-    assert counts[True, "compiled"] == counts[True, "interpreted"]
-    assert counts[True, "compiled"][0] > 0  # the rewrite does hit the memo
-    assert counts[False, "compiled"] == counts[False, "interpreted"] == (0, 0, 0)
+    for name, engine_class in ENGINES.items():
+        clear_vid_caches()
+        _ring_rows(engine_class=engine_class)
+        stats = sha1_cache_stats()
+        counts[name] = (stats["hits"], stats["misses"], stats["entries"])
+    assert counts["compiled"] == counts["interpreted"]
+    assert counts["compiled"][0] > 0  # the rewrite does hit the memo
 
 
 def test_metrics_snapshot_exposes_sha1_and_vid_cache_counters():
