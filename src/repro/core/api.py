@@ -122,7 +122,6 @@ class ExspanNetwork:
             topology,
             local_nodes=config.local_addresses,
             shard_map=config.shard_map,
-            traffic_record_cap=config.traffic_record_cap,
         )
         self.simulator: Simulator = self.network.simulator
         if tracer is None:

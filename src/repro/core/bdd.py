@@ -429,23 +429,29 @@ def export_bdd(bdd: Bdd) -> Tuple[Any, ...]:
     and the structure is plain picklable data, which is how value-mode
     annotations and their sizes survive a shard boundary.
     """
-    manager = bdd.manager
     refs: Dict[int, Any] = {BddManager.FALSE_ID: False, BddManager.TRUE_ID: True}
     nodes: List[Tuple[str, Any, Any]] = []
-
-    def visit(node_id: int) -> Any:
-        ref = refs.get(node_id)
-        if ref is not None or node_id in refs:
-            return refs[node_id]
-        node = manager._node(node_id)
-        low = visit(node.low)
-        high = visit(node.high)
-        refs[node_id] = len(nodes)
-        nodes.append((node.var, low, high))
-        return refs[node_id]
-
-    root = visit(bdd.node_id)
+    root = _export_node(bdd.manager, bdd.node_id, refs, nodes)
     return (root, tuple(nodes))
+
+
+def _export_node(
+    manager: BddManager, node_id: int, refs: Dict[int, Any], nodes: List[Tuple[str, Any, Any]]
+) -> Any:
+    """Export *node_id* below its children; returns its ref.
+
+    A module function, not a closure: a nested function that calls itself
+    is a reference cycle, which left every export to the cycle collector.
+    """
+    ref = refs.get(node_id)
+    if ref is not None or node_id in refs:
+        return refs[node_id]
+    node = manager._node(node_id)
+    low = _export_node(manager, node.low, refs, nodes)
+    high = _export_node(manager, node.high, refs, nodes)
+    refs[node_id] = len(nodes)
+    nodes.append((node.var, low, high))
+    return refs[node_id]
 
 
 def import_bdd(manager: BddManager, data: Tuple[Any, ...]) -> Bdd:

@@ -78,7 +78,7 @@ def vertex_of(key: CacheKey) -> Tuple[str, str]:
     return (key[0], key[2])
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """A cached sub-query result plus bookkeeping for invalidation.
 

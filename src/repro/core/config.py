@@ -30,6 +30,11 @@ from .modes import ProvenanceMode
 
 __all__ = ["ExspanConfig", "coerce_mode", "MODE_NAMES"]
 
+#: Config keys that older :meth:`ExspanConfig.to_dict` forms carried and
+#: :meth:`ExspanConfig.from_dict` now ignores (the traffic log's retired
+#: record cap).
+_RETIRED_KEYS = frozenset({"traffic_record_cap"})
+
 #: Canonical short names for provenance modes (the JSON wire form).
 MODE_NAMES: Dict[ProvenanceMode, str] = {
     ProvenanceMode.NONE: "none",
@@ -89,10 +94,6 @@ class ExspanConfig:
         ``query_coalescing`` / ``query_batching`` — concurrency ablations,
         both on by default.
 
-    Statistics
-        ``traffic_record_cap`` — bounded traffic-statistics mode
-        (``None`` = unbounded history).
-
     Sharding placement
         ``local_addresses`` / ``shard_map`` — configure the instance as
         one shard of a larger simulation (see :mod:`repro.net.sharding`).
@@ -113,7 +114,6 @@ class ExspanConfig:
     query_cache_capacity: Optional[int] = None
     query_coalescing: bool = True
     query_batching: bool = True
-    traffic_record_cap: Optional[int] = None
     local_addresses: Optional[Tuple[Any, ...]] = None
     shard_map: Optional[Mapping[Any, int]] = field(default=None)
     storage: Optional[str] = None
@@ -132,13 +132,12 @@ class ExspanConfig:
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an int, got {self.seed!r}",
         )
-        for name in ("query_cache_capacity", "traffic_record_cap"):
-            value = getattr(self, name)
-            _require(
-                value is None
-                or (isinstance(value, int) and not isinstance(value, bool) and value >= 0),
-                f"{name} must be None or a non-negative int, got {value!r}",
-            )
+        capacity = self.query_cache_capacity
+        _require(
+            capacity is None
+            or (isinstance(capacity, int) and not isinstance(capacity, bool) and capacity >= 0),
+            f"query_cache_capacity must be None or a non-negative int, got {capacity!r}",
+        )
         for name in ("query_coalescing", "query_batching"):
             _require(
                 isinstance(getattr(self, name), bool),
@@ -183,7 +182,6 @@ class ExspanConfig:
             "query_cache_capacity": self.query_cache_capacity,
             "query_coalescing": self.query_coalescing,
             "query_batching": self.query_batching,
-            "traffic_record_cap": self.traffic_record_cap,
         }
         if self.local_addresses is not None:
             payload["local_addresses"] = list(self.local_addresses)
@@ -194,9 +192,14 @@ class ExspanConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExspanConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
+        """Inverse of :meth:`to_dict`; rejects unknown keys.
+
+        Keys of retired knobs (:data:`_RETIRED_KEYS`) are accepted and
+        ignored, so checkpoints written before a knob was removed restore.
+        """
+        payload = {key: value for key, value in payload.items() if key not in _RETIRED_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ProvenanceError(f"unknown ExspanConfig keys: {unknown}")
-        return cls(**dict(payload))
+        return cls(**payload)

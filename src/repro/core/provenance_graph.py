@@ -148,27 +148,30 @@ class ProvenanceGraph:
     def is_acyclic(self) -> bool:
         """Verify the data-model invariant that the graph has no cycles."""
         colors: Dict[str, int] = {}
+        return all(self._acyclic_below(vid, colors) for vid in list(self.tuples))
 
-        def visit(vid: str) -> bool:
-            state = colors.get(vid, 0)
-            if state == 1:
-                return False
-            if state == 2:
-                return True
-            colors[vid] = 1
-            vertex = self.tuples.get(vid)
-            if vertex is not None:
-                for rid in vertex.derivations:
-                    rule = self.rules.get(rid)
-                    if rule is None:
-                        continue
-                    for child in rule.input_vids:
-                        if not visit(child):
-                            return False
-            colors[vid] = 2
+    def _acyclic_below(self, vid: str, colors: Dict[str, int]) -> bool:
+        """One DFS step of :meth:`is_acyclic` (colour 1 = open, 2 = done).
+
+        A method, not a closure: a nested function naming itself is a cycle.
+        """
+        state = colors.get(vid, 0)
+        if state == 1:
+            return False
+        if state == 2:
             return True
-
-        return all(visit(vid) for vid in list(self.tuples))
+        colors[vid] = 1
+        vertex = self.tuples.get(vid)
+        if vertex is not None:
+            for rid in vertex.derivations:
+                rule = self.rules.get(rid)
+                if rule is None:
+                    continue
+                for child in rule.input_vids:
+                    if not self._acyclic_below(child, colors):
+                        return False
+        colors[vid] = 2
+        return True
 
     # ------------------------------------------------------------------ #
     # export
@@ -216,45 +219,51 @@ class ProvenanceGraph:
         if vertex is None:
             return f"(no provenance recorded for {root[:10]})"
         lines: List[str] = []
-        expanded: Set[str] = set()
-
-        def visit_tuple(vid: str, prefix: str, tail: bool, depth: int) -> None:
-            vertex = self.tuples.get(vid)
-            branch = "" if not prefix and not lines else ("`- " if tail else "|- ")
-            indent = prefix + branch
-            child_prefix = prefix + ("   " if tail else "|  ") if branch else prefix
-            if vertex is None:
-                lines.append(f"{indent}{vid[:10]} (remote / unknown)")
-                return
-            marker = " [base]" if vertex.is_base else ""
-            label = f"{vertex.label()} @{vertex.location}{marker}"
-            if vid in expanded and vertex.derivations:
-                lines.append(f"{indent}{label} (see above)")
-                return
-            expanded.add(vid)
-            lines.append(f"{indent}{label}")
-            if depth >= max_depth:
-                if vertex.derivations:
-                    lines.append(f"{child_prefix}`- ... (max depth {max_depth})")
-                return
-            rules = [rid for rid in vertex.derivations if rid in self.rules]
-            for index, rid in enumerate(rules):
-                rule = self.rules[rid]
-                last = index == len(rules) - 1
-                rule_branch = "`- " if last else "|- "
-                lines.append(f"{child_prefix}{rule_branch}rule {rule.label()}")
-                rule_prefix = child_prefix + ("   " if last else "|  ")
-                inputs = list(rule.input_vids)
-                for child_index, child in enumerate(inputs):
-                    visit_tuple(
-                        child,
-                        rule_prefix,
-                        child_index == len(inputs) - 1,
-                        depth + 1,
-                    )
-
-        visit_tuple(root, "", True, 0)
+        self._text_tree_lines(root, "", True, 0, max_depth, lines, set())
         return "\n".join(lines)
+
+    def _text_tree_lines(
+        self,
+        vid: str,
+        prefix: str,
+        tail: bool,
+        depth: int,
+        max_depth: int,
+        lines: List[str],
+        expanded: Set[str],
+    ) -> None:
+        """Append the rendering of tuple *vid* to *lines* (see :meth:`to_text_tree`)."""
+        vertex = self.tuples.get(vid)
+        branch = "" if not prefix and not lines else ("`- " if tail else "|- ")
+        indent = prefix + branch
+        child_prefix = prefix + ("   " if tail else "|  ") if branch else prefix
+        if vertex is None:
+            lines.append(f"{indent}{vid[:10]} (remote / unknown)")
+            return
+        marker = " [base]" if vertex.is_base else ""
+        label = f"{vertex.label()} @{vertex.location}{marker}"
+        if vid in expanded and vertex.derivations:
+            lines.append(f"{indent}{label} (see above)")
+            return
+        expanded.add(vid)
+        lines.append(f"{indent}{label}")
+        if depth >= max_depth:
+            if vertex.derivations:
+                lines.append(f"{child_prefix}`- ... (max depth {max_depth})")
+            return
+        rules = [rid for rid in vertex.derivations if rid in self.rules]
+        for index, rid in enumerate(rules):
+            rule = self.rules[rid]
+            last = index == len(rules) - 1
+            rule_branch = "`- " if last else "|- "
+            lines.append(f"{child_prefix}{rule_branch}rule {rule.label()}")
+            rule_prefix = child_prefix + ("   " if last else "|  ")
+            inputs = list(rule.input_vids)
+            for child_index, child in enumerate(inputs):
+                final = child_index == len(inputs) - 1
+                self._text_tree_lines(
+                    child, rule_prefix, final, depth + 1, max_depth, lines, expanded
+                )
 
     def _subgraph(self, root: str) -> Tuple[Set[str], Set[str]]:
         keep_tuples: Set[str] = set()

@@ -84,7 +84,7 @@ statistics):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -264,6 +264,51 @@ class _SlotFanIn:
                 self.on_all(self.slots, _combine_heights(self.heights))
 
         return accept
+
+
+@dataclass(slots=True)
+class _Sequential:
+    """One DFS (or DFS-threshold) walk over a vertex's derivations.
+
+    Continuations must not refer to themselves: a self-naming ``advance``
+    closure is a reference cycle, which left every finished walk to the
+    cycle collector.  Each child gets the bound method :meth:`on_child`
+    instead; nothing points back at this object, so refcounting frees it.
+    """
+
+    service: "ProvenanceQueryService"
+    vid: str
+    parent_key: CacheKey
+    spec: QuerySpec
+    remaining: List[Any]
+    results: List[Any]
+    finish: Callable[[List[Any], _Height], None]
+    depth: int
+    tc: _Tc
+    heights: List[_Height] = field(default_factory=list)
+
+    def threshold_reached(self) -> bool:
+        spec = self.spec
+        if spec.traversal is not TraversalOrder.DFS_THRESHOLD:
+            return False
+        if spec.threshold_met is None or not self.results:
+            return False
+        partial = spec.f_idb(list(self.results), self.vid, self.service.node)
+        return bool(spec.threshold_met(partial))
+
+    def advance(self) -> None:
+        if not self.remaining or self.threshold_reached():
+            self.finish(self.results, _combine_heights(self.heights))
+            return
+        row = self.remaining.pop(0)
+        self.service._ask_rule_vertex(
+            row[2], row[3], self.spec, self.parent_key, self.on_child, self.depth, self.tc
+        )
+
+    def on_child(self, result: Any, height: _Height) -> None:
+        self.results.append(result)
+        self.heights.append(height)
+        self.advance()
 
 
 class ProvenanceQueryService:
@@ -751,9 +796,9 @@ class ProvenanceQueryService:
                 key, spec, derivations, initial_results, finish, depth, tc
             )
         else:
-            self._resolve_derivations_sequential(
-                vid, key, spec, derivations, initial_results, finish, depth, tc
-            )
+            _Sequential(
+                self, vid, key, spec, derivations, initial_results, finish, depth, tc
+            ).advance()
 
     def _moonwalk_rng(self, spec: QuerySpec, vid: str) -> random.Random:
         """Derivation sampler for the random moonwalk.
@@ -789,44 +834,6 @@ class ProvenanceQueryService:
                 depth,
                 tc,
             )
-
-    def _resolve_derivations_sequential(
-        self,
-        vid: str,
-        parent_key: CacheKey,
-        spec: QuerySpec,
-        derivations: Sequence[Any],
-        initial_results: List[Any],
-        finish: Callable[[List[Any], _Height], None],
-        depth: int,
-        tc: _Tc = None,
-    ) -> None:
-        results: List[Any] = list(initial_results)
-        heights: List[_Height] = []
-        remaining = list(derivations)
-
-        def threshold_reached() -> bool:
-            if spec.traversal is not TraversalOrder.DFS_THRESHOLD:
-                return False
-            if spec.threshold_met is None or not results:
-                return False
-            partial = spec.f_idb(list(results), vid, self.node)
-            return bool(spec.threshold_met(partial))
-
-        def advance() -> None:
-            if not remaining or threshold_reached():
-                finish(results, _combine_heights(heights))
-                return
-            row = remaining.pop(0)
-
-            def on_child(result: Any, height: _Height) -> None:
-                results.append(result)
-                heights.append(height)
-                advance()
-
-            self._ask_rule_vertex(row[2], row[3], spec, parent_key, on_child, depth, tc)
-
-        advance()
 
     def _ask_rule_vertex(
         self,

@@ -85,14 +85,10 @@ class Network:
         model_transmission_delay: bool = False,
         local_nodes: Optional[Iterable[Any]] = None,
         shard_map: Optional[Mapping[Any, int]] = None,
-        traffic_record_cap: Optional[int] = None,
     ):
-        """``traffic_record_cap`` bounds the per-message records retained by
-        :class:`~repro.net.stats.TrafficStats` (aggregate counters stay
-        exact); ``None`` keeps the default unbounded history."""
         self.topology = topology
         self.simulator = simulator if simulator is not None else Simulator()
-        self.stats = TrafficStats(max_records=traffic_record_cap)
+        self.stats = TrafficStats()
         self.default_latency = default_latency
         self.model_transmission_delay = model_transmission_delay
         self._hosts: Dict[Any, Host] = {}
@@ -218,7 +214,7 @@ class Network:
             size = message.compute_size()
         now = self.simulator._now
         message.sent_at = now
-        self.stats.append((now, source, destination, size, message.kind))
+        self.stats.record(now, source, destination, size, message.kind)
         if source == destination:
             latency = extra_latency
         else:

@@ -340,7 +340,6 @@ class _WorkerConfig:
     #: pulled over the pipe by the driver's ``"spans"`` verb and merged in
     #: deterministic (sim time, shard, seq) order.
     trace: bool = False
-    traffic_record_cap: Optional[int] = None
     #: Storage backend spec (``None`` = memory).  Explicit sqlite paths
     #: are suffixed per shard by the worker's ExspanNetwork so forked
     #: processes never share one WAL.
@@ -387,7 +386,6 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 value_policy=config.value_policy,
                 local_addresses=tuple(local),
                 shard_map=config.assignment,
-                traffic_record_cap=config.traffic_record_cap,
                 storage=config.storage,
             ),
             tracer=tracer,
@@ -530,7 +528,6 @@ class ShardedExspanNetwork:
         partition: Optional[Mapping[Any, int]] = None,
         query_specs: Sequence[Any] = (),
         tracer: Any = None,
-        traffic_record_cap: Optional[int] = None,
         storage: Optional[str] = None,
         faults: Any = None,
     ):
@@ -612,7 +609,6 @@ class ShardedExspanNetwork:
                 value_policy=value_policy,
                 query_specs=tuple(query_specs),
                 trace=self.tracer is not None,
-                traffic_record_cap=traffic_record_cap,
                 storage=storage,
                 faults=plan.to_dict() if plan is not None else None,
             )

@@ -5,14 +5,24 @@ per-message records collected here: total and per-node communication cost
 (Figures 6, 7, 16), bandwidth over time (Figures 8-11, 13, 15, 16), query
 completion latency distributions (Figures 12, 14), and fixpoint latency
 (Figure 17).
+
+The log is packed and columnar: one ``array`` each of send times, sizes
+and *route codes*, where a route is an interned ``(source, destination,
+kind)`` triple.  A message costs 20 bytes and no Python object, so a long
+run's log is neither a memory hog nor something the cycle collector has to
+walk.  Scalar views reduce the columns (per-route totals first, then a
+fold over the few distinct routes); :meth:`TrafficStats.records` and the
+bandwidth series decode rows on demand.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import merged_counters
 
@@ -47,145 +57,83 @@ class MessageRecord:
     kind: str
 
 
+#: An interned ``(source, destination, kind)`` triple.
+_Route = Tuple[Any, Any, str]
+
+
 class TrafficStats:
-    """Accumulates :class:`MessageRecord` entries and answers questions.
+    """A packed log of every sent message, and the views the figures use."""
 
-    Bounded / streaming mode
-    ------------------------
-    By default every record is retained (the views below need the raw
-    list).  With ``max_records=N`` the collector keeps only the first N
-    raw records — million-message runs stop growing an unbounded list —
-    while maintaining exact streaming aggregates for every *scalar* view:
-    :meth:`total_bytes`, :meth:`total_messages`, :meth:`bytes_by_sender`,
-    :meth:`average_bytes_per_node` and :meth:`last_activity_time` count
-    dropped records too.  Only the record-shaped views
-    (:meth:`records`, :meth:`bandwidth_timeseries`, ``len()``) are limited
-    to the retained prefix; ``dropped_records`` says how much was shed.
-    """
-
-    def __init__(self, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records < 0:
-            raise ValueError(f"max_records must be >= 0, got {max_records}")
-        # One plain (time, source, destination, size, kind) tuple per
-        # message — MessageRecord's field order; records() materializes.
-        self._records: List[Tuple[float, Any, Any, int, str]] = []
-        self._max_records = max_records
-        self.dropped_records = 0
-        # Streaming aggregates, maintained only in bounded mode (the
-        # unbounded default computes every view from the raw records, so
-        # the hot recording path stays a single append).
-        self._kind_totals: Optional[Dict[str, List[float]]] = (
-            None if max_records is None else {}
-        )
-        self._sender_kind_bytes: Dict[Tuple[Any, str], int] = {}
-        #: Records one ``(time, source, destination, size, kind)`` row: the
-        #: list's own ``append`` when unbounded, so billing a message costs
-        #: the network no Python frame.
-        self.append: Callable[[Tuple[float, Any, Any, int, str]], None] = (
-            self._records.append if max_records is None else self._append_bounded
-        )
-
-    @property
-    def max_records(self) -> Optional[int]:
-        return self._max_records
-
-    @property
-    def messages_sent(self) -> int:
-        return len(self._records) + self.dropped_records
+    def __init__(self) -> None:
+        self._times = array("d")
+        self._sizes = array("q")
+        self._codes = array("i")
+        #: Route code -> ``(source, destination, kind)``, and its inverse.
+        self._routes: List[_Route] = []
+        self._route_codes: Dict[_Route, int] = {}
 
     def record(self, time: float, source: Any, destination: Any, size: int, kind: str) -> None:
-        self.append((time, source, destination, size, kind))
-
-    def _append_bounded(self, row: Tuple[float, Any, Any, int, str]) -> None:
-        time, source, _, size, kind = row
-        if len(self._records) < self._max_records:
-            self._records.append(row)
-        else:
-            self.dropped_records += 1
-        totals = self._kind_totals.get(kind)
-        if totals is None:
-            self._kind_totals[kind] = [1, size, time]
-        else:
-            totals[0] += 1
-            totals[1] += size
-            if time > totals[2]:
-                totals[2] = time
-        sender_key = (source, kind)
-        self._sender_kind_bytes[sender_key] = (
-            self._sender_kind_bytes.get(sender_key, 0) + size
-        )
+        route = (source, destination, kind)
+        code = self._route_codes.get(route)
+        if code is None:
+            code = self._route_codes[route] = len(self._routes)
+            self._routes.append(route)
+        self._times.append(time)
+        self._sizes.append(size)
+        self._codes.append(code)
 
     def reset(self) -> None:
         """Drop all records (used between experiment phases)."""
-        self._records.clear()
-        self.dropped_records = 0
-        if self._kind_totals is not None:
-            self._kind_totals = {}
-        self._sender_kind_bytes = {}
+        del self._times[:], self._sizes[:], self._codes[:]
+        self._routes.clear()
+        self._route_codes.clear()
 
     # ------------------------------------------------------------------ #
     # aggregate views
     # ------------------------------------------------------------------ #
     def records(self, kinds: Optional[Iterable[str]] = None) -> List[MessageRecord]:
-        return [MessageRecord(*row) for row in self._rows(kinds)]
-
-    def _rows(
-        self, kinds: Optional[Iterable[str]]
-    ) -> List[Tuple[float, Any, Any, int, str]]:
-        """The retained raw tuples of the given *kinds* (all when ``None``)."""
-        if kinds is None:
-            return self._records
-        wanted = set(kinds)
-        return [row for row in self._records if row[4] in wanted]
-
-    def _selected_kind_totals(
-        self, kinds: Optional[Iterable[str]]
-    ) -> List[List[float]]:
-        assert self._kind_totals is not None
-        if kinds is None:
-            return list(self._kind_totals.values())
-        wanted = set(kinds)
+        routes = self._routes
+        wanted = self._wanted_codes(kinds)
         return [
-            totals for kind, totals in self._kind_totals.items() if kind in wanted
+            MessageRecord(time, routes[code][0], routes[code][1], size, routes[code][2])
+            for time, size, code in zip(self._times, self._sizes, self._codes)
+            if wanted is None or code in wanted
         ]
 
+    def _wanted_codes(self, kinds: Optional[Iterable[str]]) -> Optional[Set[int]]:
+        """Codes of the routes carrying one of *kinds* (``None``: all)."""
+        if kinds is None:
+            return None
+        kinds = set(kinds)
+        return {code for code, route in enumerate(self._routes) if route[2] in kinds}
+
+    def _per_route(self) -> List[Tuple[_Route, int, int]]:
+        """``(route, messages, bytes)`` of every route, in first-use order."""
+        messages = Counter(self._codes)
+        totals = [0] * len(self._routes)
+        for code, size in zip(self._codes, self._sizes):
+            totals[code] += size
+        return [(route, messages[code], totals[code]) for code, route in enumerate(self._routes)]
+
     def total_bytes(self, kinds: Optional[Iterable[str]] = None) -> int:
-        if self._kind_totals is not None:
-            return int(sum(totals[1] for totals in self._selected_kind_totals(kinds)))
-        return sum(row[3] for row in self._rows(kinds))
+        wanted = self._wanted_codes(kinds)
+        if wanted is None:
+            return sum(self._sizes)
+        return sum(compress(self._sizes, map(wanted.__contains__, self._codes)))
 
     def total_messages(self, kinds: Optional[Iterable[str]] = None) -> int:
-        if self._kind_totals is not None:
-            return int(sum(totals[0] for totals in self._selected_kind_totals(kinds)))
-        return len(self._rows(kinds))
+        wanted = self._wanted_codes(kinds)
+        if wanted is None:
+            return len(self._codes)
+        return sum(map(wanted.__contains__, self._codes))
 
     def kind_totals(self) -> Dict[str, Tuple[int, int]]:
-        """Per-kind ``(messages, bytes)`` totals (exact in both modes)."""
-        if self._kind_totals is not None:
-            return {
-                kind: (int(totals[0]), int(totals[1]))
-                for kind, totals in sorted(self._kind_totals.items())
-            }
-        per_kind: Dict[str, List[int]] = {}
-        for _, _, _, size, kind in self._records:
-            totals = per_kind.setdefault(kind, [0, 0])
-            totals[0] += 1
-            totals[1] += size
-        return {kind: (totals[0], totals[1]) for kind, totals in sorted(per_kind.items())}
+        """Per-kind ``(messages, bytes)`` totals."""
+        return _kind_totals(self._per_route())
 
     def bytes_by_sender(self, kinds: Optional[Iterable[str]] = None) -> Dict[Any, int]:
         """Bytes transmitted per sending node."""
-        if self._kind_totals is not None:
-            wanted = None if kinds is None else set(kinds)
-            per_node: Dict[Any, int] = defaultdict(int)
-            for (source, kind), size in self._sender_kind_bytes.items():
-                if wanted is None or kind in wanted:
-                    per_node[source] += size
-            return dict(per_node)
-        per_node = defaultdict(int)
-        for _, source, _, size, _ in self._rows(kinds):
-            per_node[source] += size
-        return dict(per_node)
+        return _bytes_by_sender(self._per_route(), kinds)
 
     def average_bytes_per_node(
         self, node_count: int, kinds: Optional[Iterable[str]] = None
@@ -207,12 +155,12 @@ class TrafficStats:
 
         Returns ``[(bucket_start_time, bytes_per_second_per_node), ...]``.
         """
-        rows = self._rows(kinds)
+        wanted = self._wanted_codes(kinds)
         if end is None:
-            end = max((row[0] for row in rows), default=start) + bucket
+            end = self._last_time(wanted, default=start) + bucket
         buckets: Dict[int, float] = defaultdict(float)
-        for time, _, _, size, _ in rows:
-            if time < start or time >= end:
+        for time, size, code in zip(self._times, self._sizes, self._codes):
+            if time < start or time >= end or (wanted is not None and code not in wanted):
                 continue
             buckets[int((time - start) // bucket)] += size
         series: List[Tuple[float, float]] = []
@@ -223,26 +171,25 @@ class TrafficStats:
         return series
 
     def snapshot(self) -> Dict[str, Any]:
-        """A deep-copied, JSON-able summary of the collector.
+        """A freshly built, JSON-able summary of the collector.
 
-        Everything in the returned dict is freshly built — callers (in
-        particular service clients polling ``stats`` over the wire) can
-        mutate it freely without corrupting the live counters.  Exact in
-        both bounded and unbounded modes.
+        Callers (in particular service clients polling ``stats`` over the
+        wire) can mutate it freely without corrupting the live log.
         """
+        per_route = self._per_route()
         return {
-            "messages_sent": self.messages_sent,
-            "dropped_records": self.dropped_records,
+            "messages_sent": len(self._codes),
             "total_bytes": self.total_bytes(),
-            "total_messages": self.total_messages(),
+            "total_messages": len(self._codes),
             "kind_totals": {
                 kind: {"messages": messages, "bytes": size}
-                for kind, (messages, size) in self.kind_totals().items()
+                for kind, (messages, size) in _kind_totals(per_route).items()
             },
             "bytes_by_sender": {
                 str(node): size
                 for node, size in sorted(
-                    self.bytes_by_sender().items(), key=lambda item: str(item[0])
+                    _bytes_by_sender(per_route, None).items(),
+                    key=lambda item: str(item[0]),
                 )
             },
             "last_activity_time": self.last_activity_time(),
@@ -250,15 +197,34 @@ class TrafficStats:
 
     def last_activity_time(self, kinds: Optional[Iterable[str]] = None) -> float:
         """Time of the last recorded message (used as fixpoint latency)."""
-        if self._kind_totals is not None:
-            return max(
-                (totals[2] for totals in self._selected_kind_totals(kinds)),
-                default=0.0,
-            )
-        return max((row[0] for row in self._rows(kinds)), default=0.0)
+        return self._last_time(self._wanted_codes(kinds), default=0.0)
+
+    def _last_time(self, wanted: Optional[Set[int]], default: float) -> float:
+        if wanted is None:
+            return max(self._times, default=default)
+        return max(compress(self._times, map(wanted.__contains__, self._codes)), default=default)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._codes)
+
+
+def _kind_totals(per_route: List[Tuple[_Route, int, int]]) -> Dict[str, Tuple[int, int]]:
+    per_kind: Dict[str, Tuple[int, int]] = {}
+    for (_, _, kind), messages, size in per_route:
+        seen, sent = per_kind.get(kind, (0, 0))
+        per_kind[kind] = (seen + messages, sent + size)
+    return dict(sorted(per_kind.items()))
+
+
+def _bytes_by_sender(
+    per_route: List[Tuple[_Route, int, int]], kinds: Optional[Iterable[str]]
+) -> Dict[Any, int]:
+    wanted = None if kinds is None else set(kinds)
+    per_node: Dict[Any, int] = {}
+    for (source, _, kind), _, size in per_route:
+        if wanted is None or kind in wanted:
+            per_node[source] = per_node.get(source, 0) + size
+    return per_node
 
 
 class LatencyStats:

@@ -6,6 +6,7 @@ and positional forms are type errors.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -46,7 +47,6 @@ class TestValidation:
             {"link_cost": "cheap"},
             {"value_policy": "magic"},
             {"seed": "7"},
-            {"traffic_record_cap": -3},
             {"query_cache_capacity": -1},
             {"query_batching": 1},
             {"storage": "tape"},
@@ -75,8 +75,27 @@ class TestValidation:
         with pytest.raises(ProvenanceError, match=name):
             ExspanConfig.from_dict({"mode": "ref", name: value})
 
-    def test_twelve_fields(self):
-        assert len(dataclasses.fields(ExspanConfig)) == 12
+    def test_eleven_fields(self):
+        assert len(dataclasses.fields(ExspanConfig)) == 11
+
+    def test_retired_traffic_record_cap_is_ignored_on_restore(self, tmp_path):
+        # The bounded traffic log is gone; a checkpoint written while the
+        # knob existed still names it in its config and must restore.
+        with pytest.raises(TypeError):
+            ExspanConfig(traffic_record_cap=10)
+        assert ExspanConfig.from_dict(
+            {"mode": "ref", "traffic_record_cap": 10}
+        ) == ExspanConfig(mode="ref")
+        network = ExspanNetwork(ring_topology(4), mincost_program())
+        network.seed_links()
+        path = tmp_path / "old.ckpt"
+        network.checkpoint(str(path))
+        payload = json.loads(path.read_text())
+        payload["config"]["traffic_record_cap"] = None
+        path.write_text(json.dumps(payload))
+        restored = ExspanNetwork.restore(str(path), ring_topology(4), mincost_program())
+        assert restored.config == network.config
+        assert restored.tuples("bestPathCost") == network.tuples("bestPathCost")
 
     def test_round_trip_through_dict(self):
         config = ExspanConfig(mode="value", seed=3, query_batching=False)

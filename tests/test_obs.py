@@ -8,7 +8,7 @@ no instrumentation writes into fingerprinted counters.  Also covered:
 span causality (nesting, explicit contexts, cross-host trace-id
 propagation over the query protocol), the bounded span buffer, the
 Chrome trace-event exporter and its schema validator, the labelled
-metrics registry, bounded traffic statistics, and the orchestrator's
+metrics registry, and the orchestrator's
 ``--trace`` capture path.
 """
 
@@ -24,7 +24,6 @@ from repro.core.customizations import derivation_count_query
 from repro.datalog.ast import Fact
 from repro.net.message import TRACE_CONTEXT_KEY, payload_size
 from repro.net.sharding import ShardedExspanNetwork, collect_digest, collect_summary
-from repro.net.stats import TrafficStats
 from repro.net.topology import cluster_topology, ring_topology
 from repro.obs import (
     MetricsRegistry,
@@ -267,55 +266,6 @@ class TestMetricsRegistry:
 
 
 # ---------------------------------------------------------------------- #
-# bounded traffic statistics (satellite)
-# ---------------------------------------------------------------------- #
-class TestBoundedTrafficStats:
-    def _fill(self, stats):
-        stats.record(0.0, "a", "b", 100, "delta")
-        stats.record(1.0, "a", "c", 50, "prov")
-        stats.record(2.0, "b", "c", 25, "delta")
-        stats.record(3.0, "b", "a", 10, "delta")
-
-    def test_aggregates_stay_exact_past_the_cap(self):
-        bounded, unbounded = TrafficStats(max_records=2), TrafficStats()
-        self._fill(bounded)
-        self._fill(unbounded)
-        assert len(bounded) == 2
-        assert bounded.dropped_records == 2
-        for kinds in (None, ["delta"], ["prov"]):
-            assert bounded.total_bytes(kinds) == unbounded.total_bytes(kinds)
-            assert bounded.total_messages(kinds) == unbounded.total_messages(kinds)
-            assert bounded.bytes_by_sender(kinds) == unbounded.bytes_by_sender(kinds)
-            assert bounded.last_activity_time(kinds) == unbounded.last_activity_time(
-                kinds
-            )
-        assert bounded.kind_totals() == unbounded.kind_totals()
-        assert bounded.average_bytes_per_node(4) == unbounded.average_bytes_per_node(4)
-
-    def test_zero_cap_keeps_no_records_but_counts_everything(self):
-        stats = TrafficStats(max_records=0)
-        self._fill(stats)
-        assert len(stats) == 0
-        assert stats.dropped_records == 4
-        assert stats.total_bytes() == 185
-        assert stats.messages_sent == 4
-
-    def test_reset_clears_streaming_aggregates(self):
-        stats = TrafficStats(max_records=1)
-        self._fill(stats)
-        stats.reset()
-        assert stats.total_bytes() == 0
-        assert stats.dropped_records == 0
-        assert stats.kind_totals() == {}
-        stats.record(0.5, "x", "y", 7, "delta")
-        assert stats.total_bytes() == 7
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_records"):
-            TrafficStats(max_records=-1)
-
-
-# ---------------------------------------------------------------------- #
 # exporters
 # ---------------------------------------------------------------------- #
 def _sample_tracer():
@@ -475,26 +425,6 @@ class TestTracedRunDeterminism:
         assert collect_summary(traced_net) == collect_summary(untraced_net)
         assert collect_digest(traced_net) == collect_digest(untraced_net)
         assert len(traced_net.tracer.spans) > 0
-
-    def test_bounded_traffic_stats_match_unbounded_on_a_real_run(self):
-        unbounded_net, _, _ = _run_workload()
-        bounded_net = ExspanNetwork(
-            cluster_topology(2, 4, seed=3),
-            mincost_program(),
-            config=ExspanConfig(
-                mode=ProvenanceMode.REFERENCE, seed=0, traffic_record_cap=10
-            ),
-        )
-        bounded_net.register_spec(QUERY_SPEC)
-        bounded_net.seed_links()
-        bounded_net.run_to_fixpoint()
-        bounded_net.execute(
-            QueryRequest(Fact("bestPathCost", ("c0_1", "c0_2", 1)), "obscnt", issuer="c1_1")
-        )
-        assert len(bounded_net.stats) == 10
-        assert bounded_net.stats.dropped_records > 0
-        assert bounded_net.stats.kind_totals() == unbounded_net.stats.kind_totals()
-        assert bounded_net.stats.total_bytes() == unbounded_net.stats.total_bytes()
 
     def test_cross_host_trace_id_propagation(self):
         net, _, _ = _run_workload(Tracer())
