@@ -8,11 +8,15 @@ The protocol ROADMAP asks of every perf claim below the A/A bound: for each
 seed run the *unchanged* ruler (``benchmarks/perf/run.py --trace 0``) once
 in each checkout, alternating which side goes first, then compare medians
 and count wins.  Each checkout runs its own copy of the ruler, so both must
-carry the same ``benchmarks/perf``.  Prints the per-seed table, each side's
-median / q1 / q3 for every end-to-end metric and the win count on
-``--metric``.  Exits 1 when ``wire_mb``, ``attempted``, ``failed`` or
-``correct`` differ for any seed — the two sides must do the same work.
-Wall-clock never gates.
+carry the same ``benchmarks/perf``.  ``--workload`` takes one name or a
+comma-separated list, run one after the other.  Per workload it prints the
+per-seed table, each side's median / q1 / q3 for every end-to-end metric,
+the ratio of the medians, the median of the per-pair ratios (a slow
+stretch of a shared host then hits both sides of a pair instead of skewing
+one side's median) and the win count on ``--metric``.  Exits 1 when
+``wire_mb``, ``attempted``, ``failed`` or ``correct`` differ for any seed
+of any workload — the two sides must do the same work.  Wall-clock never
+gates.
 """
 
 from __future__ import annotations
@@ -60,26 +64,17 @@ def quartiles(values: Sequence[float]) -> str:
     return f"{median:.4g} (q1 {q1:.4g}, q3 {q3:.4g})"
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload name")
-    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,2,7")
-    parser.add_argument("--seconds", type=float, default=10.0, help="ruler --seconds")
-    parser.add_argument("--metric", default="op_ms_p50", help="the metric wins are counted on")
-    args = parser.parse_args()
-
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+def compare(sides: Dict[str, str], workload: str, seeds: List[int], args) -> List[str]:
+    """Alternated pairs of *workload*: prints its tables, returns its mismatches."""
     runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
     mismatches: List[str] = []
     wins = ties = 0
-    print(f"{args.workload}: {args.metric}, lower is better")
+    print(f"{workload}: {args.metric}, lower is better")
     print("| seed | first | parent | change | change/parent | exact |")
     print("|---:|---|---:|---:|---:|---|")
-    for index, seed in enumerate(parse_seeds(args.seeds)):
+    for index, seed in enumerate(seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        result = {side: ruler(sides[side], args.workload, seed, args.seconds) for side in order}
+        result = {side: ruler(sides[side], workload, seed, args.seconds) for side in order}
         parent, change = result["parent"], result["change"]
         runs["parent"].append(parent)
         runs["change"].append(change)
@@ -96,8 +91,8 @@ def main() -> int:
         )
     pairs = len(runs["parent"])
     print(f"\nchange won {wins} of {pairs} pairs on {args.metric} ({ties} ties)\n")
-    print("| metric | parent | change | change/parent |")
-    print("|---|---|---|---:|")
+    print("| metric | parent | change | change/parent | median pair ratio |")
+    print("|---|---|---|---:|---:|")
     for name in runs["parent"][0]:
         if name in ("attempted", "failed", "correct"):
             continue
@@ -105,11 +100,33 @@ def main() -> int:
         b = [run[name] for run in runs["change"]]
         base = statistics.median(a)
         ratio = statistics.median(b) / base if base else float("nan")
-        print(f"| {name} | {quartiles(a)} | {quartiles(b)} | {ratio:.3f} |")
+        pair_ratios = [y / x for x, y in zip(a, b) if x]
+        pair_ratio = statistics.median(pair_ratios) if pair_ratios else float("nan")
+        print(f"| {name} | {quartiles(a)} | {quartiles(b)} | {ratio:.3f} | {pair_ratio:.3f} |")
     if mismatches:
         print("\nNOT COMPARABLE: " + "; ".join(mismatches))
-        return 1
-    return 0
+    print()
+    return mismatches
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument(
+        "--workload", required=True, help="BENCHMARK.json workload names, comma-separated"
+    )
+    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,2,7")
+    parser.add_argument("--seconds", type=float, default=10.0, help="ruler --seconds")
+    parser.add_argument("--metric", default="op_ms_p50", help="the metric wins are counted on")
+    args = parser.parse_args()
+
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    seeds = parse_seeds(args.seeds)
+    comparable = True
+    for workload in args.workload.split(","):
+        comparable &= not compare(sides, workload.strip(), seeds, args)
+    return 0 if comparable else 1
 
 
 if __name__ == "__main__":

@@ -171,55 +171,57 @@ class BddManager:
     # apply
     # ------------------------------------------------------------------ #
     def _apply(self, op: str, left: int, right: int) -> int:
-        terminal = self._apply_terminal(op, left, right)
-        if terminal is not None:
-            return terminal
+        """``left op right`` (``"and"`` / ``"or"``) as a node id, in one frame per
+        recursion: every annotation ``&`` / ``|`` runs here.  Terminals are
+        ids 0 and 1; low is built before high, which fixes the id order."""
+        if op == "and":
+            if left == 0 or right == 0:
+                return 0
+            if left == 1:
+                return right
+            if right == 1 or left == right:
+                return left
+        else:
+            if left == 1 or right == 1:
+                return 1
+            if left == 0:
+                return right
+            if right == 0 or left == right:
+                return left
         key = (op, left, right) if left <= right else (op, right, left)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        left_var = None if self._is_terminal(left) else self._node(left).var
-        right_var = None if self._is_terminal(right) else self._node(right).var
-        if right_var is None or (left_var is not None and left_var <= right_var):
-            top = left_var
+        cache = self._apply_cache
+        result = cache.get(key)
+        if result is not None:
+            self.cache_hits += 1
+            return result
+        self.cache_misses += 1
+        nodes = self._nodes
+        left_node = nodes[left]
+        right_node = nodes[right]
+        top = left_node.var
+        right_var = right_node.var
+        if top == right_var:
+            low = self._apply(op, left_node.low, right_node.low)
+            high = self._apply(op, left_node.high, right_node.high)
+        elif top < right_var:
+            low = self._apply(op, left_node.low, right)
+            high = self._apply(op, left_node.high, right)
         else:
             top = right_var
-        left_low, left_high = self._cofactors(left, top)
-        right_low, right_high = self._cofactors(right, top)
-        low = self._apply(op, left_low, right_low)
-        high = self._apply(op, left_high, right_high)
-        result = self._make_node(top, low, high)
+            low = self._apply(op, left, right_node.low)
+            high = self._apply(op, left, right_node.high)
+        if low == high:
+            result = low
+        else:
+            unique_key = (top, low, high)
+            result = self._unique.get(unique_key)
+            if result is None:
+                result = self._next_id
+                self._next_id += 1
+                nodes[result] = _Node(top, low, high)
+                self._unique[unique_key] = result
         self._cache_put(key, result)
         return result
-
-    def _apply_terminal(self, op: str, left: int, right: int) -> Optional[int]:
-        if op == "and":
-            if left == self.FALSE_ID or right == self.FALSE_ID:
-                return self.FALSE_ID
-            if left == self.TRUE_ID:
-                return right
-            if right == self.TRUE_ID:
-                return left
-            if left == right:
-                return left
-        elif op == "or":
-            if left == self.TRUE_ID or right == self.TRUE_ID:
-                return self.TRUE_ID
-            if left == self.FALSE_ID:
-                return right
-            if right == self.FALSE_ID:
-                return left
-            if left == right:
-                return left
-        return None
-
-    def _cofactors(self, node_id: int, var: Optional[str]) -> Tuple[int, int]:
-        if self._is_terminal(node_id):
-            return node_id, node_id
-        node = self._node(node_id)
-        if var is None or node.var != var:
-            return node_id, node_id
-        return node.low, node.high
 
     def _negate(self, node_id: int) -> int:
         if node_id == self.FALSE_ID:

@@ -76,15 +76,23 @@ class BddValuePolicy(AnnotationPolicy):
         return self.manager.var(fact_vid(fact))
 
     def combine(self, rule: Rule, body_annotations: Sequence[Bdd], node: Any) -> Bdd:
-        result = self.manager.true()
+        # Fold node ids through the manager: one handle for the result.
+        manager = self.manager
+        result = BddManager.TRUE_ID
         for annotation in body_annotations:
             if annotation is None:
                 continue
-            result = result & annotation
-        return result
+            if annotation.manager is not manager:
+                raise ValueError("cannot combine BDDs from different managers")
+            result = manager._apply("and", result, annotation.node_id)
+        return Bdd(manager, result)
 
     def merge(self, existing: Bdd, new: Bdd) -> Bdd:
-        return existing | new
+        # ``existing | new`` without the operator's frames.
+        manager = existing.manager
+        if new.manager is not manager:
+            raise ValueError("cannot combine BDDs from different managers")
+        return Bdd(manager, manager._apply("or", existing.node_id, new.node_id))
 
     def size(self, annotation: Bdd) -> int:
         return annotation.wire_size() if annotation is not None else 0

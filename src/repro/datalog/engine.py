@@ -39,8 +39,9 @@ The engine exposes two extension points used by the ExSPAN provenance layer:
   an annotation to every tuple and combines annotations through joins and
   unions (the annotation travels with remote deltas and its serialized size
   is charged to the message);
-* *rule listeners*, callbacks invoked on every successful rule firing, used
-  for centralized provenance collection and for debugging.
+* *rule listeners*, callbacks invoked on every successful rule firing: a
+  debugging and test hook that no provenance mode registers (centralized
+  collection is rewritten rules, :mod:`repro.core.modes`).
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class NDlogEngine:
         self.functions = functions if functions is not None else default_registry()
         self.catalog = Catalog()
         self._send = send
-        self.annotation_policy = annotation_policy
+        self._policy = annotation_policy
         self._queue: deque[Delta] = deque()
         #: predicate -> the plans its deltas trigger, in rule registration
         #: order; a stale plan is swapped in place (:meth:`_recost`).
@@ -214,11 +215,9 @@ class NDlogEngine:
         #: Never feeds :attr:`stats` — engine counters are part of the
         #: deterministic state digest and must not see tracing.
         self.tracer = None
-        #: True where the fused path runs (see :meth:`_refresh_sinks`).
-        self._lean = False
         #: Sink predicate name -> its applier (see :meth:`_refresh_sinks`):
         #: the tables whose derived rows are applied where they are emitted.
-        #: Empty unless the fused path runs.
+        #: Empty under an annotation policy or a rule listener.
         self._sinks: Dict[str, Callable[[str, Tuple[Any, ...], int], None]] = {}
         # keyed by (id(rule), position): rule *identity*, not label, because
         # load_program may be called more than once and distinct rules with
@@ -227,9 +226,16 @@ class NDlogEngine:
         self._plans: Dict[Tuple[int, int], CompiledDeltaPlan] = {}
         self._statistics = CatalogStatistics(self.catalog)
         self.index_manager = IndexManager(self.catalog, counters=self.stats)
-        self._plan_compiler = PlanCompiler(self._statistics, self.index_manager)
+        self._plan_compiler = PlanCompiler(
+            self._statistics, self.index_manager, annotated=annotation_policy is not None
+        )
         if program is not None:
             self.load_program(program)
+
+    @property
+    def annotation_policy(self) -> Optional[AnnotationPolicy]:
+        """Fixed at construction: plans are generated with or without it."""
+        return self._policy
 
     # ------------------------------------------------------------------ #
     # program loading
@@ -298,13 +304,11 @@ class NDlogEngine:
         only while none of its deltas is queued, so a sink that receives a
         delta from outside the engine's own emissions is queued again.
 
-        Only where the fused path runs (``_lean``) — no annotation policy,
-        no rule listener; otherwise the map stays empty and every row is
-        queued.
+        Only with no annotation policy and no rule listener; otherwise the
+        map stays empty and every row is queued.
         """
         self._sinks = {}
-        self._lean = self.annotation_policy is None and not self._rule_listeners
-        if not self._lean:
+        if self._policy is not None or self._rule_listeners:
             return
         pending = {delta.fact.name for delta in self._queue}
         for rule in self.rules:
@@ -343,8 +347,6 @@ class NDlogEngine:
             elif action == DELETE:
                 if not table.delete(values).became_invisible:
                     return
-                if self._annotations:
-                    self._clear_annotation(Fact(name, values, location_index))
             else:
                 return  # REFRESH carries nothing without a policy
             if self._update_listeners:
@@ -415,8 +417,8 @@ class NDlogEngine:
     def insert(self, fact: Fact, annotation: Any = None) -> None:
         """Enqueue insertion of a base or derived *fact* at this node."""
         fact = _hashable_fact(fact)
-        if annotation is None and self.annotation_policy is not None:
-            annotation = self.annotation_policy.base(fact)
+        if annotation is None and self._policy is not None:
+            annotation = self._policy.base(fact)
         self.enqueue(Delta(INSERT, fact, annotation))
 
     def delete(self, fact: Fact) -> None:
@@ -469,13 +471,18 @@ class NDlogEngine:
         return steps
 
     def _drain(self, tracer) -> int:
-        """:meth:`run`'s delta loop; *tracer* is ``self.tracer``, read once."""
+        """:meth:`run`'s delta loop; *tracer* is ``self.tracer``, read once.
+
+        Every mode applies and fires a delta right here.  Events never
+        materialize; their deletions still fire, so cascaded deletions reach
+        the provenance rewrite's prov / ruleExec tables (Section 4.2.1).
+        Under a policy an insert stores or merges its annotation and a
+        REFRESH merges into a stored tuple; a changed annotation is
+        re-propagated (on an insert, only if ``propagate_updates``).
+        """
         queue = self._queue
         dispatch = self._dispatch
-        # With no annotation to merge, a delta is applied and fired right
-        # here (the body of _apply_insert / _apply_delete / _fire_rules,
-        # minus their frames).
-        fused = self.annotation_policy is None
+        policy = self._policy
         steps = 0
         try:
             while queue:
@@ -488,35 +495,41 @@ class NDlogEngine:
                 if resolved is None:
                     resolved = self._resolve(name, fact.arity)
                 is_event, table, firings = resolved
-                if not fused:
-                    # Events are transient: they trigger rules but never
-                    # materialize.  Deletion deltas flow through events too, so
-                    # that cascaded deletions reach the prov / ruleExec tables
-                    # maintained by the provenance rewrite (Section 4.2.1).
-                    if is_event:
-                        self._fire_rules(firings, delta)
-                    elif action == INSERT:
-                        self._apply_insert(table, firings, delta)
-                    elif action == DELETE:
-                        self._apply_delete(table, firings, delta)
-                    else:
-                        self._apply_refresh(table, firings, delta)
-                    continue
                 values = fact.values
                 if not is_event:
+                    if action == REFRESH:
+                        if policy is None or delta.annotation is None:
+                            continue
+                        if values in table:
+                            if self._store_annotation(fact, delta.annotation):
+                                self._fire_rules(
+                                    firings, Delta(REFRESH, fact, self._lookup_annotation(fact))
+                                )
+                            continue
+                        # Raced ahead of its insert: apply it as that insert
+                        # *here*, or annotation merges leave FIFO order.
+                        action = INSERT
+                        delta = Delta(INSERT, fact, delta.annotation)
                     if action == INSERT:
                         outcome = table.insert(values)
-                        if not outcome.became_visible:
-                            continue
                         if outcome.replaced is not None:
                             self._retract_replaced(firings, outcome.replaced)
-                    elif action == DELETE:
+                        if policy is not None and delta.annotation is not None:
+                            changed = self._store_annotation(fact, delta.annotation)
+                            if not outcome.became_visible:  # a new derivation
+                                if changed and policy.propagate_updates:
+                                    self._fire_rules(
+                                        firings,
+                                        Delta(REFRESH, fact, self._lookup_annotation(fact)),
+                                    )
+                                continue
+                        if not outcome.became_visible:
+                            continue
+                    else:
                         if not table.delete(values).became_invisible:
                             continue
                         if self._annotations:
                             self._clear_annotation(fact)
-                    else:
-                        continue  # REFRESH carries nothing without a policy
                     if self._update_listeners:
                         self._notify_update(action, fact)
                 if tracer is not None:
@@ -543,60 +556,12 @@ class NDlogEngine:
     # ------------------------------------------------------------------ #
     # delta application
     # ------------------------------------------------------------------ #
-    def _apply_insert(self, table: Table, firings, delta: Delta) -> None:
-        fact = delta.fact
-        outcome = table.insert(fact.values)
-        if outcome.replaced is not None:
-            self._retract_replaced(firings, outcome.replaced)
-        annotation_changed = False
-        if self.annotation_policy is not None and delta.annotation is not None:
-            annotation_changed = self._store_annotation(fact, delta.annotation)
-        if outcome.became_visible:
-            if self._update_listeners:
-                self._notify_update(INSERT, fact)
-            self._fire_rules(firings, delta)
-        elif annotation_changed and self.annotation_policy.propagate_updates:
-            # Value-based provenance: a new alternative derivation changed
-            # this tuple's annotation, so the update must be propagated to
-            # everything derived from it.
-            self._fire_rules(
-                firings, Delta(REFRESH, fact, self._lookup_annotation(fact))
-            )
-
     def _retract_replaced(self, firings, replaced: Fact) -> None:
         """Propagate a primary-key eviction as the deletion it is."""
         self._clear_annotation(replaced)
         if self._update_listeners:
             self._notify_update(DELETE, replaced)
         self._fire_rules(firings, Delta(DELETE, replaced))
-
-    def _apply_delete(self, table: Table, firings, delta: Delta) -> None:
-        fact = delta.fact
-        outcome = table.delete(fact.values)
-        if outcome.became_invisible:
-            self._clear_annotation(fact)
-            if self._update_listeners:
-                self._notify_update(DELETE, fact)
-            self._fire_rules(firings, delta)
-
-    def _apply_refresh(self, table: Table, firings, delta: Delta) -> None:
-        # Annotation update for a tuple that is (normally) already stored.
-        if self.annotation_policy is None or delta.annotation is None:
-            return
-        fact = delta.fact
-        if fact.values not in table:
-            # The refresh raced ahead of the insert (deltas from different
-            # derivations interleave freely).  Apply it as an insert *at
-            # this queue position*: re-enqueueing at the back would let the
-            # converted insert jump behind deltas that arrived after it,
-            # reordering annotation merges relative to FIFO arrival order.
-            self._apply_insert(table, firings, Delta(INSERT, fact, delta.annotation))
-            return
-        changed = self._store_annotation(fact, delta.annotation)
-        if changed:
-            self._fire_rules(
-                firings, Delta(REFRESH, fact, self._lookup_annotation(fact))
-            )
 
     def _notify_update(self, action: str, fact: Fact) -> None:
         for listener in self._update_listeners:
@@ -723,60 +688,72 @@ class NDlogEngine:
         body_facts: Tuple[Fact, ...],
         delta: Delta,
     ) -> None:
+        """:meth:`_aggregate` with the group key and value as term trees
+        (the interpreter's path; generated code computes both itself)."""
         compiled = self._aggregate_rules[rule.label]
         spec = compiled.spec
         functions = self.functions
         group_key = tuple([term.evaluate(env, functions) for term in compiled.group_terms])
         if spec.is_star:
-            aggregated_value: Any = 1
+            value: Any = 1
         elif len(spec.variables_) == 1:
-            aggregated_value = env[spec.variables_[0]]
+            value = env[spec.variables_[0]]
         else:
-            aggregated_value = tuple(env[name] for name in spec.variables_)
+            value = tuple(env[name] for name in spec.variables_)
+        self._aggregate(rule, group_key, value, delta, env, body_facts)
+
+    def _aggregate(
+        self,
+        rule: Rule,
+        group_key: Tuple[Any, ...],
+        value: Any,
+        delta: Delta,
+        env: Optional[Mapping[str, Any]],
+        body_facts: Tuple[Fact, ...],
+    ) -> Optional[Tuple[Any, ...]]:
+        """Fold one match into its group; emit the old row's delete first.
+
+        A REFRESH changes no group: it re-emits the current row.  With *env*
+        (a rule listener or the interpreter) both rows go through
+        :meth:`_emit`; without it the delete is routed here and the row to
+        insert or refresh is returned for the caller to annotate and route.
+        """
+        compiled = self._aggregate_rules[rule.label]
         state = compiled.groups.get(group_key)
         if state is None:
-            state = AggregateState(spec.func)
-            compiled.groups[group_key] = state
+            state = compiled.groups[group_key] = AggregateState(compiled.spec.func)
         head = rule.head
         emitted = compiled.emitted
-        if delta.action == REFRESH:
-            # Annotation refresh: the group's membership is unchanged, but the
-            # annotation of the currently-emitted row must be re-propagated.
-            emitted_row = emitted.get(group_key)
-            if emitted_row is not None:
-                emitted_fact = Fact(head.name, emitted_row, head.location_index)
-                self._emit(rule, REFRESH, emitted_fact, env, body_facts, delta)
-            return
-        if delta.action == INSERT:
-            state.insert(aggregated_value)
+        action = delta.action
+        if action == REFRESH:
+            row = emitted.get(group_key)
         else:
-            state.delete(aggregated_value)
-
-        old_row = emitted.get(group_key)
-        new_row: Optional[Tuple[Any, ...]] = None
-        if not state.is_empty:
-            index = compiled.aggregate_index
-            new_row = group_key[:index] + (state.current(),) + group_key[index:]
-        if new_row == old_row:
-            return
-        # On the fused path the pair skips _emit: no policy to combine, no
-        # listener to tell.  Either way the delete goes out before the insert.
-        if old_row is not None:
-            old_fact = Fact(head.name, old_row, head.location_index)
-            if self._lean:
-                self.stats["rule_firings"] += 1
-                self._route(rule, DELETE, old_fact, None)
+            if action == INSERT:
+                state.insert(value)
             else:
-                self._emit(rule, DELETE, old_fact, env, body_facts, delta)
-            del emitted[group_key]
-        if new_row is not None:
-            new_fact = Fact(head.name, new_row, head.location_index)
-            emitted[group_key] = new_row
-            if self._lean:
-                self.stats["rule_firings"] += 1
-                self._route(rule, INSERT, new_fact, None)
-            else:
-                self._emit(rule, INSERT, new_fact, env, body_facts, delta)
+                state.delete(value)
+            old_row = emitted.get(group_key)
+            row = None
+            if not state.is_empty:
+                index = compiled.aggregate_index
+                row = group_key[:index] + (state.current(),) + group_key[index:]
+            if row == old_row:
+                return None
+            if old_row is not None:
+                old_fact = Fact(head.name, old_row, head.location_index)
+                if env is None:
+                    self.stats["rule_firings"] += 1
+                    self._route(rule, DELETE, old_fact, None)
+                else:
+                    self._emit(rule, DELETE, old_fact, env, body_facts, delta)
+                del emitted[group_key]
+            if row is not None:
+                emitted[group_key] = row
+            action = INSERT
+        if row is None or env is None:
+            return row
+        self._emit(rule, action, Fact(head.name, row, head.location_index), env, body_facts, delta)
+        return None
 
     # ------------------------------------------------------------------ #
     # emission
@@ -804,11 +781,11 @@ class NDlogEngine:
                 listener(firing)
 
         annotation = None
-        if self.annotation_policy is not None and action in (INSERT, REFRESH):
+        if self._policy is not None and action in (INSERT, REFRESH):
             body_annotations = [
                 self._annotation_for(fact, source_delta) for fact in body_facts
             ]
-            annotation = self.annotation_policy.combine(
+            annotation = self._policy.combine(
                 rule, body_annotations, self.address
             )
         self._route(rule, action, head_fact, annotation)
@@ -850,7 +827,7 @@ class NDlogEngine:
         if existing is None:
             self._annotations[key] = annotation
             return True
-        merged = self.annotation_policy.merge(existing, annotation)
+        merged = self._policy.merge(existing, annotation)
         self._annotations[key] = merged
         return not self._annotations_equal(existing, merged)
 
@@ -878,8 +855,8 @@ class NDlogEngine:
         stored = self._lookup_annotation(fact)
         if stored is not None:
             return stored
-        if self.annotation_policy is not None:
-            return self.annotation_policy.base(fact)
+        if self._policy is not None:
+            return self._policy.base(fact)
         return None
 
     def annotation_of(self, fact: Fact) -> Any:

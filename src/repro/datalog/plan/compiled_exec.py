@@ -14,13 +14,13 @@ delta's raw value tuple —
 * the pushed-down literal prefixes, at the trigger and after each step;
 * the rule's assignments and conditions, with assigned variables as
   Python locals;
-* head emission, or for an aggregate head the env dict handed to
-  ``NDlogEngine._apply_aggregate``.
+* head emission (for an aggregate head, its group key and value handed to
+  ``NDlogEngine._aggregate``), with the annotation under a policy
+  (``CompiledDeltaPlan.annotated``: no policy, no annotation code).
 
 Variables never live in a binding dict on this path: a trigger variable is
-``values[i]``, a step variable ``rowK[j]``.  The dict is built only where
-something reads it — a rule listener, an annotation policy, an aggregate —
-with the interpreter's key order.
+``values[i]``, a step variable ``rowK[j]``.  The dict and the body facts
+are built only for a rule listener, with the interpreter's key order.
 
 Equivalence with term-tree evaluation (``Term.evaluate``,
 ``NDlogEngine._match_atom`` and ``_finalize_binding``) is the hard
@@ -213,52 +213,67 @@ def _atom_checks(
     return fresh
 
 
-def _emit_source(
-    indent: str,
-    head_name: str,
-    head_location_index: int,
-    env_literal: str,
-    body_facts_source: str,
-) -> List[str]:
-    """Source lines emitting the head row from a generated executor.
-
-    When the engine has no annotation policy and no rule listeners — the
-    reference-provenance configuration the rewrite runs under — the entire
-    ``_emit`` body is inlined: counter bump, then a local sink applied in
-    place, or a fact and a delta allocated without their ``__init__`` (the
-    values are a tuple, the action the source delta's) and enqueued or
-    sent.  Only a materialised head can be a sink (``NDlogEngine._sinks``),
-    so event heads carry no sink probe.  Every other configuration falls back to
-    ``engine._emit`` with the listener env built outside the replay guard
-    (all names it reads were bound inside it).  Semantics and counters are
-    identical to ``NDlogEngine._emit`` in both branches.
-    """
-    i = indent
-    loc = repr(head_location_index)
-    fact = f"_Fact({head_name!r}, _values, {loc})"
+def _annotation_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
+    """Lines binding ``_ann``: ``NDlogEngine._annotation_for`` of every body
+    row, combined in body order (trigger first, whatever the join order).
+    A :class:`Fact` is built only for ``policy.base``."""
+    i, trigger = indent, plan.trigger_atom.name
     lines = [
-        f"{i}if engine.annotation_policy is None and not engine._rule_listeners:",
+        f"{i}_dann = _a0 = delta.annotation",
+        f"{i}if _a0 is None and (_a0 := engine._annotations.get(({trigger!r}, values))) is None:",
+        f"{i}    _a0 = engine._policy.base(delta.fact)",
+    ]
+    for k, (position, atom) in enumerate(plan.body_order, start=1):
+        row, name, keyword = rows[position], atom.name, "if"
+        if name == trigger:  # the trigger row takes the delta's annotation
+            lines += [f"{i}if _dann is not None and {row} == values:", f"{i}    _a{k} = _dann"]
+            keyword = "elif"
+        fact = f"_Fact({name!r}, {row}, {atom.location_index})"
+        lines += [
+            f"{i}{keyword} (_a{k} := engine._annotations.get(({name!r}, {row}))) is None:",
+            f"{i}    _a{k} = engine._policy.base({fact})",
+        ]
+    annotations = ", ".join(f"_a{k}" for k in range(len(plan.body_order) + 1))
+    return lines + [f"{i}_ann = engine._policy.combine(plan.rule, [{annotations}], engine.address)"]
+
+
+def _emit_source(plan, rows: Dict[int, str], indent: str, env: str, body_facts: str) -> List[str]:
+    """Lines emitting the head row ``_values``: ``NDlogEngine._emit`` inlined.
+
+    The counter bump; the annotation under a policy (``None`` for a
+    delete); then, without a policy, a local sink applied in place (only a
+    materialised head can be one), or else a fact and a delta allocated
+    without their ``__init__`` and enqueued or sent.  A rule listener gets
+    ``engine._emit`` with the env built outside the replay guard.
+    """
+    i, head = indent, plan.rule.head
+    loc = head.location_index
+    lines = [
+        f"{i}if not engine._rule_listeners:",
         f'{i}    stats["rule_firings"] += 1',
         f"{i}    _dest = _values[{loc}]",
     ]
     j = i + "    "
-    if not is_event_predicate(head_name):
+    if plan.annotated:
+        lines += [f"{j}_ann = None", f'{j}if delta.action != "delete":']
+        lines += _annotation_source(plan, rows, j + "    ")
+    elif not is_event_predicate(head.name):
         lines += [
             f"{j}if _dest == engine.address and "
-            f"(_sink := engine._sinks.get({head_name!r})) is not None:",
+            f"(_sink := engine._sinks.get({head.name!r})) is not None:",
             f"{j}    _sink(delta.action, _values, {loc})",
             f"{j}else:",
         ]
         j += "    "
     return lines + [
         f"{j}_fact = _new_fact(_Fact)",
-        f"{j}_fact.name = {head_name!r}",
+        f"{j}_fact.name = {head.name!r}",
         f"{j}_fact.values = _values",
         f"{j}_fact.location_index = {loc}",
         f"{j}_d = _new_delta(_Delta)",
         f"{j}_d.action = delta.action",
         f"{j}_d.fact = _fact",
-        f"{j}_d.annotation = None",
+        f"{j}_d.annotation = {'_ann' if plan.annotated else None}",
         f"{j}if _dest == engine.address:",
         f"{j}    engine._queue.append(_d)",
         f"{j}else:",
@@ -271,11 +286,35 @@ def _emit_source(
         f"{j}        )",
         f"{j}    _send(_dest, _d)",
         f"{i}else:",
-        f"{i}    if engine._rule_listeners:",
-        f"{i}        env = {env_literal}",
-        f"{i}    else:",
-        f"{i}        env = None",
-        f"{i}    engine._emit(plan.rule, delta.action, {fact}, env, {body_facts_source}, delta)",
+        f"{i}    engine._emit(plan.rule, delta.action, _Fact({head.name!r}, _values, {loc}), "
+        f"{env}, {body_facts}, delta)",
+    ]
+
+
+def _aggregate_source(
+    plan, rows: Dict[int, str], indent: str, env: str, body_facts: str
+) -> List[str]:
+    """Lines folding ``_key`` / ``_value`` into the head's group.
+
+    ``NDlogEngine._aggregate`` routes the delete of a replaced row and
+    returns the row to insert (or to refresh), annotated and routed here.
+    With a rule listener it emits both itself.
+    """
+    i, head = indent, plan.rule.head
+    lines = [
+        f"{i}if not engine._rule_listeners:",
+        f"{i}    _row = engine._aggregate(plan.rule, _key, _value, delta, None, ())",
+        f"{i}    if _row is not None:",
+        f'{i}        stats["rule_firings"] += 1',
+    ]
+    if plan.annotated:
+        lines += _annotation_source(plan, rows, i + "        ")
+    return lines + [
+        f'{i}        engine._route(plan.rule, "refresh" if delta.action == "refresh" '
+        f'else "insert", _Fact({head.name!r}, _row, {head.location_index}), '
+        f"{'_ann' if plan.annotated else None})",
+        f"{i}else:",
+        f"{i}    engine._aggregate(plan.rule, _key, _value, delta, {env}, {body_facts})",
     ]
 
 
@@ -353,26 +392,32 @@ def generate_executor(plan, staleness_period: int) -> Callable[..., None]:
     ]
     body_facts = _tuple(["delta.fact", *facts])  # body order, whatever the join order
     lines.append(f"{indent}try:")
-    guarded = len(lines)
     bound += out.literals(plan.literals, sources, indent + "    ", prune, "_local")
     head = rule.head
     aggregate = head.aggregate()
     if aggregate is None:
         values = _tuple([out.term(arg, sources) for arg in head.args])
         lines.append(f"{indent}    _values = {values}")
-    if len(lines) == guarded:
-        lines.pop()  # nothing to guard: an aggregate with no literals
     else:
-        lines += [
-            f"{indent}except Exception:",
-            f"{indent}    plan._finalize_replay(engine, {body_facts}, delta)",
-            f"{indent}    {prune}",
-        ]
+        index, spec = aggregate
+        key = _tuple(
+            [out.term(arg, sources) for position, arg in enumerate(head.args) if position != index]
+        )
+        if spec.is_star:
+            value = "1"
+        elif len(spec.variables_) == 1:
+            value = sources.get(spec.variables_[0], "_unsupported()")
+        else:
+            value = _tuple([sources.get(name, "_unsupported()") for name in spec.variables_])
+        lines += [f"{indent}    _key = {key}", f"{indent}    _value = {value}"]
+    lines += [
+        f"{indent}except Exception:",
+        f"{indent}    plan._finalize_replay(engine, {body_facts}, delta)",
+        f"{indent}    {prune}",
+    ]
     env = _dict(bound, sources)
-    if aggregate is None:
-        lines += _emit_source(indent, head.name, head.location_index, env, body_facts)
-    else:
-        lines.append(f"{indent}engine._apply_aggregate(plan.rule, {env}, {body_facts}, delta)")
+    emit = _emit_source if aggregate is None else _aggregate_source
+    lines += emit(plan, rows, indent, env, body_facts)
     for depth in reversed(range(len(plan.steps))):
         lines.append(f'{"    " * (depth + 1)}stats["tuples_scanned"] += scanned{depth}')
     namespace = out.namespace

@@ -59,12 +59,13 @@ STALENESS_RATIO = 8.0
 STALENESS_MIN_DELTA = 32
 
 #: Process-wide memo of generated executors, keyed by (id(rule), trigger
-#: position, join order): every node of a network loads the same program,
-#: and the join order fixes everything else a plan's code depends on.
+#: position, join order, annotated): every node of a network loads the same
+#: program, and the join order and whether the engine has an annotation
+#: policy fix everything else a plan's code depends on.
 #: Values pin the rule object so a recycled id can never alias a different
 #: rule; the cache is dropped wholesale at the (generous) limit to stay
 #: bounded across long sweeps.
-_EXECUTORS: Dict[Tuple[int, int, Tuple[int, ...]], Tuple[Rule, Any]] = {}
+_EXECUTORS: Dict[Tuple[int, int, Tuple[int, ...], bool], Tuple[Rule, Any]] = {}
 _EXECUTORS_LIMIT = 4096
 
 #: Process-wide memo of a rule's normal form and join graph, keyed by
@@ -115,6 +116,8 @@ class CompiledDeltaPlan:
     #: relation -> local cardinality when the plan was compiled.
     cardinality_snapshot: Mapping[str, int]
     estimated_scan: float
+    #: the engine has an annotation policy: the executor combines annotations.
+    annotated: bool = False
     executions: int = 0
 
     def __post_init__(self) -> None:
@@ -122,6 +125,7 @@ class CompiledDeltaPlan:
             id(self.rule),
             self.trigger_position,
             tuple(step.body_position for step in self.steps),
+            self.annotated,
         )
         cached = _EXECUTORS.get(key)
         if cached is None or cached[0] is not self.rule:
@@ -207,8 +211,10 @@ class PlanCompiler:
         index_manager: IndexManager,
         optimizer: Optional[GreedyOptimizer] = None,
         cost_model: Optional[CostModel] = None,
+        annotated: bool = False,
     ):
         self.statistics = statistics
+        self.annotated = annotated
         self.index_manager = index_manager
         self.cost_model = (
             cost_model if cost_model is not None else CostModel(statistics)
@@ -281,6 +287,7 @@ class PlanCompiler:
             literals=normalized.literals,
             cardinality_snapshot=snapshot,
             estimated_scan=order.estimated_scan,
+            annotated=self.annotated,
         )
 
     @staticmethod

@@ -1,16 +1,17 @@
 """Test oracles for the NDlog engine: the two ways ``src/`` no longer runs a rule.
 
 :class:`~repro.datalog.engine.NDlogEngine` has one executor — every greedy
-plan runs as one generated function, the no-policy delta loop fused, sink
-tables applied at emission.  The engines here subclass it
+plan runs as one generated function, every delta applied and fired in one
+loop, sink tables applied at emission.  The engines here subclass it
 and replace exactly that executor, so every equivalence test compares the
 compiled path against an independent walk over :class:`Rule` ASTs and
 plain tables:
 
-* :class:`InterpretedEngine` dispatches each delta through the
-  ``_apply_*`` methods, queues every row (no sinks, no fused path) and
-  runs each rule by walking term trees over the planner's join order,
-  re-costing multi-step plans on the same schedule as the engine.
+* :class:`InterpretedEngine` dispatches each delta through its own
+  ``_apply_insert`` / ``_apply_delete`` / ``_apply_refresh``, queues every
+  row (no sinks, no fused path) and runs each rule by walking term trees
+  over the planner's join order, re-costing multi-step plans on the same
+  schedule as the engine.
   Tables, index buckets, listener sequences, sends and every
   ``engine.stats`` counter must equal the engine's.
 * :class:`NestedLoopEngine` joins the body atoms strictly left to right
@@ -33,7 +34,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Tuple
 import repro.core.api
 import repro.datalog.runtime
 from repro.datalog.ast import Assignment, Atom, Fact, Rule
-from repro.datalog.engine import DELETE, INSERT, Delta, NDlogEngine
+from repro.datalog.engine import DELETE, INSERT, REFRESH, Delta, NDlogEngine
 from repro.datalog.errors import EvaluationError
 from repro.datalog.plan.compiler import STALENESS_CHECK_PERIOD, CompiledDeltaPlan, CompiledStep
 
@@ -45,7 +46,6 @@ class InterpretedEngine(NDlogEngine):
 
     def _refresh_sinks(self) -> None:
         self._sinks = {}
-        self._lean = False
 
     def run(self) -> int:
         steps = 0
@@ -66,6 +66,43 @@ class InterpretedEngine(NDlogEngine):
             else:
                 self._apply_refresh(table, firings, delta)
         return steps
+
+    def _apply_insert(self, table, firings, delta: Delta) -> None:
+        fact = delta.fact
+        outcome = table.insert(fact.values)
+        if outcome.replaced is not None:
+            self._retract_replaced(firings, outcome.replaced)
+        annotation_changed = False
+        if self.annotation_policy is not None and delta.annotation is not None:
+            annotation_changed = self._store_annotation(fact, delta.annotation)
+        if outcome.became_visible:
+            if self._update_listeners:
+                self._notify_update(INSERT, fact)
+            self._fire_rules(firings, delta)
+        elif annotation_changed and self.annotation_policy.propagate_updates:
+            # A new alternative derivation changed this tuple's annotation:
+            # propagate it to everything derived from it.
+            self._fire_rules(firings, Delta(REFRESH, fact, self._lookup_annotation(fact)))
+
+    def _apply_delete(self, table, firings, delta: Delta) -> None:
+        fact = delta.fact
+        if table.delete(fact.values).became_invisible:
+            self._clear_annotation(fact)
+            if self._update_listeners:
+                self._notify_update(DELETE, fact)
+            self._fire_rules(firings, delta)
+
+    def _apply_refresh(self, table, firings, delta: Delta) -> None:
+        if self.annotation_policy is None or delta.annotation is None:
+            return
+        fact = delta.fact
+        if fact.values not in table:
+            # The refresh raced ahead of the insert: apply it as an insert
+            # at this queue position.
+            self._apply_insert(table, firings, Delta(INSERT, fact, delta.annotation))
+            return
+        if self._store_annotation(fact, delta.annotation):
+            self._fire_rules(firings, Delta(REFRESH, fact, self._lookup_annotation(fact)))
 
     def _fire_rules(self, firings, delta: Delta) -> None:
         for plan in firings:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import BddManager
 from repro.core.bdd import Bdd, bdd_cache_stats, export_bdd, import_bdd
@@ -236,3 +236,145 @@ class TestComputedTableAndTransport:
         assert imported.satisfying_products() == bdd.satisfying_products()
         # importing into the source manager resolves to the very same node
         assert import_bdd(source, export_bdd(bdd)) == bdd
+
+
+class _RecursiveManager(BddManager):
+    """The textbook apply, one helper per step, as the kernel's oracle.
+
+    ``BddManager._apply`` folds the terminal cases, the computed-table
+    probe, the cofactors and the unique-table probe into one function; it
+    must build the same nodes under the same ids and move the computed
+    table's hit / miss / flush counters exactly as this does.
+    """
+
+    def _apply(self, op, left, right):
+        terminal = self._terminal(op, left, right)
+        if terminal is not None:
+            return terminal
+        key = (op, left, right) if left <= right else (op, right, left)
+        cached = self._cache_get(key)
+        if cached is not None:
+            return cached
+        left_var = None if self._is_terminal(left) else self._node(left).var
+        right_var = None if self._is_terminal(right) else self._node(right).var
+        if right_var is None or (left_var is not None and left_var <= right_var):
+            top = left_var
+        else:
+            top = right_var
+        left_low, left_high = self._cofactors(left, top)
+        right_low, right_high = self._cofactors(right, top)
+        low = self._apply(op, left_low, right_low)
+        high = self._apply(op, left_high, right_high)
+        result = self._make_node(top, low, high)
+        self._cache_put(key, result)
+        return result
+
+    def _terminal(self, op, left, right):
+        if op == "and":
+            if left == self.FALSE_ID or right == self.FALSE_ID:
+                return self.FALSE_ID
+            if left == self.TRUE_ID:
+                return right
+            if right == self.TRUE_ID or left == right:
+                return left
+        else:
+            if left == self.TRUE_ID or right == self.TRUE_ID:
+                return self.TRUE_ID
+            if left == self.FALSE_ID:
+                return right
+            if right == self.FALSE_ID or left == right:
+                return left
+        return None
+
+    def _cofactors(self, node_id, var):
+        if self._is_terminal(node_id):
+            return node_id, node_id
+        node = self._node(node_id)
+        if var is None or node.var != var:
+            return node_id, node_id
+        return node.low, node.high
+
+
+_KERNEL_NAMES = st.sampled_from("abcdefgh")
+#: Handles are picked counting back from the newest, so steps keep
+#: combining the larger diagrams built so far.
+_HANDLE = st.integers(min_value=0, max_value=7)
+_KERNEL_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("var"), _KERNEL_NAMES),
+        st.tuples(st.sampled_from(["and", "or", "merge"]), _HANDLE, _HANDLE),
+        st.tuples(st.just("combine"), st.lists(_HANDLE, max_size=4)),
+        st.tuples(st.just("not"), _HANDLE),
+        st.tuples(
+            st.just("dnf"),
+            st.lists(st.lists(_KERNEL_NAMES, min_size=1, max_size=4), max_size=6),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _play_kernel(manager, steps, folded):
+    """Run *steps*; *folded* uses the value policy's combine / merge."""
+    from repro.core.modes import BddValuePolicy
+
+    policy = BddValuePolicy(manager)
+    handles = [manager.false(), manager.true()]
+    for step in steps:
+        kind = step[0]
+        pick = lambda index: handles[-1 - index % len(handles)]  # noqa: E731
+        if kind == "var":
+            handles.append(manager.var(step[1]))
+        elif kind == "and":
+            handles.append(pick(step[1]) & pick(step[2]))
+        elif kind == "or":
+            handles.append(pick(step[1]) | pick(step[2]))
+        elif kind == "merge":
+            left, right = pick(step[1]), pick(step[2])
+            handles.append(policy.merge(left, right) if folded else left | right)
+        elif kind == "combine":
+            inputs = [pick(index) for index in step[1]]
+            if folded:
+                handles.append(policy.combine(None, inputs, None))
+            else:
+                result = manager.true()
+                for annotation in inputs:
+                    result = result & annotation
+                handles.append(result)
+        elif kind == "not":
+            handles.append(~pick(step[1]))
+        else:
+            handles.append(manager.from_dnf(step[1]))
+    return [handle.node_id for handle in handles]
+
+
+class TestApplyKernel:
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(steps=_KERNEL_STEPS)
+    # Both cofactor results are new nodes: ids follow the recursion order.
+    @example(steps=[("dnf", [["a", "b"], ["c"]]), ("dnf", [["a", "d"], ["e"]]), ("or", 0, 1)])
+    @pytest.mark.parametrize("cache_limit", [1 << 18, 3], ids=["roomy", "flushing"])
+    def test_apply_equals_the_recursive_oracle(self, cache_limit, steps):
+        """Same node ids, unique table, computed table and counters."""
+        kernel = BddManager(apply_cache_limit=cache_limit)
+        oracle = _RecursiveManager(apply_cache_limit=cache_limit)
+        assert _play_kernel(kernel, steps, folded=True) == _play_kernel(
+            oracle, steps, folded=False
+        )
+        assert list(kernel._unique.items()) == list(oracle._unique.items())
+        assert list(kernel._nodes.items()) == list(oracle._nodes.items())
+        assert list(kernel._apply_cache.items()) == list(oracle._apply_cache.items())
+        assert kernel.cache_stats() == oracle.cache_stats()
+        if cache_limit == 3 and kernel.cache_misses > 3:
+            assert kernel.cache_flushes >= 1
+
+    def test_combine_rejects_a_foreign_manager(self):
+        from repro.core.modes import BddValuePolicy
+
+        policy = BddValuePolicy(BddManager())
+        stranger = BddManager().var("x")
+        with pytest.raises(ValueError):
+            policy.combine(None, [stranger], None)
+        with pytest.raises(ValueError):
+            policy.merge(policy.manager.var("x"), stranger)

@@ -75,3 +75,31 @@ def test_ab_pairs_alternates_sides_and_refuses_unequal_work(monkeypatch, capsys)
     unequal_seed = 3
     assert ab_pairs.main() == 1
     assert "NOT COMPARABLE: seed 3: wire_mb" in capsys.readouterr().out
+
+
+def test_ab_pairs_takes_a_workload_list_and_reports_pair_ratios(monkeypatch, capsys):
+    """One call runs each listed workload; the pair-ratio median is per pair."""
+    ab_pairs = _tool("ab_pairs")
+    calls = []
+    readings = {("parent", 1): 10.0, ("change", 1): 9.0, ("parent", 2): 20.0, ("change", 2): 8.0}
+
+    def ruler(root, workload, seed, seconds):
+        side = os.path.basename(root)
+        calls.append((workload, seed, side))
+        wire = 2.5 if (workload, side) == ("query_read", "change") else 2.0
+        return {
+            "op_ms_p50": readings[(side, seed)], "wire_mb": wire,
+            "attempted": 5, "failed": 0, "correct": True,
+        }
+
+    monkeypatch.setattr(ab_pairs, "ruler", ruler)
+    argv = ["ab_pairs.py", "--parent", "/x/parent", "--change", "/x/change",
+            "--workload", "maint_mc_value,query_read", "--seeds", "1-2"]
+    monkeypatch.setattr("sys.argv", argv)
+    assert ab_pairs.main() == 1  # query_read put different bytes on the wire
+    assert [call[0] for call in calls] == ["maint_mc_value"] * 4 + ["query_read"] * 4
+    out = capsys.readouterr().out
+    # medians 15 -> 8.5 (ratio 0.567); pairs 0.9 and 0.4 (median 0.65)
+    assert "| op_ms_p50 | 15 (q1 12.5, q3 17.5) | 8.5 (q1 8.25, q3 8.75) | 0.567 | 0.650 |" in out
+    assert out.count("NOT COMPARABLE") == 1
+    assert "NOT COMPARABLE: seed 1: wire_mb; seed 2: wire_mb" in out

@@ -30,7 +30,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -537,10 +537,61 @@ _SCRIPTS = st.lists(
 )
 
 
-def _play(engine_class, program_text, script, listened):
-    engine = engine_class("n", parse_program(program_text))
+def _support(annotation):
+    """The base rows an annotation of :class:`_RecordingPolicy` names, sorted."""
+    if isinstance(annotation, str):
+        return (annotation,)
+    if annotation[0] == "+":
+        parts = [_support(alternative) for alternative in annotation[1]]
+    else:
+        parts = annotation[1]
+    return tuple(sorted({base for part in parts for base in part}))
+
+
+class _RecordingPolicy(AnnotationPolicy):
+    """Order-sensitive annotations in a finite lattice.
+
+    ``combine`` records the rule and, per body atom *in body order*, the
+    base rows below it; ``merge`` keeps the sorted distinct alternatives.
+    A wrong body order, a wrong input row or a missing refresh changes the
+    annotation, and recursion with ``propagate_updates`` still converges
+    (a body annotation enters a combination as its support, not nested).
+    """
+
+    def __init__(self, propagate_updates: bool):
+        self.propagate_updates = propagate_updates
+
+    def base(self, fact):
+        return f"{fact.name}{fact.values}"
+
+    def combine(self, rule, body_annotations, node):
+        return (rule.label, tuple(_support(annotation) for annotation in body_annotations))
+
+    def merge(self, existing, new):
+        alternatives = {
+            alternative
+            for annotation in (existing, new)
+            for alternative in (annotation[1] if annotation[0] == "+" else (annotation,))
+        }
+        return ("+", tuple(sorted(alternatives, key=repr)))
+
+    def size(self, annotation):
+        return len(repr(annotation))
+
+
+#: Engine configurations of the random-program oracle: no policy and no
+#: listener (the fused path), a rule listener, and an annotation policy
+#: without and with refresh propagation.
+_MODES = ["lean", "listened", "valued", "valued-propagating"]
+
+
+def _play(engine_class, program_text, script, mode):
+    policy = None
+    if mode.startswith("valued"):
+        policy = _RecordingPolicy(propagate_updates=mode == "valued-propagating")
+    engine = engine_class("n", parse_program(program_text), annotation_policy=policy)
     firings = []
-    if listened:
+    if mode == "listened":
         engine.add_rule_listener(
             lambda firing: firings.append(
                 (
@@ -563,16 +614,46 @@ def _play(engine_class, program_text, script, listened):
     return engine, firings
 
 
+def _annotations(engine):
+    return {
+        (name, row): engine.annotation_of(Fact(name, row))
+        for name in sorted(engine.catalog.names())
+        for row in engine.table_rows(name)
+    }
+
+
 class TestRandomPrograms:
     """Random small programs: the generated executor against both oracles."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(program_text=_programs(), script=_SCRIPTS)
-    @pytest.mark.parametrize("listened", [False, True], ids=["lean", "listened"])
-    def test_random_programs_match_both_oracles(self, listened, program_text, script):
-        engine, firings = _play(NDlogEngine, program_text, script, listened)
-        interpreted, oracle_firings = _play(InterpretedEngine, program_text, script, listened)
-        naive, _ = _play(NestedLoopEngine, program_text, script, listened)
+    # The planner joins g(@A, 0) before g(@A, _): annotations combine in
+    # body order, not join order.
+    @example(
+        program_text="r0 o0(@A, X, X) :- e(@A, X, X).\n"
+        "dbase d(@A, X, X) :- f(@A, X, X), g(@A, _), g(@A, 0).\n"
+        "drec d(@A, X, X) :- d(@A, X, Y), e(@A, X, X).",
+        script=[("insert", "f", [0, 0]), ("insert", "g", [0, 0])],
+    )
+    # A self-join row other than the trigger row keeps its own annotation.
+    @example(
+        program_text="r0 o0(@A, X, X) :- f(@A, X, X), f(@A, Y, Y).\n"
+        "dbase d(@A, X, X) :- e(@A, X, X).\n"
+        "drec d(@A, X, X) :- d(@A, X, Y), e(@A, X, X).",
+        script=[("insert", "f", [0, 0]), ("insert", "f", [1, 1])],
+    )
+    # A second derivation of e refreshes d, whose refresh reaches d again.
+    @example(
+        program_text="r0 o0(@A, X, X) :- e(@A, X, X).\n"
+        "dbase d(@A, X, X) :- e(@A, X, X).\n"
+        "drec d(@A, X, X) :- d(@A, X, Y), e(@A, X, X).",
+        script=[("insert", "e", [0, 0]), ("insert", "e", [0, 0])],
+    )
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_random_programs_match_both_oracles(self, mode, program_text, script):
+        engine, firings = _play(NDlogEngine, program_text, script, mode)
+        interpreted, oracle_firings = _play(InterpretedEngine, program_text, script, mode)
+        naive, _ = _play(NestedLoopEngine, program_text, script, mode)
         names = sorted(engine.catalog.names())
         assert names == sorted(interpreted.catalog.names())
         for name in names:
@@ -584,9 +665,9 @@ class TestRandomPrograms:
             k: v for k, v in interpreted.stats.items() if v
         }
         assert firings == oracle_firings
+        assert _annotations(engine) == _annotations(interpreted)
         for name in sorted({*names, *naive.catalog.names()}):
             assert engine.table_rows(name) == naive.table_rows(name), name
-
 
 
 class TestScanReduction:
