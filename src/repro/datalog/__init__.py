@@ -23,7 +23,6 @@ from .engine import (
     AnnotationPolicy,
     Delta,
     NDlogEngine,
-    RuleFiring,
 )
 from .plan import (
     CostModel,
@@ -72,7 +71,6 @@ __all__ = [
     "AnnotationPolicy",
     "Delta",
     "NDlogEngine",
-    "RuleFiring",
     "CostModel",
     "GreedyOptimizer",
     "IndexManager",

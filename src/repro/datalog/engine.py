@@ -33,51 +33,29 @@ locally derived sink row is applied where it is emitted (see
 :meth:`NDlogEngine._refresh_sinks`), which keeps every table's row order
 because a sink has no firings.
 
-The engine exposes two extension points used by the ExSPAN provenance layer:
-
-* an :class:`AnnotationPolicy` for *value-based* provenance, which attaches
-  an annotation to every tuple and combines annotations through joins and
-  unions (the annotation travels with remote deltas and its serialized size
-  is charged to the message);
-* *rule listeners*, callbacks invoked on every successful rule firing: a
-  debugging and test hook that no provenance mode registers (centralized
-  collection is rewritten rules, :mod:`repro.core.modes`).
+Value-based provenance plugs in as an :class:`AnnotationPolicy`, fixed at
+construction, which attaches an annotation to every tuple and combines
+annotations through joins and unions (the annotation travels with remote
+deltas and its serialized size is charged to the message).  Reference
+provenance needs no hook: it is rewritten rules (:mod:`repro.core.modes`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .aggregates import AggregateState
-from .ast import (
-    Assignment,
-    Atom,
-    Condition,
-    Fact,
-    Program,
-    Rule,
-    is_event_predicate,
-)
+from .ast import Fact, Program, Rule, is_event_predicate
 from ..storage.memory import Catalog, Table, freeze_value
 from .errors import EvaluationError, ValidationError
 from .functions import FunctionRegistry, default_registry
 from .plan import CatalogStatistics, CompiledDeltaPlan, IndexManager, PlanCompiler, explain_plans
-from .terms import AggregateSpec, Term, Variable
+from .terms import AggregateSpec
 
 __all__ = [
     "Delta",
-    "RuleFiring",
     "AnnotationPolicy",
     "NDlogEngine",
     "INSERT",
@@ -119,18 +97,6 @@ class Delta:
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         sign = {"insert": "+", "delete": "-", "refresh": "~"}[self.action]
         return f"{sign}{self.fact}"
-
-
-@dataclass(frozen=True, slots=True)
-class RuleFiring:
-    """Details of one successful rule execution, passed to rule listeners."""
-
-    rule: Rule
-    action: str
-    head_fact: Fact
-    body_facts: Tuple[Fact, ...]
-    binding: Mapping[str, Any]
-    node: Any
 
 
 class AnnotationPolicy:
@@ -177,8 +143,6 @@ class _CompiledAggregateRule:
     spec: AggregateSpec
     groups: Dict[Tuple[Any, ...], AggregateState] = field(default_factory=dict)
     emitted: Dict[Tuple[Any, ...], Tuple[Any, ...]] = field(default_factory=dict)
-    #: the non-aggregate head arguments (the group key), in head order.
-    group_terms: Tuple[Term, ...] = ()
 
 
 class NDlogEngine:
@@ -206,7 +170,6 @@ class NDlogEngine:
         #: (:meth:`_resolve`) and dropped whenever the rule set changes.
         self._dispatch: Dict[str, Tuple[bool, Optional[Table], Sequence[CompiledDeltaPlan]]] = {}
         self._aggregate_rules: Dict[str, _CompiledAggregateRule] = {}
-        self._rule_listeners: List[Callable[[RuleFiring], None]] = []
         self._update_listeners: List[Callable[[str, Fact], None]] = []
         self._annotations: Dict[Tuple[str, Tuple[Any, ...]], Any] = {}
         self.rules: List[Rule] = []
@@ -217,7 +180,7 @@ class NDlogEngine:
         self.tracer = None
         #: Sink predicate name -> its applier (see :meth:`_refresh_sinks`):
         #: the tables whose derived rows are applied where they are emitted.
-        #: Empty under an annotation policy or a rule listener.
+        #: Empty under an annotation policy.
         self._sinks: Dict[str, Callable[[str, Tuple[Any, ...], int], None]] = {}
         # keyed by (id(rule), position): rule *identity*, not label, because
         # load_program may be called more than once and distinct rules with
@@ -275,12 +238,7 @@ class NDlogEngine:
         if aggregate is not None:
             index, spec = aggregate
             self._aggregate_rules[rule.label] = _CompiledAggregateRule(
-                rule=rule,
-                aggregate_index=index,
-                spec=spec,
-                group_terms=tuple(
-                    arg for position, arg in enumerate(rule.head.args) if position != index
-                ),
+                rule=rule, aggregate_index=index, spec=spec
             )
         for position, atom in enumerate(rule.body_atoms):
             plan = self._plan_compiler.compile(rule, position)
@@ -304,11 +262,11 @@ class NDlogEngine:
         only while none of its deltas is queued, so a sink that receives a
         delta from outside the engine's own emissions is queued again.
 
-        Only with no annotation policy and no rule listener; otherwise the
-        map stays empty and every row is queued.
+        Only with no annotation policy; otherwise the map stays empty and
+        every row is queued.
         """
         self._sinks = {}
-        if self._policy is not None or self._rule_listeners:
+        if self._policy is not None:
             return
         pending = {delta.fact.name for delta in self._queue}
         for rule in self.rules:
@@ -379,11 +337,6 @@ class NDlogEngine:
         if not plans:
             return f"no compiled plans for rule label {label!r}"
         return explain_plans(plans)
-
-    def add_rule_listener(self, listener: Callable[[RuleFiring], None]) -> None:
-        """Register a callback invoked after every successful rule firing."""
-        self._rule_listeners.append(listener)
-        self._refresh_sinks()
 
     def add_update_listener(self, listener: Callable[[str, Fact], None]) -> None:
         """Register a callback invoked when a materialized tuple appears/disappears.
@@ -613,183 +566,48 @@ class NDlogEngine:
         self.stats["plans_recompiled"] += 1
         return fresh
 
-    def _match_atom(
-        self, atom: Atom, values: Sequence[Any], binding: Mapping[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        """Unify *atom*'s arguments with *values*, extending *binding*."""
-        if len(values) != len(atom.args):
-            return None
-        extended = dict(binding)
-        for arg, value in zip(atom.args, values):
-            if isinstance(arg, Variable):
-                if arg.is_wildcard:
-                    continue
-                bound = extended.get(arg.name, _UNBOUND)
-                if bound is _UNBOUND:
-                    extended[arg.name] = value
-                elif bound != value:
-                    return None
-            elif arg.value != value:  # a constant (Rule.validate)
-                return None
-        return extended
-
-    def _finalize_binding(
-        self,
-        rule: Rule,
-        binding: Dict[str, Any],
-        matched: List[Tuple[Atom, Fact]],
-        delta: Delta,
-    ) -> None:
-        """Evaluate assignments and conditions, then emit the head delta."""
-        env = dict(binding)
-        for literal in rule.body:
-            if isinstance(literal, Assignment):
-                try:
-                    env[literal.variable.name] = literal.expression.evaluate(
-                        env, self.functions
-                    )
-                except EvaluationError as exc:
-                    raise EvaluationError(
-                        f"rule {rule.label}: failed to evaluate {literal}: {exc}"
-                    ) from exc
-            elif isinstance(literal, Condition):
-                try:
-                    if not literal.expression.evaluate(env, self.functions):
-                        return
-                except EvaluationError as exc:
-                    raise EvaluationError(
-                        f"rule {rule.label}: failed to evaluate {literal}: {exc}"
-                    ) from exc
-        body_facts = tuple(fact for _, fact in matched)
-        if rule.label in self._aggregate_rules:
-            self._apply_aggregate(rule, env, body_facts, delta)
-            return
-        head_values = self._evaluate_head(rule.head, env)
-        head_fact = Fact(rule.head.name, head_values, rule.head.location_index)
-        self._emit(rule, delta.action, head_fact, env, body_facts, delta)
-
-    def _evaluate_head(self, head: Atom, env: Mapping[str, Any]) -> List[Any]:
-        values: List[Any] = []
-        for arg in head.args:
-            if isinstance(arg, AggregateSpec):
-                raise EvaluationError(
-                    "aggregate head attribute reached scalar evaluation"
-                )
-            values.append(arg.evaluate(env, self.functions))
-        return values
-
     # ------------------------------------------------------------------ #
     # aggregates
     # ------------------------------------------------------------------ #
-    def _apply_aggregate(
-        self,
-        rule: Rule,
-        env: Mapping[str, Any],
-        body_facts: Tuple[Fact, ...],
-        delta: Delta,
-    ) -> None:
-        """:meth:`_aggregate` with the group key and value as term trees
-        (the interpreter's path; generated code computes both itself)."""
-        compiled = self._aggregate_rules[rule.label]
-        spec = compiled.spec
-        functions = self.functions
-        group_key = tuple([term.evaluate(env, functions) for term in compiled.group_terms])
-        if spec.is_star:
-            value: Any = 1
-        elif len(spec.variables_) == 1:
-            value = env[spec.variables_[0]]
-        else:
-            value = tuple(env[name] for name in spec.variables_)
-        self._aggregate(rule, group_key, value, delta, env, body_facts)
-
     def _aggregate(
-        self,
-        rule: Rule,
-        group_key: Tuple[Any, ...],
-        value: Any,
-        delta: Delta,
-        env: Optional[Mapping[str, Any]],
-        body_facts: Tuple[Fact, ...],
+        self, rule: Rule, group_key: Tuple[Any, ...], value: Any, delta: Delta
     ) -> Optional[Tuple[Any, ...]]:
-        """Fold one match into its group; emit the old row's delete first.
+        """Fold one match into its group; route the old row's delete first.
 
-        A REFRESH changes no group: it re-emits the current row.  With *env*
-        (a rule listener or the interpreter) both rows go through
-        :meth:`_emit`; without it the delete is routed here and the row to
-        insert or refresh is returned for the caller to annotate and route.
+        Returns the row to insert (or, for a REFRESH, which changes no
+        group, the current row to re-emit) for the caller to annotate and
+        route, or ``None`` when there is nothing to emit.
         """
         compiled = self._aggregate_rules[rule.label]
         state = compiled.groups.get(group_key)
         if state is None:
             state = compiled.groups[group_key] = AggregateState(compiled.spec.func)
-        head = rule.head
         emitted = compiled.emitted
-        action = delta.action
-        if action == REFRESH:
-            row = emitted.get(group_key)
+        if delta.action == REFRESH:
+            return emitted.get(group_key)
+        if delta.action == INSERT:
+            state.insert(value)
         else:
-            if action == INSERT:
-                state.insert(value)
-            else:
-                state.delete(value)
-            old_row = emitted.get(group_key)
-            row = None
-            if not state.is_empty:
-                index = compiled.aggregate_index
-                row = group_key[:index] + (state.current(),) + group_key[index:]
-            if row == old_row:
-                return None
-            if old_row is not None:
-                old_fact = Fact(head.name, old_row, head.location_index)
-                if env is None:
-                    self.stats["rule_firings"] += 1
-                    self._route(rule, DELETE, old_fact, None)
-                else:
-                    self._emit(rule, DELETE, old_fact, env, body_facts, delta)
-                del emitted[group_key]
-            if row is not None:
-                emitted[group_key] = row
-            action = INSERT
-        if row is None or env is None:
-            return row
-        self._emit(rule, action, Fact(head.name, row, head.location_index), env, body_facts, delta)
-        return None
+            state.delete(value)
+        old_row = emitted.get(group_key)
+        row = None
+        if not state.is_empty:
+            index = compiled.aggregate_index
+            row = group_key[:index] + (state.current(),) + group_key[index:]
+        if row == old_row:
+            return None
+        if old_row is not None:
+            head = rule.head
+            self.stats["rule_firings"] += 1
+            self._route(rule, DELETE, Fact(head.name, old_row, head.location_index), None)
+            del emitted[group_key]
+        if row is not None:
+            emitted[group_key] = row
+        return row
 
     # ------------------------------------------------------------------ #
     # emission
     # ------------------------------------------------------------------ #
-    def _emit(
-        self,
-        rule: Rule,
-        action: str,
-        head_fact: Fact,
-        env: Mapping[str, Any],
-        body_facts: Tuple[Fact, ...],
-        source_delta: Delta,
-    ) -> None:
-        self.stats["rule_firings"] += 1
-        if self._rule_listeners and action != REFRESH:
-            firing = RuleFiring(
-                rule=rule,
-                action=action,
-                head_fact=head_fact,
-                body_facts=body_facts,
-                binding=dict(env),
-                node=self.address,
-            )
-            for listener in self._rule_listeners:
-                listener(firing)
-
-        annotation = None
-        if self._policy is not None and action in (INSERT, REFRESH):
-            body_annotations = [
-                self._annotation_for(fact, source_delta) for fact in body_facts
-            ]
-            annotation = self._policy.combine(
-                rule, body_annotations, self.address
-            )
-        self._route(rule, action, head_fact, annotation)
-
     def _route(
         self, rule: Rule, action: str, head_fact: Fact, annotation: Any
     ) -> None:
@@ -845,20 +663,6 @@ class NDlogEngine:
         if self._annotations:
             self._annotations.pop((fact.name, fact.values), None)
 
-    def _annotation_for(self, fact: Fact, source_delta: Delta) -> Any:
-        if (
-            fact.name == source_delta.fact.name
-            and tuple(fact.values) == tuple(source_delta.fact.values)
-            and source_delta.annotation is not None
-        ):
-            return source_delta.annotation
-        stored = self._lookup_annotation(fact)
-        if stored is not None:
-            return stored
-        if self._policy is not None:
-            return self._policy.base(fact)
-        return None
-
     def annotation_of(self, fact: Fact) -> Any:
         """Public accessor for a stored value-based provenance annotation."""
         return self._lookup_annotation(_hashable_fact(fact))
@@ -879,13 +683,7 @@ class NDlogEngine:
         return f"NDlogEngine(address={self.address!r}, rules={len(self.rules)})"
 
 
-class _Unbound:
-    __slots__ = ()
-
-
-_UNBOUND = _Unbound()
-
-#: Raw allocator used by _emit to skip Delta.__init__ validation for
+#: Raw allocator used by _route to skip Delta.__init__ validation for
 #: internally-constructed deltas (their action is always already valid).
 _new_delta = Delta.__new__
 

@@ -19,18 +19,21 @@ delta's raw value tuple —
   (``CompiledDeltaPlan.annotated``: no policy, no annotation code).
 
 Variables never live in a binding dict on this path: a trigger variable is
-``values[i]``, a step variable ``rowK[j]``.  The dict and the body facts
-are built only for a rule listener, with the interpreter's key order.
+``values[i]``, a step variable ``rowK[j]``; only a pushed-down prefix that
+raised builds one, as ``_prefix_replay``'s argument.  There is one
+emission, this inline one.
 
-Equivalence with term-tree evaluation (``Term.evaluate``,
-``NDlogEngine._match_atom`` and ``_finalize_binding``) is the hard
-requirement — results feed provenance VIDs, annotations and the committed
-benchmark baselines, and ``tests/oracle/`` holds the interpreters they are
-checked against.  Errors are therefore *replayed* rather than mirrored:
+Equivalence with term-tree evaluation (``Term.evaluate`` through the
+planner's ``match_atom`` and ``finalize``) is the hard requirement —
+results feed provenance VIDs, annotations and the committed benchmark
+baselines, and ``tests/oracle/`` holds the interpreters they are checked
+against.  Errors are therefore *replayed* rather than mirrored:
 
-* any exception while finalizing a match hands the matched body facts to
-  ``CompiledDeltaPlan._finalize_replay``, which re-runs the finalization
-  through the interpreter and so raises (or not) exactly as it would;
+* any exception while finalizing a match hands the matched rows to
+  ``CompiledDeltaPlan._finalize_replay``, which re-evaluates the literals
+  and the head through the interpreter and so raises (or not) exactly as
+  it would; what it returns — the head row, an aggregate head's group key
+  and value, or ``None`` to prune — is emitted as the generated code's own;
 * any exception in a pushed-down prefix asks
   ``CompiledDeltaPlan._prefix_replay`` whether the binding survives: an
   :class:`EvaluationError` defers the prefix to finalization, it never
@@ -151,24 +154,18 @@ class _Source:
         """Evaluate *infos* in body order; a failed condition runs *prune*.
 
         Assigned variables become locals named *local* + a counter, and
-        *sources* is updated in place.  Returns the newly assigned names in
-        first-written order (an overwritten variable keeps its place).
+        *sources* is updated in place.
         """
-        assigned: List[str] = []
         for info in infos:
             literal = info.literal
             if isinstance(literal, Assignment):
-                name = literal.variable.name
                 target = f"{local}{self.locals}"
                 self.locals += 1
                 self.assign(target, literal.expression, sources, indent)
-                if name not in sources and name not in assigned:
-                    assigned.append(name)
-                sources[name] = target
+                sources[literal.variable.name] = target
             else:
                 self.lines.append(f"{indent}if not {self.term(literal.expression, sources)}:")
                 self.lines.append(f"{indent}    {prune}")
-        return assigned
 
 
 def _tuple(sources: List[str]) -> str:
@@ -237,84 +234,69 @@ def _annotation_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
     return lines + [f"{i}_ann = engine._policy.combine(plan.rule, [{annotations}], engine.address)"]
 
 
-def _emit_source(plan, rows: Dict[int, str], indent: str, env: str, body_facts: str) -> List[str]:
-    """Lines emitting the head row ``_values``: ``NDlogEngine._emit`` inlined.
+def _emit_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
+    """Lines emitting the head row ``_values``.
 
     The counter bump; the annotation under a policy (``None`` for a
     delete); then, without a policy, a local sink applied in place (only a
     materialised head can be one), or else a fact and a delta allocated
-    without their ``__init__`` and enqueued or sent.  A rule listener gets
-    ``engine._emit`` with the env built outside the replay guard.
+    without their ``__init__`` and enqueued or sent.
     """
     i, head = indent, plan.rule.head
     loc = head.location_index
-    lines = [
-        f"{i}if not engine._rule_listeners:",
-        f'{i}    stats["rule_firings"] += 1',
-        f"{i}    _dest = _values[{loc}]",
-    ]
-    j = i + "    "
+    lines = [f'{i}stats["rule_firings"] += 1', f"{i}_dest = _values[{loc}]"]
     if plan.annotated:
-        lines += [f"{j}_ann = None", f'{j}if delta.action != "delete":']
-        lines += _annotation_source(plan, rows, j + "    ")
+        lines += [f"{i}_ann = None", f'{i}if delta.action != "delete":']
+        lines += _annotation_source(plan, rows, i + "    ")
     elif not is_event_predicate(head.name):
         lines += [
-            f"{j}if _dest == engine.address and "
+            f"{i}if _dest == engine.address and "
             f"(_sink := engine._sinks.get({head.name!r})) is not None:",
-            f"{j}    _sink(delta.action, _values, {loc})",
-            f"{j}else:",
+            f"{i}    _sink(delta.action, _values, {loc})",
+            f"{i}else:",
         ]
-        j += "    "
+        i += "    "
     return lines + [
-        f"{j}_fact = _new_fact(_Fact)",
-        f"{j}_fact.name = {head.name!r}",
-        f"{j}_fact.values = _values",
-        f"{j}_fact.location_index = {loc}",
-        f"{j}_d = _new_delta(_Delta)",
-        f"{j}_d.action = delta.action",
-        f"{j}_d.fact = _fact",
-        f"{j}_d.annotation = {'_ann' if plan.annotated else None}",
-        f"{j}if _dest == engine.address:",
-        f"{j}    engine._queue.append(_d)",
-        f"{j}else:",
-        f'{j}    stats["deltas_sent"] += 1',
-        f"{j}    _send = engine._send",
-        f"{j}    if _send is None:",
-        f"{j}        raise _EvaluationError(",
-        f'{j}            f"rule {{plan.rule.label}} derived remote tuple '
-        f'{{_fact}} but no send callback is configured"',
-        f"{j}        )",
-        f"{j}    _send(_dest, _d)",
+        f"{i}_fact = _new_fact(_Fact)",
+        f"{i}_fact.name = {head.name!r}",
+        f"{i}_fact.values = _values",
+        f"{i}_fact.location_index = {loc}",
+        f"{i}_d = _new_delta(_Delta)",
+        f"{i}_d.action = delta.action",
+        f"{i}_d.fact = _fact",
+        f"{i}_d.annotation = {'_ann' if plan.annotated else None}",
+        f"{i}if _dest == engine.address:",
+        f"{i}    engine._queue.append(_d)",
         f"{i}else:",
-        f"{i}    engine._emit(plan.rule, delta.action, _Fact({head.name!r}, _values, {loc}), "
-        f"{env}, {body_facts}, delta)",
+        f'{i}    stats["deltas_sent"] += 1',
+        f"{i}    _send = engine._send",
+        f"{i}    if _send is None:",
+        f"{i}        raise _EvaluationError(",
+        f'{i}            f"rule {{plan.rule.label}} derived remote tuple '
+        f'{{_fact}} but no send callback is configured"',
+        f"{i}        )",
+        f"{i}    _send(_dest, _d)",
     ]
 
 
-def _aggregate_source(
-    plan, rows: Dict[int, str], indent: str, env: str, body_facts: str
-) -> List[str]:
+def _aggregate_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
     """Lines folding ``_key`` / ``_value`` into the head's group.
 
     ``NDlogEngine._aggregate`` routes the delete of a replaced row and
     returns the row to insert (or to refresh), annotated and routed here.
-    With a rule listener it emits both itself.
     """
     i, head = indent, plan.rule.head
     lines = [
-        f"{i}if not engine._rule_listeners:",
-        f"{i}    _row = engine._aggregate(plan.rule, _key, _value, delta, None, ())",
-        f"{i}    if _row is not None:",
-        f'{i}        stats["rule_firings"] += 1',
+        f"{i}_row = engine._aggregate(plan.rule, _key, _value, delta)",
+        f"{i}if _row is not None:",
+        f'{i}    stats["rule_firings"] += 1',
     ]
     if plan.annotated:
-        lines += _annotation_source(plan, rows, i + "        ")
+        lines += _annotation_source(plan, rows, i + "    ")
     return lines + [
-        f'{i}        engine._route(plan.rule, "refresh" if delta.action == "refresh" '
+        f'{i}    engine._route(plan.rule, "refresh" if delta.action == "refresh" '
         f'else "insert", _Fact({head.name!r}, _row, {head.location_index}), '
         f"{'_ann' if plan.annotated else None})",
-        f"{i}else:",
-        f"{i}    engine._aggregate(plan.rule, _key, _value, delta, {env}, {body_facts})",
     ]
 
 
@@ -386,18 +368,14 @@ def generate_executor(plan, staleness_period: int) -> Callable[..., None]:
         indent, prune = indent + "    ", "continue"
         bound += _atom_checks(atom, row, sources, out, indent, prune)
         _prefix(out, plan, step.literal_prefix, bound, sources, indent, prune)
-    facts = [
-        f"_Fact({atom.name!r}, {rows[position]}, {atom.location_index!r})"
-        for position, atom in plan.body_order
-    ]
-    body_facts = _tuple(["delta.fact", *facts])  # body order, whatever the join order
     lines.append(f"{indent}try:")
-    bound += out.literals(plan.literals, sources, indent + "    ", prune, "_local")
+    out.literals(plan.literals, sources, indent + "    ", prune, "_local")
     head = rule.head
     aggregate = head.aggregate()
     if aggregate is None:
         values = _tuple([out.term(arg, sources) for arg in head.args])
         lines.append(f"{indent}    _values = {values}")
+        replayed = "_values"
     else:
         index, spec = aggregate
         key = _tuple(
@@ -410,14 +388,16 @@ def generate_executor(plan, staleness_period: int) -> Callable[..., None]:
         else:
             value = _tuple([sources.get(name, "_unsupported()") for name in spec.variables_])
         lines += [f"{indent}    _key = {key}", f"{indent}    _value = {value}"]
+        replayed = "_key, _value"
+    join_rows = _tuple(["values", *(f"row{depth}" for depth in range(len(plan.steps)))])
     lines += [
         f"{indent}except Exception:",
-        f"{indent}    plan._finalize_replay(engine, {body_facts}, delta)",
-        f"{indent}    {prune}",
+        f"{indent}    if (_replayed := plan._finalize_replay(engine, {join_rows})) is None:",
+        f"{indent}        {prune}",
+        f"{indent}    {replayed} = _replayed",
     ]
-    env = _dict(bound, sources)
     emit = _emit_source if aggregate is None else _aggregate_source
-    lines += emit(plan, rows, indent, env, body_facts)
+    lines += emit(plan, rows, indent)
     for depth in reversed(range(len(plan.steps))):
         lines.append(f'{"    " * (depth + 1)}stats["tuples_scanned"] += scanned{depth}')
     namespace = out.namespace

@@ -27,20 +27,26 @@ and annotations:
   semantics as finalization, and any :class:`EvaluationError` defers the
   literal (and everything after it) back to finalization instead of
   pruning, so error behaviour is unchanged;
-* matched body facts are handed to the engine in body order (trigger
-  first, then the remaining atoms) regardless of the join order, keeping
-  provenance annotation combination bit-identical;
+* body annotations are combined in body order (trigger first, then the
+  remaining atoms) regardless of the join order, keeping provenance
+  annotation combination bit-identical;
 * the ``index_lookups`` / ``full_scans`` / ``tuples_scanned`` counters are
   stored in benchmark artifacts the CI regression gate byte-compares.
+
+:func:`match_atom` and :func:`finalize` are the term-tree interpreter of
+one match: the generated code replays through them on an exception, and
+the oracles run every match through them.  They only evaluate; emitting
+the result is the caller's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ast import Assignment, Atom, Rule
 from ..errors import EvaluationError
+from ..terms import Variable
 from .compiled_exec import generate_executor
 from .cost import CatalogStatistics, CostModel
 from .indexes import IndexManager
@@ -48,7 +54,14 @@ from .join_graph import JoinGraph, construct_join_graph
 from .normalize import LiteralInfo, NormalizedRule, normalize_rule
 from .optimizer import GreedyOptimizer, JoinOrder
 
-__all__ = ["LookupSpec", "CompiledStep", "CompiledDeltaPlan", "PlanCompiler"]
+__all__ = [
+    "LookupSpec",
+    "CompiledStep",
+    "CompiledDeltaPlan",
+    "PlanCompiler",
+    "finalize",
+    "match_atom",
+]
 
 #: Plans with at least two join steps are checked for staleness every this
 #: many executions (single-step plans cannot benefit from reordering).
@@ -158,28 +171,26 @@ class CompiledDeltaPlan:
     # ------------------------------------------------------------------ #
     # interpreter replays (error paths of the generated executor)
     # ------------------------------------------------------------------ #
-    def _finalize_replay(self, engine, body_facts, delta) -> None:
+    def _finalize_replay(self, engine, rows) -> Any:
         """Re-run one finalization through the interpreter.
 
         The generated executor delegates here on *any* exception while
         finalizing: evaluation is pure, so replaying from a freshly
         reconstructed binding reproduces the interpreter's exact behaviour
         — including its wrapped error messages — without the generated code
-        carrying per-literal error handling.  The binding is rebuilt from the
-        matched body facts (in body order) in the plan's join order, the
-        order the interpreter binds them in.
+        carrying per-literal error handling.  *rows* are the trigger row and
+        each step's row, in join order, the order the interpreter binds
+        them in.  Returns :func:`finalize`'s result, which the generated
+        code emits as it emits its own.
         """
-        by_position = dict(zip((position for position, _ in self.body_order), body_facts[1:]))
-        binding = engine._match_atom(self.trigger_atom, body_facts[0].values, {})
-        for step in self.steps:
-            if binding is None:
-                break
-            binding = engine._match_atom(step.atom, by_position[step.body_position].values, binding)
-        if binding is None:  # pragma: no cover - facts matched moments ago
-            raise EvaluationError(f"rule {self.rule.label}: internal error re-matching body facts")
-        matched = [(self.trigger_atom, body_facts[0])]
-        matched += [(atom, fact) for (_, atom), fact in zip(self.body_order, body_facts[1:])]
-        engine._finalize_binding(self.rule, binding, matched, delta)
+        binding: Optional[Dict[str, Any]] = {}
+        for atom, row in zip((self.trigger_atom, *(step.atom for step in self.steps)), rows):
+            binding = match_atom(atom, row, binding)
+            if binding is None:  # pragma: no cover - rows matched moments ago
+                raise EvaluationError(
+                    f"rule {self.rule.label}: internal error re-matching body facts"
+                )
+        return finalize(self.rule, binding, engine.functions)
 
     def _prefix_replay(self, engine, env: Dict[str, Any], count: int) -> bool:
         """The first *count* literals over *env*: False prunes.
@@ -200,6 +211,64 @@ class CompiledDeltaPlan:
             except EvaluationError:
                 return True
         return True
+
+
+def match_atom(
+    atom: Atom, values: Sequence[Any], binding: Mapping[str, Any]
+) -> Optional[Dict[str, Any]]:
+    """Unify *atom*'s arguments with *values*, extending *binding*."""
+    if len(values) != len(atom.args):
+        return None
+    extended = dict(binding)
+    for arg, value in zip(atom.args, values):
+        if isinstance(arg, Variable):
+            if arg.is_wildcard:
+                continue
+            bound = extended.get(arg.name, _UNBOUND)
+            if bound is _UNBOUND:
+                extended[arg.name] = value
+            elif bound != value:
+                return None
+        elif arg.value != value:  # a constant (Rule.validate)
+            return None
+    return extended
+
+
+def finalize(rule: Rule, binding: Mapping[str, Any], functions) -> Any:
+    """Evaluate *rule*'s assignments, conditions and head over *binding*.
+
+    Returns ``None`` when a condition fails, ``(group key, value)`` for an
+    aggregate head, and the head row otherwise.  An error in an assignment
+    or condition is re-raised naming the rule and the literal.
+    """
+    env = dict(binding)
+    for literal in rule.body:
+        if isinstance(literal, Atom):
+            continue
+        try:
+            result = literal.expression.evaluate(env, functions)
+        except EvaluationError as exc:
+            raise EvaluationError(
+                f"rule {rule.label}: failed to evaluate {literal}: {exc}"
+            ) from exc
+        if isinstance(literal, Assignment):
+            env[literal.variable.name] = result
+        elif not result:
+            return None
+    head = rule.head
+    aggregate = head.aggregate()
+    if aggregate is None:
+        return tuple([arg.evaluate(env, functions) for arg in head.args])
+    index, spec = aggregate
+    key = tuple([arg.evaluate(env, functions) for i, arg in enumerate(head.args) if i != index])
+    if spec.is_star:
+        return key, 1
+    if len(spec.variables_) == 1:
+        return key, env[spec.variables_[0]]
+    return key, tuple(env[name] for name in spec.variables_)
+
+
+_UNBOUND = object()
 
 
 class PlanCompiler:

@@ -63,10 +63,6 @@ class IndexManager:
             name: sorted(positions) for name, positions in self._registered.items()
         }
 
-    def is_registered(self, name: str, positions: Iterable[int]) -> bool:
-        canonical = tuple(sorted(set(positions)))
-        return canonical in self._registered.get(name, ())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         count = sum(len(v) for v in self._registered.values())
         return f"IndexManager(indexes={count})"

@@ -113,7 +113,10 @@ class UnaryOp(Term):
     def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
         value = self.operand.evaluate(binding, functions)
         if self.op == "-":
-            return -value
+            try:
+                return -value
+            except TypeError as exc:
+                raise EvaluationError(f"type error evaluating -{value!r}: {exc}") from exc
         if self.op == "!":
             return not value
         raise EvaluationError(f"unknown unary operator {self.op!r}")
@@ -169,6 +172,10 @@ class BinaryOp(Term):
         except TypeError as exc:
             raise EvaluationError(
                 f"type error evaluating {left!r} {self.op} {right!r}: {exc}"
+            ) from exc
+        except ArithmeticError as exc:
+            raise EvaluationError(
+                f"arithmetic error evaluating {left!r} {self.op} {right!r}: {exc}"
             ) from exc
 
     def __str__(self) -> str:  # pragma: no cover - trivial

@@ -318,10 +318,6 @@ class Table:
     def has_index(self, positions: Sequence[int]) -> bool:
         return tuple(sorted(set(positions))) in self._indexes
 
-    def index_position_sets(self) -> List[Tuple[int, ...]]:
-        """The position sets currently indexed, sorted (for explain/stats)."""
-        return sorted(self._indexes)
-
     def index_size(self, positions: Sequence[int]) -> int:
         """Number of rows held by the index over *positions* (0 if absent)."""
         index = self._indexes.get(tuple(sorted(set(positions))))

@@ -19,9 +19,11 @@ plain tables:
   engine's; ``tuples_scanned`` is what the planner saves.
 
 Neither imports :mod:`repro.datalog.plan.compiled_exec`: matching,
-finalization and head evaluation go through ``NDlogEngine._match_atom`` /
-``_finalize_binding`` (``Term.evaluate``), which the generated code must
-reproduce and which it replays through on an exception.  Networks build
+literals and head evaluation go through the planner's ``match_atom`` /
+``finalize`` (``Term.evaluate``), which the generated code must reproduce
+and which it replays through on an exception.  The emission is the
+oracle's own: the aggregate update, the head annotation combined from
+every body fact in body order, and ``NDlogEngine._route``.  Networks build
 their engines through the module attribute ``NDlogEngine``;
 :func:`built_with` swaps it for an oracle class.
 """
@@ -36,7 +38,13 @@ import repro.datalog.runtime
 from repro.datalog.ast import Assignment, Atom, Fact, Rule
 from repro.datalog.engine import DELETE, INSERT, REFRESH, Delta, NDlogEngine
 from repro.datalog.errors import EvaluationError
-from repro.datalog.plan.compiler import STALENESS_CHECK_PERIOD, CompiledDeltaPlan, CompiledStep
+from repro.datalog.plan.compiler import (
+    STALENESS_CHECK_PERIOD,
+    CompiledDeltaPlan,
+    CompiledStep,
+    finalize,
+    match_atom,
+)
 
 __all__ = ["ENGINES", "InterpretedEngine", "NestedLoopEngine", "built_with", "table_state"]
 
@@ -107,7 +115,7 @@ class InterpretedEngine(NDlogEngine):
     def _fire_rules(self, firings, delta: Delta) -> None:
         for plan in firings:
             rule, position = plan.rule, plan.trigger_position
-            binding = self._match_atom(rule.body_atoms[position], delta.fact.values, {})
+            binding = match_atom(rule.body_atoms[position], delta.fact.values, {})
             if binding is not None:
                 self._evaluate(rule, position, delta, binding)
 
@@ -162,7 +170,7 @@ class InterpretedEngine(NDlogEngine):
         scanned = 0
         for row in self.catalog.table(step.atom.name).lookup(constraints):
             scanned += 1
-            extended = self._match_atom(step.atom, row, binding)
+            extended = match_atom(step.atom, row, binding)
             if extended is None:
                 continue
             if step.literal_prefix and not _prefix_passes(
@@ -172,6 +180,40 @@ class InterpretedEngine(NDlogEngine):
             facts[step.body_position] = Fact(step.atom.name, row, step.atom.location_index)
             self._join(plan, delta, extended, step_index + 1, facts)
         self.stats["tuples_scanned"] += scanned
+
+    def _finalize_binding(
+        self, rule: Rule, binding, matched: List[Tuple[Atom, Fact]], delta: Delta
+    ) -> None:
+        """Evaluate literals and head, then emit the head row."""
+        result = finalize(rule, binding, self.functions)
+        if result is None:
+            return
+        action = delta.action
+        if rule.label in self._aggregate_rules:
+            result = self._aggregate(rule, *result, delta)
+            if result is None:
+                return
+            action = REFRESH if action == REFRESH else INSERT
+        self.stats["rule_firings"] += 1
+        annotation = None
+        if self.annotation_policy is not None and action != DELETE:
+            annotation = self.annotation_policy.combine(
+                rule, [self._annotation_for(fact, delta) for _, fact in matched], self.address
+            )
+        head = rule.head
+        self._route(rule, action, Fact(head.name, result, head.location_index), annotation)
+
+    def _annotation_for(self, fact: Fact, source_delta: Delta) -> Any:
+        """The trigger's annotation, else the stored one, else ``policy.base``."""
+        trigger = source_delta.fact
+        if (
+            fact.name == trigger.name
+            and fact.values == trigger.values
+            and source_delta.annotation is not None
+        ):
+            return source_delta.annotation
+        stored = self._lookup_annotation(fact)
+        return stored if stored is not None else self.annotation_policy.base(fact)
 
 
 class NestedLoopEngine(InterpretedEngine):
@@ -201,7 +243,7 @@ class NestedLoopEngine(InterpretedEngine):
         scanned = 0
         for row in self.catalog.table(atom.name).rows():
             scanned += 1
-            extended = self._match_atom(atom, row, binding)
+            extended = match_atom(atom, row, binding)
             if extended is not None:
                 fact = Fact(atom.name, row, atom.location_index)
                 self._join_left_to_right(

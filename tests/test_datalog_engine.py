@@ -291,18 +291,6 @@ class TestRemoteEmission:
 
 
 class TestListeners:
-    def test_rule_listener_sees_firings(self):
-        firings = []
-        engine = single_node_engine("r1 reach(@S,D) :- link(@S,D,C).")
-        engine.add_rule_listener(firings.append)
-        engine.insert(Fact("link", ("n", "m", 1)))
-        engine.run()
-        assert len(firings) == 1
-        assert firings[0].rule.label == "r1"
-        assert firings[0].action == INSERT
-        assert firings[0].head_fact.name == "reach"
-        assert firings[0].body_facts[0].name == "link"
-
     def test_update_listener_sees_insert_and_delete(self):
         updates = []
         engine = single_node_engine("r1 reach(@S,D) :- link(@S,D,C).")
