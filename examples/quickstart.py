@@ -106,7 +106,7 @@ def main() -> None:
           "bestPathCost(@a,c,5):")
     print(graph.to_dot(root=vid))
 
-    # 6. EXPLAIN: how the cost-based planner evaluates a PATHVECTOR rule.
+    # 6. EXPLAIN: how the planner evaluates a PATHVECTOR rule.
     #    Every engine compiles one plan per (rule, delta position); the plan
     #    below shows the join order and secondary-index usage for rule pv2
     #    (path extension), the hottest join of the PATHVECTOR fixpoint.

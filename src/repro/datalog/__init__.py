@@ -24,15 +24,7 @@ from .engine import (
     Delta,
     NDlogEngine,
 )
-from .plan import (
-    CostModel,
-    GreedyOptimizer,
-    IndexManager,
-    PlanCompiler,
-    construct_join_graph,
-    explain_plan,
-    normalize_rule,
-)
+from .plan import IndexManager, PlanCompiler, explain_plan, normalize_rule
 from .errors import (
     DatalogError,
     EvaluationError,
@@ -71,11 +63,8 @@ __all__ = [
     "AnnotationPolicy",
     "Delta",
     "NDlogEngine",
-    "CostModel",
-    "GreedyOptimizer",
     "IndexManager",
     "PlanCompiler",
-    "construct_join_graph",
     "explain_plan",
     "normalize_rule",
     "DatalogError",

@@ -21,9 +21,10 @@ ExSPAN paper:
   last derivation disappears (cascaded deletions).
 
 There is one way to run a rule.  Every (rule, trigger position) pair is
-compiled by the greedy planner (:mod:`repro.datalog.plan`) into a plan
-run by one generated function, and :meth:`NDlogEngine.run` takes one
-delta at a time: pop it, apply it, fire its plans.  The term-tree
+compiled by the planner (:mod:`repro.datalog.plan`) into a plan that
+depends only on the rule and runs as one generated function, and
+:meth:`NDlogEngine.run` takes one delta at a time: pop it, apply it, fire
+its plans.  The term-tree
 interpreter and the nested-loop join this executor must equal live in the
 test suite (``tests/oracle/``).
 
@@ -51,7 +52,7 @@ from .ast import Fact, Program, Rule, is_event_predicate
 from ..storage.memory import Catalog, Table, freeze_value
 from .errors import EvaluationError, ValidationError
 from .functions import FunctionRegistry, default_registry
-from .plan import CatalogStatistics, CompiledDeltaPlan, IndexManager, PlanCompiler, explain_plans
+from .plan import CompiledDeltaPlan, IndexManager, PlanCompiler, explain_plans
 from .terms import AggregateSpec
 
 __all__ = [
@@ -163,7 +164,7 @@ class NDlogEngine:
         self._policy = annotation_policy
         self._queue: deque[Delta] = deque()
         #: predicate -> the plans its deltas trigger, in rule registration
-        #: order; a stale plan is swapped in place (:meth:`_recost`).
+        #: order; a plan never changes once compiled.
         self._firings_by_predicate: Dict[str, List[CompiledDeltaPlan]] = defaultdict(list)
         #: name -> (is event, table or None, firings): everything run()
         #: needs to know about a predicate, resolved on first sight
@@ -187,10 +188,9 @@ class NDlogEngine:
         # the same label must not clobber each other's plans (self.rules
         # keeps every rule alive, so ids stay stable)
         self._plans: Dict[Tuple[int, int], CompiledDeltaPlan] = {}
-        self._statistics = CatalogStatistics(self.catalog)
         self.index_manager = IndexManager(self.catalog, counters=self.stats)
         self._plan_compiler = PlanCompiler(
-            self._statistics, self.index_manager, annotated=annotation_policy is not None
+            self.index_manager, annotated=annotation_policy is not None
         )
         if program is not None:
             self.load_program(program)
@@ -545,26 +545,6 @@ class NDlogEngine:
         ):
             for plan in firings:
                 plan.fused_exec(plan, self, values, delta)
-
-    def _recost(self, plan: CompiledDeltaPlan) -> Optional[CompiledDeltaPlan]:
-        """The recompiled plan if *plan* went stale, else ``None``.
-
-        Plans are compiled against whatever the tables held at add_rule
-        time, so the generated executor of a multi-step plan asks here every
-        ``STALENESS_CHECK_PERIOD`` trigger matches.  A different join order
-        never changes results, only scan counts.
-        """
-        if not plan.is_stale(self._statistics):
-            return None
-        fresh = self._plan_compiler.compile(plan.rule, plan.trigger_position)
-        fresh.executions = 1  # keep the staleness period aligned
-        self._plans[(id(plan.rule), plan.trigger_position)] = fresh
-        firings = self._firings_by_predicate[plan.trigger_atom.name]
-        for index, registered in enumerate(firings):
-            if registered is plan:
-                firings[index] = fresh
-        self.stats["plans_recompiled"] += 1
-        return fresh
 
     # ------------------------------------------------------------------ #
     # aggregates

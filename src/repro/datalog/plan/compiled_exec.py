@@ -8,7 +8,6 @@ into the Python source of one function and ``exec``-compiled:
 delta's raw value tuple —
 
 * the trigger match: arity, constant and repeated-variable checks;
-* for multi-step plans, the staleness re-cost (``NDlogEngine._recost``);
 * every join step as a nested loop over one index probe (or full scan) in
   the plan's join order, matched over positional ``row[j]`` reads;
 * the pushed-down literal prefixes, at the trigger and after each step;
@@ -300,13 +299,13 @@ def _aggregate_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
     ]
 
 
-def generate_executor(plan, staleness_period: int) -> Callable[..., None]:
+def generate_executor(plan) -> Callable[..., None]:
     """Generate ``execute(plan, engine, values, delta)`` for *plan*.
 
     *plan* is a :class:`~.compiler.CompiledDeltaPlan` (not imported: the
-    compiler imports this module).  Counters — ``plan.executions``,
-    ``index_lookups`` / ``full_scans`` / ``tuples_scanned`` and the
-    emission counters — move exactly where the interpreter moves them.
+    compiler imports this module).  Counters — ``index_lookups`` /
+    ``full_scans`` / ``tuples_scanned`` and the emission counters — move
+    exactly where the interpreter moves them.
     """
     out = _Source()
     rule = plan.rule
@@ -314,21 +313,7 @@ def generate_executor(plan, staleness_period: int) -> Callable[..., None]:
     lines.append("def execute(plan, engine, values, delta):")
     sources: Dict[str, str] = {}
     bound = _atom_checks(plan.trigger_atom, "values", sources, out, "    ", "return")
-    if len(plan.steps) >= 2:
-        # Plans are compiled against whatever the tables held at add_rule
-        # time, so multi-step plans are re-costed against live cardinalities
-        # every period of trigger matches.
-        lines += [
-            f"    if not plan.executions % {staleness_period}:",
-            "        fresh = engine._recost(plan)",
-            "        if fresh is not None:",
-            "            return fresh.fused_exec(fresh, engine, values, delta)",
-        ]
-    lines += [
-        "    plan.executions += 1",
-        "    functions = engine.functions",
-        "    stats = engine.stats",
-    ]
+    lines += ["    functions = engine.functions", "    stats = engine.stats"]
     indent, prune = "    ", "return"
     _prefix(out, plan, plan.initial_literal_prefix, bound, sources, indent, prune)
     rows = {}

@@ -3,8 +3,11 @@
 For every rule and every body-atom position a delta can arrive at, the
 :class:`PlanCompiler` produces a :class:`CompiledDeltaPlan`:
 
-* the remaining body atoms in the order chosen by the
-  :class:`~repro.datalog.plan.optimizer.GreedyOptimizer`;
+* the remaining body atoms in a static order read off the rule alone:
+  atoms sharing a variable with what is bound before cross products, then
+  more constrained argument positions first, then body order.  After
+  localization no shipped rule has more than two body atoms, so no plan
+  has more than one step to order and table sizes have nothing to steer;
 * per step, a precomputed *lookup specification* — which argument positions
   are constrained at runtime and where each constraint value comes from
   (a bound variable or a constant);
@@ -42,17 +45,14 @@ the result is the caller's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ast import Assignment, Atom, Rule
 from ..errors import EvaluationError
 from ..terms import Variable
 from .compiled_exec import generate_executor
-from .cost import CatalogStatistics, CostModel
 from .indexes import IndexManager
-from .join_graph import JoinGraph, construct_join_graph
-from .normalize import LiteralInfo, NormalizedRule, normalize_rule
-from .optimizer import GreedyOptimizer, JoinOrder
+from .normalize import AtomSignature, LiteralInfo, NormalizedRule, normalize_rule
 
 __all__ = [
     "LookupSpec",
@@ -63,28 +63,20 @@ __all__ = [
     "match_atom",
 ]
 
-#: Plans with at least two join steps are checked for staleness every this
-#: many executions (single-step plans cannot benefit from reordering).
-STALENESS_CHECK_PERIOD = 64
-#: A relation must grow or shrink by this factor ...
-STALENESS_RATIO = 8.0
-#: ... and by at least this many rows before a plan is considered stale.
-STALENESS_MIN_DELTA = 32
-
 #: Process-wide memo of generated executors, keyed by (id(rule), trigger
-#: position, join order, annotated): every node of a network loads the same
-#: program, and the join order and whether the engine has an annotation
-#: policy fix everything else a plan's code depends on.
+#: position, annotated): every node of a network loads the same program,
+#: a plan depends only on its rule and trigger position, and whether the
+#: engine has an annotation policy fixes everything else its code depends on.
 #: Values pin the rule object so a recycled id can never alias a different
 #: rule; the cache is dropped wholesale at the (generous) limit to stay
 #: bounded across long sweeps.
-_EXECUTORS: Dict[Tuple[int, int, Tuple[int, ...], bool], Tuple[Rule, Any]] = {}
+_EXECUTORS: Dict[Tuple[int, int, bool], Tuple[Rule, Any]] = {}
 _EXECUTORS_LIMIT = 4096
 
-#: Process-wide memo of a rule's normal form and join graph, keyed by
-#: id(rule) under the same pinning and wholesale limit: rules are immutable
+#: Process-wide memo of a rule's normal form, keyed by id(rule) under the
+#: same wholesale limit (the normal form pins its rule): rules are immutable
 #: and every node's compiler analyses the same program.
-_ANALYSES: Dict[int, Tuple[NormalizedRule, JoinGraph]] = {}
+_ANALYSES: Dict[int, NormalizedRule] = {}
 
 
 @dataclass(frozen=True)
@@ -107,10 +99,9 @@ class CompiledStep:
     index_positions: Tuple[int, ...]
     #: leading non-atom literals evaluable once this step has matched.
     literal_prefix: int
-    #: optimizer metadata, used by explain() only.
-    estimated_rows: float
+    #: the atom shares a variable with the atoms joined before it (a join,
+    #: not a cross product); explain() only.
     connected: bool
-    key_covered: bool
 
 
 @dataclass
@@ -126,47 +117,17 @@ class CompiledDeltaPlan:
     #: non-trigger atom positions in body order (canonical fact ordering).
     body_order: Tuple[Tuple[int, Atom], ...]
     literals: Tuple[LiteralInfo, ...]
-    #: relation -> local cardinality when the plan was compiled.
-    cardinality_snapshot: Mapping[str, int]
-    estimated_scan: float
     #: the engine has an annotation policy: the executor combines annotations.
     annotated: bool = False
-    executions: int = 0
 
     def __post_init__(self) -> None:
-        key = (
-            id(self.rule),
-            self.trigger_position,
-            tuple(step.body_position for step in self.steps),
-            self.annotated,
-        )
+        key = (id(self.rule), self.trigger_position, self.annotated)
         cached = _EXECUTORS.get(key)
         if cached is None or cached[0] is not self.rule:
             if len(_EXECUTORS) >= _EXECUTORS_LIMIT:
                 _EXECUTORS.clear()
-            cached = _EXECUTORS[key] = (
-                self.rule,
-                generate_executor(self, STALENESS_CHECK_PERIOD),
-            )
+            cached = _EXECUTORS[key] = (self.rule, generate_executor(self))
         self.fused_exec = cached[1]
-
-    # ------------------------------------------------------------------ #
-    # staleness
-    # ------------------------------------------------------------------ #
-    def is_stale(self, statistics: CatalogStatistics) -> bool:
-        """True when join-relevant cardinalities drifted far from compile time.
-
-        Reordering can only help plans with two or more steps, so
-        single-step plans never go stale.
-        """
-        if len(self.steps) < 2:
-            return False
-        for name, old in self.cardinality_snapshot.items():
-            new = statistics.cardinality(name)
-            low, high = min(old, new), max(old, new)
-            if high - low >= STALENESS_MIN_DELTA and high >= STALENESS_RATIO * max(low, 1):
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # interpreter replays (error paths of the generated executor)
@@ -272,79 +233,71 @@ _UNBOUND = object()
 
 
 class PlanCompiler:
-    """Compiles (rule, delta position) pairs into executable plans."""
+    """Compiles (rule, delta position) pairs into executable plans.
 
-    def __init__(
-        self,
-        statistics: CatalogStatistics,
-        index_manager: IndexManager,
-        optimizer: Optional[GreedyOptimizer] = None,
-        cost_model: Optional[CostModel] = None,
-        annotated: bool = False,
-    ):
-        self.statistics = statistics
-        self.annotated = annotated
+    A plan is a pure function of its rule, trigger position and whether
+    the engine annotates: nothing in it reads a table.
+    """
+
+    def __init__(self, index_manager: IndexManager, annotated: bool = False):
         self.index_manager = index_manager
-        self.cost_model = (
-            cost_model if cost_model is not None else CostModel(statistics)
-        )
-        self.optimizer = (
-            optimizer if optimizer is not None else GreedyOptimizer(self.cost_model)
-        )
+        self.annotated = annotated
 
     @staticmethod
-    def _analysis(rule: Rule) -> Tuple[NormalizedRule, JoinGraph]:
-        cached = _ANALYSES.get(id(rule))
-        if cached is None or cached[0].rule is not rule:
+    def _analysis(rule: Rule) -> NormalizedRule:
+        normalized = _ANALYSES.get(id(rule))
+        if normalized is None or normalized.rule is not rule:
             normalized = normalize_rule(rule)
-            cached = (normalized, construct_join_graph(normalized))
             if len(_ANALYSES) >= _EXECUTORS_LIMIT:
                 _ANALYSES.clear()
-            _ANALYSES[id(rule)] = cached
-        return cached
+            _ANALYSES[id(rule)] = normalized
+        return normalized
 
     def compile(self, rule: Rule, trigger_position: int) -> CompiledDeltaPlan:
         """Compile the delta plan for *rule* triggered at *trigger_position*."""
-        normalized, graph = self._analysis(rule)
+        normalized = self._analysis(rule)
         trigger = normalized.signature(trigger_position)
-        order: JoinOrder = self.optimizer.order(normalized, graph, trigger_position)
-
         bound = set(trigger.variables)
         initial_prefix = self._pruning_prefix(normalized, frozenset(bound))
+        remaining = [
+            signature
+            for signature in normalized.atoms
+            if signature.position != trigger_position
+        ]
         steps: List[CompiledStep] = []
-        for index, ordered in enumerate(order.steps):
-            signature = ordered.signature
-            estimate = ordered.estimate
-            lookups = self._lookup_specs(signature, estimate.bound_positions)
-            index_positions = self.index_manager.require(
-                signature.name, estimate.bound_positions
+        while remaining:
+            # The static join order: an atom sharing a variable with what is
+            # bound beats a cross product, then more constrained positions
+            # beat fewer, then body order decides.
+            signature = min(
+                remaining,
+                key=lambda s: (
+                    s.variables.isdisjoint(bound),
+                    -len(_bound_positions(s, bound)),
+                    s.position,
+                ),
             )
+            remaining.remove(signature)
+            positions = _bound_positions(signature, bound)
+            connected = not signature.variables.isdisjoint(bound)
             bound.update(signature.variables)
-            is_last = index == len(order.steps) - 1
             # Pushdown after the last step buys nothing: finalization runs
             # immediately afterwards and evaluates every literal anyway.
-            prefix = (
-                0 if is_last else self._pruning_prefix(normalized, frozenset(bound))
-            )
+            prefix = self._pruning_prefix(normalized, frozenset(bound)) if remaining else 0
             steps.append(
                 CompiledStep(
                     atom=signature.atom,
                     body_position=signature.position,
-                    lookups=lookups,
-                    index_positions=index_positions,
+                    lookups=self._lookup_specs(signature, positions),
+                    index_positions=self.index_manager.require(signature.name, positions),
                     literal_prefix=prefix,
-                    estimated_rows=estimate.rows,
-                    connected=ordered.connected,
-                    key_covered=estimate.key_covered,
+                    connected=connected,
                 )
             )
         body_order = tuple(
             (signature.position, signature.atom)
             for signature in normalized.atoms
             if signature.position != trigger_position
-        )
-        snapshot = self.statistics.snapshot(
-            signature.name for signature in normalized.atoms
         )
         return CompiledDeltaPlan(
             rule=rule,
@@ -354,8 +307,6 @@ class PlanCompiler:
             initial_literal_prefix=initial_prefix if steps else 0,
             body_order=body_order,
             literals=normalized.literals,
-            cardinality_snapshot=snapshot,
-            estimated_scan=order.estimated_scan,
             annotated=self.annotated,
         )
 
@@ -386,3 +337,16 @@ class PlanCompiler:
             else LookupSpec(position, "var", position_to_var[position])
             for position in bound_positions
         )
+
+
+def _bound_positions(signature: AtomSignature, bound: AbstractSet[str]) -> Tuple[int, ...]:
+    """Argument positions constrainable once the variables *bound* are known.
+
+    Constants always are; a variable's positions are once it is bound.
+    """
+    positions = set(signature.const_positions)
+    for name, var_positions in signature.var_positions.items():
+        if name in bound:
+            positions.update(var_positions)
+    return tuple(sorted(positions))
+

@@ -2,9 +2,9 @@
 
 ``explain`` renders a :class:`~repro.datalog.plan.compiler.CompiledDeltaPlan`
 in the spirit of SQL ``EXPLAIN``: one line per join step showing the scan
-target, the index (or full scan) it uses, where each constraint value comes
-from, the optimizer's row estimate, and how many body literals are pushed
-down after the step.  The engine exposes this through
+target, whether it joins or is a cross product, the index (or full scan)
+it uses, where each constraint value comes from, and how many body
+literals are pushed down after the step.  The engine exposes this through
 :meth:`~repro.datalog.engine.NDlogEngine.explain`.
 """
 
@@ -24,18 +24,10 @@ def _render_lookup(spec: LookupSpec) -> str:
 
 
 def _render_step(number: int, step: CompiledStep) -> List[str]:
-    if step.index_positions:
-        access = f"index{step.index_positions}"
-        if step.key_covered:
-            access += " (covers primary key)"
-    else:
-        access = "full scan"
+    access = f"index{step.index_positions}" if step.index_positions else "full scan"
     bindings = ", ".join(_render_lookup(spec) for spec in step.lookups)
     join_kind = "join" if step.connected else "cross product"
-    lines = [
-        f"  step {number}: {join_kind} {step.atom} via {access}"
-        f" est_rows={step.estimated_rows:.2f}"
-    ]
+    lines = [f"  step {number}: {join_kind} {step.atom} via {access}"]
     if bindings:
         lines.append(f"          bind {bindings}")
     if step.literal_prefix:
@@ -61,16 +53,7 @@ def explain_plan(plan: CompiledDeltaPlan) -> str:
         lines.append("  no joins: finalize directly from the trigger tuple")
     for number, step in enumerate(plan.steps, start=1):
         lines.extend(_render_step(number, step))
-    lines.append(
-        f"  emit {rule.head} (estimated tuples scanned per delta:"
-        f" {plan.estimated_scan:.2f})"
-    )
-    if plan.cardinality_snapshot:
-        rendered = ", ".join(
-            f"|{name}|={count}"
-            for name, count in sorted(plan.cardinality_snapshot.items())
-        )
-        lines.append(f"  costed against local fragments: {rendered}")
+    lines.append(f"  emit {rule.head}")
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ rather than just wall-clock.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, MutableMapping, Optional, Set, Tuple
+from typing import Dict, Iterable, MutableMapping, Optional, Set, Tuple
 
 from ...storage.memory import Catalog
 
@@ -56,12 +56,6 @@ class IndexManager:
             registered.add(canonical)
             self.counters["indexes_registered"] += 1
         return canonical
-
-    def registered(self) -> Dict[str, List[Tuple[int, ...]]]:
-        """Relation name -> sorted list of registered index position sets."""
-        return {
-            name: sorted(positions) for name, positions in self._registered.items()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         count = sum(len(v) for v in self._registered.values())

@@ -2,7 +2,7 @@
 
 The planner does not work on :class:`~repro.datalog.ast.Rule` objects
 directly: it first *normalizes* a rule into a shape that makes the
-information a join optimizer needs explicit:
+information a join planner needs explicit:
 
 * per body atom, which argument positions are bound to which variables
   (:attr:`AtomSignature.var_positions`) and which hold constants
@@ -74,10 +74,6 @@ class NormalizedRule:
     rule: Rule
     atoms: Tuple[AtomSignature, ...]
     literals: Tuple[LiteralInfo, ...]
-
-    @property
-    def atom_count(self) -> int:
-        return len(self.atoms)
 
     def signature(self, position: int) -> AtomSignature:
         return self.atoms[position]

@@ -235,14 +235,6 @@ class Table:
                         del index[key]
         return _DELETED_GONE
 
-    def delete_all(self, values: Sequence[Any]) -> DeleteOutcome:
-        """Remove every derivation of *values* regardless of count."""
-        row, count = self._find(values)
-        if count is None:
-            return _DELETED_ABSENT
-        self._remove_row(row)
-        return _DELETED_GONE
-
     def _remove_row(self, row: Tuple[Any, ...]) -> None:
         """Evict stored *row* whatever its count: delete its last derivation."""
         self._rows[row] = 1
@@ -314,16 +306,6 @@ class Table:
                 f"position {canonical[-1]}"
             )
         self._ensure_index(canonical)
-
-    def has_index(self, positions: Sequence[int]) -> bool:
-        return tuple(sorted(set(positions))) in self._indexes
-
-    def index_size(self, positions: Sequence[int]) -> int:
-        """Number of rows held by the index over *positions* (0 if absent)."""
-        index = self._indexes.get(tuple(sorted(set(positions))))
-        if not index:
-            return 0
-        return sum(len(bucket) for bucket in index.values())
 
     # ------------------------------------------------------------------ #
     # queries
@@ -445,8 +427,8 @@ class Catalog:
     def get(self, name: str) -> Optional[Table]:
         """Return the table for *name* without creating it (None if absent).
 
-        The planner's statistics use this: costing a rule must not litter
-        the catalog with empty tables for relations (e.g. transient events)
+        Readers use this so that looking a relation up never litters the
+        catalog with empty tables for relations (e.g. transient events)
         that evaluation itself would never materialize.
         """
         return self._tables.get(name)

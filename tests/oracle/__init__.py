@@ -1,7 +1,7 @@
 """Test oracles for the NDlog engine: the two ways ``src/`` no longer runs a rule.
 
-:class:`~repro.datalog.engine.NDlogEngine` has one executor — every greedy
-plan runs as one generated function, every delta applied and fired in one
+:class:`~repro.datalog.engine.NDlogEngine` has one executor — every plan
+runs as one generated function, every delta applied and fired in one
 loop, sink tables applied at emission.  The engines here subclass it
 and replace exactly that executor, so every equivalence test compares the
 compiled path against an independent walk over :class:`Rule` ASTs and
@@ -10,8 +10,7 @@ plain tables:
 * :class:`InterpretedEngine` dispatches each delta through its own
   ``_apply_insert`` / ``_apply_delete`` / ``_apply_refresh``, queues every
   row (no sinks, no fused path) and runs each rule by walking term trees
-  over the planner's join order, re-costing multi-step plans on the same
-  schedule as the engine.
+  over the planner's join order.
   Tables, index buckets, listener sequences, sends and every
   ``engine.stats`` counter must equal the engine's.
 * :class:`NestedLoopEngine` joins the body atoms strictly left to right
@@ -38,13 +37,7 @@ import repro.datalog.runtime
 from repro.datalog.ast import Assignment, Atom, Fact, Rule
 from repro.datalog.engine import DELETE, INSERT, REFRESH, Delta, NDlogEngine
 from repro.datalog.errors import EvaluationError
-from repro.datalog.plan.compiler import (
-    STALENESS_CHECK_PERIOD,
-    CompiledDeltaPlan,
-    CompiledStep,
-    finalize,
-    match_atom,
-)
+from repro.datalog.plan.compiler import CompiledDeltaPlan, CompiledStep, finalize, match_atom
 
 __all__ = ["ENGINES", "InterpretedEngine", "NestedLoopEngine", "built_with", "table_state"]
 
@@ -114,41 +107,19 @@ class InterpretedEngine(NDlogEngine):
 
     def _fire_rules(self, firings, delta: Delta) -> None:
         for plan in firings:
-            rule, position = plan.rule, plan.trigger_position
-            binding = match_atom(rule.body_atoms[position], delta.fact.values, {})
+            binding = match_atom(plan.trigger_atom, delta.fact.values, {})
             if binding is not None:
-                self._evaluate(rule, position, delta, binding)
+                self._evaluate(plan, delta, binding)
 
-    def _evaluate(self, rule: Rule, position: int, delta: Delta, binding) -> None:
-        plan = self._plan_for(rule, position)
-        plan.executions += 1
+    def _evaluate(self, plan: CompiledDeltaPlan, delta: Delta, binding) -> None:
         if not plan.steps:
-            self._finalize_binding(rule, binding, [(plan.trigger_atom, delta.fact)], delta)
+            self._finalize_binding(plan.rule, binding, [(plan.trigger_atom, delta.fact)], delta)
             return
         if plan.initial_literal_prefix and not _prefix_passes(
             self, plan, binding, plan.initial_literal_prefix
         ):
             return
         self._join(plan, delta, binding, 0, {})
-
-    def _plan_for(self, rule: Rule, position: int) -> CompiledDeltaPlan:
-        """The rule's plan, recompiled when live cardinalities drifted.
-
-        Checked after a trigger match, before the execution is counted, as
-        the engine does.
-        """
-        key = (id(rule), position)
-        plan = self._plans[key]
-        if (
-            len(plan.steps) >= 2
-            and plan.executions % STALENESS_CHECK_PERIOD == 0
-            and plan.is_stale(self._statistics)
-        ):
-            plan = self._plan_compiler.compile(rule, position)
-            plan.executions = 1  # keep the staleness check period aligned
-            self._plans[key] = plan
-            self.stats["plans_recompiled"] += 1
-        return plan
 
     def _join(
         self,
@@ -219,9 +190,9 @@ class InterpretedEngine(NDlogEngine):
 class NestedLoopEngine(InterpretedEngine):
     """Left-to-right nested loops over full scans: no plan, no index probe."""
 
-    def _evaluate(self, rule: Rule, position: int, delta: Delta, binding) -> None:
-        trigger = rule.body_atoms[position]
-        self._join_left_to_right(rule, position, binding, [(trigger, delta.fact)], delta, 0)
+    def _evaluate(self, plan: CompiledDeltaPlan, delta: Delta, binding) -> None:
+        matched = [(plan.trigger_atom, delta.fact)]
+        self._join_left_to_right(plan.rule, plan.trigger_position, binding, matched, delta, 0)
 
     def _join_left_to_right(
         self,

@@ -40,13 +40,6 @@ class TestTableBasics:
         assert not outcome.was_present
         assert not outcome.became_invisible
 
-    def test_delete_all_removes_all_derivations(self):
-        table = Table("pathCost")
-        for _ in range(3):
-            table.insert(("a", "c", 5))
-        assert table.delete_all(("a", "c", 5)).became_invisible
-        assert table.count(("a", "c", 5)) == 0
-
     def test_arity_checked(self):
         table = Table("link", arity=3)
         with pytest.raises(SchemaError):

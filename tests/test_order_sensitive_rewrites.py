@@ -356,13 +356,6 @@ class LadderTable(Table):
         self._rows[row] = count - 1
         return _DELETED_KEPT
 
-    def delete_all(self, values):
-        row, count = self._find(values)
-        if count is None:
-            return _DELETED_ABSENT
-        self._remove_row(row)
-        return _DELETED_GONE
-
     def _remove_row(self, row):
         self._rows.pop(row, None)
         key = self._key_of(row)
@@ -417,7 +410,6 @@ table_op = st.one_of(
     st.tuples(st.just("insert"), row),
     st.tuples(st.just("insert"), row),
     st.tuples(st.just("delete"), row),
-    st.tuples(st.just("delete_all"), row),
     st.tuples(st.just("index"), st.sampled_from([(0,), (1,), (0, 2), (2,)])),
 )
 

@@ -1,6 +1,6 @@
 """Engine-level equivalence: the engine must match its oracles bit-for-bit.
 
-The engine (greedy plans, batched drain, one generated executor per plan)
+The engine (static plans, one delta at a time, one generated executor per plan)
 is compared against the two interpreters in ``tests/oracle/``:
 
 * :class:`~oracle.NestedLoopEngine` (left-to-right nested loops over full

@@ -1,4 +1,4 @@
-"""Unit tests for the cost-based planner subsystem (repro.datalog.plan)."""
+"""Unit tests for the rule planner subsystem (repro.datalog.plan)."""
 
 from __future__ import annotations
 
@@ -8,16 +8,7 @@ from repro.datalog import Fact, NDlogEngine, parse_program, parse_rule
 from repro.datalog.ast import TableDecl
 from repro.storage.memory import Catalog, Table
 from repro.datalog.errors import SchemaError, ValidationError
-from repro.datalog.plan import (
-    CatalogStatistics,
-    CostModel,
-    GreedyOptimizer,
-    IndexManager,
-    PlanCompiler,
-    construct_join_graph,
-    explain_plan,
-    normalize_rule,
-)
+from repro.datalog.plan import IndexManager, PlanCompiler, explain_plan, normalize_rule
 
 from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
 
@@ -29,7 +20,7 @@ class TestNormalize:
     def test_variable_constant_and_wildcard_positions(self):
         rule = parse_rule('t1 head(@A,D) :- edge(@A,B,5), path(@B,D,_), D != A.')
         normalized = normalize_rule(rule)
-        assert normalized.atom_count == 2
+        assert len(normalized.atoms) == 2
         edge, path = normalized.atoms
         assert edge.name == "edge" and edge.position == 0
         assert edge.var_positions == {"A": (0,), "B": (1,)}
@@ -65,125 +56,48 @@ class TestNormalize:
 
 
 # ---------------------------------------------------------------------- #
-# join graph
+# static join order
 # ---------------------------------------------------------------------- #
-class TestJoinGraph:
-    def test_edges_label_shared_variables(self):
-        rule = parse_rule("j1 out(@A,D) :- t(@A,B), p(@B,C), q(@C,D).")
-        graph = construct_join_graph(normalize_rule(rule))
-        assert graph.shared_variables(0, 1) == {"B"}
-        assert graph.shared_variables(1, 2) == {"C"}
-        assert graph.shared_variables(0, 2) == frozenset()
-        assert graph.neighbors(1) == {0, 2}
-        assert graph.is_connected()
-
-    def test_disconnected_body_reports_components(self):
-        rule = parse_rule("j2 out(@A,C) :- t(@A,B), lonely(@C,D).")
-        graph = construct_join_graph(normalize_rule(rule))
-        assert not graph.is_connected()
-        assert graph.components() == [frozenset({0}), frozenset({1})]
-        assert not graph.is_connected_to(1, {0})
+def _step_positions(text: str):
+    plan = PlanCompiler(IndexManager(Catalog())).compile(parse_rule(text), 0)
+    return [step.body_position for step in plan.steps], plan
 
 
-# ---------------------------------------------------------------------- #
-# cost model
-# ---------------------------------------------------------------------- #
-def _catalog_with(name: str, rows: int, arity: int = 2, keys=()) -> Catalog:
-    catalog = Catalog()
-    catalog.declare(TableDecl(name, arity, keys))
-    table = catalog.table(name)
-    for i in range(rows):
-        table.insert(tuple(f"v{i}-{j}" for j in range(arity)))
-    return catalog
-
-
-class TestCostModel:
-    def test_unbound_lookup_is_a_full_scan(self):
-        catalog = _catalog_with("r", 40)
-        model = CostModel(CatalogStatistics(catalog))
-        signature = normalize_rule(parse_rule("c1 out(@A) :- t(@A,B), r(@C,D).")).atoms[1]
-        estimate = model.estimate(signature, frozenset({"A", "B"}))
-        assert estimate.full_scan and estimate.rows == 40.0
-
-    def test_each_bound_position_applies_selectivity(self):
-        catalog = _catalog_with("r", 100)
-        model = CostModel(CatalogStatistics(catalog), selectivity=0.1)
-        signature = normalize_rule(parse_rule("c2 out(@A) :- t(@A,B), r(@A,B).")).atoms[1]
-        one = model.estimate(signature, frozenset({"A"}))
-        both = model.estimate(signature, frozenset({"A", "B"}))
-        assert one.bound_positions == (0,) and one.rows == pytest.approx(10.0)
-        assert both.bound_positions == (0, 1) and both.rows == pytest.approx(1.0)
-
-    def test_primary_key_coverage_caps_the_estimate_at_one(self):
-        catalog = _catalog_with("r", 500, arity=3, keys=(0, 1))
-        model = CostModel(CatalogStatistics(catalog))
-        signature = normalize_rule(
-            parse_rule("c3 out(@A) :- t(@A,B), r(@A,B,C).")
-        ).atoms[1]
-        estimate = model.estimate(signature, frozenset({"A", "B"}))
-        assert estimate.key_covered and estimate.rows == 1.0
-
-    def test_rejects_nonsense_selectivity(self):
-        catalog = Catalog()
-        with pytest.raises(ValueError):
-            CostModel(CatalogStatistics(catalog), selectivity=0.0)
-
-
-# ---------------------------------------------------------------------- #
-# greedy ordering
-# ---------------------------------------------------------------------- #
-class TestGreedyOrdering:
+class TestStaticJoinOrder:
     RULE = "g1 out(@A,D) :- t(@A,B,C), big(@B,D), small(@C,D)."
 
-    def _optimizer(self, big_rows: int, small_rows: int):
-        catalog = Catalog()
-        catalog.declare(TableDecl("t", 3))
-        catalog.declare(TableDecl("big", 2))
-        catalog.declare(TableDecl("small", 2))
-        for i in range(big_rows):
-            catalog.table("big").insert((f"b{i}", f"d{i}"))
-        for i in range(small_rows):
-            catalog.table("small").insert((f"c{i}", f"d{i}"))
-        statistics = CatalogStatistics(catalog)
-        return GreedyOptimizer(CostModel(statistics)), catalog
-
-    def test_skewed_cardinalities_put_the_small_relation_first(self):
-        optimizer, _ = self._optimizer(big_rows=200, small_rows=3)
+    def test_plan_depends_only_on_its_rule(self):
+        # Compiled on an empty catalog and on a skewed one, the plan and its
+        # EXPLAIN text are the same: nothing in a plan reads a table.
         rule = parse_rule(self.RULE)
-        normalized = normalize_rule(rule)
-        graph = construct_join_graph(normalized)
-        order = optimizer.order(normalized, graph, 0)
-        # naive body order would scan `big` first; greedy flips the order
-        assert order.positions == (2, 1)
-
-    def test_reversed_skew_reverses_the_order(self):
-        optimizer, _ = self._optimizer(big_rows=3, small_rows=200)
-        rule = parse_rule(self.RULE)
-        normalized = normalize_rule(rule)
-        graph = construct_join_graph(normalized)
-        order = optimizer.order(normalized, graph, 0)
-        assert order.positions == (1, 2)
+        plans = []
+        for big_rows, small_rows in ((0, 0), (200, 3)):
+            catalog = Catalog()
+            for name, arity in (("t", 3), ("big", 2), ("small", 2)):
+                catalog.declare(TableDecl(name, arity))
+            for i in range(big_rows):
+                catalog.table("big").insert((f"b{i}", f"d{i}"))
+            for i in range(small_rows):
+                catalog.table("small").insert((f"c{i}", f"d{i}"))
+            plans.append(PlanCompiler(IndexManager(catalog)).compile(rule, 0))
+        empty, skewed = plans
+        assert [s.body_position for s in empty.steps] == [s.body_position for s in skewed.steps]
+        assert explain_plan(empty) == explain_plan(skewed)
 
     def test_connected_atoms_beat_disconnected_ones(self):
-        rule = parse_rule("g2 out(@A,B,C) :- t(@A,B), lonely(@C,D), near(@B,E).")
-        catalog = Catalog()
-        for name, arity in (("t", 2), ("lonely", 2), ("near", 2)):
-            catalog.declare(TableDecl(name, arity))
-        catalog.table("lonely").insert(("c", "d"))  # tiny but disconnected
-        for i in range(50):
-            catalog.table("near").insert((f"b{i}", f"e{i}"))
-        optimizer = GreedyOptimizer(CostModel(CatalogStatistics(catalog)))
-        normalized = normalize_rule(rule)
-        order = optimizer.order(normalized, construct_join_graph(normalized), 0)
-        assert order.positions == (2, 1)
-        assert order.steps[0].connected and not order.steps[1].connected
+        positions, plan = _step_positions("g2 out(@A,B,C) :- t(@A,B), lonely(@C,D), near(@B,E).")
+        assert positions == [2, 1]
+        assert [step.connected for step in plan.steps] == [True, False]
+        assert "cross product lonely" in explain_plan(plan)
+
+    def test_more_constrained_positions_go_first(self):
+        positions, plan = _step_positions("g3 out(@A,D) :- t(@A,B), one(@B,D), two(@A,B,E).")
+        assert positions == [2, 1]
+        assert [step.index_positions for step in plan.steps] == [(0, 1), (0,)]
 
     def test_ties_fall_back_to_body_order(self):
-        optimizer, _ = self._optimizer(big_rows=0, small_rows=0)
-        rule = parse_rule(self.RULE)
-        normalized = normalize_rule(rule)
-        order = optimizer.order(normalized, construct_join_graph(normalized), 0)
-        assert order.positions == (1, 2)
+        positions, _ = _step_positions(self.RULE)
+        assert positions == [1, 2]
 
 
 # ---------------------------------------------------------------------- #
@@ -197,7 +111,7 @@ class TestIndexMaintenance:
         assert manager.require("r", (1, 0)) == (0, 1)
         assert manager.require("r", (0, 1)) == (0, 1)
         assert manager.counters["indexes_registered"] == 1
-        assert catalog.table("r").has_index((0, 1))
+        assert (0, 1) in catalog.table("r")._indexes
 
     def test_index_stays_consistent_under_derivation_counted_deletes(self):
         table = Table("r", 2)
@@ -212,7 +126,7 @@ class TestIndexMaintenance:
         assert sorted(table.lookup({0: "a"})) == [("a", 2)]
         table.delete(("a", 2))
         assert list(table.lookup({0: "a"})) == []
-        assert table.index_size((0,)) == 0
+        assert table._indexes[(0,)] == {}
 
     def test_primary_key_replacement_updates_the_index(self):
         table = Table("r", 3, key_positions=(0, 1))
@@ -263,19 +177,6 @@ class TestCompiledPlans:
         with pytest.raises(TypeError):
             NDlogEngine("a", pipeline="batched")
 
-    def test_stale_plan_is_recompiled_when_cardinalities_drift(self):
-        engine = NDlogEngine("a")
-        engine.load_program(
-            parse_program("p2 out(@A,D) :- t(@A,B), u(@B,C), v(@C,D).")
-        )
-        # fill u far beyond the (empty) compile-time snapshot, bypassing the
-        # evaluation loop so no plan executes while we do it
-        for i in range(64):
-            engine.catalog.table("u").insert((f"b{i}", f"c{i}"))
-        engine.insert(Fact("t", ("a", "b0")))
-        engine.run()
-        assert engine.stats["plans_recompiled"] >= 1
-
     def test_condition_pushdown_skips_doomed_scans(self):
         program = parse_program("p3 out(@A,B) :- t(@A,C), u(@A,B), C < 5.")
         greedy = NDlogEngine("a", program=program)
@@ -310,8 +211,7 @@ class TestCompiledPlans:
         text = engine.explain("p5")
         assert "rule p5" in text
         assert "delta on t" in text and "delta on u" in text
-        assert "index(0,)" in text
-        assert "est_rows" in text
+        assert "join u(@B, C) via index(0,)" in text
         # unknown labels degrade gracefully
         assert "no compiled plans" in engine.explain("nope")
 
@@ -369,8 +269,7 @@ class TestCompiledPlans:
         catalog = Catalog()
         catalog.declare(TableDecl("t", 2))
         catalog.declare(TableDecl("u", 2))
-        statistics = CatalogStatistics(catalog)
-        compiler = PlanCompiler(statistics, IndexManager(catalog))
+        compiler = PlanCompiler(IndexManager(catalog))
         rule = parse_rule("p6 out(@A,C) :- t(@A,B), u(@B,C).")
         plan0 = compiler.compile(rule, 0)
         plan1 = compiler.compile(rule, 1)
