@@ -9,6 +9,7 @@ from repro.datalog.ast import TableDecl
 from repro.storage.memory import Catalog, Table
 from repro.datalog.errors import SchemaError, ValidationError
 from repro.datalog.plan import IndexManager, PlanCompiler, explain_plan, normalize_rule
+from repro.datalog.plan.compiler import _bound_positions
 
 from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
 
@@ -99,6 +100,46 @@ class TestStaticJoinOrder:
         positions, _ = _step_positions(self.RULE)
         assert positions == [1, 2]
 
+    def test_constants_count_as_constrained_positions(self):
+        positions, plan = _step_positions("g4 out(@A,D) :- t(@A,B), loose(@B,D), pinned(@B,E,7).")
+        assert positions == [2, 1]
+        assert [step.index_positions for step in plan.steps] == [(0, 2), (0,)]
+        assert "[2]=7" in explain_plan(plan)
+
+    def test_a_cross_product_binds_what_follows_it(self):
+        positions, plan = _step_positions("g5 out(@A,E) :- t(@A,B), lonely(@C,D), after(@D,E).")
+        assert positions == [1, 2]
+        assert [step.connected for step in plan.steps] == [False, True]
+        assert [step.index_positions for step in plan.steps] == [(), (0,)]
+
+    def test_a_middle_trigger_joins_outward(self):
+        rule = parse_rule("g6 out(@A,D) :- t(@A,B), u(@B,C), v(@C,D).")
+        plan = PlanCompiler(IndexManager(Catalog())).compile(rule, 1)
+        assert [step.body_position for step in plan.steps] == [0, 2]
+        assert [step.connected for step in plan.steps] == [True, True]
+        # body order is kept for the facts whatever the join order
+        assert [position for position, _ in plan.body_order] == [0, 2]
+
+
+class TestBoundPositions:
+    @staticmethod
+    def _signature(text: str, position: int):
+        return normalize_rule(parse_rule(text)).atoms[position]
+
+    def test_constants_are_constrained_before_anything_is_bound(self):
+        signature = self._signature("b1 out(@A) :- t(@A,B), r(@C,5).", 1)
+        assert _bound_positions(signature, frozenset()) == (1,)
+        assert _bound_positions(signature, frozenset({"C"})) == (0, 1)
+
+    def test_a_repeated_variable_constrains_every_position(self):
+        signature = self._signature("b2 out(@A) :- t(@A,B), r(@B,C,B).", 1)
+        assert _bound_positions(signature, frozenset({"A", "B"})) == (0, 2)
+
+    def test_wildcards_and_unrelated_variables_constrain_nothing(self):
+        signature = self._signature("b3 out(@A) :- t(@A,B), r(@A,_).", 1)
+        assert _bound_positions(signature, frozenset({"A", "B"})) == (0,)
+        assert _bound_positions(signature, frozenset({"B", "X"})) == ()
+
 
 # ---------------------------------------------------------------------- #
 # secondary indexes
@@ -176,6 +217,26 @@ class TestCompiledPlans:
             NDlogEngine("a", planner="greedy")
         with pytest.raises(TypeError):
             NDlogEngine("a", pipeline="batched")
+
+    def test_plans_are_never_recompiled_mid_run(self):
+        engine = NDlogEngine("a")
+        engine.load_program(
+            parse_program("p2 out(@A,D) :- t(@A,B), u(@B,C), v(@C,D).")
+        )
+        before = dict(engine._plans)
+        text = engine.explain("p2")
+        # fill u far beyond its size at compile time, bypassing the
+        # evaluation loop, then fire every plan of the rule
+        for i in range(64):
+            engine.catalog.table("u").insert((f"b{i}", f"c{i}"))
+        engine.insert(Fact("t", ("a", "b0")))
+        engine.insert(Fact("v", ("c0", "d")))
+        engine.run()
+        assert engine.table_rows("out") == [("a", "d")]
+        assert engine.stats["plans_recompiled"] == 0
+        assert engine._plans.keys() == before.keys()
+        assert all(engine._plans[key] is plan for key, plan in before.items())
+        assert engine.explain("p2") == text
 
     def test_condition_pushdown_skips_doomed_scans(self):
         program = parse_program("p3 out(@A,B) :- t(@A,C), u(@A,B), C < 5.")
@@ -264,6 +325,57 @@ class TestCompiledPlans:
         assert len(set(filenames.values())) == len(plans) == 3, filenames
         assert filenames[("q1", 1)] == "<plan q1@1>"
         assert filenames[("q2", 0)] == "<plan q2@0>"
+
+    def test_a_converged_network_keeps_its_compile_time_plans(self):
+        # Every node compiled its plans before any row existed; after
+        # convergence and a link-deletion cascade a fresh engine compiles
+        # the same plans, and no counter records a recompile.
+        from repro.datalog import StandaloneNetwork
+        from repro.net import ring_topology
+        from repro.protocols import pathvector_program
+
+        program = pathvector_program()
+        topology = ring_topology(6, seed=1)
+        net = StandaloneNetwork(topology.nodes, program)
+        links = list(topology.link_facts())
+        for source, destination, cost in links:
+            net.insert(Fact("link", (source, destination, cost)))
+        net.run()
+        source, destination, cost = links[0]
+        net.delete(Fact("link", (source, destination, cost)))
+        net.delete(Fact("link", (destination, source, cost)))
+        net.run()
+        assert net.all_rows("path")
+        assert net.planner_stats()["plans_recompiled"] == 0
+        fresh = NDlogEngine("fresh", program=program).explain()
+        for engine in net.engines.values():
+            assert engine.explain() == fresh
+
+    def test_cost_based_planner_is_gone(self):
+        import importlib
+
+        import repro.datalog
+        import repro.datalog.plan
+
+        for name in (
+            "CostModel",
+            "GreedyOptimizer",
+            "construct_join_graph",
+            "CatalogStatistics",
+            "CostEstimate",
+            "JoinGraph",
+            "JoinEdge",
+            "JoinOrder",
+            "OrderedStep",
+            "DEFAULT_SELECTIVITY",
+        ):
+            assert not hasattr(repro.datalog.plan, name), name
+            assert not hasattr(repro.datalog, name), name
+        for module in ("cost", "join_graph", "optimizer"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.datalog.plan.{module}")
+        with pytest.raises(TypeError):
+            PlanCompiler(IndexManager(Catalog()), statistics=None)
 
     def test_plan_compiler_is_reusable_across_positions(self):
         catalog = Catalog()
