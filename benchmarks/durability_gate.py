@@ -5,9 +5,9 @@ Four checks, in order, all deterministic (no wall-clock — repo policy):
 1. **Backend byte-identity** — the artifact a ``--storage sqlite`` run of
    the ``query_concurrency`` scenario produced must byte-match the
    committed memory-backend baseline (canonical bytes, advisory keys
-   stripped — exactly the ``repro.experiments compare --strict``
-   contract).  Storage is an execution-environment knob; any drift is a
-   real behavior change.
+   stripped — exactly the ``repro.experiments compare`` contract).
+   Storage is an execution-environment knob; any drift is a real behavior
+   change.
 2. **Crash recovery** — a subprocess runs a MINCOST fixpoint under the
    sqlite backend, checkpoints, and SIGKILLs itself; a fresh process
    restores from the file, continues scripted churn to fixpoint, and its

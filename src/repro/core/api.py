@@ -106,10 +106,7 @@ class ExspanNetwork:
         self.config = config
         self.topology = topology
         self.mode = config.mode
-        self.link_cost = config.link_cost
         self.query_cache_capacity = config.query_cache_capacity
-        self.query_coalescing = config.query_coalescing
-        self.query_batching = config.query_batching
         self._rng = random.Random(config.seed)
         collector = config.collector
         if config.mode is ProvenanceMode.CENTRALIZED and collector is None:
@@ -194,8 +191,6 @@ class ExspanNetwork:
             store,
             clock=lambda: self.simulator.now,
             cache_capacity=self.query_cache_capacity,
-            coalesce=self.query_coalescing,
-            batch=self.query_batching,
             tracer=self.tracer,
         )
         host.register_handler(DELTA_MESSAGE_KIND, partial(self._deliver_delta, engine))
@@ -296,11 +291,11 @@ class ExspanNetwork:
         neighbors".
         """
         inserted = 0
-        for source, destination, link_cost in self.topology.link_facts():
+        for source, destination, topology_cost in self.topology.link_facts():
             if source not in self.nodes:
                 # Sharded instance: this fact belongs to another shard.
                 continue
-            value = cost if cost is not None else link_cost
+            value = cost if cost is not None else topology_cost
             self.insert_fact(Fact("link", (source, destination, value)), process=False)
             inserted += 1
         for node in self.nodes.values():
@@ -309,7 +304,7 @@ class ExspanNetwork:
 
     def add_link(self, a: Any, b: Any, cost: Optional[int] = None) -> None:
         """Add a symmetric link at runtime (churn): topology + link tuples."""
-        value = cost if cost is not None else self.link_cost
+        value = cost if cost is not None else LinkSpec().cost
         if not self.topology.has_link(a, b):
             self.topology.add_link(a, b, LinkSpec(cost=value))
         if a in self.nodes:
@@ -324,7 +319,7 @@ class ExspanNetwork:
             cost = spec.cost
             self.topology.remove_link(a, b)
         else:
-            cost = self.link_cost
+            cost = LinkSpec().cost
         if a in self.nodes:
             self.delete_fact(Fact("link", (a, b, cost)))
         if b in self.nodes:

@@ -1,11 +1,9 @@
 """Consolidated, validated construction configuration for ExSPAN networks.
 
-:class:`ExspanNetwork` grew one keyword argument per PR — query-cache
-capacity, coalescing/batching ablation flags, bounded traffic statistics,
-sharding placement — until every caller (and every layer forwarding the
-kwargs, like the sharded engine's worker bootstrap) had to repeat the whole
-sprawl.  :class:`ExspanConfig` freezes that surface into one validated
-value object with documented defaults:
+:class:`ExspanConfig` holds the eight construction settings of an
+:class:`ExspanNetwork` — provenance mode, value policy, collector, RNG
+seed, query-cache capacity, sharding placement and storage backend — in
+one validated value object with documented defaults:
 
 * every knob is validated eagerly at construction (bad values fail where
   the config is *written*, not deep inside network bootstrap);
@@ -14,6 +12,10 @@ value object with documented defaults:
 * :meth:`ExspanConfig.to_dict` / :meth:`ExspanConfig.from_dict` give the
   canonical JSON form the always-on query service uses to describe the
   network it hosts over the wire.
+
+A behaviour with one value in every workload is code, not a setting: the
+query service always coalesces in-flight resolutions and batches per
+destination, and a runtime-added link costs ``LinkSpec().cost``.
 
 ``ExspanNetwork(topology, program, config=ExspanConfig(...))`` is the one
 way to build a network.
@@ -31,9 +33,12 @@ from .modes import ProvenanceMode
 __all__ = ["ExspanConfig", "coerce_mode", "MODE_NAMES"]
 
 #: Config keys that older :meth:`ExspanConfig.to_dict` forms carried and
-#: :meth:`ExspanConfig.from_dict` now ignores (the traffic log's retired
-#: record cap).
-_RETIRED_KEYS = frozenset({"traffic_record_cap"})
+#: :meth:`ExspanConfig.from_dict` now ignores: the traffic log's retired
+#: record cap, the query service's coalescing/batching switches and the
+#: runtime-added link cost.
+_RETIRED_KEYS = frozenset(
+    {"traffic_record_cap", "query_coalescing", "query_batching", "link_cost"}
+)
 
 #: Canonical short names for provenance modes (the JSON wire form).
 MODE_NAMES: Dict[ProvenanceMode, str] = {
@@ -85,14 +90,11 @@ class ExspanConfig:
         the topology's first node).
 
     Workload
-        ``link_cost`` — default cost for runtime-added links;
         ``seed`` — RNG seed for :meth:`ExspanNetwork.random_tuple`.
 
     Query engine
         ``query_cache_capacity`` — per-node bounded result-cache capacity
-        (``None`` = engine default);
-        ``query_coalescing`` / ``query_batching`` — concurrency ablations,
-        both on by default.
+        (``None`` = engine default).
 
     Sharding placement
         ``local_addresses`` / ``shard_map`` — configure the instance as
@@ -109,11 +111,8 @@ class ExspanConfig:
     mode: ProvenanceMode = ProvenanceMode.REFERENCE
     collector: Optional[Any] = None
     value_policy: str = "bdd"
-    link_cost: int = 1
     seed: int = 0
     query_cache_capacity: Optional[int] = None
-    query_coalescing: bool = True
-    query_batching: bool = True
     local_addresses: Optional[Tuple[Any, ...]] = None
     shard_map: Optional[Mapping[Any, int]] = field(default=None)
     storage: Optional[str] = None
@@ -125,10 +124,6 @@ class ExspanConfig:
             f"value_policy must be one of {_VALUE_POLICIES}, got {self.value_policy!r}",
         )
         _require(
-            isinstance(self.link_cost, int) and not isinstance(self.link_cost, bool),
-            f"link_cost must be an int, got {self.link_cost!r}",
-        )
-        _require(
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an int, got {self.seed!r}",
         )
@@ -138,11 +133,6 @@ class ExspanConfig:
             or (isinstance(capacity, int) and not isinstance(capacity, bool) and capacity >= 0),
             f"query_cache_capacity must be None or a non-negative int, got {capacity!r}",
         )
-        for name in ("query_coalescing", "query_batching"):
-            _require(
-                isinstance(getattr(self, name), bool),
-                f"{name} must be a bool, got {getattr(self, name)!r}",
-            )
         if self.local_addresses is not None:
             object.__setattr__(self, "local_addresses", tuple(self.local_addresses))
         if self.shard_map is not None:
@@ -177,11 +167,8 @@ class ExspanConfig:
             "mode": MODE_NAMES[self.mode],
             "collector": self.collector,
             "value_policy": self.value_policy,
-            "link_cost": self.link_cost,
             "seed": self.seed,
             "query_cache_capacity": self.query_cache_capacity,
-            "query_coalescing": self.query_coalescing,
-            "query_batching": self.query_batching,
         }
         if self.local_addresses is not None:
             payload["local_addresses"] = list(self.local_addresses)

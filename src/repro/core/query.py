@@ -29,8 +29,9 @@ Concurrency model
 -----------------
 The service is a *concurrent, pipelined* engine: any number of root queries
 may be in flight at one node, and their traversals interleave freely on the
-event loop.  Three mechanisms keep the multi-querier workload cheap while
-staying **result-identical to serial resolution**:
+event loop.  Three mechanisms, always on (none is a setting), keep the
+multi-querier workload cheap while staying **result-identical to serial
+resolution**:
 
 * **In-flight sub-query coalescing** — a traversal reaching a vertex whose
   resolution is already in flight for the same ``(spec, vertex, depth
@@ -320,8 +321,6 @@ class ProvenanceQueryService:
         store: ProvenanceStore,
         clock: Callable[[], float],
         cache_capacity: Optional[int] = None,
-        coalesce: bool = True,
-        batch: bool = True,
         tracer: Any = None,
     ):
         self.host = host
@@ -338,8 +337,6 @@ class ProvenanceQueryService:
         )
         #: Whether :meth:`on_tuple_update` is registered with the engine.
         self._watching_updates = False
-        self.coalesce = coalesce
-        self.batch = batch
         self._specs: Dict[str, QuerySpec] = {}
         # qid -> continuations awaiting the (single) remote result.
         self._continuations: Dict[str, List[_Continuation]] = {}
@@ -510,7 +507,7 @@ class ProvenanceQueryService:
         """
         root = (target_node, spec.name, vid)
         pending = self._remote_roots.get(root)
-        if self.coalesce and pending is not None:
+        if pending is not None:
             self._continuations[pending].append(finish)
             self.coalesced_roots += 1
             return
@@ -545,11 +542,8 @@ class ProvenanceQueryService:
     # message handling
     # ------------------------------------------------------------------ #
     def _send(self, destination: Any, payload: Dict[str, Any]) -> None:
-        """Ship one protocol payload, batched per destination when enabled."""
-        if self.batch:
-            self.host.enqueue(destination, PROV_MESSAGE_KIND, payload)
-        else:
-            self.host.send(destination, PROV_MESSAGE_KIND, payload)
+        """Ship one protocol payload, batched per destination by the host."""
+        self.host.enqueue(destination, PROV_MESSAGE_KIND, payload)
 
     def _on_message(self, message: Message) -> None:
         payload = message.payload
@@ -652,11 +646,6 @@ class ProvenanceQueryService:
         reaches the vertex with a different remaining depth could explore a
         different frontier when the bound binds, so it resolves separately.
         """
-        if not self.coalesce:
-            # Ablation mode: resolutions run independently and are invisible
-            # to dirty-marking, reproducing the pre-concurrency engine's
-            # message pattern (and its weaker mid-flight update semantics).
-            return _InFlight(key, depth, [(parent, on_done)])
         slot = (key, depth)
         pending = self._inflight.get(slot)
         if pending is not None:

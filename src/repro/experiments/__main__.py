@@ -16,9 +16,11 @@ deterministic: any ``--workers`` value produces byte-identical artifacts —
 and so does ``--trace``, which additionally writes one Perfetto-loadable
 Chrome trace per executed trial plus advisory per-trial phase breakdowns.
 
-``compare`` diffs two artifact directories on the planner/traffic counters
-and exits non-zero on regressions beyond ``--threshold`` — the CI bench
-job runs it against the committed baselines under ``benchmarks/baselines/``.
+``compare`` diffs two artifact directories: it lists every planner and
+traffic counter that differs (the before/after table) and exits non-zero
+unless every artifact is byte-identical, advisory wall-clock fields
+stripped — the CI bench job runs it against the committed baselines under
+``benchmarks/baselines/``.
 
 ``trace`` validates captured trace files against the Chrome trace-event
 schema and prints their flamegraph-style phase summaries.
@@ -43,7 +45,6 @@ from .orchestrator import (
     DEFAULT_RESULTS_DIR,
     compare,
     run,
-    strict_compare,
     wall_clock_report,
 )
 from .scenarios import SCENARIOS
@@ -142,25 +143,11 @@ def _cmd_compare(arguments: argparse.Namespace) -> int:
         # prints this into the job summary after the real gate ran).
         print(wall_clock_report(arguments.baseline, arguments.candidate))
         return 0
-    report = compare(
-        arguments.baseline,
-        arguments.candidate,
-        threshold=arguments.threshold,
-    )
+    report = compare(arguments.baseline, arguments.candidate)
     print(report.render())
-    status = 0 if report.ok else 1
     if arguments.wall_clock:
         print(wall_clock_report(arguments.baseline, arguments.candidate))
-    if arguments.strict:
-        mismatched = strict_compare(arguments.baseline, arguments.candidate)
-        if mismatched:
-            print(f"  STRICT: {len(mismatched)} artifact(s) not byte-identical:")
-            for name in mismatched:
-                print(f"    {name}")
-            status = 1
-        else:
-            print("  STRICT: all artifacts byte-identical")
-    return status
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="storage backend for every trial (memory, sqlite or "
         "sqlite:<path>; every backend is byte-identical by contract, so "
         "artifacts match the committed baselines under any choice — the "
-        "CI durability gate strict-compares a sqlite run against them)",
+        "CI durability gate byte-compares a sqlite run against them)",
     )
     run_parser.add_argument(
         "--faults", default=None, metavar="PLAN",
@@ -247,19 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.set_defaults(handler=_cmd_trace)
 
     compare_parser = commands.add_parser(
-        "compare", help="diff two artifact directories; exit 1 on regressions"
+        "compare",
+        help="list every changed counter; exit 1 unless artifacts are byte-identical",
     )
     compare_parser.add_argument("baseline", help="baseline artifact directory")
     compare_parser.add_argument("candidate", help="candidate artifact directory")
-    compare_parser.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="relative regression threshold (default 0.05 = 5%%)",
-    )
-    compare_parser.add_argument(
-        "--strict", action="store_true",
-        help="also require byte-identical artifacts (determinism check; "
-        "advisory wall_seconds fields are excluded)",
-    )
     compare_parser.add_argument(
         "--wall-clock", action="store_true",
         help="also print advisory per-scenario wall-clock deltas (not gated)",

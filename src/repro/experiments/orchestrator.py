@@ -19,11 +19,11 @@ Three properties the CI regression gate depends on:
   loads the existing artifact and skips any trial whose stored
   fingerprint still matches, so iterating on one scenario never re-pays
   for the other eleven.
-* **Comparability** — :func:`compare` diffs two artifact directories on
-  the planner/traffic counters (tuples scanned, full scans, bytes,
-  messages) and reports regressions beyond a relative threshold; the CI
-  ``bench`` job fails the PR when the quick-mode run regresses against the
-  committed baseline under ``benchmarks/baselines/``.
+* **Comparability** — :func:`compare` diffs two artifact directories: it
+  lists every planner and traffic counter that differs, in either
+  direction, and fails unless every artifact is byte-identical (advisory
+  fields stripped).  The CI ``bench`` job runs it against the committed
+  baseline under ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.requests import canonical_json
 from ..obs.export import phase_breakdown, write_chrome_trace
@@ -52,7 +52,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ARTIFACT_PREFIX",
     "DEFAULT_RESULTS_DIR",
-    "DEFAULT_COMPARE_KEYS",
     "ADVISORY_TRIAL_KEYS",
     "trial_fingerprint",
     "artifact_path",
@@ -61,10 +60,10 @@ __all__ = [
     "canonical_artifact_bytes",
     "RunReport",
     "run",
-    "Regression",
+    "Difference",
     "CompareReport",
     "compare",
-    "strict_compare",
+    "mismatched_artifacts",
     "wall_clock_report",
     "figure_result_from_artifact",
 ]
@@ -77,27 +76,13 @@ ARTIFACT_PREFIX = "BENCH_"
 DEFAULT_RESULTS_DIR = "results"
 
 #: Trial-record fields that are *advisory*: machine-dependent measurements
-#: excluded from fingerprints, from ``compare``'s regression gate, and from
-#: ``strict_compare``'s byte-identity check.  ``wall_seconds`` tracks real
-#: per-trial wall-clock so the BENCH artifacts carry a speed trajectory
-#: without breaking determinism guarantees; ``phases`` is the per-trial
-#: span-phase wall breakdown captured when tracing is enabled (absent
-#: otherwise — and stripped here so tracing on/off stays byte-identical).
+#: excluded from fingerprints and from ``compare``'s byte-identity check.
+#: ``wall_seconds`` tracks real per-trial wall-clock so the BENCH artifacts
+#: carry a speed trajectory without breaking determinism guarantees;
+#: ``phases`` is the per-trial span-phase wall breakdown captured when
+#: tracing is enabled (absent otherwise — and stripped here so tracing
+#: on/off stays byte-identical).
 ADVISORY_TRIAL_KEYS: Tuple[str, ...] = ("wall_seconds", "phases")
-
-#: Counters the regression gate watches, searched in each trial's
-#: ``planner`` and ``traffic`` sections (a key absent from the *baseline*
-#: is skipped; absent from only the candidate is a regression).  Note
-#: ``index_lookups`` is deliberately not gated: indexed lookups replace
-#: full scans, so a planner improvement legitimately raises that counter —
-#: ``tuples_scanned`` and ``full_scans`` measure the work that matters.
-DEFAULT_COMPARE_KEYS: Tuple[str, ...] = (
-    "tuples_scanned",
-    "full_scans",
-    "total_bytes",
-    "total_messages",
-)
-
 
 def trial_fingerprint(
     fn: str, kwargs: Mapping[str, Any], faults: Optional[str] = None
@@ -362,56 +347,59 @@ def run(
 
 
 # ---------------------------------------------------------------------- #
-# regression comparison
+# artifact comparison
 # ---------------------------------------------------------------------- #
+#: Trial-result sections whose numeric entries :func:`compare` lists.
+_COUNTER_SECTIONS: Tuple[str, ...] = ("planner", "traffic")
+
+
 @dataclass(frozen=True)
-class Regression:
-    """One counter that got worse beyond the threshold (or went missing)."""
+class Difference:
+    """A counter that differs between two trials, or a missing artifact or trial."""
 
     scenario: str
     trial_id: str
     key: str
-    baseline: Optional[float]
-    candidate: Optional[float]
+    baseline: Optional[float] = None
+    candidate: Optional[float] = None
 
     def render(self) -> str:
-        if self.baseline is None or self.candidate is None:
-            return f"{self.scenario}/{self.trial_id}: {self.key}"
-        ratio = self.candidate / self.baseline if self.baseline else float("inf")
-        return (
-            f"{self.scenario}/{self.trial_id}: {self.key} "
-            f"{self.baseline:g} -> {self.candidate:g} ({ratio:.2f}x)"
-        )
+        head = f"{self.scenario}/{self.trial_id}: {self.key}"
+        if self.baseline is None and self.candidate is None:
+            return head
+        before = "missing" if self.baseline is None else f"{self.baseline:g}"
+        after = "missing" if self.candidate is None else f"{self.candidate:g}"
+        line = f"{head} {before} -> {after}"
+        if self.baseline and self.candidate is not None:
+            line += f" ({self.candidate / self.baseline:.2f}x)"
+        return line
 
 
 @dataclass
 class CompareReport:
     """Outcome of diffing a candidate artifact set against a baseline."""
 
-    threshold: float
     checked: int = 0
-    regressions: List[Regression] = field(default_factory=list)
-    improvements: List[Regression] = field(default_factory=list)
+    differences: List[Difference] = field(default_factory=list)
+    #: Artifacts whose canonical bytes differ or that exist on one side only.
+    mismatched: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.differences and not self.mismatched
 
     def render(self) -> str:
-        lines = [
-            f"compare: {self.checked} counter(s) checked at "
-            f"{self.threshold:.0%} threshold"
-        ]
+        lines = [f"compare: {self.checked} counter(s) checked"]
         lines.extend(f"  note: {note}" for note in self.notes)
-        if self.regressions:
-            lines.append(f"  REGRESSIONS ({len(self.regressions)}):")
-            lines.extend(f"    {item.render()}" for item in self.regressions)
-        if self.improvements:
-            lines.append(f"  improvements ({len(self.improvements)}):")
-            lines.extend(f"    {item.render()}" for item in self.improvements)
+        if self.differences:
+            lines.append(f"  DIFFERENCES ({len(self.differences)}):")
+            lines.extend(f"    {item.render()}" for item in self.differences)
+        if self.mismatched:
+            lines.append(f"  NOT BYTE-IDENTICAL ({len(self.mismatched)}):")
+            lines.extend(f"    {name}" for name in self.mismatched)
         if self.ok:
-            lines.append("  OK: no counter regressed beyond the threshold")
+            lines.append("  OK: all artifacts byte-identical")
         return "\n".join(lines)
 
 
@@ -427,48 +415,34 @@ def _artifact_files(directory: str) -> List[str]:
     )
 
 
-def _counter(trial: Mapping[str, Any], key: str) -> Optional[float]:
-    result = trial.get("result", {})
-    for section in ("planner", "traffic"):
-        value = result.get(section, {}).get(key)
-        if isinstance(value, (int, float)):
-            return float(value)
-    return None
+def _counters(trial: Mapping[str, Any], section: str) -> Dict[str, float]:
+    counters = trial.get("result", {}).get(section, {})
+    return {
+        key: float(value)
+        for key, value in counters.items()
+        if isinstance(value, (int, float))
+    }
 
 
-def compare(
-    baseline_dir: str,
-    candidate_dir: str,
-    threshold: float = 0.05,
-    keys: Iterable[str] = DEFAULT_COMPARE_KEYS,
-    min_delta: float = 1.0,
-) -> CompareReport:
-    """Diff candidate artifacts against a baseline set; flag regressions.
+def compare(baseline_dir: str, candidate_dir: str) -> CompareReport:
+    """Diff candidate artifacts against a baseline set.
 
-    A counter regresses when ``candidate > baseline * (1 + threshold)``
-    and the absolute growth is at least *min_delta* (default 1: the
-    counters are deterministic, so any growth past the relative threshold
-    is a real behavior change; raise it only to tolerate known-small
-    drift).  Missing candidate artifacts or trials are regressions too — a
+    Lists every planner and traffic counter that differs, in either
+    direction, and every artifact whose canonical bytes differ
+    (:func:`mismatched_artifacts`); the report is ``ok`` only when there is
+    neither.  Missing candidate artifacts or trials are differences too — a
     sweep silently vanishing must fail the gate, and so must an empty or
     mislocated baseline directory (a gate with nothing to check must not
-    pass).  Baselines only present in the candidate are noted but harmless
-    (a new scenario has no baseline yet).
+    pass).  A candidate-only artifact gets a note and, being on one side
+    only, fails the byte check.
     """
-    report = CompareReport(threshold=threshold)
-    keys = tuple(keys)
+    report = CompareReport()
     baseline_files = _artifact_files(baseline_dir)
     if not baseline_files:
         # Fail closed: an empty/missing baseline dir checks nothing, and a
         # gate that checks nothing must not report success.
-        report.regressions.append(
-            Regression(
-                "<baseline>",
-                "*",
-                f"no baseline artifacts under {baseline_dir!r}",
-                None,
-                None,
-            )
+        report.differences.append(
+            Difference("<baseline>", "*", f"no baseline artifacts under {baseline_dir!r}")
         )
     candidate_only = set(_artifact_files(candidate_dir)) - set(baseline_files)
     for name in sorted(candidate_only):
@@ -478,22 +452,18 @@ def compare(
         if baseline is None:
             # Fail closed here too: an unparseable or stale-schema baseline
             # means this scenario is not being gated at all.
-            report.regressions.append(
-                Regression(name, "*", "unreadable or stale-schema baseline", None, None)
+            report.differences.append(
+                Difference(name, "*", "unreadable or stale-schema baseline")
             )
             continue
         scenario = baseline.get("scenario", name)
         baseline_trials = baseline.get("trials", ())
         if not baseline_trials:
-            report.regressions.append(
-                Regression(scenario, "*", "baseline has no trials", None, None)
-            )
+            report.differences.append(Difference(scenario, "*", "baseline has no trials"))
             continue
         candidate = load_artifact(os.path.join(candidate_dir, name))
         if candidate is None:
-            report.regressions.append(
-                Regression(scenario, "*", "artifact missing", None, None)
-            )
+            report.differences.append(Difference(scenario, "*", "artifact missing"))
             continue
         candidate_trials = {
             trial.get("id"): trial for trial in candidate.get("trials", ())
@@ -502,37 +472,24 @@ def compare(
             trial_id = trial.get("id", "?")
             other = candidate_trials.get(trial_id)
             if other is None:
-                report.regressions.append(
-                    Regression(scenario, trial_id, "trial missing", None, None)
-                )
+                report.differences.append(Difference(scenario, trial_id, "trial missing"))
                 continue
-            for key in keys:
-                base = _counter(trial, key)
-                cand = _counter(other, key)
-                if base is None:
-                    continue
-                if cand is None:
-                    # A counter the baseline measured has vanished from the
-                    # candidate — the easiest way for a regression to hide,
-                    # so it fails the gate rather than being skipped.
+            for section in _COUNTER_SECTIONS:
+                before = _counters(trial, section)
+                after = _counters(other, section)
+                for key in sorted(set(before) | set(after)):
                     report.checked += 1
-                    report.regressions.append(
-                        Regression(scenario, trial_id, f"{key} missing", base, None)
-                    )
-                    continue
-                report.checked += 1
-                if cand > base * (1.0 + threshold) and cand - base >= min_delta:
-                    report.regressions.append(
-                        Regression(scenario, trial_id, key, base, cand)
-                    )
-                elif base > cand * (1.0 + threshold) and base - cand >= min_delta:
-                    report.improvements.append(
-                        Regression(scenario, trial_id, key, base, cand)
-                    )
+                    base = before.get(key)
+                    cand = after.get(key)
+                    if base != cand:
+                        report.differences.append(
+                            Difference(scenario, trial_id, f"{section}.{key}", base, cand)
+                        )
+    report.mismatched = mismatched_artifacts(baseline_dir, candidate_dir)
     return report
 
 
-def strict_compare(baseline_dir: str, candidate_dir: str) -> List[str]:
+def mismatched_artifacts(baseline_dir: str, candidate_dir: str) -> List[str]:
     """Byte-compare the artifact sets in two directories, both ways.
 
     Returns the names of artifacts that differ or exist on only one side —

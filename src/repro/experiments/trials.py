@@ -126,7 +126,7 @@ class ExecutionEnv:
     * ``storage`` — storage backend spec (``"memory"``, ``"sqlite"`` or
       ``"sqlite:<path>"``; ``None`` = memory) for every trial network.
       Every backend is byte-identical by contract; the CI durability gate
-      strict-compares a sqlite run against the baselines.
+      byte-compares a sqlite run against the baselines.
     * ``faults`` — a ``parse_fault_spec`` plan installed into every
       network :func:`build_network` and :func:`fixpoint_summary` build.
       Faults perturb the traffic counters, so a faulted artifact is never
@@ -168,10 +168,9 @@ def build_network(
     program: Program,
     mode: ProvenanceMode,
     seed: int = 0,
-    run_to_fixpoint: bool = True,
     env: ExecutionEnv = ExecutionEnv(),
 ) -> ExspanNetwork:
-    """Build, seed and (optionally) fixpoint an :class:`ExspanNetwork`.
+    """Build, seed and fixpoint an :class:`ExspanNetwork`.
 
     The network uses ``env.storage``; ``env.faults``, when set, is
     installed before the network is seeded, so the whole fixpoint runs
@@ -183,8 +182,7 @@ def build_network(
     )
     network.install_faults(env.faults)  # None installs nothing
     network.seed_links()
-    if run_to_fixpoint:
-        network.run_to_fixpoint()
+    network.run_to_fixpoint()
     return network
 
 
@@ -670,8 +668,6 @@ def query_concurrency_trial(
     waves: int = 2,
     threshold: int = 3,
     seed: int = 0,
-    coalescing: bool = True,
-    batching: bool = True,
     env: ExecutionEnv = ExecutionEnv(),
 ) -> Dict[str, Any]:
     """Prov-kind traffic (KB) for k simultaneous queriers on one variant.
@@ -682,8 +678,7 @@ def query_concurrency_trial(
     the same instant against a shared hot set of tuples.  The y value is
     total prov-kind KB for the burst; the notes surface the concurrency
     counters (in-flight / root coalescing, cache hits, batching) that
-    explain the reduction.  ``coalescing`` / ``batching`` exist for
-    ablations and benchmarks; the registered scenario leaves them on.
+    explain the reduction.
     """
     network = ExspanNetwork(
         _concurrency_topology(topology, size, seed),
@@ -691,8 +686,6 @@ def query_concurrency_trial(
         config=ExspanConfig(
             mode=ProvenanceMode.REFERENCE,
             seed=seed,
-            query_coalescing=coalescing,
-            query_batching=batching,
             storage=env.storage,
         ),
     )

@@ -44,11 +44,11 @@ class QueryWorkload:
         Per-node query rate (the paper uses 5).
     duration:
         Length of the workload in simulated seconds.
-    local_tuples_only:
-        When True (default) each node queries tuples stored locally, which is
-        how the evaluation targets "a randomly selected bestPathCost tuple"
-        without an extra discovery step; the query traversal itself still
-        fans out across the network.
+
+    Each node queries tuples stored locally, which is how the evaluation
+    targets "a randomly selected bestPathCost tuple" without an extra
+    discovery step; the query traversal itself still fans out across the
+    network.
     """
 
     network: ExspanNetwork
@@ -57,7 +57,6 @@ class QueryWorkload:
     queries_per_second: float = 5.0
     duration: float = 2.0
     seed: int = 0
-    local_tuples_only: bool = True
     outcomes: List[QueryOutcome] = field(default_factory=list)
 
     def schedule(self) -> int:
@@ -86,10 +85,8 @@ class QueryWorkload:
         return scheduled
 
     def _candidate_tuples(self, address: Any) -> List[Tuple[Any, ...]]:
-        if self.local_tuples_only:
-            table = self.network.node(address).engine.catalog.get(self.table)
-            return [] if table is None else list(table.rows())  # a read creates nothing
-        return [row for _, row in self.network.tuples(self.table)]
+        table = self.network.node(address).engine.catalog.get(self.table)
+        return [] if table is None else list(table.rows())  # a read creates nothing
 
     def _issue(self, issuer: Any, target: Any, fact: Fact) -> Callable[[], None]:
         def issue() -> None:
@@ -99,13 +96,10 @@ class QueryWorkload:
 
         return issue
 
-    def run(self, drain: bool = True) -> List[QueryOutcome]:
+    def run(self) -> List[QueryOutcome]:
         """Schedule the workload and run the simulation until it drains."""
         self.schedule()
-        if drain:
-            self.network.simulator.run_until_idle()
-        else:
-            self.network.run_for(self.duration)
+        self.network.simulator.run_until_idle()
         return self.outcomes
 
     def latency_stats(self) -> LatencyStats:
@@ -300,10 +294,9 @@ def make_churn(
     return ChurnGenerator(
         topology=network.topology,
         simulator=network.simulator,
-        add_link=lambda a, b, cost: network.add_link(a, b, cost),
-        remove_link=lambda a, b: network.remove_link(a, b),
+        add_link=network.add_link,
+        remove_link=network.remove_link,
         links_per_round=links_per_round,
         interval=interval,
         seed=seed,
-        link_cost=network.link_cost,
     )

@@ -6,10 +6,10 @@ randomly selected stub-to-stub links every 0.5 seconds in a 200-node
 network, with addition and deletion equally likely.
 
 :class:`ChurnGenerator` reproduces that workload against any object exposing
-``add_link(a, b, cost)`` and ``remove_link(a, b)`` callbacks — in practice
+``add_link(a, b)`` and ``remove_link(a, b)`` callbacks — in practice
 the :class:`~repro.core.api.ExspanNetwork` facade, which converts the
 topology change into ``link`` tuple insertions / deletions on both endpoint
-nodes (links are symmetric).
+nodes (links are symmetric; an added link costs ``LinkSpec().cost``).
 """
 
 from __future__ import annotations
@@ -41,12 +41,11 @@ class ChurnGenerator:
         self,
         topology: Topology,
         simulator: Simulator,
-        add_link: Callable[[Any, Any, int], None],
+        add_link: Callable[[Any, Any], None],
         remove_link: Callable[[Any, Any], None],
         links_per_round: int = 10,
         interval: float = 0.5,
         seed: int = 0,
-        link_cost: int = 1,
         tier: str = TIER_STUB,
     ):
         self.topology = topology
@@ -55,7 +54,6 @@ class ChurnGenerator:
         self._remove_link = remove_link
         self.links_per_round = links_per_round
         self.interval = interval
-        self.link_cost = link_cost
         self.tier = tier
         self._rng = random.Random(seed)
         self.events: List[ChurnEvent] = []
@@ -94,7 +92,7 @@ class ChurnGenerator:
             if pair is None:
                 return
             a, b = pair
-            self._add_link(a, b, self.link_cost)
+            self._add_link(a, b)
             self.events.append(ChurnEvent(self.simulator.now, "add", a, b))
         else:
             pair = self._pick_existing_stub_link()

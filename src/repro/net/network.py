@@ -8,8 +8,9 @@ the shortest-path latency between sender and receiver (the underlying IP
 network routes messages between non-adjacent nodes, as in the ns-3
 prototype).
 
-An optional per-byte transmission delay models bandwidth constraints; it is
-disabled by default because the paper's workloads are far from saturating
+A message between nodes with no route is charged :data:`DEFAULT_LATENCY`
+(the sharded engine's lookahead shrinks to the same constant).  Link
+bandwidth is not charged: the paper's workloads are far from saturating
 the configured capacities.
 
 Besides single-payload :meth:`Network.send`, the network ships batched
@@ -53,9 +54,10 @@ from .simulator import Simulator
 from .stats import TrafficStats
 from .topology import Topology
 
-__all__ = ["Network", "OutboundMessage"]
+__all__ = ["Network", "OutboundMessage", "DEFAULT_LATENCY"]
 
-_INFINITY = float("inf")
+#: The latency charged for a message between nodes with no route.
+DEFAULT_LATENCY = 0.001
 
 
 @dataclass(frozen=True)
@@ -81,18 +83,13 @@ class Network:
         self,
         topology: Topology,
         simulator: Optional[Simulator] = None,
-        default_latency: float = 0.001,
-        model_transmission_delay: bool = False,
         local_nodes: Optional[Iterable[Any]] = None,
         shard_map: Optional[Mapping[Any, int]] = None,
     ):
         self.topology = topology
         self.simulator = simulator if simulator is not None else Simulator()
         self.stats = TrafficStats()
-        self.default_latency = default_latency
-        self.model_transmission_delay = model_transmission_delay
         self._hosts: Dict[Any, Host] = {}
-        self._drop_disconnected = False
         # Deterministic source ranks: topology node order.  Nodes that show
         # up later (dynamically added hosts in unit tests) are ranked in
         # first-send order past the initial block.
@@ -221,14 +218,9 @@ class Network:
             try:
                 latency = self.topology.latency_between(source, destination)
             except NoRouteError:
-                # A partitioned network delivers never (a very large latency)
-                # rather than raising inside protocol code.
-                latency = _INFINITY if self._drop_disconnected else self.default_latency
-            if self.model_transmission_delay:
-                # approximate transmission delay using the slowest first-hop link
-                slowest = self.topology.slowest_link_bandwidth(source)
-                if slowest:
-                    latency += size / slowest
+                # A partitioned network still delivers, after the no-route
+                # default, rather than raising inside protocol code.
+                latency = DEFAULT_LATENCY
             latency += extra_latency
         delivered_at = now + latency
         message.delivered_at = delivered_at

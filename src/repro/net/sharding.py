@@ -11,7 +11,9 @@ engine is a classic *conservative* parallel discrete-event simulation:
   so its end-to-end latency is at least the minimum cut-edge latency — the
   *lookahead window* ``W`` (:func:`~repro.net.topology.partition_lookahead`).
   A message sent at time *t* can never affect another shard before
-  ``t + W``.
+  ``t + W``.  A disconnected topology (or a fault plan with link flaps)
+  clamps ``W`` to :data:`~repro.net.network.DEFAULT_LATENCY`, the latency
+  the network charges a message with no route.
 * **Windows and barriers.**  All shards run the window ``[T, T + W)``
   concurrently (events strictly before the horizon), then exchange the
   messages that crossed the cut.  Cross-shard messages always land in a
@@ -55,9 +57,9 @@ from ..datalog.engine import Delta
 from ..storage.checkpoint import node_state
 from .errors import NetworkError, SimulationError
 from .message import Message
-from .network import OutboundMessage
+from .network import DEFAULT_LATENCY, OutboundMessage
 from .stats import aggregate_engine_stats, aggregate_query_stats, merge_counter_dicts
-from .topology import Topology, partition_lookahead, partition_topology
+from .topology import LinkSpec, Topology, partition_lookahead, partition_topology
 
 __all__ = [
     "ShardedExspanNetwork",
@@ -66,12 +68,6 @@ __all__ = [
     "collect_summary",
     "collect_digest",
 ]
-
-#: Matches ``Network``'s default latency: the fallback charged when no route
-#: exists.  When churn disconnects the topology, the lookahead window must
-#: shrink to it, because a cross-shard message may then travel that fast.
-_DEFAULT_LATENCY = 0.001
-
 
 # ---------------------------------------------------------------------- #
 # scripted external inputs
@@ -333,7 +329,6 @@ class _WorkerConfig:
     program: Program
     mode: Any
     seed: int
-    link_cost: int
     value_policy: str
     query_specs: Sequence[Any] = field(default_factory=tuple)
     #: When set, the worker builds its own shard-tagged tracer; spans are
@@ -382,7 +377,6 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
             config=ExspanConfig(
                 mode=config.mode,
                 seed=config.seed,
-                link_cost=config.link_cost,
                 value_policy=config.value_policy,
                 local_addresses=tuple(local),
                 shard_map=config.assignment,
@@ -523,7 +517,6 @@ class ShardedExspanNetwork:
         mode=None,
         shards: int = 2,
         seed: int = 0,
-        link_cost: int = 1,
         value_policy: str = "bdd",
         partition: Optional[Mapping[Any, int]] = None,
         query_specs: Sequence[Any] = (),
@@ -605,7 +598,6 @@ class ShardedExspanNetwork:
                 program=program,
                 mode=mode,
                 seed=seed,
-                link_cost=link_cost,
                 value_policy=value_policy,
                 query_specs=tuple(query_specs),
                 trace=self.tracer is not None,
@@ -805,29 +797,19 @@ class ShardedExspanNetwork:
                 "conservative engine needs strictly positive cross-shard "
                 "latency (repartition or merge those nodes into one shard)"
             )
-        if self.shards > 1 and not self.topology.is_connected():
+        if self.shards > 1 and (self._fault_flaps or not self.topology.is_connected()):
             # A message between disconnected nodes is charged the network's
-            # default (no-route) latency, which may undercut every cut edge
+            # no-route DEFAULT_LATENCY, which may undercut every cut edge
             # — and cross-shard traffic remains possible even with *no* cut
             # edges at all (disconnected islands in different shards can
-            # still message each other).  Shrink the window accordingly;
-            # without this, a free-running shard could receive an envelope
-            # in its past and trip the safe-time assertion.
+            # still message each other).  Link flaps execute *inside* the
+            # workers, so the driver's topology replica never sees a flapped
+            # link's down period: under flaps the window stays this
+            # conservative for the whole run.  Without the clamp a
+            # free-running shard could receive an envelope in its past and
+            # trip the safe-time assertion.
             lookahead = (
-                min(lookahead, _DEFAULT_LATENCY)
-                if lookahead is not None
-                else _DEFAULT_LATENCY
-            )
-        if self.shards > 1 and self._fault_flaps:
-            # Link flaps execute *inside* the workers, so the driver's
-            # topology replica never sees the down period: while a flapped
-            # link is out the network may be disconnected and charge the
-            # no-route default latency, undercutting every cut edge.  Keep
-            # the window conservative for the whole run.
-            lookahead = (
-                min(lookahead, _DEFAULT_LATENCY)
-                if lookahead is not None
-                else _DEFAULT_LATENCY
+                DEFAULT_LATENCY if lookahead is None else min(lookahead, DEFAULT_LATENCY)
             )
         self.lookahead = lookahead
 
@@ -964,9 +946,7 @@ class ShardedExspanNetwork:
                 # recomputation, then apply at every shard.
                 if op.kind == "add_link":
                     if not self.topology.has_link(op.a, op.b):
-                        from .topology import LinkSpec
-
-                        cost = op.cost if op.cost is not None else 1
+                        cost = op.cost if op.cost is not None else LinkSpec().cost
                         self.topology.add_link(op.a, op.b, LinkSpec(cost=cost))
                 else:
                     self.topology.remove_link(op.a, op.b)

@@ -173,13 +173,6 @@ class Topology:
     def degree(self, node: Any) -> int:
         return len(self._adjacency.get(node, ()))
 
-    def slowest_link_bandwidth(self, node: Any) -> float:
-        """The lowest bandwidth among *node*'s links (0.0 when it has none)."""
-        return min(
-            (spec.bandwidth for spec in self._adjacency.get(node, _NO_LINKS).values()),
-            default=0.0,
-        )
-
     def links_by_tier(self, tier: str) -> List[Tuple[Any, Any, LinkSpec]]:
         return [(a, b, spec) for a, b, spec in self.links() if spec.tier == tier]
 

@@ -23,7 +23,7 @@ class TestValidation:
         config = ExspanConfig()
         assert config.mode is ProvenanceMode.REFERENCE
         assert config.seed == 0
-        assert config.query_coalescing is True
+        assert config.query_cache_capacity is None
 
     def test_frozen(self):
         config = ExspanConfig()
@@ -44,13 +44,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"link_cost": "cheap"},
             {"value_policy": "magic"},
             {"seed": "7"},
             {"query_cache_capacity": -1},
-            {"query_batching": 1},
             {"storage": "tape"},
-            {"query_coalescing": "yes"},
             {"local_addresses": ("n0",)},  # requires shard_map too
         ],
     )
@@ -75,8 +72,8 @@ class TestValidation:
         with pytest.raises(ProvenanceError, match=name):
             ExspanConfig.from_dict({"mode": "ref", name: value})
 
-    def test_eleven_fields(self):
-        assert len(dataclasses.fields(ExspanConfig)) == 11
+    def test_eight_fields(self):
+        assert len(dataclasses.fields(ExspanConfig)) == 8
 
     def test_retired_traffic_record_cap_is_ignored_on_restore(self, tmp_path):
         # The bounded traffic log is gone; a checkpoint written while the
@@ -97,8 +94,36 @@ class TestValidation:
         assert restored.config == network.config
         assert restored.tuples("bestPathCost") == network.tuples("bestPathCost")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("query_coalescing", False), ("query_batching", False), ("link_cost", 3)],
+    )
+    def test_retired_query_and_link_knobs_are_not_fields(self, name, value):
+        with pytest.raises(TypeError):
+            ExspanConfig(**{name: value})
+        assert name not in ExspanConfig().to_dict()
+
+    def test_retired_query_and_link_keys_are_ignored_on_load(self, tmp_path):
+        # Service descriptions and checkpoints written while the knobs
+        # existed name all three; they load to the surviving fields.
+        old_keys = {"query_coalescing": True, "query_batching": False, "link_cost": 5}
+        assert ExspanConfig.from_dict(
+            {"mode": "value", "seed": 3, **old_keys}
+        ) == ExspanConfig(mode="value", seed=3)
+        network = ExspanNetwork(ring_topology(4), mincost_program())
+        network.seed_links()
+        network.run_to_fixpoint()
+        path = tmp_path / "old.ckpt"
+        network.checkpoint(str(path))
+        payload = json.loads(path.read_text())
+        payload["config"].update(old_keys)
+        path.write_text(json.dumps(payload))
+        restored = ExspanNetwork.restore(str(path), ring_topology(4), mincost_program())
+        assert restored.config == network.config
+        assert restored.tuples("bestPathCost") == network.tuples("bestPathCost")
+
     def test_round_trip_through_dict(self):
-        config = ExspanConfig(mode="value", seed=3, query_batching=False)
+        config = ExspanConfig(mode="value", seed=3, query_cache_capacity=5)
         clone = ExspanConfig.from_dict(config.to_dict())
         assert clone == config
 

@@ -17,6 +17,7 @@ from repro.net import (
     transit_stub_topology,
 )
 from repro.net.errors import NetworkError, UnknownNodeError
+from repro.net.network import DEFAULT_LATENCY
 from repro.net.stats import LatencyStats
 
 
@@ -87,45 +88,37 @@ class TestNetworkDelivery:
         assert received == []
 
 
-class TestTransmissionDelay:
-    """``model_transmission_delay=True``: size over the slowest first-hop link."""
+class TestLatencyCharge:
+    """Delivery time is the routed latency alone, or DEFAULT_LATENCY without a route."""
 
-    @staticmethod
-    def sorted_neighbour_formula(topology, source, destination, size):
-        """The routed latency the network computed before it read the adjacency."""
-        if source == destination:
-            return 0.0
-        latency = topology.latency_between(source, destination)
-        neighbors = topology.neighbors(source)
-        if neighbors:
-            slowest = min(
-                (topology.link(source, neighbor).bandwidth for neighbor in neighbors),
-                default=0.0,
-            )
-            if slowest:
-                latency += size / slowest
-        return latency
-
-    def test_every_pair_and_size_equals_the_sorted_neighbour_formula(self):
+    def test_every_pair_and_size_arrives_at_the_routed_latency(self):
         topology = transit_stub_topology(
             domains=1, transit_per_domain=2, stubs_per_transit=1, nodes_per_stub=5
         )
         assert topology.node_count() == 12
-        network = Network(topology, model_transmission_delay=True)
+        network = Network(topology)
         for source in topology.nodes:
             for destination in topology.nodes:
+                expected = (
+                    0.0 if source == destination else topology.latency_between(source, destination)
+                )
                 for size in (1, 1500, 1_000_000):
                     # The clock is at 0.0, so a send arrives at its latency.
                     message = network.send(source, destination, "ping", None, size=size)
-                    assert message.delivered_at == (
-                        self.sorted_neighbour_formula(topology, source, destination, size)
-                    )
+                    assert message.delivered_at == expected
 
-    def test_slowest_link_bandwidth_of_an_isolated_node_is_zero(self):
+    def test_a_message_with_no_route_arrives_after_the_default_latency(self):
         topology = Topology()
-        topology.add_node("alone")
-        assert topology.slowest_link_bandwidth("alone") == 0.0
-        assert topology.slowest_link_bandwidth("unknown") == 0.0
+        topology.add_link("a", "b", LinkSpec(latency=0.010))
+        topology.add_node("island")
+        network = Network(topology)
+        received_at = []
+        network.host("island").register_handler(
+            "ping", lambda message: received_at.append(network.simulator.now)
+        )
+        network.send("a", "island", "ping", None, size=1_000_000)
+        network.run_to_fixpoint()
+        assert received_at == [DEFAULT_LATENCY]
 
 
 class TestTrafficStats:
@@ -212,7 +205,7 @@ class TestChurn:
         churn = ChurnGenerator(
             topology,
             simulator,
-            add_link=lambda a, b, cost: added.append((a, b)),
+            add_link=lambda a, b: added.append((a, b)),
             remove_link=lambda a, b: removed.append((a, b)),
             links_per_round=5,
             interval=0.5,
@@ -231,7 +224,7 @@ class TestChurn:
         churn = ChurnGenerator(
             topology,
             simulator,
-            add_link=lambda a, b, cost: None,
+            add_link=lambda a, b: None,
             remove_link=lambda a, b: None,
             links_per_round=10,
             seed=3,
@@ -249,7 +242,7 @@ class TestChurn:
         churn = ChurnGenerator(
             topology,
             simulator,
-            add_link=lambda a, b, cost: events.append("add"),
+            add_link=lambda a, b: events.append("add"),
             remove_link=lambda a, b: events.append("del"),
             links_per_round=2,
             seed=0,

@@ -29,8 +29,8 @@ from repro.experiments.orchestrator import (
     compare,
     dump_artifact,
     load_artifact,
+    mismatched_artifacts,
     run,
-    strict_compare,
     trial_fingerprint,
     wall_clock_report,
 )
@@ -177,7 +177,7 @@ class TestOrchestratorRun:
         assert _artifact_bytes(tmp_path / "s", tiny_scenario.name) == _artifact_bytes(
             tmp_path / "p", tiny_scenario.name
         )
-        assert strict_compare(str(tmp_path / "s"), str(tmp_path / "p")) == []
+        assert mismatched_artifacts(str(tmp_path / "s"), str(tmp_path / "p")) == []
 
     def test_artifact_schema(self, tiny_scenario, tmp_path):
         run([tiny_scenario.name], results_dir=str(tmp_path))
@@ -276,7 +276,9 @@ class TestExecutionEnv:
 # ---------------------------------------------------------------------- #
 # compare / regression gate
 # ---------------------------------------------------------------------- #
-def _fake_artifact(scenario="fake_scenario", tuples_scanned=1000, total_bytes=5000):
+def _fake_artifact(
+    scenario="fake_scenario", tuples_scanned=1000, total_bytes=5000, total_messages=40
+):
     return {
         "schema": SCHEMA_VERSION,
         "generator": "test",
@@ -297,7 +299,7 @@ def _fake_artifact(scenario="fake_scenario", tuples_scanned=1000, total_bytes=50
                     "series": {"s": [[1, 1.0]]},
                     "notes": {},
                     "planner": {"tuples_scanned": tuples_scanned, "full_scans": 100},
-                    "traffic": {"total_bytes": total_bytes, "total_messages": 40},
+                    "traffic": {"total_bytes": total_bytes, "total_messages": total_messages},
                 },
             }
         ],
@@ -311,68 +313,92 @@ class TestCompare:
             artifact_path(str(directory), artifact["scenario"]), artifact
         )
 
+    def _compare(self, tmp_path):
+        return compare(str(tmp_path / "a"), str(tmp_path / "b"))
+
     def test_identical_artifacts_pass(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact())
         self._write(tmp_path / "b", _fake_artifact())
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert report.ok and report.checked == 4
+        assert report.differences == [] and report.mismatched == []
         assert "OK" in report.render()
 
-    def test_injected_regression_fails(self, tmp_path):
+    def test_grown_counter_fails_and_is_listed(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact(tuples_scanned=1000))
         self._write(tmp_path / "b", _fake_artifact(tuples_scanned=1200))
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"), threshold=0.05)
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert [r.key for r in report.regressions] == ["tuples_scanned"]
-        assert "REGRESSIONS" in report.render()
+        assert [d.key for d in report.differences] == ["planner.tuples_scanned"]
+        assert report.mismatched == ["BENCH_fake_scenario.json"]
+        rendered = report.render()
+        assert "DIFFERENCES" in rendered and "1000 -> 1200 (1.20x)" in rendered
 
-    def test_improvement_is_not_a_failure(self, tmp_path):
+    def test_shrunk_counter_fails_and_is_listed(self, tmp_path):
+        # An improvement is a behaviour change too: the baseline must be
+        # re-recorded with it, so compare lists it and fails.
         self._write(tmp_path / "a", _fake_artifact(tuples_scanned=1000))
         self._write(tmp_path / "b", _fake_artifact(tuples_scanned=500))
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert report.ok
-        assert [r.key for r in report.improvements] == ["tuples_scanned"]
+        report = self._compare(tmp_path)
+        assert not report.ok
+        assert [(d.key, d.baseline, d.candidate) for d in report.differences] == [
+            ("planner.tuples_scanned", 1000, 500)
+        ]
 
-    def test_min_delta_tolerance_is_opt_in(self, tmp_path):
-        # Counters are deterministic, so the default gate flags any growth
-        # past the relative threshold; min_delta exists for callers who
-        # knowingly tolerate small absolute drift.
-        self._write(tmp_path / "a", _fake_artifact(tuples_scanned=10))
-        self._write(tmp_path / "b", _fake_artifact(tuples_scanned=12))
-        assert not compare(str(tmp_path / "a"), str(tmp_path / "b")).ok
-        assert compare(str(tmp_path / "a"), str(tmp_path / "b"), min_delta=16).ok
+    def test_message_drift_under_five_percent_fails_and_is_listed(self, tmp_path, capsys):
+        self._write(tmp_path / "a", _fake_artifact(total_messages=40))
+        self._write(tmp_path / "b", _fake_artifact(total_messages=41))
+        report = self._compare(tmp_path)
+        assert not report.ok
+        assert [d.key for d in report.differences] == ["traffic.total_messages"]
+        assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert "traffic.total_messages 40 -> 41" in capsys.readouterr().out
+
+    def test_every_changed_counter_is_listed_in_one_pass(self, tmp_path):
+        self._write(tmp_path / "a", _fake_artifact())
+        changed = _fake_artifact(tuples_scanned=999, total_bytes=5001, total_messages=39)
+        changed["trials"][0]["result"]["planner"]["plans_compiled"] = 7
+        self._write(tmp_path / "b", changed)
+        report = self._compare(tmp_path)
+        assert report.checked == 5
+        assert [d.render() for d in report.differences] == [
+            "fake_scenario/only: planner.plans_compiled missing -> 7",
+            "fake_scenario/only: planner.tuples_scanned 1000 -> 999 (1.00x)",
+            "fake_scenario/only: traffic.total_bytes 5000 -> 5001 (1.00x)",
+            "fake_scenario/only: traffic.total_messages 40 -> 39 (0.97x)",
+        ]
 
     def test_unreadable_baseline_fails_closed(self, tmp_path):
         os.makedirs(tmp_path / "a", exist_ok=True)
         with open(tmp_path / "a" / "BENCH_broken.json", "w") as handle:
             handle.write("{not json")
         self._write(tmp_path / "b", _fake_artifact())
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert report.regressions[0].key == "unreadable or stale-schema baseline"
+        assert report.differences[0].key == "unreadable or stale-schema baseline"
 
     def test_baseline_with_no_trials_fails_closed(self, tmp_path):
         empty = _fake_artifact()
         empty["trials"] = []
         self._write(tmp_path / "a", empty)
         self._write(tmp_path / "b", _fake_artifact())
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert report.regressions[0].key == "baseline has no trials"
+        assert report.differences[0].key == "baseline has no trials"
 
     def test_empty_baseline_directory_fails_closed(self, tmp_path):
         os.makedirs(tmp_path / "a", exist_ok=True)
         self._write(tmp_path / "b", _fake_artifact())
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert "no baseline artifacts" in report.regressions[0].key
-        assert strict_compare(str(tmp_path / "empty1"), str(tmp_path / "empty2"))
+        assert "no baseline artifacts" in report.differences[0].key
+        assert mismatched_artifacts(str(tmp_path / "empty1"), str(tmp_path / "empty2"))
 
-    def test_strict_compare_flags_candidate_only_artifacts(self, tmp_path):
+    def test_mismatched_artifacts_flags_candidate_only_artifacts(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact())
         self._write(tmp_path / "b", _fake_artifact())
         self._write(tmp_path / "b", _fake_artifact(scenario="extra_only"))
-        assert strict_compare(str(tmp_path / "a"), str(tmp_path / "b")) == [
+        assert mismatched_artifacts(str(tmp_path / "a"), str(tmp_path / "b")) == [
             "BENCH_extra_only.json"
         ]
 
@@ -381,41 +407,55 @@ class TestCompare:
         gutted = _fake_artifact()
         del gutted["trials"][0]["result"]["planner"]["tuples_scanned"]
         self._write(tmp_path / "b", gutted)
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert [r.key for r in report.regressions] == ["tuples_scanned missing"]
+        assert [d.render() for d in report.differences] == [
+            "fake_scenario/only: planner.tuples_scanned 1000 -> missing"
+        ]
 
     def test_missing_candidate_artifact_fails(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact())
         os.makedirs(tmp_path / "b", exist_ok=True)
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert report.regressions[0].key == "artifact missing"
+        assert report.differences[0].key == "artifact missing"
 
     def test_missing_trial_fails(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact())
         gutted = _fake_artifact()
         gutted["trials"] = []
         self._write(tmp_path / "b", gutted)
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
         assert not report.ok
-        assert report.regressions[0].key == "trial missing"
+        assert report.differences[0].key == "trial missing"
 
-    def test_new_candidate_scenario_is_only_a_note(self, tmp_path):
+    def test_new_candidate_scenario_is_noted_and_fails(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact())
         self._write(tmp_path / "b", _fake_artifact())
         self._write(tmp_path / "b", _fake_artifact(scenario="brand_new"))
-        report = compare(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert report.ok
+        report = self._compare(tmp_path)
+        assert not report.ok
+        assert report.differences == []
+        assert report.mismatched == ["BENCH_brand_new.json"]
         assert any("brand_new" in note for note in report.notes)
 
-    def test_strict_compare_detects_byte_drift(self, tmp_path):
+    def test_byte_drift_outside_the_counters_fails(self, tmp_path):
         self._write(tmp_path / "a", _fake_artifact())
         drifted = _fake_artifact()
         drifted["trials"][0]["result"]["series"]["s"] = [[1, 1.0000001]]
         self._write(tmp_path / "b", drifted)
-        assert compare(str(tmp_path / "a"), str(tmp_path / "b")).ok
-        assert strict_compare(str(tmp_path / "a"), str(tmp_path / "b"))
+        report = self._compare(tmp_path)
+        assert not report.ok
+        assert report.differences == []
+        assert report.mismatched == ["BENCH_fake_scenario.json"]
+        assert "NOT BYTE-IDENTICAL" in report.render()
+
+    def test_advisory_fields_are_stripped(self, tmp_path):
+        self._write(tmp_path / "a", _fake_artifact())
+        timed = _fake_artifact()
+        timed["trials"][0]["wall_seconds"] = 12.5
+        self._write(tmp_path / "b", timed)
+        assert self._compare(tmp_path).ok
 
 
 # ---------------------------------------------------------------------- #
@@ -437,6 +477,13 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--planner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--strict"], ["--threshold", "0.05"]])
+    def test_compare_has_one_mode(self, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["compare", str(tmp_path), str(tmp_path), *option])
+        assert exit_info.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
     def test_run_unknown_scenario_is_an_error_not_a_traceback(self, capsys):
         assert cli_main(["run", "bogus_scenario"]) == 2
         assert "error" in capsys.readouterr().out
@@ -446,7 +493,7 @@ class TestCli:
         cand = str(tmp_path / "cand")
         assert cli_main(["run", tiny_scenario.name, "--results-dir", base]) == 0
         assert cli_main(["run", tiny_scenario.name, "--results-dir", cand]) == 0
-        assert cli_main(["compare", base, cand, "--strict"]) == 0
+        assert cli_main(["compare", base, cand]) == 0
         artifact = load_artifact(artifact_path(cand, tiny_scenario.name))
         worse = copy.deepcopy(artifact)
         worse["trials"][0]["result"]["planner"]["tuples_scanned"] *= 10

@@ -203,36 +203,48 @@ class TestConcurrentSerialEquivalence:
                 entry = node.query_service.cache._entries[entry_key]
                 assert entry.height <= spec.max_depth
 
-    def test_coalescing_and_batching_knobs_preserve_results(self):
-        """Every knob combination answers identically (message counts differ)."""
-        results = {}
-        traffic = {}
-        for coalesce in (True, False):
-            for batch in (True, False):
-                network = _reference_network(
-                    grid_topology(4, 4),
-                    query_coalescing=coalesce,
-                    query_batching=batch,
-                )
-                network.stats.reset()
-                workload = BurstQueryWorkload(
-                    network,
-                    derivation_count_query(name="knobs", use_cache=True),
-                    queriers=5,
-                    queries_per_querier=3,
-                    waves=2,
-                    seed=5,
-                )
-                workload.run()
-                results[(coalesce, batch)] = [
-                    (o.vid, repr(o.result)) for o in workload.outcomes
-                ]
-                traffic[(coalesce, batch)] = (network.query_messages(), network.query_bytes())
-        reference = results[(True, True)]
-        assert all(value == reference for value in results.values())
-        # both knobs on sends fewer prov messages and bytes than both off
-        on, off = traffic[(True, True)], traffic[(False, False)]
-        assert on[0] < off[0] and on[1] < off[1]
+    def test_concurrent_root_queries_share_one_remote_walk(self):
+        """k queries for one remote vertex cost one walk and one answer."""
+        spec = lambda: derivation_count_query(name="one-walk", use_cache=False)  # noqa: E731
+
+        def issue(copies):
+            network = _reference_network(grid_topology(4, 4))
+            network.register_spec(spec())
+            target, row = network.tuples("bestPathCost")[-1]
+            issuer = network.addresses()[0]
+            assert issuer != target
+            network.stats.reset()
+            outcomes = []
+            service = network.node(issuer).query_service
+            for _ in range(copies):
+                service.query_fact(Fact("bestPathCost", row), target, "one-walk", outcomes.append)
+            network.simulator.run_until_idle()
+            return network, service, outcomes
+
+        alone, _, [single] = issue(1)
+        burst, service, outcomes = issue(4)
+        assert [repr(outcome.result) for outcome in outcomes] == [repr(single.result)] * 4
+        assert service.coalesced_roots == 3
+        assert burst.query_messages() == alone.query_messages()
+        assert burst.query_bytes() == alone.query_bytes()
+
+    def test_burst_batches_prov_payloads_per_destination(self):
+        # The query_concurrency scenario's k=8 BFS grid cell: one node's
+        # turn produces several payloads for one destination.
+        network = _reference_network(grid_topology(5, 5))
+        workload = BurstQueryWorkload(
+            network,
+            derivation_count_query(name="batched", use_cache=False),
+            queriers=8,
+            queries_per_querier=4,
+            hot_tuples=4,
+            waves=2,
+            seed=0,
+        )
+        workload.run()
+        stats = network.query_service_stats()
+        assert stats["batches_sent"] > 0
+        assert stats["messages_batched"] >= 2 * stats["batches_sent"]
 
 
 class TestInvalidationUnderConcurrency:

@@ -16,6 +16,7 @@ from repro.core.customizations import polynomial_query
 from repro.core.errors import QueryError
 from repro.core.requests import QueryRequest, SpecDescriptor
 from repro.datalog.ast import Fact
+from repro.faults.oracle import convergence_digest
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
 from repro.core.api import ExspanNetwork
@@ -274,3 +275,40 @@ class TestSpecNames:
                 assert excinfo.value.code == "query-error"
                 again = client.call("query", fact=fact, spec=self.COUNT)
                 assert again["annotation"] == counted["annotation"]
+
+
+class TestFaultsOp:
+    """The ``faults`` op: install a plan over the wire, then check convergence."""
+
+    @staticmethod
+    def _ring(converge):
+        network = ExspanNetwork(
+            ring_topology(6, seed=0), mincost_program(), config=ExspanConfig(seed=0)
+        )
+        if converge:
+            network.seed_links()
+            network.run_to_fixpoint()
+        return network
+
+    def test_install_converge_digest_and_refusals(self):
+        expected = convergence_digest(self._ring(converge=True))
+        with ServiceThread(self._ring(converge=False)) as thread:
+            with ServiceClient(*thread.address) as client:
+                before = client.call("faults")
+                assert before == {"installed": False, "plan": None, "stats": {}}
+                installed = client.call("faults", plan="drop:*->*:p=0.2")
+                assert installed["installed"] is True
+                assert installed["plan"]
+                client.call("seed_links")
+                client.call("fixpoint")
+                after = client.call("faults", digest=True)
+                assert after["stats"]["drops"] > 0 and after["stats"]["pending_retransmits"] == 0
+                assert after["convergence"] == expected
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call("faults", plan="drop:*->*:p=0.5")
+                assert excinfo.value.code == "query-error"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call("faults", plan=7)
+                assert excinfo.value.code == "bad-request"
+                # A refused install leaves the first plan in place.
+                assert client.call("faults")["plan"] == installed["plan"]

@@ -30,6 +30,7 @@ from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
 from repro.core.customizations import derivation_count_query, polynomial_query
 from repro.datalog.ast import Fact
 from repro.net import SimulationError, Simulator
+from repro.net.network import DEFAULT_LATENCY
 from repro.net.sharding import (
     ScriptOp,
     ShardedExspanNetwork,
@@ -641,6 +642,8 @@ def test_disconnected_islands_cross_shard_queries():
         partition=partition,
         query_specs=specs,
     ) as sharded:
+        # No cut edge: the window is the network's no-route latency itself.
+        assert sharded.lookahead == DEFAULT_LATENCY
         sharded.seed_links()
         sharded.run_to_fixpoint()
         sharded.run_script(script)
