@@ -203,7 +203,12 @@ def _check_artifact(baseline_dir: str, candidate_dir: str) -> None:
 
 def _spawn(phase: str, ckpt_path: str, hashseed: int) -> subprocess.CompletedProcess:
     environment = dict(os.environ)
-    environment["PYTHONPATH"] = os.path.join(REPO, "src")
+    # Prepend, not replace: whatever the caller put on the path (a call
+    # recorder's sitecustomize, say) must reach these processes too.
+    inherited = environment.get("PYTHONPATH")
+    environment["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO, "src")] + ([inherited] if inherited else [])
+    )
     environment["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--phase", phase, "--ckpt", ckpt_path],

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -303,10 +303,17 @@ class ExspanNetwork:
         return inserted
 
     def add_link(self, a: Any, b: Any, cost: Optional[int] = None) -> None:
-        """Add a symmetric link at runtime (churn): topology + link tuples."""
+        """Add a symmetric link at runtime (churn): topology + link tuples.
+
+        Re-adding an existing link updates its cost (the ``link`` rows are
+        keyed on their endpoints) and keeps its latency and tier.
+        """
         value = cost if cost is not None else LinkSpec().cost
-        if not self.topology.has_link(a, b):
-            self.topology.add_link(a, b, LinkSpec(cost=value))
+        topology = self.topology
+        if not topology.has_link(a, b):
+            topology.add_link(a, b, LinkSpec(cost=value))
+        elif topology.link(a, b).cost != value:
+            topology.add_link(a, b, replace(topology.link(a, b), cost=value))
         if a in self.nodes:
             self.insert_fact(Fact("link", (a, b, value)))
         if b in self.nodes:

@@ -9,10 +9,10 @@ library; this module is a from-scratch pure-Python ROBDD with the standard
 unique-table + computed-table construction.
 
 The public entry point is :class:`BddManager`; :class:`Bdd` values are
-immutable handles that support ``&``, ``|``, ``~``, restriction, model
-counting, satisfiability and conversion back to a minimal DNF.  A
-:func:`Bdd.wire_size` estimate feeds the bandwidth accounting of the BDD
-provenance-query experiments (Figure 15).
+immutable handles that support ``&``, ``|``, evaluation, support, node
+counting and conversion back to a minimal DNF (provenance is monotone, so
+there is no negation).  A :func:`Bdd.wire_size` estimate feeds the
+bandwidth accounting of the BDD provenance-query experiments (Figure 15).
 
 Canonical variable order
 ------------------------
@@ -27,22 +27,20 @@ receiving shard's manager bit-identically.
 
 Bounded computed table
 ----------------------
-``_apply`` / ``_negate`` memoize through a *bounded* computed table: when
-the table reaches its capacity it is flushed wholesale (the classic BDD
+``_apply`` memoizes through a *bounded* computed table: when the table
+reaches its capacity it is flushed wholesale (the classic BDD
 package policy — cheap, deterministic, and result-invariant since the
 table is pure memoization).  Long trials that re-walk shared DAG structure
 on every apply (fig15's polynomial-vs-BDD sweeps) get the hit rate without
 unbounded growth; per-handle ``node_count``/``wire_size`` walks are also
 cached per node id (node ids are immutable and never recycled, so these
-caches never invalidate).  :meth:`BddManager.cache_stats` and the
-process-wide :func:`bdd_cache_stats` report hits / misses / flushes.
+caches never invalidate).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 __all__ = [
     "BddManager",
@@ -51,7 +49,6 @@ __all__ = [
     "APPLY_CACHE_LIMIT",
     "export_bdd",
     "import_bdd",
-    "bdd_cache_stats",
 ]
 
 #: Serialized size charged per BDD node (variable index + two node pointers).
@@ -59,9 +56,6 @@ BDD_NODE_BYTES = 6
 
 #: Default computed-table capacity (entries) before a wholesale flush.
 APPLY_CACHE_LIMIT = 1 << 18
-
-#: Live managers, so :func:`bdd_cache_stats` can aggregate process-wide.
-_MANAGERS: "weakref.WeakSet[BddManager]" = weakref.WeakSet()
 
 
 @dataclass(frozen=True)
@@ -97,10 +91,6 @@ class BddManager:
         # node id -> (node count, wire size), measured in one walk.
         self._size_cache: Dict[int, Tuple[int, int]] = {}
         self._support_cache: Dict[int, FrozenSet[str]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_flushes = 0
-        _MANAGERS.add(self)
 
     # ------------------------------------------------------------------ #
     # variables and terminals
@@ -140,32 +130,12 @@ class BddManager:
     # ------------------------------------------------------------------ #
     # computed table
     # ------------------------------------------------------------------ #
-    def _cache_get(self, key: Tuple[str, int, int]) -> Optional[int]:
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-        return cached
-
     def _cache_put(self, key: Tuple[str, int, int], result: int) -> None:
         if len(self._apply_cache) >= self._apply_cache_limit:
             # Wholesale flush: bounded memory, deterministic results (the
             # table is pure memoization), standard BDD-package policy.
             self._apply_cache.clear()
-            self.cache_flushes += 1
         self._apply_cache[key] = result
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Computed-table and walk-cache counters for this manager."""
-        return {
-            "apply_cache_hits": self.cache_hits,
-            "apply_cache_misses": self.cache_misses,
-            "apply_cache_flushes": self.cache_flushes,
-            "apply_cache_entries": len(self._apply_cache),
-            "node_count_cached": len(self._size_cache),
-            "support_cached": len(self._support_cache),
-        }
 
     # ------------------------------------------------------------------ #
     # apply
@@ -189,12 +159,9 @@ class BddManager:
             if right == 0 or left == right:
                 return left
         key = (op, left, right) if left <= right else (op, right, left)
-        cache = self._apply_cache
-        result = cache.get(key)
+        result = self._apply_cache.get(key)
         if result is not None:
-            self.cache_hits += 1
             return result
-        self.cache_misses += 1
         nodes = self._nodes
         left_node = nodes[left]
         right_node = nodes[right]
@@ -222,34 +189,6 @@ class BddManager:
                 self._unique[unique_key] = result
         self._cache_put(key, result)
         return result
-
-    def _negate(self, node_id: int) -> int:
-        if node_id == self.FALSE_ID:
-            return self.TRUE_ID
-        if node_id == self.TRUE_ID:
-            return self.FALSE_ID
-        key = ("not", node_id, node_id)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        node = self._node(node_id)
-        result = self._make_node(
-            node.var, self._negate(node.low), self._negate(node.high)
-        )
-        self._cache_put(key, result)
-        return result
-
-    def _restrict(self, node_id: int, var: str, value: bool) -> int:
-        if self._is_terminal(node_id):
-            return node_id
-        node = self._node(node_id)
-        if node.var > var:
-            return node_id
-        if node.var == var:
-            return node.high if value else node.low
-        low = self._restrict(node.low, var, value)
-        high = self._restrict(node.high, var, value)
-        return self._make_node(node.var, low, high)
 
     # ------------------------------------------------------------------ #
     # bulk constructors
@@ -289,9 +228,6 @@ class Bdd:
         self._check(other)
         return Bdd(self.manager, self.manager._apply("or", self.node_id, other.node_id))
 
-    def __invert__(self) -> "Bdd":
-        return Bdd(self.manager, self.manager._negate(self.node_id))
-
     def _check(self, other: "Bdd") -> None:
         if other.manager is not self.manager:
             raise ValueError("cannot combine BDDs from different managers")
@@ -316,13 +252,6 @@ class Bdd:
     @property
     def is_true(self) -> bool:
         return self.node_id == BddManager.TRUE_ID
-
-    def restrict(self, assignment: Dict[str, bool]) -> "Bdd":
-        """Fix some variables to constants and return the simplified BDD."""
-        node_id = self.node_id
-        for name, value in assignment.items():
-            node_id = self.manager._restrict(node_id, name, value)
-        return Bdd(self.manager, node_id)
 
     def evaluate(self, assignment: Dict[str, bool]) -> bool:
         """Evaluate under a complete assignment (missing variables are False)."""
@@ -375,29 +304,15 @@ class Bdd:
         """Return the minimal monotone DNF equivalent to this BDD.
 
         Only meaningful for monotone functions (which provenance always is);
-        each product lists the variables that must be true.
+        each product lists the variables that must be true.  Built bottom-up,
+        once per node, so the cost follows the diagram and its minimal
+        products rather than the number of its paths (exponential on a grid).
         """
-        products: Set[FrozenSet[str]] = set()
-        self._collect_products(self.node_id, [], products)
-        # absorption: drop any product that is a superset of another
-        minimal: List[FrozenSet[str]] = []
-        for product in sorted(products, key=len):
-            if any(keeper <= product for keeper in minimal):
-                continue
-            minimal.append(product)
-        return frozenset(minimal)
-
-    def _collect_products(
-        self, node_id: int, path: List[str], out: Set[FrozenSet[str]]
-    ) -> None:
-        if node_id == BddManager.FALSE_ID:
-            return
-        if node_id == BddManager.TRUE_ID:
-            out.add(frozenset(path))
-            return
-        node = self.manager._node(node_id)
-        self._collect_products(node.high, path + [node.var], out)
-        self._collect_products(node.low, path, out)
+        memo = {
+            BddManager.FALSE_ID: frozenset(),
+            BddManager.TRUE_ID: frozenset({frozenset()}),
+        }
+        return _minimal_products(self.manager, self.node_id, memo)
 
     def wire_size(self) -> int:
         """Bytes charged when this BDD is shipped in a message.
@@ -416,6 +331,25 @@ class Bdd:
         if self.is_true:
             return "Bdd(True)"
         return f"Bdd(nodes={self.node_count()})"
+
+
+def _minimal_products(
+    manager: BddManager, node_id: int, memo: Dict[int, FrozenSet[FrozenSet[str]]]
+) -> FrozenSet[FrozenSet[str]]:
+    """Minimal products of *node_id*: the low branch's, plus the high
+    branch's with the node's variable added unless a low product absorbs
+    them.  The variable occurs nowhere below, so a low product is never
+    absorbed by a high one, and each branch is minimal already."""
+    products = memo.get(node_id)
+    if products is None:
+        node = manager._node(node_id)
+        low = _minimal_products(manager, node.low, memo)
+        high = _minimal_products(manager, node.high, memo)
+        products = low.union(
+            product | {node.var} for product in high if not any(kept <= product for kept in low)
+        )
+        memo[node_id] = products
+    return products
 
 
 # ---------------------------------------------------------------------- #
@@ -477,19 +411,3 @@ def import_bdd(manager: BddManager, data: Tuple[Any, ...]) -> Bdd:
         manager._vars.add(var)
         ids.append(manager._make_node(var, resolve(low), resolve(high)))
     return Bdd(manager, resolve(root))
-
-
-def bdd_cache_stats() -> Dict[str, int]:
-    """Aggregate computed-table counters across every live manager."""
-    totals: Dict[str, int] = {
-        "apply_cache_hits": 0,
-        "apply_cache_misses": 0,
-        "apply_cache_flushes": 0,
-        "apply_cache_entries": 0,
-        "node_count_cached": 0,
-        "support_cached": 0,
-    }
-    for manager in list(_MANAGERS):
-        for key, value in manager.cache_stats().items():
-            totals[key] += value
-    return totals

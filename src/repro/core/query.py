@@ -154,12 +154,6 @@ class QuerySpec:
     max_depth: int = DEFAULT_MAX_DEPTH
     moonwalk_seed: int = 0
 
-    def allow_node(self, node: Any) -> bool:
-        return self.node_filter is None or bool(self.node_filter(node))
-
-    def allow_rule(self, rule_label: str, node: Any) -> bool:
-        return self.rule_filter is None or bool(self.rule_filter(rule_label, node))
-
 
 @dataclass
 class QueryOutcome:

@@ -35,7 +35,6 @@ from .errors import (
     ValidationError,
 )
 from .functions import FunctionRegistry, default_registry, sha1_hex
-from .localize import check_localized, is_localized, remote_head_rules
 from .parser import parse_program, parse_rule, parse_term
 from .runtime import StandaloneNetwork
 from .terms import (
@@ -77,9 +76,6 @@ __all__ = [
     "FunctionRegistry",
     "default_registry",
     "sha1_hex",
-    "check_localized",
-    "is_localized",
-    "remote_head_rules",
     "parse_program",
     "parse_rule",
     "parse_term",

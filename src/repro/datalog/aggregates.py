@@ -19,7 +19,7 @@ delete+insert pair for the derived tuple.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional
 
 from .errors import EvaluationError
 
@@ -122,24 +122,6 @@ class AggregateState:
                 items.extend([entry] * multiplicity)
             return items
         raise EvaluationError(f"unsupported aggregate function {self.func!r}")
-
-    def contributing_values(self) -> List[Any]:
-        """All values currently in the group (with multiplicity)."""
-        values: List[Any] = []
-        for value, multiplicity in self._values.items():
-            values.extend([value] * multiplicity)
-        return values
-
-    def argmin_like_value(self) -> Optional[Any]:
-        """For MIN / MAX, the value that currently determines the aggregate.
-
-        The provenance rewrite uses this to attribute the derived tuple's
-        provenance to the winning input tuple only (Section 4.2.2).
-        Returns ``None`` for other aggregate kinds or empty groups.
-        """
-        if self.is_empty or self.func not in ("min", "max"):
-            return None
-        return self.current()
 
     def __len__(self) -> int:
         return self._count

@@ -349,23 +349,9 @@ class Program:
                 return rule
         raise KeyError(label)
 
-    def relation_names(self) -> List[str]:
-        """Return every relation name referenced by the program, sorted."""
-        names = {decl.name for decl in self.declarations}
-        names.update(fact.name for fact in self.facts)
-        for rule in self.rules:
-            names.add(rule.head.name)
-            names.update(atom.name for atom in rule.body_atoms)
-        return sorted(names)
-
     def predicates_derived(self) -> List[str]:
         """Return the names of predicates appearing in some rule head."""
         return sorted({rule.head.name for rule in self.rules})
-
-    def base_predicates(self) -> List[str]:
-        """Return relation names never derived by a rule (EDB relations)."""
-        derived = set(self.predicates_derived())
-        return [name for name in self.relation_names() if name not in derived]
 
     def validate(self) -> None:
         """Validate every rule and check label uniqueness.

@@ -6,21 +6,20 @@ specifier so the rule's joins can be evaluated at one node; the head may
 reside at a different node, in which case the derivation is shipped there.
 
 The programs in the ExSPAN paper (MINCOST, PATHVECTOR, PACKETFORWARD and the
-rewritten provenance rules) are already localized.  This module provides the
-validation pass the engine runs before accepting a program, plus a helper to
-report which rules produce cross-node traffic (useful for documentation and
-the experiment harness).
+rewritten provenance rules) are already localized.  :func:`body_location`
+is the check: the provenance rewriter calls it on every rule, so a rule
+whose body spans two locations is refused before it runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from .ast import Program, Rule
+from .ast import Rule
 from .errors import ValidationError
 from .terms import Constant, Variable
 
-__all__ = ["check_localized", "is_localized", "remote_head_rules", "body_location"]
+__all__ = ["body_location"]
 
 
 def body_location(rule: Rule) -> Optional[str]:
@@ -49,41 +48,3 @@ def body_location(rule: Rule) -> Optional[str]:
                 f"specifiers {location!r} and {name!r}"
             )
     return location
-
-
-def is_localized(rule: Rule) -> bool:
-    """Return True when *rule* is localized (single body location)."""
-    try:
-        body_location(rule)
-    except ValidationError:
-        return False
-    return True
-
-
-def check_localized(program: Program) -> None:
-    """Validate that every rule of *program* is localized."""
-    for rule in program.rules:
-        body_location(rule)
-
-
-def remote_head_rules(program: Program) -> List[Tuple[Rule, str, str]]:
-    """Return rules whose head lives at a different node than the body.
-
-    Each entry is ``(rule, body_location, head_location)`` using variable
-    names; these are the rules that generate network messages when executed.
-    """
-    remote: List[Tuple[Rule, str, str]] = []
-    for rule in program.rules:
-        body_loc = body_location(rule)
-        if body_loc is None:
-            continue
-        head_term = rule.head.location_term
-        if isinstance(head_term, Variable):
-            head_loc = head_term.name
-        elif isinstance(head_term, Constant):
-            head_loc = f"<{head_term.value!r}>"
-        else:
-            head_loc = str(head_term)
-        if head_loc != body_loc:
-            remote.append((rule, body_loc, head_loc))
-    return remote

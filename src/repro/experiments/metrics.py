@@ -34,9 +34,6 @@ class Series:
         ys = self.ys()
         return sum(ys) / len(ys) if ys else 0.0
 
-    def final_y(self) -> float:
-        return self.points[-1][1] if self.points else 0.0
-
     def y_at(self, x: float) -> Optional[float]:
         for point_x, point_y in self.points:
             if point_x == x:
@@ -62,9 +59,6 @@ class FigureResult:
 
     def add_point(self, label: str, x: float, y: float) -> None:
         self.series_for(label).add(x, y)
-
-    def labels(self) -> List[str]:
-        return list(self.series)
 
     # ------------------------------------------------------------------ #
     # text rendering

@@ -137,17 +137,6 @@ class Network:
     def hosts(self) -> List[Host]:
         return list(self._hosts.values())
 
-    def addresses(self) -> List[Any]:
-        return list(self._hosts)
-
-    @property
-    def node_count(self) -> int:
-        return len(self._hosts)
-
-    @property
-    def shard_id(self) -> Optional[int]:
-        return self._shard_id
-
     # ------------------------------------------------------------------ #
     # messaging
     # ------------------------------------------------------------------ #

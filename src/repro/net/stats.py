@@ -3,7 +3,8 @@
 The experiment harness derives all of the paper's figures from the raw
 per-message records collected here: total and per-node communication cost
 (Figures 6, 7, 16), bandwidth over time (Figures 8-11, 13, 15, 16), query
-completion latency distributions (Figures 12, 14), and fixpoint latency
+completion latency distributions (Figures 12, 14, through
+:class:`LatencyStats` and :func:`cdf_points`), and fixpoint latency
 (Figure 17).
 
 The log is packed and columnar: one ``array`` each of send times, sizes
@@ -38,7 +39,6 @@ __all__ = [
     "merge_counter_dicts",
     "merge_traffic_records",
     "merge_traffic_stats",
-    "render_engine_stats",
 ]
 
 
@@ -233,25 +233,15 @@ class LatencyStats:
     Empty-sample behaviour is defined: :meth:`mean` and
     :meth:`percentile` raise :class:`ValueError` (an empty collector has
     no mean — the old silent ``0.0`` let an accidentally empty workload
-    masquerade as an instant one), while :meth:`cdf` returns the empty
-    list (an empty distribution plots as nothing).
+    masquerade as an instant one).  Latency curves come from
+    :func:`cdf_points`, which returns ``[]`` for no samples.
     """
 
     def __init__(self) -> None:
         self._samples: List[float] = []
 
-    def record(self, latency: float) -> None:
-        self._samples.append(latency)
-
     def extend(self, latencies: Iterable[float]) -> None:
         self._samples.extend(latencies)
-
-    @property
-    def samples(self) -> List[float]:
-        return list(self._samples)
-
-    def count(self) -> int:
-        return len(self._samples)
 
     def mean(self) -> float:
         if not self._samples:
@@ -267,10 +257,6 @@ class LatencyStats:
         ordered = sorted(self._samples)
         index = min(int(fraction * len(ordered)), len(ordered) - 1)
         return ordered[index]
-
-    def cdf(self, points: int = 50) -> List[Tuple[float, float]]:
-        """``(latency, cumulative_fraction)`` pairs; ``[]`` when empty."""
-        return cdf_points(self._samples, points)
 
 
 #: Engine counters surfaced in benchmark reports, in display order.  The
@@ -385,14 +371,6 @@ def merge_traffic_stats(
     ):
         merged.record(record.time, record.source, record.destination, record.size, record.kind)
     return merged
-
-
-def render_engine_stats(totals: Dict[str, int]) -> str:
-    """One-line human-readable summary of aggregated engine counters."""
-    parts = [f"{key}={totals[key]}" for key in ENGINE_COUNTER_KEYS if key in totals]
-    extra = sorted(set(totals) - set(ENGINE_COUNTER_KEYS))
-    parts.extend(f"{key}={totals[key]}" for key in extra)
-    return " ".join(parts)
 
 
 def cdf_points(samples: Sequence[float], points: int = 50) -> List[Tuple[float, float]]:

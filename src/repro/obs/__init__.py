@@ -4,9 +4,8 @@ The reproduction's own provenance layer for *executions*: `Tracer` records
 causally-linked spans across the simulator, the NDlog engines, the
 distributed provenance query protocol and the sharded barrier driver;
 `MetricsRegistry` unifies the scattered counter dictionaries behind one
-snapshot/merge API; :mod:`repro.obs.export` renders Chrome trace-event JSON
-(loadable in Perfetto / ``chrome://tracing``), JSONL event logs and a
-terminal phase summary.
+snapshot; :mod:`repro.obs.export` renders Chrome trace-event JSON (loadable
+in Perfetto / ``chrome://tracing``) and a terminal phase summary.
 
 Determinism contract
 --------------------
@@ -28,7 +27,6 @@ from .export import (
     phase_summary,
     validate_chrome_trace,
     write_chrome_trace,
-    write_span_jsonl,
 )
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "active_session",
     "chrome_trace",
     "write_chrome_trace",
-    "write_span_jsonl",
     "validate_chrome_trace",
     "phase_summary",
     "phase_breakdown",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, JSONL, terminal phase summary.
+"""Trace exporters: Chrome trace-event JSON and a terminal phase summary.
 
 The Chrome format is the ``"X"`` (complete-event) flavour of the trace
 event spec — a ``{"traceEvents": [...]}`` object loadable in Perfetto
@@ -23,7 +23,6 @@ from .tracer import SpanRecord
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "write_span_jsonl",
     "load_trace",
     "validate_chrome_trace",
     "phase_breakdown",
@@ -105,32 +104,6 @@ def write_chrome_trace(path: str, spans: Iterable[SpanRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(chrome_trace(spans), handle, indent=1)
         handle.write("\n")
-
-
-def write_span_jsonl(path: str, spans: Iterable[SpanRecord]) -> None:
-    """One JSON object per span, in deterministic order (grep-friendly)."""
-    ordered = sorted(spans, key=lambda record: (record.ts, record.shard, record.seq))
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in ordered:
-            handle.write(
-                json.dumps(
-                    {
-                        "name": record.name,
-                        "cat": record.cat,
-                        "ts": record.ts,
-                        "dur": record.dur,
-                        "host": _json_safe(record.host),
-                        "shard": record.shard,
-                        "trace_id": record.trace_id,
-                        "span_id": record.span_id,
-                        "parent_id": record.parent_id,
-                        "wall_ns": record.wall_ns,
-                        "args": {key: _json_safe(value) for key, value in record.args},
-                    },
-                    sort_keys=True,
-                )
-            )
-            handle.write("\n")
 
 
 def load_trace(path: str) -> Dict[str, Any]:

@@ -9,16 +9,14 @@ exactly (schema keys first in declaration order, extras in insertion
 order, or fully sorted) so merged dicts stay byte-identical to the
 pre-refactor output.
 
-:class:`MetricsRegistry` is the forward-looking surface: counters, gauges
-and histograms with labels, a canonical :meth:`~MetricsRegistry.snapshot`
-and a :meth:`~MetricsRegistry.merge_snapshots` that folds per-shard (or
-per-trial) snapshots into one — the same shape Prometheus-style clients
-expose, kept dependency-free.
+:class:`MetricsRegistry` holds labelled counters and gauges behind one
+canonical :meth:`~MetricsRegistry.snapshot`; it is what
+:meth:`repro.core.api.ExspanNetwork.metrics_snapshot` fills.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 __all__ = ["merged_counters", "MetricsRegistry"]
 
@@ -60,7 +58,7 @@ def _render_key(name: str, labels: LabelItems) -> str:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms with labels.
+    """Counters and gauges with labels.
 
     All views are canonical: series are keyed ``name{label=value,...}``
     with sorted label items, and snapshots sort every key — so a snapshot
@@ -70,8 +68,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelItems], Number] = {}
         self._gauges: Dict[Tuple[str, LabelItems], Number] = {}
-        #: (name, labels) -> [count, total, min, max]
-        self._histograms: Dict[Tuple[str, LabelItems], List[float]] = {}
 
     # ------------------------------------------------------------------ #
     # instruments
@@ -85,23 +81,6 @@ class MetricsRegistry:
         """Set the gauge series ``name{labels}`` to *value*."""
         self._gauges[(name, _labels_key(labels))] = value
 
-    def observe(self, name: str, value: Number, **labels: Any) -> None:
-        """Record one histogram observation for ``name{labels}``."""
-        key = (name, _labels_key(labels))
-        stats = self._histograms.get(key)
-        if stats is None:
-            self._histograms[key] = [1, float(value), float(value), float(value)]
-        else:
-            stats[0] += 1
-            stats[1] += value
-            if value < stats[2]:
-                stats[2] = float(value)
-            if value > stats[3]:
-                stats[3] = float(value)
-
-    def counter_value(self, name: str, **labels: Any) -> Number:
-        return self._counters.get((name, _labels_key(labels)), 0)
-
     def absorb_counters(
         self, counters: Mapping[str, Number], prefix: str = "", **labels: Any
     ) -> None:
@@ -110,7 +89,7 @@ class MetricsRegistry:
             self.inc(f"{prefix}{key}", value, **labels)
 
     # ------------------------------------------------------------------ #
-    # snapshot / merge
+    # snapshot
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Any]:
         """Canonical JSON-able view of every series."""
@@ -122,74 +101,7 @@ class MetricsRegistry:
             _render_key(name, labels): value
             for (name, labels), value in self._gauges.items()
         }
-        histograms = {
-            _render_key(name, labels): {
-                "count": int(stats[0]),
-                "sum": stats[1],
-                "min": stats[2],
-                "max": stats[3],
-                "mean": stats[1] / stats[0],
-            }
-            for (name, labels), stats in self._histograms.items()
-        }
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
         }
-
-    @staticmethod
-    def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Fold several snapshots into one.
-
-        Counters and histogram counts/sums add; histogram min/max fold;
-        gauges take the maximum (the deterministic choice for the
-        high-water readings gauges carry here).
-        """
-        counters: Dict[str, Number] = {}
-        gauges: Dict[str, Number] = {}
-        histograms: Dict[str, List[float]] = {}
-        for snapshot in snapshots:
-            for key, value in snapshot.get("counters", {}).items():
-                counters[key] = counters.get(key, 0) + value
-            for key, value in snapshot.get("gauges", {}).items():
-                gauges[key] = max(gauges[key], value) if key in gauges else value
-            for key, stats in snapshot.get("histograms", {}).items():
-                merged = histograms.get(key)
-                if merged is None:
-                    histograms[key] = [
-                        stats["count"],
-                        stats["sum"],
-                        stats["min"],
-                        stats["max"],
-                    ]
-                else:
-                    merged[0] += stats["count"]
-                    merged[1] += stats["sum"]
-                    merged[2] = min(merged[2], stats["min"])
-                    merged[3] = max(merged[3], stats["max"])
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": {
-                key: {
-                    "count": int(stats[0]),
-                    "sum": stats[1],
-                    "min": stats[2],
-                    "max": stats[3],
-                    "mean": stats[1] / stats[0] if stats[0] else 0.0,
-                }
-                for key, stats in sorted(histograms.items())
-            },
-        }
-
-    @classmethod
-    def from_counters(
-        cls, counters: Mapping[str, Number], prefix: str = ""
-    ) -> "MetricsRegistry":
-        registry = cls()
-        registry.absorb_counters(counters, prefix=prefix)
-        return registry
-
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -305,15 +305,6 @@ class Tracer:
                 aggregate[1] += wall_ns
         self.dropped_spans += dropped
 
-    def sorted_spans(self) -> List[SpanRecord]:
-        """Records in deterministic ``(sim time, shard, seq)`` order.
-
-        The same (time, key)-style ordering the sharded engine uses for
-        envelope exchange: independent of which shard's records were
-        absorbed first.
-        """
-        return sorted(self.spans, key=lambda record: (record.ts, record.shard, record.seq))
-
     def phase_aggregates(self) -> Dict[str, Dict[str, Any]]:
         """Per-span-name totals: count and advisory wall milliseconds."""
         out: Dict[str, Dict[str, Any]] = {}

@@ -490,17 +490,6 @@ class SqliteBackend(StorageBackend):
     # ------------------------------------------------------------------ #
     # inspection helpers (tests, durability gate)
     # ------------------------------------------------------------------ #
-    def tuple_rows(self) -> List[Tuple[Any, str, Tuple[Any, ...], str]]:
-        """Decoded ``(node, name, row, vid)`` mirror rows, flushed first."""
-        self.flush()
-        rows = self._open().execute(
-            "SELECT node, name, row, vid FROM tuples ORDER BY node, name, row"
-        ).fetchall()
-        return [
-            (_decode(node), name, freeze_value(_decode(row)), vid)
-            for node, name, row, vid in rows
-        ]
-
     def mirror_rows(self) -> Dict[str, List[Tuple[Any, ...]]]:
         """The mirror decoded back to engine rows, per table in id order.
 
@@ -544,17 +533,6 @@ class SqliteBackend(StorageBackend):
                     row = tuple(row)
                     rows[index].append((address, name, row) if index == _TUPLES else row)
         return dict(zip(("tuples", "prov", "rule_exec"), rows))
-
-    def graph_counts(self) -> Dict[str, int]:
-        """Row counts of the three mirrored relations, flushed first."""
-        self.flush()
-        connection = self._open()
-        counts = {}
-        for table in _TABLE_NAMES:
-            counts[table] = connection.execute(
-                f"SELECT COUNT(*) FROM {table}"  # noqa: S608 - fixed names
-            ).fetchone()[0]
-        return counts
 
     def stats(self) -> Dict[str, Any]:
         snapshot = super().stats()

@@ -91,19 +91,15 @@ class TestBasics:
         with pytest.raises(EvaluationError):
             AggregateState("min").current()
 
-    def test_argmin_like_value(self):
-        state = AggregateState("min")
-        state.insert(5)
-        state.insert(2)
-        assert state.argmin_like_value() == 2
-        assert AggregateState("count").argmin_like_value() is None
-
-    def test_contributing_values(self):
+    def test_duplicate_values_keep_multiplicity(self):
         state = AggregateState("max")
         state.insert(1)
         state.insert(1)
         state.insert(3)
-        assert sorted(state.contributing_values()) == [1, 1, 3]
+        state.delete(3)
+        state.delete(1)
+        assert state.current() == 1
+        assert len(state) == 1
 
     def test_list_values_normalized(self):
         state = AggregateState("agglist")

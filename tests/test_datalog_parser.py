@@ -185,11 +185,9 @@ class TestProgramParsing:
         assert len(program.rules) == 2
         program.validate()
 
-    def test_relation_names_and_base_predicates(self):
+    def test_predicates_derived(self):
         program = parse_program(MINCOST_SOURCE)
-        assert "link" in program.base_predicates()
-        assert "pathCost" in program.predicates_derived()
-        assert set(program.relation_names()) >= {"link", "pathCost", "bestPathCost"}
+        assert program.predicates_derived() == ["bestPathCost", "pathCost"]
 
     def test_rule_by_label(self):
         program = parse_program(MINCOST_SOURCE)

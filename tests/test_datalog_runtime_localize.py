@@ -14,7 +14,7 @@ from repro.datalog import (
     parse_rule,
 )
 from repro.datalog.errors import EvaluationError
-from repro.datalog.localize import body_location, check_localized, is_localized, remote_head_rules
+from repro.datalog.localize import body_location
 from repro.protocols import mincost_program, pathvector_program
 
 
@@ -22,24 +22,28 @@ class TestLocalization:
     def test_localized_rule_single_body_location(self):
         rule = parse_rule("sp2 pathCost(@S,D,C) :- link(@Z,S,C1), bestPathCost(@Z,D,C2), C=C1+C2.")
         assert body_location(rule) == "Z"
-        assert is_localized(rule)
 
     def test_non_localized_rule_detected(self):
         rule = parse_rule("bad out(@S,D) :- link(@S,D,C), other(@D,S).")
-        assert not is_localized(rule)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not localized"):
             body_location(rule)
 
-    def test_check_localized_accepts_paper_programs(self):
-        check_localized(mincost_program())
-        check_localized(pathvector_program())
+    def test_paper_programs_are_localized(self):
+        for program in (mincost_program(), pathvector_program()):
+            for rule in program.rules:
+                assert body_location(rule) is not None
 
-    def test_remote_head_rules_for_mincost(self):
-        remote = remote_head_rules(mincost_program())
-        labels = [rule.label for rule, _, _ in remote]
-        assert labels == ["sp2"]
-        _, body_loc, head_loc = remote[0]
-        assert (body_loc, head_loc) == ("Z", "S")
+    def test_only_sp2_ships_its_head_in_mincost(self):
+        remote = [
+            (rule.label, body_location(rule), rule.head.location_term.name)
+            for rule in mincost_program().rules
+            if body_location(rule) != rule.head.location_term.name
+        ]
+        assert remote == [("sp2", "Z", "S")]
+
+    def test_constant_location_is_named_by_its_value(self):
+        rule = parse_rule('r1 out(@S,D) :- link(@"n0",S,D), peer(@"n0",S).')
+        assert body_location(rule) == "<'n0'>"
 
     def test_rule_without_body_atoms_has_no_location(self):
         rule = parse_rule("r1 out(@X,1) :- X==X.")

@@ -173,6 +173,56 @@ class TestDynamicMaintenance:
             row != ("g0_0", "g2_2", 4) for _, row in network.tuples("bestPathCost")
         )
 
+    def test_cost_update_then_removal_equals_a_network_built_without_the_link(self):
+        """Re-adding an existing link records its new cost in the topology,
+        so a later removal deletes the rows that are really there."""
+
+        def all_rows(network):
+            return sorted(
+                (address, table.name, tuple(row))
+                for address, node in network.nodes.items()
+                for table in node.engine.catalog.tables()
+                for row in table.rows()
+            )
+
+        network = ExspanNetwork(ring_topology(4, seed=0), mincost_program())
+        network.seed_links()
+        network.run_to_fixpoint()
+        latency = network.topology.link("n0", "n1").latency
+        network.add_link("n0", "n1", cost=5)
+        network.run_to_fixpoint()
+        assert network.topology.link("n0", "n1").cost == 5
+        assert network.topology.link("n0", "n1").latency == latency
+        network.remove_link("n0", "n1")
+        network.run_to_fixpoint()
+        assert not network.topology.has_link("n0", "n1")
+
+        without = ring_topology(4, seed=0)
+        without.remove_link("n0", "n1")
+        twin = ExspanNetwork(without, mincost_program())
+        twin.seed_links()
+        twin.run_to_fixpoint()
+        assert all_rows(network) == all_rows(twin)
+
+    def test_re_adding_a_link_at_its_cost_changes_nothing(self):
+        def all_rows(network):
+            return sorted(
+                (address, table.name, tuple(row))
+                for address, node in network.nodes.items()
+                for table in node.engine.catalog.tables()
+                for row in table.rows()
+            )
+
+        network = ExspanNetwork(ring_topology(4, seed=0), mincost_program())
+        network.seed_links()
+        network.run_to_fixpoint()
+        spec = network.topology.link("n0", "n1")
+        rows = all_rows(network)
+        network.add_link("n0", "n1", cost=spec.cost)
+        network.run_to_fixpoint()
+        assert network.topology.link("n0", "n1") == spec
+        assert all_rows(network) == rows
+
     def test_consistency_between_graph_and_distributed_queries(self):
         network = ExspanNetwork(
             ring_topology(8, seed=13),

@@ -162,18 +162,19 @@ class TestLatencyStats:
         assert stats.mean() == pytest.approx(0.3)
         assert stats.percentile(0.0) == pytest.approx(0.1)
         assert stats.percentile(0.8) == pytest.approx(0.5)
-        assert stats.count() == 5
+        assert stats.percentile(1.0) == pytest.approx(0.5)
 
     def test_empty_stats(self):
         # mean/percentile on an empty sample set used to silently return
         # 0.0 — indistinguishable from a real zero-latency measurement.
-        # They now raise; cdf() stays [] (an empty curve is well-defined).
+        # They now raise; the CDF of no samples stays [] (an empty curve
+        # is well-defined).
         stats = LatencyStats()
         with pytest.raises(ValueError, match="empty sample set"):
             stats.mean()
         with pytest.raises(ValueError, match="empty sample set"):
             stats.percentile(0.5)
-        assert stats.cdf() == []
+        assert cdf_points([]) == []
 
     def test_percentile_fraction_out_of_range(self):
         stats = LatencyStats()
@@ -191,6 +192,15 @@ class TestLatencyStats:
 
     def test_cdf_points_single_value(self):
         assert cdf_points([2.0, 2.0]) == [(2.0, 1.0)]
+
+    def test_cdf_points_step_evenly_from_minimum_to_maximum(self):
+        assert cdf_points([3.0, 0.0, 2.0, 1.0], points=4) == [
+            (0.0, 0.25),
+            (1.0, 0.5),
+            (2.0, 0.75),
+            (3.0, 1.0),
+        ]
+        assert cdf_points([3.0, 0.0, 2.0, 1.0], points=1) == [(3.0, 1.0)]
 
 
 class TestChurn:

@@ -37,7 +37,6 @@ from repro.obs import (
     phase_summary,
     validate_chrome_trace,
     write_chrome_trace,
-    write_span_jsonl,
 )
 from repro.obs.export import load_trace, summarize_trace_events
 from repro.protocols import mincost_program
@@ -141,7 +140,8 @@ class TestTracer:
         driver = Tracer(shard=-1)
         driver.absorb(right.export_state())
         driver.absorb(left.export_state())
-        names = [record.name for record in driver.sorted_spans()]
+        events = chrome_trace(driver.spans)["traceEvents"]
+        names = [event["name"] for event in events if event["ph"] == "X"]
         # (ts, shard, seq): shard 0's record wins the ts=2.0 tie.
         assert names == ["early", "late", "tied"]
         assert driver.phase_aggregates()["early"]["count"] == 1
@@ -211,7 +211,6 @@ class TestMetricsRegistry:
         registry.inc("net.bytes", 10, kind="delta")
         registry.inc("net.bytes", 5, kind="delta")
         registry.inc("net.bytes", 7, kind="prov")
-        assert registry.counter_value("net.bytes", kind="delta") == 15
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {
             "net.bytes{kind=delta}": 15,
@@ -222,47 +221,35 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.inc("x", 1, b="2", a="1")
         registry.inc("x", 1, a="1", b="2")
-        assert registry.counter_value("x", a="1", b="2") == 2
-        assert list(registry.snapshot()["counters"]) == ["x{a=1,b=2}"]
+        assert registry.snapshot()["counters"] == {"x{a=1,b=2}": 2}
 
-    def test_histograms_track_count_sum_min_max_mean(self):
+    def test_absorb_counters_prefixes_legacy_dicts(self):
         registry = MetricsRegistry()
-        for value in (2.0, 4.0, 9.0):
-            registry.observe("latency", value)
-        series = registry.snapshot()["histograms"]["latency"]
-        assert series == {"count": 3, "sum": 15.0, "min": 2.0, "max": 9.0, "mean": 5.0}
+        registry.absorb_counters({"tuples_scanned": 10}, prefix="engine.")
+        registry.absorb_counters({"tuples_scanned": 5}, prefix="engine.")
+        assert registry.snapshot()["counters"] == {"engine.tuples_scanned": 15}
 
-    def test_merge_snapshots_folds_series(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("c", 1)
-        b.inc("c", 2)
-        a.set_gauge("g", 3)
-        b.set_gauge("g", 7)
-        a.observe("h", 1.0)
-        b.observe("h", 5.0)
-        merged = MetricsRegistry.merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["counters"]["c"] == 3
-        assert merged["gauges"]["g"] == 7  # gauges take the high-water mark
-        assert merged["histograms"]["h"] == {
-            "count": 2,
-            "sum": 6.0,
-            "min": 1.0,
-            "max": 5.0,
-            "mean": 3.0,
+    def test_gauge_keeps_the_last_value_per_label_set(self):
+        registry = MetricsRegistry()
+        registry.set_gauge("queue.depth", 4, host="n0")
+        registry.set_gauge("queue.depth", 1, host="n0")
+        registry.set_gauge("queue.depth", 9, host="n1")
+        snapshot = registry.snapshot()
+        assert snapshot["gauges"] == {
+            "queue.depth{host=n0}": 1,
+            "queue.depth{host=n1}": 9,
         }
-
-    def test_from_counters_prefixes_legacy_dicts(self):
-        registry = MetricsRegistry.from_counters(
-            {"tuples_scanned": 10}, prefix="engine."
-        )
-        assert registry.counter_value("engine.tuples_scanned") == 10
+        assert snapshot["counters"] == {}
 
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.inc("a", 1, host="n0")
         registry.set_gauge("b", 2.5)
-        registry.observe("c", 1.0)
-        json.dumps(registry.snapshot())
+        snapshot = registry.snapshot()
+        assert json.loads(json.dumps(snapshot)) == {
+            "counters": {"a{host=n0}": 1},
+            "gauges": {"b": 2.5},
+        }
 
 
 # ---------------------------------------------------------------------- #
@@ -319,14 +306,6 @@ class TestChromeTraceExport:
         summary = summarize_trace_events(payload["traceEvents"])
         assert summary["fixpoint.round"]["count"] == 1
         assert summary["query.root"]["cat"] == "query"
-
-    def test_jsonl_export_is_line_parseable(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        write_span_jsonl(path, _sample_tracer().spans)
-        with open(path, encoding="utf-8") as handle:
-            rows = [json.loads(line) for line in handle]
-        assert [row["name"] for row in rows] == ["fixpoint.round", "query.root"]
-        assert rows[1]["trace_id"] == "t0.1"
 
     def test_validator_flags_malformed_payloads(self):
         assert validate_chrome_trace([]) == [

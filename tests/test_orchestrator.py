@@ -193,7 +193,7 @@ class TestOrchestratorRun:
         figure = assemble_figure(
             tiny_scenario, [trial["result"] for trial in artifact["trials"]]
         )
-        assert figure.labels() == ["Ref-based Prov.", "No Prov."]
+        assert list(figure.series) == ["Ref-based Prov.", "No Prov."]
 
     def test_resume_skips_fresh_trials(self, tiny_scenario, tmp_path):
         first = run([tiny_scenario.name], results_dir=str(tmp_path))

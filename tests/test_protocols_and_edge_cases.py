@@ -150,8 +150,8 @@ class TestQueryEdgeCases:
             f_rule=lambda results, rule, node: 1,
         )
         assert spec.traversal is TraversalOrder.BFS
-        assert spec.allow_node("anything")
-        assert spec.allow_rule("sp1", "a")
+        assert spec.node_filter is None
+        assert spec.rule_filter is None
         assert spec.missing() is None
 
 

@@ -146,7 +146,9 @@ def test_sqlite_mirror_tracks_inserts_and_deletes(tmp_path):
     network = _run_mincost(storage=f"sqlite:{path}")
     try:
         network.storage_flush()
-        counts = network.storage.graph_counts()
+        counts = {
+            table: len(rows) for table, rows in network.storage.mirror_rows().items()
+        }
         assert counts["tuples"] > 0
         assert counts["prov"] > 0
         assert counts["rule_exec"] > 0
@@ -170,15 +172,15 @@ def test_sqlite_mirror_tracks_inserts_and_deletes(tmp_path):
                     expected.add((address, table.name, tuple(row)))
         mirrored = {
             (node, name, tuple(row))
-            for node, name, row, _vid in network.storage.tuple_rows()
+            for node, name, row in network.storage.mirror_rows()["tuples"]
         }
         assert mirrored == expected
 
         # A deletion must propagate: retract a link and re-run.
-        before = network.storage.graph_counts()["tuples"]
+        before = len(network.storage.mirror_rows()["tuples"])
         network.remove_link("n0", "n1")
         network.run_to_fixpoint()
-        after = network.storage.graph_counts()["tuples"]
+        after = len(network.storage.mirror_rows()["tuples"])
         assert after != before
         # Deleted rows really leave the database, not just the engines.
         engine_rows = sum(

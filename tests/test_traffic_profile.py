@@ -1,0 +1,81 @@
+"""The call recorder behind ``benchmarks/traffic_profile.py``.
+
+One short script runs under the recorder; the report must list exactly the
+functions no process called, whether the call happened in the main thread,
+in a thread or in a forked child that leaves through ``os._exit``.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """\
+import os
+import threading
+
+
+def called():
+    return 1
+
+
+def called_in_thread():
+    return 2
+
+
+def called_in_child():
+    return 3
+
+
+class Box:
+    @staticmethod
+    def decorated():
+        return 4
+
+
+def never_called():
+    def nested():
+        return 5
+
+    return nested()
+
+
+called()
+Box.decorated()
+worker = threading.Thread(target=called_in_thread)
+worker.start()
+worker.join()
+pid = os.fork()
+if pid == 0:
+    called_in_child()
+    os._exit(0)
+os.waitpid(pid, 0)
+"""
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "traffic_profile", os.path.join(REPO, "benchmarks", "traffic_profile.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recorder_reports_only_the_uncalled_function(tmp_path):
+    tool = _tool()
+    root = tmp_path / "code"
+    root.mkdir()
+    (root / "script.py").write_text(SCRIPT)
+    out = str(tmp_path / "profile")
+    result = tool.record([sys.executable, str(root / "script.py")], out, root=str(root))
+    assert result.returncode == 0, result.stderr
+    missing = tool.uncalled(str(root), tool.called(out))
+    # nested() lives inside an uncalled function, so it is not listed again.
+    assert [(function.qualname, function.lines) for function in missing] == [
+        ("never_called", 5)
+    ]
+    assert "script.py" in tool.report(str(root), out)
