@@ -22,10 +22,9 @@ Four checks, in order, all deterministic (no wall-clock — repo policy):
 
 The topology is the tie-free ring from
 :func:`repro.experiments.trials.chaos_topology` (distinct power-of-two
-link costs): PATHVECTOR breaks equal-cost ties by arrival order (RapidNet
-materialize semantics), so only a tie-free cost assignment makes
-"digest-identical final tables" a sound oracle under timing-perturbing
-faults.  See docs/FAULTS.md.
+link costs), whose digests ``BENCH_chaos_convergence.json`` records.
+PATHVECTOR's ties no longer depend on arrival order (``min<P>``), so the
+ring is kept for those recorded digests only.  See docs/FAULTS.md.
 
 Run from CI::
 

@@ -18,8 +18,7 @@ delete+insert pair for the derived tuple.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from .errors import EvaluationError
 
@@ -31,11 +30,14 @@ SUPPORTED_AGGREGATES = ("min", "max", "count", "sum", "agglist")
 class AggregateState:
     """Incrementally maintained aggregate over a multiset of values."""
 
+    __slots__ = ("func", "_values", "_count", "_sum", "_best")
+
     def __init__(self, func: str):
         if func not in SUPPORTED_AGGREGATES:
             raise EvaluationError(f"unsupported aggregate function {func!r}")
         self.func = func
-        self._values: Counter = Counter()
+        #: value -> multiplicity, in first-seen order
+        self._values: Dict[Hashable, int] = {}
         self._count = 0
         self._sum: Any = 0
         # Cached MIN/MAX winner.  ``None`` means "recompute lazily": without
@@ -48,8 +50,9 @@ class AggregateState:
     # ------------------------------------------------------------------ #
     def insert(self, value: Any) -> None:
         """Record one occurrence of *value* in the group."""
-        key = self._normalize(value)
-        self._values[key] += 1
+        key = tuple(value) if isinstance(value, list) else value
+        values = self._values
+        values[key] = values.get(key, 0) + 1
         self._count += 1
         func = self.func
         if func == "sum":
@@ -65,23 +68,20 @@ class AggregateState:
 
     def delete(self, value: Any) -> None:
         """Remove one occurrence of *value*; ignores values never inserted."""
-        key = self._normalize(value)
-        if self._values[key] <= 0:
+        key = tuple(value) if isinstance(value, list) else value
+        values = self._values
+        count = values.get(key)
+        if count is None:
             return
-        self._values[key] -= 1
-        if self._values[key] == 0:
-            del self._values[key]
+        if count > 1:
+            values[key] = count - 1
+        else:
+            del values[key]
             if key == self._best:
                 self._best = None  # winner left: recompute on next current()
         self._count -= 1
         if self.func == "sum":
             self._sum -= value
-
-    @staticmethod
-    def _normalize(value: Any) -> Hashable:
-        if isinstance(value, list):
-            return tuple(value)
-        return value
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -97,25 +97,21 @@ class AggregateState:
         aggregate has no natural identity (MIN / MAX / AGGLIST); the engine
         deletes the derived tuple instead of calling this.
         """
-        if self.func == "count":
+        func = self.func
+        if func == "min" or func == "max":
+            best = self._best
+            if best is None:
+                if not self._count:
+                    raise EvaluationError(f"aggregate {func} over an empty group")
+                best = self._best = (min if func == "min" else max)(self._values)
+            return best
+        if func == "count":
             return self._count
-        if self.func == "sum":
+        if func == "sum":
             return self._sum
         if self.is_empty:
-            raise EvaluationError(f"aggregate {self.func} over an empty group")
-        if self.func == "min":
-            best = self._best
-            if best is None:
-                best = min(self._values)
-                self._best = best
-            return best
-        if self.func == "max":
-            best = self._best
-            if best is None:
-                best = max(self._values)
-                self._best = best
-            return best
-        if self.func == "agglist":
+            raise EvaluationError(f"aggregate {func} over an empty group")
+        if func == "agglist":
             items: List[Any] = []
             for value, multiplicity in self._values.items():
                 entry = list(value) if isinstance(value, tuple) else value

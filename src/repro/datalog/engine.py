@@ -48,12 +48,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .aggregates import AggregateState
-from .ast import Fact, Program, Rule, is_event_predicate
+from .ast import Atom, Fact, Program, Rule, is_event_predicate
 from ..storage.memory import Catalog, Table, freeze_value
 from .errors import EvaluationError, ValidationError
 from .functions import FunctionRegistry, default_registry
 from .plan import CompiledDeltaPlan, IndexManager, PlanCompiler, explain_plans
-from .terms import AggregateSpec
+from .plan.compiler import finalize, match_atom
+from .terms import AggregateSpec, Variable
 
 __all__ = [
     "Delta",
@@ -137,13 +138,26 @@ class AnnotationPolicy:
 
 @dataclass
 class _CompiledAggregateRule:
-    """Runtime state of an aggregate rule: group -> aggregate + emitted row."""
+    """Runtime state of an aggregate rule: group -> aggregate + emitted row.
+
+    A group is dropped once its state is empty.  Under reference provenance
+    a MIN/MAX rule has a ``<label>_ptmp`` twin, Section 4.2.2's join-back of
+    the derived row against the body; when :func:`_feeds_twin` holds, the
+    twin's plans read ``support`` (derived row -> the body matches that yield
+    it, in the order they appeared; a one-atom body's match is its row) and
+    ``folded`` (the ``(derived row, match)`` pairs ``folded_delta`` folded,
+    looked up in ``head``) instead of joining.
+    """
 
     rule: Rule
     aggregate_index: int
     spec: AggregateSpec
     groups: Dict[Tuple[Any, ...], AggregateState] = field(default_factory=dict)
     emitted: Dict[Tuple[Any, ...], Tuple[Any, ...]] = field(default_factory=dict)
+    support: Optional[Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]] = None
+    head: Optional[Table] = None
+    folded_delta: Optional[Delta] = None
+    folded: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = field(default_factory=list)
 
 
 class NDlogEngine:
@@ -240,8 +254,15 @@ class NDlogEngine:
             self._aggregate_rules[rule.label] = _CompiledAggregateRule(
                 rule=rule, aggregate_index=index, spec=spec
             )
+        # Without a policy (whose plans pass no matches), a MIN/MAX rule's
+        # record can feed its join-back twin.
+        fed = self._aggregate_rules.get(rule.label[:-5]) if rule.label.endswith("_ptmp") else None
+        if fed and not (self._policy or fed.groups) and _feeds_twin(fed.rule, rule, self.catalog):
+            fed.support, fed.head = {}, self.catalog.table(fed.rule.head.name)
+        else:
+            fed = None
         for position, atom in enumerate(rule.body_atoms):
-            plan = self._plan_compiler.compile(rule, position)
+            plan = self._plan_compiler.compile(rule, position, fed and fed.rule)
             self._plans[(id(rule), position)] = plan
             self.stats["plans_compiled"] += 1
             self._firings_by_predicate[atom.name].append(plan)
@@ -550,32 +571,57 @@ class NDlogEngine:
     # aggregates
     # ------------------------------------------------------------------ #
     def _aggregate(
-        self, rule: Rule, group_key: Tuple[Any, ...], value: Any, delta: Delta
+        self, rule: Rule, group_key: tuple, value: Any, delta: Delta, derived=None, match=None
     ) -> Optional[Tuple[Any, ...]]:
         """Fold one match into its group; route the old row's delete first.
 
-        Returns the row to insert (or, for a REFRESH, which changes no
-        group, the current row to re-emit) for the caller to annotate and
-        route, or ``None`` when there is nothing to emit.
+        *derived* and *match* (the derived row, and the matched body rows or
+        a one-atom body's row) are recorded when the join-back twin reads them.
+        Returns the row to insert
+        (or, for a REFRESH, which changes no group, the current row to
+        re-emit) for the caller to annotate and route, or ``None`` when
+        there is nothing to emit.
         """
         compiled = self._aggregate_rules[rule.label]
-        state = compiled.groups.get(group_key)
-        if state is None:
-            state = compiled.groups[group_key] = AggregateState(compiled.spec.func)
         emitted = compiled.emitted
-        if delta.action == REFRESH:
+        action = delta.action
+        if action == REFRESH:
             return emitted.get(group_key)
-        if delta.action == INSERT:
+        groups = compiled.groups
+        state = groups.get(group_key)
+        if state is None:
+            state = groups[group_key] = AggregateState(compiled.spec.func)
+        if action == INSERT:
             state.insert(value)
         else:
             state.delete(value)
+        support = compiled.support
+        if support is not None and derived is not None:
+            # A list, not a set: removal compares, appending hashes nothing.
+            matches = support.get(derived)
+            if action == INSERT:
+                if matches is None:
+                    support[derived] = [match]
+                else:
+                    matches.append(match)
+            elif matches is not None and match in matches:
+                matches.remove(match)
+                if not matches:
+                    del support[derived]
+            if compiled.folded_delta is not delta:
+                compiled.folded_delta, compiled.folded = delta, []
+            compiled.folded.append((derived, match))
         old_row = emitted.get(group_key)
         row = None
-        if not state.is_empty:
-            index = compiled.aggregate_index
-            row = group_key[:index] + (state.current(),) + group_key[index:]
-        if row == old_row:
-            return None
+        if state._count:
+            index, current = compiled.aggregate_index, state.current()
+            if old_row is not None and ((old := old_row[index]) is current or old == current):
+                return None  # the winner stands: its row is built only when it moves
+            row = group_key[:index] + (current,) + group_key[index:]
+        else:
+            del groups[group_key]
+            if old_row is None:
+                return None
         if old_row is not None:
             head = rule.head
             self.stats["rule_firings"] += 1
@@ -584,6 +630,28 @@ class NDlogEngine:
         if row is not None:
             emitted[group_key] = row
         return row
+
+    def _rebuild_support(self) -> None:
+        """Re-derive the support records from the tables (after a restore),
+        enumerating body matches over rows in insertion order."""
+        for compiled in self._aggregate_rules.values():
+            if compiled.support is None:
+                continue
+            compiled.support, rule, index = {}, compiled.rule, compiled.aggregate_index
+            matches = [({}, ())]
+            for atom in rule.body_atoms:
+                rows = self.catalog.table(atom.name).rows()
+                matches = [
+                    (extended, match + (row,))
+                    for binding, match in matches
+                    for row in rows
+                    if (extended := match_atom(atom, row, binding)) is not None
+                ]
+            for binding, match in matches:
+                if (result := finalize(rule, binding, self.functions)) is not None:
+                    derived = result[0][:index] + (result[1],) + result[0][index:]
+                    body = match[0] if len(match) == 1 else match
+                    compiled.support.setdefault(derived, []).append(body)
 
     # ------------------------------------------------------------------ #
     # emission
@@ -666,6 +734,36 @@ class NDlogEngine:
 #: Raw allocator used by _route to skip Delta.__init__ validation for
 #: internally-constructed deltas (their action is always already valid).
 _new_delta = Delta.__new__
+
+
+def _feeds_twin(aggregate: Rule, twin: Rule, catalog: Catalog) -> bool:
+    """Does the record hold what the join-back *twin* finds, in its order?
+
+    The twin joins ``h(derived)`` with a wildcard-free body of distinct
+    predicates other than ``h``.  One body atom keeps index-bucket order;
+    more need every body variable in the head and ``h``'s key variables in
+    every body atom (one match per derived row, at most one in ``h``).
+    """
+    head, atoms = aggregate.head, aggregate.body_atoms
+    index, spec = head.aggregate()
+    if spec.is_star or len(spec.variables_) != 1:
+        return False
+    args = [*head.args[:index], Variable(spec.variables_[0]), *head.args[index + 1 :]]
+    derived = Atom(head.name, args, head.location_index)
+    if (
+        list(twin.body_atoms) != [derived, *atoms]
+        or len({head.name, *(atom.name for atom in atoms)}) != len(atoms) + 1
+        or any(arg == Variable("_") for atom in twin.body_atoms for arg in atom.args)
+    ):
+        return False
+    if len(atoms) == 1:
+        return True
+    table = catalog.get(head.name)
+    keys = {args[position] for position in (table.key_positions if table is not None else ())}
+    return bool(keys) and all(
+        set(atom.variables()) <= set(derived.variables()) and keys <= set(atom.args)
+        for atom in atoms
+    )
 
 
 def _hashable_fact(fact: Fact) -> Fact:

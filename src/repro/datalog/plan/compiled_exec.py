@@ -233,8 +233,8 @@ def _annotation_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
     return lines + [f"{i}_ann = engine._policy.combine(plan.rule, [{annotations}], engine.address)"]
 
 
-def _emit_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
-    """Lines emitting the head row ``_values``.
+def _emit_source(plan, rows: Dict[int, str], indent: str, action="delta.action") -> List[str]:
+    """Lines emitting the head row ``_values`` as *action* (an expression).
 
     The counter bump; the annotation under a policy (``None`` for a
     delete); then, without a policy, a local sink applied in place (only a
@@ -245,13 +245,13 @@ def _emit_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
     loc = head.location_index
     lines = [f'{i}stats["rule_firings"] += 1', f"{i}_dest = _values[{loc}]"]
     if plan.annotated:
-        lines += [f"{i}_ann = None", f'{i}if delta.action != "delete":']
+        lines += [f"{i}_ann = None", f'{i}if {action} != "delete":']
         lines += _annotation_source(plan, rows, i + "    ")
     elif not is_event_predicate(head.name):
         lines += [
             f"{i}if _dest == engine.address and "
             f"(_sink := engine._sinks.get({head.name!r})) is not None:",
-            f"{i}    _sink(delta.action, _values, {loc})",
+            f"{i}    _sink({action}, _values, {loc})",
             f"{i}else:",
         ]
         i += "    "
@@ -261,7 +261,7 @@ def _emit_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
         f"{i}_fact.values = _values",
         f"{i}_fact.location_index = {loc}",
         f"{i}_d = _new_delta(_Delta)",
-        f"{i}_d.action = delta.action",
+        f"{i}_d.action = {action}",
         f"{i}_d.fact = _fact",
         f"{i}_d.annotation = {'_ann' if plan.annotated else None}",
         f"{i}if _dest == engine.address:",
@@ -282,20 +282,49 @@ def _aggregate_source(plan, rows: Dict[int, str], indent: str) -> List[str]:
     """Lines folding ``_key`` / ``_value`` into the head's group.
 
     ``NDlogEngine._aggregate`` routes the delete of a replaced row and
-    returns the row to insert (or to refresh), annotated and routed here.
+    returns the row to insert (or, for a refresh, to re-emit), emitted
+    here.  Without a policy it also gets the derived row and the matched
+    body rows (a one-atom body's row) for the support record.
     """
     i, head = indent, plan.rule.head
-    lines = [
-        f"{i}_row = engine._aggregate(plan.rule, _key, _value, delta)",
-        f"{i}if _row is not None:",
-        f'{i}    stats["rule_firings"] += 1',
+    index, spec = head.aggregate()
+    twin = ""
+    if not plan.annotated and not spec.is_star and len(spec.variables_) == 1:
+        key = [f"_key[{position}]" for position in range(head.arity - 1)]
+        body = [rows.get(position, "values") for position in range(len(plan.rule.body_atoms))]
+        derived = _tuple(key[:index] + ["_value"] + key[index:])
+        twin = f", {derived}, {body[0] if len(body) == 1 else _tuple(body)}"
+    return [
+        f"{i}_values = engine._aggregate(plan.rule, _key, _value, delta{twin})",
+        f"{i}if _values is not None:",
+        f'{i}    _action = "refresh" if delta.action == "refresh" else "insert"',
+        *_emit_source(plan, rows, i + "    ", "_action"),
     ]
-    if plan.annotated:
-        lines += _annotation_source(plan, rows, i + "    ")
+
+
+def _fed_source(plan, aggregate, indent: str) -> List[str]:
+    """Lines looping ``_match`` (body rows, or the row of a one-atom body)
+    over what *aggregate*'s record holds for its join-back twin *plan*: on
+    the derived row, the matches that yield it; on a body delta, those it
+    just folded whose ``_derived`` row is in the table now (see
+    ``NDlogEngine._install_rule``).
+    """
+    i = indent
+    lines = [f"{i}_c = engine._aggregate_rules[{aggregate.label!r}]"]
+    if plan.trigger_position == 0:
+        return lines + [
+            f"{i}if not (_matches := _c.support.get(values)):",
+            f"{i}    return",
+            f"{i}for _match in _matches:",
+        ]
     return lines + [
-        f'{i}    engine._route(plan.rule, "refresh" if delta.action == "refresh" '
-        f'else "insert", _Fact({head.name!r}, _row, {head.location_index}), '
-        f"{'_ann' if plan.annotated else None})",
+        f"{i}if _c.folded_delta is not delta:",
+        f"{i}    return",
+        f"{i}_c.folded_delta = None",
+        f"{i}_head = _c.head",
+        f"{i}for _derived, _match in _c.folded:",
+        f"{i}    if _derived not in _head:",
+        f"{i}        continue",
     ]
 
 
@@ -317,25 +346,38 @@ def generate_executor(plan) -> Callable[..., None]:
     indent, prune = "    ", "return"
     _prefix(out, plan, plan.initial_literal_prefix, bound, sources, indent, prune)
     rows = {}
+    if plan.fed_by is not None:
+        lines += _fed_source(plan, plan.fed_by, indent)
+        indent, prune = indent + "    ", "continue"
     for depth, step in enumerate(plan.steps):
         atom = step.atom
+        if plan.fed_by is not None:  # a recorded match stands in for the steps
+            row = rows[step.body_position] = f"row{depth}"
+            position, single = step.body_position, len(rule.body_atoms) == 2
+            match = "_match" if single else f"_match[{position - 1}]"
+            lines.append(f"{indent}{row} = " + (match if position else "_derived"))
+            bound += _atom_checks(atom, row, sources, out, indent, prune)
+            continue
         # Key parts in sorted-position order: the order the registered
         # indexes hash their keys in.
         lookups = sorted(step.lookups, key=lambda spec: spec.position)
         lines.append(f"{indent}table = engine.catalog.table({atom.name!r})")
         if lookups:
-            key = _tuple(
-                [
-                    f"_freeze({sources[spec.source]})"
-                    if spec.kind == "var"
-                    else out.constant(freeze_value(spec.source))
-                    for spec in lookups
-                ]
-            )
+            key = [
+                sources[spec.source]
+                if spec.kind == "var"
+                else out.constant(freeze_value(spec.source))
+                for spec in lookups
+            ]
             positions = tuple(spec.position for spec in lookups)
+            # A hashable value is its own frozen image: freeze on TypeError.
+            frozen = _tuple([f"_freeze({part})" for part in key])
             lines += [
                 f'{indent}stats["index_lookups"] += 1',
-                f"{indent}rows{depth} = table.probe({positions!r}, {key})",
+                f"{indent}try:",
+                f"{indent}    rows{depth} = table.probe({positions!r}, {_tuple(key)})",
+                f"{indent}except TypeError:",
+                f"{indent}    rows{depth} = table.probe({positions!r}, {frozen})",
                 f"{indent}if rows{depth}:",
                 f"{indent}    scanned{depth} = len(rows{depth})",
                 f"{indent}else:",
@@ -383,7 +425,7 @@ def generate_executor(plan) -> Callable[..., None]:
     ]
     emit = _emit_source if aggregate is None else _aggregate_source
     lines += emit(plan, rows, indent)
-    for depth in reversed(range(len(plan.steps))):
+    for depth in reversed(range(0 if plan.fed_by else len(plan.steps))):
         lines.append(f'{"    " * (depth + 1)}stats["tuples_scanned"] += scanned{depth}')
     namespace = out.namespace
     _fill_runtime_namespace(namespace)

@@ -63,15 +63,13 @@ __all__ = [
     "match_atom",
 ]
 
-#: Process-wide memo of generated executors, keyed by (id(rule), trigger
-#: position, annotated): every node of a network loads the same program,
-#: a plan depends only on its rule and trigger position, and whether the
-#: engine has an annotation policy fixes everything else its code depends on.
-#: Values pin the rule object so a recycled id can never alias a different
-#: rule; the cache is dropped wholesale at the (generous) limit to stay
-#: bounded across long sweeps.
-_EXECUTORS: Dict[Tuple[int, int, bool], Tuple[Rule, Any]] = {}
-_EXECUTORS_LIMIT = 4096
+#: Process-wide memo of compiled plans, keyed by (id(rule), trigger
+#: position, annotated, id(fed_by)): every node loads the same program and
+#: a plan holds no per-engine state, so every engine runs the same object.
+#: A plan pins both rules, so a recycled id never aliases another rule; the
+#: memo is dropped wholesale at the (generous) limit.
+_PLANS: Dict[Tuple[int, int, bool, int], "CompiledDeltaPlan"] = {}
+_MEMO_LIMIT = 4096
 
 #: Process-wide memo of a rule's normal form, keyed by id(rule) under the
 #: same wholesale limit (the normal form pins its rule): rules are immutable
@@ -119,15 +117,12 @@ class CompiledDeltaPlan:
     literals: Tuple[LiteralInfo, ...]
     #: the engine has an annotation policy: the executor combines annotations.
     annotated: bool = False
+    #: the MIN/MAX rule whose support record feeds this join-back twin's
+    #: matches in place of its join steps (``NDlogEngine._install_rule``).
+    fed_by: Optional[Rule] = None
 
     def __post_init__(self) -> None:
-        key = (id(self.rule), self.trigger_position, self.annotated)
-        cached = _EXECUTORS.get(key)
-        if cached is None or cached[0] is not self.rule:
-            if len(_EXECUTORS) >= _EXECUTORS_LIMIT:
-                _EXECUTORS.clear()
-            cached = _EXECUTORS[key] = (self.rule, generate_executor(self))
-        self.fused_exec = cached[1]
+        self.fused_exec = generate_executor(self)
 
     # ------------------------------------------------------------------ #
     # interpreter replays (error paths of the generated executor)
@@ -248,13 +243,26 @@ class PlanCompiler:
         normalized = _ANALYSES.get(id(rule))
         if normalized is None or normalized.rule is not rule:
             normalized = normalize_rule(rule)
-            if len(_ANALYSES) >= _EXECUTORS_LIMIT:
+            if len(_ANALYSES) >= _MEMO_LIMIT:
                 _ANALYSES.clear()
             _ANALYSES[id(rule)] = normalized
         return normalized
 
-    def compile(self, rule: Rule, trigger_position: int) -> CompiledDeltaPlan:
-        """Compile the delta plan for *rule* triggered at *trigger_position*."""
+    def compile(self, rule: Rule, trigger_position: int, fed_by=None) -> CompiledDeltaPlan:
+        """The delta plan for *rule* triggered at *trigger_position*; each
+        engine registers the indexes its steps probe (a fed plan probes none)."""
+        key = (id(rule), trigger_position, self.annotated, id(fed_by))
+        plan = _PLANS.get(key)
+        if plan is None or plan.rule is not rule or plan.fed_by is not fed_by:
+            if len(_PLANS) >= _MEMO_LIMIT:
+                _PLANS.clear()
+            plan = _PLANS[key] = self._plan(rule, trigger_position, fed_by)
+        if fed_by is None:
+            for step in plan.steps:
+                self.index_manager.require(step.atom.name, step.index_positions)
+        return plan
+
+    def _plan(self, rule: Rule, trigger_position: int, fed_by) -> CompiledDeltaPlan:
         normalized = self._analysis(rule)
         trigger = normalized.signature(trigger_position)
         bound = set(trigger.variables)
@@ -289,7 +297,7 @@ class PlanCompiler:
                     atom=signature.atom,
                     body_position=signature.position,
                     lookups=self._lookup_specs(signature, positions),
-                    index_positions=self.index_manager.require(signature.name, positions),
+                    index_positions=positions,
                     literal_prefix=prefix,
                     connected=connected,
                 )
@@ -308,6 +316,7 @@ class PlanCompiler:
             body_order=body_order,
             literals=normalized.literals,
             annotated=self.annotated,
+            fed_by=fed_by,
         )
 
     @staticmethod

@@ -23,8 +23,10 @@ def _render_lookup(spec: LookupSpec) -> str:
     return f"[{spec.position}]={spec.source!r}"
 
 
-def _render_step(number: int, step: CompiledStep) -> List[str]:
+def _render_step(number: int, step: CompiledStep, fed_by) -> List[str]:
     access = f"index{step.index_positions}" if step.index_positions else "full scan"
+    if fed_by is not None:
+        access = f"{fed_by.label}'s support record"
     bindings = ", ".join(_render_lookup(spec) for spec in step.lookups)
     join_kind = "join" if step.connected else "cross product"
     lines = [f"  step {number}: {join_kind} {step.atom} via {access}"]
@@ -52,7 +54,7 @@ def explain_plan(plan: CompiledDeltaPlan) -> str:
     if not plan.steps:
         lines.append("  no joins: finalize directly from the trigger tuple")
     for number, step in enumerate(plan.steps, start=1):
-        lines.extend(_render_step(number, step))
+        lines.extend(_render_step(number, step, plan.fed_by))
     lines.append(f"  emit {rule.head}")
     return "\n".join(lines)
 

@@ -857,12 +857,9 @@ def chaos_topology(size: int, seed: int = 0) -> Topology:
 
     Any two distinct simple paths traverse different link subsets, and
     sums of distinct powers of two are unique — so no two paths ever tie
-    on cost.  That matters because PATHVECTOR breaks equal-cost ties by
-    *arrival order* (RapidNet materialize semantics: the keyed
-    ``bestPath`` keeps whichever winner lands last), which is documented
-    order-dependence, not divergence; a tie-free topology is what makes
-    "final tables digest-match the fault-free run" a sound oracle under
-    fault plans that perturb message timing.
+    on cost.  PATHVECTOR no longer needs that: it breaks equal-cost ties by
+    the least path vector (``min<P>``), not by arrival order.  The ring
+    stays because ``BENCH_chaos_convergence.json`` records its digests.
     """
     topology = Topology(name=f"chaosring:{size}")
     for index in range(size):

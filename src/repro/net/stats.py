@@ -262,15 +262,12 @@ class LatencyStats:
 #: Engine counters surfaced in benchmark reports, in display order.  The
 #: planner/index counters let reports show *scan-count* reductions (how much
 #: work indexed join plans saved) rather than just wall-clock times.
-#: ``plans_recompiled`` stays at 0 (plans never change once compiled); it
-#: is kept so benchmark artifacts stay byte-stable.
 ENGINE_COUNTER_KEYS = (
     "deltas_processed",
     "deltas_sent",
     "deltas_received",
     "rule_firings",
     "plans_compiled",
-    "plans_recompiled",
     "indexes_registered",
     "index_lookups",
     "full_scans",

@@ -221,6 +221,7 @@ def _load_node(node: Any, snapshot: Dict[str, Any], backend: Any) -> None:
             compiled.groups[key] = state
             if emitted is not None:
                 compiled.emitted[key] = _shallow(emitted)
+    engine._rebuild_support()
     policy = engine.annotation_policy
     for name, values, encoded in snapshot["annotations"]:
         key = (name, freeze_value(tuple(values)))

@@ -311,6 +311,11 @@ class Table:
     # queries
     # ------------------------------------------------------------------ #
     def __contains__(self, values: Sequence[Any]) -> bool:
+        if values.__class__ is tuple:
+            try:
+                return values in self._rows
+            except TypeError:
+                pass
         return self._find(values)[1] is not None
 
     def count(self, values: Sequence[Any]) -> int:
@@ -387,10 +392,17 @@ def _subkey_getter(
 
 
 def _freeze(value: Any) -> Any:
-    """Convert mutable containers to hashable equivalents for storage."""
+    """Convert mutable containers to hashable equivalents for storage
+    (a hashable tuple holds no list or set: it is its own frozen image)."""
     cls = value.__class__
     if cls is str or cls is int:  # the dominant row-attribute types
         return value
+    if cls is tuple:
+        try:
+            hash(value)
+            return value
+        except TypeError:
+            pass
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     if isinstance(value, set):

@@ -42,6 +42,10 @@ from repro.datalog.plan.compiler import CompiledDeltaPlan, CompiledStep, finaliz
 __all__ = ["ENGINES", "InterpretedEngine", "NestedLoopEngine", "built_with", "table_state"]
 
 
+#: The counters a join moves and a record-fed plan does not.
+_SCANS = ("index_lookups", "full_scans", "tuples_scanned")
+
+
 class InterpretedEngine(NDlogEngine):
     """One delta per step, every row queued, rules walked as term trees."""
 
@@ -108,8 +112,22 @@ class InterpretedEngine(NDlogEngine):
     def _fire_rules(self, firings, delta: Delta) -> None:
         for plan in firings:
             binding = match_atom(plan.trigger_atom, delta.fact.values, {})
-            if binding is not None:
+            if binding is None:
+                continue
+            if plan.fed_by is None:
                 self._evaluate(plan, delta, binding)
+                continue
+            # The engine reads this join-back's matches off a support
+            # record: no probe, no index.  The oracle joins left to right
+            # over full scans, uncounted.
+            saved = {key: self.stats[key] for key in _SCANS if key in self.stats}
+            matched = [(plan.trigger_atom, delta.fact)]
+            self._join_left_to_right(plan.rule, plan.trigger_position, binding, matched, delta, 0)
+            for key in _SCANS:
+                if key in saved:
+                    self.stats[key] = saved[key]
+                else:
+                    self.stats.pop(key, None)
 
     def _evaluate(self, plan: CompiledDeltaPlan, delta: Delta, binding) -> None:
         if not plan.steps:
@@ -150,6 +168,34 @@ class InterpretedEngine(NDlogEngine):
                 continue
             facts[step.body_position] = Fact(step.atom.name, row, step.atom.location_index)
             self._join(plan, delta, extended, step_index + 1, facts)
+        self.stats["tuples_scanned"] += scanned
+
+    def _join_left_to_right(
+        self,
+        rule: Rule,
+        trigger_position: int,
+        binding: Dict[str, Any],
+        matched: List[Tuple[Atom, Fact]],
+        delta: Delta,
+        index: int,
+    ) -> None:
+        atoms = rule.body_atoms
+        if index == trigger_position:
+            index += 1
+        if index >= len(atoms):
+            self._finalize_binding(rule, binding, matched, delta)
+            return
+        atom = atoms[index]
+        self.stats["full_scans"] += 1
+        scanned = 0
+        for row in self.catalog.table(atom.name).rows():
+            scanned += 1
+            extended = match_atom(atom, row, binding)
+            if extended is not None:
+                fact = Fact(atom.name, row, atom.location_index)
+                self._join_left_to_right(
+                    rule, trigger_position, extended, matched + [(atom, fact)], delta, index + 1
+                )
         self.stats["tuples_scanned"] += scanned
 
     def _finalize_binding(
@@ -193,34 +239,6 @@ class NestedLoopEngine(InterpretedEngine):
     def _evaluate(self, plan: CompiledDeltaPlan, delta: Delta, binding) -> None:
         matched = [(plan.trigger_atom, delta.fact)]
         self._join_left_to_right(plan.rule, plan.trigger_position, binding, matched, delta, 0)
-
-    def _join_left_to_right(
-        self,
-        rule: Rule,
-        trigger_position: int,
-        binding: Dict[str, Any],
-        matched: List[Tuple[Atom, Fact]],
-        delta: Delta,
-        index: int,
-    ) -> None:
-        atoms = rule.body_atoms
-        if index == trigger_position:
-            index += 1
-        if index >= len(atoms):
-            self._finalize_binding(rule, binding, matched, delta)
-            return
-        atom = atoms[index]
-        self.stats["full_scans"] += 1
-        scanned = 0
-        for row in self.catalog.table(atom.name).rows():
-            scanned += 1
-            extended = match_atom(atom, row, binding)
-            if extended is not None:
-                fact = Fact(atom.name, row, atom.location_index)
-                self._join_left_to_right(
-                    rule, trigger_position, extended, matched + [(atom, fact)], delta, index + 1
-                )
-        self.stats["tuples_scanned"] += scanned
 
 
 def _constraints(step: CompiledStep, binding) -> Dict[int, Any]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.datalog.ast import TableDecl
-from repro.storage.memory import Catalog, Table
+from repro.storage.memory import Catalog, Table, freeze_value
 from repro.datalog.errors import SchemaError
 
 
@@ -83,6 +83,15 @@ class TestTableBasics:
         table.insert(("a", "b", ["a", "x", "b"]))
         rows = list(table.rows())
         assert rows[0][2] == ("a", "x", "b")
+
+    def test_a_hashable_tuple_is_its_own_frozen_image(self):
+        value = ("a", ("b", ("c", 1)), frozenset({2}))
+        assert freeze_value(value) is value
+
+    def test_tuples_holding_a_list_or_a_set_are_still_frozen(self):
+        assert freeze_value(("a", ["b", ["c"]])) == ("a", ("b", ("c",)))
+        assert freeze_value(("a", ("b", {"y", "x"}))) == ("a", ("b", ("x", "y")))
+        hash(freeze_value(("a", ["b", {"x"}])))
 
     def test_clear(self):
         table = Table("link")

@@ -222,6 +222,8 @@ def flap_script(program_factory, mode, traced: bool):
 #: the engine's batch drain was deleted, less its ``engine.batch`` spans and
 #: the ``plan.exec`` spans of sink rows that fired nothing (5,344 of
 #: pathvector-ref's 11,374): a tracer no longer changes what is queued.
+#: pathvector-ref's ``plan.exec`` then fell from 6,030 to 5,480 when
+#: ``bestPath`` became ``min<P>``: a tie no longer evicts the winner.
 PARENT_SPANS = {
     "mincost-value": {
         "plan.exec": 1808,
@@ -230,7 +232,7 @@ PARENT_SPANS = {
         "net.fixpoint": 9,
     },
     "pathvector-ref": {
-        "plan.exec": 6030,
+        "plan.exec": 5480,
         "fixpoint.round": 702,
         "sim.event": 672,
         "net.fixpoint": 9,

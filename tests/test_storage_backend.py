@@ -21,7 +21,8 @@ from repro.core.vid import fact_vid
 from repro.datalog.ast import Fact, is_event_predicate
 from repro.experiments import ExecutionEnv
 from repro.net.sharding import collect_digest
-from repro.net.topology import ring_topology
+from repro.storage.checkpoint import node_state
+from repro.net.topology import grid_topology, ring_topology
 from repro.protocols.mincost import mincost_program
 from repro.protocols.pathvector import pathvector_program
 from repro.storage import (
@@ -322,6 +323,41 @@ def test_checkpoint_restore_byte_identical(tmp_path):
     # (a restored process never re-sent the original messages).
     assert restored.planner_stats() == network.planner_stats()
     assert restored.now == network.now
+
+
+def test_no_empty_aggregate_group_survives_and_restore_still_evolves(tmp_path):
+    """A link removed and re-added leaves every aggregate group non-empty.
+
+    PATHVECTOR groups ``bestPath`` by (source, destination, cost), so a
+    cost change empties the old group; it is dropped, not kept.  The
+    checkpoint round trip rebuilds the MIN rules' support records from
+    the restored tables, so both networks keep deriving the same
+    provenance rows afterwards.
+    """
+    topology = grid_topology(3, 3)
+    network = ExspanNetwork(topology, pathvector_program())
+    network.seed_links()
+    network.run_to_fixpoint()
+    network.remove_link("g0_0", "g1_0")
+    network.run_to_fixpoint()
+    network.add_link("g0_0", "g1_0", 1)
+    network.run_to_fixpoint()
+    groups = [
+        group
+        for node in network.nodes.values()
+        for groups in node_state(node.engine)["aggregates"].values()
+        for group in groups
+    ]
+    assert groups and all(values for _, values, _ in groups)
+
+    path = str(tmp_path / "pv.ckpt")
+    network.checkpoint(path)
+    restored = ExspanNetwork.restore(path, topology, pathvector_program())
+    assert collect_digest(restored) == collect_digest(network)
+    for net in (network, restored):
+        net.remove_link("g1_1", "g1_2")
+        net.run_to_fixpoint()
+    assert collect_digest(restored) == collect_digest(network)
 
 
 def test_checkpoint_restore_then_evolve_identically(tmp_path):

@@ -13,7 +13,7 @@ from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
 from repro.core.vid import tuple_vid
 from repro.datalog import Fact
 from repro.net.topology import grid_topology
-from repro.protocols import mincost_program
+from repro.protocols import mincost_program, pathvector_program
 
 
 @pytest.mark.xfail(
@@ -47,6 +47,35 @@ def test_min_winner_after_a_cut_names_only_link_tuples():
         row: sorted(annotation.support() - links)
         for node, row in network.tuples("bestPathCost")
         if (annotation := network.engine(node).annotation_of(Fact("bestPathCost", row)))
+        is not None
+    }
+    assert {row: names for row, names in strays.items() if names} == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "PATHVECTOR's bestPath is a MIN aggregate (min<P>), so the same "
+        "re-election after a deletion annotates its winner from the deleted "
+        "trigger (ROADMAP item 1)"
+    ),
+)
+def test_best_path_after_a_cut_names_only_link_tuples():
+    """Cut g0_0-g0_1 on a 3x3 grid: 20 of 72 ``bestPath`` annotations name a
+    derived tuple (4 while ``bestPath`` was a plain keyed join)."""
+    topology = grid_topology(3, 3)
+    network = ExspanNetwork(
+        topology, pathvector_program(), config=ExspanConfig(mode=ProvenanceMode.VALUE)
+    )
+    links = {tuple_vid("link", fact) for fact in topology.link_facts()}  # the cut one too
+    network.seed_links()
+    network.run_to_fixpoint()
+    network.remove_link("g0_0", "g0_1")
+    network.run_to_fixpoint()
+    strays = {
+        row: sorted(annotation.support() - links)
+        for node, row in network.tuples("bestPath")
+        if (annotation := network.engine(node).annotation_of(Fact("bestPath", row)))
         is not None
     }
     assert {row: names for row, names in strays.items() if names} == {}
