@@ -696,7 +696,7 @@ class ExspanNetwork:
         """
         from ..obs.metrics import MetricsRegistry
 
-        from .vid import vid_cache_stats
+        from ..datalog.functions import sha1_cache_stats
 
         registry = MetricsRegistry()
         registry.absorb_counters(self.planner_stats(), prefix="engine.")
@@ -704,14 +704,13 @@ class ExspanNetwork:
         for kind, (messages, size) in sorted(self.stats.kind_totals().items()):
             registry.inc("net.messages", messages, kind=kind)
             registry.inc("net.bytes", size, kind=kind)
-        # Memoization effectiveness of the two VID layers (process-global
-        # caches: tuple-VID memo and the underlying f_sha1 digest memo).
-        # Hits/misses are counters; live entry counts and bounds are gauges.
-        for layer, stats in vid_cache_stats().items():
-            registry.inc(f"cache.{layer}.hits", stats["hits"])
-            registry.inc(f"cache.{layer}.misses", stats["misses"])
-            registry.set_gauge(f"cache.{layer}.entries", stats["entries"])
-            registry.set_gauge(f"cache.{layer}.limit", stats["limit"])
+        # The process-global f_sha1 memo every VID and RID goes through:
+        # hits/misses are counters, entries and bound gauges.
+        stats = sha1_cache_stats()
+        registry.inc("cache.sha1.hits", stats["hits"])
+        registry.inc("cache.sha1.misses", stats["misses"])
+        registry.set_gauge("cache.sha1.entries", stats["entries"])
+        registry.set_gauge("cache.sha1.limit", stats["limit"])
         # Storage-backend counters, only when a persistent backend is in
         # play: the memory default emits nothing here, keeping the default
         # metrics snapshot (and golden shell transcripts) byte-identical.

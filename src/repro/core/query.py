@@ -152,7 +152,6 @@ class QuerySpec:
     rule_filter: Optional[Callable[[str, Any], bool]] = None
     use_cache: bool = False
     max_depth: int = DEFAULT_MAX_DEPTH
-    moonwalk_seed: int = 0
 
 
 @dataclass
@@ -772,7 +771,7 @@ class ProvenanceQueryService:
 
         if spec.traversal is TraversalOrder.RANDOM_MOONWALK:
             width = max(1, min(spec.moonwalk_width, len(derivations)))
-            derivations = self._moonwalk_rng(spec, vid).sample(derivations, width)
+            derivations = self._moonwalk_rng(vid).sample(derivations, width)
 
         if spec.traversal in (TraversalOrder.BFS, TraversalOrder.RANDOM_MOONWALK):
             self._resolve_derivations_parallel(
@@ -783,15 +782,16 @@ class ProvenanceQueryService:
                 self, vid, key, spec, derivations, initial_results, finish, depth, tc
             ).advance()
 
-    def _moonwalk_rng(self, spec: QuerySpec, vid: str) -> random.Random:
+    def _moonwalk_rng(self, vid: str) -> random.Random:
         """Derivation sampler for the random moonwalk.
 
-        Seeded per ``(spec seed, node, vertex)`` so that the sample drawn at
-        a vertex does not depend on how many walks this service ran before —
-        the property that makes moonwalk resolutions coalescable and makes
-        concurrent issuance bit-identical to serial issuance.
+        Seeded per ``(node, vertex)`` so that the sample drawn at a vertex
+        does not depend on how many walks this service ran before — the
+        property that makes moonwalk resolutions coalescable and makes
+        concurrent issuance bit-identical to serial issuance.  (The ``0``
+        in the seed string keeps the walks of earlier artifacts.)
         """
-        return random.Random(f"moonwalk-{spec.moonwalk_seed}-{self.node}-{vid}")
+        return random.Random(f"moonwalk-0-{self.node}-{vid}")
 
     def _resolve_derivations_parallel(
         self,

@@ -80,9 +80,8 @@ def sha1_cache_stats() -> Dict[str, int]:
 def _stringify(value: Any) -> str:
     """Render *value* for hashing the way NDlog string concatenation does.
 
-    Lists and tuples are rendered as the concatenation of their members so
-    that ``f_sha1(R + RLoc + List)`` in rewritten provenance rules matches
-    :func:`repro.core.vid.rule_rid`, which joins the input VIDs directly.
+    Lists and tuples are rendered as the concatenation of their members, so
+    the VID list in ``f_sha1(R, RLoc, List)`` hashes as its VIDs joined.
     """
     if value.__class__ is str:  # the dominant case on the provenance path
         return value
@@ -103,7 +102,9 @@ def _f_sha1(args: Sequence[Any]) -> str:
     Memoized on the argument tuple: the provenance rewrite recomputes the
     same tuple-VID preimages on every rule firing a tuple participates in,
     so each distinct preimage is stringified and hashed once per cache
-    lifetime instead of once per firing.  Values built by the engine are
+    lifetime instead of once per firing.  :mod:`repro.core.vid` hashes
+    VIDs and RIDs through here with the rules' own argument tuples, so the
+    query side finds them too.  Values built by the engine are
     hashable (the list builtins return tuples); an argument that is not —
     a list or dict handed in from outside — skips the memo.
     """

@@ -9,7 +9,8 @@ delta's raw value tuple —
 
 * the trigger match: arity, constant and repeated-variable checks;
 * every join step as a nested loop over one index probe (or full scan) in
-  the plan's join order, matched over positional ``row[j]`` reads;
+  the plan's join order, its table's arity checked once per probe, matched
+  over positional ``row[j]`` reads;
 * the pushed-down literal prefixes, at the trigger and after each step;
 * the rule's assignments and conditions, with assigned variables as
   Python locals;
@@ -177,15 +178,22 @@ def _dict(names: List[str], sources: Dict[str, str]) -> str:
 
 
 def _atom_checks(
-    atom: Atom, row: str, sources: Dict[str, str], out: _Source, indent: str, prune: str
+    atom: Atom,
+    row: str,
+    sources: Dict[str, str],
+    out: _Source,
+    indent: str,
+    prune: str,
+    arity: bool = True,
 ) -> List[str]:
     """Match *atom* against the tuple *row*; returns its fresh variables.
 
-    Checks arity, constants, variables bound earlier (read through
-    *sources*) and repeats within the row, running *prune* on a mismatch;
-    fresh variables are added to *sources* as ``row[j]`` reads.
+    Checks arity (unless the caller checked the row's table once, *arity*
+    false), constants, variables bound earlier (read through *sources*)
+    and repeats within the row, running *prune* on a mismatch; fresh
+    variables are added to *sources* as ``row[j]`` reads.
     """
-    checks = [f"len({row}) != {len(atom.args)}"]
+    checks = [f"len({row}) != {len(atom.args)}"] if arity else []
     fresh: List[str] = []
     local: Dict[str, str] = {}
     for position, arg in enumerate(atom.args):
@@ -390,10 +398,16 @@ def generate_executor(plan) -> Callable[..., None]:
                 f"{indent}rows{depth} = table.rows()",
                 f"{indent}scanned{depth} = len(rows{depth})",
             ]
+        # A table holds rows of one arity (``Table.insert`` raises otherwise):
+        # check it once per probe, after the counters moved.
         row = rows[step.body_position] = f"row{depth}"
-        lines.append(f"{indent}for {row} in rows{depth}:")
+        lines += [
+            f"{indent}if table.arity != {len(atom.args)}:",
+            f"{indent}    rows{depth} = ()",
+            f"{indent}for {row} in rows{depth}:",
+        ]
         indent, prune = indent + "    ", "continue"
-        bound += _atom_checks(atom, row, sources, out, indent, prune)
+        bound += _atom_checks(atom, row, sources, out, indent, prune, arity=False)
         _prefix(out, plan, step.literal_prefix, bound, sources, indent, prune)
     lines.append(f"{indent}try:")
     out.literals(plan.literals, sources, indent + "    ", prune, "_local")

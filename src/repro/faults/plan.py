@@ -11,8 +11,7 @@ bit-reproducible under any ``PYTHONHASHSEED`` and any shard count.
 
 Plans can be built programmatically, parsed from the compact
 ``parse_fault_spec`` grammar used by the CLI / shell / experiments
-``--faults`` knob, or round-tripped through ``to_dict``/``from_dict``
-(the form shipped to forked shard workers).
+``--faults`` knob; forked shard workers inherit the plan object itself.
 """
 from __future__ import annotations
 
@@ -191,75 +190,6 @@ class FaultPlan:
         for kill in self.worker_kills:
             parts.append(f"killworker:{kill.shard}@{kill.after_windows}")
         return ";".join(parts)
-
-    # -- serialization (picklable dict form for shard-worker configs) --
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"seed": self.seed, "rto": self.rto}
-        if self.max_attempts is not None:
-            payload["max_attempts"] = self.max_attempts
-        if self.link_faults:
-            payload["link_faults"] = [
-                {
-                    "kind": f.kind,
-                    "src": f.src,
-                    "dst": f.dst,
-                    "prob": f.prob,
-                    "delay": f.delay,
-                    "start": f.start,
-                    "end": f.end,
-                    "max_events": f.max_events,
-                }
-                for f in self.link_faults
-            ]
-        if self.crashes:
-            payload["crashes"] = [
-                {"node": c.node, "at": c.at, "restart_after": c.restart_after}
-                for c in self.crashes
-            ]
-        if self.flaps:
-            payload["flaps"] = [
-                {
-                    "a": f.a,
-                    "b": f.b,
-                    "down_at": f.down_at,
-                    "up_after": f.up_after,
-                    "cost": f.cost,
-                }
-                for f in self.flaps
-            ]
-        if self.stragglers:
-            payload["stragglers"] = [
-                {"node": s.node, "delay": s.delay, "start": s.start, "end": s.end}
-                for s in self.stragglers
-            ]
-        if self.worker_kills:
-            payload["worker_kills"] = [
-                {"shard": k.shard, "after_windows": k.after_windows}
-                for k in self.worker_kills
-            ]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        return cls(
-            seed=int(payload.get("seed", 0)),
-            rto=float(payload.get("rto", 0.05)),
-            max_attempts=payload.get("max_attempts"),
-            link_faults=tuple(
-                LinkFault(**entry) for entry in payload.get("link_faults", ())
-            ),
-            crashes=tuple(
-                CrashFault(**entry) for entry in payload.get("crashes", ())
-            ),
-            flaps=tuple(FlapFault(**entry) for entry in payload.get("flaps", ())),
-            stragglers=tuple(
-                StragglerFault(**entry) for entry in payload.get("stragglers", ())
-            ),
-            worker_kills=tuple(
-                WorkerKill(**entry) for entry in payload.get("worker_kills", ())
-            ),
-        )
 
 
 def _parse_options(tokens: list) -> Dict[str, str]:

@@ -339,13 +339,12 @@ class _WorkerConfig:
     #: are suffixed per shard by the worker's ExspanNetwork so forked
     #: processes never share one WAL.
     storage: Optional[str] = None
-    #: Serialized non-empty :class:`~repro.faults.plan.FaultPlan`
-    #: (``FaultPlan.to_dict()``), or ``None`` for the fault-free fast
-    #: path.  Every worker installs the same plan: link/flap schedules
-    #: are replicated (they are pure functions of the plan seed and
-    #: sender-local counters), crash events fire only on the shard that
-    #: owns the node.
-    faults: Optional[Dict[str, Any]] = None
+    #: Non-empty :class:`~repro.faults.plan.FaultPlan` (the forked worker
+    #: inherits it), or ``None`` for the fault-free fast path.  Every
+    #: worker installs the same plan: link/flap schedules are replicated
+    #: (they are pure functions of the plan seed and sender-local
+    #: counters), crash events fire only on the shard that owns the node.
+    faults: Any = None
 
 
 def _worker_main(conn, config: _WorkerConfig) -> None:
@@ -387,9 +386,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         for spec in config.query_specs:
             net.register_spec(spec)
         if config.faults is not None:
-            from ..faults.plan import FaultPlan
-
-            net.install_faults(FaultPlan.from_dict(config.faults))
+            net.install_faults(config.faults)
         outcomes: Dict[str, Dict[str, Any]] = {}
         issued: Dict[Any, int] = {}
 
@@ -602,7 +599,7 @@ class ShardedExspanNetwork:
                 query_specs=tuple(query_specs),
                 trace=self.tracer is not None,
                 storage=storage,
-                faults=plan.to_dict() if plan is not None else None,
+                faults=plan,
             )
             process = self._context.Process(
                 target=_worker_main, args=(child_conn, config), daemon=True

@@ -44,8 +44,9 @@ is O(1) rather than an O(queue) scan) and compacts the heap whenever
 tombstones outnumber live events by the configured ratio, so a workload
 that schedules and cancels in a loop runs in memory proportional to the
 *live* events only.  ``compact_min_cancelled`` and ``compact_ratio`` are
-constructor knobs (huge sharded runs tune them through
-:class:`~repro.core.api.ExspanNetwork`).
+constructor knobs that no network sets: they are the test seam that lets
+the loop oracle (``tests/test_simulator_loop.py``) and the sharding tests
+force compactions on small queues.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     EMPTY,
@@ -19,8 +19,25 @@ from repro.core import (
     var,
 )
 from repro.core.semiring import Literal, Product, Sum
+from repro.core.vid import clear_vid_caches
 from repro.datalog import Fact
-from repro.datalog.functions import default_registry, sha1_hex
+from repro.datalog.functions import default_registry, sha1_cache_stats, sha1_hex
+
+
+#: Attribute values of every kind a VID preimage renders: text, int,
+#: integral and fractional float, bool, None, lists, nested tuples, sets.
+SCALARS = (
+    st.text(max_size=4)
+    | st.integers(-99, 99)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32)
+    | st.booleans()
+    | st.none()
+)
+VALUES = st.recursive(
+    SCALARS | st.frozensets(st.integers(0, 9), max_size=3) | st.sets(st.text(max_size=2), max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
 
 
 class TestVids:
@@ -49,23 +66,73 @@ class TestVids:
         assert rule_rid("sp2", "b", vids) == registry.call("f_sha1", ["sp2", "b", vids])
 
     def test_memoized_vid_equals_uncached_and_survives_odd_values(self):
-        """The bounded cache must change nothing — including for values the
-        cache key cannot hash (sets fall through to direct computation)."""
-        from repro.core.vid import clear_vid_caches, tuple_preimage, vid_cache_stats
-
+        """The bounded memo must change nothing — including for values the
+        memo key cannot hash (lists and sets fall through to direct
+        computation)."""
         cases = [
-            ("link", ("b", "c", 2)),
-            ("path", ("a", "b", 3, ["a", "b"])),  # list attribute
-            ("odd", ({"x"},)),  # unhashable attribute: cache skipped
-            ("odd", (None, True, 2.0)),
+            ("link", ("b", "c", 2), "linkbc2"),
+            ("path", ("a", "b", 3, ["a", "b"]), "pathab3ab"),  # list attribute
+            ("odd", ({"x"},), "odd" + str({"x"})),  # unhashable attribute
+            ("odd", (None, True, 2.0), "odd12"),
         ]
-        uncached = [sha1_hex(tuple_preimage(name, values)) for name, values in cases]
+        uncached = [sha1_hex(preimage) for _, _, preimage in cases]
         clear_vid_caches()
-        cached_cold = [tuple_vid(name, values) for name, values in cases]
-        cached_warm = [tuple_vid(name, values) for name, values in cases]
+        cached_cold = [tuple_vid(name, values) for name, values, _ in cases]
+        cached_warm = [tuple_vid(name, values) for name, values, _ in cases]
         assert uncached == cached_cold == cached_warm
-        stats = vid_cache_stats()
-        assert stats["vid"]["hits"] >= 3  # the hashable cases hit on re-query
+        assert sha1_cache_stats()["hits"] == 2  # the hashable cases hit on re-query
+
+    @settings(max_examples=200)
+    @given(
+        st.text(max_size=6),
+        st.lists(VALUES, max_size=5),
+        st.text(max_size=4) | st.integers(-9, 99) | st.none(),
+    )
+    def test_vid_and_rid_equal_the_rule_side_f_sha1(self, name, values, location):
+        """``tuple_vid`` / ``rule_rid`` hash what a rewritten rule's
+        ``f_sha1(name, values...)`` / ``f_sha1(label, RLoc, List)`` does,
+        memo cold or warm."""
+        registry = default_registry()
+        expected_vid = registry.call("f_sha1", [name, *values])
+        expected_rid = registry.call("f_sha1", [name, location, (expected_vid,)])
+        clear_vid_caches()
+        for _ in range(2):
+            assert tuple_vid(name, values) == expected_vid
+            assert rule_rid(name, location, [expected_vid]) == expected_rid
+
+    def test_stored_rows_find_their_vids_in_the_rule_memo(self, monkeypatch):
+        """After a REF fixpoint the rewritten rules have hashed every stored
+        row's VID: ``fact_vid`` of each row computes no new SHA-1 digest."""
+        import hashlib
+        from types import SimpleNamespace
+
+        from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
+        from repro.core.rewrite import PROV_TABLE, RULE_EXEC_TABLE
+        from repro.datalog import functions, is_event_predicate
+        from repro.net import ring_topology
+        from repro.protocols import pathvector_program
+
+        clear_vid_caches()
+        network = ExspanNetwork(
+            ring_topology(5, seed=0),
+            pathvector_program(),
+            config=ExspanConfig(mode=ProvenanceMode.REFERENCE),
+        )
+        network.seed_links()
+        network.run_to_fixpoint()
+        digested = []
+        spy = lambda data: digested.append(data) or hashlib.sha1(data)  # noqa: E731
+        monkeypatch.setattr(functions, "hashlib", SimpleNamespace(sha1=spy))
+        stored = 0
+        for node in network.nodes.values():
+            for table in node.engine.catalog.tables():
+                if table.name in (PROV_TABLE, RULE_EXEC_TABLE) or is_event_predicate(table.name):
+                    continue
+                for row in table.rows():
+                    fact_vid(Fact(table.name, row))
+                    stored += 1
+        assert stored > 100
+        assert digested == []
 
     def test_float_costs_render_like_ints(self):
         assert tuple_vid("link", ("a", "b", 3.0)) == tuple_vid("link", ("a", "b", 3))

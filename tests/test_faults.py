@@ -92,12 +92,6 @@ class TestPlanParsing:
         plan = parse_fault_spec(text)
         assert parse_fault_spec(plan.describe()) == plan
 
-    def test_dict_round_trip(self):
-        plan = parse_fault_spec(
-            "seed=2; dup:*->*:p=0.1; crash:a@1.0; killworker:0@1"
-        )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-
     def test_empty_plan(self):
         assert FaultPlan.empty().is_empty()
         assert parse_fault_spec("").is_empty()

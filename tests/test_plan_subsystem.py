@@ -252,6 +252,30 @@ class TestCompiledPlans:
         assert greedy.stats["tuples_scanned"] == 0
         assert naive.stats["tuples_scanned"] == 20
 
+    def test_an_atom_of_another_arity_matches_nothing(self):
+        """``u`` holds rows of arity 3 under two-argument ``u`` atoms: the
+        probe, the full scan and the trigger match nothing, and the counters
+        move as the interpreter moves them."""
+        program = parse_program(
+            "p9 out(@A,C) :- t(@A,B), u(@B,C).\n"
+            "p10 all(@A,C) :- t(@A,B), u(@C,D)."
+        )
+        results = {}
+        for name, engine_class in ENGINES.items():
+            engine = engine_class("a", program=program)
+            for i in range(3):
+                engine.catalog.table("u").insert(("b", f"c{i}", i))
+            engine.insert(Fact("t", ("a", "b")))
+            engine.insert(Fact("u", ("b", "c9", 9)))
+            engine.run()
+            rows = (engine.table_rows("out"), engine.table_rows("all"))
+            results[name] = (rows, dict(engine.stats))
+        assert results["compiled"] == results["interpreted"]
+        rows, stats = results["compiled"]
+        assert rows == ([], [])
+        assert stats["index_lookups"] == 1 and stats["full_scans"] == 1
+        assert stats["tuples_scanned"] == 6
+
     def test_assignment_only_prefixes_are_not_pushed_down(self):
         # An evaluable prefix of pure assignments cannot prune, and finalize
         # re-evaluates literals anyway — the compiler must not schedule it.
@@ -508,6 +532,7 @@ def test_inline_memo_probe_counts_like_the_builtin():
 
 
 def test_metrics_snapshot_exposes_sha1_and_vid_cache_counters():
+    """VIDs and RIDs share the one ``f_sha1`` memo: one ``cache.sha1`` layer."""
     from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
     from repro.net import ring_topology
     from repro.protocols import mincost_program
@@ -520,11 +545,10 @@ def test_metrics_snapshot_exposes_sha1_and_vid_cache_counters():
     network.seed_links()
     network.run_to_fixpoint()
     snapshot = network.metrics_snapshot()
-    counters = snapshot["counters"]
-    for layer in ("sha1", "vid"):
-        assert f"cache.{layer}.hits" in counters
-        assert f"cache.{layer}.misses" in counters
-        assert snapshot["gauges"][f"cache.{layer}.limit"] > 0
+    counters, gauges = snapshot["counters"], snapshot["gauges"]
+    layers = {name.split(".")[1] for name in (*counters, *gauges) if name.startswith("cache.")}
+    assert layers == {"sha1"}
+    assert gauges["cache.sha1.limit"] > 0
     # the rewrite workload actually exercises the sha1 memo
     assert counters["cache.sha1.hits"] + counters["cache.sha1.misses"] > 0
 

@@ -26,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
-from repro.core.vid import clear_vid_caches, vid_cache_stats
+from repro.core.vid import clear_vid_caches
 from repro.datalog import Fact, StandaloneNetwork
 from repro.datalog.engine import INSERT, AnnotationPolicy, Delta, NDlogEngine
+from repro.datalog.functions import sha1_cache_stats
 from repro.datalog.parser import parse_program
 from repro.net.topology import grid_topology, ring_topology, transit_stub_topology
 from repro.obs import Tracer
@@ -70,7 +71,7 @@ class Observer:
 
 
 def observed_state(engines, observer):
-    memo = vid_cache_stats()
+    memo = sha1_cache_stats()
     return {
         "tables": {
             engine.address: {
@@ -82,7 +83,7 @@ def observed_state(engines, observer):
         "stats": {engine.address: dict(engine.stats) for engine in engines},
         "updates": dict(observer.updates),
         "sends": observer.sends,
-        "memo": {layer: (memo[layer]["hits"], memo[layer]["misses"]) for layer in memo},
+        "memo": (memo["hits"], memo["misses"]),
     }
 
 
