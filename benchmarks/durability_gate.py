@@ -9,9 +9,12 @@ Four checks, in order, all deterministic (no wall-clock — repo policy):
    Storage is an execution-environment knob; any drift is a real behavior
    change.
 2. **Crash recovery** — a subprocess runs a MINCOST fixpoint under the
-   sqlite backend, checkpoints, and SIGKILLs itself; a fresh process
-   restores from the file, continues scripted churn to fixpoint, and its
-   digests must equal an uninterrupted process running the same script.
+   sqlite backend (its database under ``--work-dir``), checkpoints, and
+   SIGKILLs itself; a fresh process restores from the file, continues
+   scripted churn to fixpoint, and its digests must equal an uninterrupted
+   process running the same script.  The same three phases then run
+   without storage under value-based provenance, once per annotation
+   policy (BDD and polynomial): the restore re-imports every annotation.
 3. **SQL-vs-distributed oracle** — in the restored process, the sqlite
    backend's SQL provenance answers must equal the distributed query
    engine's (``nodeset``/``derivability``) and the in-RAM provenance
@@ -46,26 +49,37 @@ ARTIFACT = "BENCH_query_concurrency.json"
 # ---------------------------------------------------------------------- #
 # subprocess phases (this file re-executes itself with --phase)
 # ---------------------------------------------------------------------- #
-def _build_network():
+#: Crash-recovery cells: the storage backend and value-annotation policy
+#: of each network (``None``: reference provenance on the memory backend).
+CELLS = {
+    "sqlite": ("sqlite", None),
+    "value-bdd": (None, "bdd"),
+    "value-poly": (None, "polynomial"),
+}
+
+
+def _build_network(cell, storage=None):
     from repro.core.api import ExspanNetwork
     from repro.core.config import ExspanConfig
+    from repro.core.modes import ProvenanceMode
     from repro.net.topology import ring_topology
     from repro.protocols.mincost import mincost_program
 
-    return ExspanNetwork(
-        ring_topology(8, seed=7),
-        mincost_program(),
-        config=ExspanConfig(seed=0, storage="sqlite"),
-    )
+    backend, policy = CELLS[cell]
+    if policy is None:
+        config = ExspanConfig(seed=0, storage=storage or backend)
+    else:
+        config = ExspanConfig(mode=ProvenanceMode.VALUE, seed=0, value_policy=policy)
+    return ExspanNetwork(ring_topology(8, seed=7), mincost_program(), config=config)
 
 
-def _restore_network(ckpt_path):
+def _restore_network(cell, ckpt_path):
     from repro.core.api import ExspanNetwork
     from repro.net.topology import ring_topology
     from repro.protocols.mincost import mincost_program
 
     return ExspanNetwork.restore(
-        ckpt_path, ring_topology(8, seed=7), mincost_program(), storage="sqlite"
+        ckpt_path, ring_topology(8, seed=7), mincost_program(), storage=CELLS[cell][0]
     )
 
 
@@ -145,27 +159,29 @@ def _mirror_check(network):
     return failures
 
 
-def _run_phase(phase: str, ckpt_path: str) -> None:
+def _run_phase(phase: str, ckpt_path: str, cell: str) -> None:
     from repro.net.sharding import collect_digest
 
+    sqlite = CELLS[cell][0] == "sqlite"
     if phase == "crash":
-        network = _build_network()
+        # SIGKILL leaves the database behind: keep it next to the checkpoint.
+        network = _build_network(cell, f"sqlite:{ckpt_path}.sqlite" if sqlite else None)
         _phase_a(network)
         network.checkpoint(ckpt_path)
         os.kill(os.getpid(), signal.SIGKILL)
     elif phase == "restore":
-        network = _restore_network(ckpt_path)
+        network = _restore_network(cell, ckpt_path)
         _phase_b(network)
         payload = {
             "digests": collect_digest(network),
             "now": network.now,
-            "sql_failures": _sql_cross_check(network),
-            "mirror_failures": _mirror_check(network),
+            "sql_failures": _sql_cross_check(network) if sqlite else [],
+            "mirror_failures": _mirror_check(network) if sqlite else [],
         }
         network.close_storage()
         json.dump(payload, sys.stdout, sort_keys=True)
     elif phase == "full":
-        network = _build_network()
+        network = _build_network(cell)
         _phase_a(network)
         _phase_b(network)
         payload = {"digests": collect_digest(network), "now": network.now}
@@ -201,7 +217,7 @@ def _check_artifact(baseline_dir: str, candidate_dir: str) -> None:
           f"({len(left)} canonical bytes)")
 
 
-def _spawn(phase: str, ckpt_path: str, hashseed: int) -> subprocess.CompletedProcess:
+def _spawn(phase: str, ckpt_path: str, hashseed: int, cell: str) -> subprocess.CompletedProcess:
     environment = dict(os.environ)
     # Prepend, not replace: whatever the caller put on the path (a call
     # recorder's sitecustomize, say) must reach these processes too.
@@ -211,7 +227,8 @@ def _spawn(phase: str, ckpt_path: str, hashseed: int) -> subprocess.CompletedPro
     )
     environment["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--phase", phase, "--ckpt", ckpt_path],
+        [sys.executable, os.path.abspath(__file__), "--phase", phase, "--ckpt", ckpt_path]
+        + ["--cell", cell],
         capture_output=True,
         text=True,
         env=environment,
@@ -219,18 +236,26 @@ def _spawn(phase: str, ckpt_path: str, hashseed: int) -> subprocess.CompletedPro
     )
 
 
-def _check_recovery(work_dir: str) -> None:
-    ckpt_path = os.path.join(work_dir, "durability_gate.ckpt")
-    crashed = _spawn("crash", ckpt_path, hashseed=11)
+def _remove(ckpt_path: str) -> None:
+    """The checkpoint and the crashed process's database, if any."""
+    for suffix in ("", ".sqlite", ".sqlite-wal", ".sqlite-shm"):
+        if os.path.exists(ckpt_path + suffix):
+            os.remove(ckpt_path + suffix)
+
+
+def _check_recovery(work_dir: str, cell: str) -> None:
+    ckpt_path = os.path.join(work_dir, f"durability_gate-{cell}.ckpt")
+    _remove(ckpt_path)  # a stale database would be adopted, not replaced
+    crashed = _spawn("crash", ckpt_path, 11, cell)
     if crashed.returncode != -signal.SIGKILL:
         _fail(f"crash phase exited {crashed.returncode}, expected SIGKILL; "
               f"stderr:\n{crashed.stderr}")
     if not os.path.exists(ckpt_path):
         _fail("checkpoint file missing after SIGKILL")
-    restored = _spawn("restore", ckpt_path, hashseed=12)
+    restored = _spawn("restore", ckpt_path, 12, cell)
     if restored.returncode != 0:
         _fail(f"restore phase failed:\n{restored.stderr}")
-    uninterrupted = _spawn("full", ckpt_path, hashseed=13)
+    uninterrupted = _spawn("full", ckpt_path, 13, cell)
     if uninterrupted.returncode != 0:
         _fail(f"uninterrupted phase failed:\n{uninterrupted.stderr}")
 
@@ -240,8 +265,11 @@ def _check_recovery(work_dir: str) -> None:
         _fail("restored continuation digests differ from the uninterrupted run")
     if restored_payload["now"] != full_payload["now"]:
         _fail("restored continuation clock differs from the uninterrupted run")
-    print(f"ok: checkpoint -> SIGKILL -> restore reproduced all "
+    print(f"ok: {cell}: checkpoint -> SIGKILL -> restore reproduced all "
           f"{len(full_payload['digests'])} node digests")
+    _remove(ckpt_path)
+    if cell != "sqlite":
+        return
 
     sql_failures = restored_payload["sql_failures"]
     if sql_failures:
@@ -256,7 +284,6 @@ def _check_recovery(work_dir: str) -> None:
             print(f"  {failure}")
         _fail("the sqlite mirror diverged from the live engines after restore + churn")
     print("ok: mirrored tuples/prov/rule_exec rows equal the live engines' after churn")
-    os.remove(ckpt_path)
 
 
 def main() -> None:
@@ -266,12 +293,14 @@ def main() -> None:
     parser.add_argument("--work-dir", default=".")
     parser.add_argument("--phase", help=argparse.SUPPRESS)
     parser.add_argument("--ckpt", help=argparse.SUPPRESS)
+    parser.add_argument("--cell", help=argparse.SUPPRESS)
     arguments = parser.parse_args()
     if arguments.phase:
-        _run_phase(arguments.phase, arguments.ckpt)
+        _run_phase(arguments.phase, arguments.ckpt, arguments.cell)
         return
     _check_artifact(arguments.baseline, arguments.candidate)
-    _check_recovery(arguments.work_dir)
+    for cell in CELLS:
+        _check_recovery(arguments.work_dir, cell)
     print("durability gate: all checks passed")
 
 

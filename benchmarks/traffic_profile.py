@@ -11,20 +11,28 @@ inherits ``PYTHONPATH`` are all in the profile.
 
 The report lists the functions under a source root (default ``src/``) that
 no recorded process called, with the line count per file.  A function
-nested in an uncalled function is not listed again.
+nested in an uncalled function is not listed again.  :data:`LISTED` names
+the uncalled functions that stay, each with its reason; ``--check`` fails
+on an uncalled function it does not name and on an entry that is called
+or gone.
 
 Usage::
 
     python benchmarks/traffic_profile.py --all --out /tmp/tp      # replay the traffic
     python benchmarks/traffic_profile.py --report --out /tmp/tp   # uncalled src/ functions
+    python benchmarks/traffic_profile.py --check --out /tmp/tp    # ... each one LISTED
     python benchmarks/traffic_profile.py --out /tmp/tp -- python examples/quickstart.py
 
-``--all`` replays: the four examples; ``run --all --quick --shards 2``
-compared with ``benchmarks/baselines``; the traced fig 13/7 run; the sqlite
-``query_concurrency`` run and the durability gate; the faulted fig 16 run;
-the chaos gate; the ablation and tracer-overhead benchmarks; the golden
-shell session against a live server; and the seven ruler workloads.  It
-takes about 7 minutes on 2 cores, and stops at the first step that fails.
+``--all`` replays: the four examples; the scenario list;
+``run --all --quick --shards 2`` compared with ``benchmarks/baselines``
+(counters, then the advisory wall-clock view); the traced fig 13/7 run;
+the sqlite ``query_concurrency`` run and the durability gate; the faulted
+fig 16 run, resumed without faults and compared with the clean one; the
+chaos gate; the ablation and tracer-overhead benchmarks; the Fig. 6 report
+with its shape checks; the seven ruler workloads; an embedded operator
+session (fault plan, link cost update, query, metrics, snapshot); and the
+golden shell session against a live server.  It takes about 8 minutes on 2
+cores, and stops at the first step that fails.
 """
 
 from __future__ import annotations
@@ -144,6 +152,15 @@ def _functions(
             yield Function(path, prefix + node.name, first, node.end_lineno - first + 1), node.body
 
 
+def _modules(root: str) -> Iterator[Tuple[str, Sequence[ast.stmt]]]:
+    for directory, _, files in sorted(os.walk(os.path.realpath(root))):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    yield path, ast.parse(handle.read(), path).body
+
+
 def uncalled(root: str, seen: Set[Tuple[str, int]]) -> List[Function]:
     """Functions under *root* that no recorded process called, outermost only."""
     missing: List[Function] = []
@@ -155,18 +172,36 @@ def uncalled(root: str, seen: Set[Tuple[str, int]]) -> List[Function]:
             else:
                 missing.append(function)
 
-    root = os.path.realpath(root)
-    for directory, _, files in sorted(os.walk(root)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(directory, name)
-                with open(path, encoding="utf-8") as handle:
-                    walk(path, ast.parse(handle.read(), path).body, "")
+    for path, body in _modules(root):
+        walk(path, body, "")
     return missing
 
 
+def key(function: Function, root: str) -> str:
+    """``path:qualname``, the path relative to *root*: a :data:`LISTED` key."""
+    return f"{os.path.relpath(function.path, os.path.realpath(root))}:{function.qualname}"
+
+
+def check(root: str, out_dir: str, listed: Dict[str, str]) -> List[str]:
+    """Every uncalled function is listed, and every listed one is uncalled."""
+    missing = {key(function, root) for function in uncalled(root, called(out_dir))}
+    existing = set()
+
+    def walk(path: str, body: Sequence[ast.stmt], prefix: str) -> None:
+        for function, inner in _functions(path, body, prefix):
+            existing.add(key(function, root))
+            walk(path, inner, function.qualname + ".")
+
+    for path, body in _modules(root):
+        walk(path, body, "")
+    problems = [f"uncalled and not listed: {name}" for name in sorted(missing - set(listed))]
+    for name in sorted(set(listed) - missing):
+        problems.append(f"listed but {'called' if name in existing else 'gone'}: {name}")
+    return problems
+
+
 def report(root: str, out_dir: str) -> str:
-    """Per-file totals, then one line per uncalled function."""
+    """Per-file totals, then one line per uncalled function and its listed reason."""
     missing = uncalled(root, called(out_dir))
     root = os.path.realpath(root)
     per_file: Dict[str, Tuple[int, int]] = {}
@@ -181,8 +216,158 @@ def report(root: str, out_dir: str) -> str:
     out.append("")
     for function in missing:
         where = f"{os.path.relpath(function.path, root)}:{function.first_line}"
-        out.append(f"  {where:<44} {function.qualname} ({function.lines} lines)")
+        reason = LISTED.get(key(function, root), "NOT LISTED")
+        out.append(f"  {where:<44} {function.qualname} ({function.lines} lines): {reason}")
     return "\n".join(out)
+
+
+# ---------------------------------------------------------------------- #
+# the uncalled functions that stay, and why
+# ---------------------------------------------------------------------- #
+#: ``path:qualname`` (path relative to ``src/``) -> why no traffic calls it.
+#: Every reason is one of: an error path; a debugging dunder; interactive
+#: only; an oracle a named test compares against; or the open ROADMAP item
+#: that owns it.
+DEBUG = "debugging dunder"
+INTERACTIVE = "interactive only: a human at a terminal"
+REPLAY = (
+    "error path: the generated executor's interpreter replay "
+    "(CompiledDeltaPlan._finalize_replay) evaluates terms when generated code raises; "
+    "tests/oracle's InterpretedEngine too (tests/test_sink_emission.py)"
+)
+ITEM_19 = "ROADMAP item 19: the paper-claim report built from artifacts"
+LISTED: Dict[str, str] = {
+    "repro/core/api.py:ExspanNetwork.random_tuple": (
+        "ROADMAP item 2(p): the ruler still passes seed=, which only seeds this"
+    ),
+    "repro/core/bdd.py:BddManager.from_dnf": (
+        "oracle: tests/test_core_bdd.py builds its reference BDDs from DNF"
+    ),
+    "repro/core/bdd.py:Bdd.evaluate": (
+        "oracle: tests/test_core_bdd.py checks every BDD against its truth table"
+    ),
+    "repro/core/bdd.py:Bdd.__repr__": DEBUG,
+    "repro/core/cache.py:QueryResultCache.__len__": DEBUG,
+    "repro/core/provenance_graph.py:ProvenanceGraph.is_acyclic": (
+        "oracle: tests/test_provenance_subgraph.py and tests/test_core_rewrite.py "
+        "check every graph they build is acyclic"
+    ),
+    "repro/core/provenance_graph.py:ProvenanceGraph._acyclic_below": (
+        "oracle: is_acyclic's walk"
+    ),
+    "repro/core/provenance_graph.py:ProvenanceGraph.__len__": DEBUG,
+    "repro/core/provenance_store.py:ProvEntry.__repr__": DEBUG,
+    "repro/core/provenance_store.py:RuleExecEntry.__repr__": DEBUG,
+    "repro/core/query.py:ProvenanceQueryService.query.expire": (
+        "error path: a query that misses its deadline"
+    ),
+    "repro/core/semiring.py:Literal.to_dnf": (
+        "oracle: tests/test_core_query.py::TestOtherCustomizations compares a BDD "
+        "answer with the polynomial answer's absorbed DNF"
+    ),
+    "repro/core/semiring.py:Sum.to_dnf": "oracle: as Literal.to_dnf",
+    "repro/core/semiring.py:Product.to_dnf": "oracle: as Literal.to_dnf",
+    "repro/core/semiring.py:_Empty.to_dnf": "oracle: as Literal.to_dnf",
+    "repro/core/semiring.py:_absorb_products": "oracle: as Literal.to_dnf",
+    "repro/core/semiring.py:_Empty.wire_size": (
+        "error path: EMPTY answers a polynomial query that found no derivation "
+        "or missed its deadline"
+    ),
+    "repro/core/semiring.py:_Empty.__str__": DEBUG,
+    "repro/core/vid.py:rule_rid": (
+        "oracle: tests/test_core_rewrite.py checks the rewritten rules' ruleExec "
+        "RIDs against the paper's formula"
+    ),
+    "repro/datalog/aggregates.py:AggregateState.__len__": DEBUG,
+    "repro/datalog/aggregates.py:AggregateState.__repr__": DEBUG,
+    "repro/datalog/ast.py:Condition.__str__": DEBUG,
+    "repro/datalog/ast.py:Assignment.__str__": DEBUG,
+    "repro/datalog/ast.py:Rule._reject_expression_argument": (
+        "error path: a body atom with an expression argument"
+    ),
+    "repro/datalog/ast.py:Rule.__str__": DEBUG,
+    "repro/datalog/ast.py:Fact.__eq__": (
+        "oracle: the value equality tests/test_engine_dispatch.py and "
+        "tests/test_sink_emission.py compare emitted facts with"
+    ),
+    "repro/datalog/ast.py:Fact.__repr__": DEBUG,
+    "repro/datalog/ast.py:Program.__str__": DEBUG,
+    "repro/datalog/ast.py:Program.__len__": DEBUG,
+    "repro/datalog/engine.py:Delta.__str__": DEBUG,
+    "repro/datalog/engine.py:NDlogEngine.__repr__": DEBUG,
+    "repro/datalog/errors.py:ParseError.__init__": "error path: program text that does not parse",
+    "repro/datalog/errors.py:UnknownFunctionError.__init__": (
+        "error path: a rule calls an unbound function name"
+    ),
+    "repro/datalog/functions.py:FunctionRegistry.call": REPLAY,
+    "repro/datalog/terms.py:Constant.evaluate": REPLAY,
+    "repro/datalog/terms.py:BinaryOp.evaluate": REPLAY,
+    "repro/datalog/terms.py:BinaryOp.__str__": DEBUG,
+    "repro/datalog/terms.py:_as_text": REPLAY,
+    "repro/datalog/terms.py:FunctionCall.evaluate": REPLAY,
+    "repro/datalog/terms.py:FunctionCall.__str__": DEBUG,
+    "repro/datalog/terms.py:AggregateSpec.evaluate": "error path: an aggregate used as a scalar",
+    "repro/datalog/terms.py:AggregateSpec.__str__": DEBUG,
+    "repro/datalog/plan/compiled_exec.py:_unsupported": (
+        "error path: generated code reads a variable no step bound"
+    ),
+    "repro/datalog/plan/compiler.py:CompiledDeltaPlan._finalize_replay": REPLAY,
+    "repro/datalog/plan/compiler.py:CompiledDeltaPlan._prefix_replay": REPLAY,
+    "repro/datalog/plan/indexes.py:IndexManager.__repr__": DEBUG,
+    "repro/experiments/metrics.py:FigureResult.summary": ITEM_19,
+    "repro/experiments/reporting.py:_total": ITEM_19,
+    "repro/experiments/orchestrator.py:Difference.render": (
+        "error path: compare found a difference"
+    ),
+    "repro/net/errors.py:NetworkError.details": "error path: a NetworkError in a service reply",
+    "repro/net/errors.py:UnknownNodeError.__init__": "error path: an address no node has",
+    "repro/net/errors.py:UnknownNodeError.details": "error path: as NetworkError.details",
+    "repro/net/errors.py:NoRouteError.details": "error path: as NetworkError.details",
+    "repro/net/errors.py:SimulationError.__init__": (
+        "error path: an event scheduled into the past"
+    ),
+    "repro/net/errors.py:SimulationError.details": "error path: as NetworkError.details",
+    "repro/net/host.py:Host.__repr__": DEBUG,
+    "repro/net/simulator.py:Simulator.safe_time": (
+        "oracle: tests/test_simulator_loop.py compares it with its stepwise model"
+    ),
+    "repro/net/simulator.py:Simulator.pending_events": (
+        "oracle: tests/test_simulator_loop.py compares it with its stepwise model"
+    ),
+    "repro/net/simulator.py:Simulator.queue_length": (
+        "oracle: tests/test_simulator_loop.py compares it with its stepwise model"
+    ),
+    "repro/net/sharding.py:apply_script_serial": (
+        "oracle: the serial run tests/test_sharding.py compares run_script against"
+    ),
+    "repro/net/sharding.py:ShardedExspanNetwork.run_script": (
+        "oracle: the sharded side of tests/test_sharding.py's scripted "
+        "serial == sharded equivalence"
+    ),
+    "repro/net/stats.py:TrafficStats.__len__": DEBUG,
+    "repro/net/topology.py:Topology.__repr__": DEBUG,
+    "repro/obs/tracer.py:Tracer.__len__": DEBUG,
+    "repro/service/client.py:ServiceError.__init__": "error path: an error frame from the server",
+    "repro/service/client.py:ServiceClient._reconnect": "error path: a dropped connection",
+    "repro/service/protocol.py:ProtocolError.__init__": "error path: a malformed request",
+    "repro/service/server.py:ServiceServer.stop": (
+        "interactive only: the SIGINT/SIGTERM handler of python -m repro.service"
+    ),
+    "repro/service/server.py:ServiceServer._error_frame": "error path: a request that fails",
+    "repro/shell/__init__.py:ExspanShell._external_pager": INTERACTIVE,
+    "repro/shell/__init__.py:ExspanShell._builtin_pager": INTERACTIVE,
+    "repro/shell/__init__.py:ExspanShell.completion_candidates": INTERACTIVE,
+    "repro/shell/__init__.py:ExspanShell.run_interactive": INTERACTIVE,
+    "repro/shell/__init__.py:ExspanShell._setup_readline": INTERACTIVE,
+    "repro/storage/backend.py:StorageBackend.sql_query": (
+        "error path: a SQL provenance query on the memory backend"
+    ),
+    "repro/storage/backend.py:StorageBackend.__repr__": DEBUG,
+    "repro/storage/memory.py:Table.lookup": (
+        "oracle: tests/oracle's InterpretedEngine reads tables through it"
+    ),
+    "repro/storage/memory.py:Table.__repr__": DEBUG,
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -222,30 +407,55 @@ def traffic(work: str) -> List[Tuple[str, List[str]]]:
     traced = run + ["13", "7", "--results-dir", out("traced"), "--trace", out("traces")]
     sqlite = run + ["query_concurrency", "--results-dir", out("sqlite"), "--storage", "sqlite"]
     gate = [bench("durability_gate.py"), "--candidate", out("sqlite"), "--work-dir", work]
+    resumed = EXPERIMENTS + ["run", "--quick", "16", "--results-dir", out("faulted")]
     ablations = [bench("bench_ablations.py"), "-q", "--benchmark-disable", "-p", "no:cacheprovider"]
     steps = [
         (f"example {os.path.basename(path)}", [PYTHON, path])
         for path in sorted(glob.glob(os.path.join(REPO, "examples", "*.py")))
     ]
     steps += [
+        ("scenario list", EXPERIMENTS + ["list"]),
         ("run --all --quick --shards 2", everything),
         ("compare with the baselines", compare + [bench("baselines"), out("all")]),
+        ("wall-clock view", compare + [bench("baselines"), out("all"), "--wall-clock-only"]),
         ("traced fig 13/7", traced),
         ("untraced fig 13/7", run + ["13", "7", "--results-dir", out("untraced")]),
         ("traced == untraced", compare + [out("untraced"), out("traced")]),
         ("trace summary", EXPERIMENTS + ["trace", Glob(out("traces/TRACE_*.json"))]),
         ("sqlite query_concurrency", sqlite),
         ("durability gate", [PYTHON] + gate),
+        ("clean fig 16", run + ["16", "--results-dir", out("clean")]),
         ("faulted fig 16", run + ["16", "--results-dir", out("faulted"), "--faults", FAULTS]),
+        ("fig 16 resumed without faults", resumed),
+        ("resumed == clean", compare + [out("clean"), out("faulted")]),
         ("chaos gate", [PYTHON, bench("chaos_gate.py")]),
         ("ablation benchmarks", [PYTHON, "-m", "pytest"] + ablations),
         ("tracer overhead", [PYTHON, bench("bench_obs_overhead.py"), "1"]),
+        ("fig 6 report", [PYTHON, bench("bench_figures.py"), "--figure", "6"]),
     ]
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as handle:
         workloads = [workload["name"] for workload in json.load(handle)["workloads"]]
     ruler = [PYTHON, bench("perf/run.py"), "--seed", "1", "--seconds", RULER_SECONDS]
     steps += [(f"ruler {name}", ruler + ["--workload", name]) for name in workloads]
+    operator = [PYTHON, "-m", "repro.shell", "--topology", "line:4", "--program", "pathvector"]
+    steps.append(("operator session", operator + ["--command", operator_session(work)]))
     return steps
+
+
+def operator_session(work: str) -> str:
+    """Embedded-shell commands an operator types that the golden session has
+    not: a snapshot, a fault plan with its digest, a link cost update (a
+    primary-key replacement) and a query under the plan, and the metrics."""
+    return "; ".join(
+        [
+            f"\\snapshot {os.path.join(work, 'operator.ckpt')}",
+            "\\faults straggler:n1:d=0.001 digest",
+            "insert link(n0,n1,3)",
+            "fixpoint",
+            "query bestPathCost(n1,n3,2)",
+            "\\metrics",
+        ]
+    )
 
 
 def golden_session(out_dir: str, work: str) -> Optional[str]:
@@ -309,10 +519,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", required=True, help="profile directory (records accumulate)")
     parser.add_argument("--all", action="store_true", help="replay the traffic under the recorder")
     parser.add_argument("--report", action="store_true", help="list uncalled src/ functions")
+    parser.add_argument(
+        "--check", action="store_true", help="fail unless the uncalled functions are LISTED"
+    )
     parser.add_argument("command", nargs="*", help="one command to record (after --)")
     args = parser.parse_args(argv)
-    if not (args.command or args.all or args.report):
-        parser.error("nothing to do: give --all, --report or a command")
+    if not (args.command or args.all or args.report or args.check):
+        parser.error("nothing to do: give --all, --report, --check or a command")
     out_dir = os.path.abspath(args.out)
     status = 0
     if args.command:
@@ -324,6 +537,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = status or replay(out_dir)
     if args.report:
         print(report(SRC, out_dir))
+    if args.check and not status:
+        problems = check(SRC, out_dir, LISTED)
+        for problem in problems:
+            print(problem)
+        print(f"check: {len(problems)} problem(s)")
+        status = 1 if problems else 0
     return status
 
 

@@ -18,7 +18,6 @@ from .customizations import (
     bdd_query,
     derivability_query,
     derivation_count_query,
-    domain_projection,
     node_set_query,
     polynomial_query,
 )
@@ -27,7 +26,6 @@ from .errors import (
     QueryError,
     QueryTimeoutError,
     RewriteError,
-    UnknownVertexError,
 )
 from .granularity import Granularity, GranularitySpec, prefix_domain_map
 from .modes import (
@@ -53,10 +51,7 @@ from .semiring import (
     Product,
     ProvenanceExpression,
     Sum,
-    absorb,
     count_derivations,
-    is_derivable,
-    node_set,
     product_of,
     sum_of,
     var,
@@ -78,14 +73,12 @@ __all__ = [
     "bdd_query",
     "derivability_query",
     "derivation_count_query",
-    "domain_projection",
     "node_set_query",
     "polynomial_query",
     "ProvenanceError",
     "QueryError",
     "QueryTimeoutError",
     "RewriteError",
-    "UnknownVertexError",
     "Granularity",
     "GranularitySpec",
     "prefix_domain_map",
@@ -112,10 +105,7 @@ __all__ = [
     "Product",
     "ProvenanceExpression",
     "Sum",
-    "absorb",
     "count_derivations",
-    "is_derivable",
-    "node_set",
     "product_of",
     "sum_of",
     "var",

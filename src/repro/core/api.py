@@ -346,9 +346,6 @@ class ExspanNetwork:
                 span.add(events=self.simulator.events_executed)
         return self.simulator.now
 
-    def run_for(self, duration: float) -> None:
-        self.network.run_for(duration)
-
     @property
     def now(self) -> float:
         return self.simulator.now
@@ -577,8 +574,7 @@ class ExspanNetwork:
             with tracer.span("storage.checkpoint", cat="storage") as span:
                 summary = save_checkpoint(self, path)
                 span.add(nodes=summary["nodes"], bytes=summary["bytes"])
-        if self.storage.persistent:
-            self.storage.flush()
+        self.storage.flush()
         self.storage.counters["checkpoints"] += 1
         return summary
 

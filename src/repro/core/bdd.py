@@ -203,10 +203,6 @@ class BddManager:
             result = self._apply("or", result, term)
         return Bdd(self, result)
 
-    def from_expression(self, expression) -> "Bdd":
-        """Build the BDD of a provenance polynomial (duck-typed on to_dnf)."""
-        return self.from_dnf(expression.to_dnf())
-
 
 class Bdd:
     """An immutable handle onto a node in a :class:`BddManager`."""
@@ -239,20 +235,9 @@ class Bdd:
             and other.node_id == self.node_id
         )
 
-    def __hash__(self) -> int:
-        return hash((id(self.manager), self.node_id))
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def is_false(self) -> bool:
-        return self.node_id == BddManager.FALSE_ID
-
-    @property
-    def is_true(self) -> bool:
-        return self.node_id == BddManager.TRUE_ID
-
     def evaluate(self, assignment: Dict[str, bool]) -> bool:
         """Evaluate under a complete assignment (missing variables are False)."""
         node_id = self.node_id
@@ -326,9 +311,9 @@ class Bdd:
         return self._sizes()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_false:
+        if self.node_id == BddManager.FALSE_ID:
             return "Bdd(False)"
-        if self.is_true:
+        if self.node_id == BddManager.TRUE_ID:
             return "Bdd(True)"
         return f"Bdd(nodes={self.node_count()})"
 

@@ -224,9 +224,6 @@ class QueryResultCache:
         self.hits += 1
         return entry
 
-    def contains(self, key: CacheKey) -> bool:
-        return key in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -237,9 +234,6 @@ class QueryResultCache:
         """Record that *parent_key* at *parent_node* was computed from *key*."""
         self._dependents.setdefault(key, {})[(parent_node, parent_key)] = None
         self._index_add(key)
-
-    def dependents_of(self, key: CacheKey) -> Tuple[Dependent, ...]:
-        return tuple(self._dependents.get(key, ()))
 
     # ------------------------------------------------------------------ #
     # invalidation
@@ -267,13 +261,6 @@ class QueryResultCache:
         for key in list(keys):
             to_notify.update((dependent, None) for dependent in self.invalidate(key))
         return tuple(to_notify)
-
-    def clear(self) -> None:
-        for entry in self._entries.values():
-            self.retired_hits += entry.hits
-        self._entries.clear()
-        self._dependents.clear()
-        self._by_vertex.clear()
 
     # ------------------------------------------------------------------ #
     # stats

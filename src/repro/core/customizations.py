@@ -12,9 +12,7 @@ of the customizations described in the paper:
 * :func:`derivation_count_query` — the number of alternative derivations
   (Table 3, "# of Derivations"), used by the #DERIVATION experiments;
 * :func:`derivability_query` — derivability test (Table 3), optionally
-  restricted to a trusted set of base tuples / nodes;
-* :func:`domain_projection` — a node filter restricting traversal to rule
-  executions inside a trust domain (the graph-projection example).
+  restricted to a trusted set of base tuples / nodes.
 
 All factories accept the traversal order, caching flag and granularity
 (tuple / node / trust-domain level) so the experiment harness can sweep
@@ -37,7 +35,6 @@ __all__ = [
     "node_set_query",
     "derivation_count_query",
     "derivability_query",
-    "domain_projection",
 ]
 
 
@@ -287,19 +284,3 @@ def derivability_query(
         node_filter=node_filter,
         use_cache=use_cache,
     )
-
-
-def domain_projection(
-    allowed_domains: Iterable[str], domain_of: Callable[[Any], str]
-) -> Callable[[Any], bool]:
-    """Node filter restricting traversal to rule executions inside trusted domains.
-
-    Pass the result as ``node_filter`` to any query factory to obtain the
-    graph-projection behaviour sketched at the end of Section 5.2.2.
-    """
-    allowed = {str(domain) for domain in allowed_domains}
-
-    def allow(node: Any) -> bool:
-        return str(domain_of(node)) in allowed
-
-    return allow

@@ -16,14 +16,6 @@ class RewriteError(ProvenanceError):
     """
 
 
-class UnknownVertexError(ProvenanceError):
-    """Raised when a provenance query references a VID or RID that no node stores."""
-
-    def __init__(self, identifier: str):
-        super().__init__(f"unknown provenance vertex: {identifier!r}")
-        self.identifier = identifier
-
-
 class QueryError(ProvenanceError):
     """Raised when a distributed provenance query cannot be executed."""
 

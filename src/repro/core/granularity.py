@@ -72,9 +72,6 @@ class GranularitySpec:
             return _render_fact(fact)
         return vid
 
-    def describe(self) -> str:
-        return self.level.value
-
 
 def _render_fact(fact: Fact) -> str:
     values = ",".join(str(value) for value in fact.values)

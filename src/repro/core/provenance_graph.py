@@ -98,9 +98,6 @@ class ProvenanceGraph:
             return []
         return [self.rules[rid] for rid in vertex.derivations if rid in self.rules]
 
-    def base_vids(self) -> FrozenSet[str]:
-        return frozenset(vid for vid, vertex in self.tuples.items() if vertex.is_base)
-
     def reachable_base_tuples(self, vid: str) -> FrozenSet[str]:
         """VIDs of all base tuples reachable from *vid* through its derivations."""
         seen: Set[str] = set()

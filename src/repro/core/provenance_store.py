@@ -99,10 +99,6 @@ class ProvenanceStore:
         # resolve a VID pay nothing.
         self._vid_index_built = False
 
-    @property
-    def node(self) -> Any:
-        return self.engine.address
-
     # ------------------------------------------------------------------ #
     # prov / ruleExec rows
     # ------------------------------------------------------------------ #
@@ -127,14 +123,6 @@ class ProvenanceStore:
         return [
             ProvEntry(row[0], row[1], row[2], row[3]) for row in self.probe(PROV_TABLE, vid)
         ]
-
-    def derivation_count(self, vid: str) -> int:
-        """Number of alternative derivations recorded locally for *vid*."""
-        return len(self.probe(PROV_TABLE, vid))
-
-    def is_base(self, vid: str) -> bool:
-        """True when *vid* has a base-tuple (null RID) prov entry locally."""
-        return any(row[2] is None for row in self.probe(PROV_TABLE, vid))
 
     def all_prov_entries(self) -> List[ProvEntry]:
         return [
@@ -191,7 +179,7 @@ class ProvenanceStore:
         self.engine.add_update_listener(self._on_tuple_update)
 
     # ------------------------------------------------------------------ #
-    # statistics helpers (used by tests and EXPERIMENTS.md reporting)
+    # statistics helpers (the network's provenance row counts)
     # ------------------------------------------------------------------ #
     def prov_row_count(self) -> int:
         table = self.engine.catalog.get(PROV_TABLE)

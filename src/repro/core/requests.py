@@ -30,7 +30,7 @@ Query results are semiring values: provenance polynomials, BDDs, sets,
 counts, booleans.  :func:`encode_annotation` renders each into a canonical
 JSON-able dict (``{"kind": ..., ...}``) with deterministic ordering;
 :func:`decode_annotation` reconstructs the equivalent in-process value
-(polynomials rebuild node-for-node; BDDs re-import into a fresh manager).
+(polynomials rebuild node-for-node; BDDs re-import into a given manager).
 """
 
 from __future__ import annotations
@@ -88,8 +88,17 @@ def encode_fact(fact: Fact) -> Dict[str, Any]:
     }
 
 
+def _frozen(value: Any) -> Any:
+    """A JSON list as the tuple an NDlog list is, nested lists included."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
 def decode_fact(payload: Mapping[str, Any]) -> Fact:
-    """Inverse of :func:`encode_fact` (tolerates a missing location index)."""
+    """Inverse of :func:`encode_fact` (tolerates a missing location index).
+
+    Lists become tuples at every depth, as the engine builds them, so a
+    decoded fact hashes and finds its VID in the ``f_sha1`` memo.
+    """
     try:
         name = payload["name"]
         values = payload["values"]
@@ -102,7 +111,7 @@ def decode_fact(payload: Mapping[str, Any]) -> Fact:
         raise QueryError(f"malformed fact payload {payload!r}")
     if not 0 <= index < len(values):
         raise QueryError(f"fact location_index {index} out of range for {payload!r}")
-    return Fact(name, tuple(values), location_index=index)
+    return Fact(name, tuple(map(_frozen, values)), location_index=index)
 
 
 # ---------------------------------------------------------------------- #
@@ -331,26 +340,6 @@ class QueryRequest:
             return self.spec.canonical_name
         return self.spec.name
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The wire form.  Live ``QuerySpec`` objects cannot travel."""
-        if isinstance(self.spec, str):
-            spec: Any = self.spec
-        elif isinstance(self.spec, SpecDescriptor):
-            spec = self.spec.to_dict()
-        else:
-            raise QueryError(
-                "a QueryRequest holding a live QuerySpec is in-process only; "
-                "use a spec name or a SpecDescriptor for the wire"
-            )
-        payload: Dict[str, Any] = {"fact": encode_fact(self.fact), "spec": spec}
-        if self.issuer is not None:
-            payload["issuer"] = self.issuer
-        if self.target is not None:
-            payload["target"] = self.target
-        if self.deadline is not None:
-            payload["deadline"] = self.deadline
-        return payload
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "QueryRequest":
         if not isinstance(payload, Mapping):
@@ -417,7 +406,7 @@ def _encode_polynomial(expression: ProvenanceExpression) -> Tuple[str, Dict[str,
             node["loc"] = location
         prefix = f"<{rule}@{location}>" if rule else ""
         encoded = prefix + "(" + " * ".join([text for text, _ in factors]) + ")", node
-    elif expression is EMPTY or not expression.children():
+    elif expression is EMPTY:
         return str(expression), {"op": "empty"}
     else:
         raise QueryError(f"cannot encode provenance expression {expression!r}")
@@ -489,10 +478,11 @@ def encode_annotation(value: Any) -> Dict[str, Any]:
     return {"kind": "repr", "value": repr(value)}
 
 
-def decode_annotation(payload: Mapping[str, Any]) -> Any:
+def decode_annotation(payload: Mapping[str, Any], manager: Optional[BddManager] = None) -> Any:
     """Reconstruct the in-process value of an encoded annotation.
 
-    BDDs are imported into a private fresh manager; everything else
+    A BDD is imported into *manager*, the live policy's, so its nodes merge
+    with the ones derived after a checkpoint restore; everything else
     round-trips exactly.
     """
     kind = payload.get("kind")
@@ -504,9 +494,9 @@ def decode_annotation(payload: Mapping[str, Any]) -> Any:
         return _decode_expression(payload["tree"])
     if kind == "set":
         return frozenset(payload["values"])
-    if kind == "bdd":
+    if kind == "bdd" and manager is not None:
         nodes = tuple(tuple(node) for node in payload["nodes"])
-        return import_bdd(BddManager(), (payload["root"], nodes))
+        return import_bdd(manager, (payload["root"], nodes))
     raise QueryError(f"cannot decode annotation {payload!r}")
 
 
@@ -577,30 +567,6 @@ class QueryResult:
             "completed_at": self.completed_at,
         }
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QueryResult":
-        try:
-            meta = payload.get("meta", {})
-            return cls(
-                vid=payload["vid"],
-                spec=payload["spec"],
-                issuer=payload["issuer"],
-                target=payload["target"],
-                fact=dict(payload["fact"]),
-                annotation=dict(payload["annotation"]),
-                query_id=meta.get("query_id", ""),
-                issued_at=meta.get("issued_at", 0.0),
-                completed_at=meta.get("completed_at", 0.0),
-                result=decode_annotation(payload["annotation"]),
-                partial=bool(payload.get("partial", False)),
-                unresolved=tuple(
-                    tuple(str(part) for part in entry)
-                    for entry in payload.get("unresolved", ())
-                ),
-            )
-        except (KeyError, TypeError):
-            raise QueryError(f"malformed query result {payload!r}") from None
 
     @classmethod
     def from_outcome(

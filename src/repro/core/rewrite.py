@@ -76,8 +76,6 @@ class ProvenanceRewriter:
             output.add_declaration(declaration)
         output.add_declaration(TableDecl(PROV_TABLE, 4, (1, 2)))
         output.add_declaration(TableDecl(RULE_EXEC_TABLE, 4, (1,)))
-        for fact in self.program.facts:
-            output.add_fact(fact)
 
         for rule in self.program.rules:
             if not rule.body_atoms:

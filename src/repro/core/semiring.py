@@ -9,12 +9,11 @@ the *provenance semiring* of Green et al.  ``r1(A + r2(B · C))`` reads
 This module provides an immutable expression tree with:
 
 * construction helpers (:func:`var`, :func:`sum_of`, :func:`product_of`);
-* structural queries (variables, depth, counting derivations);
-* semiring evaluations parameterized by an interpretation (used to check
-  the equivalence of the #DERIVATION / derivability query customizations);
+* the literals of an expression and its number of derivations
+  (:func:`count_derivations`, the #DERIVATION customization's threshold);
 * conversion to a canonical DNF (set of frozensets of literals) with
-  boolean *absorption* applied — the "condensed provenance" of Section 6.3,
-  also the bridge to the BDD representation in :mod:`repro.core.bdd`;
+  boolean *absorption* applied, the "condensed provenance" of Section 6.3
+  that a BDD query answer must equal;
 * a deterministic string rendering matching the paper's notation;
 * a wire-size estimate used by the bandwidth accounting of the POLYNOMIAL
   query experiments (Figures 11, 13, 15).
@@ -23,19 +22,7 @@ This module provides an immutable expression tree with:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "ProvenanceExpression",
@@ -46,10 +33,7 @@ __all__ = [
     "var",
     "sum_of",
     "product_of",
-    "absorb",
     "count_derivations",
-    "node_set",
-    "is_derivable",
 ]
 
 
@@ -57,46 +41,6 @@ class ProvenanceExpression:
     """Base class for provenance polynomial expressions."""
 
     __slots__ = ()
-
-    # -- structural queries -------------------------------------------- #
-    def literals(self) -> Iterator[str]:
-        """Yield the labels of all literals (base tuples) in the expression."""
-        raise NotImplementedError
-
-    def depth(self) -> int:
-        """Height of the expression tree (a literal has depth 1)."""
-        raise NotImplementedError
-
-    def children(self) -> Tuple["ProvenanceExpression", ...]:
-        return ()
-
-    # -- semiring evaluation -------------------------------------------- #
-    def evaluate(
-        self,
-        literal_value: Callable[[str], Any],
-        add: Callable[[Any, Any], Any],
-        multiply: Callable[[Any, Any], Any],
-        zero: Any,
-        one: Any,
-    ) -> Any:
-        """Evaluate the polynomial in an arbitrary commutative semiring."""
-        raise NotImplementedError
-
-    # -- canonical forms ------------------------------------------------ #
-    def to_dnf(self) -> FrozenSet[FrozenSet[str]]:
-        """Return the monotone DNF (set of products) with absorption applied."""
-        raise NotImplementedError
-
-    # -- sizes ----------------------------------------------------------- #
-    def wire_size(self) -> int:
-        """Estimated serialized size in bytes for bandwidth accounting."""
-        raise NotImplementedError
-
-    def __add__(self, other: "ProvenanceExpression") -> "ProvenanceExpression":
-        return sum_of([self, other])
-
-    def __mul__(self, other: "ProvenanceExpression") -> "ProvenanceExpression":
-        return product_of([self, other])
 
 
 @dataclass(frozen=True)
@@ -112,12 +56,6 @@ class Literal(ProvenanceExpression):
 
     def literals(self) -> Iterator[str]:
         yield self.label
-
-    def depth(self) -> int:
-        return 1
-
-    def evaluate(self, literal_value, add, multiply, zero, one):
-        return literal_value(self.label)
 
     def to_dnf(self) -> FrozenSet[FrozenSet[str]]:
         return frozenset({frozenset({self.label})})
@@ -139,18 +77,6 @@ class Sum(ProvenanceExpression):
     def literals(self) -> Iterator[str]:
         for term in self.terms:
             yield from term.literals()
-
-    def depth(self) -> int:
-        return 1 + max((term.depth() for term in self.terms), default=0)
-
-    def children(self) -> Tuple[ProvenanceExpression, ...]:
-        return self.terms
-
-    def evaluate(self, literal_value, add, multiply, zero, one):
-        result = zero
-        for term in self.terms:
-            result = add(result, term.evaluate(literal_value, add, multiply, zero, one))
-        return result
 
     def to_dnf(self) -> FrozenSet[FrozenSet[str]]:
         products: Set[FrozenSet[str]] = set()
@@ -185,20 +111,6 @@ class Product(ProvenanceExpression):
         for factor in self.factors:
             yield from factor.literals()
 
-    def depth(self) -> int:
-        return 1 + max((factor.depth() for factor in self.factors), default=0)
-
-    def children(self) -> Tuple[ProvenanceExpression, ...]:
-        return self.factors
-
-    def evaluate(self, literal_value, add, multiply, zero, one):
-        result = one
-        for factor in self.factors:
-            result = multiply(
-                result, factor.evaluate(literal_value, add, multiply, zero, one)
-            )
-        return result
-
     def to_dnf(self) -> FrozenSet[FrozenSet[str]]:
         # distribute the product over the DNFs of the factors
         products: Set[FrozenSet[str]] = {frozenset()}
@@ -227,15 +139,6 @@ class Product(ProvenanceExpression):
 @dataclass(frozen=True)
 class _Empty(ProvenanceExpression):
     """The additive identity (no derivation)."""
-
-    def literals(self) -> Iterator[str]:
-        return iter(())
-
-    def depth(self) -> int:
-        return 0
-
-    def evaluate(self, literal_value, add, multiply, zero, one):
-        return zero
 
     def to_dnf(self) -> FrozenSet[FrozenSet[str]]:
         return frozenset()
@@ -316,40 +219,15 @@ def _absorb_products(products: Set[FrozenSet[str]]) -> FrozenSet[FrozenSet[str]]
     return frozenset(minimal)
 
 
-def absorb(expression: ProvenanceExpression) -> FrozenSet[FrozenSet[str]]:
-    """Apply boolean absorption; e.g. ``a·(a + b)`` reduces to ``{{a}}``."""
-    return expression.to_dnf()
-
-
 def count_derivations(expression: ProvenanceExpression) -> int:
     """Number of distinct derivations: sum over ``+``, product over ``·``."""
-    return expression.evaluate(
-        literal_value=lambda label: 1,
-        add=lambda a, b: a + b,
-        multiply=lambda a, b: a * b,
-        zero=0,
-        one=1,
-    )
-
-
-def node_set(expression: ProvenanceExpression) -> FrozenSet[str]:
-    """Set of literals involved in any derivation (NodeSet customization)."""
-    return frozenset(expression.literals())
-
-
-def is_derivable(
-    expression: ProvenanceExpression, trusted: Optional[Iterable[str]] = None
-) -> bool:
-    """Derivability test: can the tuple be derived using only *trusted* literals?
-
-    With ``trusted=None`` every literal counts as available, so the result is
-    simply "does at least one derivation exist".
-    """
-    allowed = None if trusted is None else set(trusted)
-    return expression.evaluate(
-        literal_value=lambda label: allowed is None or label in allowed,
-        add=lambda a, b: a or b,
-        multiply=lambda a, b: a and b,
-        zero=False,
-        one=True,
-    )
+    if isinstance(expression, Literal):
+        return 1
+    if isinstance(expression, Sum):
+        return sum(count_derivations(term) for term in expression.terms)
+    if isinstance(expression, Product):
+        count = 1
+        for factor in expression.factors:
+            count *= count_derivations(factor)
+        return count
+    return 0  # EMPTY

@@ -31,11 +31,10 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownFunctionError,
-    UnknownRelationError,
     ValidationError,
 )
 from .functions import FunctionRegistry, default_registry, sha1_hex
-from .parser import parse_program, parse_rule, parse_term
+from .parser import parse_program
 from .runtime import StandaloneNetwork
 from .terms import (
     AggregateSpec,
@@ -43,7 +42,6 @@ from .terms import (
     Constant,
     FunctionCall,
     Term,
-    UnaryOp,
     Variable,
 )
 
@@ -71,20 +69,16 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "UnknownFunctionError",
-    "UnknownRelationError",
     "ValidationError",
     "FunctionRegistry",
     "default_registry",
     "sha1_hex",
     "parse_program",
-    "parse_rule",
-    "parse_term",
     "StandaloneNetwork",
     "AggregateSpec",
     "BinaryOp",
     "Constant",
     "FunctionCall",
     "Term",
-    "UnaryOp",
     "Variable",
 ]

@@ -86,10 +86,6 @@ class AggregateState:
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
-    @property
-    def is_empty(self) -> bool:
-        return self._count == 0
-
     def current(self) -> Any:
         """Return the aggregate's current value.
 
@@ -109,7 +105,7 @@ class AggregateState:
             return self._count
         if func == "sum":
             return self._sum
-        if self.is_empty:
+        if not self._count:
             raise EvaluationError(f"aggregate {func} over an empty group")
         if func == "agglist":
             items: List[Any] = []

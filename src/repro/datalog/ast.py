@@ -90,10 +90,6 @@ class Atom:
         """The term in the location-specifier position."""
         return self.args[self.location_index]
 
-    @property
-    def is_event(self) -> bool:
-        return is_event_predicate(self.name)
-
     def variables(self) -> Iterator[str]:
         for arg in self.args:
             yield from arg.variables()
@@ -165,14 +161,6 @@ class Rule:
     @property
     def body_atoms(self) -> Tuple[Atom, ...]:
         return tuple(lit for lit in self.body if isinstance(lit, Atom))
-
-    @property
-    def body_conditions(self) -> Tuple[Condition, ...]:
-        return tuple(lit for lit in self.body if isinstance(lit, Condition))
-
-    @property
-    def body_assignments(self) -> Tuple[Assignment, ...]:
-        return tuple(lit for lit in self.body if isinstance(lit, Assignment))
 
     @property
     def is_aggregate_rule(self) -> bool:
@@ -253,8 +241,9 @@ class Fact:
     Facts are stored as plain value tuples; the location value is
     ``values[location_index]``.  A plain slotted class rather than a frozen
     dataclass: the engine creates one Fact per derived head, so construction
-    is three slot stores.  Facts are values — compared, hashed and printed
-    by their three fields — and nothing mutates one after construction.
+    is three slot stores.  Facts are values — compared and printed by their
+    three fields — and nothing mutates one after construction; nothing
+    hashes one either (rows and keys are value tuples).
     """
 
     __slots__ = ("name", "values", "location_index")
@@ -274,9 +263,6 @@ class Fact:
             and self.values == other.values
             and self.location_index == other.location_index
         )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.values, self.location_index))
 
     def __repr__(self) -> str:
         return (
@@ -327,27 +313,17 @@ class TableDecl:
 
 @dataclass
 class Program:
-    """A complete NDlog program: declarations, rules and base facts."""
+    """A complete NDlog program: table declarations and rules."""
 
     rules: List[Rule] = field(default_factory=list)
-    facts: List[Fact] = field(default_factory=list)
     declarations: List[TableDecl] = field(default_factory=list)
     name: str = "program"
 
     def add_rule(self, rule: Rule) -> None:
         self.rules.append(rule)
 
-    def add_fact(self, fact: Fact) -> None:
-        self.facts.append(fact)
-
     def add_declaration(self, declaration: TableDecl) -> None:
         self.declarations.append(declaration)
-
-    def rule_by_label(self, label: str) -> Rule:
-        for rule in self.rules:
-            if rule.label == label:
-                return rule
-        raise KeyError(label)
 
     def predicates_derived(self) -> List[str]:
         """Return the names of predicates appearing in some rule head."""
@@ -377,18 +353,12 @@ class Program:
         """Return a new program combining this program with *other*."""
         return Program(
             rules=[*self.rules, *other.rules],
-            facts=[*self.facts, *other.facts],
             declarations=[*self.declarations, *other.declarations],
             name=name or self.name,
         )
 
     def __str__(self) -> str:
-        lines = [str(rule) for rule in self.rules]
-        lines.extend(f"{fact}." for fact in self.facts)
-        return "\n".join(lines)
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
+        return "\n".join(str(rule) for rule in self.rules)
 
     def __len__(self) -> int:
         return len(self.rules)

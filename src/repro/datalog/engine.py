@@ -88,14 +88,6 @@ class Delta:
         if self.action not in (INSERT, DELETE, REFRESH):
             raise ValueError(f"invalid delta action {self.action!r}")
 
-    @property
-    def is_insert(self) -> bool:
-        return self.action == INSERT
-
-    @property
-    def is_refresh(self) -> bool:
-        return self.action == REFRESH
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         sign = {"insert": "+", "delete": "-", "refresh": "~"}[self.action]
         return f"{sign}{self.fact}"
@@ -104,10 +96,11 @@ class Delta:
 class AnnotationPolicy:
     """Strategy object for value-based provenance annotations.
 
-    Subclasses define how annotations are created for base tuples, combined
-    across a rule's body (join / ``·``), merged across alternative
-    derivations (union / ``+``), and how many bytes an annotation contributes
-    to a network message.
+    Subclasses define ``base(fact)``, the annotation of an inserted base
+    tuple; ``combine(rule, body_annotations, node)``, the join (``·``) of a
+    rule's inputs; ``merge(existing, new)``, the union (``+``) of two
+    alternative derivations; and ``size(annotation)``, the bytes an
+    annotation adds to a network message.
 
     ``propagate_updates`` controls whether a change to an existing tuple's
     annotation (a new alternative derivation arriving) is re-propagated to
@@ -118,22 +111,6 @@ class AnnotationPolicy:
     """
 
     propagate_updates: bool = False
-
-    def base(self, fact: Fact) -> Any:
-        """Annotation of an externally-inserted base tuple."""
-        raise NotImplementedError
-
-    def combine(self, rule: Rule, body_annotations: Sequence[Any], node: Any) -> Any:
-        """Annotation of a tuple derived by *rule* from the given inputs."""
-        raise NotImplementedError
-
-    def merge(self, existing: Any, new: Any) -> Any:
-        """Merge annotations of two alternative derivations of the same tuple."""
-        raise NotImplementedError
-
-    def size(self, annotation: Any) -> int:
-        """Serialized size in bytes charged to messages carrying *annotation*."""
-        raise NotImplementedError
 
 
 @dataclass
@@ -226,15 +203,6 @@ class NDlogEngine:
         self._dispatch.clear()
         for rule in program.rules:
             self._install_rule(rule)  # program.validate() checked every rule
-        self._refresh_sinks()
-        for fact in program.facts:
-            if fact.location == self.address:
-                self.insert(fact)
-
-    def add_rule(self, rule: Rule) -> None:
-        """Register a single rule with the engine."""
-        rule.validate()
-        self._install_rule(rule)
         self._refresh_sinks()
 
     def _install_rule(self, rule: Rule) -> None:
@@ -413,11 +381,6 @@ class NDlogEngine:
         """Entry point for deltas arriving from the network."""
         self.stats["deltas_received"] += 1
         self.enqueue(delta)
-
-    @property
-    def pending(self) -> int:
-        """Number of deltas waiting in the local queue."""
-        return len(self._queue)
 
     # ------------------------------------------------------------------ #
     # evaluation loop
@@ -711,22 +674,9 @@ class NDlogEngine:
         if self._annotations:
             self._annotations.pop((fact.name, fact.values), None)
 
-    def annotation_of(self, fact: Fact) -> Any:
-        """Public accessor for a stored value-based provenance annotation."""
-        return self._lookup_annotation(_hashable_fact(fact))
-
     # ------------------------------------------------------------------ #
-    # convenience queries
+    # debugging
     # ------------------------------------------------------------------ #
-    def table_rows(self, name: str) -> List[Tuple[Any, ...]]:
-        """Return the rows of local table *name* (sorted, for stable tests)."""
-        table = self.catalog.get(name)  # a read creates nothing
-        return [] if table is None else sorted(table.rows(), key=repr)
-
-    def has_fact(self, name: str, values: Sequence[Any]) -> bool:
-        table = self.catalog.get(name)
-        return table is not None and tuple(values) in table
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NDlogEngine(address={self.address!r}, rules={len(self.rules)})"
 

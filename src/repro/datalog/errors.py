@@ -51,13 +51,5 @@ class UnknownFunctionError(EvaluationError):
         self.name = name
 
 
-class UnknownRelationError(DatalogError):
-    """Raised when a rule or fact references a relation absent from the catalog."""
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown relation: {name!r}")
-        self.name = name
-
-
 class SchemaError(DatalogError):
     """Raised when a fact does not match its relation's declared schema."""

@@ -1,20 +1,17 @@
 """Builtin function registry for NDlog rule evaluation.
 
 The ExSPAN paper relies on a small set of builtin functions inside rewritten
-provenance rules — ``f_sha1`` for vertex identifiers, ``f_concat`` /
-``f_append`` for VID lists, ``f_size`` and ``f_item`` for buffer handling,
-and ``f_empty`` for buffer initialization.  This module implements them plus
-a handful of generally useful helpers, and exposes a
-:class:`FunctionRegistry` that rules evaluate against.
-
-User code may register additional functions (for example the provenance
-query UDFs ``f_pEDB`` / ``f_pIDB`` / ``f_pRULE``) on a per-engine basis.
+provenance rules — ``f_sha1`` for vertex identifiers and ``f_concat`` /
+``f_append`` for VID lists — and the shipped protocols use ``f_item`` and
+``f_member`` on path vectors.  This module implements them and exposes a
+:class:`FunctionRegistry` that rules evaluate against; an engine built with
+its own registry (``NDlogEngine(functions=...)``) may bind other names.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .errors import EvaluationError, UnknownFunctionError
 
@@ -139,23 +136,6 @@ def _f_concat(args: Sequence[Any]) -> Tuple[Any, ...]:
     return tuple(result)
 
 
-def _f_empty(args: Sequence[Any]) -> Tuple[Any, ...]:
-    """``f_empty()`` — the empty list ``()`` (initializes result buffers)."""
-    if args:
-        raise EvaluationError("f_empty takes no arguments")
-    return ()
-
-
-def _f_size(args: Sequence[Any]) -> int:
-    """``f_size(L)`` — number of elements in a list (or length of a string)."""
-    if len(args) != 1:
-        raise EvaluationError("f_size takes exactly one argument")
-    value = args[0]
-    if value is None:
-        return 0
-    return len(value)
-
-
 def _f_item(args: Sequence[Any]) -> Any:
     """``f_item(L)`` or ``f_item(L, I)`` — the first (or *I*-th) element of a list."""
     if not args:
@@ -176,37 +156,6 @@ def _f_member(args: Sequence[Any]) -> bool:
     return value in (sequence or ())
 
 
-def _f_first(args: Sequence[Any]) -> Any:
-    """``f_first(L)`` — first element of a non-empty list."""
-    return _f_item([args[0], 0])
-
-
-def _f_last(args: Sequence[Any]) -> Any:
-    """``f_last(L)`` — last element of a non-empty list."""
-    return _f_item([args[0], -1])
-
-
-def _f_min(args: Sequence[Any]) -> Any:
-    """``f_min(A, B, ...)`` — minimum of the arguments."""
-    if not args:
-        raise EvaluationError("f_min requires at least one argument")
-    return min(args)
-
-
-def _f_max(args: Sequence[Any]) -> Any:
-    """``f_max(A, B, ...)`` — maximum of the arguments."""
-    if not args:
-        raise EvaluationError("f_max requires at least one argument")
-    return max(args)
-
-
-def _f_tostr(args: Sequence[Any]) -> str:
-    """``f_tostr(X)`` — string rendering of the argument."""
-    if len(args) != 1:
-        raise EvaluationError("f_tostr takes exactly one argument")
-    return _stringify(args[0])
-
-
 class FunctionRegistry:
     """A lookup table of builtin functions.
 
@@ -217,16 +166,6 @@ class FunctionRegistry:
     def __init__(self, functions: Dict[str, Callable[[Sequence[Any]], Any]] | None = None):
         self._functions: Dict[str, Callable[[Sequence[Any]], Any]] = dict(functions or {})
 
-    def register(self, name: str, function: Callable[[Sequence[Any]], Any]) -> None:
-        """Register *function* under *name*, replacing any existing binding."""
-        self._functions[name] = function
-
-    def unregister(self, name: str) -> None:
-        self._functions.pop(name, None)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
     def call(self, name: str, args: Sequence[Any]) -> Any:
         """Invoke the builtin *name* with *args*; raise if it is unknown."""
         try:
@@ -235,27 +174,13 @@ class FunctionRegistry:
             raise UnknownFunctionError(name) from None
         return function(args)
 
-    def names(self) -> Iterable[str]:
-        return sorted(self._functions)
-
-    def copy(self) -> "FunctionRegistry":
-        """Return an independent copy (per-engine customization)."""
-        return FunctionRegistry(dict(self._functions))
-
 
 _DEFAULTS: Dict[str, Callable[[Sequence[Any]], Any]] = {
     "f_sha1": _f_sha1,
     "f_concat": _f_concat,
     "f_append": _f_concat,
-    "f_empty": _f_empty,
-    "f_size": _f_size,
     "f_item": _f_item,
     "f_member": _f_member,
-    "f_first": _f_first,
-    "f_last": _f_last,
-    "f_min": _f_min,
-    "f_max": _f_max,
-    "f_tostr": _f_tostr,
 }
 
 

@@ -4,9 +4,7 @@ The accepted grammar covers the language used in the ExSPAN paper:
 
 .. code-block:: none
 
-    program     := statement*
-    statement   := declaration | rule | fact
-    declaration := "materialize" "(" name "," arity ["," "keys" "(" ints ")"] ")" "."
+    program     := rule*
     rule        := label head ":-" body "."
     head        := atom
     body        := literal ("," literal)*
@@ -16,12 +14,15 @@ The accepted grammar covers the language used in the ExSPAN paper:
     aggregate   := ("min"|"max"|"count"|"sum"|"agglist") "<" ("*" | vars) ">"
     assignment  := Variable "=" expression
     condition   := expression            (boolean-valued)
-    fact        := atom "."              (all arguments constant)
 
 Comments run from ``//`` or ``#`` to end of line.  Identifiers beginning
 with an upper-case letter are variables; everything else is a predicate,
 function or constant symbol.  Strings are double quoted; numbers may be
-integers or floats.
+integers or floats; there is no unary operator (write ``0 - X``).  Table
+declarations (primary keys) and base facts are not program text: a
+protocol module declares its tables with
+:meth:`~repro.datalog.ast.Program.add_declaration`, and facts are inserted
+into a running network.
 
 Example
 -------
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from .ast import Assignment, Atom, Condition, Fact, Program, Rule, TableDecl
+from .ast import Assignment, Atom, Condition, Program, Rule
 from .errors import ParseError
 from .terms import (
     AGGREGATE_NAMES,
@@ -49,11 +50,10 @@ from .terms import (
     Constant,
     FunctionCall,
     Term,
-    UnaryOp,
     Variable,
 )
 
-__all__ = ["parse_program", "parse_rule", "parse_term", "tokenize", "Token"]
+__all__ = ["parse_program", "tokenize", "Token"]
 
 
 _TOKEN_REGEX = re.compile(
@@ -158,9 +158,6 @@ class _Parser:
         nxt = self._peek(1)
         if token is None:
             return
-        if token.text == "materialize" and nxt is not None and nxt.text == "(":
-            program.add_declaration(self._parse_declaration())
-            return
         if (
             token.kind == "name"
             and nxt is not None
@@ -171,41 +168,9 @@ class _Parser:
             # label predicate( ...  => a rule
             program.add_rule(self._parse_rule())
             return
-        if token.kind == "name" and nxt is not None and nxt.text == "(":
-            program.add_fact(self._parse_fact())
-            return
         raise ParseError(
             f"unexpected token {token.text!r}", token.line, token.column
         )
-
-    def _parse_declaration(self) -> TableDecl:
-        self._expect("materialize")
-        self._expect("(")
-        name = self._advance().text
-        self._expect(",")
-        arity_token = self._advance()
-        if arity_token.kind != "number":
-            raise ParseError(
-                "materialize arity must be an integer",
-                arity_token.line,
-                arity_token.column,
-            )
-        arity = int(arity_token.text)
-        keys: Tuple[int, ...] = ()
-        if self._match(","):
-            self._expect("keys")
-            self._expect("(")
-            positions: List[int] = []
-            while True:
-                number = self._advance()
-                positions.append(int(number.text))
-                if not self._match(","):
-                    break
-            self._expect(")")
-            keys = tuple(positions)
-        self._expect(")")
-        self._expect(".")
-        return TableDecl(name, arity, keys)
 
     def _parse_rule(self) -> Rule:
         label = self._advance().text
@@ -218,18 +183,6 @@ class _Parser:
                 break
         self._expect(".")
         return Rule(label, head, body)
-
-    def _parse_fact(self) -> Fact:
-        atom = self._parse_atom()
-        self._expect(".")
-        values: List[Any] = []
-        for arg in atom.args:
-            if not isinstance(arg, Constant):
-                raise ParseError(
-                    f"fact {atom.name} has non-constant argument {arg}"
-                )
-            values.append(arg.value)
-        return Fact(atom.name, values, atom.location_index)
 
     def _parse_body_literal(self) -> Any:
         token = self._peek()
@@ -350,20 +303,12 @@ class _Parser:
         return left
 
     def _parse_multiplicative(self) -> Term:
-        left = self._parse_unary()
+        left = self._parse_primary()
         while self._peek() is not None and self._peek().text in ("*", "/", "%"):
             op = self._advance().text
-            right = self._parse_unary()
+            right = self._parse_primary()
             left = BinaryOp(op, left, right)
         return left
-
-    def _parse_unary(self) -> Term:
-        token = self._peek()
-        if token is not None and token.text in ("-", "!"):
-            op = self._advance().text
-            operand = self._parse_unary()
-            return UnaryOp(op, operand)
-        return self._parse_primary()
 
     def _parse_primary(self) -> Term:
         token = self._peek()
@@ -376,7 +321,8 @@ class _Parser:
             return inner
         if token.kind == "string":
             self._advance()
-            return Constant(_unquote(token.text))
+            body = token.text[1:-1]  # unquote, then undo the escapes
+            return Constant(body.replace('\\"', '"').replace("\\\\", "\\").replace("\\n", "\n"))
         if token.kind == "number":
             self._advance()
             if "." in token.text:
@@ -416,30 +362,8 @@ class _Parser:
         return FunctionCall(name, args)
 
 
-def _unquote(text: str) -> str:
-    """Strip quotes and process escapes in a string literal."""
-    body = text[1:-1]
-    return body.replace('\\"', '"').replace("\\\\", "\\").replace("\\n", "\n")
-
-
 def parse_program(source: str, name: str = "program") -> Program:
     """Parse NDlog *source* into a :class:`~repro.datalog.ast.Program`."""
     parser = _Parser(tokenize(source))
     program = parser.parse_program(name=name)
     return program
-
-
-def parse_rule(source: str) -> Rule:
-    """Parse a single rule from *source* (must contain exactly one rule)."""
-    program = parse_program(source)
-    if len(program.rules) != 1:
-        raise ParseError(
-            f"expected exactly one rule, found {len(program.rules)}"
-        )
-    return program.rules[0]
-
-
-def parse_term(source: str) -> Term:
-    """Parse a standalone expression (used mainly by tests)."""
-    parser = _Parser(tokenize(source))
-    return parser._parse_expression()

@@ -52,7 +52,7 @@ from ..ast import Assignment, Atom, Fact, is_event_predicate
 from ...storage.memory import freeze_value
 from ..errors import EvaluationError
 from ..functions import _f_sha1, _sha1_cache, _sha1_counts
-from ..terms import BinaryOp, Constant, FunctionCall, Term, UnaryOp, Variable, _as_text
+from ..terms import BinaryOp, Constant, FunctionCall, Term, Variable, _as_text
 
 __all__ = ["generate_executor"]
 
@@ -100,9 +100,6 @@ class _Source:
             return sources.get(term.name, "_unsupported()")
         if isinstance(term, Constant):
             return self.constant(term.value)
-        if isinstance(term, UnaryOp) and term.op in ("-", "!"):
-            inner = self.term(term.operand, sources)
-            return f"(-{inner})" if term.op == "-" else f"(not {inner})"
         if isinstance(term, BinaryOp):
             op = term.op
             if op == "+" or op in _DIRECT_BINARY_OPS or op in _BOOLEAN_OPS:

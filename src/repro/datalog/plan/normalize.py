@@ -47,10 +47,6 @@ class AtomSignature:
     def variables(self) -> FrozenSet[str]:
         return frozenset(self.var_positions)
 
-    @property
-    def name(self) -> str:
-        return self.atom.name
-
 
 @dataclass(frozen=True)
 class LiteralInfo:

@@ -42,7 +42,7 @@ class StandaloneNetwork:
             )
             engine = NDlogEngine(
                 address,
-                functions=functions.copy() if functions is not None else None,
+                functions=functions,
                 send=self._make_sender(address),
                 annotation_policy=policy,
             )
@@ -70,9 +70,6 @@ class StandaloneNetwork:
     def insert(self, fact: Fact) -> None:
         """Insert a base fact at the node named by its location specifier."""
         self._engine_for(fact).insert(fact)
-
-    def delete(self, fact: Fact) -> None:
-        self._engine_for(fact).delete(fact)
 
     def _engine_for(self, fact: Fact) -> NDlogEngine:
         try:
@@ -108,9 +105,6 @@ class StandaloneNetwork:
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
-    def table_rows(self, address: Any, name: str) -> List[Tuple[Any, ...]]:
-        return self.engines[address].table_rows(name)
-
     def all_rows(self, name: str) -> List[Tuple[Any, ...]]:
         """Union of table *name* across every node (sorted for stable tests)."""
         rows: List[Tuple[Any, ...]] = []

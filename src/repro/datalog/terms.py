@@ -22,12 +22,10 @@ __all__ = [
     "Term",
     "Variable",
     "Constant",
-    "UnaryOp",
     "BinaryOp",
     "FunctionCall",
     "AggregateSpec",
     "AGGREGATE_NAMES",
-    "wildcard",
 ]
 
 #: Aggregate functions accepted in rule heads (lower-case canonical names).
@@ -42,14 +40,6 @@ class Term:
     def variables(self) -> Iterator[str]:
         """Yield the names of all variables appearing in this term."""
         return iter(())
-
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
-        """Evaluate the term against *binding* using *functions* for builtins."""
-        raise NotImplementedError
-
-    def is_ground(self) -> bool:
-        """Return True when the term contains no variables."""
-        return not any(True for _ in self.variables())
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,11 +70,6 @@ class Variable(Term):
         return self.name
 
 
-def wildcard() -> Variable:
-    """Return a fresh wildcard variable term."""
-    return Variable("_")
-
-
 @dataclass(frozen=True, slots=True)
 class Constant(Term):
     """A literal constant: string, integer, float, bool, or None."""
@@ -98,31 +83,6 @@ class Constant(Term):
         if isinstance(self.value, str):
             return f'"{self.value}"'
         return str(self.value)
-
-
-@dataclass(frozen=True, slots=True)
-class UnaryOp(Term):
-    """A unary operation, currently ``-`` (negation) and ``!`` (logical not)."""
-
-    op: str
-    operand: Term
-
-    def variables(self) -> Iterator[str]:
-        yield from self.operand.variables()
-
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
-        value = self.operand.evaluate(binding, functions)
-        if self.op == "-":
-            try:
-                return -value
-            except TypeError as exc:
-                raise EvaluationError(f"type error evaluating -{value!r}: {exc}") from exc
-        if self.op == "!":
-            return not value
-        raise EvaluationError(f"unknown unary operator {self.op!r}")
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.op}{self.operand}"
 
 
 _BINARY_EVALUATORS = {

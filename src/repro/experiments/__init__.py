@@ -25,7 +25,6 @@ from .scenarios import (
     register,
     run_figure,
     scenario_for_figure,
-    unregister,
 )
 from .trials import MODE_LABELS, ExecutionEnv, build_network
 from .workloads import PacketWorkload, QueryWorkload, make_churn
@@ -50,7 +49,6 @@ __all__ = [
     "figure_scenarios",
     "get_scenario",
     "register",
-    "unregister",
     "run_figure",
     "scenario_for_figure",
     "CompareReport",

@@ -3,7 +3,8 @@
 Every figure run (:func:`repro.experiments.scenarios.run_figure`) returns a
 :class:`FigureResult`: a set of named series (one per curve in the paper's
 figure) plus enough metadata to print a readable table.  The harness prints
-these rows; EXPERIMENTS.md records the comparison against the paper.
+these rows; :mod:`repro.experiments.reporting` checks them against the
+paper's claims.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from ..obs.runtime import disable_tracing, enable_tracing
 from .scenarios import (
     Scenario,
     TrialSpec,
-    get_scenario,
     resolve_scenarios,
     run_trial_spec,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "compare",
     "mismatched_artifacts",
     "wall_clock_report",
-    "figure_result_from_artifact",
 ]
 
 #: Bump when the artifact layout changes; stale artifacts are re-run, and
@@ -558,13 +556,3 @@ def wall_clock_report(baseline_dir: str, candidate_dir: str) -> str:
             f"  {scenario:<28} {base:8.2f}s -> {cand:8.2f}s  ({ratio:5.2f}x)"
         )
     return "\n".join(lines)
-
-
-def figure_result_from_artifact(artifact: Mapping[str, Any]):
-    """Rebuild a :class:`FigureResult` from a stored artifact (reporting)."""
-    from .scenarios import assemble_figure
-
-    scenario = get_scenario(artifact["scenario"])
-    return assemble_figure(
-        scenario, [trial["result"] for trial in artifact.get("trials", ())]
-    )

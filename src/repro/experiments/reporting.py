@@ -3,9 +3,9 @@
 :func:`paper_expectations` records, for every figure, the qualitative shape
 the paper reports (who wins, by roughly what factor).  :func:`check_shape`
 evaluates a reproduced :class:`~repro.experiments.metrics.FigureResult`
-against that expectation and returns a list of human-readable findings; the
-benchmark suite asserts on the boolean outcome, and EXPERIMENTS.md quotes
-the findings.
+against that expectation and returns a list of human-readable findings;
+``benchmarks/bench_figures.py`` prints them and asserts on the boolean
+outcome.
 """
 
 from __future__ import annotations

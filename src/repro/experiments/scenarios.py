@@ -31,7 +31,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "register",
-    "unregister",
     "get_scenario",
     "scenario_for_figure",
     "figure_scenarios",
@@ -122,11 +121,6 @@ def register(scenario: Scenario) -> Scenario:
             )
     SCENARIOS[scenario.name] = scenario
     return scenario
-
-
-def unregister(name: str) -> None:
-    """Remove a scenario (used by tests that register temporary scenarios)."""
-    SCENARIOS.pop(name, None)
 
 
 def get_scenario(name: str) -> Scenario:

@@ -228,11 +228,6 @@ class BurstQueryWorkload:
         ]
         return self.outcomes
 
-    def latency_stats(self) -> LatencyStats:
-        stats = LatencyStats()
-        stats.extend(outcome.latency for outcome in self.outcomes)
-        return stats
-
 
 @dataclass
 class PacketWorkload:

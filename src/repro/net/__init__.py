@@ -10,7 +10,7 @@ from .host import Host
 from .message import HEADER_OVERHEAD, Message, payload_size
 from .network import Network
 from .simulator import ScheduledEvent, Simulator
-from .stats import LatencyStats, MessageRecord, TrafficStats, cdf_points
+from .stats import LatencyStats, TrafficStats, cdf_points
 from .topology import (
     LinkSpec,
     Topology,
@@ -39,7 +39,6 @@ __all__ = [
     "ScheduledEvent",
     "Simulator",
     "LatencyStats",
-    "MessageRecord",
     "TrafficStats",
     "cdf_points",
     "LinkSpec",

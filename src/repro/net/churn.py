@@ -57,7 +57,6 @@ class ChurnGenerator:
         self.tier = tier
         self._rng = random.Random(seed)
         self.events: List[ChurnEvent] = []
-        self._stopped = False
         # Candidate endpoints for new links: stub nodes only (as in the paper
         # churn applies to stub-to-stub links).
         self._stub_nodes = [
@@ -73,15 +72,10 @@ class ChurnGenerator:
         for round_index in range(rounds):
             self.simulator.schedule(delay + round_index * self.interval, self._apply_round)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     # ------------------------------------------------------------------ #
     # churn application
     # ------------------------------------------------------------------ #
     def _apply_round(self) -> None:
-        if self._stopped:
-            return
         for _ in range(self.links_per_round):
             self._apply_one()
 
@@ -117,12 +111,3 @@ class ChurnGenerator:
             return None
         a, b, _ = self._rng.choice(candidates)
         return a, b
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def additions(self) -> List[ChurnEvent]:
-        return [event for event in self.events if event.action == "add"]
-
-    def deletions(self) -> List[ChurnEvent]:
-        return [event for event in self.events if event.action == "delete"]

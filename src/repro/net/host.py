@@ -23,7 +23,7 @@ enqueue order, which keeps processing order identical to individual sends.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .errors import NetworkError
 from .message import Message
@@ -72,16 +72,6 @@ class Host:
     # ------------------------------------------------------------------ #
     # sending / receiving
     # ------------------------------------------------------------------ #
-    def send(
-        self,
-        destination: Any,
-        kind: str,
-        payload: Any,
-        size: Optional[int] = None,
-    ) -> Message:
-        """Send *payload* to *destination* through the network."""
-        return self.network.send(self.address, destination, kind, payload, size)
-
     def enqueue(self, destination: Any, kind: str, payload: Any) -> None:
         """Queue *payload* for batched delivery at the end of this turn.
 
@@ -89,7 +79,7 @@ class Host:
         need to know whether they run inside a delivery context).
         """
         if self._turn_depth == 0:
-            self.send(destination, kind, payload)
+            self.network.send(self.address, destination, kind, payload)
             return
         self._outbox.setdefault((destination, kind), []).append(payload)
 

@@ -45,7 +45,7 @@ exact per shard and merge by concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NetworkError, NoRouteError, UnknownNodeError
 from .host import Host
@@ -264,12 +264,3 @@ class Network:
         """Run until no events remain; return the fixpoint time."""
         self.simulator.run_until_idle(max_events=max_events)
         return self.simulator.now
-
-    def run_for(self, duration: float) -> None:
-        """Run the simulation for *duration* simulated seconds."""
-        self.simulator.run(until=self.simulator.now + duration)
-
-    def broadcast_handler(self, kind: str, factory: Callable[[Host], Callable]) -> None:
-        """Register a handler built by *factory* on every host."""
-        for host in self.hosts():
-            host.register_handler(kind, factory(host))

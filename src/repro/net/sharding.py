@@ -35,9 +35,9 @@ cross shard boundaries as manager-independent structures
 (name-ordered) BDD variable order they re-intern bit-identically into the
 receiving shard's manager.
 
-External inputs — link churn, base-fact changes, provenance queries — are
-*scripted*: they apply at simulated times that become window barriers, so
-the same script drives a serial :class:`~repro.core.api.ExspanNetwork`
+External inputs — link churn and base-fact changes — are *scripted*:
+they apply at simulated times that become window barriers, so the same
+script drives a serial :class:`~repro.core.api.ExspanNetwork`
 (via :func:`apply_script_serial`) and a sharded run to identical states.
 The equivalence tests in ``tests/test_sharding.py`` assert exactly that,
 via :func:`collect_digest` / :func:`collect_summary`.
@@ -48,14 +48,14 @@ from __future__ import annotations
 import gc
 import multiprocessing as mp
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.bdd import Bdd, export_bdd, import_bdd
 from ..datalog.ast import Fact, Program
 from ..datalog.engine import Delta
 from ..storage.checkpoint import node_state
-from .errors import NetworkError, SimulationError
+from .errors import NetworkError
 from .message import Message
 from .network import DEFAULT_LATENCY, OutboundMessage
 from .stats import aggregate_engine_stats, aggregate_query_stats, merge_counter_dicts
@@ -77,10 +77,8 @@ class ScriptOp:
     """One external input applied at a simulated instant.
 
     ``kind`` is one of ``"insert"`` / ``"delete"`` (base facts; applied at
-    the owning shard), ``"add_link"`` / ``"remove_link"`` (applied at every
-    shard — all topology replicas must agree for routing), or ``"query"``
-    (a provenance query issued at ``issuer`` for the fact's VID at
-    ``target``; the spec must be registered at construction time).
+    the owning shard) or ``"add_link"`` / ``"remove_link"`` (applied at
+    every shard — all topology replicas must agree for routing).
     """
 
     kind: str
@@ -88,10 +86,6 @@ class ScriptOp:
     a: Any = None
     b: Any = None
     cost: Optional[int] = None
-    spec: Optional[str] = None
-    issuer: Any = None
-    target: Any = None
-    query_id: Optional[str] = None
 
 
 # ---------------------------------------------------------------------- #
@@ -125,11 +119,7 @@ def _decode_value(value: Any, manager_for: Callable[[], Any]) -> Any:
     if isinstance(value, _WireBdd):
         manager = manager_for()
         if manager is None:
-            raise NetworkError(
-                "a BDD crossed a shard boundary outside a value-mode delta; "
-                "sharded runs support query specs with plain or polynomial "
-                "results (register a polynomial/count/node-set spec instead)"
-            )
+            raise NetworkError("a BDD crossed a shard boundary outside a value-mode delta")
         return import_bdd(manager, value.data)
     if isinstance(value, Delta):
         if isinstance(value.annotation, _WireBdd):
@@ -239,48 +229,24 @@ def collect_summary(net) -> Dict[str, Any]:
     }
 
 
-def _outcome_digest(outcome) -> Dict[str, Any]:
-    """Picklable, representation-canonical view of a QueryOutcome."""
-    return {
-        "query_id": outcome.query_id,
-        "vid": outcome.vid,
-        "result": repr(outcome.result),
-        "issued_at": outcome.issued_at,
-        "completed_at": outcome.completed_at,
-        "issuer": outcome.issuer,
-        "target": outcome.target,
-    }
-
-
-def apply_script_serial(
-    net, script: Sequence[Tuple[float, Sequence[ScriptOp]]]
-) -> Dict[str, Dict[str, Any]]:
+def apply_script_serial(net, script: Sequence[Tuple[float, Sequence[ScriptOp]]]) -> None:
     """Drive a serial :class:`ExspanNetwork` with a sharded-engine script.
 
     Ops are scheduled at their instants with the default (empty) ordering
     key, exactly where the sharded engine applies them — before the message
-    deliveries of the same instant.  Returns query outcomes (digested) by
-    query id after running to quiescence.
+    deliveries of the same instant — and the network runs to quiescence.
     """
-    outcomes: Dict[str, Dict[str, Any]] = {}
-    issued: Dict[Any, int] = {}
 
     def apply(ops: Sequence[ScriptOp]) -> None:
         for op in ops:
-            _apply_serial_op(net, op, outcomes, issued)
+            _apply_serial_op(net, op)
 
     for time, ops in script:
         net.simulator.schedule_at(time, lambda ops=ops: apply(ops))
     net.simulator.run_until_idle()
-    return outcomes
 
 
-def _apply_serial_op(
-    net,
-    op: ScriptOp,
-    outcomes: Dict[str, Dict[str, Any]],
-    issued: Dict[Any, int],
-) -> None:
+def _apply_serial_op(net, op: ScriptOp) -> None:
     if op.kind == "insert":
         net.insert_fact(op.fact)
     elif op.kind == "delete":
@@ -289,31 +255,6 @@ def _apply_serial_op(
         net.add_link(op.a, op.b, op.cost)
     elif op.kind == "remove_link":
         net.remove_link(op.a, op.b)
-    elif op.kind == "query":
-        from ..core.vid import fact_vid
-
-        target = op.target if op.target is not None else op.fact.location
-        issuer = op.issuer if op.issuer is not None else target
-        if op.query_id is not None:
-            query_id = op.query_id
-        else:
-            # Auto ids number each issuer's queries independently at issue
-            # time (never by completed count, which would collide for
-            # concurrent queries) — and since one issuer's queries always
-            # run at its own shard in issue order, the numbering is
-            # identical in serial and sharded execution.
-            index = issued.get(issuer, 0)
-            issued[issuer] = index + 1
-            query_id = f"q@{issuer!r}#{index}"
-        service = net.node(issuer).query_service
-        service.query(
-            fact_vid(op.fact),
-            target,
-            op.spec,
-            lambda outcome, qid=query_id: outcomes.__setitem__(
-                qid, _outcome_digest(outcome)
-            ),
-        )
     else:
         raise ValueError(f"unknown script op kind {op.kind!r}")
 
@@ -330,7 +271,6 @@ class _WorkerConfig:
     mode: Any
     seed: int
     value_policy: str
-    query_specs: Sequence[Any] = field(default_factory=tuple)
     #: When set, the worker builds its own shard-tagged tracer; spans are
     #: pulled over the pipe by the driver's ``"spans"`` verb and merged in
     #: deterministic (sim time, shard, seq) order.
@@ -383,12 +323,8 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
             ),
             tracer=tracer,
         )
-        for spec in config.query_specs:
-            net.register_spec(spec)
         if config.faults is not None:
             net.install_faults(config.faults)
-        outcomes: Dict[str, Dict[str, Any]] = {}
-        issued: Dict[Any, int] = {}
 
         def manager_for_destination(address: Any):
             policy = net.node(address).engine.annotation_policy
@@ -424,10 +360,9 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 # at), so re-opening the window back to the op instant is
                 # sound — see Simulator.reopen_window.
                 net.simulator.reopen_window(time)
-                # The parent already routed each op to its shard(s); the
-                # serial path keeps per-issuer query ids serial-identical.
+                # The parent already routed each op to its shard(s).
                 for op in ops:
-                    _apply_serial_op(net, op, outcomes, issued)
+                    _apply_serial_op(net, op)
                 conn.send(("ok", _worker_window_reply(net, len(ops))))
             elif verb == "summary":
                 conn.send(("ok", collect_summary(net)))
@@ -438,10 +373,6 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 conn.send(
                     ("ok", injector.stats() if injector is not None else {})
                 )
-            elif verb == "outcomes":
-                conn.send(("ok", dict(outcomes)))
-            elif verb == "records":
-                conn.send(("ok", net.stats))
             elif verb == "spans":
                 state = (
                     net.tracer.export_state()
@@ -516,7 +447,6 @@ class ShardedExspanNetwork:
         seed: int = 0,
         value_policy: str = "bdd",
         partition: Optional[Mapping[Any, int]] = None,
-        query_specs: Sequence[Any] = (),
         tracer: Any = None,
         storage: Optional[str] = None,
         faults: Any = None,
@@ -572,7 +502,6 @@ class ShardedExspanNetwork:
         self._next_times: List[Optional[float]] = [None] * self.shards
         self._now = 0.0
         self._closed = False
-        self._query_counter = 0
         # Driver-side tracer (shard -1): holds barrier/window phase spans
         # and, after collect_spans(), every worker's spans merged in.
         if tracer is None:
@@ -596,7 +525,6 @@ class ShardedExspanNetwork:
                 mode=mode,
                 seed=seed,
                 value_policy=value_policy,
-                query_specs=tuple(query_specs),
                 trace=self.tracer is not None,
                 storage=storage,
                 faults=plan,
@@ -903,10 +831,6 @@ class ShardedExspanNetwork:
         self._quiesce()
         return self._now
 
-    @property
-    def now(self) -> float:
-        return self._now
-
     # ------------------------------------------------------------------ #
     # scripted inputs
     # ------------------------------------------------------------------ #
@@ -950,11 +874,6 @@ class ShardedExspanNetwork:
                 topology_changed = True
                 for shard_ops in per_shard:
                     shard_ops.append(op)
-            elif op.kind == "query":
-                issuer = op.issuer if op.issuer is not None else (
-                    op.target if op.target is not None else op.fact.location
-                )
-                per_shard[self.assignment[issuer]].append(op)
             else:
                 raise ValueError(f"unknown script op kind {op.kind!r}")
         tracer = self.tracer
@@ -969,45 +888,6 @@ class ShardedExspanNetwork:
             span.end()
         if topology_changed:
             self._recompute_lookahead()
-
-    # ------------------------------------------------------------------ #
-    # provenance queries
-    # ------------------------------------------------------------------ #
-    def query_provenance(
-        self, fact: Fact, spec: str, issuer: Any = None, target: Any = None
-    ) -> Dict[str, Any]:
-        """Issue one provenance query, run to quiescence, return its digest.
-
-        ``spec`` names a query spec passed at construction
-        (``query_specs=[...]``); results are returned in digested form
-        (see the sharding module docstring for why raw result objects
-        cannot cross process boundaries in general).
-        """
-        self._query_counter += 1
-        query_id = f"shq-{self._query_counter}"
-        self.apply_ops(
-            [
-                ScriptOp(
-                    kind="query",
-                    fact=fact,
-                    spec=spec,
-                    issuer=issuer,
-                    target=target,
-                    query_id=query_id,
-                )
-            ]
-        )
-        outcome = self.outcomes().get(query_id)
-        if outcome is None:
-            raise SimulationError(f"provenance query for {fact} did not complete")
-        return outcome
-
-    def outcomes(self) -> Dict[str, Dict[str, Any]]:
-        """All completed query outcomes (digested), merged across shards."""
-        merged: Dict[str, Dict[str, Any]] = {}
-        for reply in self._command_all([("outcomes",)] * self.shards):
-            merged.update(reply)
-        return merged
 
     # ------------------------------------------------------------------ #
     # merged statistics and digests
@@ -1075,21 +955,3 @@ class ShardedExspanNetwork:
             "events_critical_path": critical,
             "attainable_speedup": (total / critical) if critical else 1.0,
         }
-
-    def records(self) -> List[Any]:
-        """All traffic records merged in deterministic (time, source) order."""
-        return self.traffic_stats().records()
-
-    def traffic_stats(self):
-        """A merged :class:`~repro.net.stats.TrafficStats` over every shard.
-
-        Senders are always local to their shard, so folding the workers'
-        own collectors yields exactly the serial engine's records; every
-        aggregate view (totals, bandwidth timeseries, per-sender byte
-        counts) matches the serial network's ``stats``.
-        """
-        from .stats import merge_traffic_stats
-
-        rank = {node: index for index, node in enumerate(self.topology.nodes)}
-        per_shard = self._command_all([("records",)] * self.shards)
-        return merge_traffic_stats(per_shard, rank)

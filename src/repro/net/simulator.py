@@ -92,14 +92,6 @@ class ScheduledEvent(list):
     __slots__ = ()
 
     @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[3] is None
-
-    @property
     def pending(self) -> bool:
         """True while the event sits in its simulator's queue."""
         return self[5] is not None

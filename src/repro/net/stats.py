@@ -12,8 +12,8 @@ and *route codes*, where a route is an interned ``(source, destination,
 kind)`` triple.  A message costs 20 bytes and no Python object, so a long
 run's log is neither a memory hog nor something the cycle collector has to
 walk.  Scalar views reduce the columns (per-route totals first, then a
-fold over the few distinct routes); :meth:`TrafficStats.records` and the
-bandwidth series decode rows on demand.
+fold over the few distinct routes); the bandwidth series decode rows on
+demand.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import merged_counters
 
 __all__ = [
-    "MessageRecord",
     "TrafficStats",
     "LatencyStats",
     "cdf_points",
@@ -37,24 +35,7 @@ __all__ = [
     "aggregate_engine_stats",
     "aggregate_query_stats",
     "merge_counter_dicts",
-    "merge_traffic_records",
-    "merge_traffic_stats",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class MessageRecord:
-    """One sent message: when, who, how many bytes, and what kind.
-
-    Slotted: paper-scale sweeps record hundreds of thousands of these per
-    trial, so the per-instance dict would dominate the collector's memory.
-    """
-
-    time: float
-    source: Any
-    destination: Any
-    size: int
-    kind: str
 
 
 #: An interned ``(source, destination, kind)`` triple.
@@ -91,15 +72,6 @@ class TrafficStats:
     # ------------------------------------------------------------------ #
     # aggregate views
     # ------------------------------------------------------------------ #
-    def records(self, kinds: Optional[Iterable[str]] = None) -> List[MessageRecord]:
-        routes = self._routes
-        wanted = self._wanted_codes(kinds)
-        return [
-            MessageRecord(time, routes[code][0], routes[code][1], size, routes[code][2])
-            for time, size, code in zip(self._times, self._sizes, self._codes)
-            if wanted is None or code in wanted
-        ]
-
     def _wanted_codes(self, kinds: Optional[Iterable[str]]) -> Optional[Set[int]]:
         """Codes of the routes carrying one of *kinds* (``None``: all)."""
         if kinds is None:
@@ -130,10 +102,6 @@ class TrafficStats:
     def kind_totals(self) -> Dict[str, Tuple[int, int]]:
         """Per-kind ``(messages, bytes)`` totals."""
         return _kind_totals(self._per_route())
-
-    def bytes_by_sender(self, kinds: Optional[Iterable[str]] = None) -> Dict[Any, int]:
-        """Bytes transmitted per sending node."""
-        return _bytes_by_sender(self._per_route(), kinds)
 
     def average_bytes_per_node(
         self, node_count: int, kinds: Optional[Iterable[str]] = None
@@ -188,7 +156,7 @@ class TrafficStats:
             "bytes_by_sender": {
                 str(node): size
                 for node, size in sorted(
-                    _bytes_by_sender(per_route, None).items(),
+                    _bytes_by_sender(per_route).items(),
                     key=lambda item: str(item[0]),
                 )
             },
@@ -216,14 +184,10 @@ def _kind_totals(per_route: List[Tuple[_Route, int, int]]) -> Dict[str, Tuple[in
     return dict(sorted(per_kind.items()))
 
 
-def _bytes_by_sender(
-    per_route: List[Tuple[_Route, int, int]], kinds: Optional[Iterable[str]]
-) -> Dict[Any, int]:
-    wanted = None if kinds is None else set(kinds)
+def _bytes_by_sender(per_route: List[Tuple[_Route, int, int]]) -> Dict[Any, int]:
     per_node: Dict[Any, int] = {}
-    for (source, _, kind), _, size in per_route:
-        if wanted is None or kind in wanted:
-            per_node[source] = per_node.get(source, 0) + size
+    for (source, _, _), _, size in per_route:
+        per_node[source] = per_node.get(source, 0) + size
     return per_node
 
 
@@ -327,47 +291,6 @@ def merge_counter_dicts(dicts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     shard iteration order (and of ``PYTHONHASHSEED``).
     """
     return merged_counters(dicts, sort=True)
-
-
-def merge_traffic_records(
-    record_lists: Iterable[Sequence[MessageRecord]],
-    source_rank: Dict[Any, int],
-) -> List[MessageRecord]:
-    """Merge per-shard traffic records into one deterministic list.
-
-    Each shard records exactly the messages its own hosts *sent* (senders
-    are always local), so the union is exact.  Records are ordered by
-    ``(time, source rank, per-source position)`` — per-source order is
-    preserved from each shard's list, and the result is independent of
-    shard count and drain order.  Every aggregate view
-    (:class:`TrafficStats` totals, bandwidth timeseries, CDFs) is
-    order-insensitive, so any consumer of the merged list sees exactly the
-    serial engine's numbers.
-    """
-    indexed: List[Tuple[float, int, int, MessageRecord]] = []
-    positions: Dict[Any, int] = {}
-    for records in record_lists:
-        for record in records:
-            position = positions.get(record.source, 0)
-            positions[record.source] = position + 1
-            indexed.append(
-                (record.time, source_rank.get(record.source, -1), position, record)
-            )
-    indexed.sort(key=lambda item: item[:3])
-    return [item[3] for item in indexed]
-
-
-def merge_traffic_stats(
-    stats_list: Iterable["TrafficStats"],
-    source_rank: Dict[Any, int],
-) -> "TrafficStats":
-    """Fold per-shard :class:`TrafficStats` into one merged collector."""
-    merged = TrafficStats()
-    for record in merge_traffic_records(
-        [stats.records() for stats in stats_list], source_rank
-    ):
-        merged.record(record.time, record.source, record.destination, record.size, record.kind)
-    return merged
 
 
 def cdf_points(samples: Sequence[float], points: int = 50) -> List[Tuple[float, float]]:

@@ -151,9 +151,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self._nodes)
 
-    def has_node(self, node: Any) -> bool:
-        return node in self._node_set
-
     def has_link(self, a: Any, b: Any) -> bool:
         return self._key(a, b) in self._links
 

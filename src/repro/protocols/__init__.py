@@ -5,13 +5,12 @@
 * :mod:`repro.protocols.packetforward` — data-plane packet forwarding.
 """
 
-from .mincost import MINCOST_SOURCE, link_facts, mincost_program
+from .mincost import MINCOST_SOURCE, mincost_program
 from .packetforward import PACKETFORWARD_SOURCE, packet_event, packetforward_program
 from .pathvector import PATHVECTOR_SOURCE, pathvector_program
 
 __all__ = [
     "MINCOST_SOURCE",
-    "link_facts",
     "mincost_program",
     "PACKETFORWARD_SOURCE",
     "packet_event",

@@ -10,12 +10,12 @@ The paper fixes link costs at 1, so MINCOST effectively measures hop count.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Optional
 
-from ..datalog.ast import Fact, Program, TableDecl
+from ..datalog.ast import Program, TableDecl
 from ..datalog.parser import parse_program
 
-__all__ = ["MINCOST_SOURCE", "MINCOST_BOUNDED_SOURCE", "mincost_program", "link_facts"]
+__all__ = ["MINCOST_SOURCE", "MINCOST_BOUNDED_SOURCE", "mincost_program"]
 
 MINCOST_SOURCE = """
     // MINCOST: best path cost between all pairs of nodes (Figure 1).
@@ -59,8 +59,3 @@ def mincost_program(max_cost: Optional[int] = None) -> Program:
     program.add_declaration(TableDecl("pathCost", 3))
     program.add_declaration(TableDecl("bestPathCost", 3, (0, 1)))
     return program
-
-
-def link_facts(links: Iterable[Tuple[Any, Any, int]]) -> List[Fact]:
-    """Convert ``(src, dst, cost)`` triples into ``link`` facts."""
-    return [Fact("link", (src, dst, cost)) for src, dst, cost in links]

@@ -28,7 +28,7 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-from .server import ExspanService, ServiceServer, ServiceThread, serve
+from .server import ExspanService, ServiceServer, ServiceThread
 
 __all__ = [
     "ERROR_CODES",
@@ -45,7 +45,6 @@ __all__ = [
     "ExspanService",
     "ServiceServer",
     "ServiceThread",
-    "serve",
     "build_network",
     "build_program",
     "build_topology",

@@ -52,7 +52,7 @@ from .protocol import (
     read_frame,
 )
 
-__all__ = ["ExspanService", "ServiceServer", "ServiceThread", "serve"]
+__all__ = ["ExspanService", "ServiceServer", "ServiceThread"]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -193,28 +193,6 @@ class ExspanService:
         self.network.delete_fact(self._fact(params), process=bool(params.get("process", True)))
         return self._clock()
 
-    def op_run(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        duration = params.get("duration")
-        _require(
-            isinstance(duration, (int, float)) and duration >= 0,
-            "run requires a non-negative 'duration'",
-        )
-        self.network.run_for(float(duration))
-        return self._clock()
-
-    def op_run_until_idle(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        max_events = params.get("max_events")
-        _require(
-            max_events is None or _positive_int(max_events),
-            "max_events must be a positive int",
-        )
-        executed = self.network.simulator.run_until_idle(max_events=max_events)
-        return {**self._clock(), "executed": executed}
-
-    def op_seed_links(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        inserted = self.network.seed_links()
-        return {**self._clock(), "inserted": inserted}
-
     def op_fixpoint(self, params: Dict[str, Any]) -> Dict[str, Any]:
         fixpoint_time = self.network.run_to_fixpoint()
         return {**self._clock(), "fixpoint_time": fixpoint_time}
@@ -238,9 +216,6 @@ class ExspanService:
 
     def op_metrics(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.network.metrics_snapshot()
-
-    def op_query_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return dict(self.network.query_service_stats())
 
     def op_explain(self, params: Dict[str, Any]) -> Dict[str, Any]:
         rule = params.get("rule")
@@ -488,20 +463,6 @@ class ServiceServer:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
-
-
-async def serve(
-    network: ExspanNetwork,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    ready: Optional[Callable[[Tuple[str, int]], None]] = None,
-) -> None:
-    """Serve *network* until a client sends ``shutdown`` (or cancellation)."""
-    server = ServiceServer(ExspanService(network), host=host, port=port)
-    await server.start()
-    if ready is not None:
-        ready(server.address)
-    await server.serve_until_stopped()
 
 
 class ServiceThread:

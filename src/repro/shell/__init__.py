@@ -3,7 +3,7 @@
 ``python -m repro.shell`` connects a small REPL to a running service
 (``--connect host:port``) or spins up an embedded one (``--topology``/
 ``--program``/``--mode``), then lets an operator register specs, issue
-provenance queries, mutate facts, advance simulated time, and inspect
+provenance queries, mutate facts, run to fixpoint, and inspect
 EXPLAIN output and derivation trees — all over the same wire protocol a
 programmatic client uses, so everything the shell prints is exactly what
 the service serves.
@@ -23,7 +23,7 @@ from ..core.errors import ProvenanceError
 from ..service.client import ServiceClient, ServiceError
 from ..service.protocol import FrameError
 
-__all__ = ["ExspanShell", "parse_fact", "main"]
+__all__ = ["ExspanShell", "parse_fact"]
 
 PROMPT = "exspan> "
 
@@ -32,7 +32,6 @@ Statements
   query NAME(V1,...) [with SPEC]   resolve provenance for a tuple
   insert NAME(V1,...)              insert a base fact and process it
   delete NAME(V1,...)              delete a base fact and propagate
-  run DURATION                     advance simulated time
   fixpoint                         run the protocol to fixpoint
   tuples TABLE                     list a table's rows across all nodes
 Specials
@@ -182,7 +181,6 @@ class ExspanShell:
             "query",
             "insert",
             "delete",
-            "run",
             "fixpoint",
             "tuples",
             "with",
@@ -240,13 +238,6 @@ class ExspanShell:
         elif head == "delete":
             result = self.client.call("delete", fact=parse_fact(rest))
             self._print(f"deleted; now={result['now']:.6f}")
-        elif head == "run":
-            try:
-                duration = float(rest)
-            except ValueError:
-                raise ProvenanceError(f"run needs a numeric duration, got {rest!r}") from None
-            result = self.client.call("run", duration=duration)
-            self._print(f"now={result['now']:.6f}")
         elif head == "fixpoint":
             result = self.client.call("fixpoint")
             self._print(f"fixpoint at {result['fixpoint_time']:.6f}; now={result['now']:.6f}")
@@ -416,10 +407,3 @@ class ExspanShell:
         readline.set_completer(complete)
         readline.set_completer_delims(" \t\n")
         readline.parse_and_bind("tab: complete")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point shared with ``python -m repro.shell``."""
-    from .__main__ import main as _main
-
-    return _main(argv)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.errors import ProvenanceError
 from ..service.bootstrap import build_network
@@ -60,7 +60,6 @@ def _split_commands(commands: List[str]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    embedded: Optional[ServiceThread] = None
     if args.connect:
         host, _, port_text = args.connect.rpartition(":")
         try:
@@ -68,20 +67,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError:
             print(f"bad --connect address {args.connect!r}", file=sys.stderr)
             return 2
-    else:
-        try:
-            network = build_network(
-                topology_spec=args.topology,
-                program_spec=args.program,
-                mode=args.mode,
-                seed=args.seed,
-            )
-        except ProvenanceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        embedded = ServiceThread(network)
-        address = embedded.start()
+        return _session(args, address)
+    try:
+        network = build_network(
+            topology_spec=args.topology,
+            program_spec=args.program,
+            mode=args.mode,
+            seed=args.seed,
+        )
+    except ProvenanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with ServiceThread(network) as embedded:
+        return _session(args, embedded.address)
 
+
+def _session(args: argparse.Namespace, address: Tuple[str, int]) -> int:
     scripted = args.command is not None or not sys.stdin.isatty()
     try:
         with ServiceClient(*address) as client:
@@ -97,11 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConnectionError, FrameError) as exc:
         print(f"connection failed: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if embedded is not None:
-            embedded.stop()
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

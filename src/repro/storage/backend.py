@@ -126,25 +126,9 @@ class StorageBackend:
         """Drain the write-behind journal; return the operation count."""
         return 0
 
-    def record(self, address: Any, action: str, name: str, values: Any) -> None:
-        """Record one visibility transition outside the listener path.
-
-        Checkpoint restore uses this: rows loaded at the storage layer
-        bypass the engine's update listeners, so the restorer replays them
-        into the backend explicitly.  No-op for memory-resident backends.
-        """
-
     # ------------------------------------------------------------------ #
     # lookups shared by both backends (served from the attached stores)
     # ------------------------------------------------------------------ #
-    def fact_for_vid(self, vid: str) -> Optional[Any]:
-        """Resolve *vid* through the attached nodes' VID indexes."""
-        for _, store in self.nodes.values():
-            fact = store.fact_for_vid(vid)
-            if fact is not None:
-                return fact
-        return None
-
     def row_count(self) -> int:
         """Total materialized rows across every attached catalog."""
         return sum(engine.catalog.total_rows() for engine, _ in self.nodes.values())

@@ -168,25 +168,6 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     return payload
 
 
-def _decode_annotation_into(policy: Any, encoded: Dict[str, Any]) -> Any:
-    """Decode an annotation *into the node's live policy* where it matters.
-
-    BDD annotations must be re-interned in the network's shared manager
-    (``decode_annotation`` would build a private throwaway manager, whose
-    nodes could never merge with newly derived annotations); everything
-    else round-trips through the generic decoder.
-    """
-    from ..core.bdd import import_bdd
-    from ..core.requests import decode_annotation
-
-    if encoded.get("kind") == "bdd" and policy is not None:
-        manager = getattr(policy, "manager", None)
-        if manager is not None:
-            nodes = tuple(tuple(node) for node in encoded["nodes"])
-            return import_bdd(manager, (encoded["root"], nodes))
-    return decode_annotation(encoded)
-
-
 def _load_node(node: Any, snapshot: Dict[str, Any], backend: Any) -> None:
     engine = node.engine
     address = node.address
@@ -197,10 +178,12 @@ def _load_node(node: Any, snapshot: Dict[str, Any], backend: Any) -> None:
             frozen = freeze_value(row)  # JSON list -> hashable tuple, once
             table.load_row(frozen, count)
             if replay:
-                # Seed the write-behind mirror: storage-level loads bypass
-                # the engine listeners, so the backend journal must see the
-                # restored visible set explicitly (it keeps the row as is).
+                # Seed the write-behind mirror (a persistent backend's
+                # ``record``): storage-level loads bypass the engine
+                # listeners, so the backend journal must see the restored
+                # visible set explicitly (it keeps the row as is).
                 backend.record(address, "insert", name, frozen)
+    from ..core.requests import decode_annotation
     from ..datalog.aggregates import AggregateState
 
     def _shallow(values: Any) -> Any:
@@ -222,10 +205,10 @@ def _load_node(node: Any, snapshot: Dict[str, Any], backend: Any) -> None:
             if emitted is not None:
                 compiled.emitted[key] = _shallow(emitted)
     engine._rebuild_support()
-    policy = engine.annotation_policy
+    manager = getattr(engine.annotation_policy, "manager", None)
     for name, values, encoded in snapshot["annotations"]:
         key = (name, freeze_value(tuple(values)))
-        engine._annotations[key] = _decode_annotation_into(policy, encoded)
+        engine._annotations[key] = decode_annotation(encoded, manager)
     for key, value in snapshot["stats"].items():
         engine.stats[key] = value
 
@@ -270,8 +253,7 @@ def restore_network(
     for address, node in network.nodes.items():
         snapshot = payload["nodes"][_address_key(address)]
         _load_node(node, snapshot, backend)
-    if backend.persistent:
-        backend.flush()
+    backend.flush()
     backend.counters["restores"] += 1
     # The queue is empty (the checkpoint was quiesced), so run(until=...)
     # would return without touching the clock; set it directly along with

@@ -240,12 +240,6 @@ class Table:
         self._rows[row] = 1
         self.delete(row)
 
-    def clear(self) -> None:
-        self._rows.clear()
-        self._by_key.clear()
-        self._indexes.clear()
-        self._index_list.clear()
-
     # ------------------------------------------------------------------ #
     # restore
     # ------------------------------------------------------------------ #
@@ -317,10 +311,6 @@ class Table:
             except TypeError:
                 pass
         return self._find(values)[1] is not None
-
-    def count(self, values: Sequence[Any]) -> int:
-        """Return the derivation count for *values* (0 if absent)."""
-        return self._find(values)[1] or 0
 
     def rows(self) -> List[Tuple[Any, ...]]:
         """The distinct rows in insertion order (ignoring derivation counts)."""
@@ -456,12 +446,6 @@ class Catalog:
 
     def total_rows(self) -> int:
         return sum(len(table) for table in self._tables.values())
-
-    def __getitem__(self, name: str) -> Table:
-        return self.table(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables
 
 
 class MemoryBackend(StorageBackend):

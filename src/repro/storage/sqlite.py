@@ -192,6 +192,12 @@ class SqliteBackend(StorageBackend):
         engine.add_update_listener(_observe)
 
     def record(self, address: Any, action: str, name: str, values: Any) -> None:
+        """Journal one visibility transition outside the listener path.
+
+        Checkpoint restore uses this: rows loaded at the storage layer
+        bypass the engine's update listeners, so the restorer replays them
+        into the journal explicitly.
+        """
         if not isinstance(values, tuple):
             values = tuple(values)
         try:

@@ -141,3 +141,35 @@ def test_crash_recovery_matches_uninterrupted_run(tmp_path, protocol, hashseeds)
     assert uninterrupted.returncode == 0, uninterrupted.stderr
 
     assert json.loads(restored.stdout) == json.loads(uninterrupted.stdout)
+
+
+@pytest.mark.parametrize("value_policy", ["bdd", "polynomial"])
+def test_value_checkpoint_restores_every_node_state(tmp_path, value_policy):
+    """VALUE annotations survive a checkpoint: every node's state equals the
+    original's after the restore, and again after both cut the same link
+    (a BDD restored outside the live manager could not combine with the
+    annotations derived after it)."""
+    from repro.core.api import ExspanNetwork
+    from repro.core.config import ExspanConfig
+    from repro.core.modes import ProvenanceMode
+    from repro.net.topology import ring_topology
+    from repro.protocols.mincost import mincost_program
+    from repro.storage.checkpoint import node_state
+
+    config = ExspanConfig(mode=ProvenanceMode.VALUE, seed=0, value_policy=value_policy)
+    original = ExspanNetwork(ring_topology(6, seed=4), mincost_program(), config=config)
+    original.seed_links()
+    original.run_to_fixpoint()
+    path = str(tmp_path / "value.ckpt")
+    original.checkpoint(path)
+    restored = ExspanNetwork.restore(path, ring_topology(6, seed=4), mincost_program())
+
+    def states(network):
+        return {address: node_state(network.node(address).engine) for address in network.nodes}
+
+    assert states(restored) == states(original)
+    assert any(state["annotations"] for state in states(restored).values())
+    for network in (original, restored):
+        network.remove_link("n0", "n1")
+        network.run_to_fixpoint()
+    assert states(restored) == states(original)

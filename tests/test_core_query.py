@@ -18,8 +18,6 @@ from repro.core import (
     count_derivations,
     derivability_query,
     derivation_count_query,
-    domain_projection,
-    node_set,
     node_set_query,
     polynomial_query,
     tuple_vid,
@@ -157,8 +155,7 @@ class TestOtherCustomizations:
 
     def test_domain_projection_filters_rule_locations(self, figure3_network):
         # restrict traversal to rule executions at node a only
-        projection = domain_projection(["a"], domain_of=lambda node: str(node))
-        spec = polynomial_query(name="proj", node_filter=projection)
+        spec = polynomial_query(name="proj", node_filter=lambda node: node == "a")
         outcome = figure3_network.execute(QueryRequest(BEST_AC, spec))
         # the sp2@b derivation is projected away, leaving the direct one
         assert count_derivations(outcome.result) == 1

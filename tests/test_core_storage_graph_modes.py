@@ -23,9 +23,11 @@ from repro.core import (
     tuple_vid,
 )
 from repro.core.modes import CENTRAL_PROV_TABLE, CENTRAL_RULE_EXEC_TABLE
+from repro.core.rewrite import PROV_TABLE
 from repro.core.provenance_store import ProvEntry, RuleExecEntry
 from repro.datalog import Fact, StandaloneNetwork, parse_program
 from repro.protocols import mincost_program
+from helpers import delete, table_rows
 
 
 @pytest.fixture
@@ -53,16 +55,17 @@ class TestProvenanceStore:
         store = ProvenanceStore(rewritten_network.engine("a"))
         vid = tuple_vid("link", ("a", "b", 3))
         assert store.fact_for_vid(vid) is not None
-        rewritten_network.delete(Fact("link", ("a", "b", 3)))
+        delete(rewritten_network, Fact("link", ("a", "b", 3)))
         rewritten_network.run()
         assert store.fact_for_vid(vid) is None
 
     def test_derivation_count(self, rewritten_network):
         store = ProvenanceStore(rewritten_network.engine("a"))
         vid = tuple_vid("pathCost", ("a", "c", 5))
-        assert store.derivation_count(vid) == 2
-        assert not store.is_base(vid)
-        assert store.is_base(tuple_vid("link", ("a", "c", 5)))
+        assert len(store.probe(PROV_TABLE, vid)) == 2
+        assert all(row[2] is not None for row in store.probe(PROV_TABLE, vid))
+        base = tuple_vid("link", ("a", "c", 5))
+        assert any(row[2] is None for row in store.probe(PROV_TABLE, base))
 
     def test_rule_exec_missing_returns_none(self, rewritten_network):
         store = ProvenanceStore(rewritten_network.engine("a"))
@@ -107,7 +110,7 @@ class TestProvenanceGraph:
     def test_base_vids(self, rewritten_network):
         stores = [ProvenanceStore(rewritten_network.engine(n)) for n in FIGURE3_NODES]
         graph = build_global_graph(stores)
-        assert tuple_vid("link", ("a", "b", 3)) in graph.base_vids()
+        assert graph.tuples[tuple_vid("link", ("a", "b", 3))].is_base
 
     def test_cycle_detection(self):
         graph = ProvenanceGraph()
@@ -142,9 +145,6 @@ class TestGranularity:
             Granularity.TRUST_DOMAIN, domain_of=lambda node: "domainX"
         )
         assert spec.leaf_label(None, "vid", "anything") == "domainX"
-
-    def test_describe(self):
-        assert GranularitySpec(Granularity.NODE).describe() == "node"
 
     def test_prefix_domain_map_custom_separator(self):
         mapper = prefix_domain_map(separator="-")
@@ -204,7 +204,7 @@ class TestModes:
         insert_symmetric_links(network)
         network.run()
         hub_engine = network.engine("a")
-        central_rows = hub_engine.table_rows(CENTRAL_PROV_TABLE)
+        central_rows = table_rows(hub_engine, CENTRAL_PROV_TABLE)
         assert len(central_rows) > 0
         # entries from remote nodes are present at the hub
         assert any(row[1] != "a" for row in central_rows)

@@ -7,11 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     EMPTY,
-    absorb,
     count_derivations,
     fact_vid,
-    is_derivable,
-    node_set,
     product_of,
     rule_rid,
     sum_of,
@@ -155,8 +152,7 @@ class TestPolynomialConstruction:
         alpha, beta, gamma = var("alpha"), var("beta"), var("gamma")
         expression = sum_of([alpha, product_of([beta, gamma], rule="sp2", location="b")])
         assert count_derivations(expression) == 2
-        assert node_set(expression) == frozenset({"alpha", "beta", "gamma"})
-        assert is_derivable(expression)
+        assert set(expression.literals()) == {"alpha", "beta", "gamma"}
 
     def test_sum_flattens_and_drops_empty(self):
         expression = sum_of([var("a"), sum_of([var("b"), var("c")]), EMPTY])
@@ -174,18 +170,9 @@ class TestPolynomialConstruction:
         assert sum_of([]) is EMPTY
         assert product_of([]) is EMPTY
 
-    def test_operator_overloads(self):
-        expression = var("a") + var("b") * var("c")
-        assert count_derivations(expression) == 2
-
     def test_string_rendering_includes_rule_annotations(self):
         expression = product_of([var("b"), var("g")], rule="sp2", location="b")
         assert "<sp2@b>" in str(expression)
-
-    def test_depth(self):
-        assert var("x").depth() == 1
-        assert (var("x") + var("y")).depth() == 2
-        assert EMPTY.depth() == 0
 
     def test_wire_size_grows_with_content(self):
         small = var("a")
@@ -199,17 +186,6 @@ class TestSemiringEvaluations:
         expression = product_of([sum_of([var("a"), var("b")]), sum_of([var("c"), var("d")])])
         assert count_derivations(expression) == 4
 
-    def test_derivability_with_trusted_set(self):
-        expression = sum_of([var("a"), product_of([var("b"), var("c")])])
-        assert is_derivable(expression, trusted={"a"})
-        assert is_derivable(expression, trusted={"b", "c"})
-        assert not is_derivable(expression, trusted={"b"})
-        assert not is_derivable(EMPTY)
-
-    def test_node_set_collects_all_literals(self):
-        expression = product_of([var("n1"), sum_of([var("n2"), var("n1")])])
-        assert node_set(expression) == frozenset({"n1", "n2"})
-
     def test_empty_has_zero_derivations(self):
         assert count_derivations(EMPTY) == 0
 
@@ -218,24 +194,17 @@ class TestAbsorption:
     def test_paper_example_a_plus_ab_absorbs_to_a(self):
         # a * (a + b) = a  (Section 6.3)
         expression = product_of([var("a"), sum_of([var("a"), var("b")])])
-        assert absorb(expression) == frozenset({frozenset({"a"})})
+        assert expression.to_dnf() == frozenset({frozenset({"a"})})
 
     def test_absorption_keeps_incomparable_products(self):
         expression = sum_of([product_of([var("a"), var("b")]), product_of([var("c"), var("d")])])
-        assert absorb(expression) == frozenset(
+        assert expression.to_dnf() == frozenset(
             {frozenset({"a", "b"}), frozenset({"c", "d"})}
         )
 
     def test_absorption_removes_supersets(self):
         expression = sum_of([var("a"), product_of([var("a"), var("b")])])
-        assert absorb(expression) == frozenset({frozenset({"a"})})
-
-    def test_absorbed_form_preserves_derivability(self):
-        expression = product_of([var("a"), sum_of([var("a"), var("b")])])
-        dnf = absorb(expression)
-        # trusting only 'a' still derives the tuple in both representations
-        assert is_derivable(expression, trusted={"a"})
-        assert any(product <= {"a"} for product in dnf)
+        assert expression.to_dnf() == frozenset({frozenset({"a"})})
 
 
 # strategy for random provenance expressions over a small literal alphabet
@@ -264,13 +233,6 @@ class TestPolynomialProperties:
         literals = set(expression.literals())
         for product in expression.to_dnf():
             assert set(product) <= literals
-
-    @given(_expressions(), st.sets(_literals, max_size=5))
-    def test_dnf_equivalent_to_expression_for_derivability(self, expression, trusted):
-        """Absorption is lossless for derivability tests (Section 6.3)."""
-        via_expression = is_derivable(expression, trusted=trusted)
-        via_dnf = any(product <= trusted for product in expression.to_dnf())
-        assert via_expression == via_dnf
 
     @given(_expressions())
     def test_dnf_is_antichain(self, expression):

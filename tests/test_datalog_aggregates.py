@@ -17,7 +17,7 @@ class TestBasics:
     @pytest.mark.parametrize("func", SUPPORTED_AGGREGATES)
     def test_empty_state(self, func):
         state = AggregateState(func)
-        assert state.is_empty
+        assert state._count == 0
         assert len(state) == 0
 
     def test_min_incremental(self):
@@ -82,10 +82,10 @@ class TestBasics:
         state.insert(2)
         state.insert(2)
         state.delete(2)
-        assert not state.is_empty
+        assert state._count
         assert state.current() == 2
         state.delete(2)
-        assert state.is_empty
+        assert state._count == 0
 
     def test_current_on_empty_min_raises(self):
         with pytest.raises(EvaluationError):
@@ -105,7 +105,7 @@ class TestBasics:
         state = AggregateState("agglist")
         state.insert(["x", "y"])
         state.delete(["x", "y"])
-        assert state.is_empty
+        assert state._count == 0
 
 
 class TestPropertyBased:
@@ -152,7 +152,7 @@ class TestPropertyBased:
         if remaining:
             assert state.current() == min(remaining)
         else:
-            assert state.is_empty
+            assert state._count == 0
 
     @given(st.lists(st.integers(0, 10), max_size=30))
     def test_interleaved_insert_delete_never_negative_count(self, values):
@@ -162,4 +162,4 @@ class TestPropertyBased:
             state.delete(value)
             state.delete(value)  # extra delete must be ignored
         assert state.current() == 0
-        assert state.is_empty
+        assert state._count == 0

@@ -9,6 +9,8 @@ from repro.datalog.ast import TableDecl
 from repro.storage.memory import Catalog, Table, freeze_value
 from repro.datalog.errors import SchemaError
 
+from helpers import derivations
+
 
 class TestTableBasics:
     def test_insert_and_contains(self):
@@ -22,7 +24,7 @@ class TestTableBasics:
         table = Table("pathCost")
         assert table.insert(("a", "c", 5)).became_visible
         assert not table.insert(("a", "c", 5)).became_visible
-        assert table.count(("a", "c", 5)) == 2
+        assert derivations(table, ("a", "c", 5)) == 2
         assert len(table) == 1
 
     def test_delete_decrements_until_invisible(self):
@@ -73,7 +75,7 @@ class TestTableBasics:
         # the outside spelling and the stored spelling name the same row
         assert ("a", {"x", "y"}, ["p", ["q"]]) in table
         assert not table.insert(["a", ("x", "y"), ("p", ("q",))]).became_visible
-        assert table.count(("a", {"x", "y"}, ["p", ["q"]])) == 2
+        assert derivations(table, ("a", {"x", "y"}, ["p", ["q"]])) == 2
         table.delete(("a", {"x", "y"}, ["p", ["q"]]))
         assert table.delete(("a", ("x", "y"), ("p", ("q",)))).became_invisible
         assert len(table) == 0
@@ -92,13 +94,6 @@ class TestTableBasics:
         assert freeze_value(("a", ["b", ["c"]])) == ("a", ("b", ("c",)))
         assert freeze_value(("a", ("b", {"y", "x"}))) == ("a", ("b", ("x", "y")))
         hash(freeze_value(("a", ["b", {"x"}])))
-
-    def test_clear(self):
-        table = Table("link")
-        table.insert(("a", "b", 1))
-        table.clear()
-        assert len(table) == 0
-
 
 class TestPrimaryKeys:
     def test_key_update_replaces_row(self):
@@ -176,7 +171,7 @@ class TestCatalog:
         catalog = Catalog()
         table = catalog.table("link", 3)
         assert catalog.has_table("link")
-        assert catalog["link"] is table
+        assert catalog.table("link") is table
 
     def test_declared_tables_respect_keys(self):
         catalog = Catalog([TableDecl("bestHop", 3, (0, 1))])
@@ -190,7 +185,7 @@ class TestCatalog:
         catalog.table("b").insert((3, 4))
         assert catalog.total_rows() == 3
         assert catalog.names() == ["a", "b"]
-        assert "a" in catalog
+        assert catalog.has_table("a")
 
 
 class TestPropertyBased:
@@ -205,7 +200,7 @@ class TestPropertyBased:
             table.insert(row)
             reference[row] += 1
         for row, count in reference.items():
-            assert table.count(row) == count
+            assert derivations(table, row) == count
         assert len(table) == len(reference)
 
     @given(

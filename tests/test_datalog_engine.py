@@ -15,6 +15,7 @@ from repro.datalog import (
 )
 from repro.datalog.engine import REFRESH
 from repro.datalog.errors import EvaluationError
+from helpers import annotation_of, has_fact, table_rows
 
 from oracle import ENGINES
 
@@ -31,7 +32,7 @@ class TestLocalDerivation:
         engine = single_node_engine("r1 reach(@S,D) :- link(@S,D,C).")
         engine.insert(Fact("link", ("n", "m", 1)))
         engine.run()
-        assert engine.has_fact("reach", ("n", "m"))
+        assert has_fact(engine, "reach", ("n", "m"))
 
     def test_join_two_relations(self):
         engine = single_node_engine(
@@ -40,7 +41,7 @@ class TestLocalDerivation:
         engine.insert(Fact("link", ("n", "z", 1)))
         engine.insert(Fact("hop", ("n", "z", "d")))
         engine.run()
-        assert engine.has_fact("twoHop", ("n", "d"))
+        assert has_fact(engine, "twoHop", ("n", "d"))
 
     def test_join_order_independent(self):
         engine = single_node_engine(
@@ -49,15 +50,15 @@ class TestLocalDerivation:
         engine.insert(Fact("hop", ("n", "z", "d")))
         engine.insert(Fact("link", ("n", "z", 1)))
         engine.run()
-        assert engine.has_fact("twoHop", ("n", "d"))
+        assert has_fact(engine, "twoHop", ("n", "d"))
 
     def test_condition_filters(self):
         engine = single_node_engine("r1 cheap(@S,D) :- link(@S,D,C), C<3.")
         engine.insert(Fact("link", ("n", "a", 5)))
         engine.insert(Fact("link", ("n", "b", 1)))
         engine.run()
-        assert not engine.has_fact("cheap", ("n", "a"))
-        assert engine.has_fact("cheap", ("n", "b"))
+        assert not has_fact(engine, "cheap", ("n", "a"))
+        assert has_fact(engine, "cheap", ("n", "b"))
 
     def test_assignment_computes_head_value(self):
         engine = single_node_engine(
@@ -66,33 +67,33 @@ class TestLocalDerivation:
         engine.insert(Fact("link", ("n", "d", 3)))
         engine.insert(Fact("other", ("n", "d", 4)))
         engine.run()
-        assert engine.has_fact("total", ("n", 7))
+        assert has_fact(engine, "total", ("n", 7))
 
     def test_expression_in_head(self):
         engine = single_node_engine("r1 double(@S,C*2) :- link(@S,D,C).")
         engine.insert(Fact("link", ("n", "d", 3)))
         engine.run()
-        assert engine.has_fact("double", ("n", 6))
+        assert has_fact(engine, "double", ("n", 6))
 
     def test_constant_in_body_atom_filters(self):
         engine = single_node_engine('r1 toA(@S) :- link(@S,"a",C).')
         engine.insert(Fact("link", ("n", "a", 1)))
         engine.insert(Fact("link", ("n", "b", 1)))
         engine.run()
-        assert len(engine.table_rows("toA")) == 1
+        assert len(table_rows(engine, "toA")) == 1
 
     def test_wildcard_argument_matches_anything(self):
         engine = single_node_engine("r1 hasLink(@S) :- link(@S,_,_).")
         engine.insert(Fact("link", ("n", "a", 1)))
         engine.run()
-        assert engine.has_fact("hasLink", ("n",))
+        assert has_fact(engine, "hasLink", ("n",))
 
     def test_repeated_variable_in_atom_requires_equality(self):
         engine = single_node_engine("r1 selfLoop(@S) :- link(@S,S,C).")
         engine.insert(Fact("link", ("n", "m", 1)))
         engine.insert(Fact("link", ("n", "n", 1)))
         engine.run()
-        assert engine.table_rows("selfLoop") == [("n",)]
+        assert table_rows(engine, "selfLoop") == [("n",)]
 
     def test_unknown_function_in_rule_raises(self):
         engine = single_node_engine("r1 out(@S,V) :- link(@S,D,C), V=f_bogus(C).")
@@ -108,7 +109,7 @@ class TestEvents:
         )
         engine.insert(Fact("ePing", ("n", "hello")))
         engine.run()
-        assert engine.has_fact("seen", ("n", "hello"))
+        assert has_fact(engine, "seen", ("n", "hello"))
         assert len(engine.catalog.table("ePing")) == 0
 
     def test_event_chain(self):
@@ -120,7 +121,7 @@ class TestEvents:
         )
         engine.insert(Fact("eFirst", ("n", 1)))
         engine.run()
-        assert engine.has_fact("result", ("n", 1))
+        assert has_fact(engine, "result", ("n", 1))
 
     def test_event_deletion_delta_cascades(self):
         engine = single_node_engine(
@@ -131,10 +132,10 @@ class TestEvents:
         )
         engine.insert(Fact("base", ("n", 1)))
         engine.run()
-        assert engine.has_fact("derived", ("n", 1))
+        assert has_fact(engine, "derived", ("n", 1))
         engine.delete(Fact("base", ("n", 1)))
         engine.run()
-        assert not engine.has_fact("derived", ("n", 1))
+        assert not has_fact(engine, "derived", ("n", 1))
 
 
 class TestDeletionCascades:
@@ -144,7 +145,7 @@ class TestDeletionCascades:
         engine.run()
         engine.delete(Fact("link", ("n", "m", 1)))
         engine.run()
-        assert not engine.has_fact("reach", ("n", "m"))
+        assert not has_fact(engine, "reach", ("n", "m"))
 
     def test_tuple_with_two_derivations_survives_one_deletion(self):
         engine = single_node_engine(
@@ -158,10 +159,10 @@ class TestDeletionCascades:
         engine.run()
         engine.delete(Fact("red", ("n", "m")))
         engine.run()
-        assert engine.has_fact("reach", ("n", "m"))
+        assert has_fact(engine, "reach", ("n", "m"))
         engine.delete(Fact("blue", ("n", "m")))
         engine.run()
-        assert not engine.has_fact("reach", ("n", "m"))
+        assert not has_fact(engine, "reach", ("n", "m"))
 
     def test_transitive_cascade(self):
         engine = single_node_engine(
@@ -174,8 +175,8 @@ class TestDeletionCascades:
         engine.run()
         engine.delete(Fact("base", ("n", "x")))
         engine.run()
-        assert not engine.has_fact("mid", ("n", "x"))
-        assert not engine.has_fact("top", ("n", "x"))
+        assert not has_fact(engine, "mid", ("n", "x"))
+        assert not has_fact(engine, "top", ("n", "x"))
 
 
 class TestAggregates:
@@ -187,11 +188,11 @@ class TestAggregates:
         engine = single_node_engine(self.MIN_PROGRAM)
         engine.insert(Fact("pathCost", ("n", "d", 5)))
         engine.run()
-        assert engine.has_fact("best", ("n", "d", 5))
+        assert has_fact(engine, "best", ("n", "d", 5))
         engine.insert(Fact("pathCost", ("n", "d", 3)))
         engine.run()
-        assert engine.has_fact("best", ("n", "d", 3))
-        assert not engine.has_fact("best", ("n", "d", 5))
+        assert has_fact(engine, "best", ("n", "d", 3))
+        assert not has_fact(engine, "best", ("n", "d", 5))
 
     def test_min_aggregate_recovers_after_delete(self):
         engine = single_node_engine(self.MIN_PROGRAM)
@@ -200,7 +201,7 @@ class TestAggregates:
         engine.run()
         engine.delete(Fact("pathCost", ("n", "d", 3)))
         engine.run()
-        assert engine.has_fact("best", ("n", "d", 5))
+        assert has_fact(engine, "best", ("n", "d", 5))
 
     def test_min_aggregate_group_disappears_when_empty(self):
         engine = single_node_engine(self.MIN_PROGRAM)
@@ -208,25 +209,25 @@ class TestAggregates:
         engine.run()
         engine.delete(Fact("pathCost", ("n", "d", 5)))
         engine.run()
-        assert engine.table_rows("best") == []
+        assert table_rows(engine, "best") == []
 
     def test_separate_groups_are_independent(self):
         engine = single_node_engine(self.MIN_PROGRAM)
         engine.insert(Fact("pathCost", ("n", "d", 5)))
         engine.insert(Fact("pathCost", ("n", "e", 2)))
         engine.run()
-        assert engine.has_fact("best", ("n", "d", 5))
-        assert engine.has_fact("best", ("n", "e", 2))
+        assert has_fact(engine, "best", ("n", "d", 5))
+        assert has_fact(engine, "best", ("n", "e", 2))
 
     def test_count_star_aggregate(self):
         engine = single_node_engine("c1 numChild(@X,V,count<*>) :- prov(@X,V,R).")
         engine.insert(Fact("prov", ("n", "v1", "r1")))
         engine.insert(Fact("prov", ("n", "v1", "r2")))
         engine.run()
-        assert engine.has_fact("numChild", ("n", "v1", 2))
+        assert has_fact(engine, "numChild", ("n", "v1", 2))
         engine.delete(Fact("prov", ("n", "v1", "r2")))
         engine.run()
-        assert engine.has_fact("numChild", ("n", "v1", 1))
+        assert has_fact(engine, "numChild", ("n", "v1", 1))
 
     def test_agglist_aggregate_collects_pairs(self):
         engine = single_node_engine(
@@ -235,7 +236,7 @@ class TestAggregates:
         engine.insert(Fact("prov", ("n", "v1", "r1", "a")))
         engine.insert(Fact("prov", ("n", "v1", "r2", "b")))
         engine.run()
-        rows = engine.table_rows("pQList")
+        rows = table_rows(engine, "pQList")
         assert len(rows) == 1
         collected = rows[0][2]
         assert sorted(collected) == [("r1", "a"), ("r2", "b")]
@@ -252,10 +253,10 @@ class TestAggregates:
         engine.insert(Fact("red", ("n", "d", 4)))
         engine.insert(Fact("blue", ("n", "d", 4)))
         engine.run()
-        assert engine.table_rows("best") == [("n", "d", 4)]
+        assert table_rows(engine, "best") == [("n", "d", 4)]
         engine.delete(Fact("red", ("n", "d", 4)))
         engine.run()
-        assert engine.table_rows("best") == [("n", "d", 4)]
+        assert table_rows(engine, "best") == [("n", "d", 4)]
 
 
 class TestRemoteEmission:
@@ -287,7 +288,7 @@ class TestRemoteEmission:
         engine.insert(Fact("link", ("a", "b", 1)))
         engine.run()
         assert sent == []
-        assert engine.has_fact("reach", ("a", "b"))
+        assert has_fact(engine, "reach", ("a", "b"))
 
 
 class TestListeners:
@@ -337,7 +338,7 @@ class TestAnnotations:
         engine.insert(Fact("left", ("n", 1)))
         engine.insert(Fact("right", ("n", 2)))
         engine.run()
-        annotation = engine.annotation_of(Fact("pair", ("n", 1, 2)))
+        annotation = annotation_of(engine, Fact("pair", ("n", 1, 2)))
         assert len(annotation) == 2
 
     def test_alternative_derivations_merge_annotations(self):
@@ -354,7 +355,7 @@ class TestAnnotations:
         engine.insert(Fact("red", ("n", "m")))
         engine.insert(Fact("blue", ("n", "m")))
         engine.run()
-        annotation = engine.annotation_of(Fact("reach", ("n", "m")))
+        annotation = annotation_of(engine, Fact("reach", ("n", "m")))
         assert len(annotation) == 2
 
     def test_refresh_propagates_annotation_change_downstream(self):
@@ -371,10 +372,10 @@ class TestAnnotations:
         )
         engine.insert(Fact("red", ("n", "m")))
         engine.run()
-        assert len(engine.annotation_of(Fact("top", ("n", "m")))) == 1
+        assert len(annotation_of(engine, Fact("top", ("n", "m")))) == 1
         engine.insert(Fact("blue", ("n", "m")))
         engine.run()
-        assert len(engine.annotation_of(Fact("top", ("n", "m")))) == 2
+        assert len(annotation_of(engine, Fact("top", ("n", "m")))) == 2
 
     def test_annotation_cleared_on_delete(self):
         engine = NDlogEngine(
@@ -386,7 +387,7 @@ class TestAnnotations:
         engine.run()
         engine.delete(Fact("red", ("n", "m")))
         engine.run()
-        assert engine.annotation_of(Fact("reach", ("n", "m"))) is None
+        assert annotation_of(engine, Fact("reach", ("n", "m"))) is None
 
 
 class TestRefreshRacesAheadOfInsert:
@@ -409,7 +410,7 @@ class TestRefreshRacesAheadOfInsert:
         seen = []
         engine.add_update_listener(
             lambda action, fact: seen.append(
-                (action, fact.name, engine.annotation_of(fact))
+                (action, fact.name, annotation_of(engine, fact))
             )
         )
         fact = Fact("red", ("n", "m"))
@@ -423,28 +424,23 @@ class TestRefreshRacesAheadOfInsert:
         # old behaviour surfaced "from-insert" first.
         visible = [entry for entry in seen if entry[:2] == (INSERT, "red")]
         assert visible and visible[0][2] == frozenset({"from-refresh"})
-        assert engine.annotation_of(fact) == frozenset(
+        assert annotation_of(engine, fact) == frozenset(
             {"from-refresh", "from-insert"}
         )
-        assert engine.has_fact("red", ("n", "m"))
+        assert has_fact(engine, "red", ("n", "m"))
 
     @pytest.mark.parametrize("engine_class", ENGINES.values(), ids=ENGINES)
     def test_refresh_without_policy_or_annotation_is_ignored(self, engine_class):
         engine = engine_class("n", parse_program("r1 reach(@S,D) :- red(@S,D)."))
         engine.enqueue(Delta(REFRESH, Fact("red", ("n", "m")), None))
         engine.run()
-        assert not engine.has_fact("red", ("n", "m"))
+        assert not has_fact(engine, "red", ("n", "m"))
 
 
 class TestDeltaValidation:
     def test_invalid_action_rejected(self):
         with pytest.raises(ValueError):
             Delta("upsert", Fact("x", (1,)))
-
-    def test_refresh_delta_flags(self):
-        delta = Delta(REFRESH, Fact("x", (1,)))
-        assert delta.is_refresh
-        assert not delta.is_insert
 
     def test_engine_stats_track_processing(self):
         engine = single_node_engine("r1 reach(@S,D) :- link(@S,D,C).")

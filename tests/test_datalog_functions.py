@@ -47,22 +47,6 @@ class TestListFunctions:
     def test_f_append_builds_list(self):
         assert REGISTRY.call("f_append", ["x", "y"]) == ("x", "y")
 
-    def test_f_empty(self):
-        assert REGISTRY.call("f_empty", []) == ()
-
-    def test_f_empty_rejects_arguments(self):
-        with pytest.raises(EvaluationError):
-            REGISTRY.call("f_empty", [1])
-
-    def test_f_size(self):
-        assert REGISTRY.call("f_size", [[1, 2, 3]]) == 3
-        assert REGISTRY.call("f_size", ["abcd"]) == 4
-        assert REGISTRY.call("f_size", [None]) == 0
-
-    def test_f_size_requires_one_argument(self):
-        with pytest.raises(EvaluationError):
-            REGISTRY.call("f_size", [[1], [2]])
-
     def test_f_item_default_and_indexed(self):
         assert REGISTRY.call("f_item", [["a", "b", "c"]]) == "a"
         assert REGISTRY.call("f_item", [["a", "b", "c"], 1]) == "b"
@@ -77,57 +61,15 @@ class TestListFunctions:
         assert REGISTRY.call("f_member", [["a", "b"], "z"]) is False
         assert REGISTRY.call("f_member", [None, "z"]) is False
 
-    def test_f_first_and_last(self):
-        assert REGISTRY.call("f_first", [["a", "b"]]) == "a"
-        assert REGISTRY.call("f_last", [["a", "b"]]) == "b"
-
     def test_works_with_tuples_from_table_storage(self):
-        assert REGISTRY.call("f_size", [("a", "b")]) == 2
+        assert REGISTRY.call("f_item", [("a", "b"), 1]) == "b"
         assert REGISTRY.call("f_member", [("a", "b"), "b"]) is True
-
-
-class TestScalarHelpers:
-    def test_f_min_max(self):
-        assert REGISTRY.call("f_min", [3, 1, 2]) == 1
-        assert REGISTRY.call("f_max", [3, 1, 2]) == 3
-
-    def test_f_min_requires_arguments(self):
-        with pytest.raises(EvaluationError):
-            REGISTRY.call("f_min", [])
-
-    def test_f_tostr(self):
-        assert REGISTRY.call("f_tostr", [5]) == "5"
-        assert REGISTRY.call("f_tostr", [5.0]) == "5"
 
 
 class TestRegistry:
     def test_unknown_function_raises(self):
         with pytest.raises(UnknownFunctionError):
             REGISTRY.call("f_missing", [])
-
-    def test_register_and_call_custom_function(self):
-        registry = default_registry()
-        registry.register("f_double", lambda args: args[0] * 2)
-        assert registry.call("f_double", [21]) == 42
-        assert "f_double" in registry
-
-    def test_unregister(self):
-        registry = default_registry()
-        registry.register("f_tmp", lambda args: 1)
-        registry.unregister("f_tmp")
-        assert "f_tmp" not in registry
-
-    def test_copy_is_independent(self):
-        registry = default_registry()
-        clone = registry.copy()
-        clone.register("f_only_in_clone", lambda args: 1)
-        assert "f_only_in_clone" not in registry
-        assert "f_only_in_clone" in clone
-
-    def test_names_sorted(self):
-        names = list(REGISTRY.names())
-        assert names == sorted(names)
-        assert "f_sha1" in names
 
     def test_empty_registry(self):
         registry = FunctionRegistry()

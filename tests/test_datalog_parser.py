@@ -6,7 +6,7 @@ import pytest
 
 from repro.datalog.ast import Assignment, Atom, Condition, Fact, Rule
 from repro.datalog.errors import ParseError
-from repro.datalog.parser import parse_program, parse_rule, parse_term, tokenize
+from repro.datalog.parser import parse_program, tokenize
 from repro.datalog.terms import (
     AggregateSpec,
     BinaryOp,
@@ -15,6 +15,21 @@ from repro.datalog.terms import (
     Variable,
 )
 from repro.protocols import MINCOST_SOURCE, PACKETFORWARD_SOURCE, PATHVECTOR_SOURCE
+
+from helpers import parse_rule
+
+
+def parse_term(source: str):
+    """*source* parsed as the right-hand side of an assignment."""
+    return parse_rule(f"r t(@A) :- s(@A), X = {source}.").body[1].expression
+
+
+def conditions_of(rule: Rule):
+    return [literal for literal in rule.body if isinstance(literal, Condition)]
+
+
+def assignments_of(rule: Rule):
+    return [literal for literal in rule.body if isinstance(literal, Assignment)]
 
 
 class TestTokenizer:
@@ -61,24 +76,24 @@ class TestRuleParsing:
 
     def test_assignment_parsed(self):
         rule = parse_rule("r1 out(@S,C) :- in(@S,C1,C2), C=C1+C2.")
-        assignments = rule.body_assignments
+        assignments = assignments_of(rule)
         assert len(assignments) == 1
         assert assignments[0].variable == Variable("C")
         assert isinstance(assignments[0].expression, BinaryOp)
 
     def test_condition_parsed(self):
         rule = parse_rule("r1 out(@S) :- in(@S,C), C<5, S!=C.")
-        assert len(rule.body_conditions) == 2
+        assert len(conditions_of(rule)) == 2
 
     def test_equality_condition_with_double_equals(self):
         rule = parse_rule("r2 out(@N) :- in(@N,D), N==D.")
-        condition = rule.body_conditions[0]
+        condition = conditions_of(rule)[0]
         assert isinstance(condition.expression, BinaryOp)
         assert condition.expression.op == "=="
 
     def test_function_call_in_assignment(self):
         rule = parse_rule('r1 out(@S,V) :- in(@S,A), V=f_sha1("link"+S+A).')
-        assignment = rule.body_assignments[0]
+        assignment = assignments_of(rule)[0]
         assert isinstance(assignment.expression, FunctionCall)
 
     def test_min_aggregate_in_head(self):
@@ -105,21 +120,17 @@ class TestRuleParsing:
     def test_comparison_with_aggregate_like_name_not_confused(self):
         # `min` followed by `<` only forms an aggregate inside atom arguments.
         rule = parse_rule("r1 out(@S) :- in(@S,Min), Min<3.")
-        assert len(rule.body_conditions) == 1
+        assert len(conditions_of(rule)) == 1
 
     def test_boolean_condition_function_equals_false(self):
         rule = parse_rule("pv2 p(@S,P) :- l(@S,P2), f_member(P2,S)==false, P=f_concat(S,P2).")
-        condition = rule.body_conditions[0]
+        condition = conditions_of(rule)[0]
         assert condition.expression.op == "=="
 
     def test_null_constant(self):
         rule = parse_rule("e1 out(@X) :- prov(@X,V,RID,L), RID==NULL.")
-        condition = rule.body_conditions[0]
+        condition = conditions_of(rule)[0]
         assert condition.expression.right == Constant(None)
-
-    def test_multiple_rules_requires_parse_program(self):
-        with pytest.raises(ParseError):
-            parse_rule("a x(@A) :- y(@A). b z(@A) :- y(@A).")
 
     def test_missing_period_raises(self):
         with pytest.raises(ParseError):
@@ -133,40 +144,11 @@ class TestRuleParsing:
         assert len(reparsed.body) == len(rule.body)
 
 
-class TestFactAndDeclarationParsing:
-    def test_fact_with_string_and_int(self):
-        program = parse_program('link(@"a", "b", 3).')
-        assert len(program.facts) == 1
-        fact = program.facts[0]
-        assert fact.values == ("a", "b", 3)
-        assert fact.location == "a"
-
-    def test_fact_with_bare_symbol_constants(self):
-        program = parse_program("link(@a, b, 3).")
-        assert program.facts[0].values == ("a", "b", 3)
-
-    def test_fact_with_non_constant_raises(self):
+class TestStatements:
+    @pytest.mark.parametrize("text", ['link(@"a", "b", 3).', "materialize(link, 3, keys(0, 1))."])
+    def test_facts_and_declarations_are_not_program_text(self, text):
         with pytest.raises(ParseError):
-            parse_program("link(@A, b, 3).")
-
-    def test_materialize_declaration(self):
-        program = parse_program("materialize(link, 3, keys(0, 1)).\n")
-        assert len(program.declarations) == 1
-        declaration = program.declarations[0]
-        assert declaration.name == "link"
-        assert declaration.arity == 3
-        assert declaration.key_positions == (0, 1)
-
-    def test_materialize_without_keys(self):
-        program = parse_program("materialize(path, 4).")
-        assert program.declarations[0].key_positions == ()
-
-    def test_negative_number_in_fact_rejected(self):
-        # -5 parses as a unary-minus expression, not a constant; facts only
-        # accept constants, so the parser rejects it (negative costs do not
-        # appear in the paper's programs).
-        with pytest.raises(ParseError):
-            parse_program("offset(@a, -5).")
+            parse_program(text)
 
 
 class TestProgramParsing:
@@ -189,12 +171,6 @@ class TestProgramParsing:
         program = parse_program(MINCOST_SOURCE)
         assert program.predicates_derived() == ["bestPathCost", "pathCost"]
 
-    def test_rule_by_label(self):
-        program = parse_program(MINCOST_SOURCE)
-        assert program.rule_by_label("sp2").head.name == "pathCost"
-        with pytest.raises(KeyError):
-            program.rule_by_label("nope")
-
     def test_unexpected_token_raises(self):
         with pytest.raises(ParseError):
             parse_program(":- foo(@A).")
@@ -214,7 +190,3 @@ class TestTermParsing:
     def test_parse_boolean_operators(self):
         term = parse_term("A < 3 && B > 2 || C == 1")
         assert term.op == "||"
-
-    def test_parse_unary_minus(self):
-        term = parse_term("-X")
-        assert isinstance(term, type(parse_term("-Y")))

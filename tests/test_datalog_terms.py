@@ -12,9 +12,7 @@ from repro.datalog.terms import (
     BinaryOp,
     Constant,
     FunctionCall,
-    UnaryOp,
     Variable,
-    wildcard,
 )
 
 FUNCTIONS = default_registry()
@@ -36,14 +34,11 @@ class TestVariable:
         assert list(Variable("Cost").variables()) == ["Cost"]
 
     def test_wildcard_yields_no_variables(self):
-        assert list(wildcard().variables()) == []
+        assert list(Variable("_").variables()) == []
 
     def test_wildcard_flag(self):
-        assert wildcard().is_wildcard
+        assert Variable("_").is_wildcard
         assert not Variable("X").is_wildcard
-
-    def test_is_ground_false(self):
-        assert not Variable("X").is_ground()
 
 
 class TestConstant:
@@ -51,9 +46,6 @@ class TestConstant:
         assert evaluate(Constant(7)) == 7
         assert evaluate(Constant("abc")) == "abc"
         assert evaluate(Constant(None)) is None
-
-    def test_is_ground(self):
-        assert Constant(3).is_ground()
 
     def test_str_quotes_strings(self):
         assert str(Constant("x")) == '"x"'
@@ -109,21 +101,9 @@ class TestBinaryOp:
         assert evaluate(term, A=1, B=3) == 7
 
 
-class TestUnaryOp:
-    def test_negation(self):
-        assert evaluate(UnaryOp("-", Constant(4))) == -4
-
-    def test_logical_not(self):
-        assert evaluate(UnaryOp("!", Constant(False))) is True
-
-    def test_unknown_operator(self):
-        with pytest.raises(EvaluationError):
-            evaluate(UnaryOp("~", Constant(1)))
-
-
 class TestFunctionCall:
     def test_calls_registered_function(self):
-        term = FunctionCall("f_size", [Constant([1, 2, 3])])
+        term = FunctionCall("f_item", [Constant([1, 2, 3]), Constant(2)])
         assert evaluate(term) == 3
 
     def test_propagates_argument_variables(self):

@@ -27,6 +27,7 @@ from repro.obs import Tracer
 from repro.protocols import mincost_program, pathvector_program
 
 from oracle import ENGINES, built_with
+from helpers import table_rows
 
 #: Everything the fused path special-cases, on one node: a keyed table
 #: (primary-key replacement), an event predicate, a two-step join (nested
@@ -71,7 +72,7 @@ def apply(engine: NDlogEngine, operations) -> None:
 
 
 def state(engine: NDlogEngine):
-    return {name: engine.table_rows(name) for name in TABLES}, dict(engine.stats)
+    return {name: table_rows(engine, name) for name in TABLES}, dict(engine.stats)
 
 
 operations = st.lists(
@@ -110,10 +111,10 @@ def test_rule_added_after_its_predicate_was_seen_fires():
     engine = NDlogEngine("n")
     engine.insert(Fact("red", ("n", "a")))
     engine.run()  # `red` is now resolved with no firings
-    engine.add_rule(parse_program("r1 mid(@S,D) :- red(@S,D).").rules[0])
+    engine.load_program(parse_program("r1 mid(@S,D) :- red(@S,D)."))
     engine.insert(Fact("red", ("n", "b")))
     engine.run()
-    assert engine.table_rows("mid") == [("n", "b")]
+    assert table_rows(engine, "mid") == [("n", "b")]
 
 
 def test_load_program_twice_matches_the_interpreter():

@@ -122,8 +122,8 @@ class TestWorkloads:
         churn.start(rounds=2)
         network.simulator.run_until_idle()
         assert len(churn.events) == 4
-        added = len(churn.additions())
-        deleted = len(churn.deletions())
+        added = len([e for e in churn.events if e.action == "add"])
+        deleted = len([e for e in churn.events if e.action == "delete"])
         assert network.topology.link_count() == before_links + added - deleted
 
 

@@ -21,6 +21,7 @@ from repro.protocols import (
     packetforward_program,
     pathvector_program,
 )
+from helpers import has_fact, table_rows
 
 from oracle import ENGINES
 
@@ -168,15 +169,15 @@ class TestBoundaryFreeze:
         engine._queue = _HashingQueue(engine._queue)
         engine.insert(Fact("t", ("a", value)))
         engine.run()
-        (stored,) = engine.table_rows("t")
+        (stored,) = table_rows(engine, "t")
         hash(stored)
-        assert engine.table_rows("seen") == [stored]
-        assert engine.table_rows("copies") == [stored + (1,)]  # grouped by it
-        assert engine.has_fact("t", ("a", value))
+        assert table_rows(engine, "seen") == [stored]
+        assert table_rows(engine, "copies") == [stored + (1,)]  # grouped by it
+        assert has_fact(engine, "t", ("a", value))
         engine.delete(Fact("t", ("a", value)))
         engine.run()
-        assert engine.table_rows("t") == []
-        assert engine.table_rows("seen") == []
+        assert table_rows(engine, "t") == []
+        assert table_rows(engine, "seen") == []
 
     def test_insert_fact_with_list_attribute_through_the_facade(self):
         network = ExspanNetwork(

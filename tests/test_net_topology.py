@@ -21,7 +21,7 @@ class TestTopologyModel:
     def test_add_link_creates_nodes(self):
         topology = Topology()
         topology.add_link("a", "b", LinkSpec(latency=0.01))
-        assert topology.has_node("a")
+        assert "a" in topology.nodes
         assert topology.has_link("a", "b")
         assert topology.has_link("b", "a")  # symmetric
         assert topology.degree("a") == 1

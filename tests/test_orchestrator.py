@@ -19,7 +19,6 @@ from repro.experiments import (
     register,
     run_figure,
     scenario_for_figure,
-    unregister,
 )
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.orchestrator import (
@@ -156,7 +155,7 @@ def tiny_scenario():
     )
     register(scenario)
     yield scenario
-    unregister(name)
+    SCENARIOS.pop(name, None)
 
 
 def _artifact_bytes(results_dir, scenario_name):

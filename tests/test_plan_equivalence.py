@@ -44,6 +44,7 @@ from repro.core import (
 )
 from repro.datalog import Fact, StandaloneNetwork
 from repro.datalog.engine import AnnotationPolicy, NDlogEngine
+from repro.datalog.functions import FunctionRegistry, default_registry
 from repro.datalog.parser import parse_program
 from repro.net import ring_topology
 from repro.protocols import (
@@ -54,6 +55,7 @@ from repro.protocols import (
 )
 
 from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with, table_state
+from helpers import annotation_of, delete, table_rows
 
 #: The nested-loop oracle and the planned engine.
 PLANNERS = {"naive": NestedLoopEngine, "greedy": NDlogEngine}
@@ -73,8 +75,8 @@ def _run_standalone(program, planner: str, topology, deletions=()):
         net.insert(Fact("link", (source, destination, cost)))
     net.run()
     for source, destination, cost in deletions:
-        net.delete(Fact("link", (source, destination, cost)))
-        net.delete(Fact("link", (destination, source, cost)))
+        delete(net, Fact("link", (source, destination, cost)))
+        delete(net, Fact("link", (destination, source, cost)))
     net.run()
     return net
 
@@ -185,8 +187,8 @@ class TestProvenanceEquivalence:
             annotations = {}
             for address, node in sorted(network.nodes.items(), key=repr):
                 engine = node.engine
-                for row in engine.table_rows("bestPathCost"):
-                    annotation = engine.annotation_of(Fact("bestPathCost", row))
+                for row in table_rows(engine, "bestPathCost"):
+                    annotation = annotation_of(engine, Fact("bestPathCost", row))
                     annotations[(address, row)] = str(annotation)
             results[planner] = (_network_snapshot(network), annotations)
         assert results["naive"] == results["greedy"]
@@ -237,8 +239,8 @@ class TestBatchedPipelineEquivalence:
             for s, d, c in topology.link_facts():
                 net.insert(Fact("link", (s, d, c)))
             net.run()
-            net.delete(Fact("link", (source, destination, cost)))
-            net.delete(Fact("link", (destination, source, cost)))
+            delete(net, Fact("link", (source, destination, cost)))
+            delete(net, Fact("link", (destination, source, cost)))
             net.run()
             snapshots[name] = _standalone_snapshot(net)
         assert snapshots["compiled"] == snapshots["interpreted"]
@@ -281,8 +283,8 @@ class TestBatchedPipelineEquivalence:
             if mode is ProvenanceMode.VALUE:
                 for address, node in sorted(network.nodes.items(), key=repr):
                     engine = node.engine
-                    for row in engine.table_rows("bestPathCost"):
-                        annotation = engine.annotation_of(Fact("bestPathCost", row))
+                    for row in table_rows(engine, "bestPathCost"):
+                        annotation = annotation_of(engine, Fact("bestPathCost", row))
                         annotations[(address, row)] = str(annotation)
             results[name] = (snapshot, annotations)
         assert results["compiled"] == results["interpreted"]
@@ -404,13 +406,13 @@ class TestRandomInterleavings:
                     )
                 engine.run()
             tables = {
-                name: engine.table_rows(name)
+                name: table_rows(engine, name)
                 for name in ("red", "blue", "mid", "top")
             }
             annotations = {
-                (name, row): str(engine.annotation_of(Fact(name, row)))
+                (name, row): str(annotation_of(engine, Fact(name, row)))
                 for name in ("mid", "top")
-                for row in engine.table_rows(name)
+                for row in table_rows(engine, name)
             }
             states[name] = (tables, annotations, dict(engine.stats))
         assert states["compiled"] == states["interpreted"]
@@ -605,9 +607,9 @@ def _play(engine_class, program_text, script, mode):
 
 def _annotations(engine):
     return {
-        (name, row): engine.annotation_of(Fact(name, row))
+        (name, row): annotation_of(engine, Fact(name, row))
         for name in sorted(engine.catalog.names())
-        for row in engine.table_rows(name)
+        for row in table_rows(engine, name)
     }
 
 
@@ -655,7 +657,7 @@ class TestRandomPrograms:
         }
         assert _annotations(engine) == _annotations(interpreted)
         for name in sorted({*names, *naive.catalog.names()}):
-            assert engine.table_rows(name) == naive.table_rows(name), name
+            assert table_rows(engine, name) == table_rows(naive, name), name
 
 
 #: One rule plus its inserts per row: every engine must raise the same
@@ -681,7 +683,7 @@ _ERROR_CASES = {
     ),
     "aggregate-group-key": ("r1 out(@S,Y % 0,min<Y>) :- a(@S,Y).", [("a", ("n", 1))]),
     "head-expression": ("r1 out(@S,Y / 0) :- a(@S,Y).", [("a", ("n", 1))]),
-    "unary-type-error": ("r1 out(@S,Z) :- a(@S,Y), Z = -Y.", [("a", ("n", "s"))]),
+    "subtraction-type-error": ("r1 out(@S,Z) :- a(@S,Y), Z = 0 - Y.", [("a", ("n", "s"))]),
 }
 
 
@@ -693,7 +695,7 @@ def _outcome(engine_class, program_text, inserts):
         engine.run()
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
-    return {name: engine.table_rows(name) for name in sorted(engine.catalog.names())}
+    return {name: table_rows(engine, name) for name in sorted(engine.catalog.names())}
 
 
 @pytest.mark.parametrize("case", sorted(_ERROR_CASES))
@@ -729,8 +731,10 @@ def test_a_replayed_finalization_emits_as_the_generated_one(mode):
     states = {}
     for name, engine_class in ENGINES.items():
         policy = _RecordingPolicy(propagate_updates=False) if mode == "valued" else None
-        engine = engine_class("n", parse_program(program_text), annotation_policy=policy)
-        engine.functions.register("f_half", half)
+        functions = FunctionRegistry({**default_registry()._functions, "f_half": half})
+        engine = engine_class(
+            "n", parse_program(program_text), annotation_policy=policy, functions=functions
+        )
         for action, relation, values in script:
             getattr(engine, action)(Fact(relation, values))
             engine.run()

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datalog import Fact, NDlogEngine, parse_program, parse_rule
+from repro.datalog import Fact, NDlogEngine, parse_program
 from repro.datalog.ast import TableDecl
 from repro.storage.memory import Catalog, Table
 from repro.datalog.errors import SchemaError, ValidationError
 from repro.datalog.plan import IndexManager, PlanCompiler, explain_plan, normalize_rule
 from repro.datalog.plan.compiler import _bound_positions
+from helpers import delete, parse_rule, table_rows
 
 from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
 
@@ -23,7 +24,7 @@ class TestNormalize:
         normalized = normalize_rule(rule)
         assert len(normalized.atoms) == 2
         edge, path = normalized.atoms
-        assert edge.name == "edge" and edge.position == 0
+        assert edge.atom.name == "edge" and edge.position == 0
         assert edge.var_positions == {"A": (0,), "B": (1,)}
         assert edge.const_positions == {2: 5}
         assert path.var_positions == {"B": (0,), "D": (1,)}
@@ -232,7 +233,7 @@ class TestCompiledPlans:
         engine.insert(Fact("t", ("a", "b0")))
         engine.insert(Fact("v", ("c0", "d")))
         engine.run()
-        assert engine.table_rows("out") == [("a", "d")]
+        assert table_rows(engine, "out") == [("a", "d")]
         assert "plans_recompiled" not in engine.stats
         assert engine._plans.keys() == before.keys()
         assert all(engine._plans[key] is plan for key, plan in before.items())
@@ -247,7 +248,7 @@ class TestCompiledPlans:
                 engine.catalog.table("u").insert(("a", f"b{i}"))
             engine.insert(Fact("t", ("a", 99)))  # fails C < 5
             engine.run()
-        assert greedy.table_rows("out") == naive.table_rows("out") == []
+        assert table_rows(greedy, "out") == table_rows(naive, "out") == []
         # the pushed-down condition prunes before u is ever scanned
         assert greedy.stats["tuples_scanned"] == 0
         assert naive.stats["tuples_scanned"] == 20
@@ -268,7 +269,7 @@ class TestCompiledPlans:
             engine.insert(Fact("t", ("a", "b")))
             engine.insert(Fact("u", ("b", "c9", 9)))
             engine.run()
-            rows = (engine.table_rows("out"), engine.table_rows("all"))
+            rows = (table_rows(engine, "out"), table_rows(engine, "all"))
             results[name] = (rows, dict(engine.stats))
         assert results["compiled"] == results["interpreted"]
         rows, stats = results["compiled"]
@@ -309,8 +310,8 @@ class TestCompiledPlans:
             engine.load_program(parse_program("r1 out2(@A,B) :- t(@A,B)."))
             engine.insert(Fact("t", ("a", "x")))
             engine.run()
-            assert engine.table_rows("out1") == [("a", "x")], engine_class
-            assert engine.table_rows("out2") == [("a", "x")], engine_class
+            assert table_rows(engine, "out1") == [("a", "x")], engine_class
+            assert table_rows(engine, "out2") == [("a", "x")], engine_class
 
     @pytest.mark.parametrize(
         "first, second",
@@ -366,8 +367,8 @@ class TestCompiledPlans:
             net.insert(Fact("link", (source, destination, cost)))
         net.run()
         source, destination, cost = links[0]
-        net.delete(Fact("link", (source, destination, cost)))
-        net.delete(Fact("link", (destination, source, cost)))
+        delete(net, Fact("link", (source, destination, cost)))
+        delete(net, Fact("link", (destination, source, cost)))
         net.run()
         assert net.all_rows("path")
         assert "plans_recompiled" not in net.planner_stats()
@@ -440,7 +441,7 @@ def test_fixpoint_does_not_depend_on_arrival_order(engine_class, order):
         for name in order:
             engine.insert(facts[name])
             engine.run()
-        derived.add(tuple(engine.table_rows("out")))
+        derived.add(tuple(table_rows(engine, "out")))
     assert derived == {(("a", 1, 7),)}
 
 
@@ -449,7 +450,7 @@ def test_expression_argument_in_a_body_atom_is_rejected():
     with pytest.raises(ValidationError, match=expected):
         parse_program(_EXPRESSION_ARGUMENT).validate()
     with pytest.raises(ValidationError, match="expression argument"):
-        NDlogEngine("a").add_rule(parse_rule("r2 out(@A) :- t(@A, f_size(A))."))
+        NDlogEngine("a").load_program(parse_program("r2 out(@A) :- t(@A, f_size(A))."))
     # The fresh variable is named so it cannot capture one of the rule's own.
     with pytest.raises(ValidationError, match=r"u\(@A, X1\), X1 == \(X \+ 1\)"):
         parse_rule("r3 out(@A) :- t(@A,X), u(@A,X + 1).").validate()
@@ -480,11 +481,9 @@ def _ring_rows(functions=None, engine_class=NDlogEngine):
 
 
 def _registry_with_sha1(function):
-    from repro.datalog.functions import default_registry
+    from repro.datalog.functions import FunctionRegistry, default_registry
 
-    functions = default_registry()
-    functions.register("f_sha1", function)
-    return functions
+    return FunctionRegistry({**default_registry()._functions, "f_sha1": function})
 
 
 def test_reregistered_builtin_falls_back_to_the_registered_function():
@@ -596,12 +595,8 @@ class TestSupportFedJoinBacks:
     def test_a_twin_the_record_cannot_order_still_joins(self):
         # Two body atoms with a variable (Z) outside the head: a derived row
         # may have several matches, whose join order the record does not keep.
-        program = parse_program(
-            """
-            materialize(best, 2, keys(0)).
-            m1 best(@S,min<C>) :- hop(@S,Z,C), cost(@S,Z).
-            """
-        )
+        program = parse_program("m1 best(@S,min<C>) :- hop(@S,Z,C), cost(@S,Z).")
+        program.add_declaration(TableDecl("best", 2, (0,)))
         assert self.fed(program)[0] == {}
 
     def test_an_engine_with_a_policy_joins(self):

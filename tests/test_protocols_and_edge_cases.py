@@ -17,10 +17,9 @@ from repro.core import (
     count_derivations,
 )
 from repro.core.query import QuerySpec
-from repro.datalog import Fact, StandaloneNetwork
+from repro.datalog import Condition, Fact, StandaloneNetwork
 from repro.net import line_topology, ring_topology
 from repro.protocols import (
-    link_facts,
     mincost_program,
     packet_event,
     packetforward_program,
@@ -29,12 +28,6 @@ from repro.protocols import (
 
 
 class TestProtocolHelpers:
-    def test_link_facts_helper(self):
-        facts = link_facts([("a", "b", 1), ("b", "c", 2)])
-        assert all(fact.name == "link" for fact in facts)
-        assert facts[0].values == ("a", "b", 1)
-        assert facts[0].location == "a"
-
     def test_packet_event_helper(self):
         event = packet_event("a", "a", "d", "xyz")
         assert event.name == "ePacket"
@@ -43,8 +36,8 @@ class TestProtocolHelpers:
 
     def test_bounded_mincost_contains_cost_condition(self):
         program = mincost_program(max_cost=16)
-        sp2 = program.rule_by_label("sp2")
-        assert len(sp2.body_conditions) == 2  # S != D and C < 16
+        (sp2,) = [rule for rule in program.rules if rule.label == "sp2"]
+        assert len([lit for lit in sp2.body if isinstance(lit, Condition)]) == 2  # S != D, C < 16
 
     def test_bounded_mincost_limits_path_costs(self):
         # a long chain: with max_cost=3 far-away destinations are not derived

@@ -6,6 +6,7 @@ send: malformed frames, truncated frames, oversized length prefixes,
 unknown ops, and mid-request disconnects.
 """
 
+import json
 import socket
 import struct
 
@@ -196,7 +197,6 @@ class TestRequests:
         [
             ("prov", {"fact": LINK, "depth": True}),
             ("query", {"fact": LINK, "spec": {"kind": "polynomial"}, "max_events": True}),
-            ("run_until_idle", {"max_events": True}),
         ],
     )
     def test_boolean_is_not_a_count(self, service, op, params):
@@ -299,7 +299,9 @@ class TestFaultsOp:
                 installed = client.call("faults", plan="drop:*->*:p=0.2")
                 assert installed["installed"] is True
                 assert installed["plan"]
-                client.call("seed_links")
+                for source, destination, cost in ring_topology(6, seed=0).link_facts():
+                    link = {"name": "link", "values": [source, destination, cost]}
+                    client.call("insert", fact=link)
                 client.call("fixpoint")
                 after = client.call("faults", digest=True)
                 assert after["stats"]["drops"] > 0 and after["stats"]["pending_retransmits"] == 0
@@ -312,3 +314,25 @@ class TestFaultsOp:
                 assert excinfo.value.code == "bad-request"
                 # A refused install leaves the first plan in place.
                 assert client.call("faults")["plan"] == installed["plan"]
+
+
+def test_decode_fact_freezes_nested_lists_and_finds_the_vid_memo():
+    """A PATHVECTOR fact from the wire is the engine's fact: its path is a
+    tuple again, so its VID is a hit in the ``f_sha1`` memo; the encoded
+    bytes do not change."""
+    from repro.core.requests import canonical_json, decode_fact, encode_fact
+    from repro.core.vid import clear_vid_caches, fact_vid
+    from repro.datalog.functions import sha1_cache_stats
+
+    fact = Fact("bestPath", ("n0", "n3", 3, ("n0", "n1", ("n2", "n3"))))
+    wire = json.loads(canonical_json(encode_fact(fact)))
+    decoded = decode_fact(wire)
+    assert decoded == fact and decoded.location_index == 0
+    assert canonical_json(encode_fact(decoded)) == canonical_json(encode_fact(fact))
+    clear_vid_caches()
+    expected = fact_vid(fact)
+    hits = sha1_cache_stats()["hits"]
+    assert fact_vid(decoded) == expected
+    assert sha1_cache_stats()["hits"] == hits + 1
+    moved = decode_fact({"name": "link", "values": ["a", "b", 1], "location_index": 1})
+    assert moved.location == "b"

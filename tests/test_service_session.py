@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.api import ExspanNetwork
 from repro.core.config import ExspanConfig
-from repro.core.requests import QueryRequest, QueryResult, SpecDescriptor
+from repro.core.requests import QueryRequest, SpecDescriptor, canonical_json
 from repro.net.topology import ring_topology
 from repro.protocols.mincost import mincost_program
 from repro.service import ServiceClient, ServiceThread
@@ -70,6 +70,11 @@ def serial_bodies():
     return bodies
 
 
+def _body(payload):
+    """The canonical body bytes of a ``query`` reply: all but its ``meta``."""
+    return canonical_json({key: payload[key] for key in payload if key != "meta"}).encode()
+
+
 def _client_worker(address, requests, barrier, outputs, index):
     with ServiceClient(*address) as client:
         barrier.wait(timeout=30)
@@ -107,13 +112,8 @@ def test_concurrent_clients_byte_identical_to_serial(serial_bodies):
     for collected in outputs:
         assert collected is not None, "a client produced no output"
         for request, payload in collected:
-            result = QueryResult.from_dict(payload)
-            key = (
-                result.fact["name"],
-                tuple(request["fact"]["values"]),
-                result.spec,
-            )
-            assert result.canonical_bytes() == serial_bodies[key]
+            key = (payload["fact"]["name"], tuple(request["fact"]["values"]), payload["spec"])
+            assert _body(payload) == serial_bodies[key]
             checked += 1
     # 4 clients x 8 requests each: the whole matrix was exercised.
     assert checked == client_count * len(requests)
@@ -126,13 +126,8 @@ def test_single_client_matches_in_process(serial_bodies):
         with ServiceClient(*service.address) as client:
             for request in requests:
                 payload = client.call("query", **request)
-                result = QueryResult.from_dict(payload)
-                key = (
-                    result.fact["name"],
-                    tuple(request["fact"]["values"]),
-                    result.spec,
-                )
-                assert result.canonical_bytes() == serial_bodies[key]
+                key = (payload["fact"]["name"], tuple(request["fact"]["values"]), payload["spec"])
+                assert _body(payload) == serial_bodies[key]
 
 
 def test_mutations_visible_across_clients():

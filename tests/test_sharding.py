@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
-from repro.core.customizations import derivation_count_query, polynomial_query
 from repro.datalog.ast import Fact
 from repro.net import SimulationError, Simulator
 from repro.net.network import DEFAULT_LATENCY
@@ -38,11 +37,7 @@ from repro.net.sharding import (
     collect_digest,
     collect_summary,
 )
-from repro.net.stats import (
-    MessageRecord,
-    merge_counter_dicts,
-    merge_traffic_records,
-)
+from repro.net.stats import merge_counter_dicts
 from repro.net.topology import (
     cluster_topology,
     partition_cut_edges,
@@ -112,23 +107,20 @@ CHURN_SCRIPT = [
 ]
 
 
-def _serial_state(program_key, mode_key, script=None, specs=(), value_policy="bdd"):
+def _serial_state(program_key, mode_key, script=None, value_policy="bdd"):
     net = ExspanNetwork(
         _topology(),
         PROGRAMS[program_key](),
         config=ExspanConfig(mode=MODES[mode_key], seed=0, value_policy=value_policy),
     )
-    for spec in specs:
-        net.register_spec(spec)
     net.seed_links()
     net.run_to_fixpoint()
-    outcomes = apply_script_serial(net, script) if script else {}
-    return collect_summary(net), collect_digest(net), outcomes
+    if script:
+        apply_script_serial(net, script)
+    return collect_summary(net), collect_digest(net)
 
 
-def _sharded_state(
-    program_key, mode_key, shards, script=None, specs=(), value_policy="bdd"
-):
+def _sharded_state(program_key, mode_key, shards, script=None, value_policy="bdd"):
     with ShardedExspanNetwork(
         _topology(),
         PROGRAMS[program_key](),
@@ -136,14 +128,12 @@ def _sharded_state(
         shards=shards,
         seed=0,
         value_policy=value_policy,
-        query_specs=specs,
     ) as sharded:
         sharded.seed_links()
         sharded.run_to_fixpoint()
         if script:
             sharded.run_script(script)
-        outcomes = sharded.outcomes() if script else {}
-        return sharded.summary(), sharded.digest(), outcomes
+        return sharded.summary(), sharded.digest()
 
 
 # ---------------------------------------------------------------------- #
@@ -192,49 +182,6 @@ def test_packetforward_equivalence(shards):
     assert sharded == serial
 
 
-# ---------------------------------------------------------------------- #
-# provenance queries across shard boundaries
-# ---------------------------------------------------------------------- #
-def _query_specs():
-    return (
-        polynomial_query(name="shpoly"),
-        derivation_count_query(name="shcnt"),
-    )
-
-
-def _query_script(topology):
-    nodes = topology.nodes
-    best = Fact("bestPathCost", (nodes[2], nodes[-3], 5))
-    other = Fact("bestPathCost", (nodes[-1], nodes[1], 4))
-    return [
-        (
-            0.6,
-            [
-                ScriptOp("query", fact=best, spec="shpoly", issuer=nodes[-1], query_id="qa"),
-                ScriptOp("query", fact=other, spec="shcnt", query_id="qb"),
-                ScriptOp("query", fact=best, spec="shcnt", issuer=nodes[0], query_id="qc"),
-            ],
-        ),
-    ]
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_query_equivalence(shards):
-    """Distributed provenance queries resolve identically across shards."""
-    specs = _query_specs()
-    script = _query_script(_topology())
-    serial_summary, serial_digest, serial_outcomes = _serial_state(
-        "mincost", "ref", script=script, specs=specs
-    )
-    summary, digest, outcomes = _sharded_state(
-        "mincost", "ref", shards, script=script, specs=specs
-    )
-    assert outcomes and set(outcomes) == {"qa", "qb", "qc"}
-    assert outcomes == serial_outcomes
-    assert summary == serial_summary
-    assert digest == serial_digest
-
-
 def test_apply_ops_after_fixpoint_reopens_the_window():
     """Ops at a post-quiescence barrier may schedule from that instant.
 
@@ -256,51 +203,6 @@ def test_apply_ops_after_fixpoint_reopens_the_window():
         assert sharded.digest() == collect_digest(serial)
 
 
-def test_auto_query_ids_do_not_collide():
-    """Concurrent unnamed queries each keep their own outcome entry."""
-    specs = _query_specs()
-    nodes = _topology().nodes
-    script = [
-        (
-            0.5,
-            [
-                ScriptOp("query", fact=Fact("bestPathCost", (nodes[1], nodes[4], 3)), spec="shcnt"),
-                ScriptOp("query", fact=Fact("bestPathCost", (nodes[9], nodes[2], 4)), spec="shcnt"),
-                ScriptOp("query", fact=Fact("bestPathCost", (nodes[1], nodes[7], 2)), spec="shcnt"),
-            ],
-        ),
-    ]
-    serial = ExspanNetwork(_topology(), mincost_program(), config=ExspanConfig(seed=0))
-    for spec in specs:
-        serial.register_spec(spec)
-    serial.seed_links()
-    serial.run_to_fixpoint()
-    serial_outcomes = apply_script_serial(serial, script)
-    assert len(serial_outcomes) == 3
-    with ShardedExspanNetwork(
-        _topology(), mincost_program(), shards=4, seed=0, query_specs=specs
-    ) as sharded:
-        sharded.seed_links()
-        sharded.run_to_fixpoint()
-        sharded.run_script(script)
-        assert sharded.outcomes() == serial_outcomes
-
-
-def test_query_provenance_convenience():
-    fact = Fact("bestPathCost", ("c0_1", "c0_2", 1))
-    with ShardedExspanNetwork(
-        _topology(), mincost_program(), shards=2, seed=0, query_specs=_query_specs()
-    ) as sharded:
-        sharded.seed_links()
-        sharded.run_to_fixpoint()
-        outcome = sharded.query_provenance(fact, "shcnt")
-    assert outcome["vid"]
-    assert outcome["completed_at"] >= outcome["issued_at"]
-
-
-# ---------------------------------------------------------------------- #
-# PYTHONHASHSEED invariance (subprocess digest, mirrors plan-equivalence)
-# ---------------------------------------------------------------------- #
 def test_sharded_digest_hashseed_invariant():
     script = (
         "import hashlib, json\n"
@@ -415,7 +317,7 @@ def test_single_authoritative_schedule_path():
     simulator = Simulator()
     simulator.advance_to(1.1)
     event = simulator.schedule(0.4, lambda: None)
-    assert event.time == 1.1 + 0.4
+    assert event[0] == 1.1 + 0.4
     with pytest.raises(SimulationError):
         simulator.schedule(-0.1, lambda: None)
 
@@ -530,54 +432,6 @@ def test_merge_counter_dicts():
     assert list(merged) == ["a", "b", "c"]  # sorted, hash-seed independent
 
 
-def test_merge_traffic_records_deterministic_order():
-    shard_a = [
-        MessageRecord(0.1, "n1", "n2", 10, "delta"),
-        MessageRecord(0.2, "n1", "n3", 20, "delta"),
-    ]
-    shard_b = [
-        MessageRecord(0.1, "n0", "n1", 5, "prov"),
-        MessageRecord(0.1, "n2", "n1", 7, "delta"),
-    ]
-    rank = {"n0": 0, "n1": 1, "n2": 2, "n3": 3}
-    merged = merge_traffic_records([shard_a, shard_b], rank)
-    assert [record.source for record in merged] == ["n0", "n1", "n2", "n1"]
-    # drain order must not matter
-    assert merge_traffic_records([shard_b, shard_a], rank) == merged
-
-
-def test_sharded_records_match_serial_aggregates():
-    serial = ExspanNetwork(_topology(), mincost_program(), config=ExspanConfig(seed=0))
-    serial.seed_links()
-    serial.run_to_fixpoint()
-    with ShardedExspanNetwork(_topology(), mincost_program(), shards=2, seed=0) as sharded:
-        sharded.seed_links()
-        sharded.run_to_fixpoint()
-        merged = sharded.records()
-    assert len(merged) == len(serial.stats.records())
-    assert sum(record.size for record in merged) == serial.stats.total_bytes()
-    assert sorted(record.time for record in merged) == sorted(
-        record.time for record in serial.stats.records()
-    )
-
-
-def test_sharded_traffic_stats_match_serial_views():
-    """The merged TrafficStats answers every aggregate like the serial one."""
-    serial = ExspanNetwork(_topology(), mincost_program(), config=ExspanConfig(seed=0))
-    serial.seed_links()
-    serial.run_to_fixpoint()
-    with ShardedExspanNetwork(_topology(), mincost_program(), shards=3, seed=0) as sharded:
-        sharded.seed_links()
-        sharded.run_to_fixpoint()
-        merged = sharded.traffic_stats()
-    assert merged.total_bytes() == serial.stats.total_bytes()
-    assert merged.total_messages() == serial.stats.total_messages()
-    assert merged.bytes_by_sender() == serial.stats.bytes_by_sender()
-    assert merged.bandwidth_timeseries(0.05, 24) == serial.stats.bandwidth_timeseries(
-        0.05, 24
-    )
-
-
 # ---------------------------------------------------------------------- #
 # disconnected topologies (no cut edges, default-latency messaging)
 # ---------------------------------------------------------------------- #
@@ -596,64 +450,41 @@ def _island_topology():
     return topology
 
 
-def test_disconnected_islands_cross_shard_queries():
+def test_disconnected_islands_exchange_no_route_messages():
     """Shards with *no* cut edges can still exchange (no-route) messages.
 
     The lookahead clamp must fall back to the network's default latency;
     without it a free-running shard would receive an envelope in its past.
+    A ``link`` fact between the islands has no topology link under it, so
+    the routes it derives cross the partition by the no-route latency.
     """
     partition = {f"i{island}_{index}": island for island in range(2) for index in range(5)}
-    specs = (derivation_count_query(name="shcnt"),)
-    script = [
-        (
-            0.3,
-            [
-                # each island queries a fact owned by the *other* island
-                ScriptOp(
-                    "query",
-                    fact=Fact("bestPathCost", ("i1_1", "i1_3", 2)),
-                    spec="shcnt",
-                    issuer="i0_0",
-                    query_id="qx",
-                ),
-                ScriptOp(
-                    "query",
-                    fact=Fact("bestPathCost", ("i0_2", "i0_4", 2)),
-                    spec="shcnt",
-                    issuer="i1_4",
-                    query_id="qy",
-                ),
-            ],
-        ),
-    ]
+    bridge = Fact("link", ("i0_0", "i1_4", 1))
+    script = [(0.3, [ScriptOp("insert", fact=bridge)])]
     serial = ExspanNetwork(
         _island_topology(), mincost_program(), config=ExspanConfig(seed=0)
     )
-    for spec in specs:
-        serial.register_spec(spec)
     serial.seed_links()
     serial.run_to_fixpoint()
-    serial_outcomes = apply_script_serial(serial, script)
+    apply_script_serial(serial, script)
     with ShardedExspanNetwork(
         _island_topology(),
         mincost_program(),
         shards=2,
         seed=0,
         partition=partition,
-        query_specs=specs,
     ) as sharded:
         # No cut edge: the window is the network's no-route latency itself.
         assert sharded.lookahead == DEFAULT_LATENCY
         sharded.seed_links()
         sharded.run_to_fixpoint()
         sharded.run_script(script)
-        outcomes = sharded.outcomes()
         summary = sharded.summary()
         digest = sharded.digest()
-    assert set(outcomes) == {"qx", "qy"}
-    assert outcomes == serial_outcomes
     assert summary == collect_summary(serial)
     assert digest == collect_digest(serial)
+    crossed = [row for node, row in serial.tuples("bestPathCost") if node == "i1_4"]
+    assert any(row[1].startswith("i0") for row in crossed)
 
 
 # ---------------------------------------------------------------------- #

@@ -273,6 +273,6 @@ def test_cancel_from_a_callback_that_compacts_the_running_queue():
     assert simulator.run() == 2
     assert fired == ["canceller", "after"]
     assert simulator.compactions >= 1
-    assert all(event.cancelled and not event.pending for event in victims)
+    assert all(event[3] is None and not event.pending for event in victims)  # cancelled
     assert simulator.queue_length == simulator.pending_events == 0
 

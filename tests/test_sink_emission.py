@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
 from repro.core.vid import clear_vid_caches
-from repro.datalog import Fact, StandaloneNetwork
+from repro.datalog import Fact, StandaloneNetwork, TableDecl
 from repro.datalog.engine import INSERT, AnnotationPolicy, Delta, NDlogEngine
 from repro.datalog.functions import sha1_cache_stats
 from repro.datalog.parser import parse_program
@@ -41,6 +41,7 @@ from repro.protocols import (
 )
 
 from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with, table_state
+from helpers import delete
 
 PROPERTY = settings(derandomize=True, max_examples=4, deadline=None)
 
@@ -174,8 +175,6 @@ def test_protocols_equal_the_queued_oracle(program, mode, topology, ops):
 #: MIN aggregate feeding the sink ``cheap``, and ``heard`` a sink derived
 #: both locally and from other nodes, whose first remote delta queues it.
 HAND_WRITTEN = """
-    materialize(link, 3, keys(0,1)).
-    materialize(best, 3, keys(0,1)).
     h0 hop(@S,D,C) :- offer(@S,D,C).
     h1 hop(@S,D,C) :- link(@S,D,C).
     h2 best(@S,D,C) :- hop(@S,D,C).
@@ -186,6 +185,14 @@ HAND_WRITTEN = """
     h7 heard(@S,S) :- hop(@S,D,C).
 """
 NODES = ("a", "b", "c")
+
+
+def hand_written():
+    """The program, ``link`` and ``best`` keyed on their first two columns."""
+    program = parse_program(HAND_WRITTEN)
+    program.add_declaration(TableDecl("link", 3, (0, 1)))
+    program.add_declaration(TableDecl("best", 3, (0, 1)))
+    return program
 
 hand_op = st.one_of(
     st.tuples(
@@ -202,7 +209,7 @@ hand_op = st.one_of(
 def drive_hand_written(ops, engine_class):
     clear_vid_caches()
     with built_with(engine_class):
-        network = StandaloneNetwork(NODES, parse_program(HAND_WRITTEN))
+        network = StandaloneNetwork(NODES, hand_written())
     engines = list(network.engines.values())
     observer = Observer(engines)
     for op in ops:
@@ -211,7 +218,7 @@ def drive_hand_written(ops, engine_class):
         elif op[0] == "insert":
             network.insert(Fact(op[1], op[2:]))
         else:
-            network.delete(Fact(op[1], op[2:]))
+            delete(network, Fact(op[1], op[2:]))
     network.run()
     return observed_state(engines, observer)
 
@@ -224,18 +231,18 @@ def test_hand_written_sinks_equal_the_queued_oracle(ops):
 
 
 def test_sinks_are_the_unread_materialised_heads():
-    engine = NDlogEngine("a", parse_program(HAND_WRITTEN))
+    engine = NDlogEngine("a", hand_written())
     assert sorted(engine._sinks) == ["best", "cheap", "heard", "low"]
     engine.receive(Delta(INSERT, Fact("heard", ("a", "b"))))  # a sink while none queued
     assert sorted(engine._sinks) == ["best", "cheap", "low"]
-    engine.add_rule(parse_program("h8 seen(@S,D) :- best(@S,D,C).").rules[0])
+    engine.load_program(parse_program("h8 seen(@S,D) :- best(@S,D,C)."))
     assert sorted(engine._sinks) == ["cheap", "low", "seen"]
     engine.tracer = Tracer()  # a tracer keeps the sinks
     assert sorted(engine._sinks) == ["cheap", "low", "seen"]
     engine.run()
-    engine.add_rule(parse_program("h9 unseen(@S,D) :- seen(@S,D).").rules[0])
+    engine.load_program(parse_program("h9 unseen(@S,D) :- seen(@S,D)."))
     assert sorted(engine._sinks) == ["cheap", "heard", "low", "unseen"]
     policy = {"annotation_policy": AnnotationPolicy()}
-    assert NDlogEngine("a", parse_program(HAND_WRITTEN), **policy)._sinks == {}
+    assert NDlogEngine("a", hand_written(), **policy)._sinks == {}
     for oracle_class in (InterpretedEngine, NestedLoopEngine):
-        assert oracle_class("a", parse_program(HAND_WRITTEN))._sinks == {}
+        assert oracle_class("a", hand_written())._sinks == {}

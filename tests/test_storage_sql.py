@@ -91,7 +91,7 @@ def test_sql_matches_graph_oracle(program, moment):
             # Stop while the retraction is still in flight: some prov rows
             # name a ruleExec row its node has already retracted.
             network.remove_link("n0", "n1")
-            network.run_for(0.001)
+            network.simulator.run(until=network.simulator.now + 0.001)
             assert network.simulator.pending_events, "the window must end mid-churn"
             network.storage_flush()
         graph = network.provenance_graph()
@@ -114,8 +114,8 @@ def test_sql_reachable_superset_of_bases(mincost_net):
     assert set(bases) <= set(reachable)
     # Base tuples of a mincost derivation are links.
     for base_vid in bases:
-        resolved = mincost_net.storage.fact_for_vid(base_vid)
-        assert resolved is not None and resolved.name == "link"
+        resolved = [node.store.fact_for_vid(base_vid) for node in mincost_net.nodes.values()]
+        assert any(fact is not None and fact.name == "link" for fact in resolved)
 
 
 def test_sql_subgraph_edges_consistent(mincost_net):

@@ -3,8 +3,7 @@
 ``TrafficStats`` stores each message as three array entries (time, size,
 interned route code).  ``ListOracle`` below keeps the obvious
 list-of-tuples log and computes every view from it; both are fed the same
-sequence and must agree on every view the figures, the shell and the
-sharded network read.
+sequence and must agree on every view the figures and the shell read.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.net.stats import MessageRecord, TrafficStats, merge_traffic_stats
+from repro.net.stats import TrafficStats
 
 KINDS = ("delta", "prov", "ctl")
 ADDRESSES = ("a", "b", 7, 11, ("g", 0), ("g", 1))
@@ -36,9 +35,6 @@ class ListOracle:
     def _rows(self, kinds):
         return self.rows if kinds is None else [r for r in self.rows if r[4] in set(kinds)]
 
-    def records(self, kinds=None):
-        return [MessageRecord(*row) for row in self._rows(kinds)]
-
     def total_bytes(self, kinds=None):
         return sum(row[3] for row in self._rows(kinds))
 
@@ -52,9 +48,9 @@ class ListOracle:
             totals[kind] = (messages + 1, sent + size)
         return dict(sorted(totals.items()))
 
-    def bytes_by_sender(self, kinds=None):
+    def bytes_by_sender(self):
         per_node = defaultdict(int)
-        for _, source, _, size, _ in self._rows(kinds):
+        for _, source, _, size, _ in self.rows:
             per_node[source] += size
         return dict(per_node)
 
@@ -117,15 +113,11 @@ KIND_FILTERS = [None, ["delta"], ["prov", "ctl"], ["missing"], []]
 
 def assert_same_views(packed, oracle):
     assert len(packed) == len(oracle)
-    assert packed.records() == oracle.records()
     assert packed.kind_totals() == oracle.kind_totals()
     assert packed.snapshot() == oracle.snapshot()
     for kinds in KIND_FILTERS:
-        assert packed.records(kinds) == oracle.records(kinds)
         assert packed.total_bytes(kinds) == oracle.total_bytes(kinds)
         assert packed.total_messages(kinds) == oracle.total_messages(kinds)
-        assert packed.bytes_by_sender(kinds) == oracle.bytes_by_sender(kinds)
-        assert list(packed.bytes_by_sender(kinds)) == list(oracle.bytes_by_sender(kinds))
         assert packed.last_activity_time(kinds) == oracle.last_activity_time(kinds)
         assert packed.average_bytes_per_node(4, kinds) == oracle.total_bytes(kinds) / 4
 
@@ -159,22 +151,6 @@ def test_empty_and_reset_logs_match_the_oracle():
         packed.record(*message)
         oracle.record(*message)
     assert_same_views(packed, oracle)
-
-
-def test_shard_merge_matches_the_merged_oracle():
-    sequence = messages(6, 500)
-    rank = {address: index for index, address in enumerate(ADDRESSES)}
-    shard_of = {address: index % 2 for index, address in enumerate(ADDRESSES)}
-    shards = [TrafficStats(), TrafficStats()]
-    for message in sequence:
-        shards[shard_of[message[1]]].record(*message)
-    merged = merge_traffic_stats(shards, rank)
-    # Each shard bills its own senders, so the union is the serial log.
-    # Order: time, then sender rank, then per-sender send order.
-    order = sorted(range(len(sequence)), key=lambda i: (sequence[i][0], rank[sequence[i][1]], i))
-    _, oracle = fed([sequence[i] for i in order])
-    assert_same_views(merged, oracle)
-    assert merge_traffic_stats(list(reversed(shards)), rank).records() == merged.records()
 
 
 def test_a_pickled_log_keeps_every_view():

@@ -2,7 +2,8 @@
 
 One short script runs under the recorder; the report must list exactly the
 functions no process called, whether the call happened in the main thread,
-in a thread or in a forked child that leaves through ``os._exit``.
+in a thread or in a forked child that leaves through ``os._exit``; and
+``check`` must hold the uncalled functions to the listed ones.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+
+import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -79,3 +82,34 @@ def test_recorder_reports_only_the_uncalled_function(tmp_path):
         ("never_called", 5)
     ]
     assert "script.py" in tool.report(str(root), out)
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """The tool, and the script's root and profile after one recorded run."""
+    tool = _tool()
+    root = tmp_path_factory.mktemp("code")
+    (root / "script.py").write_text(SCRIPT)
+    out = str(tmp_path_factory.mktemp("profile"))
+    result = tool.record([sys.executable, str(root / "script.py")], out, root=str(root))
+    assert result.returncode == 0, result.stderr
+    return tool, str(root), out
+
+
+def test_check_fails_on_an_unlisted_uncalled_function(recorded):
+    tool, root, out = recorded
+    assert tool.check(root, out, {}) == ["uncalled and not listed: script.py:never_called"]
+
+
+def test_check_fails_on_a_stale_listed_entry(recorded):
+    tool, root, out = recorded
+    listed = {"script.py:never_called": "-", "script.py:called": "-", "script.py:gone": "-"}
+    assert tool.check(root, out, listed) == [
+        "listed but called: script.py:called",
+        "listed but gone: script.py:gone",
+    ]
+
+
+def test_check_passes_when_every_uncalled_function_is_listed(recorded):
+    tool, root, out = recorded
+    assert tool.check(root, out, {"script.py:never_called": "an example"}) == []

@@ -14,6 +14,7 @@ from repro.core.vid import tuple_vid
 from repro.datalog import Fact
 from repro.net.topology import grid_topology
 from repro.protocols import mincost_program, pathvector_program
+from helpers import annotation_of
 
 
 @pytest.mark.xfail(
@@ -46,7 +47,7 @@ def test_min_winner_after_a_cut_names_only_link_tuples():
     strays = {
         row: sorted(annotation.support() - links)
         for node, row in network.tuples("bestPathCost")
-        if (annotation := network.engine(node).annotation_of(Fact("bestPathCost", row)))
+        if (annotation := annotation_of(network.engine(node), Fact("bestPathCost", row)))
         is not None
     }
     assert {row: names for row, names in strays.items() if names} == {}
@@ -75,7 +76,7 @@ def test_best_path_after_a_cut_names_only_link_tuples():
     strays = {
         row: sorted(annotation.support() - links)
         for node, row in network.tuples("bestPath")
-        if (annotation := network.engine(node).annotation_of(Fact("bestPath", row)))
+        if (annotation := annotation_of(network.engine(node), Fact("bestPath", row)))
         is not None
     }
     assert {row: names for row, names in strays.items() if names} == {}
