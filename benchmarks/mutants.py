@@ -178,7 +178,21 @@ MUTANTS: List[Mutant] = [
         "        return 8\n",
         ("tests/test_wire_sizing.py::test_sizes_and_encodings_equal_the_oracles",),
     ),
+    Mutant(
+        "kind_filter_inverted",
+        "net/stats.py",
+        "if route[2] in kinds}",
+        "if route[2] not in kinds}",
+        ("tests/test_traffic_log.py",),
+    ),
     # -- maintenance ---------------------------------------------------- #
+    Mutant(
+        "churn_logs_additions_as_deletions",
+        "net/churn.py",
+        'ChurnEvent(self.simulator.now, "add", a, b)',
+        'ChurnEvent(self.simulator.now, "delete", a, b)',
+        ("tests/test_net_network_stats_churn.py::TestChurn",),
+    ),
     Mutant(
         "remove_link_forgets_cost",
         "core/api.py",
