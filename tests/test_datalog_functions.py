@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.datalog.errors import EvaluationError, UnknownFunctionError
+from repro.datalog import functions
 from repro.datalog.functions import DIGEST_LENGTH, FunctionRegistry, default_registry, sha1_hex
 
 REGISTRY = default_registry()
@@ -33,6 +34,18 @@ class TestSha1:
     def test_f_sha1_none_renders_empty(self):
         assert REGISTRY.call("f_sha1", ["a", None, "b"]) == sha1_hex("ab")
 
+    def test_full_memo_is_dropped_and_digests_stay_right(self, monkeypatch):
+        monkeypatch.setattr(functions, "SHA1_CACHE_LIMIT", 2)
+        functions.clear_sha1_cache()
+        try:
+            for text in ("a", "b", "c", "a"):
+                assert REGISTRY.call("f_sha1", [text]) == sha1_hex(text)
+                assert functions.sha1_cache_stats()["entries"] <= 2
+            # "c" found the memo full and dropped it, so "a" missed again
+            assert functions.sha1_cache_stats()["misses"] == 4
+        finally:
+            functions.clear_sha1_cache()
+
     @given(st.text(max_size=50), st.text(max_size=50))
     def test_distinct_inputs_rarely_collide(self, a, b):
         if a != b:
@@ -55,6 +68,22 @@ class TestListFunctions:
     def test_f_item_out_of_range(self):
         with pytest.raises(EvaluationError):
             REGISTRY.call("f_item", [["a"], 5])
+
+    def test_f_item_requires_a_list_argument(self):
+        with pytest.raises(EvaluationError, match="requires a list"):
+            REGISTRY.call("f_item", [])
+
+    def test_f_item_of_a_scalar_raises(self):
+        with pytest.raises(EvaluationError, match="cannot take item 0 of 5"):
+            REGISTRY.call("f_item", [5])
+
+    def test_f_concat_of_nothing_is_the_empty_list(self):
+        assert REGISTRY.call("f_concat", []) == ()
+
+    @pytest.mark.parametrize("args", [[("a",)], [("a",), "a", "b"]], ids=["one", "three"])
+    def test_f_member_takes_exactly_two_arguments(self, args):
+        with pytest.raises(EvaluationError, match="exactly two"):
+            REGISTRY.call("f_member", args)
 
     def test_f_member(self):
         assert REGISTRY.call("f_member", [["a", "b"], "a"]) is True

@@ -14,7 +14,15 @@ from repro.datalog.terms import (
     FunctionCall,
     Variable,
 )
-from repro.protocols import MINCOST_SOURCE, PACKETFORWARD_SOURCE, PATHVECTOR_SOURCE
+from repro.core import rewrite_program
+from repro.protocols import (
+    MINCOST_SOURCE,
+    PACKETFORWARD_SOURCE,
+    PATHVECTOR_SOURCE,
+    mincost_program,
+    packetforward_program,
+    pathvector_program,
+)
 
 from helpers import parse_rule
 
@@ -144,6 +152,20 @@ class TestRuleParsing:
         assert len(reparsed.body) == len(rule.body)
 
 
+class TestNoUnaryOperators:
+    """NDlog terms have binary operators only: a prefix ``-`` or ``!`` is a
+    parse error, not a value computed at run time."""
+
+    @pytest.mark.parametrize("expression", ["X = -Y", "X = -5", "!Y"])
+    def test_prefix_operator_is_rejected(self, expression):
+        with pytest.raises(ParseError, match="unexpected token"):
+            parse_program(f"r t(@A,X) :- s(@A,Y), {expression}.")
+
+    def test_binary_minus_still_parses(self):
+        rule = parse_rule("r t(@A,X) :- s(@A,Y), X = Y - 5.")
+        assert str(rule) == "r t(@A, X) :- s(@A, Y), X = (Y - 5)."
+
+
 class TestStatements:
     @pytest.mark.parametrize("text", ['link(@"a", "b", 3).', "materialize(link, 3, keys(0, 1))."])
     def test_facts_and_declarations_are_not_program_text(self, text):
@@ -170,6 +192,19 @@ class TestProgramParsing:
     def test_predicates_derived(self):
         program = parse_program(MINCOST_SOURCE)
         assert program.predicates_derived() == ["bestPathCost", "pathCost"]
+
+    @pytest.mark.parametrize("rewritten", [False, True], ids=["ndlog", "rewritten"])
+    @pytest.mark.parametrize(
+        "program", [mincost_program, pathvector_program, packetforward_program]
+    )
+    def test_printed_rules_parse_back_to_the_same_text(self, program, rewritten):
+        """``str(program)`` is the rules as NDlog text (declarations are not
+        program text): parsing it back prints the same text, rule by rule."""
+        original = rewrite_program(program()) if rewritten else program()
+        text = str(original)
+        reparsed = parse_program(text)
+        assert [rule.label for rule in reparsed.rules] == [rule.label for rule in original.rules]
+        assert str(reparsed) == text
 
     def test_unexpected_token_raises(self):
         with pytest.raises(ParseError):

@@ -18,7 +18,9 @@ from repro.core.errors import QueryError
 from repro.core.requests import QueryRequest, SpecDescriptor
 from repro.datalog.ast import Fact
 from repro.faults.oracle import convergence_digest
+from repro.net.errors import NetworkError, NoRouteError, SimulationError, UnknownNodeError
 from repro.net.topology import ring_topology
+from repro.service.protocol import ERROR_CODES
 from repro.protocols.mincost import mincost_program
 from repro.core.api import ExspanNetwork
 from repro.service import (
@@ -84,6 +86,24 @@ class TestFraming:
     def test_protocol_error_requires_known_code(self):
         with pytest.raises(ValueError):
             ProtocolError("not-a-real-code", "nope")
+
+    @pytest.mark.parametrize(
+        "error, details",
+        [
+            (NetworkError("down"), {}),
+            (UnknownNodeError("zz"), {"node": "zz"}),
+            (NoRouteError("a", 7), {"source": "a", "destination": "7"}),
+            (SimulationError("late", time=2.0, safe_time=3.5), {"time": 2.0, "safe_time": 3.5}),
+        ],
+        ids=["network-error", "unknown-node", "no-route", "simulation-error"],
+    )
+    def test_network_errors_map_to_wire_codes_with_json_details(self, error, details):
+        """The server sends a NetworkError as ``ProtocolError(exc.code)`` plus
+        ``exc.details()``: the code must be on the wire and the details JSON."""
+        assert error.code in ERROR_CODES
+        assert ProtocolError(error.code, str(error)).code == error.code
+        assert error.details() == details
+        assert json.loads(json.dumps(error.details())) == details
 
     def test_malformed_json_frame_gets_bad_frame_error(self, raw):
         _hello(raw)
