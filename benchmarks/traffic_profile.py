@@ -263,7 +263,8 @@ LISTED: Dict[str, str] = {
     ),
     "repro/core/semiring.py:Literal.to_dnf": (
         "oracle: tests/test_core_query.py::TestOtherCustomizations compares a BDD "
-        "answer with the polynomial answer's absorbed DNF"
+        "answer with the polynomial answer's absorbed DNF; tests/test_core_vid_semiring.py::"
+        "TestPolynomialProperties checks it against a derivability evaluator"
     ),
     "repro/core/semiring.py:Sum.to_dnf": "oracle: as Literal.to_dnf",
     "repro/core/semiring.py:Product.to_dnf": "oracle: as Literal.to_dnf",
@@ -289,6 +290,10 @@ LISTED: Dict[str, str] = {
     "repro/datalog/ast.py:Fact.__eq__": (
         "oracle: the value equality tests/test_engine_dispatch.py and "
         "tests/test_sink_emission.py compare emitted facts with"
+    ),
+    "repro/datalog/ast.py:Fact.__hash__": (
+        "oracle: keeps a Fact, and the frozen QueryRequest and ScriptOp that hold one, "
+        "hashable values; tests/test_service_protocol.py::test_facts_hash_as_values hashes them"
     ),
     "repro/datalog/ast.py:Fact.__repr__": DEBUG,
     "repro/datalog/ast.py:Program.__str__": DEBUG,

@@ -478,12 +478,12 @@ def encode_annotation(value: Any) -> Dict[str, Any]:
     return {"kind": "repr", "value": repr(value)}
 
 
-def decode_annotation(payload: Mapping[str, Any], manager: Optional[BddManager] = None) -> Any:
+def decode_annotation(payload: Mapping[str, Any], manager: Optional[BddManager]) -> Any:
     """Reconstruct the in-process value of an encoded annotation.
 
     A BDD is imported into *manager*, the live policy's, so its nodes merge
-    with the ones derived after a checkpoint restore; everything else
-    round-trips exactly.
+    with the ones derived after a checkpoint restore (a BDD without a
+    manager is a :class:`QueryError`); everything else round-trips exactly.
     """
     kind = payload.get("kind")
     if kind == "none":

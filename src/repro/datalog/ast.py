@@ -241,9 +241,8 @@ class Fact:
     Facts are stored as plain value tuples; the location value is
     ``values[location_index]``.  A plain slotted class rather than a frozen
     dataclass: the engine creates one Fact per derived head, so construction
-    is three slot stores.  Facts are values — compared and printed by their
-    three fields — and nothing mutates one after construction; nothing
-    hashes one either (rows and keys are value tuples).
+    is three slot stores.  Facts are values — compared, hashed and printed
+    by their three fields — and nothing mutates one after construction.
     """
 
     __slots__ = ("name", "values", "location_index")
@@ -263,6 +262,9 @@ class Fact:
             and self.values == other.values
             and self.location_index == other.location_index
         )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.values, self.location_index))
 
     def __repr__(self) -> str:
         return (

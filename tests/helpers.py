@@ -1,4 +1,5 @@
-"""Readers the tests share: one rule from its text, an engine's local state."""
+"""Readers the tests share: one rule from its text, an engine's local state,
+a query cache's entries and a scheduled event's state."""
 
 from __future__ import annotations
 
@@ -39,3 +40,25 @@ def annotation_of(engine, fact: Fact) -> Any:
 def delete(network, fact: Fact) -> None:
     """Delete base *fact* at the node of a StandaloneNetwork that owns it."""
     network.engine(fact.location).delete(fact)
+
+
+def cached(cache, key) -> bool:
+    """Whether a QueryResultCache holds an answer under *key*."""
+    return key in cache._entries
+
+
+def dependents(cache, key) -> Tuple[Any, ...]:
+    """The ``(parent_node, parent_key)`` pairs waiting on *key*, in order."""
+    return tuple(cache._dependents.get(key, ()))
+
+
+def empty(cache) -> None:
+    """Drop every entry and index of a QueryResultCache in place."""
+    cache._entries.clear()
+    cache._dependents.clear()
+    cache._by_vertex.clear()
+
+
+def cancelled(event) -> bool:
+    """Whether a ScheduledEvent was cancelled (its callback slot cleared)."""
+    return event[3] is None

@@ -21,7 +21,7 @@ from repro.core.errors import ProvenanceError
 from repro.datalog import Fact, StandaloneNetwork
 from repro.net import ring_topology
 from repro.protocols import mincost_program, pathvector_program
-from helpers import annotation_of, has_fact, table_rows
+from helpers import annotation_of, cached, empty, has_fact, table_rows
 
 BEST_AC = Fact("bestPathCost", ("a", "c", 5))
 
@@ -58,7 +58,7 @@ class TestQueryResultCache:
         cache.put(("v", "a", "vid2"), 3, now=0.0)
         cache.invalidate_vertex("v", "vid1")
         assert len(cache) == 1
-        assert (("v", "a", "vid2") in cache._entries)
+        assert cached(cache, ("v", "a", "vid2"))
 
     def test_invalidate_vertex_with_only_dependents(self):
         cache = QueryResultCache("n")
@@ -311,7 +311,7 @@ class TestUpdateHookSubscription:
             CACHED_POLYNOMIAL.canonical_name,
             tuple_vid("bestPathCost", BEST_AC.values),
         )
-        assert not (root_key in service_a.cache._entries)
+        assert not cached(service_a.cache, root_key)
         after = reference_network.execute(
             QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL)
         )
@@ -324,8 +324,7 @@ class TestUpdateHookSubscription:
         request = QueryRequest(fact=BEST_AC, spec=CACHED_POLYNOMIAL)
         reference_network.execute(request)
         for node in reference_network.nodes.values():
-            cache = node.query_service.cache  # emptied in place
-            cache._entries.clear(), cache._dependents.clear(), cache._by_vertex.clear()
+            empty(node.query_service.cache)
         # emptied caches unsubscribe lazily, on the next update they see
         reference_network.remove_link("c", "d")
         reference_network.run_to_fixpoint()

@@ -223,6 +223,17 @@ def _expressions(depth: int = 3):
     )
 
 
+def _derivable(expression, trusted) -> bool:
+    """Whether *expression* derives from the *trusted* literals alone."""
+    if isinstance(expression, Literal):
+        return expression.label in trusted
+    if isinstance(expression, Sum):
+        return any(_derivable(term, trusted) for term in expression.terms)
+    if isinstance(expression, Product):
+        return all(_derivable(factor, trusted) for factor in expression.factors)
+    return False  # EMPTY
+
+
 class TestPolynomialProperties:
     @given(_expressions())
     def test_count_derivations_is_positive_for_nonempty(self, expression):
@@ -233,6 +244,12 @@ class TestPolynomialProperties:
         literals = set(expression.literals())
         for product in expression.to_dnf():
             assert set(product) <= literals
+
+    @given(_expressions(), st.sets(_literals, max_size=5))
+    def test_dnf_equivalent_to_expression_for_derivability(self, expression, trusted):
+        """Absorption is lossless for derivability tests (Section 6.3)."""
+        via_dnf = any(product <= trusted for product in expression.to_dnf())
+        assert _derivable(expression, trusted) == via_dnf
 
     @given(_expressions())
     def test_dnf_is_antichain(self, expression):

@@ -41,6 +41,7 @@ from repro.experiments.workloads import BurstQueryWorkload
 from repro.net import Simulator, grid_topology, ring_topology
 from repro.net.message import HEADER_OVERHEAD, batch_size, payload_size
 from repro.protocols import mincost_program
+from helpers import cached, cancelled, dependents
 
 
 def _reference_network(topology, **knobs) -> ExspanNetwork:
@@ -351,8 +352,8 @@ class TestMissingVertexDependents:
         )
         assert len(results) == 1  # missing answers resolve synchronously
         key = ("v", "miss-dep", "no-such-vid")
-        assert tuple(service.cache._dependents.get(key, ())) == (parent,)
-        assert not (key in service.cache._entries)  # the missing answer itself
+        assert dependents(service.cache, key) == (parent,)
+        assert not cached(service.cache, key)  # the missing answer itself
         # when the vertex appears, invalidation reaches the registered parent
         assert service.cache.invalidate_vertex("v", "no-such-vid") == (parent,)
 
@@ -370,8 +371,8 @@ class TestBoundedCache:
         assert cache.get(k1).result == 1  # refresh k1 -> k2 is now LRU
         cache.put(k3, 3, now=2.0)
         assert len(cache) == 2
-        assert (k1 in cache._entries) and (k3 in cache._entries)
-        assert not (k2 in cache._entries)
+        assert cached(cache, k1) and cached(cache, k3)
+        assert not cached(cache, k2)
         assert cache.evictions == 1
 
     def test_eviction_displaces_dependents_for_notification(self):
@@ -383,7 +384,7 @@ class TestBoundedCache:
         # k1 was evicted; its reverse pointer is returned for notification
         # and garbage-collected from the cache's bookkeeping.
         assert displaced == (("other", parent),)
-        assert tuple(cache._dependents.get(k1, ())) == ()
+        assert dependents(cache, k1) == ()
         assert cache.invalidate_vertex("v", "vid1") == ()
 
     def test_reput_resets_previous_generation_dependents(self):
@@ -401,7 +402,7 @@ class TestBoundedCache:
         cache.add_dependent(key, *old_parent)
         # re-query caches generation 2 with its own consumers
         cache.put(key, "gen2", now=1.0, dependents=[new_parent])
-        assert tuple(cache._dependents.get(key, ())) == (new_parent,)
+        assert dependents(cache, key) == (new_parent,)
         # the second invalidation notifies only generation 2's consumer
         assert cache.invalidate(key) == (new_parent,)
 
@@ -413,7 +414,7 @@ class TestBoundedCache:
         p1, p2 = ("b", ("r", "s", "r1")), ("c", ("r", "s", "r2"))
         cache.put(key, "x", now=0.0, dependents=[p1])
         cache.put(key, "x", now=0.1, dependents=[p2])
-        assert set(tuple(cache._dependents.get(key, ()))) == {p1, p2}
+        assert set(dependents(cache, key)) == {p1, p2}
 
     def test_hit_counters_stay_consistent_across_eviction_and_reput(self):
         """Regression: entry.hits and cache.hits drifted after evict/re-put."""
@@ -442,10 +443,10 @@ class TestBoundedCache:
         cache.put(("r", "spec-a", "vid1"), 3, now=0.0)  # rule key, same id
         cache.put(("v", "spec-a", "vid2"), 4, now=0.0)
         cache.invalidate_vertex("v", "vid1")
-        assert not (("v", "spec-a", "vid1") in cache._entries)
-        assert not (("v", "spec-b", "vid1") in cache._entries)
-        assert (("r", "spec-a", "vid1") in cache._entries)
-        assert (("v", "spec-a", "vid2") in cache._entries)
+        assert not cached(cache, ("v", "spec-a", "vid1"))
+        assert not cached(cache, ("v", "spec-b", "vid1"))
+        assert cached(cache, ("r", "spec-a", "vid1"))
+        assert cached(cache, ("v", "spec-a", "vid2"))
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -559,7 +560,7 @@ class TestSimulatorChurn:
         assert simulator.compactions > 0
         assert simulator.pending_events == 1
         assert simulator.run_until_idle() == 1
-        assert keeper[3] is not None  # executed, never cancelled
+        assert not cancelled(keeper)  # executed, never cancelled
 
     def test_cancelled_events_do_not_execute_after_compaction(self):
         simulator = Simulator()
@@ -571,4 +572,4 @@ class TestSimulatorChurn:
         simulator._maybe_compact()
         simulator.run_until_idle()
         assert fired == [0, 1, 2, 3, 4]
-        assert all(event[3] is not None for event in keep)
+        assert all(not cancelled(event) for event in keep)

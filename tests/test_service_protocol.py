@@ -356,3 +356,18 @@ def test_decode_fact_freezes_nested_lists_and_finds_the_vid_memo():
     assert sha1_cache_stats()["hits"] == hits + 1
     moved = decode_fact({"name": "link", "values": ["a", "b", 1], "location_index": 1})
     assert moved.location == "b"
+
+
+def test_facts_hash_as_values():
+    """Equal facts hash equal, so a fact from the wire, and the frozen
+    request or script op that holds one, can key a dict or join a set."""
+    from repro.core.requests import canonical_json, decode_fact, encode_fact
+    from repro.net.sharding import ScriptOp
+
+    fact = Fact("bestPath", ("n0", "n3", 3, ("n0", "n3")))
+    decoded = decode_fact(json.loads(canonical_json(encode_fact(fact))))
+    assert hash(decoded) == hash(fact)
+    assert len({fact, decoded, Fact("bestPath", ("n0", "n3", 3, ("n0", "n3")), 1)}) == 2
+    requests = {QueryRequest(fact, "count"), QueryRequest(decoded, "count")}
+    assert len(requests) == 1
+    assert hash(ScriptOp("insert", fact=decoded)) == hash(ScriptOp("insert", fact=fact))

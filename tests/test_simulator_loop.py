@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net.errors import SimulationError
 from repro.net.simulator import Simulator
+from helpers import cancelled
 
 
 @dataclass(slots=True)
@@ -273,6 +274,6 @@ def test_cancel_from_a_callback_that_compacts_the_running_queue():
     assert simulator.run() == 2
     assert fired == ["canceller", "after"]
     assert simulator.compactions >= 1
-    assert all(event[3] is None and not event.pending for event in victims)  # cancelled
+    assert all(cancelled(event) and not event.pending for event in victims)
     assert simulator.queue_length == simulator.pending_events == 0
 

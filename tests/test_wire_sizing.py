@@ -335,4 +335,4 @@ def test_a_cached_answer_equals_its_wire_round_trip():
     body = {key: wire[key] for key in wire if key != "meta"}
     assert canonical_json(body).encode() == second.canonical_bytes() == before
     assert third.canonical_bytes() == first.canonical_bytes() == before
-    assert decode_annotation(wire["annotation"]) == third.result
+    assert decode_annotation(wire["annotation"], None) == third.result  # no BDD, no manager
