@@ -100,6 +100,16 @@ MUTANTS: List[Mutant] = [
         ),
     ),
     Mutant(
+        "f_append_bound_to_f_item",
+        "datalog/plan/compiled_exec.py",
+        "self.namespace[name] = BUILTINS[term.name]",
+        'self.namespace[name] = BUILTINS["f_item" if term.name == "f_append" else term.name]',
+        (
+            "tests/test_plan_subsystem.py::test_generated_code_calls_the_builtins_the_interpreter_looks_up",
+            "tests/test_plan_subsystem.py::test_generated_code_binds_each_builtin_it_calls_once",
+        ),
+    ),
+    Mutant(
         "aggregate_winner_left",
         "datalog/aggregates.py",
         "self._best = None  # winner left",

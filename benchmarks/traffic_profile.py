@@ -231,8 +231,9 @@ def report(root: str, out_dir: str) -> str:
 DEBUG = "debugging dunder"
 INTERACTIVE = "interactive only: a human at a terminal"
 REPLAY = (
-    "error path: the generated executor's interpreter replay "
-    "(CompiledDeltaPlan._finalize_replay) evaluates terms when generated code raises; "
+    "error path: when generated code raises (a builtin's own error, or an unknown "
+    "builtin name, which compiles to _unsupported), the interpreter replay "
+    "(CompiledDeltaPlan._finalize_replay) evaluates the rule's terms; "
     "tests/oracle's InterpretedEngine too (tests/test_sink_emission.py)"
 )
 ITEM_19 = "ROADMAP item 19: the paper-claim report built from artifacts"
@@ -304,7 +305,6 @@ LISTED: Dict[str, str] = {
     "repro/datalog/errors.py:UnknownFunctionError.__init__": (
         "error path: a rule calls an unbound function name"
     ),
-    "repro/datalog/functions.py:FunctionRegistry.call": REPLAY,
     "repro/datalog/terms.py:Constant.evaluate": REPLAY,
     "repro/datalog/terms.py:BinaryOp.evaluate": REPLAY,
     "repro/datalog/terms.py:BinaryOp.__str__": DEBUG,

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..datalog.ast import Fact, Program
 from ..datalog.engine import Delta, NDlogEngine
-from ..datalog.functions import default_registry
+from ..net.errors import UnknownNodeError
 from ..net.host import Host
 from ..net.message import HEADER_OVERHEAD, Message, payload_size
 from ..net.network import Network
@@ -106,14 +106,11 @@ class ExspanNetwork:
         self.config = config
         self.topology = topology
         self.mode = config.mode
-        self.query_cache_capacity = config.query_cache_capacity
         self._rng = random.Random(config.seed)
-        collector = config.collector
-        if config.mode is ProvenanceMode.CENTRALIZED and collector is None:
-            collector = topology.nodes[0]
-        self.collector = collector
+        #: Where centralized provenance collects: the topology's first node.
+        self.collector = topology.nodes[0] if config.mode is ProvenanceMode.CENTRALIZED else None
         self.prepared: PreparedProgram = prepare_program(
-            program, config.mode, collector=collector, value_policy=config.value_policy
+            program, config.mode, collector=self.collector, value_policy=config.value_policy
         )
         self.network = Network(
             topology,
@@ -176,11 +173,7 @@ class ExspanNetwork:
         policy = None
         if self.prepared.annotation_policy_factory is not None:
             policy = self.prepared.annotation_policy_factory(address)
-        engine = NDlogEngine(
-            address,
-            functions=default_registry(),
-            annotation_policy=policy,
-        )
+        engine = NDlogEngine(address, annotation_policy=policy)
         engine.tracer = self.tracer
         engine.set_send(self._make_sender(host, engine))
         engine.load_program(self.prepared.program)
@@ -190,7 +183,6 @@ class ExspanNetwork:
             host,
             store,
             clock=lambda: self.simulator.now,
-            cache_capacity=self.query_cache_capacity,
             tracer=self.tracer,
         )
         host.register_handler(DELTA_MESSAGE_KIND, partial(self._deliver_delta, engine))
@@ -232,7 +224,7 @@ class ExspanNetwork:
         try:
             return self.nodes[address]
         except KeyError:
-            raise ProvenanceError(f"unknown node {address!r}") from None
+            raise UnknownNodeError(address) from None
 
     def addresses(self) -> List[Any]:
         return list(self.nodes)

@@ -54,7 +54,7 @@ __all__ = [
 #: Serialized size charged per BDD node (variable index + two node pointers).
 BDD_NODE_BYTES = 6
 
-#: Default computed-table capacity (entries) before a wholesale flush.
+#: Computed-table capacity (entries) before a wholesale flush.
 APPLY_CACHE_LIMIT = 1 << 18
 
 
@@ -78,14 +78,11 @@ class BddManager:
     FALSE_ID = 0
     TRUE_ID = 1
 
-    def __init__(self, apply_cache_limit: int = APPLY_CACHE_LIMIT) -> None:
-        if apply_cache_limit < 1:
-            raise ValueError("apply_cache_limit must be positive")
+    def __init__(self) -> None:
         # node id -> _Node; ids 0 and 1 are the terminal constants
         self._nodes: Dict[int, _Node] = {}
         self._unique: Dict[Tuple[str, int, int], int] = {}
         self._apply_cache: Dict[Tuple[str, int, int], int] = {}
-        self._apply_cache_limit = apply_cache_limit
         self._next_id = 2
         self._vars: Set[str] = set()
         # node id -> (node count, wire size), measured in one walk.
@@ -131,7 +128,7 @@ class BddManager:
     # computed table
     # ------------------------------------------------------------------ #
     def _cache_put(self, key: Tuple[str, int, int], result: int) -> None:
-        if len(self._apply_cache) >= self._apply_cache_limit:
+        if len(self._apply_cache) >= APPLY_CACHE_LIMIT:
             # Wholesale flush: bounded memory, deterministic results (the
             # table is pure memoization), standard BDD-package policy.
             self._apply_cache.clear()

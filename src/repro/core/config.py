@@ -1,9 +1,9 @@
 """Consolidated, validated construction configuration for ExSPAN networks.
 
-:class:`ExspanConfig` holds the eight construction settings of an
-:class:`ExspanNetwork` — provenance mode, value policy, collector, RNG
-seed, query-cache capacity, sharding placement and storage backend — in
-one validated value object with documented defaults:
+:class:`ExspanConfig` holds the six construction settings of an
+:class:`ExspanNetwork` — provenance mode, value policy, RNG seed, sharding
+placement and storage backend — in one validated value object with
+documented defaults:
 
 * every knob is validated eagerly at construction (bad values fail where
   the config is *written*, not deep inside network bootstrap);
@@ -15,7 +15,9 @@ one validated value object with documented defaults:
 
 A behaviour with one value in every workload is code, not a setting: the
 query service always coalesces in-flight resolutions and batches per
-destination, and a runtime-added link costs ``LinkSpec().cost``.
+destination, a runtime-added link costs ``LinkSpec().cost``, centralized
+provenance collects at the topology's first node, and every node's query
+cache holds ``repro.core.cache.DEFAULT_CACHE_CAPACITY`` results.
 
 ``ExspanNetwork(topology, program, config=ExspanConfig(...))`` is the one
 way to build a network.
@@ -34,10 +36,18 @@ __all__ = ["ExspanConfig", "coerce_mode", "MODE_NAMES"]
 
 #: Config keys that older :meth:`ExspanConfig.to_dict` forms carried and
 #: :meth:`ExspanConfig.from_dict` now ignores: the traffic log's retired
-#: record cap, the query service's coalescing/batching switches and the
-#: runtime-added link cost.
+#: record cap, the query service's coalescing/batching switches, the
+#: runtime-added link cost, the centralized collector and the query-cache
+#: capacity.
 _RETIRED_KEYS = frozenset(
-    {"traffic_record_cap", "query_coalescing", "query_batching", "link_cost"}
+    {
+        "traffic_record_cap",
+        "query_coalescing",
+        "query_batching",
+        "link_cost",
+        "collector",
+        "query_cache_capacity",
+    }
 )
 
 #: Canonical short names for provenance modes (the JSON wire form).
@@ -85,16 +95,10 @@ class ExspanConfig:
         ``mode`` — provenance mode (``ProvenanceMode`` or ``"ref"`` /
         ``"value"`` / ``"none"`` / ``"centralized"``);
         ``value_policy`` — annotation representation for value mode
-        (``"bdd"`` or ``"polynomial"``);
-        ``collector`` — collector node for centralized mode (defaults to
-        the topology's first node).
+        (``"bdd"`` or ``"polynomial"``).
 
     Workload
         ``seed`` — RNG seed for :meth:`ExspanNetwork.random_tuple`.
-
-    Query engine
-        ``query_cache_capacity`` — per-node bounded result-cache capacity
-        (``None`` = engine default).
 
     Sharding placement
         ``local_addresses`` / ``shard_map`` — configure the instance as
@@ -109,10 +113,8 @@ class ExspanConfig:
     """
 
     mode: ProvenanceMode = ProvenanceMode.REFERENCE
-    collector: Optional[Any] = None
     value_policy: str = "bdd"
     seed: int = 0
-    query_cache_capacity: Optional[int] = None
     local_addresses: Optional[Tuple[Any, ...]] = None
     shard_map: Optional[Mapping[Any, int]] = field(default=None)
     storage: Optional[str] = None
@@ -126,12 +128,6 @@ class ExspanConfig:
         _require(
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an int, got {self.seed!r}",
-        )
-        capacity = self.query_cache_capacity
-        _require(
-            capacity is None
-            or (isinstance(capacity, int) and not isinstance(capacity, bool) and capacity >= 0),
-            f"query_cache_capacity must be None or a non-negative int, got {capacity!r}",
         )
         if self.local_addresses is not None:
             object.__setattr__(self, "local_addresses", tuple(self.local_addresses))
@@ -159,16 +155,14 @@ class ExspanConfig:
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-able form (the wire description of a network).
 
-        ``collector`` and the sharding placement are emitted as-is, so the
-        dict is JSON-serializable whenever node addresses are (they are
-        strings in every in-repo topology).
+        The sharding placement is emitted as-is, so the dict is
+        JSON-serializable whenever node addresses are (they are strings in
+        every in-repo topology).
         """
         payload: Dict[str, Any] = {
             "mode": MODE_NAMES[self.mode],
-            "collector": self.collector,
             "value_policy": self.value_policy,
             "seed": self.seed,
-            "query_cache_capacity": self.query_cache_capacity,
         }
         if self.local_addresses is not None:
             payload["local_addresses"] = list(self.local_addresses)

@@ -45,7 +45,6 @@ def polynomial_query(
     granularity: Optional[GranularitySpec] = None,
     threshold_met: Optional[Callable[[ProvenanceExpression], bool]] = None,
     moonwalk_width: int = 1,
-    node_filter: Optional[Callable[[Any], bool]] = None,
 ) -> QuerySpec:
     """Provenance polynomials: ``+`` across derivations, ``·`` across inputs.
 
@@ -80,7 +79,6 @@ def polynomial_query(
         traversal=traversal,
         threshold_met=threshold_met,
         moonwalk_width=moonwalk_width,
-        node_filter=node_filter,
         use_cache=use_cache,
     )
 
@@ -91,7 +89,6 @@ def bdd_query(
     traversal: TraversalOrder = TraversalOrder.BFS,
     use_cache: bool = False,
     granularity: Optional[GranularitySpec] = None,
-    node_filter: Optional[Callable[[Any], bool]] = None,
 ) -> QuerySpec:
     """Condensed (absorption) provenance carried as BDDs.
 
@@ -135,7 +132,6 @@ def bdd_query(
         f_rule=f_rule,
         missing=bdd_manager.false,
         traversal=traversal,
-        node_filter=node_filter,
         use_cache=use_cache,
     )
 
@@ -145,7 +141,6 @@ def node_set_query(
     traversal: TraversalOrder = TraversalOrder.BFS,
     use_cache: bool = False,
     threshold: Optional[int] = None,
-    node_filter: Optional[Callable[[Any], bool]] = None,
 ) -> QuerySpec:
     """The set of nodes participating in the derivation (Table 3, NodeSet).
 
@@ -183,7 +178,6 @@ def node_set_query(
         missing=frozenset,
         traversal=traversal,
         threshold_met=threshold_met,
-        node_filter=node_filter,
         use_cache=use_cache,
     )
 
@@ -194,7 +188,6 @@ def derivation_count_query(
     use_cache: bool = False,
     threshold: Optional[int] = None,
     moonwalk_width: int = 1,
-    node_filter: Optional[Callable[[Any], bool]] = None,
 ) -> QuerySpec:
     """Number of alternative derivations (Table 3, "# of Derivations").
 
@@ -230,7 +223,6 @@ def derivation_count_query(
         traversal=traversal,
         threshold_met=threshold_met,
         moonwalk_width=moonwalk_width,
-        node_filter=node_filter,
         use_cache=use_cache,
     )
 
@@ -241,7 +233,6 @@ def derivability_query(
     granularity: Optional[GranularitySpec] = None,
     traversal: TraversalOrder = TraversalOrder.BFS,
     use_cache: bool = False,
-    node_filter: Optional[Callable[[Any], bool]] = None,
 ) -> QuerySpec:
     """Derivability test (Table 3): OR across derivations, AND across inputs.
 
@@ -281,6 +272,5 @@ def derivability_query(
         threshold_met=(lambda partial: bool(partial))
         if traversal is TraversalOrder.DFS_THRESHOLD
         else None,
-        node_filter=node_filter,
         use_cache=use_cache,
     )

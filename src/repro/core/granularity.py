@@ -34,18 +34,18 @@ class Granularity(Enum):
     TRUST_DOMAIN = "trust-domain"
 
 
-def prefix_domain_map(separator: str = "_") -> Callable[[Any], str]:
-    """Return a node→domain function that strips everything after *separator*.
+def prefix_domain_map() -> Callable[[Any], str]:
+    """Return a node→domain function that strips everything after the first ``_``.
 
     The transit-stub generator names nodes ``s<domain>_<transit>_<stub>_<n>``,
-    so the default map assigns every node of a domain the same identifier
+    so the map assigns every node of a domain the same identifier
     ``s<domain>`` / ``t<domain>`` — a reasonable stand-in for administrative
     domains in the absence of explicit configuration.
     """
 
     def mapper(node: Any) -> str:
         text = str(node)
-        return text.split(separator, 1)[0]
+        return text.split("_", 1)[0]
 
     return mapper
 

@@ -148,8 +148,6 @@ class QuerySpec:
     traversal: TraversalOrder = TraversalOrder.BFS
     threshold_met: Optional[Callable[[Any], bool]] = None
     moonwalk_width: int = 1
-    node_filter: Optional[Callable[[Any], bool]] = None
-    rule_filter: Optional[Callable[[str, Any], bool]] = None
     use_cache: bool = False
     max_depth: int = DEFAULT_MAX_DEPTH
 
@@ -313,7 +311,6 @@ class ProvenanceQueryService:
         host: Host,
         store: ProvenanceStore,
         clock: Callable[[], float],
-        cache_capacity: Optional[int] = None,
         tracer: Any = None,
     ):
         self.host = host
@@ -324,9 +321,7 @@ class ProvenanceQueryService:
         #: opens a span linked into its root query's trace, across hosts.
         self.tracer = tracer
         self.cache = QueryResultCache(
-            self.node,
-            DEFAULT_CACHE_CAPACITY if cache_capacity is None else cache_capacity,
-            on_watch=self._watch_updates,
+            self.node, DEFAULT_CACHE_CAPACITY, on_watch=self._watch_updates
         )
         #: Whether :meth:`on_tuple_update` is registered with the engine.
         self._watching_updates = False
@@ -750,11 +745,10 @@ class ProvenanceQueryService:
         # here, before any continuation runs.
         is_base = False
         derivations = []
-        node_filter = spec.node_filter
         for row in rows:
             if row[2] is None:
                 is_base = True
-            elif node_filter is None or node_filter(row[3]):
+            else:
                 derivations.append(row)
         initial_results: List[Any] = []
         if is_base:
@@ -892,8 +886,7 @@ class ProvenanceQueryService:
 
         # Rows are (rloc, rid, rule, inputs); a RID names one execution.
         row = next(iter(self.store.probe(RULE_EXEC_TABLE, rid)), None)
-        rule_filter = spec.rule_filter
-        if row is None or (rule_filter is not None and not rule_filter(row[2], self.node)):
+        if row is None:
             # As for unknown tuple vertices: the missing answer itself is
             # not cached, but cached ancestors embedding it must remain
             # reachable by invalidation should the ruleExec row appear.

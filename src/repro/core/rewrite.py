@@ -29,7 +29,7 @@ rule per base relation, so the recursive provenance query's base case
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..datalog.ast import (
     Assignment,
@@ -110,104 +110,30 @@ class ProvenanceRewriter:
         head_vars = [fresh.make(f"ProvH{index}") for index in range(arity)]
 
         location_var = self._body_location_variable(rule)
+        pid_assignments = self._pid_assignments(rule, fresh)
+        vid_var = fresh.make("ProvVID")
+        names = _ProvNames(rloc_var, rid_var, list_var, rule_name_var, vid_var, head_vars)
 
-        # --- rule 1: eProvTmp carrying head values + provenance attributes
-        tmp_name = _tmp_event_name(rule.label)
+        # The message event to the head location (RID, RLoc piggybacked).
         msg_name = _msg_event_name(rule.label)
-        pid_assignments, pid_vars = self._pid_assignments(rule, fresh)
-        tmp_body: List = list(rule.body)
-        tmp_body.append(Assignment(Variable(rloc_var), Variable(location_var)))
-        tmp_body.extend(pid_assignments)
-        tmp_body.append(
-            Assignment(
-                Variable(list_var),
-                FunctionCall("f_append", [Variable(name) for name in pid_vars]),
-            )
-        )
-        tmp_body.append(
-            Assignment(
-                Variable(rid_var),
-                FunctionCall(
-                    "f_sha1",
-                    [Constant(rule.label), Variable(rloc_var), Variable(list_var)],
-                ),
-            )
-        )
-        tmp_head = Atom(
-            tmp_name,
-            [Variable(rloc_var), *head.args, Constant(rule.label),
-             Variable(rid_var), Variable(list_var)],
-            location_index=0,
-        )
-        rule1 = Rule(f"{rule.label}_ptmp", tmp_head, tmp_body)
-
-        # The event atom as seen by downstream rules (all-fresh variables).
-        tmp_atom = Atom(
-            tmp_name,
-            [Variable(rloc_var), *[Variable(name) for name in head_vars],
-             Variable(rule_name_var), Variable(rid_var), Variable(list_var)],
-            location_index=0,
-        )
-
-        # --- rule 2: ruleExec at the rule's location
-        rule2 = Rule(
-            f"{rule.label}_pexec",
-            Atom(
-                RULE_EXEC_TABLE,
-                [Variable(rloc_var), Variable(rid_var), Variable(rule_name_var),
-                 Variable(list_var)],
-                location_index=0,
-            ),
-            [tmp_atom],
-        )
-
-        # --- rule 3: message event to the head location (RID, RLoc piggybacked)
-        rule3 = Rule(
-            f"{rule.label}_pmsg",
-            Atom(
-                msg_name,
-                [*[Variable(name) for name in head_vars], Variable(rid_var),
-                 Variable(rloc_var)],
-                location_index=head.location_index,
-            ),
-            [tmp_atom],
-        )
-
         msg_atom = Atom(
             msg_name,
             [*[Variable(name) for name in head_vars], Variable(rid_var),
              Variable(rloc_var)],
             location_index=head.location_index,
         )
-
+        # --- rules 1, 2 and 5: eProvTmp, ruleExec, and prov at the head location
+        rule1, tmp_atom, rule2, rule5 = self._shared_rules(
+            rule, [], head.args, location_var, pid_assignments, names, msg_atom
+        )
+        # --- rule 3: the message, the only cross-node one
+        rule3 = Rule(f"{rule.label}_pmsg", msg_atom, [tmp_atom])
         # --- rule 4: the original derivation
         rule4 = Rule(
             f"{rule.label}_phead",
             Atom(head.name, [Variable(name) for name in head_vars],
                  location_index=head.location_index),
             [msg_atom],
-        )
-
-        # --- rule 5: prov entry at the head location
-        vid_var = fresh.make("ProvVID")
-        rule5 = Rule(
-            f"{rule.label}_pprov",
-            Atom(
-                PROV_TABLE,
-                [Variable(head_vars[head.location_index]), Variable(vid_var),
-                 Variable(rid_var), Variable(rloc_var)],
-                location_index=0,
-            ),
-            [
-                msg_atom,
-                Assignment(
-                    Variable(vid_var),
-                    FunctionCall(
-                        "f_sha1",
-                        [Constant(head.name)] + [Variable(name) for name in head_vars],
-                    ),
-                ),
-            ],
         )
         return [rule1, rule2, rule3, rule4, rule5]
 
@@ -254,76 +180,74 @@ class ProvenanceRewriter:
         list_var = fresh.make("ProvList")
         vid_var = fresh.make("ProvVID")
         rule_name_var = fresh.make("ProvR")
+        pid_assignments = self._pid_assignments(rule, fresh)
+        head_vars = [fresh.make(f"ProvH{index}") for index in range(head.arity)]
+        names = _ProvNames(rloc_var, rid_var, list_var, rule_name_var, vid_var, head_vars)
 
-        pid_assignments, pid_vars = self._pid_assignments(rule, fresh)
-        tmp_name = _tmp_event_name(rule.label)
-        tmp_body: List = [derived_atom, *rule.body]
-        tmp_body.append(Assignment(Variable(rloc_var), Variable(location_var)))
-        tmp_body.extend(pid_assignments)
-        tmp_body.append(
-            Assignment(
-                Variable(list_var),
-                FunctionCall("f_append", [Variable(name) for name in pid_vars]),
-            )
-        )
-        tmp_body.append(
-            Assignment(
-                Variable(rid_var),
-                FunctionCall(
-                    "f_sha1",
-                    [Constant(rule.label), Variable(rloc_var), Variable(list_var)],
-                ),
-            )
-        )
-        tmp_head = Atom(
-            tmp_name,
-            [Variable(rloc_var), *derived_args, Constant(rule.label),
-             Variable(rid_var), Variable(list_var)],
-            location_index=0,
-        )
-        rule_tmp = Rule(f"{rule.label}_ptmp", tmp_head, tmp_body)
-
-        # Event atom with fresh variables for downstream rules.
-        arity = head.arity
-        head_vars = [fresh.make(f"ProvH{index}") for index in range(arity)]
-        tmp_atom = Atom(
-            tmp_name,
-            [Variable(rloc_var), *[Variable(name) for name in head_vars],
-             Variable(rule_name_var), Variable(rid_var), Variable(list_var)],
-            location_index=0,
-        )
-        rule_exec = Rule(
-            f"{rule.label}_pexec",
-            Atom(
-                RULE_EXEC_TABLE,
-                [Variable(rloc_var), Variable(rid_var), Variable(rule_name_var),
-                 Variable(list_var)],
-                location_index=0,
-            ),
-            [tmp_atom],
-        )
-        rule_prov = Rule(
-            f"{rule.label}_pprov",
-            Atom(
-                PROV_TABLE,
-                [Variable(head_vars[head.location_index]), Variable(vid_var),
-                 Variable(rid_var), Variable(rloc_var)],
-                location_index=0,
-            ),
-            [
-                tmp_atom,
-                Assignment(
-                    Variable(vid_var),
-                    FunctionCall(
-                        "f_sha1",
-                        [Constant(head.name)] + [Variable(name) for name in head_vars],
-                    ),
-                ),
-            ],
+        # The derived tuple joins back against the body: its eProvTmp
+        # carries the winning inputs, and its prov entry is local.
+        rule_tmp, _, rule_exec, rule_prov = self._shared_rules(
+            rule, [derived_atom], derived_args, location_var, pid_assignments, names
         )
         # The original aggregate rule is kept unchanged (it performs the
         # actual derivation); provenance is attributed to the winning tuple.
         return [rule, rule_tmp, rule_exec, rule_prov]
+
+    def _shared_rules(
+        self,
+        rule: Rule,
+        body_prefix: List[Atom],
+        head_args: Sequence[Term],
+        location_var: str,
+        pid_assignments: List[Assignment],
+        names: "_ProvNames",
+        prov_trigger: Optional[Atom] = None,
+    ) -> Tuple[Rule, Atom, Rule, Rule]:
+        """Algorithm 1's rules common to both rewrites.
+
+        Returns the ``_ptmp`` rule deriving ``eProvTmp`` (RLoc, the
+        *head_args*, R, RID and the input VID List) from *body_prefix* and
+        the body; the ``eProvTmp`` atom as downstream rules read it (all
+        fresh variables); the ``_pexec`` rule recording the execution in
+        ``ruleExec``; and the ``_pprov`` rule adding the head's ``prov``
+        entry when *prov_trigger* (default: that atom) arrives.
+        """
+        rloc, rid, vids = Variable(names.rloc), Variable(names.rid), Variable(names.list)
+        tmp_name = _tmp_event_name(rule.label)
+        tmp_body: List = [*body_prefix, *rule.body]
+        tmp_body.append(Assignment(rloc, Variable(location_var)))
+        tmp_body.extend(pid_assignments)
+        tmp_body.append(
+            Assignment(vids, FunctionCall("f_append", [pid.variable for pid in pid_assignments]))
+        )
+        tmp_body.append(
+            Assignment(rid, FunctionCall("f_sha1", [Constant(rule.label), rloc, vids]))
+        )
+        tmp_head = Atom(
+            tmp_name, [rloc, *head_args, Constant(rule.label), rid, vids], location_index=0
+        )
+        rule_tmp = Rule(f"{rule.label}_ptmp", tmp_head, tmp_body)
+
+        head_vars = [Variable(name) for name in names.head]
+        rule_name = Variable(names.rule)
+        tmp_atom = Atom(tmp_name, [rloc, *head_vars, rule_name, rid, vids], location_index=0)
+        rule_exec = Rule(
+            f"{rule.label}_pexec",
+            Atom(RULE_EXEC_TABLE, [rloc, rid, rule_name, vids], location_index=0),
+            [tmp_atom],
+        )
+
+        head = rule.head
+        vid = Variable(names.vid)
+        rule_prov = Rule(
+            f"{rule.label}_pprov",
+            Atom(PROV_TABLE, [head_vars[head.location_index], vid, rid, rloc], location_index=0),
+            [
+                prov_trigger or tmp_atom,
+                Assignment(vid, FunctionCall("f_sha1", [Constant(head.name), *head_vars])),
+            ],
+        )
+        return rule_tmp, tmp_atom, rule_exec, rule_prov
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -337,22 +261,18 @@ class ProvenanceRewriter:
             )
         return location
 
-    def _pid_assignments(
-        self, rule: Rule, fresh: "_FreshNames"
-    ) -> Tuple[List[Assignment], List[str]]:
+    def _pid_assignments(self, rule: Rule, fresh: "_FreshNames") -> List[Assignment]:
         """Assignments computing the VID of each body tuple (PID1..PIDn)."""
         assignments: List[Assignment] = []
-        names: List[str] = []
         for index, atom in enumerate(rule.body_atoms):
             pid_var = fresh.make(f"ProvPID{index}")
-            names.append(pid_var)
             assignments.append(
                 Assignment(
                     Variable(pid_var),
                     FunctionCall("f_sha1", [Constant(atom.name), *atom.args]),
                 )
             )
-        return assignments, names
+        return assignments
 
     def _edb_prov_rules(self) -> List[Rule]:
         """Generate prov entries (RID = null) for every base relation."""
@@ -390,6 +310,18 @@ class ProvenanceRewriter:
                 ),
             ],
         )
+
+
+class _ProvNames(NamedTuple):
+    """The fresh variables of one rewritten rule, as :class:`_FreshNames`
+    allocated them: RLoc, RID, the VID List, R, the VID and the head's."""
+
+    rloc: str
+    rid: str
+    list: str
+    rule: str
+    vid: str
+    head: List[str]
 
 
 class _FreshNames:

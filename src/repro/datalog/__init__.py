@@ -33,7 +33,7 @@ from .errors import (
     UnknownFunctionError,
     ValidationError,
 )
-from .functions import FunctionRegistry, default_registry, sha1_hex
+from .functions import sha1_hex
 from .parser import parse_program
 from .runtime import StandaloneNetwork
 from .terms import (
@@ -70,8 +70,6 @@ __all__ = [
     "SchemaError",
     "UnknownFunctionError",
     "ValidationError",
-    "FunctionRegistry",
-    "default_registry",
     "sha1_hex",
     "parse_program",
     "StandaloneNetwork",

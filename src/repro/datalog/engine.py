@@ -51,7 +51,6 @@ from .aggregates import AggregateState
 from .ast import Atom, Fact, Program, Rule, is_event_predicate
 from ..storage.memory import Catalog, Table, freeze_value
 from .errors import EvaluationError, ValidationError
-from .functions import FunctionRegistry, default_registry
 from .plan import CompiledDeltaPlan, IndexManager, PlanCompiler, explain_plans
 from .plan.compiler import finalize, match_atom
 from .terms import AggregateSpec, Variable
@@ -144,12 +143,10 @@ class NDlogEngine:
         self,
         address: Any,
         program: Optional[Program] = None,
-        functions: Optional[FunctionRegistry] = None,
         send: Optional[Callable[[Any, Delta], None]] = None,
         annotation_policy: Optional[AnnotationPolicy] = None,
     ):
         self.address = address
-        self.functions = functions if functions is not None else default_registry()
         self.catalog = Catalog()
         self._send = send
         self._policy = annotation_policy
@@ -611,7 +608,7 @@ class NDlogEngine:
                     if (extended := match_atom(atom, row, binding)) is not None
                 ]
             for binding, match in matches:
-                if (result := finalize(rule, binding, self.functions)) is not None:
+                if (result := finalize(rule, binding)) is not None:
                     derived = result[0][:index] + (result[1],) + result[0][index:]
                     body = match[0] if len(match) == 1 else match
                     compiled.support.setdefault(derived, []).append(body)

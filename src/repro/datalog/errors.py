@@ -44,7 +44,7 @@ class EvaluationError(DatalogError):
 
 
 class UnknownFunctionError(EvaluationError):
-    """Raised when a rule references a builtin function that is not registered."""
+    """Raised when a rule calls a name that is not a builtin function."""
 
     def __init__(self, name: str):
         super().__init__(f"unknown builtin function: {name!r}")

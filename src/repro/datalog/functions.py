@@ -1,11 +1,12 @@
-"""Builtin function registry for NDlog rule evaluation.
+"""Builtin functions for NDlog rule evaluation.
 
 The ExSPAN paper relies on a small set of builtin functions inside rewritten
 provenance rules — ``f_sha1`` for vertex identifiers and ``f_concat`` /
 ``f_append`` for VID lists — and the shipped protocols use ``f_item`` and
-``f_member`` on path vectors.  This module implements them and exposes a
-:class:`FunctionRegistry` that rules evaluate against; an engine built with
-its own registry (``NDlogEngine(functions=...)``) may bind other names.
+``f_member`` on path vectors.  This module implements them in one table,
+:data:`BUILTINS`: the interpreter looks each call up by name
+(``FunctionCall.evaluate``), and generated plan code binds each builtin it
+calls at generation time.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from .errors import EvaluationError, UnknownFunctionError
+from .errors import EvaluationError
 
 __all__ = [
-    "FunctionRegistry",
-    "default_registry",
+    "BUILTINS",
     "sha1_hex",
     "sha1_cache_stats",
     "clear_sha1_cache",
@@ -156,34 +156,13 @@ def _f_member(args: Sequence[Any]) -> bool:
     return value in (sequence or ())
 
 
-class FunctionRegistry:
-    """A lookup table of builtin functions.
-
-    Each function receives the already-evaluated argument values as a list
-    and returns a plain Python value.
-    """
-
-    def __init__(self, functions: Dict[str, Callable[[Sequence[Any]], Any]] | None = None):
-        self._functions: Dict[str, Callable[[Sequence[Any]], Any]] = dict(functions or {})
-
-    def call(self, name: str, args: Sequence[Any]) -> Any:
-        """Invoke the builtin *name* with *args*; raise if it is unknown."""
-        try:
-            function = self._functions[name]
-        except KeyError:
-            raise UnknownFunctionError(name) from None
-        return function(args)
-
-
-_DEFAULTS: Dict[str, Callable[[Sequence[Any]], Any]] = {
+#: Every builtin a rule may call, by NDlog name.  Each function receives
+#: the already-evaluated argument values as a list and returns a plain
+#: Python value.
+BUILTINS: Dict[str, Callable[[Sequence[Any]], Any]] = {
     "f_sha1": _f_sha1,
     "f_concat": _f_concat,
     "f_append": _f_concat,
     "f_item": _f_item,
     "f_member": _f_member,
 }
-
-
-def default_registry() -> FunctionRegistry:
-    """Return a fresh registry pre-populated with the standard builtins."""
-    return FunctionRegistry(dict(_DEFAULTS))

@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List
 from ..ast import Assignment, Atom, Fact, is_event_predicate
 from ...storage.memory import freeze_value
 from ..errors import EvaluationError
-from ..functions import _f_sha1, _sha1_cache, _sha1_counts
+from ..functions import BUILTINS, _f_sha1, _sha1_cache, _sha1_counts
 from ..terms import BinaryOp, Constant, FunctionCall, Term, Variable, _as_text
 
 __all__ = ["generate_executor"]
@@ -110,12 +110,13 @@ class _Source:
                 if op in _BOOLEAN_OPS:
                     return f"(bool({left}) {_BOOLEAN_OPS[op]} bool({right}))"
                 return f"({left} {op} {right})"
-        if isinstance(term, FunctionCall):
+        if isinstance(term, FunctionCall) and term.name in BUILTINS:
+            # Bound once, here: an unknown name is unsupported, so the
+            # replay raises the interpreter's UnknownFunctionError.
+            name = f"_{term.name}"
+            self.namespace[name] = BUILTINS[term.name]
             args = ", ".join(self.term(arg, sources) for arg in term.args)
-            # Registry lookup stays at call time (engines may re-register
-            # builtins); a missing name raises KeyError -> replay -> the
-            # interpreter's UnknownFunctionError.
-            return f"functions._functions[{term.name!r}]([{args}])"
+            return f"{name}([{args}])"
         return "_unsupported()"
 
     def assign(self, target: str, expression: Term, sources: Dict[str, str], indent: str) -> None:
@@ -123,11 +124,9 @@ class _Source:
 
         An ``f_sha1`` call — every VID and RID the provenance rewrite
         computes — probes the process-wide memo inline and calls the
-        registered builtin only on a miss (which counts the miss and fills
-        the memo).  A hit counts as one, exactly as inside the builtin.  The
-        memo is skipped when ``f_sha1`` was re-registered (the registered
-        function wins); an unhashable key falls through to the builtin,
-        which hashes it directly.
+        builtin only on a miss (which counts the miss and fills the memo).
+        A hit counts as one, exactly as inside the builtin; an unhashable
+        key falls through to the builtin, which hashes it directly.
         """
         i = indent
         if isinstance(expression, FunctionCall) and expression.name == "f_sha1":
@@ -135,12 +134,11 @@ class _Source:
             self.lines += [
                 f"{i}_key = {_tuple(args)}",
                 f"{i}try:",
-                f"{i}    {target} = _sha1_get(_key) "
-                "if functions._functions['f_sha1'] is _f_sha1 else None",
+                f"{i}    {target} = _sha1_get(_key)",
                 f"{i}except TypeError:",
                 f"{i}    {target} = None",
                 f"{i}if {target} is None:",
-                f"{i}    {target} = functions._functions['f_sha1']([*_key])",
+                f"{i}    {target} = _f_sha1([*_key])",
                 f"{i}else:",
                 f"{i}    _sha1_counts[0] += 1",
             ]
@@ -347,7 +345,7 @@ def generate_executor(plan) -> Callable[..., None]:
     lines.append("def execute(plan, engine, values, delta):")
     sources: Dict[str, str] = {}
     bound = _atom_checks(plan.trigger_atom, "values", sources, out, "    ", "return")
-    lines += ["    functions = engine.functions", "    stats = engine.stats"]
+    lines.append("    stats = engine.stats")
     indent, prune = "    ", "return"
     _prefix(out, plan, plan.initial_literal_prefix, bound, sources, indent, prune)
     rows = {}
@@ -430,7 +428,7 @@ def generate_executor(plan) -> Callable[..., None]:
     join_rows = _tuple(["values", *(f"row{depth}" for depth in range(len(plan.steps)))])
     lines += [
         f"{indent}except Exception:",
-        f"{indent}    if (_replayed := plan._finalize_replay(engine, {join_rows})) is None:",
+        f"{indent}    if (_replayed := plan._finalize_replay({join_rows})) is None:",
         f"{indent}        {prune}",
         f"{indent}    {replayed} = _replayed",
     ]
@@ -457,7 +455,7 @@ def _prefix(out: _Source, plan, count: int, bound, sources, indent: str, prune: 
     out.literals(plan.literals[:count], dict(sources), indent + "    ", prune, "_prefix")
     out.lines += [
         f"{indent}except Exception:",
-        f"{indent}    if not plan._prefix_replay(engine, {_dict(bound, sources)}, {count}):",
+        f"{indent}    if not plan._prefix_replay({_dict(bound, sources)}, {count}):",
         f"{indent}        {prune}",
     ]
 

@@ -127,7 +127,7 @@ class CompiledDeltaPlan:
     # ------------------------------------------------------------------ #
     # interpreter replays (error paths of the generated executor)
     # ------------------------------------------------------------------ #
-    def _finalize_replay(self, engine, rows) -> Any:
+    def _finalize_replay(self, rows) -> Any:
         """Re-run one finalization through the interpreter.
 
         The generated executor delegates here on *any* exception while
@@ -146,9 +146,9 @@ class CompiledDeltaPlan:
                 raise EvaluationError(
                     f"rule {self.rule.label}: internal error re-matching body facts"
                 )
-        return finalize(self.rule, binding, engine.functions)
+        return finalize(self.rule, binding)
 
-    def _prefix_replay(self, engine, env: Dict[str, Any], count: int) -> bool:
+    def _prefix_replay(self, env: Dict[str, Any], count: int) -> bool:
         """The first *count* literals over *env*: False prunes.
 
         The generated executor asks here when a pushed-down prefix raised.
@@ -156,13 +156,12 @@ class CompiledDeltaPlan:
         :class:`EvaluationError` defers the rest to finalization (it never
         prunes), and any other exception propagates.
         """
-        functions = engine.functions
         for info in self.literals[:count]:
             literal = info.literal
             try:
                 if isinstance(literal, Assignment):
-                    env[literal.variable.name] = literal.expression.evaluate(env, functions)
-                elif not literal.expression.evaluate(env, functions):
+                    env[literal.variable.name] = literal.expression.evaluate(env)
+                elif not literal.expression.evaluate(env):
                     return False
             except EvaluationError:
                 return True
@@ -190,7 +189,7 @@ def match_atom(
     return extended
 
 
-def finalize(rule: Rule, binding: Mapping[str, Any], functions) -> Any:
+def finalize(rule: Rule, binding: Mapping[str, Any]) -> Any:
     """Evaluate *rule*'s assignments, conditions and head over *binding*.
 
     Returns ``None`` when a condition fails, ``(group key, value)`` for an
@@ -202,7 +201,7 @@ def finalize(rule: Rule, binding: Mapping[str, Any], functions) -> Any:
         if isinstance(literal, Atom):
             continue
         try:
-            result = literal.expression.evaluate(env, functions)
+            result = literal.expression.evaluate(env)
         except EvaluationError as exc:
             raise EvaluationError(
                 f"rule {rule.label}: failed to evaluate {literal}: {exc}"
@@ -214,9 +213,9 @@ def finalize(rule: Rule, binding: Mapping[str, Any], functions) -> Any:
     head = rule.head
     aggregate = head.aggregate()
     if aggregate is None:
-        return tuple([arg.evaluate(env, functions) for arg in head.args])
+        return tuple([arg.evaluate(env) for arg in head.args])
     index, spec = aggregate
-    key = tuple([arg.evaluate(env, functions) for i, arg in enumerate(head.args) if i != index])
+    key = tuple([arg.evaluate(env) for i, arg in enumerate(head.args) if i != index])
     if spec.is_star:
         return key, 1
     if len(spec.variables_) == 1:

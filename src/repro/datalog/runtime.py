@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from .ast import Fact, Program
 from .engine import Delta, NDlogEngine
 from .errors import EvaluationError
-from .functions import FunctionRegistry
 
 __all__ = ["StandaloneNetwork"]
 
@@ -28,25 +27,12 @@ class StandaloneNetwork:
         self,
         addresses: Iterable[Any],
         program: Optional[Program] = None,
-        functions: Optional[FunctionRegistry] = None,
-        annotation_policy_factory: Optional[Callable[[Any], Any]] = None,
     ):
         self.engines: Dict[Any, NDlogEngine] = {}
         self._pending: deque[Tuple[Any, Delta]] = deque()
         self.messages_sent = 0
         for address in addresses:
-            policy = (
-                annotation_policy_factory(address)
-                if annotation_policy_factory is not None
-                else None
-            )
-            engine = NDlogEngine(
-                address,
-                functions=functions,
-                send=self._make_sender(address),
-                annotation_policy=policy,
-            )
-            self.engines[address] = engine
+            self.engines[address] = NDlogEngine(address, send=self._make_sender(address))
         if program is not None:
             self.load_program(program)
 

@@ -6,9 +6,8 @@ builtin function calls, and aggregate specifications (which may only appear
 in rule heads).
 
 Terms are immutable value objects.  Evaluation happens against a *binding*
-(a ``dict`` mapping variable names to Python values) together with a
-:class:`~repro.datalog.functions.FunctionRegistry` supplying the builtin
-functions.
+(a ``dict`` mapping variable names to Python values); a function call goes
+to the builtin of that name in :data:`~repro.datalog.functions.BUILTINS`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence, Tuple
 
-from .errors import EvaluationError
+from .errors import EvaluationError, UnknownFunctionError
+from .functions import BUILTINS
 
 __all__ = [
     "Term",
@@ -60,7 +60,7 @@ class Variable(Term):
     def is_wildcard(self) -> bool:
         return self.name == "_"
 
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
+    def evaluate(self, binding: Mapping[str, Any]) -> Any:
         try:
             return binding[self.name]
         except KeyError:
@@ -76,7 +76,7 @@ class Constant(Term):
 
     value: Any
 
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
+    def evaluate(self, binding: Mapping[str, Any]) -> Any:
         return self.value
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -119,12 +119,12 @@ class BinaryOp(Term):
         yield from self.left.variables()
         yield from self.right.variables()
 
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
+    def evaluate(self, binding: Mapping[str, Any]) -> Any:
         evaluator = _BINARY_EVALUATORS.get(self.op)
         if evaluator is None:
             raise EvaluationError(f"unknown binary operator {self.op!r}")
-        left = self.left.evaluate(binding, functions)
-        right = self.right.evaluate(binding, functions)
+        left = self.left.evaluate(binding)
+        right = self.right.evaluate(binding)
         if self.op == "+" and (isinstance(left, str) or isinstance(right, str)):
             return _as_text(left) + _as_text(right)
         try:
@@ -166,9 +166,13 @@ class FunctionCall(Term):
         for arg in self.args:
             yield from arg.variables()
 
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
-        values = [arg.evaluate(binding, functions) for arg in self.args]
-        return functions.call(self.name, values)
+    def evaluate(self, binding: Mapping[str, Any]) -> Any:
+        values = [arg.evaluate(binding) for arg in self.args]
+        try:
+            function = BUILTINS[self.name]
+        except KeyError:
+            raise UnknownFunctionError(self.name) from None
+        return function(values)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         args = ", ".join(str(a) for a in self.args)
@@ -196,7 +200,7 @@ class AggregateSpec(Term):
     def variables(self) -> Iterator[str]:
         yield from self.variables_
 
-    def evaluate(self, binding: Mapping[str, Any], functions) -> Any:
+    def evaluate(self, binding: Mapping[str, Any]) -> Any:
         raise EvaluationError(
             "aggregate specifications cannot be evaluated as scalar terms"
         )

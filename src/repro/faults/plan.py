@@ -166,6 +166,8 @@ class FaultPlan:
         return bool(self.flaps)
 
     def describe(self) -> str:
+        """The plan in the :func:`parse_fault_spec` grammar, which parses it
+        back to an equal plan; a field at its default is left out."""
         parts = [f"seed={self.seed}"]
         if self.rto != 0.05:
             parts.append(f"rto={self.rto}")
@@ -179,17 +181,26 @@ class FaultPlan:
                 bits.append(f"d={rule.delay}")
             if rule.max_events is not None:
                 bits.append(f"n={rule.max_events}")
+            bits += _window(rule.start, rule.end)
             parts.append(":".join(bits))
         for crash in self.crashes:
             tail = "" if crash.restart_after is None else f":restart={crash.restart_after}"
             parts.append(f"crash:{crash.node}@{crash.at}{tail}")
         for flap in self.flaps:
-            parts.append(f"flap:{flap.a}-{flap.b}@{flap.down_at}:up={flap.up_after}")
+            cost = "" if flap.cost is None else f":cost={flap.cost}"
+            parts.append(f"flap:{flap.a}-{flap.b}@{flap.down_at}:up={flap.up_after}{cost}")
         for lag in self.stragglers:
-            parts.append(f"straggler:{lag.node}:d={lag.delay}")
+            bits = [f"straggler:{lag.node}:d={lag.delay}", *_window(lag.start, lag.end)]
+            parts.append(":".join(bits))
         for kill in self.worker_kills:
             parts.append(f"killworker:{kill.shard}@{kill.after_windows}")
         return ";".join(parts)
+
+
+def _window(start: float, end: Optional[float]) -> list:
+    """The ``from=`` / ``until=`` options of a send-time window, as set."""
+    bits = [] if start == 0.0 else [f"from={start}"]
+    return bits if end is None else [*bits, f"until={end}"]
 
 
 def _parse_options(tokens: list) -> Dict[str, str]:

@@ -429,10 +429,10 @@ class ShardedExspanNetwork:
 
     The public surface mirrors the pieces of
     :class:`~repro.core.api.ExspanNetwork` the experiment harness uses:
-    :meth:`seed_links`, :meth:`run_to_fixpoint`, scripted churn / fact ops
-    / provenance queries, and merged statistics.  ``shards=1`` is valid
-    (one worker) and useful for isolating the barrier protocol from
-    parallelism when debugging.
+    :meth:`seed_links`, :meth:`run_to_fixpoint`, scripted churn and
+    packets (:meth:`run_script`), and merged statistics and digests.
+    ``shards=1`` is valid (one worker) and useful for isolating the
+    barrier protocol from parallelism when debugging.
 
     Use as a context manager, or call :meth:`close` — worker processes
     hold OS resources.

@@ -43,10 +43,9 @@ simulator keeps a live-event counter (so :attr:`Simulator.pending_events`
 is O(1) rather than an O(queue) scan) and compacts the heap whenever
 tombstones outnumber live events by the configured ratio, so a workload
 that schedules and cancels in a loop runs in memory proportional to the
-*live* events only.  ``compact_min_cancelled`` and ``compact_ratio`` are
-constructor knobs that no network sets: they are the test seam that lets
-the loop oracle (``tests/test_simulator_loop.py``) and the sharding tests
-force compactions on small queues.
+*live* events only.  The two thresholds are the module constants
+:data:`COMPACT_MIN_CANCELLED` and :data:`COMPACT_RATIO`, read at every
+cancel, so a test forces compactions on a small queue by patching them.
 """
 
 from __future__ import annotations
@@ -59,14 +58,12 @@ from .errors import SimulationError
 
 __all__ = ["Simulator", "ScheduledEvent", "COMPACT_MIN_CANCELLED", "COMPACT_RATIO"]
 
-#: Default tombstone floor below which compaction is never attempted; keeps
-#: tiny simulations from paying repeated heapify costs for a handful of
-#: cancels.  Overridable per-instance via ``Simulator(compact_min_cancelled=...)``.
+#: Tombstone floor below which compaction is never attempted; keeps tiny
+#: simulations from paying repeated heapify costs for a handful of cancels.
 COMPACT_MIN_CANCELLED = 64
 
-#: Default tombstones-to-live ratio that triggers compaction (``1.0`` =
-#: compact once tombstones outnumber live events).  Overridable per-instance
-#: via ``Simulator(compact_ratio=...)``.
+#: Tombstones-to-live ratio that triggers compaction (``1.0`` = compact
+#: once tombstones outnumber live events).
 COMPACT_RATIO = 1.0
 
 #: Ordering key reserved for events scheduled without an explicit key
@@ -107,17 +104,7 @@ class ScheduledEvent(list):
 class Simulator:
     """Discrete-event simulator with a monotonically advancing clock."""
 
-    def __init__(
-        self,
-        compact_min_cancelled: int = COMPACT_MIN_CANCELLED,
-        compact_ratio: float = COMPACT_RATIO,
-    ) -> None:
-        if compact_min_cancelled < 0:
-            raise SimulationError(
-                f"compact_min_cancelled must be >= 0, got {compact_min_cancelled}"
-            )
-        if compact_ratio <= 0:
-            raise SimulationError(f"compact_ratio must be > 0, got {compact_ratio}")
+    def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
         # Heap of ScheduledEvent entries; see "Event ordering".  Compaction
@@ -126,8 +113,6 @@ class Simulator:
         self._live = 0
         self._cancelled_in_queue = 0
         self._safe_time = 0.0
-        self.compact_min_cancelled = compact_min_cancelled
-        self.compact_ratio = compact_ratio
         self.events_executed = 0
         self.compactions = 0
         #: Optional :class:`repro.obs.tracer.Tracer`; when set, every event
@@ -224,8 +209,8 @@ class Simulator:
     def _maybe_compact(self) -> None:
         """Rebuild the heap once tombstones dominate the live events."""
         if (
-            self._cancelled_in_queue > self.compact_min_cancelled
-            and self._cancelled_in_queue > self._live * self.compact_ratio
+            self._cancelled_in_queue > COMPACT_MIN_CANCELLED
+            and self._cancelled_in_queue > self._live * COMPACT_RATIO
         ):
             queue = self._queue
             queue[:] = [event for event in queue if event[3] is not None]

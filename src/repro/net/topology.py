@@ -340,10 +340,13 @@ def transit_stub_topology(
     return topology
 
 
+#: Degree cap of :func:`ring_topology`'s random peer links: the paper's
+#: "maximum degree of all nodes is three".
+_RING_MAX_DEGREE = 3
+
+
 def ring_topology(
     node_count: int,
-    random_peers: bool = True,
-    max_degree: int = 3,
     seed: int = 0,
     link_cost: int = 1,
     latency: float = 0.001,
@@ -351,9 +354,10 @@ def ring_topology(
 ) -> Topology:
     """Generate the testbed topology of Section 7.4.
 
-    Nodes are arranged in a ring; when *random_peers* is set each node also
-    links to one random peer subject to the *max_degree* cap, giving the
-    "maximum degree of all nodes is three" structure of the paper.
+    Nodes are arranged in a ring, and each node of a ring of more than three
+    also links to one random peer while both stay under the degree cap,
+    giving the "maximum degree of all nodes is three" structure of the
+    paper.
     """
     rng = random.Random(seed)
     topology = Topology(name=f"ring-{node_count}")
@@ -363,19 +367,19 @@ def ring_topology(
     spec = LinkSpec(latency=latency, bandwidth=bandwidth, cost=link_cost, tier=TIER_STUB)
     for index in range(node_count):
         topology.add_link(nodes[index], nodes[(index + 1) % node_count], spec)
-    if random_peers and node_count > 3:
+    if node_count > 3:
         order = list(range(node_count))
         rng.shuffle(order)
         for index in order:
             node = nodes[index]
-            if topology.degree(node) >= max_degree:
+            if topology.degree(node) >= _RING_MAX_DEGREE:
                 continue
             candidates = [
                 other
                 for other in nodes
                 if other != node
                 and not topology.has_link(node, other)
-                and topology.degree(other) < max_degree
+                and topology.degree(other) < _RING_MAX_DEGREE
             ]
             if not candidates:
                 continue

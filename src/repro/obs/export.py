@@ -187,9 +187,11 @@ def summarize_trace_events(events: Iterable[Mapping[str, Any]]) -> Dict[str, Dic
     return dict(sorted(aggregates.items()))
 
 
-def phase_summary(
-    aggregates: Mapping[str, Mapping[str, Any]], width: int = 28
-) -> str:
+#: Characters in the share bar of a phase taking all the wall time.
+_BAR_WIDTH = 28
+
+
+def phase_summary(aggregates: Mapping[str, Mapping[str, Any]]) -> str:
     """Terminal flamegraph-style phase table (advisory wall time)."""
     if not aggregates:
         return "trace: no spans recorded"
@@ -203,7 +205,7 @@ def phase_summary(
     for name, entry in rows:
         wall_ms = entry.get("wall_ms", 0.0)
         share = wall_ms / total
-        bar = "#" * max(int(share * width + 0.5), 1 if wall_ms else 0)
+        bar = "#" * max(int(share * _BAR_WIDTH + 0.5), 1 if wall_ms else 0)
         lines.append(
             f"  {name:<18} {entry.get('cat', ''):<8} {entry.get('count', 0):>9} "
             f"{wall_ms:>10.2f}  {share:>5.1%} {bar}"

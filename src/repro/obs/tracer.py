@@ -39,16 +39,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["SpanRecord", "Span", "Tracer", "TRACE_CONTEXT_KEY", "DEFAULT_MAX_SPANS"]
+__all__ = ["SpanRecord", "Span", "Tracer", "TRACE_CONTEXT_KEY", "MAX_SPANS"]
 
 #: Reserved key carrying ``[trace_id, parent_span_id]`` on provenance query
 #: payload dicts.  :func:`repro.net.message.payload_size` exempts it from
 #: wire-size accounting so byte counters are identical with tracing on/off.
 TRACE_CONTEXT_KEY = "_tc"
 
-#: Default bound on retained span records per tracer.  Aggregates stay
-#: exact past the cap (only raw records are dropped, and counted).
-DEFAULT_MAX_SPANS = 200_000
+#: Bound on retained span records per tracer.  Aggregates stay exact past
+#: the cap (only raw records are dropped, and counted).
+MAX_SPANS = 200_000
 
 #: A propagated trace context: ``(trace_id, parent_span_id)``.
 TraceContext = Tuple[str, str]
@@ -149,18 +149,16 @@ class Tracer:
     ``clock`` supplies simulated time (installed by the owning network once
     its simulator exists); ``shard`` tags every record so cross-shard
     merges stay deterministic.  Aggregates — per ``(cat, name)`` span
-    counts and advisory wall time — are exact even past ``max_spans``.
+    counts and advisory wall time — are exact even past :data:`MAX_SPANS`.
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
         shard: int = 0,
-        max_spans: int = DEFAULT_MAX_SPANS,
     ):
         self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         self.shard = shard
-        self.max_spans = max_spans
         self.spans: List[SpanRecord] = []
         self.dropped_spans = 0
         #: (cat, name) -> [span count, advisory wall ns]
@@ -256,7 +254,7 @@ class Tracer:
         else:
             aggregate[0] += 1
             aggregate[1] += wall_ns
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped_spans += 1
             return
         end_ts = self._clock()

@@ -9,8 +9,9 @@ and framing failures raise :class:`~repro.service.protocol.FrameError`.
 Resilience
 ----------
 Connection establishment retries with bounded exponential backoff
-(``connect_attempts`` / ``connect_backoff``), riding out a server that
-is still binding its socket.  Every request carries a stable ``client``
+(:data:`CONNECT_ATTEMPTS` dials, the first retry after
+:data:`CONNECT_BACKOFF` seconds), riding out a server that is still
+binding its socket.  Every request carries a stable ``client``
 id plus a per-client request id; if the connection dies mid-request the
 client reconnects, re-handshakes and *retransmits the same request id*.
 The server's idempotent response cache replays the recorded response
@@ -29,15 +30,16 @@ import time
 import uuid
 from typing import Any, Dict, Optional
 
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameError,
-    recv_frame,
-    send_frame,
-)
+from .protocol import PROTOCOL_VERSION, FrameError, recv_frame, send_frame
 
 __all__ = ["ServiceClient", "ServiceError"]
+
+#: Dials before :class:`ServiceClient` gives up connecting.
+CONNECT_ATTEMPTS = 3
+#: Seconds before the first redial; each further one waits twice as long.
+CONNECT_BACKOFF = 0.05
+#: Retransmissions of one request after its connection broke.
+CALL_RETRIES = 1
 
 
 class ServiceError(Exception):
@@ -62,22 +64,13 @@ class ServiceClient:
         host: str,
         port: int,
         timeout: Optional[float] = 60.0,
-        max_frame: int = MAX_FRAME_BYTES,
-        connect_attempts: int = 3,
-        connect_backoff: float = 0.05,
-        call_retries: int = 1,
-        client_id: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_frame = max_frame
-        self.connect_attempts = max(1, int(connect_attempts))
-        self.connect_backoff = connect_backoff
-        self.call_retries = max(0, int(call_retries))
         #: Stable across reconnects: the idempotency key prefix the server
         #: caches responses under.
-        self.client_id = client_id or f"c-{uuid.uuid4().hex[:12]}"
+        self.client_id = f"c-{uuid.uuid4().hex[:12]}"
         self.reconnects = 0
         self._next_id = 0
         self._sock: Optional[socket.socket] = None
@@ -89,9 +82,9 @@ class ServiceClient:
     def _connect(self) -> None:
         """Dial, read the greeting, handshake — with bounded retry/backoff."""
         last_error: Optional[Exception] = None
-        for attempt in range(self.connect_attempts):
+        for attempt in range(CONNECT_ATTEMPTS):
             if attempt:
-                time.sleep(self.connect_backoff * (2 ** (attempt - 1)))
+                time.sleep(CONNECT_BACKOFF * (2 ** (attempt - 1)))
             try:
                 self._sock = socket.create_connection(
                     (self.host, self.port), timeout=self.timeout
@@ -111,7 +104,7 @@ class ServiceClient:
                 raise
         raise ConnectionError(
             f"could not connect to {self.host}:{self.port} after "
-            f"{self.connect_attempts} attempts"
+            f"{CONNECT_ATTEMPTS} attempts"
         ) from last_error
 
     def _reconnect(self) -> None:
@@ -141,13 +134,13 @@ class ServiceClient:
 
         Raises :class:`ServiceError` on an error frame.  A connection
         that breaks mid-exchange is re-dialed and the *same* request
-        (same client and request id) retransmitted up to ``call_retries``
-        times — safe because the server replays cached responses for ids
+        (same client and request id) retransmitted up to
+        :data:`CALL_RETRIES` times — safe because the server replays cached responses for ids
         it already executed; only then does :class:`FrameError` (or the
         underlying ``OSError``) escape.
         """
         request = self._request(op, params)
-        retries_left = self.call_retries
+        retries_left = CALL_RETRIES
         while True:
             try:
                 return self._request_once(request)
@@ -159,7 +152,7 @@ class ServiceClient:
 
     def _request_once(self, request: Dict[str, Any]) -> Any:
         assert self._sock is not None, "client is closed"
-        send_frame(self._sock, request, max_frame=self.max_frame)
+        send_frame(self._sock, request)
         response = self._recv()
         if response.get("id") != request["id"]:
             raise FrameError(
@@ -178,7 +171,7 @@ class ServiceClient:
 
     def _recv(self) -> Dict[str, Any]:
         assert self._sock is not None, "client is closed"
-        frame = recv_frame(self._sock, max_frame=self.max_frame)
+        frame = recv_frame(self._sock)
         if frame is None:
             raise FrameError("bad-frame", "server closed the connection")
         return frame

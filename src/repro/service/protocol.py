@@ -93,13 +93,13 @@ def canonical_payload_bytes(payload: Any) -> bytes:
     return canonical_json(payload).encode("utf-8")
 
 
-def encode_frame(payload: Any, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(payload: Any) -> bytes:
     """One wire frame: length prefix + canonical JSON payload."""
     body = canonical_payload_bytes(payload)
-    if len(body) > max_frame:
+    if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             "frame-too-large",
-            f"frame payload is {len(body)} bytes (max {max_frame})",
+            f"frame payload is {len(body)} bytes (max {MAX_FRAME_BYTES})",
         )
     return _LENGTH.pack(len(body)) + body
 
@@ -117,9 +117,7 @@ def decode_payload(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME_BYTES
-) -> Optional[Dict[str, Any]]:
+async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     """Read one frame from an asyncio stream; ``None`` on clean EOF.
 
     Raises :class:`FrameError` on an oversized length prefix or an
@@ -133,17 +131,23 @@ async def read_frame(
             return None  # clean EOF between frames
         raise
     (length,) = _LENGTH.unpack(prefix)
-    if length > max_frame:
-        raise FrameError("frame-too-large", f"incoming frame of {length} bytes (max {max_frame})")
+    _check_length(length)
     body = await reader.readexactly(length)
     return decode_payload(body)
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            "frame-too-large", f"incoming frame of {length} bytes (max {MAX_FRAME_BYTES})"
+        )
 
 
 # ---------------------------------------------------------------------- #
 # synchronous (client-side) framing
 # ---------------------------------------------------------------------- #
-def send_frame(sock: socket.socket, payload: Any, max_frame: int = MAX_FRAME_BYTES) -> None:
-    sock.sendall(encode_frame(payload, max_frame=max_frame))
+def send_frame(sock: socket.socket, payload: Any) -> None:
+    sock.sendall(encode_frame(payload))
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes:
@@ -158,15 +162,12 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(
-    sock: socket.socket, max_frame: int = MAX_FRAME_BYTES
-) -> Optional[Dict[str, Any]]:
+def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """Blocking read of one frame; ``None`` on clean EOF."""
     first = sock.recv(1)
     if not first:
         return None
     prefix = first + _recv_exactly(sock, _LENGTH.size - 1)
     (length,) = _LENGTH.unpack(prefix)
-    if length > max_frame:
-        raise FrameError("frame-too-large", f"incoming frame of {length} bytes (max {max_frame})")
+    _check_length(length)
     return decode_payload(_recv_exactly(sock, length))

@@ -43,16 +43,12 @@ from ..core.requests import (
     encode_fact,
 )
 from ..core.vid import fact_vid
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameError,
-    ProtocolError,
-    encode_frame,
-    read_frame,
-)
+from .protocol import PROTOCOL_VERSION, FrameError, ProtocolError, encode_frame, read_frame
 
 __all__ = ["ExspanService", "ServiceServer", "ServiceThread"]
+
+#: The service name the greeting and the ``hello`` reply carry.
+SERVICE_NAME = "exspan"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -74,9 +70,8 @@ class ExspanService:
     class assumes single-threaded access to the engine.
     """
 
-    def __init__(self, network: ExspanNetwork, description: str = "exspan") -> None:
+    def __init__(self, network: ExspanNetwork) -> None:
         self.network = network
-        self.description = description
         self._ops: Dict[str, Callable[[Dict[str, Any]], Any]] = {
             name[3:]: getattr(self, name) for name in dir(self) if name.startswith("op_")
         }
@@ -101,7 +96,7 @@ class ExspanService:
         return {
             "type": "greeting",
             "protocol": PROTOCOL_VERSION,
-            "service": self.description,
+            "service": SERVICE_NAME,
             "network": self.op_info({}),
         }
 
@@ -112,7 +107,7 @@ class ExspanService:
                 "unsupported-protocol",
                 f"server speaks protocol {PROTOCOL_VERSION}, client sent {protocol!r}",
             )
-        return {"protocol": PROTOCOL_VERSION, "service": self.description, "ops": self.ops()}
+        return {"protocol": PROTOCOL_VERSION, "service": SERVICE_NAME, "ops": self.ops()}
 
     def op_info(self, params: Dict[str, Any]) -> Dict[str, Any]:
         network = self.network
@@ -273,12 +268,10 @@ class ServiceServer:
         service: ExspanService,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame: int = MAX_FRAME_BYTES,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self.max_frame = max_frame
         self._server: Optional[asyncio.base_events.Server] = None
         self._engine_lock = asyncio.Lock()
         self._stopping = asyncio.Event()
@@ -340,12 +333,12 @@ class ServiceServer:
         task = asyncio.current_task()
         self._connections[task] = writer
         try:
-            writer.write(encode_frame(self.service.greeting(), max_frame=self.max_frame))
+            writer.write(encode_frame(self.service.greeting()))
             await writer.drain()
             greeted = False
             while not self._stopping.is_set():
                 try:
-                    request = await read_frame(reader, max_frame=self.max_frame)
+                    request = await read_frame(reader)
                 except FrameError as exc:
                     # The stream is unframed from here on; report and close.
                     await self._send(writer, self._error_frame(None, exc))
@@ -374,11 +367,9 @@ class ServiceServer:
 
     async def _send(self, writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
         try:
-            frame = encode_frame(payload, max_frame=self.max_frame)
+            frame = encode_frame(payload)
         except FrameError as exc:
-            frame = encode_frame(
-                self._error_frame(payload.get("id"), exc), max_frame=self.max_frame
-            )
+            frame = encode_frame(self._error_frame(payload.get("id"), exc))
         writer.write(frame)
         await writer.drain()
 

@@ -1,10 +1,14 @@
 """Readers the tests share: one rule from its text, an engine's local state,
-a query cache's entries and a scheduled event's state."""
+a table's full state, a query cache's entries and a scheduled event's state;
+and the one patch of the simulator's compaction thresholds."""
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Sequence, Tuple
+from unittest import mock
 
+import repro.net.simulator
 from repro.datalog import Fact, Rule, parse_program
 from repro.datalog.engine import _hashable_fact
 from repro.storage.memory import freeze_value
@@ -20,6 +24,20 @@ def table_rows(engine, name: str) -> List[Tuple[Any, ...]]:
     """The rows of the engine's local table *name*, sorted (none if absent)."""
     table = engine.catalog.get(name)  # a read creates nothing
     return [] if table is None else sorted(table.rows(), key=repr)
+
+
+def table_state(table) -> Tuple:
+    """A table as the oracles compare it: rows with counts in insertion
+    order, the primary-key map, every index bucket in order, the arity."""
+    return (
+        table.rows_with_counts(),
+        list(table._by_key.items()),
+        [
+            (positions, [(key, list(bucket)) for key, bucket in index.items()])
+            for positions, index in table._indexes.items()
+        ],
+        table.arity,
+    )
 
 
 def derivations(table, values: Sequence[Any]) -> int:
@@ -62,3 +80,13 @@ def empty(cache) -> None:
 def cancelled(event) -> bool:
     """Whether a ScheduledEvent was cancelled (its callback slot cleared)."""
     return event[3] is None
+
+
+@contextmanager
+def compaction(floor: int, ratio: float) -> Iterator[None]:
+    """Run the block with the simulator compacting past *floor* tombstones
+    that exceed *ratio* times the live events."""
+    with mock.patch.multiple(
+        repro.net.simulator, COMPACT_MIN_CANCELLED=floor, COMPACT_RATIO=ratio
+    ):
+        yield

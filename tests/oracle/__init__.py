@@ -39,7 +39,7 @@ from repro.datalog.engine import DELETE, INSERT, REFRESH, Delta, NDlogEngine
 from repro.datalog.errors import EvaluationError
 from repro.datalog.plan.compiler import CompiledDeltaPlan, CompiledStep, finalize, match_atom
 
-__all__ = ["ENGINES", "InterpretedEngine", "NestedLoopEngine", "built_with", "table_state"]
+__all__ = ["ENGINES", "InterpretedEngine", "NestedLoopEngine", "built_with"]
 
 
 #: The counters a join moves and a record-fed plan does not.
@@ -202,7 +202,7 @@ class InterpretedEngine(NDlogEngine):
         self, rule: Rule, binding, matched: List[Tuple[Atom, Fact]], delta: Delta
     ) -> None:
         """Evaluate literals and head, then emit the head row."""
-        result = finalize(rule, binding, self.functions)
+        result = finalize(rule, binding)
         if result is None:
             return
         action = delta.action
@@ -263,26 +263,12 @@ def _prefix_passes(
         literal = info.literal
         try:
             if isinstance(literal, Assignment):
-                env[literal.variable.name] = literal.expression.evaluate(env, engine.functions)
-            elif not literal.expression.evaluate(env, engine.functions):
+                env[literal.variable.name] = literal.expression.evaluate(env)
+            elif not literal.expression.evaluate(env):
                 return False
         except EvaluationError:
             return True
     return True
-
-
-def table_state(table) -> Tuple:
-    """A table as the oracles compare it: rows with counts in insertion
-    order, the primary-key map, every index bucket in order, the arity."""
-    return (
-        table.rows_with_counts(),
-        list(table._by_key.items()),
-        [
-            (positions, [(key, list(bucket)) for key, bucket in index.items()])
-            for positions, index in table._indexes.items()
-        ],
-        table.arity,
-    )
 
 
 #: The engine and its interpreter, by the names the equivalence tests use;

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from itertools import product as iter_product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.core.bdd
 from repro.core import BddManager
 from repro.core.bdd import Bdd, export_bdd, import_bdd
 
@@ -190,8 +192,9 @@ class TestComputedTableAndTransport:
 
         roomy = BddManager()
         unbounded = build(roomy)
-        bounded_manager = BddManager(apply_cache_limit=64)
-        bounded = build(bounded_manager)
+        bounded_manager = BddManager()
+        with mock.patch.object(repro.core.bdd, "APPLY_CACHE_LIMIT", 64):
+            bounded = build(bounded_manager)
         # the same work overflows 64 entries, so the bounded table flushed
         assert len(roomy._apply_cache) > 64
         assert 0 < len(bounded_manager._apply_cache) <= 64
@@ -347,11 +350,11 @@ class TestApplyKernel:
     @pytest.mark.parametrize("cache_limit", [1 << 18, 3], ids=["roomy", "flushing"])
     def test_apply_equals_the_recursive_oracle(self, cache_limit, steps):
         """Same node ids, unique table and computed table."""
-        kernel = BddManager(apply_cache_limit=cache_limit)
-        oracle = _RecursiveManager(apply_cache_limit=cache_limit)
-        assert _play_kernel(kernel, steps, folded=True) == _play_kernel(
-            oracle, steps, folded=False
-        )
+        kernel, oracle = BddManager(), _RecursiveManager()
+        with mock.patch.object(repro.core.bdd, "APPLY_CACHE_LIMIT", cache_limit):
+            assert _play_kernel(kernel, steps, folded=True) == _play_kernel(
+                oracle, steps, folded=False
+            )
         assert list(kernel._unique.items()) == list(oracle._unique.items())
         assert list(kernel._nodes.items()) == list(oracle._nodes.items())
         assert list(kernel._apply_cache.items()) == list(oracle._apply_cache.items())

@@ -17,9 +17,8 @@ from repro.core import (
     polynomial_query,
     tuple_vid,
 )
-from repro.core.errors import ProvenanceError
 from repro.datalog import Fact, StandaloneNetwork
-from repro.net import ring_topology
+from repro.net import UnknownNodeError, ring_topology
 from repro.protocols import mincost_program, pathvector_program
 from helpers import annotation_of, cached, empty, has_fact, table_rows
 
@@ -158,8 +157,9 @@ class TestExspanNetworkFacade:
         assert reference_network.query_bytes() > 0
 
     def test_unknown_node_rejected(self, reference_network):
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(UnknownNodeError) as excinfo:
             reference_network.node("nope")
+        assert excinfo.value.details() == {"node": "nope"}
 
     def test_random_tuple_returns_existing_row(self, reference_network):
         node, fact = reference_network.random_tuple("bestPathCost")

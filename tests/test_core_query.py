@@ -153,14 +153,6 @@ class TestOtherCustomizations:
         # <a + a*b> condenses to <a> (Section 3, Representation)
         assert outcome.result.support() == frozenset({"a"})
 
-    def test_domain_projection_filters_rule_locations(self, figure3_network):
-        # restrict traversal to rule executions at node a only
-        spec = polynomial_query(name="proj", node_filter=lambda node: node == "a")
-        outcome = figure3_network.execute(QueryRequest(BEST_AC, spec))
-        # the sp2@b derivation is projected away, leaving the direct one
-        assert count_derivations(outcome.result) == 1
-        assert set(outcome.result.literals()) == {"link(a,c,5)"}
-
 
 class TestTraversalOrders:
     def test_all_orders_agree_on_result(self, grid_network):

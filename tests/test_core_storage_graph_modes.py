@@ -146,9 +146,10 @@ class TestGranularity:
         )
         assert spec.leaf_label(None, "vid", "anything") == "domainX"
 
-    def test_prefix_domain_map_custom_separator(self):
-        mapper = prefix_domain_map(separator="-")
-        assert mapper("east-5") == "east"
+    def test_prefix_domain_map_keeps_what_precedes_the_first_underscore(self):
+        mapper = prefix_domain_map()
+        assert mapper("east-5") == "east-5"
+        assert mapper("s3_1_2_0") == "s3"
 
 
 class TestModes:

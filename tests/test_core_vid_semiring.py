@@ -18,7 +18,7 @@ from repro.core import (
 from repro.core.semiring import Literal, Product, Sum
 from repro.core.vid import clear_vid_caches
 from repro.datalog import Fact
-from repro.datalog.functions import default_registry, sha1_cache_stats, sha1_hex
+from repro.datalog.functions import BUILTINS, sha1_cache_stats, sha1_hex
 
 
 #: Attribute values of every kind a VID preimage renders: text, int,
@@ -52,15 +52,11 @@ class TestVids:
         assert rule_rid("sp1", "b", [vid]) == sha1_hex("sp1b" + vid)
 
     def test_vid_agrees_with_f_sha1_builtin(self):
-        registry = default_registry()
-        assert tuple_vid("link", ("a", "c", 5)) == registry.call(
-            "f_sha1", ["link", "a", "c", 5]
-        )
+        assert tuple_vid("link", ("a", "c", 5)) == BUILTINS["f_sha1"](["link", "a", "c", 5])
 
     def test_rid_agrees_with_f_sha1_over_vid_list(self):
-        registry = default_registry()
         vids = [tuple_vid("link", ("b", "a", 3)), tuple_vid("bestPathCost", ("b", "c", 2))]
-        assert rule_rid("sp2", "b", vids) == registry.call("f_sha1", ["sp2", "b", vids])
+        assert rule_rid("sp2", "b", vids) == BUILTINS["f_sha1"](["sp2", "b", vids])
 
     def test_memoized_vid_equals_uncached_and_survives_odd_values(self):
         """The bounded memo must change nothing — including for values the
@@ -89,9 +85,8 @@ class TestVids:
         """``tuple_vid`` / ``rule_rid`` hash what a rewritten rule's
         ``f_sha1(name, values...)`` / ``f_sha1(label, RLoc, List)`` does,
         memo cold or warm."""
-        registry = default_registry()
-        expected_vid = registry.call("f_sha1", [name, *values])
-        expected_rid = registry.call("f_sha1", [name, location, (expected_vid,)])
+        expected_vid = BUILTINS["f_sha1"]([name, *values])
+        expected_rid = BUILTINS["f_sha1"]([name, location, (expected_vid,)])
         clear_vid_caches()
         for _ in range(2):
             assert tuple_vid(name, values) == expected_vid

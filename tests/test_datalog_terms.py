@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.datalog.errors import EvaluationError
-from repro.datalog.functions import default_registry
 from repro.datalog.terms import (
     AggregateSpec,
     BinaryOp,
@@ -15,11 +14,8 @@ from repro.datalog.terms import (
     Variable,
 )
 
-FUNCTIONS = default_registry()
-
-
 def evaluate(term, **binding):
-    return term.evaluate(binding, FUNCTIONS)
+    return term.evaluate(binding)
 
 
 class TestVariable:

@@ -6,16 +6,62 @@ and positional forms are type errors.
 """
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
 from repro.core.api import ExspanNetwork
+from repro.core.bdd import BddManager
 from repro.core.config import ExspanConfig
 from repro.core.errors import ProvenanceError
 from repro.core.modes import ProvenanceMode
+from repro.core.query import ProvenanceQueryService, QuerySpec
+from repro.datalog import StandaloneNetwork
+from repro.datalog.engine import NDlogEngine
+from repro.net.simulator import Simulator
 from repro.net.topology import ring_topology
+from repro.obs import Tracer
 from repro.protocols.mincost import mincost_program
+from repro.service import ExspanService, ServiceClient, ServiceServer
+
+#: Every value a caller can set when building these objects: the fields of
+#: the two config records and the constructor parameters.  A new knob fails
+#: here until it is added, with the caller outside the tests that needs a
+#: value other than its default.
+SETTABLE = {
+    ExspanConfig: ("mode", "value_policy", "seed", "local_addresses", "shard_map", "storage"),
+    QuerySpec: (
+        "name",
+        "f_edb",
+        "f_idb",
+        "f_rule",
+        "missing",
+        "traversal",
+        "threshold_met",
+        "moonwalk_width",
+        "use_cache",
+        "max_depth",
+    ),
+    NDlogEngine: ("address", "program", "send", "annotation_policy"),
+    StandaloneNetwork: ("addresses", "program"),
+    Simulator: (),
+    Tracer: ("clock", "shard"),
+    BddManager: (),
+    ProvenanceQueryService: ("host", "store", "clock", "tracer"),
+    ExspanService: ("network",),
+    ServiceServer: ("service", "host", "port"),
+    ServiceClient: ("host", "port", "timeout"),
+}
+
+
+@pytest.mark.parametrize("cls", SETTABLE, ids=lambda cls: cls.__name__)
+def test_the_settable_surface_is_pinned(cls):
+    if dataclasses.is_dataclass(cls):
+        settable = tuple(field.name for field in dataclasses.fields(cls))
+    else:
+        settable = tuple(inspect.signature(cls).parameters)
+    assert settable == SETTABLE[cls]
 
 
 class TestValidation:
@@ -23,7 +69,6 @@ class TestValidation:
         config = ExspanConfig()
         assert config.mode is ProvenanceMode.REFERENCE
         assert config.seed == 0
-        assert config.query_cache_capacity is None
 
     def test_frozen(self):
         config = ExspanConfig()
@@ -46,7 +91,6 @@ class TestValidation:
         [
             {"value_policy": "magic"},
             {"seed": "7"},
-            {"query_cache_capacity": -1},
             {"storage": "tape"},
             {"local_addresses": ("n0",)},  # requires shard_map too
         ],
@@ -72,9 +116,6 @@ class TestValidation:
         with pytest.raises(ProvenanceError, match=name):
             ExspanConfig.from_dict({"mode": "ref", name: value})
 
-    def test_eight_fields(self):
-        assert len(dataclasses.fields(ExspanConfig)) == 8
-
     def test_retired_traffic_record_cap_is_ignored_on_restore(self, tmp_path):
         # The bounded traffic log is gone; a checkpoint written while the
         # knob existed still names it in its config and must restore.
@@ -96,7 +137,13 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("query_coalescing", False), ("query_batching", False), ("link_cost", 3)],
+        [
+            ("query_coalescing", False),
+            ("query_batching", False),
+            ("link_cost", 3),
+            ("collector", "n1"),
+            ("query_cache_capacity", 5),
+        ],
     )
     def test_retired_query_and_link_knobs_are_not_fields(self, name, value):
         with pytest.raises(TypeError):
@@ -105,8 +152,14 @@ class TestValidation:
 
     def test_retired_query_and_link_keys_are_ignored_on_load(self, tmp_path):
         # Service descriptions and checkpoints written while the knobs
-        # existed name all three; they load to the surviving fields.
-        old_keys = {"query_coalescing": True, "query_batching": False, "link_cost": 5}
+        # existed name them; they load to the surviving fields.
+        old_keys = {
+            "query_coalescing": True,
+            "query_batching": False,
+            "link_cost": 5,
+            "collector": None,
+            "query_cache_capacity": None,
+        }
         assert ExspanConfig.from_dict(
             {"mode": "value", "seed": 3, **old_keys}
         ) == ExspanConfig(mode="value", seed=3)
@@ -123,7 +176,7 @@ class TestValidation:
         assert restored.tuples("bestPathCost") == network.tuples("bestPathCost")
 
     def test_round_trip_through_dict(self):
-        config = ExspanConfig(mode="value", seed=3, query_cache_capacity=5)
+        config = ExspanConfig(mode="value", seed=3, storage="memory")
         clone = ExspanConfig.from_dict(config.to_dict())
         assert clone == config
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.client
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
 from repro.experiments.trials import chaos_topology
 from repro.faults import convergence_digest
@@ -126,11 +127,11 @@ QUERY = {
 
 
 class TestClientResilience:
-    def test_connect_gives_up_after_bounded_attempts(self):
+    def test_connect_gives_up_after_bounded_attempts(self, monkeypatch):
+        monkeypatch.setattr(repro.service.client, "CONNECT_ATTEMPTS", 2)
+        monkeypatch.setattr(repro.service.client, "CONNECT_BACKOFF", 0.001)
         with pytest.raises(ConnectionError, match="after 2 attempts"):
-            ServiceClient(
-                "127.0.0.1", 1, connect_attempts=2, connect_backoff=0.001
-            )
+            ServiceClient("127.0.0.1", 1)
 
     def test_retransmitted_request_is_replayed_not_reexecuted(self):
         with ServiceThread(service_network()) as service:
@@ -145,7 +146,7 @@ class TestClientResilience:
 
     def test_broken_connection_redials_and_retries_same_id(self):
         with ServiceThread(service_network()) as service:
-            with ServiceClient(*service.address, call_retries=1) as client:
+            with ServiceClient(*service.address) as client:
                 before = client.call("query", **QUERY)
                 # Sever the transport underneath the client; the next call
                 # must redial and retransmit rather than surface an OSError.

@@ -11,6 +11,8 @@ Sharded/worker fault paths live in test_fault_recovery.py.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paper_example import figure3_topology
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode
@@ -20,7 +22,10 @@ from repro.datalog import Fact
 from repro.faults import (
     CrashFault,
     FaultPlan,
+    FlapFault,
     LinkFault,
+    StragglerFault,
+    WorkerKill,
     convergence_digest,
     parse_fault_spec,
 )
@@ -46,6 +51,44 @@ def run_fixpoint(faults=None) -> ExspanNetwork:
     network.seed_links()
     network.run_to_fixpoint()
     return network
+
+
+# Every field of every clause, over node names the grammar can carry (no
+# ``*``, ``:``, ``;``, ``,``, ``@``, ``-`` or ``->``) and finite times.
+_NODES = st.sampled_from(["a", "b", "n2", "s0_1"])
+_TIMES = st.floats(min_value=0.0, max_value=10.0)
+_UNTIL = st.none() | _TIMES
+_PLANS = st.builds(
+    FaultPlan,
+    seed=st.integers(0, 10**6),
+    link_faults=st.lists(
+        st.builds(
+            LinkFault,
+            kind=st.sampled_from(["drop", "duplicate", "delay"]),
+            src=st.none() | _NODES,
+            dst=st.none() | _NODES,
+            prob=st.floats(min_value=0.0, max_value=1.0),
+            delay=_TIMES,
+            start=_TIMES,
+            end=_UNTIL,
+            max_events=st.none() | st.integers(0, 9),
+        ),
+        max_size=3,
+    ).map(tuple),
+    crashes=st.lists(st.builds(CrashFault, _NODES, _TIMES, _UNTIL), max_size=2).map(tuple),
+    flaps=st.lists(
+        st.builds(FlapFault, _NODES, _NODES, _TIMES, _TIMES, st.none() | st.integers(0, 99)),
+        max_size=2,
+    ).map(tuple),
+    stragglers=st.lists(
+        st.builds(StragglerFault, _NODES, _TIMES, _TIMES, _UNTIL), max_size=2
+    ).map(tuple),
+    worker_kills=st.lists(
+        st.builds(WorkerKill, st.integers(0, 7), st.integers(0, 9)), max_size=2
+    ).map(tuple),
+    rto=st.just(0.05) | st.floats(min_value=0.001, max_value=1.0),
+    max_attempts=st.none() | st.integers(1, 9),
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -84,14 +127,14 @@ class TestPlanParsing:
         kill = plan.worker_kills[0]
         assert (kill.shard, kill.after_windows) == (1, 2)
 
-    def test_describe_reparses_to_the_same_plan(self):
-        text = (
-            "seed=4; rto=0.1; attempts=6; drop:a->*:p=0.3,n=5; "
-            "delay:*->b:p=0.2,d=0.004; crash:c@0.5:restart=1.0; "
-            "flap:a-b@0.2:up=0.3; straggler:d:d=0.002"
-        )
-        plan = parse_fault_spec(text)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(plan=_PLANS)
+    def test_describe_reparses_to_the_same_plan(self, plan):
         assert parse_fault_spec(plan.describe()) == plan
+
+    def test_describe_leaves_default_fields_out(self):
+        text = "seed=4;drop:a->*:p=0.3:n=5;flap:a-b@0.2:up=0.3;straggler:d:d=0.002"
+        assert parse_fault_spec(text).describe() == text
 
     def test_empty_plan(self):
         assert FaultPlan.empty().is_empty()
@@ -297,7 +340,7 @@ class TestTombstoneCompaction:
         assert simulator.pending_events == 100
 
     def test_mass_cancellation_triggers_compaction(self):
-        simulator = Simulator(compact_min_cancelled=64, compact_ratio=1.0)
+        simulator = Simulator()
         for _ in range(20):
             events = [
                 simulator.schedule(1.0 + i * 1e-6, lambda: None) for i in range(200)

@@ -126,13 +126,16 @@ class TestGenerators:
         assert topology.is_connected()
 
     def test_ring_topology_structure(self):
-        topology = ring_topology(10, random_peers=False)
-        assert topology.node_count() == 10
+        topology = ring_topology(3)  # too small for a random peer
+        assert topology.node_count() == 3
         assert all(topology.degree(node) == 2 for node in topology.nodes)
+        topology = ring_topology(10)
+        assert topology.node_count() == 10
+        assert all(topology.has_link(f"n{i}", f"n{(i + 1) % 10}") for i in range(10))
         assert topology.is_connected()
 
-    def test_ring_topology_with_random_peers_respects_max_degree(self):
-        topology = ring_topology(40, random_peers=True, max_degree=3, seed=2)
+    def test_ring_topology_random_peers_respect_the_degree_cap(self):
+        topology = ring_topology(40, seed=2)
         assert topology.is_connected()
         assert all(topology.degree(node) <= 3 for node in topology.nodes)
         assert any(topology.degree(node) == 3 for node in topology.nodes)

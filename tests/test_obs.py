@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+import repro.obs.tracer
 from repro.core import ExspanConfig, ExspanNetwork, ProvenanceMode, QueryRequest
 from repro.core.customizations import derivation_count_query
 from repro.datalog.ast import Fact
@@ -116,8 +117,9 @@ class TestTracer:
         span.end()
         assert tracer.spans[0].dur == 0.0
 
-    def test_cap_drops_records_but_aggregates_stay_exact(self):
-        tracer = Tracer(max_spans=2)
+    def test_cap_drops_records_but_aggregates_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(repro.obs.tracer, "MAX_SPANS", 2)
+        tracer = Tracer()
         for _ in range(5):
             tracer.begin("phase", cat="x").end()
         assert len(tracer.spans) == 2

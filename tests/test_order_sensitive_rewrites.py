@@ -39,6 +39,8 @@ from repro.storage.memory import (
     _freeze,
 )
 
+from helpers import compaction, table_state
+
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
@@ -242,8 +244,9 @@ event_op = st.one_of(
 
 @PROPERTY
 @given(st.lists(event_op, min_size=10, max_size=50))
+@compaction(2, 1.0)
 def test_tuple_heap_executes_in_time_key_sequence_order(ops):
-    simulator = Simulator(compact_min_cancelled=2, compact_ratio=1.0)
+    simulator = Simulator()
     model = QueueModel(compact_min_cancelled=2, compact_ratio=1.0)
     executed: List[int] = []
     handles: List[Any] = []  # (simulator event, model entry) per successful schedule
@@ -381,18 +384,6 @@ class LadderTable(Table):
                 bucket.pop(row, None)
                 if not bucket:
                     del index[key]
-
-
-def table_state(table: Table) -> Tuple:
-    return (
-        table.rows_with_counts(),
-        list(table._by_key.items()),
-        [
-            (positions, [(key, list(bucket)) for key, bucket in index.items()])
-            for positions, index in table._indexes.items()
-        ],
-        table.arity,
-    )
 
 
 attribute = st.one_of(

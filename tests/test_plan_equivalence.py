@@ -44,7 +44,7 @@ from repro.core import (
 )
 from repro.datalog import Fact, StandaloneNetwork
 from repro.datalog.engine import AnnotationPolicy, NDlogEngine
-from repro.datalog.functions import FunctionRegistry, default_registry
+from repro.datalog.functions import BUILTINS
 from repro.datalog.parser import parse_program
 from repro.net import ring_topology
 from repro.protocols import (
@@ -54,8 +54,8 @@ from repro.protocols import (
     pathvector_program,
 )
 
-from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with, table_state
-from helpers import annotation_of, delete, table_rows
+from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
+from helpers import annotation_of, delete, table_rows, table_state
 
 #: The nested-loop oracle and the planned engine.
 PLANNERS = {"naive": NestedLoopEngine, "greedy": NDlogEngine}
@@ -709,7 +709,7 @@ def test_errors_are_exact_across_engines(case):
 
 
 @pytest.mark.parametrize("mode", ["lean", "valued"])
-def test_a_replayed_finalization_emits_as_the_generated_one(mode):
+def test_a_replayed_finalization_emits_as_the_generated_one(mode, monkeypatch):
     """A builtin that raises only under generated code forces every match
     through the replay, whose result the generated emission then routes:
     plain and aggregate heads, with and without a policy."""
@@ -728,13 +728,11 @@ def test_a_replayed_finalization_emits_as_the_generated_one(mode):
 
     script = [("insert", "link", ("n", "a", 4)), ("insert", "link", ("n", "b", 2))]
     script += [("delete", "link", ("n", "b", 2)), ("insert", "link", ("n", "b", 8))]
+    monkeypatch.setitem(BUILTINS, "f_half", half)
     states = {}
     for name, engine_class in ENGINES.items():
         policy = _RecordingPolicy(propagate_updates=False) if mode == "valued" else None
-        functions = FunctionRegistry({**default_registry()._functions, "f_half": half})
-        engine = engine_class(
-            "n", parse_program(program_text), annotation_policy=policy, functions=functions
-        )
+        engine = engine_class("n", parse_program(program_text), annotation_policy=policy)
         for action, relation, values in script:
             getattr(engine, action)(Fact(relation, values))
             engine.run()

@@ -457,9 +457,9 @@ def test_expression_argument_in_a_body_atom_is_rejected():
 
 
 # ---------------------------------------------------------------------- #
-# re-registered builtins in generated code
+# builtins in generated code
 # ---------------------------------------------------------------------- #
-def _ring_rows(functions=None, engine_class=NDlogEngine):
+def _ring_rows(engine_class=NDlogEngine):
     """Rewritten PATHVECTOR to fixpoint on a six-node ring: every row."""
     from repro.core.rewrite import rewrite_program
     from repro.datalog import StandaloneNetwork
@@ -468,9 +468,7 @@ def _ring_rows(functions=None, engine_class=NDlogEngine):
 
     topology = ring_topology(6, seed=0)
     with built_with(engine_class):
-        network = StandaloneNetwork(
-            topology.nodes, rewrite_program(pathvector_program()), functions=functions
-        )
+        network = StandaloneNetwork(topology.nodes, rewrite_program(pathvector_program()))
     for source, destination, cost in topology.link_facts():
         network.insert(Fact("link", (source, destination, cost)))
     network.run()
@@ -480,39 +478,25 @@ def _ring_rows(functions=None, engine_class=NDlogEngine):
     return {name: network.all_rows(name) for name in sorted(names)}
 
 
-def _registry_with_sha1(function):
-    from repro.datalog.functions import FunctionRegistry, default_registry
-
-    return FunctionRegistry({**default_registry()._functions, "f_sha1": function})
-
-
-def test_reregistered_builtin_falls_back_to_the_registered_function():
-    """Generated code resolves builtins per call; the result must not change.
-
-    Re-registering ``f_sha1`` with an equal implementation takes generated
-    code off its inline memo probe and through the registry on every call.
-    """
-    from repro.datalog.functions import _f_sha1
-
-    reference = _ring_rows()
-    assert _ring_rows(_registry_with_sha1(lambda args: _f_sha1(args))) == reference
+def test_generated_code_calls_the_builtins_the_interpreter_looks_up():
+    """The rewritten PATHVECTOR calls ``f_sha1``, ``f_append``, ``f_concat``
+    and ``f_member``: every row must be the interpreter's."""
+    assert _ring_rows() == _ring_rows(InterpretedEngine)
 
 
-def test_reregistered_f_sha1_wins_over_the_inline_memo_probe():
-    """A different ``f_sha1`` must reach every VID, even with a warm memo."""
-    from repro.datalog.functions import sha1_hex
+def test_generated_code_binds_each_builtin_it_calls_once():
+    from repro.datalog.functions import BUILTINS
 
-    default = _ring_rows()  # warms the process-wide memo with default digests
-
-    def salted(args):
-        return sha1_hex("salt" + "".join(map(str, args)))
-
-    rows = {
-        name: _ring_rows(_registry_with_sha1(salted), engine_class)
-        for name, engine_class in ENGINES.items()
-    }
-    assert rows["compiled"] == rows["interpreted"]
-    assert rows["compiled"]["prov"] != default["prov"]
+    program = "r1 out(@A,L) :- t(@A,X,Y), f_member(Y, X) == false, L = f_append(X, Y)."
+    engine = NDlogEngine("a", parse_program(program))
+    (plan,) = engine._plans.values()
+    namespace = plan.fused_exec.__globals__
+    assert namespace["_f_member"] is BUILTINS["f_member"]
+    assert namespace["_f_append"] is BUILTINS["f_append"]
+    assert "_f_item" not in namespace and "_f_concat" not in namespace
+    engine.insert(Fact("t", ("a", "x", ("y",))))
+    engine.run()
+    assert table_rows(engine, "out") == [("a", ("x", "y"))]
 
 
 def test_inline_memo_probe_counts_like_the_builtin():

@@ -452,8 +452,11 @@ class TestBoundedCache:
         with pytest.raises(ValueError):
             QueryResultCache("n", capacity=0)
 
-    def test_network_capacity_knob_bounds_every_node(self):
-        network = _reference_network(ring_topology(6, seed=1), query_cache_capacity=3)
+    def test_cache_capacity_bounds_every_node(self, monkeypatch):
+        import repro.core.query
+
+        monkeypatch.setattr(repro.core.query, "DEFAULT_CACHE_CAPACITY", 3)
+        network = _reference_network(ring_topology(6, seed=1))
         spec = polynomial_query(name="tiny-cache", use_cache=True)
         for _, row in network.tuples("bestPathCost")[:8]:
             network.execute(QueryRequest(Fact("bestPathCost", row), spec))

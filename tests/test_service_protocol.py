@@ -20,6 +20,7 @@ from repro.datalog.ast import Fact
 from repro.faults.oracle import convergence_digest
 from repro.net.errors import NetworkError, NoRouteError, SimulationError, UnknownNodeError
 from repro.net.topology import ring_topology
+from repro.service import protocol
 from repro.service.protocol import ERROR_CODES
 from repro.protocols.mincost import mincost_program
 from repro.core.api import ExspanNetwork
@@ -79,9 +80,10 @@ class TestFraming:
         (length,) = struct.unpack(">I", frame[:4])
         assert length == len(frame) - 4
 
-    def test_encode_rejects_oversized_payload(self):
+    def test_encode_rejects_oversized_payload(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 32)
         with pytest.raises(FrameError):
-            encode_frame({"blob": "x" * 64}, max_frame=32)
+            encode_frame({"blob": "x" * 64})
 
     def test_protocol_error_requires_known_code(self):
         with pytest.raises(ValueError):
@@ -234,6 +236,21 @@ class TestRequests:
             deep = client.call("prov", fact=fact, depth=1000000)
             assert deep["tree"] == client.call("prov", fact=fact, depth=64)["tree"]
             assert "rule " in deep["tree"]
+
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("insert", {"fact": {"name": "link", "values": ["zz", "n1", 1]}}),
+            ("query", {"fact": LINK, "spec": {"kind": "polynomial"}, "issuer": "zz"}),
+        ],
+        ids=["insert-at", "query-from"],
+    )
+    def test_an_unknown_node_answers_unknown_node_with_its_address(self, service, op, params):
+        with ServiceClient(*service.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.call(op, **params)
+            assert excinfo.value.code == "unknown-node"
+            assert excinfo.value.details == {"node": "zz"}
 
     def test_bad_fact_payload(self, service):
         with ServiceClient(*service.address) as client:

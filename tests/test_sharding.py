@@ -53,6 +53,8 @@ from repro.protocols import (
     pathvector_program,
 )
 
+from helpers import compaction
+
 # ---------------------------------------------------------------------- #
 # shared builders
 # ---------------------------------------------------------------------- #
@@ -335,6 +337,7 @@ def test_single_authoritative_schedule_path():
     ),
     st.floats(min_value=1e-6, max_value=0.07, allow_nan=False),
 )
+@compaction(2, 0.5)
 def test_windowed_execution_monotonic_under_adversarial_latencies(entries, window):
     """Window stepping never executes out of order or moves time backwards.
 
@@ -344,7 +347,7 @@ def test_windowed_execution_monotonic_under_adversarial_latencies(entries, windo
     monotone across window boundaries, and nothing may land before the
     safe time.
     """
-    simulator = Simulator(compact_min_cancelled=2, compact_ratio=0.5)
+    simulator = Simulator()
     executed = []
     live = 0
     for base, delta, cancel in entries:
@@ -400,9 +403,10 @@ def test_failed_send_does_not_corrupt_traffic_stats():
     assert not sharded.outbound
 
 
-def test_compaction_knobs_and_reconciliation():
-    """Tunable compaction keeps queue_length == live + cancelled exact."""
-    simulator = Simulator(compact_min_cancelled=8, compact_ratio=0.5)
+@compaction(8, 0.5)
+def test_compaction_thresholds_and_reconciliation():
+    """Compaction at any threshold keeps queue_length == live + cancelled exact."""
+    simulator = Simulator()
     events = [simulator.schedule(1.0 + index * 1e-6, lambda: None) for index in range(100)]
     for event in events[:80]:
         event.cancel()
@@ -414,13 +418,6 @@ def test_compaction_knobs_and_reconciliation():
     assert simulator.pending_events == 20
     simulator.run_until_idle()
     assert simulator.queue_length == 0
-
-
-def test_compaction_knob_validation():
-    with pytest.raises(SimulationError):
-        Simulator(compact_min_cancelled=-1)
-    with pytest.raises(SimulationError):
-        Simulator(compact_ratio=0.0)
 
 
 # ---------------------------------------------------------------------- #

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net.errors import SimulationError
 from repro.net.simulator import Simulator
-from helpers import cancelled
+from helpers import cancelled, compaction
 
 
 @dataclass(slots=True)
@@ -248,19 +248,21 @@ OPS = st.one_of(
     st.sampled_from([0.2, 0.5, 1.0]),
 )
 def test_one_loop_equals_the_stepwise_loop(ops, compact_floor, compact_ratio):
-    loop = Driven(Simulator(compact_floor, compact_ratio))
+    loop = Driven(Simulator())
     oracle = Driven(StepwiseSimulator(compact_floor, compact_ratio))
-    for op in ops:
-        assert loop.apply(op) == oracle.apply(op), op
-        assert loop.state() == oracle.state(), op
-    assert loop.apply(("run", None, None)) == oracle.apply(("run", None, None))
+    with compaction(compact_floor, compact_ratio):
+        for op in ops:
+            assert loop.apply(op) == oracle.apply(op), op
+            assert loop.state() == oracle.state(), op
+        assert loop.apply(("run", None, None)) == oracle.apply(("run", None, None))
     assert loop.state() == oracle.state()
     assert loop.simulator.queue_length == 0 and loop.simulator.pending_events == 0
 
 
+@compaction(0, 1.0)
 def test_cancel_from_a_callback_that_compacts_the_running_queue():
     """A callback's cancel rebuilds the queue mid-run; the loop keeps going."""
-    simulator = Simulator(compact_min_cancelled=0, compact_ratio=1.0)
+    simulator = Simulator()
     fired: List[str] = []
     victims = [simulator.schedule(2.0, lambda: fired.append("victim")) for _ in range(4)]
 

@@ -40,8 +40,8 @@ from repro.protocols import (
     pathvector_program,
 )
 
-from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with, table_state
-from helpers import delete
+from oracle import ENGINES, InterpretedEngine, NestedLoopEngine, built_with
+from helpers import delete, table_state
 
 PROPERTY = settings(derandomize=True, max_examples=4, deadline=None)
 
