@@ -242,6 +242,23 @@ MUTANTS: List[Mutant] = [
         ("tests/test_core_cache_and_api.py",),
     ),
     Mutant(
+        "unknown_vertex_forgets_dependent",
+        "core/query.py",
+        "            self.cache.add_dependent(record.key, parent[0], parent[1])\n",
+        "            pass\n",
+        (
+            "tests/test_query_concurrency.py::TestMissingVertexDependents::"
+            "test_missing_vertex_keeps_reverse_pointer_for_late_arrival",
+        ),
+    ),
+    Mutant(
+        "rule_result_keyed_vid",
+        "core/query.py",
+        "                    id_key: payload[id_key],\n",
+        '                    "vid": payload[id_key],\n',
+        ("tests/test_wire_sizing.py::test_query_messages_keep_their_wire_shapes",),
+    ),
+    Mutant(
         "fold_forgets_voided_delete",
         "storage/sqlite.py",
         "                    deletes[key] = op\n"

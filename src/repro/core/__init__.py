@@ -56,7 +56,7 @@ from .semiring import (
     sum_of,
     var,
 )
-from .provenance_store import ProvEntry, ProvenanceStore, RuleExecEntry
+from .provenance_store import ProvenanceStore
 from .vid import NULL_RID, fact_vid, rule_rid, tuple_vid
 
 __all__ = [
@@ -109,9 +109,7 @@ __all__ = [
     "product_of",
     "sum_of",
     "var",
-    "ProvEntry",
     "ProvenanceStore",
-    "RuleExecEntry",
     "NULL_RID",
     "fact_vid",
     "rule_rid",

@@ -452,8 +452,9 @@ class ExspanNetwork:
     ) -> QueryResult:
         """Issue *request* and run the simulation until it completes.
 
-        The single synchronous entry point shared by in-process callers,
-        the experiment trials, the wire-protocol service and the shell.
+        The synchronous entry point shared by in-process callers, the
+        wire-protocol service and the shell (the experiment trials issue
+        through the query service's ``query_fact`` instead).
         """
         results: List[QueryResult] = []
         tracer = self.tracer

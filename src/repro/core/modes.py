@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 from ..datalog.ast import Atom, Program, Rule, TableDecl
 from ..datalog.engine import AnnotationPolicy

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.ast import Fact
-from .provenance_store import ProvEntry, ProvenanceStore, RuleExecEntry
+from .provenance_store import ProvenanceStore, rule_inputs
+from .rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from .vid import fact_vid
 
 __all__ = [
@@ -69,24 +70,24 @@ class ProvenanceGraph:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def add_prov_entry(self, entry: ProvEntry, fact: Optional[Fact] = None) -> None:
-        vertex = self.tuples.get(entry.vid)
+    def add_prov_entry(self, row: Sequence[Any], fact: Optional[Fact] = None) -> None:
+        """Add one ``prov`` row ``(loc, vid, rid, rloc)``; a null RID marks a base tuple."""
+        location, vid, rid = row[0], row[1], row[2]
+        vertex = self.tuples.get(vid)
         if vertex is None:
-            vertex = TupleVertex(vid=entry.vid, location=entry.location, fact=fact)
-            self.tuples[entry.vid] = vertex
+            vertex = TupleVertex(vid=vid, location=location, fact=fact)
+            self.tuples[vid] = vertex
         elif fact is not None and vertex.fact is None:
             vertex.fact = fact
-        if entry.is_base:
+        if rid is None:
             vertex.is_base = True
-        elif entry.rid not in vertex.derivations:
-            vertex.derivations.append(entry.rid)
+        elif rid not in vertex.derivations:
+            vertex.derivations.append(rid)
 
-    def add_rule_exec(self, entry: RuleExecEntry) -> None:
-        self.rules[entry.rid] = RuleVertex(
-            rid=entry.rid,
-            rule_label=entry.rule_label,
-            location=entry.rule_location,
-            input_vids=tuple(entry.input_vids),
+    def add_rule_exec(self, row: Sequence[Any]) -> None:
+        """Add one ``ruleExec`` row ``(rloc, rid, rule, inputs)``."""
+        self.rules[row[1]] = RuleVertex(
+            rid=row[1], rule_label=row[2], location=row[0], input_vids=rule_inputs(row)
         )
 
     # ------------------------------------------------------------------ #
@@ -100,47 +101,16 @@ class ProvenanceGraph:
 
     def reachable_base_tuples(self, vid: str) -> FrozenSet[str]:
         """VIDs of all base tuples reachable from *vid* through its derivations."""
-        seen: Set[str] = set()
-        bases: Set[str] = set()
-        queue = deque([vid])
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            vertex = self.tuples.get(current)
-            if vertex is None:
-                continue
-            if vertex.is_base:
-                bases.add(current)
-            for rid in vertex.derivations:
-                rule = self.rules.get(rid)
-                if rule is None:
-                    continue
-                queue.extend(rule.input_vids)
-        return frozenset(bases)
+        tuples, _ = self._subgraph(vid)
+        return frozenset(current for current in tuples if self.tuples[current].is_base)
 
     def nodes_involved(self, vid: str) -> FrozenSet[Any]:
         """All node locations participating in any derivation of *vid*."""
-        seen: Set[str] = set()
-        nodes: Set[Any] = set()
-        queue = deque([vid])
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            vertex = self.tuples.get(current)
-            if vertex is None:
-                continue
-            nodes.add(vertex.location)
-            for rid in vertex.derivations:
-                rule = self.rules.get(rid)
-                if rule is None:
-                    continue
-                nodes.add(rule.location)
-                queue.extend(rule.input_vids)
-        return frozenset(nodes)
+        tuples, rules = self._subgraph(vid)
+        return frozenset(
+            [self.tuples[current].location for current in tuples]
+            + [self.rules[rid].location for rid in rules]
+        )
 
     def is_acyclic(self) -> bool:
         """Verify the data-model invariant that the graph has no cycles."""
@@ -263,6 +233,7 @@ class ProvenanceGraph:
                 )
 
     def _subgraph(self, root: str) -> Tuple[Set[str], Set[str]]:
+        """The tuple and rule vertices reachable from *root* (the one closure walk)."""
         keep_tuples: Set[str] = set()
         keep_rules: Set[str] = set()
         queue = deque([root])
@@ -289,18 +260,20 @@ class ProvenanceGraph:
 def build_global_graph(stores: Iterable[ProvenanceStore]) -> ProvenanceGraph:
     """Assemble the global provenance graph from every node's local tables.
 
-    This copies every ``prov`` / ``ruleExec`` row of every store, so its cost
-    is linear in the network.  It is the offline analysis helper, the
-    centralized baseline's view and the oracle the tests compare
+    This reads every store's ``prov`` and ``ruleExec`` tables whole
+    (:meth:`ProvenanceStore.rows`: the raw rows the query service probes one
+    VID or RID at a time) and copies each row in, so its cost is linear in
+    the network.  It is the offline analysis helper, the centralized
+    baseline's view and the oracle the tests compare
     :func:`build_rooted_graph` against; requests about one tuple are served
     by the rooted walk, and the distributed query engine needs neither.
     """
     graph = ProvenanceGraph()
     for store in stores:
-        for entry in store.all_prov_entries():
-            graph.add_prov_entry(entry, fact=store.fact_for_vid(entry.vid))
-        for rule_entry in store.all_rule_exec_entries():
-            graph.add_rule_exec(rule_entry)
+        for row in store.rows(PROV_TABLE):
+            graph.add_prov_entry(row, fact=store.fact_for_vid(row[1]))
+        for row in store.rows(RULE_EXEC_TABLE):
+            graph.add_rule_exec(row)
     return graph
 
 
@@ -332,17 +305,17 @@ def build_rooted_graph(
             store = None
         if store is None:
             continue
-        for entry in store.prov_entries(vid):
-            graph.add_prov_entry(entry, fact=store.fact_for_vid(vid))
-            if depth == max_depth or entry.is_base or entry.rid in graph.rules:
+        for row in store.probe(PROV_TABLE, vid):
+            graph.add_prov_entry(row, fact=store.fact_for_vid(vid))
+            rid, rule_location = row[2], row[3]
+            if depth == max_depth or rid is None or rid in graph.rules:
                 continue
-            rule_store = stores.get(entry.rule_location)
-            rule_entry = None if rule_store is None else rule_store.rule_exec(entry.rid)
-            if rule_entry is None:
-                continue
-            graph.add_rule_exec(rule_entry)
-            for child in rule_entry.input_vids:
-                if child not in seen:
-                    seen.add(child)
-                    queue.append((child, entry.rule_location, depth + 1))
+            rule_store = stores.get(rule_location)
+            rule_rows = () if rule_store is None else rule_store.probe(RULE_EXEC_TABLE, rid)
+            for rule_row in rule_rows:  # a RID names one execution
+                graph.add_rule_exec(rule_row)
+                for child in rule_inputs(rule_row):
+                    if child not in seen:
+                        seen.add(child)
+                        queue.append((child, rule_location, depth + 1))
     return graph

@@ -9,10 +9,12 @@ The provenance rewrite maintains two ordinary NDlog tables at every node:
   the rule label ``R`` and the VIDs of its input tuples.
 
 :class:`ProvenanceStore` wraps one node's
-:class:`~repro.datalog.engine.NDlogEngine` and reads these tables by VID or
-RID with one index probe (:meth:`ProvenanceStore.probe`: raw rows for the
-distributed query service, typed entries for the graph builders), plus the
-"systems table that maps VIDs to tuples" the paper assumes (here a
+:class:`~repro.datalog.engine.NDlogEngine` and hands out the tables' raw
+rows — ``(loc, vid, rid, rloc)`` and ``(rloc, rid, rule, inputs)`` — either
+by VID or RID with one index probe (:meth:`ProvenanceStore.probe`, what the
+distributed query service and the rooted graph walk read) or a whole table
+at once (:meth:`ProvenanceStore.rows`, what the global graph copies), plus
+the "systems table that maps VIDs to tuples" the paper assumes (here a
 lazily-maintained index over the node's materialized tables).
 
 This is the per-node *view* layer of the pluggable storage engine
@@ -35,7 +37,7 @@ from ..datalog.engine import NDlogEngine
 from .rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from .vid import fact_vid
 
-__all__ = ["ProvEntry", "RuleExecEntry", "ProvenanceStore", "rule_inputs"]
+__all__ = ["ProvenanceStore", "rule_inputs"]
 
 
 def rule_inputs(row: Sequence[Any]) -> Tuple[str, ...]:
@@ -44,49 +46,8 @@ def rule_inputs(row: Sequence[Any]) -> Tuple[str, ...]:
     return tuple(inputs) if isinstance(inputs, (list, tuple)) else (inputs,)
 
 
-class ProvEntry:
-    """One row of the ``prov`` table."""
-
-    __slots__ = ("location", "vid", "rid", "rule_location")
-
-    def __init__(self, location: Any, vid: str, rid: Optional[str], rule_location: Any):
-        self.location = location
-        self.vid = vid
-        self.rid = rid
-        self.rule_location = rule_location
-
-    @property
-    def is_base(self) -> bool:
-        """True when this entry marks a base tuple (null RID)."""
-        return self.rid is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        rid = "null" if self.rid is None else self.rid[:8]
-        return f"ProvEntry(loc={self.location}, vid={self.vid[:8]}, rid={rid})"
-
-
-class RuleExecEntry:
-    """One row of the ``ruleExec`` table."""
-
-    __slots__ = ("rule_location", "rid", "rule_label", "input_vids")
-
-    def __init__(
-        self, rule_location: Any, rid: str, rule_label: str, input_vids: Sequence[str]
-    ):
-        self.rule_location = rule_location
-        self.rid = rid
-        self.rule_label = rule_label
-        self.input_vids = tuple(input_vids)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RuleExecEntry(rule={self.rule_label}, loc={self.rule_location}, "
-            f"inputs={len(self.input_vids)})"
-        )
-
-
 class ProvenanceStore:
-    """Typed access to one node's slice of the distributed provenance graph."""
+    """Access to one node's slice of the distributed provenance graph."""
 
     def __init__(self, engine: NDlogEngine):
         self.engine = engine
@@ -114,32 +75,10 @@ class ProvenanceStore:
             return ()
         return table.probe((1,), (key,)) or ()
 
-    def _all_rows(self, name: str) -> List[Tuple[Any, ...]]:
+    def rows(self, name: str) -> List[Tuple[Any, ...]]:
+        """Every row of local table *name*: a whole-table read (``[]`` if none)."""
         table = self.engine.catalog.get(name)
         return [] if table is None else table.rows()
-
-    def prov_entries(self, vid: str) -> List[ProvEntry]:
-        """All local derivations of the tuple vertex *vid*."""
-        return [
-            ProvEntry(row[0], row[1], row[2], row[3]) for row in self.probe(PROV_TABLE, vid)
-        ]
-
-    def all_prov_entries(self) -> List[ProvEntry]:
-        return [
-            ProvEntry(row[0], row[1], row[2], row[3]) for row in self._all_rows(PROV_TABLE)
-        ]
-
-    def rule_exec(self, rid: str) -> Optional[RuleExecEntry]:
-        """Look up the rule execution vertex *rid* stored at this node."""
-        for row in self.probe(RULE_EXEC_TABLE, rid):
-            return RuleExecEntry(row[0], row[1], row[2], rule_inputs(row))
-        return None
-
-    def all_rule_exec_entries(self) -> List[RuleExecEntry]:
-        return [
-            RuleExecEntry(row[0], row[1], row[2], rule_inputs(row))
-            for row in self._all_rows(RULE_EXEC_TABLE)
-        ]
 
     # ------------------------------------------------------------------ #
     # VID -> tuple resolution (the "systems table" of Section 5.2.1)

@@ -13,11 +13,10 @@ The paper expresses this traversal as ten NDlog rules (``edb1``, ``idb1`` –
 protocol as an explicit distributed service (one
 :class:`ProvenanceQueryService` per node exchanging messages over the
 simulated network), parameterized by a :class:`QuerySpec` holding the three
-UDFs plus the traversal order, threshold, projection filters and caching
-policy of Section 6.  Implementing the traversal natively rather than as
-NDlog rules keeps the continuation bookkeeping explicit while preserving the
-message pattern (and therefore the bandwidth / latency behaviour) of the
-paper's rules.
+UDFs plus the traversal order, threshold and caching policy of Section 6.
+Implementing the traversal natively rather than as NDlog rules keeps the
+continuation bookkeeping explicit while preserving the message pattern (and
+therefore the bandwidth / latency behaviour) of the paper's rules.
 
 A vertex costs one index probe (``prov`` by VID, ``ruleExec`` by RID) whose
 raw rows ``(loc, vid, rid, rloc)`` / ``(rloc, rid, rule, inputs)`` are read
@@ -501,20 +500,38 @@ class ProvenanceQueryService:
             return
         self._remote_roots[root] = query_id
         self._qid_root[query_id] = root
-        self._continuations[query_id] = [finish]
-        self._continuation_dest[query_id] = (repr(target_node), "provQuery", vid)
+        self._ask(
+            target_node, query_id, "provQuery", "vid", vid, spec, None, spec.max_depth, tc, finish
+        )
+
+    def _ask(
+        self,
+        destination: Any,
+        query_id: str,
+        query_type: str,
+        id_key: str,
+        identifier: str,
+        spec: QuerySpec,
+        parent: Any,
+        depth: int,
+        tc: _Tc,
+        on_result: _Continuation,
+    ) -> None:
+        """Send one ``provQuery`` / ``ruleQuery`` and await its single result."""
+        self._continuations[query_id] = [on_result]
+        self._continuation_dest[query_id] = (repr(destination), query_type, identifier)
         payload = {
-            "type": "provQuery",
+            "type": query_type,
             "qid": query_id,
-            "vid": vid,
+            id_key: identifier,
             "spec": spec.name,
             "ret": self.node,
-            "parent": None,
-            "depth": spec.max_depth,
+            "parent": parent,
+            "depth": depth,
         }
         if tc is not None:
             payload[TRACE_CONTEXT_KEY] = list(tc)
-        self._send(target_node, payload)
+        self._send(destination, payload)
 
     def query_fact(
         self,
@@ -536,10 +553,9 @@ class ProvenanceQueryService:
     def _on_message(self, message: Message) -> None:
         payload = message.payload
         kind = payload.get("type")
-        if kind == "provQuery":
-            self._handle_prov_query(payload)
-        elif kind == "ruleQuery":
-            self._handle_rule_query(payload)
+        request = self._REQUESTS.get(kind)
+        if request is not None:
+            self._handle_query(payload, *request)
         elif kind in ("provResult", "ruleResult"):
             qid = payload["qid"]
             root = self._qid_root.pop(qid, None)
@@ -554,103 +570,39 @@ class ProvenanceQueryService:
         else:  # pragma: no cover - defensive
             raise QueryError(f"unknown provenance message type {kind!r}")
 
-    @staticmethod
-    def _parse_parent(payload: Dict[str, Any]) -> Optional[Dependent]:
+    def _handle_query(
+        self, payload: Dict[str, Any], reply_type: str, id_key: str, resolve: Callable[..., None]
+    ) -> None:
+        """Resolve a ``provQuery`` / ``ruleQuery`` here and ship the result back."""
+        spec = self.spec(payload["spec"])
+
+        def reply(result: Any, height: _Height) -> None:
+            self._send(
+                payload["ret"],
+                {
+                    "type": reply_type,
+                    "qid": payload["qid"],
+                    id_key: payload[id_key],
+                    "result": result,
+                    "h": height,
+                },
+            )
+
         parent = payload.get("parent")
-        if parent is None:
-            return None
-        return (parent[0], tuple(parent[1]))
-
-    @staticmethod
-    def _parse_tc(payload: Dict[str, Any]) -> _Tc:
         tc = payload.get(TRACE_CONTEXT_KEY)
-        if tc is None:
-            return None
-        return (tc[0], tc[1])
-
-    def _handle_prov_query(self, payload: Dict[str, Any]) -> None:
-        spec = self.spec(payload["spec"])
-
-        def reply(result: Any, height: _Height) -> None:
-            self._send(
-                payload["ret"],
-                {
-                    "type": "provResult",
-                    "qid": payload["qid"],
-                    "vid": payload["vid"],
-                    "result": result,
-                    "h": height,
-                },
-            )
-
-        self._resolve_vid(
-            payload["vid"],
+        resolve(
+            self,
+            payload[id_key],
             spec,
             reply,
-            parent=self._parse_parent(payload),
+            parent=None if parent is None else (parent[0], tuple(parent[1])),
             depth=payload.get("depth", spec.max_depth),
-            tc=self._parse_tc(payload),
-        )
-
-    def _handle_rule_query(self, payload: Dict[str, Any]) -> None:
-        spec = self.spec(payload["spec"])
-
-        def reply(result: Any, height: _Height) -> None:
-            self._send(
-                payload["ret"],
-                {
-                    "type": "ruleResult",
-                    "qid": payload["qid"],
-                    "rid": payload["rid"],
-                    "result": result,
-                    "h": height,
-                },
-            )
-
-        self._resolve_rid(
-            payload["rid"],
-            spec,
-            reply,
-            parent=self._parse_parent(payload),
-            depth=payload.get("depth", spec.max_depth),
-            tc=self._parse_tc(payload),
+            tc=None if tc is None else (tc[0], tc[1]),
         )
 
     # ------------------------------------------------------------------ #
     # in-flight resolution bookkeeping
     # ------------------------------------------------------------------ #
-    def _attach_or_open(
-        self,
-        key: CacheKey,
-        depth: int,
-        parent: Optional[Dependent],
-        on_done: _Continuation,
-    ) -> Optional[_InFlight]:
-        """Coalesce onto a pending resolution, or open a new one.
-
-        Returns the freshly opened record, or ``None`` when the caller
-        attached to an existing resolution (nothing further to do).  The
-        depth budget is part of the compatibility check: a traversal that
-        reaches the vertex with a different remaining depth could explore a
-        different frontier when the bound binds, so it resolves separately.
-        """
-        slot = (key, depth)
-        pending = self._inflight.get(slot)
-        if pending is not None:
-            pending.waiters.append((parent, on_done))
-            self.coalesced_inflight += 1
-            return None
-        record = self._inflight[slot] = _InFlight(key, depth, [(parent, on_done)])
-        vertex = (key[0], key[2])  # cache.vertex_of(key), without the call
-        slots = self._inflight_index.get(vertex)
-        if slots is None:
-            self._inflight_index[vertex] = {slot: None}
-        else:
-            slots[slot] = None
-        if not self._watching_updates:
-            self._watch_updates()
-        return record
-
     def _drop_record(self, record: _InFlight) -> None:
         """Deregister a resolution (completed, or aborted without caching)."""
         slot = (record.key, record.depth)
@@ -694,8 +646,84 @@ class ProvenanceQueryService:
             on_done(result, height)
 
     # ------------------------------------------------------------------ #
-    # tuple-vertex resolution (rules edb1, idb1-idb4 of the paper)
+    # vertex resolution: one prologue, one expansion step per vertex kind
     # ------------------------------------------------------------------ #
+    def _open_vertex(
+        self,
+        tag: str,
+        span_name: str,
+        id_attr: str,
+        identifier: str,
+        spec: QuerySpec,
+        on_done: _Continuation,
+        parent: Optional[Dependent],
+        depth: int,
+        tc: _Tc,
+    ) -> Optional[Tuple[_InFlight, _Tc]]:
+        """The prologue every vertex resolution shares.
+
+        Opens the span, serves a cached answer (recording *parent* as its
+        dependent), cuts the walk at the depth budget and coalesces onto a
+        pending resolution.  Returns ``None`` when one of those answered,
+        else the freshly opened record and the trace context for children.
+        The depth budget is part of the coalescing check: a traversal that
+        reaches the vertex with a different remaining depth could explore a
+        different frontier when the bound binds, so it resolves separately.
+        """
+        tracer = self.tracer
+        if tracer is not None:
+            span = tracer.begin(
+                span_name,
+                cat="query",
+                host=self.node,
+                trace=tc,
+                **{id_attr: identifier, "depth": depth},
+            )
+            tc = span.context()
+            on_done = _end_with(span, on_done)
+        key: CacheKey = (tag, spec.name, identifier)
+        if spec.use_cache:
+            entry = self.cache.get(key, budget=depth)
+            if entry is not None:
+                if parent is not None:
+                    self.cache.add_dependent(key, parent[0], parent[1])
+                on_done(entry.result, entry.height)
+                return None
+        if depth <= 0:
+            on_done(spec.missing(), None)
+            return None
+        slot = (key, depth)
+        pending = self._inflight.get(slot)
+        if pending is not None:
+            pending.waiters.append((parent, on_done))
+            self.coalesced_inflight += 1
+            return None
+        record = self._inflight[slot] = _InFlight(key, depth, [(parent, on_done)])
+        vertex = (tag, identifier)  # cache.vertex_of(key), without the call
+        slots = self._inflight_index.get(vertex)
+        if slots is None:
+            self._inflight_index[vertex] = {slot: None}
+        else:
+            slots[slot] = None
+        if not self._watching_updates:
+            self._watch_updates()
+        return record, tc
+
+    def _answer_unknown(self, record: _InFlight, spec: QuerySpec) -> None:
+        """Answer a vertex with no local ``prov`` / ``ruleExec`` row.
+
+        The missing answer is never cached (the row may appear later), but
+        an ancestor embedding it may be: keep the reverse pointer, so that
+        when the row does arrive, ``invalidate_vertex`` finds the dependent
+        and drops the stale ancestor.  Only the opener waits on a record
+        this young.
+        """
+        ((parent, on_done),) = record.waiters
+        if spec.use_cache and parent is not None:
+            self.cache.add_dependent(record.key, parent[0], parent[1])
+        self._drop_record(record)
+        on_done(spec.missing(), 1)
+
     def _resolve_vid(
         self,
         vid: str,
@@ -705,40 +733,16 @@ class ProvenanceQueryService:
         depth: int,
         tc: _Tc = None,
     ) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            span = tracer.begin(
-                "query.resolve", cat="query", host=self.node, trace=tc, vid=vid, depth=depth
-            )
-            tc = span.context()
-            on_done = _end_with(span, on_done)
-        key: CacheKey = ("v", spec.name, vid)
-        if spec.use_cache:
-            entry = self.cache.get(key, budget=depth)
-            if entry is not None:
-                if parent is not None:
-                    self.cache.add_dependent(key, parent[0], parent[1])
-                on_done(entry.result, entry.height)
-                return
-        if depth <= 0:
-            on_done(spec.missing(), None)
+        """Resolve a tuple vertex (rules ``edb1``, ``idb1`` – ``idb4``)."""
+        opened = self._open_vertex(
+            "v", "query.resolve", "vid", vid, spec, on_done, parent, depth, tc
+        )
+        if opened is None:
             return
-
-        record = self._attach_or_open(key, depth, parent, on_done)
-        if record is None:
-            return
-
+        record, tc = opened
         rows = self.store.probe(PROV_TABLE, vid)
         if not rows:
-            # Unknown vertices are never cached themselves (the tuple may
-            # appear later) — but an ancestor embedding this missing answer
-            # may be, so keep the reverse pointer: when a prov row for this
-            # vertex does arrive, invalidate_vertex finds the dependent and
-            # drops the stale ancestor.
-            if spec.use_cache and parent is not None:
-                self.cache.add_dependent(key, parent[0], parent[1])
-            self._drop_record(record)
-            on_done(spec.missing(), 1)
+            self._answer_unknown(record, spec)
             return
 
         # Rows are (loc, vid, rid, rloc); the live bucket is read through
@@ -768,12 +772,17 @@ class ProvenanceQueryService:
             derivations = self._moonwalk_rng(vid).sample(derivations, width)
 
         if spec.traversal in (TraversalOrder.BFS, TraversalOrder.RANDOM_MOONWALK):
-            self._resolve_derivations_parallel(
-                key, spec, derivations, initial_results, finish, depth, tc
+            fan_in = _SlotFanIn(
+                len(derivations),
+                lambda slots, height: finish(initial_results + slots, height),
             )
+            for index, row in enumerate(derivations):
+                self._ask_rule_vertex(
+                    row[2], row[3], spec, record.key, fan_in.collector(index), depth, tc
+                )
         else:
             _Sequential(
-                self, vid, key, spec, derivations, initial_results, finish, depth, tc
+                self, vid, record.key, spec, derivations, initial_results, finish, depth, tc
             ).advance()
 
     def _moonwalk_rng(self, vid: str) -> random.Random:
@@ -786,31 +795,6 @@ class ProvenanceQueryService:
         in the seed string keeps the walks of earlier artifacts.)
         """
         return random.Random(f"moonwalk-0-{self.node}-{vid}")
-
-    def _resolve_derivations_parallel(
-        self,
-        parent_key: CacheKey,
-        spec: QuerySpec,
-        derivations: Sequence[Any],
-        initial_results: List[Any],
-        finish: Callable[[List[Any], _Height], None],
-        depth: int,
-        tc: _Tc = None,
-    ) -> None:
-        fan_in = _SlotFanIn(
-            len(derivations),
-            lambda slots, height: finish(list(initial_results) + slots, height),
-        )
-        for index, row in enumerate(derivations):
-            self._ask_rule_vertex(
-                row[2],
-                row[3],
-                spec,
-                parent_key,
-                fan_in.collector(index),
-                depth,
-                tc,
-            )
 
     def _ask_rule_vertex(
         self,
@@ -833,25 +817,19 @@ class ProvenanceQueryService:
                 tc=tc,
             )
             return
-        query_id = self._fresh_id()
-        self._continuations[query_id] = [on_result]
-        self._continuation_dest[query_id] = (repr(rule_location), "ruleQuery", rid)
-        payload = {
-            "type": "ruleQuery",
-            "qid": query_id,
-            "rid": rid,
-            "spec": spec.name,
-            "ret": self.node,
-            "parent": (self.node, list(parent_key)),
-            "depth": depth - 1,
-        }
-        if tc is not None:
-            payload[TRACE_CONTEXT_KEY] = list(tc)
-        self._send(rule_location, payload)
+        self._ask(
+            rule_location,
+            self._fresh_id(),
+            "ruleQuery",
+            "rid",
+            rid,
+            spec,
+            (self.node, list(parent_key)),
+            depth - 1,
+            tc,
+            on_result,
+        )
 
-    # ------------------------------------------------------------------ #
-    # rule-execution-vertex resolution (rules rv1-rv4 of the paper)
-    # ------------------------------------------------------------------ #
     def _resolve_rid(
         self,
         rid: str,
@@ -861,39 +839,15 @@ class ProvenanceQueryService:
         depth: int,
         tc: _Tc = None,
     ) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            span = tracer.begin(
-                "query.rule", cat="query", host=self.node, trace=tc, rid=rid, depth=depth
-            )
-            tc = span.context()
-            on_done = _end_with(span, on_done)
-        key: CacheKey = ("r", spec.name, rid)
-        if spec.use_cache:
-            entry = self.cache.get(key, budget=depth)
-            if entry is not None:
-                if parent is not None:
-                    self.cache.add_dependent(key, parent[0], parent[1])
-                on_done(entry.result, entry.height)
-                return
-        if depth <= 0:
-            on_done(spec.missing(), None)
+        """Resolve a rule-execution vertex (rules ``rv1`` – ``rv4``)."""
+        opened = self._open_vertex("r", "query.rule", "rid", rid, spec, on_done, parent, depth, tc)
+        if opened is None:
             return
-
-        record = self._attach_or_open(key, depth, parent, on_done)
-        if record is None:
-            return
-
+        record, tc = opened
         # Rows are (rloc, rid, rule, inputs); a RID names one execution.
         row = next(iter(self.store.probe(RULE_EXEC_TABLE, rid)), None)
         if row is None:
-            # As for unknown tuple vertices: the missing answer itself is
-            # not cached, but cached ancestors embedding it must remain
-            # reachable by invalidation should the ruleExec row appear.
-            if spec.use_cache and parent is not None:
-                self.cache.add_dependent(key, parent[0], parent[1])
-            self._drop_record(record)
-            on_done(spec.missing(), 1)
+            self._answer_unknown(record, spec)
             return
 
         children = rule_inputs(row)
@@ -914,10 +868,17 @@ class ProvenanceQueryService:
                 child_vid,
                 spec,
                 fan_in.collector(index),
-                parent=(self.node, key),
+                parent=(self.node, record.key),
                 depth=depth - 1,
                 tc=tc,
             )
+
+    #: Request type -> (result type, id key, resolver): what the one query
+    #: handler reads, resolves and answers for each vertex kind.
+    _REQUESTS = {
+        "provQuery": ("provResult", "vid", _resolve_vid),
+        "ruleQuery": ("ruleResult", "rid", _resolve_rid),
+    }
 
     # ------------------------------------------------------------------ #
     # cache invalidation (Section 6.1)

@@ -29,13 +29,11 @@ rule per base relation, so the recursive provenance query's base case
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..datalog.ast import (
     Assignment,
     Atom,
-    Condition,
-    Fact,
     Program,
     Rule,
     TableDecl,
@@ -43,7 +41,6 @@ from ..datalog.ast import (
 )
 from ..datalog.localize import body_location
 from ..datalog.terms import (
-    AggregateSpec,
     Constant,
     FunctionCall,
     Term,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .terms import AggregateSpec, Constant, Term, Variable

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..core.api import ExspanNetwork
 from ..core.query import QueryOutcome, QuerySpec

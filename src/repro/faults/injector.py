@@ -37,7 +37,7 @@ recovery convergent rather than duplicative.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..net.message import Message
 from .plan import CrashFault, FaultPlan, FlapFault

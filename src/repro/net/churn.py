@@ -15,8 +15,8 @@ nodes (links are symmetric; an added link costs ``LinkSpec().cost``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 from .simulator import Simulator
 from .topology import TIER_STUB, Topology

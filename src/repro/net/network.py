@@ -82,12 +82,11 @@ class Network:
     def __init__(
         self,
         topology: Topology,
-        simulator: Optional[Simulator] = None,
         local_nodes: Optional[Iterable[Any]] = None,
         shard_map: Optional[Mapping[Any, int]] = None,
     ):
         self.topology = topology
-        self.simulator = simulator if simulator is not None else Simulator()
+        self.simulator = Simulator()
         self.stats = TrafficStats()
         self._hosts: Dict[Any, Host] = {}
         # Deterministic source ranks: topology node order.  Nodes that show

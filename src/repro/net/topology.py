@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .errors import NoRouteError
 

@@ -36,7 +36,7 @@ shard processes).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["SpanRecord", "Span", "Tracer", "TRACE_CONTEXT_KEY", "MAX_SPANS"]

@@ -15,6 +15,7 @@ from repro.core import (
     rule_rid,
     tuple_vid,
 )
+from repro.core.provenance_store import rule_inputs
 from repro.core.rewrite import ProvenanceRewriter
 from repro.datalog import Fact, StandaloneNetwork, parse_program
 from repro.protocols import mincost_program, packetforward_program, pathvector_program
@@ -109,17 +110,17 @@ class TestRewriteExecution:
     def test_prov_entries_created_for_base_tuples(self, rewritten_network):
         store = ProvenanceStore(rewritten_network.engine("a"))
         vid = tuple_vid("link", ("a", "b", 3))
-        entries = store.prov_entries(vid)
-        assert len(entries) == 1
-        assert entries[0].is_base
+        rows = list(store.probe(PROV_TABLE, vid))
+        assert len(rows) == 1
+        assert rows[0][2] is None  # a base tuple's null RID
 
     def test_prov_entries_for_derived_tuple_match_paper_example(self, rewritten_network):
         """pathCost(@a,c,5) has two derivations: sp1@a and sp2@b (Table 1)."""
         store = ProvenanceStore(rewritten_network.engine("a"))
         vid = tuple_vid("pathCost", ("a", "c", 5))
-        entries = [entry for entry in store.prov_entries(vid) if not entry.is_base]
-        assert len(entries) == 2
-        locations = sorted(entry.rule_location for entry in entries)
+        rows = [row for row in store.probe(PROV_TABLE, vid) if row[2] is not None]
+        assert len(rows) == 2
+        locations = sorted(row[3] for row in rows)
         assert locations == ["a", "b"]
 
     def test_rule_exec_rid_matches_paper_hash_formula(self, rewritten_network):
@@ -127,10 +128,9 @@ class TestRewriteExecution:
         store_a = ProvenanceStore(rewritten_network.engine("a"))
         vid_link = tuple_vid("link", ("a", "c", 5))
         expected_rid = rule_rid("sp1", "a", [vid_link])
-        entry = store_a.rule_exec(expected_rid)
-        assert entry is not None
-        assert entry.rule_label == "sp1"
-        assert list(entry.input_vids) == [vid_link]
+        (row,) = store_a.probe(RULE_EXEC_TABLE, expected_rid)
+        assert row[2] == "sp1"
+        assert list(rule_inputs(row)) == [vid_link]
 
     def test_sp2_rule_exec_references_both_inputs(self, rewritten_network):
         """RID3 = SHA1("sp2" + b + VID_link(b,a,3) + VID_bestPathCost(b,c,2))."""
@@ -138,20 +138,19 @@ class TestRewriteExecution:
         vid_link = tuple_vid("link", ("b", "a", 3))
         vid_best = tuple_vid("bestPathCost", ("b", "c", 2))
         expected_rid = rule_rid("sp2", "b", [vid_link, vid_best])
-        entry = store_b.rule_exec(expected_rid)
-        assert entry is not None
-        assert entry.rule_label == "sp2"
-        assert set(entry.input_vids) == {vid_link, vid_best}
+        (row,) = store_b.probe(RULE_EXEC_TABLE, expected_rid)
+        assert row[2] == "sp2"
+        assert set(rule_inputs(row)) == {vid_link, vid_best}
 
     def test_aggregate_provenance_attributed_to_winning_tuple(self, rewritten_network):
         """bestPathCost(@a,c,5) derives from the winning pathCost(@a,c,5) via sp3@a."""
         store_a = ProvenanceStore(rewritten_network.engine("a"))
         vid_best = tuple_vid("bestPathCost", ("a", "c", 5))
-        entries = [entry for entry in store_a.prov_entries(vid_best) if not entry.is_base]
-        assert len(entries) >= 1
-        rule_entry = store_a.rule_exec(entries[0].rid)
-        assert rule_entry.rule_label == "sp3"
-        assert tuple_vid("pathCost", ("a", "c", 5)) in rule_entry.input_vids
+        rids = [row[2] for row in store_a.probe(PROV_TABLE, vid_best) if row[2] is not None]
+        assert len(rids) >= 1
+        (rule_row,) = store_a.probe(RULE_EXEC_TABLE, rids[0])
+        assert rule_row[2] == "sp3"
+        assert tuple_vid("pathCost", ("a", "c", 5)) in rule_inputs(rule_row)
 
     def test_global_graph_matches_figure5(self, rewritten_network):
         stores = [
@@ -175,14 +174,14 @@ class TestRewriteExecution:
         network = rewritten_network
         store_a = ProvenanceStore(network.engine("a"))
         vid_pc = tuple_vid("pathCost", ("a", "c", 5))
-        assert len([e for e in store_a.prov_entries(vid_pc) if not e.is_base]) == 2
+        assert len([row for row in store_a.probe(PROV_TABLE, vid_pc) if row[2] is not None]) == 2
         delete(network, Fact("link", ("a", "c", 5)))
         delete(network, Fact("link", ("c", "a", 5)))
         network.run()
-        remaining = [e for e in store_a.prov_entries(vid_pc) if not e.is_base]
+        remaining = [row for row in store_a.probe(PROV_TABLE, vid_pc) if row[2] is not None]
         assert len(remaining) == 1  # only the derivation through b survives
-        # the link's own base prov entry is gone as well
-        assert store_a.prov_entries(tuple_vid("link", ("a", "c", 5))) == []
+        # the link's own base prov row is gone as well
+        assert not store_a.probe(PROV_TABLE, tuple_vid("link", ("a", "c", 5)))
 
     def test_prov_row_counts_are_positive_everywhere(self, rewritten_network):
         for node in FIGURE3_NODES:

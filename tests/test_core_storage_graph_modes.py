@@ -23,8 +23,7 @@ from repro.core import (
     tuple_vid,
 )
 from repro.core.modes import CENTRAL_PROV_TABLE, CENTRAL_RULE_EXEC_TABLE
-from repro.core.rewrite import PROV_TABLE
-from repro.core.provenance_store import ProvEntry, RuleExecEntry
+from repro.core.rewrite import PROV_TABLE, RULE_EXEC_TABLE
 from repro.datalog import Fact, StandaloneNetwork, parse_program
 from repro.protocols import mincost_program
 from helpers import delete, table_rows
@@ -69,19 +68,7 @@ class TestProvenanceStore:
 
     def test_rule_exec_missing_returns_none(self, rewritten_network):
         store = ProvenanceStore(rewritten_network.engine("a"))
-        assert store.rule_exec("f" * 20) is None
-
-    def test_all_entries_enumerations(self, rewritten_network):
-        store = ProvenanceStore(rewritten_network.engine("b"))
-        assert len(store.all_prov_entries()) == store.prov_row_count()
-        assert len(store.all_rule_exec_entries()) == store.rule_exec_row_count()
-
-    def test_entry_reprs(self):
-        prov = ProvEntry("a", "v" * 20, None, "a")
-        rule = RuleExecEntry("a", "r" * 20, "sp1", ["v" * 20])
-        assert prov.is_base
-        assert "sp1" in repr(rule)
-        assert "null" in repr(prov)
+        assert not store.probe(RULE_EXEC_TABLE, "f" * 20)
 
 
 class TestProvenanceGraph:
@@ -114,10 +101,10 @@ class TestProvenanceGraph:
 
     def test_cycle_detection(self):
         graph = ProvenanceGraph()
-        graph.add_prov_entry(ProvEntry("a", "v1", "r1", "a"))
-        graph.add_prov_entry(ProvEntry("a", "v2", "r2", "a"))
-        graph.add_rule_exec(RuleExecEntry("a", "r1", "x", ["v2"]))
-        graph.add_rule_exec(RuleExecEntry("a", "r2", "y", ["v1"]))
+        graph.add_prov_entry(("a", "v1", "r1", "a"))
+        graph.add_prov_entry(("a", "v2", "r2", "a"))
+        graph.add_rule_exec(("a", "r1", "x", ("v2",)))
+        graph.add_rule_exec(("a", "r2", "y", ("v1",)))
         assert not graph.is_acyclic()
 
 

@@ -19,6 +19,7 @@ from repro.core.modes import ProvenanceMode
 from repro.core.query import ProvenanceQueryService, QuerySpec
 from repro.datalog import StandaloneNetwork
 from repro.datalog.engine import NDlogEngine
+from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.topology import ring_topology
 from repro.obs import Tracer
@@ -46,6 +47,7 @@ SETTABLE = {
     NDlogEngine: ("address", "program", "send", "annotation_policy"),
     StandaloneNetwork: ("addresses", "program"),
     Simulator: (),
+    Network: ("topology", "local_nodes", "shard_map"),
     Tracer: ("clock", "shard"),
     BddManager: (),
     ProvenanceQueryService: ("host", "store", "clock", "tracer"),

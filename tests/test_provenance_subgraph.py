@@ -161,11 +161,11 @@ MUTANTS = {
     "rule executions loaded one level short": ("depth == max_depth", "depth + 1 == max_depth"),
     "depth-first loading": ("queue.popleft()", "queue.pop()"),
     "inputs sought at the tuple's node": (
-        "queue.append((child, entry.rule_location, depth + 1))",
+        "queue.append((child, rule_location, depth + 1))",
         "queue.append((child, location, depth + 1))",
     ),
     "ruleExec sought at the tuple's node": (
-        "stores.get(entry.rule_location)",
+        "stores.get(rule_location)",
         "stores.get(location)",
     ),
 }
@@ -219,11 +219,10 @@ def test_one_prov_costs_its_subtree_not_the_network(monkeypatch):
     _, row = max(sorted(network.tuples("bestPathCost")), key=lambda item: item[1][2])
     root = Fact("bestPathCost", row)  # the longest best path the cost bound admits
 
-    def whole_table_read(self):
+    def whole_table_read(self, name):
         raise AssertionError("a rooted walk must not scan a whole provenance table")
 
-    monkeypatch.setattr(ProvenanceStore, "all_prov_entries", whole_table_read)
-    monkeypatch.setattr(ProvenanceStore, "all_rule_exec_entries", whole_table_read)
+    monkeypatch.setattr(ProvenanceStore, "rows", whole_table_read)
     lookups = []
     store_probe = ProvenanceStore.probe
     monkeypatch.setattr(

@@ -33,6 +33,7 @@ from repro.datalog import Fact
 from repro.core.semiring import EMPTY, Literal, Product, ProvenanceExpression, Sum
 from repro.net import message
 from repro.net.message import HEADER_OVERHEAD, TRACE_CONTEXT_KEY, Message
+from repro.net.network import Network
 from repro.protocols import mincost_program
 
 
@@ -336,3 +337,48 @@ def test_a_cached_answer_equals_its_wire_round_trip():
     assert canonical_json(body).encode() == second.canonical_bytes() == before
     assert third.canonical_bytes() == first.canonical_bytes() == before
     assert decode_annotation(wire["annotation"], None) == third.result  # no BDD, no manager
+
+
+# ---------------------------------------------------------------------- #
+# the query protocol's wire shapes
+# ---------------------------------------------------------------------- #
+#: Every ``prov`` payload of one cached MINCOST query issued at ``c`` for
+#: ``bestPathCost(@a,c,5)`` (the root crosses to ``a``, whose ``sp2`` fired
+#: at ``b``), then the ``invalidate`` that deleting link b-c sends back from
+#: ``b``: type, key sequence and billed size, in send order.  A renamed,
+#: reordered or resized key changes bytes only the comparison run would
+#: otherwise see.
+QUERY_WIRE_SHAPES = [
+    ("provQuery", ("type", "qid", "vid", "spec", "ret", "parent", "depth"), 84),
+    ("ruleQuery", ("type", "qid", "rid", "spec", "ret", "parent", "depth"), 125),
+    ("ruleResult", ("type", "qid", "rid", "result", "h"), 108),
+    ("provResult", ("type", "qid", "vid", "result", "h"), 140),
+    ("invalidate", ("type", "key"), 58),
+]
+
+
+def test_query_messages_keep_their_wire_shapes(monkeypatch):
+    network = ExspanNetwork(
+        figure3_topology(), mincost_program(), config=ExspanConfig(mode=ProvenanceMode.REFERENCE)
+    )
+    network.seed_links()
+    network.run_to_fixpoint()
+    sent = []
+    transmit = Network.transmit
+
+    def recording(self, wire):
+        if wire.kind == "prov":
+            sent.extend(wire.payload if wire.batch else (wire.payload,))
+        return transmit(self, wire)
+
+    monkeypatch.setattr(Network, "transmit", recording)
+    request = QueryRequest(
+        Fact("bestPathCost", ("a", "c", 5)),
+        SpecDescriptor(kind="polynomial", use_cache=True),
+        issuer="c",
+    )
+    network.execute(request)
+    network.remove_link("b", "c")
+    network.run_to_fixpoint()
+    shapes = [(payload["type"], tuple(payload), message.payload_size(payload)) for payload in sent]
+    assert shapes == QUERY_WIRE_SHAPES
