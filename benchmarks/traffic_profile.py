@@ -260,10 +260,6 @@ LISTED: Dict[str, str] = {
     "repro/core/query.py:ProvenanceQueryService.query.expire": (
         "error path: a query that misses its deadline"
     ),
-    "repro/core/query.py:ProvenanceQueryService._answer_unknown": (
-        "error path: a vertex with no prov / ruleExec row where it is asked "
-        "(tests/test_query_concurrency.py::TestMissingVertexDependents)"
-    ),
     "repro/core/semiring.py:Literal.to_dnf": (
         "oracle: tests/test_core_query.py::TestOtherCustomizations compares a BDD "
         "answer with the polynomial answer's absorbed DNF; tests/test_core_vid_semiring.py::"
@@ -273,11 +269,6 @@ LISTED: Dict[str, str] = {
     "repro/core/semiring.py:Product.to_dnf": "oracle: as Literal.to_dnf",
     "repro/core/semiring.py:_Empty.to_dnf": "oracle: as Literal.to_dnf",
     "repro/core/semiring.py:_absorb_products": "oracle: as Literal.to_dnf",
-    "repro/core/semiring.py:_Empty.wire_size": (
-        "error path: EMPTY answers a polynomial query that found no derivation "
-        "or missed its deadline"
-    ),
-    "repro/core/semiring.py:_Empty.__str__": DEBUG,
     "repro/core/vid.py:rule_rid": (
         "oracle: tests/test_core_rewrite.py checks the rewritten rules' ruleExec "
         "RIDs against the paper's formula"
@@ -452,7 +443,9 @@ def traffic(work: str) -> List[Tuple[str, List[str]]]:
 def operator_session(work: str) -> str:
     """Embedded-shell commands an operator types that the golden session has
     not: a snapshot, a fault plan with its digest, a link cost update (a
-    primary-key replacement) and a query under the plan, and the metrics."""
+    primary-key replacement) and a query under the plan, the metrics, and
+    a delete and a query of the best path it took away (the unknown-vertex
+    answer)."""
     return "; ".join(
         [
             f"\\snapshot {os.path.join(work, 'operator.ckpt')}",
@@ -461,6 +454,9 @@ def operator_session(work: str) -> str:
             "fixpoint",
             "query bestPathCost(n1,n3,2)",
             "\\metrics",
+            "delete link(n0,n1,3)",
+            "fixpoint",
+            "query bestPathCost(n0,n1,3)",
         ]
     )
 

@@ -305,8 +305,10 @@ def build_rooted_graph(
             store = None
         if store is None:
             continue
-        for row in store.probe(PROV_TABLE, vid):
-            graph.add_prov_entry(row, fact=store.fact_for_vid(vid))
+        rows = store.probe(PROV_TABLE, vid)
+        fact = store.fact_for_vid(vid) if rows else None
+        for row in rows:
+            graph.add_prov_entry(row, fact=fact)
             rid, rule_location = row[2], row[3]
             if depth == max_depth or rid is None or rid in graph.rules:
                 continue

@@ -4,7 +4,7 @@ Subcommands::
 
     python -m repro.experiments list                    # registered scenarios
     python -m repro.experiments run --all --quick --workers 4
-    python -m repro.experiments run 6 7 churn_intensity --paper
+    python -m repro.experiments run 6 7 scale_sweep --paper
     python -m repro.experiments run 13 --trace traces   # + Chrome traces
     python -m repro.experiments compare benchmarks/baselines results
     python -m repro.experiments trace traces/TRACE_*.json

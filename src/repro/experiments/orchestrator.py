@@ -8,7 +8,8 @@ results to schema-versioned JSON artifacts, one per scenario::
 
 Three properties the CI regression gate depends on:
 
-* **Determinism** — trials are seeded and share no state, results are
+* **Determinism** — simulations are seeded and share no state, each
+  distinct one runs once per run however many trials read it, results are
   merged in expansion order (never completion order), and artifacts are
   serialized canonically (sorted keys, fixed separators, trailing
   newline).  A run with ``--workers 8`` is byte-identical to ``--workers
@@ -42,8 +43,9 @@ from ..obs.runtime import disable_tracing, enable_tracing
 from .scenarios import (
     Scenario,
     TrialSpec,
+    group_by_simulation,
     resolve_scenarios,
-    run_trial_spec,
+    run_simulation,
 )
 from .trials import ExecutionEnv
 
@@ -188,34 +190,35 @@ def _trace_filename(scenario: str, trial_id: str) -> str:
     return f"TRACE_{safe}.json"
 
 
-def _run_task(task: Tuple[str, str, str, Dict[str, Any], ExecutionEnv]) -> Dict[str, Any]:
-    """Worker entry point: run one trial spec (must stay module-level).
+def _run_task(task: Tuple[List[TrialSpec], ExecutionEnv]) -> Dict[str, Any]:
+    """Worker entry point: run one simulation for its specs (must stay module-level).
 
-    Returns ``{"result": ..., "wall_seconds": ...}``; the wall-clock is
-    advisory (see :data:`ADVISORY_TRIAL_KEYS`).  When ``env.trace_dir`` is
-    set, the trial runs under a trace session, its Chrome trace is written
-    to ``TRACE_<scenario>_<trial>.json`` and the per-phase wall breakdown
-    is returned under the advisory ``"phases"`` key.
+    Returns ``{"results": [...], "wall_seconds": ...}``, one result per
+    spec; the wall-clock is the simulation's, advisory (see
+    :data:`ADVISORY_TRIAL_KEYS`).  When ``env.trace_dir`` is set, the
+    simulation runs under a trace session, its Chrome trace is written to
+    ``TRACE_<scenario>_<trial>.json`` for each spec and the per-phase wall
+    breakdown is returned under the advisory ``"phases"`` key.
     """
-    scenario, trial_id, fn, kwargs, env = task
+    specs, env = task
     session = enable_tracing() if env.trace_dir is not None else None
     started = time.perf_counter()
     try:
-        result = run_trial_spec(TrialSpec(scenario, trial_id, fn, kwargs), env)
+        results = run_simulation(specs, env)
     finally:
         if session is not None:
             disable_tracing()
     outcome = {
-        "result": result,
+        "results": results,
         "wall_seconds": round(time.perf_counter() - started, 3),
     }
     if session is not None:
         outcome["phases"] = phase_breakdown(session.phase_aggregates())
         os.makedirs(env.trace_dir, exist_ok=True)
-        write_chrome_trace(
-            os.path.join(env.trace_dir, _trace_filename(scenario, trial_id)),
-            session.span_records(),
-        )
+        records = session.span_records()
+        for spec in specs:
+            path = os.path.join(env.trace_dir, _trace_filename(spec.scenario, spec.trial_id))
+            write_chrome_trace(path, records)
     return outcome
 
 
@@ -226,6 +229,7 @@ class RunReport:
     scale: str
     workers: int
     executed: int = 0
+    simulations: int = 0
     skipped: int = 0
     artifacts: List[str] = field(default_factory=list)
     scenarios: List[str] = field(default_factory=list)
@@ -233,7 +237,8 @@ class RunReport:
     def render(self) -> str:
         lines = [
             f"orchestrator: {len(self.scenarios)} scenario(s) at {self.scale} scale, "
-            f"{self.executed} trial(s) executed, {self.skipped} reused "
+            f"{self.executed} trial(s) executed in {self.simulations} simulation(s), "
+            f"{self.skipped} reused "
             f"(workers={self.workers})"
         ]
         lines.extend(f"  wrote {path}" for path in self.artifacts)
@@ -254,11 +259,13 @@ def run(
     ``names`` mixes scenario names and figure numbers (``None`` = all).
     Every executed trial runs under *env* (see :class:`ExecutionEnv` for
     the four knobs and which of them may change results); nothing of it
-    outlives this call.  With ``resume`` (the default), trials whose
-    stored fingerprint still matches are reused from the existing artifact
-    instead of re-executed.  Resumed trials were not executed, so they
-    carry no trace or phases; pass ``resume=False`` to capture a complete
-    trace set.
+    outlives this call.  Trials that read one simulation share one run of
+    it (:func:`~repro.experiments.scenarios.group_by_simulation`), and
+    each records that simulation's wall-clock.  With ``resume`` (the
+    default), trials whose stored fingerprint still matches are reused
+    from the existing artifact instead of re-executed.  Resumed trials
+    were not executed, so they carry no trace or phases; pass
+    ``resume=False`` to capture a complete trace set.
     """
     scenarios = resolve_scenarios(names)
     report = RunReport(scale=scale, workers=workers)
@@ -275,7 +282,7 @@ def run(
             Dict[Tuple[str, str], Dict[str, Any]],
         ]
     ] = []
-    pending: List[Tuple[str, str, str, Dict[str, Any], ExecutionEnv]] = []
+    pending: List[TrialSpec] = []
     for scenario in scenarios:
         params = scenario.params(scale)
         specs = scenario.trials(scale)
@@ -292,20 +299,21 @@ def run(
             if (spec.trial_id, fingerprint) in fresh:
                 report.skipped += 1
             else:
-                pending.append(
-                    (spec.scenario, spec.trial_id, spec.fn, dict(spec.kwargs), env)
-                )
+                pending.append(spec)
 
+    groups = group_by_simulation(pending)
+    tasks = [(group, env) for group in groups]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_task, tasks, chunksize=1))
+    else:
+        outcomes = [_run_task(task) for task in tasks]
     executed: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    if pending:
-        if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_task, pending, chunksize=1))
-        else:
-            results = [_run_task(task) for task in pending]
-        for task, result in zip(pending, results):
-            executed[(task[0], task[1])] = result
-        report.executed = len(pending)
+    for group, outcome in zip(groups, outcomes):
+        for spec, result in zip(group, outcome.pop("results")):
+            executed[(spec.scenario, spec.trial_id)] = dict(outcome, result=result)
+    report.executed = len(pending)
+    report.simulations = len(groups)
 
     for scenario, params, specs, fingerprints, fresh in planned:
         trials: List[Dict[str, Any]] = []

@@ -10,11 +10,17 @@ out across a process pool; :func:`assemble_figure` folds the trial results
 back into the :class:`~repro.experiments.metrics.FigureResult` the
 reporting layer and shape checks consume.
 
+A trial spec names a registered :class:`~repro.experiments.trials.Trial`:
+one view of one simulation.  :func:`group_by_simulation` groups specs
+that read the same simulation, and :func:`run_simulation` runs it once
+and applies every view, so Figs. 12, 14 and 16 cost no simulation of
+their own next to Figs. 11, 13 and 17.
+
 Adding an experiment means registering a scenario here — no new script:
-the registry-only scenarios at the bottom (a churn-intensity sweep sized
-for the paper's 200-node networks, query concurrency, a sharded scale sweep
-and fault-plan convergence) are the proof.  Every figure 6-17 of the paper
-is registered; registry completeness is enforced by
+the registry-only scenarios at the bottom (query concurrency, a sharded
+scale sweep and fault-plan convergence) are the proof, and each names the
+gate that reads its artifact.  Every figure 6-17 of the paper is
+registered; registry completeness is enforced by
 ``tests/test_orchestrator.py``.
 """
 
@@ -35,7 +41,8 @@ __all__ = [
     "scenario_for_figure",
     "figure_scenarios",
     "resolve_scenarios",
-    "run_trial_spec",
+    "group_by_simulation",
+    "run_simulation",
     "assemble_figure",
     "run_figure",
 ]
@@ -169,9 +176,37 @@ def resolve_scenarios(names: Optional[Sequence[str]] = None) -> List[Scenario]:
 # ---------------------------------------------------------------------- #
 # execution and assembly
 # ---------------------------------------------------------------------- #
-def run_trial_spec(spec: TrialSpec, env: ExecutionEnv = ExecutionEnv()) -> Dict[str, Any]:
-    """Execute one trial under *env* in the current process (workers too)."""
-    return TRIAL_FUNCTIONS[spec.fn](**spec.kwargs, env=env)
+def group_by_simulation(specs: Sequence[TrialSpec]) -> List[List[TrialSpec]]:
+    """*specs* grouped by the simulation they read, in first-appearance order.
+
+    Two specs share a simulation when their trials run the same simulation
+    function with equal simulation kwargs.  The fault plan, the one part of
+    :class:`ExecutionEnv` that changes results, is the same for every spec
+    of a run.
+    """
+    groups: Dict[Any, List[TrialSpec]] = {}
+    for spec in specs:
+        trial = TRIAL_FUNCTIONS[spec.fn]
+        simulation = trial.split(spec.kwargs)[0]
+        groups.setdefault((trial.simulate, tuple(sorted(simulation.items()))), []).append(spec)
+    return list(groups.values())
+
+
+def run_simulation(
+    specs: Sequence[TrialSpec], env: ExecutionEnv = ExecutionEnv()
+) -> List[Dict[str, Any]]:
+    """Run the one simulation *specs* share under *env*; each spec's view of it.
+
+    Runs in the current process (pool workers too): the observation never
+    leaves it, only the views' results do.
+    """
+    first = TRIAL_FUNCTIONS[specs[0].fn]
+    observation = first.simulate(**first.split(specs[0].kwargs)[0], env=env)
+    results = []
+    for spec in specs:
+        trial = TRIAL_FUNCTIONS[spec.fn]
+        results.append(trial.view(observation, **trial.split(spec.kwargs)[1]))
+    return results
 
 
 def assemble_figure(
@@ -202,12 +237,15 @@ def run_figure(
     """Run one scenario serially in-process under *env*; return its figure.
 
     This is the path ``benchmarks/bench_figures.py`` and in-process
-    callers use; the orchestrator uses the same expansion and assembly but
-    executes the trial specs across a process pool.
+    callers use; the orchestrator uses the same expansion, grouping and
+    assembly but runs the simulations across a process pool.
     """
     scenario = get_scenario(name)
     specs = scenario.trials(scale, overrides)
-    return assemble_figure(scenario, [run_trial_spec(spec, env) for spec in specs])
+    results: Dict[str, Dict[str, Any]] = {}
+    for group in group_by_simulation(specs):
+        results.update(zip((spec.trial_id for spec in group), run_simulation(group, env)))
+    return assemble_figure(scenario, [results[spec.trial_id] for spec in specs])
 
 
 # ---------------------------------------------------------------------- #
@@ -534,48 +572,6 @@ _scenario(
 # ---------------------------------------------------------------------- #
 # registry-only scenarios: no script, no figure — just an entry here
 # ---------------------------------------------------------------------- #
-def _expand_churn_intensity(params: Mapping[str, Any]) -> List[TrialSpec]:
-    fixed = _pick(
-        params, "program", "size", "rounds", "interval", "bucket", "seed", "max_cost"
-    )
-    return [
-        TrialSpec(
-            scenario=params["_scenario"],
-            trial_id=f"links={links}/mode={mode}",
-            fn="churn_intensity",
-            kwargs={"links_per_round": links, "mode": mode, **fixed},
-        )
-        for links in params["intensities"]
-        for mode in _modes(params)
-    ]
-
-
-_expand_churn_intensity.override_keys = ("modes",)
-
-
-_scenario(
-    "churn_intensity",
-    _expand_churn_intensity,
-    title="PATHVECTOR maintenance bandwidth vs churn intensity",
-    x_label="Links Changed per Round",
-    y_label="Mean Bandwidth (MBps)",
-    description=(
-        "Registry-only sweep: mean maintenance bandwidth as churn intensity "
-        "grows; paper scale runs the paper's 200-node transit-stub networks."
-    ),
-    quick={
-        "program": "pathvector",
-        "size": 36,
-        "intensities": (2, 4, 8),
-        "rounds": 2,
-        "interval": 0.5,
-        "bucket": 0.25,
-        "seed": 0,
-    },
-    paper={"size": 200, "intensities": (5, 10, 20), "rounds": 5},
-)
-
-
 def _expand_query_concurrency(params: Mapping[str, Any]) -> List[TrialSpec]:
     fixed = _pick(
         params, "queries_per_querier", "hot_tuples", "waves", "threshold", "seed",
@@ -614,7 +610,9 @@ _scenario(
         "queries at the same instant against a shared hot set on ring and "
         "grid MINCOST networks; measures how in-flight sub-query "
         "coalescing, result caching and per-destination batching bend the "
-        "prov-kind traffic curve as concurrency grows."
+        "prov-kind traffic curve as concurrency grows.  Read by the CI "
+        "durability gate (benchmarks/durability_gate.py), which runs it "
+        "on the sqlite backend against its baseline."
     ),
     quick={
         "topologies": ("ring", "grid"),
@@ -670,7 +668,8 @@ _scenario(
         "guarantee of the sharded engine — gated in CI); the advisory "
         "wall_seconds column shows the wall-clock scaling on multi-core "
         "machines.  Paper scale covers 256/512/1024-node topologies at "
-        "shards of 1/2/4/8."
+        "shards of 1/2/4/8.  Its artifact is the shards axis of ROADMAP "
+        "item 12."
     ),
     quick={
         "programs": ("pathvector", "mincost"),
@@ -714,7 +713,8 @@ _scenario(
         "supervision.  Every point must sit at 1.0: a quiescing fault "
         "plan yields final protocol tables digest-identical to the "
         "fault-free run — the fault subsystem's headline oracle, which "
-        "the CI chaos gate enforces."
+        "the CI chaos gate (benchmarks/chaos_gate.py) enforces on the "
+        "digests this artifact records."
     ),
     quick={
         "programs": ("mincost", "pathvector", "packetforward"),

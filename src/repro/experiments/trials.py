@@ -1,26 +1,30 @@
 """Atomic experiment trials: the units the orchestrator fans out.
 
-A *trial* is the smallest independently runnable unit of the paper's
-evaluation: one network build plus one workload plus one measurement, e.g.
-"MINCOST on a 32-node transit-stub topology with reference provenance".
-Every figure of Section 7 decomposes into a handful of such trials (one per
-(size, provenance-mode) or per query-strategy variant), which is what lets
-:mod:`repro.experiments.orchestrator` run a whole evidence sweep across a
-process pool: trials share no state, so they parallelize perfectly and a
-parallel run is byte-identical to a serial one.
+A *trial* is one view of one simulation.  The *simulation* is a network
+build plus a workload (e.g. "MINCOST on a 48-node transit-stub topology
+with reference provenance, then two seconds of cached queries"), the
+*view* the statistic read off it (a bandwidth series, a latency CDF, the
+fixpoint time, the per-node MB).  Figs. 11/12, 13/14 and 16/17 read one
+simulation twice, and the orchestrator runs each distinct simulation once
+(:func:`repro.experiments.scenarios.run_simulation`).  Simulations share
+no state, so they parallelize perfectly and a parallel run is
+byte-identical to a serial one.
 
-Contract for every ``*_trial`` function here:
+Contract for every :class:`Trial` in :data:`TRIAL_FUNCTIONS`:
 
-* module-level and picklable (workers import this module and look the
-  function up in :data:`TRIAL_FUNCTIONS` by name);
+* module-level simulation and view (workers look the trial up by name;
+  an observation never leaves the process that simulated it);
 * keyword arguments are JSON-serializable scalars (the orchestrator stores
   them verbatim in the artifact and fingerprints them for resume);
+  ``view_keys`` name the view's, the rest are the simulation's;
 * deterministic: same kwargs and :class:`ExecutionEnv`, same result, in
   any process;
-* takes ``env: ExecutionEnv = ExecutionEnv()`` — the execution knobs
-  (shards, storage, faults) arrive here, never through process globals;
-* returns a plain-dict :func:`trial_result` with the measured series, notes,
-  engine counters (the ``planner`` section) and traffic counters.
+* the simulation takes ``env: ExecutionEnv = ExecutionEnv()`` — the
+  execution knobs (shards, storage, faults) arrive here, never through
+  process globals;
+* the view reads its observation without changing it and returns a
+  plain-dict :func:`trial_result` with the measured series, notes, engine
+  counters (the ``planner`` section) and traffic counters.
 
 The provenance modes travel as short strings (``"value"``, ``"ref"``,
 ``"none"``) and are mapped to :class:`~repro.core.modes.ProvenanceMode` and
@@ -30,7 +34,7 @@ to the paper's legend labels here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..core.api import DELTA_MESSAGE_KIND, ExspanNetwork
 from ..core.config import ExspanConfig
@@ -65,24 +69,14 @@ __all__ = [
     "PROGRAM_FACTORIES",
     "TRIAL_FUNCTIONS",
     "ExecutionEnv",
+    "Trial",
     "build_network",
     "fixpoint_summary",
     "size_topology",
     "scale_topology",
     "trial_result",
     "scale_fixpoint_trial",
-    "comm_cost_trial",
-    "packet_bandwidth_trial",
-    "churn_trial",
-    "churn_intensity_trial",
-    "caching_bandwidth_trial",
-    "caching_latency_trial",
-    "traversal_bandwidth_trial",
-    "traversal_latency_trial",
     "query_concurrency_trial",
-    "representation_trial",
-    "testbed_bandwidth_trial",
-    "testbed_fixpoint_trial",
     "chaos_convergence_trial",
 ]
 
@@ -118,11 +112,11 @@ class ExecutionEnv:
     ``--faults`` and ``--trace``) and handed to every trial, in-process or
     in a pool worker; nothing outlives the run that passed it.
 
-    * ``shards`` — worker-shard count for the shard-capable trials that do
-      not sweep it themselves (``1`` = serial in-process).  The sharded
-      engine is bit-identical to the serial one, so artifacts match byte
-      for byte under any value; CI diffs a ``--shards 2`` run against the
-      committed baselines.
+    * ``shards`` — worker-shard count for the fixpoints of Figs. 6/7
+      (``1`` = serial in-process; the scale and chaos sweeps set their
+      own).  The sharded engine is bit-identical to the serial one, so
+      artifacts match byte for byte under any value; CI diffs a
+      ``--shards 2`` run against the committed baselines.
     * ``storage`` — storage backend spec (``"memory"``, ``"sqlite"`` or
       ``"sqlite:<path>"``; ``None`` = memory) for every trial network.
       Every backend is byte-identical by contract; the CI durability gate
@@ -135,9 +129,9 @@ class ExecutionEnv:
       What faults preserve is convergence of the final protocol tables,
       which ``benchmarks/chaos_gate.py`` gates by digest.
     * ``trace_dir`` — when set, the orchestrator traces every executed
-      trial, writes one Chrome trace per trial into the directory and
-      records the advisory ``"phases"`` breakdown; artifacts stay
-      byte-identical to an untraced run.
+      simulation, writes its Chrome trace into the directory once per
+      trial that reads it and records the advisory ``"phases"``
+      breakdown; artifacts stay byte-identical to an untraced run.
 
     Only ``faults`` changes results; the other three stay out of trial
     kwargs and fingerprints.
@@ -278,59 +272,89 @@ def _network_result(
     )
 
 
-def _summary_result(
-    summary: Dict[str, Any],
-    series: Dict[str, List[List[float]]],
-    notes: Dict[str, Any],
+class Run(NamedTuple):
+    """What an in-process simulation leaves for its views: the series label,
+    the network, the workload that drove it after its fixpoint, and the
+    measured window in simulated seconds."""
+
+    label: str
+    network: ExspanNetwork
+    workload: Any = None
+    start: float = 0.0
+    end: float = 0.0
+
+
+def _bandwidth(
+    run: Run, bucket: float, kinds: List[str], unit: float, notes: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Package *series*/*notes* with a fixpoint summary's counters."""
-    return trial_result(series, notes, summary["planner"], summary["traffic"])
+    """The per-node bandwidth of *kinds* over the run's window, in bytes/s / *unit*."""
+    timeseries = run.network.stats.bandwidth_timeseries(
+        bucket, run.network.node_count, start=run.start, end=run.end, kinds=kinds
+    )
+    points = [
+        [round(time - run.start, 6), bytes_per_second / unit]
+        for time, bytes_per_second in timeseries
+    ]
+    return _network_result(run.network, {run.label: points}, notes)
+
+
+def _latency_cdf(run: Run, cdf_samples: int, notes: Dict[str, Any]) -> Dict[str, Any]:
+    """The CDF of the run's query completion latencies at *cdf_samples* points."""
+    latencies = [outcome.latency for outcome in run.workload.outcomes]
+    points = [
+        [round(value, 6), fraction] for value, fraction in cdf_points(latencies, cdf_samples)
+    ]
+    return _network_result(run.network, {run.label: points}, notes)
 
 
 # ---------------------------------------------------------------------- #
 # Figures 6, 7: communication cost to fixpoint vs network size
 # ---------------------------------------------------------------------- #
-def comm_cost_trial(
+def _comm_cost_run(
     program: str,
     size: int,
     mode: str,
     seed: int = 0,
     max_cost: Optional[int] = None,
     env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """Per-node communication cost (MB) to fixpoint at one (size, mode).
+) -> Tuple[str, int, Dict[str, Any]]:
+    """Fixpoint a transit-stub network on ``env.shards`` shards.
 
-    ``env.shards`` selects the sharded multi-process engine; results are
-    identical for any value.
+    Returns ``(label, node count, summary)``; the summary is identical for
+    any shard count.
     """
     topology = size_topology(size, seed)
     summary = fixpoint_summary(
         topology, _program(program, max_cost), _mode(mode), seed=seed, env=env
     )
-    node_count = topology.node_count()
+    return MODE_LABELS[_mode(mode)], topology.node_count(), summary
+
+
+def _per_node_mb(run: Tuple[str, int, Dict[str, Any]]) -> Dict[str, Any]:
+    """Per-node communication cost (MB) to fixpoint."""
+    label, node_count, summary = run
     per_node_mb = summary["traffic"]["maintenance_bytes"] / node_count / 1e6
-    label = MODE_LABELS[_mode(mode)]
-    return _summary_result(summary, {label: [[node_count, per_node_mb]]}, {})
+    series = {label: [[node_count, per_node_mb]]}
+    return trial_result(series, {}, summary["planner"], summary["traffic"])
 
 
 # ---------------------------------------------------------------------- #
 # Figure 8: data-plane bandwidth over time (PACKETFORWARD)
 # ---------------------------------------------------------------------- #
-def packet_bandwidth_trial(
+def _packet_run(
     size: int,
     mode: str,
     packets_per_second: float = 20.0,
     payload_bytes: int = 1024,
     duration: float = 2.0,
-    bucket: float = 0.25,
     seed: int = 0,
     env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """PACKETFORWARD data-plane bandwidth (MBps) over time for one mode."""
+) -> Run:
+    """PATHVECTOR routes to fixpoint, then *duration* seconds of packets."""
     topology = size_topology(size, seed)
     program = pathvector_program().extended(packetforward_program(), "pv+fwd")
     network = build_network(topology, program, _mode(mode), seed=seed, env=env)
-    control_plane_end = network.now
+    start = network.now
     network.stats.reset()
     workload = PacketWorkload(
         network,
@@ -340,38 +364,30 @@ def packet_bandwidth_trial(
         seed=seed,
     )
     workload.run()
-    timeseries = network.stats.bandwidth_timeseries(
-        bucket,
-        network.node_count,
-        start=control_plane_end,
-        end=control_plane_end + duration,
-        kinds=[DELTA_MESSAGE_KIND],
-    )
-    label = MODE_LABELS[_mode(mode)]
-    points = [
-        [round(time - control_plane_end, 6), bytes_per_second / 1e6]
-        for time, bytes_per_second in timeseries
-    ]
-    notes = {f"{label} delivered": workload.delivered()}
-    return _network_result(network, {label: points}, notes)
+    return Run(MODE_LABELS[_mode(mode)], network, workload, start, start + duration)
+
+
+def _packet_bandwidth(run: Run, bucket: float = 0.25) -> Dict[str, Any]:
+    """Data-plane bandwidth (MBps) over time."""
+    notes = {f"{run.label} delivered": run.workload.delivered()}
+    return _bandwidth(run, bucket, [DELTA_MESSAGE_KIND], 1e6, notes)
 
 
 # ---------------------------------------------------------------------- #
 # Figures 9, 10: maintenance bandwidth under churn
 # ---------------------------------------------------------------------- #
-def _churn_timeseries(
+def _churn_run(
     program: str,
     size: int,
     mode: str,
-    rounds: int,
-    links_per_round: int,
-    interval: float,
-    bucket: float,
-    seed: int,
-    max_cost: Optional[int],
-    env: ExecutionEnv,
-) -> Tuple[ExspanNetwork, List[Tuple[float, float]], int]:
-    """Run the stub-link churn workload; return (network, series, events)."""
+    rounds: int = 4,
+    links_per_round: int = 4,
+    interval: float = 0.5,
+    seed: int = 0,
+    max_cost: Optional[int] = None,
+    env: ExecutionEnv = ExecutionEnv(),
+) -> Run:
+    """A fixpoint, then *rounds* of stub-link churn until the network is idle."""
     topology = size_topology(size, seed)
     network = build_network(
         topology, _program(program, max_cost), _mode(mode), seed=seed, env=env
@@ -383,71 +399,14 @@ def _churn_timeseries(
     )
     churn.start(rounds=rounds, first_delay=interval)
     network.simulator.run_until_idle()
-    duration = rounds * interval + interval
-    timeseries = network.stats.bandwidth_timeseries(
-        bucket,
-        network.node_count,
-        start=start,
-        end=start + duration,
-        kinds=[DELTA_MESSAGE_KIND],
-    )
-    shifted = [
-        (round(time - start, 6), bytes_per_second)
-        for time, bytes_per_second in timeseries
-    ]
-    return network, shifted, len(churn.events)
+    end = start + rounds * interval + interval
+    return Run(MODE_LABELS[_mode(mode)], network, churn, start, end)
 
 
-def churn_trial(
-    program: str,
-    size: int,
-    mode: str,
-    rounds: int = 4,
-    links_per_round: int = 4,
-    interval: float = 0.5,
-    bucket: float = 0.25,
-    seed: int = 0,
-    max_cost: Optional[int] = None,
-    env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """Maintenance bandwidth (MBps) over time under churn for one mode."""
-    network, timeseries, events = _churn_timeseries(
-        program, size, mode, rounds, links_per_round, interval, bucket, seed,
-        max_cost, env,
-    )
-    label = MODE_LABELS[_mode(mode)]
-    points = [[time, bytes_per_second / 1e6] for time, bytes_per_second in timeseries]
-    notes = {f"{label} churn events": events}
-    return _network_result(network, {label: points}, notes)
-
-
-def churn_intensity_trial(
-    program: str,
-    size: int,
-    mode: str,
-    links_per_round: int,
-    rounds: int = 4,
-    interval: float = 0.5,
-    bucket: float = 0.25,
-    seed: int = 0,
-    max_cost: Optional[int] = None,
-    env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """Mean churn-window bandwidth (MBps) at one churn intensity.
-
-    Registry-only scenario support: x is the churn intensity (links changed
-    per round) rather than time, so a sweep over intensities shows how
-    provenance maintenance scales with the rate of topology change.
-    """
-    network, timeseries, events = _churn_timeseries(
-        program, size, mode, rounds, links_per_round, interval, bucket, seed,
-        max_cost, env,
-    )
-    values = [bytes_per_second for _, bytes_per_second in timeseries]
-    mean_mbps = (sum(values) / len(values) if values else 0.0) / 1e6
-    label = MODE_LABELS[_mode(mode)]
-    notes = {f"{label} @{links_per_round} churn events": events}
-    return _network_result(network, {label: [[links_per_round, mean_mbps]]}, notes)
+def _churn_bandwidth(run: Run, bucket: float = 0.25) -> Dict[str, Any]:
+    """Maintenance bandwidth (MBps) over time under churn."""
+    notes = {f"{run.label} churn events": len(run.workload.events)}
+    return _bandwidth(run, bucket, [DELTA_MESSAGE_KIND], 1e6, notes)
 
 
 # ---------------------------------------------------------------------- #
@@ -461,28 +420,15 @@ def _query_network(size: int, seed: int, env: ExecutionEnv) -> ExspanNetwork:
     )
 
 
-def _grid_query_network(side: int, seed: int, env: ExecutionEnv) -> ExspanNetwork:
-    """A grid-topology MINCOST network with abundant equal-cost multipaths.
-
-    The paper's 100-node transit-stub networks give ``bestPathCost`` tuples
-    roughly three alternative derivations on average; our scaled-down
-    transit-stub defaults are too sparse for that, so the traversal-order
-    experiments (Figures 13 / 14) run MINCOST on a grid, where equal-cost
-    shortest paths make multi-derivation tuples the common case.
-    """
-    topology = grid_topology(side, side)
-    return build_network(
-        topology, mincost_program(), ProvenanceMode.REFERENCE, seed=seed, env=env
-    )
-
-
-def _run_query_workload(
+def _query_run(
+    label: str,
     network: ExspanNetwork,
     spec,
     queries_per_second: float,
     duration: float,
     seed: int,
-) -> QueryWorkload:
+) -> Run:
+    """*duration* seconds of *spec* queries on a converged *network*."""
     network.stats.reset()
     workload = QueryWorkload(
         network,
@@ -492,7 +438,7 @@ def _run_query_workload(
         seed=seed,
     )
     workload.run()
-    return workload
+    return Run(label, network, workload, 0.0, duration)
 
 
 #: Caching variants: label and (equal-length) query-spec name per setting.
@@ -502,55 +448,38 @@ _CACHE_VARIANTS: Dict[bool, Tuple[str, str]] = {
 }
 
 
-def caching_bandwidth_trial(
+def _caching_run(
     size: int,
     use_cache: bool,
     queries_per_second: float = 5.0,
     duration: float = 2.0,
-    bucket: float = 0.25,
     seed: int = 0,
     env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
+) -> Run:
+    """POLYNOMIAL queries with or without result caching (Figs. 11, 12)."""
+    label, spec_name = _CACHE_VARIANTS[bool(use_cache)]
+    spec = polynomial_query(name=spec_name, use_cache=bool(use_cache))
+    network = _query_network(size, seed, env)
+    return _query_run(label, network, spec, queries_per_second, duration, seed)
+
+
+def _caching_bandwidth(run: Run, bucket: float = 0.25) -> Dict[str, Any]:
     """Per-node query bandwidth (KBps) with or without result caching."""
-    label, spec_name = _CACHE_VARIANTS[bool(use_cache)]
-    network = _query_network(size, seed, env)
-    spec = polynomial_query(name=spec_name, use_cache=bool(use_cache))
-    workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
-    timeseries = network.stats.bandwidth_timeseries(
-        bucket, network.node_count, start=0.0, end=duration, kinds=["prov"]
-    )
-    points = [[time, bytes_per_second / 1e3] for time, bytes_per_second in timeseries]
     notes = {
-        f"{label} queries": len(workload.outcomes),
-        f"{label} cache": network.cache_stats(),
+        f"{run.label} queries": len(run.workload.outcomes),
+        f"{run.label} cache": run.network.cache_stats(),
     }
-    return _network_result(network, {label: points}, notes)
+    return _bandwidth(run, bucket, ["prov"], 1e3, notes)
 
 
-def caching_latency_trial(
-    size: int,
-    use_cache: bool,
-    queries_per_second: float = 5.0,
-    duration: float = 2.0,
-    cdf_samples: int = 20,
-    seed: int = 0,
-    env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
+def _caching_latency(run: Run, cdf_samples: int = 20) -> Dict[str, Any]:
     """Query completion-latency CDF with or without result caching."""
-    label, spec_name = _CACHE_VARIANTS[bool(use_cache)]
-    network = _query_network(size, seed, env)
-    spec = polynomial_query(name=spec_name, use_cache=bool(use_cache))
-    workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
-    latencies = [outcome.latency for outcome in workload.outcomes]
-    points = [
-        [round(value, 6), fraction] for value, fraction in cdf_points(latencies, cdf_samples)
-    ]
-    stats = workload.latency_stats()
+    stats = run.workload.latency_stats()
     notes = {
-        f"{label} median (s)": round(stats.percentile(0.5), 6),
-        f"{label} p80 (s)": round(stats.percentile(0.8), 6),
+        f"{run.label} median (s)": round(stats.percentile(0.5), 6),
+        f"{run.label} p80 (s)": round(stats.percentile(0.8), 6),
     }
-    return _network_result(network, {label: points}, notes)
+    return _latency_cdf(run, cdf_samples, notes)
 
 
 #: Traversal variants: equal-length spec names so that message-size
@@ -569,51 +498,113 @@ def _traversal_spec(traversal: str, threshold: int):
     return derivation_count_query(name=spec_name, traversal=order)
 
 
-def traversal_bandwidth_trial(
+def _traversal_run(
     grid_side: int,
     traversal: str,
     queries_per_second: float = 5.0,
     duration: float = 2.0,
-    bucket: float = 0.25,
     threshold: int = 3,
     seed: int = 0,
     env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """#DERIVATION query bandwidth (KBps) for one traversal strategy."""
-    network = _grid_query_network(grid_side, seed, env)
-    spec = _traversal_spec(traversal, threshold)
-    workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
-    timeseries = network.stats.bandwidth_timeseries(
-        bucket, network.node_count, start=0.0, end=duration, kinds=["prov"]
+) -> Run:
+    """#DERIVATION queries in one traversal order on a MINCOST grid (Figs. 13, 14).
+
+    The paper's 100-node transit-stub networks give ``bestPathCost`` tuples
+    roughly three alternative derivations on average; our scaled-down
+    transit-stub defaults are too sparse for that, so the traversal-order
+    experiments run on a grid, where equal-cost shortest paths make
+    multi-derivation tuples the common case.
+    """
+    network = build_network(
+        grid_topology(grid_side, grid_side), mincost_program(), ProvenanceMode.REFERENCE,
+        seed=seed, env=env,
     )
-    points = [[time, bytes_per_second / 1e3] for time, bytes_per_second in timeseries]
+    spec = _traversal_spec(traversal, threshold)
+    return _query_run(traversal, network, spec, queries_per_second, duration, seed)
+
+
+def _traversal_bandwidth(run: Run, bucket: float = 0.25) -> Dict[str, Any]:
+    """#DERIVATION query bandwidth (KBps) for one traversal strategy."""
     notes = {
-        f"{traversal} total KB": round(network.query_bytes() / 1e3, 3),
-        f"{traversal} queries": len(workload.outcomes),
+        f"{run.label} total KB": round(run.network.query_bytes() / 1e3, 3),
+        f"{run.label} queries": len(run.workload.outcomes),
     }
-    return _network_result(network, {traversal: points}, notes)
+    return _bandwidth(run, bucket, ["prov"], 1e3, notes)
 
 
-def traversal_latency_trial(
-    grid_side: int,
-    traversal: str,
+def _traversal_latency(run: Run, cdf_samples: int = 20) -> Dict[str, Any]:
+    """#DERIVATION query latency CDF for one traversal strategy."""
+    notes = {f"{run.label} p80 (s)": round(run.workload.latency_stats().percentile(0.8), 6)}
+    return _latency_cdf(run, cdf_samples, notes)
+
+
+def _representation_run(
+    size: int,
+    representation: str,
     queries_per_second: float = 5.0,
     duration: float = 2.0,
-    cdf_samples: int = 20,
-    threshold: int = 3,
     seed: int = 0,
     env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """#DERIVATION query latency CDF for one traversal strategy."""
-    network = _grid_query_network(grid_side, seed, env)
-    spec = _traversal_spec(traversal, threshold)
-    workload = _run_query_workload(network, spec, queries_per_second, duration, seed)
-    latencies = [outcome.latency for outcome in workload.outcomes]
-    points = [
-        [round(value, 6), fraction] for value, fraction in cdf_points(latencies, cdf_samples)
-    ]
-    notes = {f"{traversal} p80 (s)": round(workload.latency_stats().percentile(0.8), 6)}
-    return _network_result(network, {traversal: points}, notes)
+) -> Run:
+    """Queries answered in one provenance representation (Fig. 15).
+
+    Equal-length spec names keep the per-message framing identical.
+    """
+    specs = {
+        "Polynomial": lambda: polynomial_query(name="f15poly"),
+        "BDD": lambda: bdd_query(name="f15bddq"),
+    }
+    if representation not in specs:
+        raise ValueError(f"unknown representation {representation!r}")
+    network = _query_network(size, seed, env)
+    return _query_run(
+        representation, network, specs[representation](), queries_per_second, duration, seed
+    )
+
+
+def _representation_bandwidth(run: Run, bucket: float = 0.25) -> Dict[str, Any]:
+    """Query bandwidth (KBps) for one provenance-result representation."""
+    notes = {
+        f"{run.label} total KB": round(run.network.query_bytes() / 1e3, 3),
+        f"{run.label} mean latency (s)": round(run.workload.latency_stats().mean(), 6),
+    }
+    return _bandwidth(run, bucket, ["prov"], 1e3, notes)
+
+
+# ---------------------------------------------------------------------- #
+# Figures 16, 17: "testbed" deployment (ring topology)
+# ---------------------------------------------------------------------- #
+def _testbed_run(
+    size: int,
+    mode: str,
+    seed: int = 0,
+    env: ExecutionEnv = ExecutionEnv(),
+) -> Run:
+    """PATHVECTOR to fixpoint on the ring testbed topology.
+
+    In process under any ``env.shards``: Fig. 16's view buckets the
+    per-message log, which only a serial network keeps.
+    """
+    topology = ring_topology(size, seed=seed)
+    network = build_network(topology, pathvector_program(), _mode(mode), seed=seed, env=env)
+    return Run(MODE_LABELS[_mode(mode)], network)
+
+
+def _testbed_bandwidth(run: Run, bucket: float = 0.002) -> Dict[str, Any]:
+    """PATHVECTOR bandwidth (KBps) over time until the fixpoint."""
+    notes = {
+        f"{run.label} total KB per node": round(
+            run.network.average_maintenance_bytes_per_node() / 1e3, 3
+        )
+    }
+    window = run._replace(end=max(run.network.now, bucket))
+    return _bandwidth(window, bucket, [DELTA_MESSAGE_KIND], 1e3, notes)
+
+
+def _fixpoint_latency(run: Run) -> Dict[str, Any]:
+    """PATHVECTOR fixpoint latency (s) at the ring's size."""
+    point = [run.network.node_count, run.network.now]
+    return _network_result(run.network, {run.label: [point]}, {})
 
 
 # ---------------------------------------------------------------------- #
@@ -720,89 +711,6 @@ def query_concurrency_trial(
 
 
 # ---------------------------------------------------------------------- #
-# Figure 15: polynomial vs BDD query representations
-# ---------------------------------------------------------------------- #
-def representation_trial(
-    size: int,
-    representation: str,
-    queries_per_second: float = 5.0,
-    duration: float = 2.0,
-    bucket: float = 0.25,
-    seed: int = 0,
-    env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """Query bandwidth (KBps) for one provenance-result representation.
-
-    Equal-length spec names keep the per-message framing identical.
-    """
-    specs = {
-        "Polynomial": lambda: polynomial_query(name="f15poly"),
-        "BDD": lambda: bdd_query(name="f15bddq"),
-    }
-    if representation not in specs:
-        raise ValueError(f"unknown representation {representation!r}")
-    network = _query_network(size, seed, env)
-    workload = _run_query_workload(
-        network, specs[representation](), queries_per_second, duration, seed
-    )
-    timeseries = network.stats.bandwidth_timeseries(
-        bucket, network.node_count, start=0.0, end=duration, kinds=["prov"]
-    )
-    points = [[time, bytes_per_second / 1e3] for time, bytes_per_second in timeseries]
-    notes = {
-        f"{representation} total KB": round(network.query_bytes() / 1e3, 3),
-        f"{representation} mean latency (s)": round(workload.latency_stats().mean(), 6),
-    }
-    return _network_result(network, {representation: points}, notes)
-
-
-# ---------------------------------------------------------------------- #
-# Figures 16, 17: "testbed" deployment (ring topology)
-# ---------------------------------------------------------------------- #
-def testbed_bandwidth_trial(
-    size: int,
-    mode: str,
-    bucket: float = 0.002,
-    seed: int = 0,
-    env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """PATHVECTOR bandwidth (KBps) over time on the ring testbed topology."""
-    topology = ring_topology(size, seed=seed)
-    network = build_network(topology, pathvector_program(), _mode(mode), seed=seed, env=env)
-    end = max(network.now, bucket)
-    timeseries = network.stats.bandwidth_timeseries(
-        bucket, network.node_count, start=0.0, end=end, kinds=[DELTA_MESSAGE_KIND]
-    )
-    label = MODE_LABELS[_mode(mode)]
-    points = [
-        [round(time, 6), bytes_per_second / 1e3] for time, bytes_per_second in timeseries
-    ]
-    notes = {
-        f"{label} total KB per node": round(
-            network.average_maintenance_bytes_per_node() / 1e3, 3
-        )
-    }
-    return _network_result(network, {label: points}, notes)
-
-
-def testbed_fixpoint_trial(
-    size: int,
-    mode: str,
-    seed: int = 0,
-    env: ExecutionEnv = ExecutionEnv(),
-) -> Dict[str, Any]:
-    """PATHVECTOR fixpoint latency (s) at one (size, mode) on the testbed."""
-    topology = ring_topology(size, seed=seed)
-    summary = fixpoint_summary(
-        topology, pathvector_program(), _mode(mode), seed=seed, env=env
-    )
-    label = MODE_LABELS[_mode(mode)]
-    return _summary_result(
-        summary, {label: [[size, summary["fixpoint_time"]]]}, {}
-    )
-
-
-# ---------------------------------------------------------------------- #
 # Scale sweep (registry-only): paper-scale fixpoints on the sharded engine
 # ---------------------------------------------------------------------- #
 def scale_topology(size: int, seed: int) -> Topology:
@@ -846,7 +754,8 @@ def scale_fixpoint_trial(
         f"{label} fixpoint (s) @n={node_count}": round(summary["fixpoint_time"], 6),
         f"{label} messages @n={node_count}": summary["traffic"]["total_messages"],
     }
-    return _summary_result(summary, {label: [[node_count, per_node_mb]]}, notes)
+    series = {label: [[node_count, per_node_mb]]}
+    return trial_result(series, notes, summary["planner"], summary["traffic"])
 
 
 # ---------------------------------------------------------------------- #
@@ -957,21 +866,45 @@ def chaos_convergence_trial(
     )
 
 
-#: Registry used by the orchestrator's worker processes: trial functions are
+def _as_is(result: Dict[str, Any]) -> Dict[str, Any]:
+    """The view of a simulation that measured its one statistic itself."""
+    return result
+
+
+@dataclass(frozen=True)
+class Trial:
+    """A registered trial: the simulation it runs and the view it reads off it.
+
+    ``view_keys`` name the kwargs the view takes; the rest are the
+    simulation's.  The registry-only sweeps, which share no simulation and
+    take no view parameter, measure inside the simulation and view it
+    :func:`_as_is`.
+    """
+
+    simulate: Callable[..., Any]
+    view: Callable[..., Dict[str, Any]] = _as_is
+    view_keys: Tuple[str, ...] = ()
+
+    def split(self, kwargs: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """``(simulation kwargs, view kwargs)`` of one trial's *kwargs*."""
+        view = {key: kwargs[key] for key in self.view_keys if key in kwargs}
+        return {key: value for key, value in kwargs.items() if key not in view}, view
+
+
+#: Registry used by the orchestrator's worker processes: trials are
 #: referenced by name in trial specs and artifacts, never pickled directly.
-TRIAL_FUNCTIONS: Dict[str, Callable[..., Dict[str, Any]]] = {
-    "comm_cost": comm_cost_trial,
-    "packet_bandwidth": packet_bandwidth_trial,
-    "churn": churn_trial,
-    "churn_intensity": churn_intensity_trial,
-    "caching_bandwidth": caching_bandwidth_trial,
-    "caching_latency": caching_latency_trial,
-    "traversal_bandwidth": traversal_bandwidth_trial,
-    "traversal_latency": traversal_latency_trial,
-    "query_concurrency": query_concurrency_trial,
-    "representation": representation_trial,
-    "testbed_bandwidth": testbed_bandwidth_trial,
-    "testbed_fixpoint": testbed_fixpoint_trial,
-    "scale_fixpoint": scale_fixpoint_trial,
-    "chaos_convergence": chaos_convergence_trial,
+TRIAL_FUNCTIONS: Dict[str, Trial] = {
+    "comm_cost": Trial(_comm_cost_run, _per_node_mb),
+    "packet_bandwidth": Trial(_packet_run, _packet_bandwidth, ("bucket",)),
+    "churn": Trial(_churn_run, _churn_bandwidth, ("bucket",)),
+    "caching_bandwidth": Trial(_caching_run, _caching_bandwidth, ("bucket",)),
+    "caching_latency": Trial(_caching_run, _caching_latency, ("cdf_samples",)),
+    "traversal_bandwidth": Trial(_traversal_run, _traversal_bandwidth, ("bucket",)),
+    "traversal_latency": Trial(_traversal_run, _traversal_latency, ("cdf_samples",)),
+    "query_concurrency": Trial(query_concurrency_trial),
+    "representation": Trial(_representation_run, _representation_bandwidth, ("bucket",)),
+    "testbed_bandwidth": Trial(_testbed_run, _testbed_bandwidth, ("bucket",)),
+    "testbed_fixpoint": Trial(_testbed_run, _fixpoint_latency),
+    "scale_fixpoint": Trial(scale_fixpoint_trial),
+    "chaos_convergence": Trial(chaos_convergence_trial),
 }

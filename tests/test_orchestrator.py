@@ -33,7 +33,7 @@ from repro.experiments.orchestrator import (
     trial_fingerprint,
     wall_clock_report,
 )
-from repro.experiments.scenarios import run_trial_spec
+from repro.experiments.scenarios import group_by_simulation, run_simulation
 from repro.experiments.trials import TRIAL_FUNCTIONS
 
 
@@ -49,7 +49,7 @@ class TestRegistry:
             assert scenario.trials("paper"), scenario.name
 
     def test_registry_only_scenarios_exist(self):
-        for name in ("churn_intensity", "query_concurrency", "scale_sweep", "chaos_convergence"):
+        for name in ("query_concurrency", "scale_sweep", "chaos_convergence"):
             scenario = get_scenario(name)
             assert scenario.figure is None
             assert scenario.trials("quick")
@@ -105,10 +105,10 @@ class TestRegistry:
             for path in glob.glob(os.path.join(baselines, "BENCH_*.json"))
         }
         assert committed == set(SCENARIOS)
-        assert len(SCENARIOS) == 16
+        assert len(SCENARIOS) == 15
 
     def test_duplicate_registration_rejected(self):
-        scenario = get_scenario("churn_intensity")
+        scenario = get_scenario("query_concurrency")
         with pytest.raises(ValueError):
             register(scenario)
 
@@ -120,7 +120,8 @@ class TestRegistry:
 
     def test_run_figure_matches_assembled_trials(self):
         scenario = get_scenario("fig17_testbed_fixpoint")
-        trials = [run_trial_spec(spec) for spec in scenario.trials("quick", {"sizes": (6,)})]
+        specs = scenario.trials("quick", {"sizes": (6,)})
+        trials = [run_simulation([spec])[0] for spec in specs]
         direct = run_figure("fig17_testbed_fixpoint", sizes=(6,))
         assert direct.render() == assemble_figure(scenario, trials).render()
 
@@ -220,7 +221,7 @@ class TestOrchestratorRun:
 
     def test_trial_functions_are_deterministic(self):
         spec = TrialSpec("x", "t", "testbed_fixpoint", {"size": 5, "mode": "none"})
-        assert run_trial_spec(spec) == run_trial_spec(spec)
+        assert run_simulation([spec]) == run_simulation([spec])
 
 
 # ---------------------------------------------------------------------- #
@@ -270,6 +271,66 @@ class TestExecutionEnv:
         assert cli_main(["run", "16", "--results-dir", results, *flags]) == 2
         assert capsys.readouterr().out.startswith("run: error: ")
         assert not os.path.exists(results)
+
+
+# ---------------------------------------------------------------------- #
+# one simulation, several views
+# ---------------------------------------------------------------------- #
+CACHING = ("fig11_caching_bandwidth", "fig12_caching_latency")
+
+
+def _matches_baseline(results_dir, scenario_name):
+    return _artifact_bytes(results_dir, scenario_name) == _artifact_bytes(BASELINES, scenario_name)
+
+
+class TestSharedSimulations:
+    def test_figs_11_and_12_read_two_simulations(self, tmp_path):
+        report = run(["11", "12"], results_dir=str(tmp_path))
+        assert (report.executed, report.simulations) == (4, 2)
+        assert "4 trial(s) executed in 2 simulation(s)" in report.render()
+        for name in CACHING:
+            assert _matches_baseline(tmp_path, name), name
+
+    def test_stale_trials_share_the_simulation_they_rerun(self, tmp_path):
+        run(["11", "12"], results_dir=str(tmp_path))
+        for name in CACHING:
+            path = artifact_path(str(tmp_path), name)
+            artifact = load_artifact(path)
+            for trial in artifact["trials"]:
+                if trial["id"] == "use_cache=True":
+                    trial["fingerprint"] = "0" * 16
+            dump_artifact(path, artifact)
+        again = run(["11", "12"], results_dir=str(tmp_path))
+        assert (again.executed, again.simulations, again.skipped) == (2, 1, 2)
+        walls = {
+            trial["wall_seconds"]
+            for name in CACHING
+            for trial in load_artifact(artifact_path(str(tmp_path), name))["trials"]
+            if trial["id"] == "use_cache=True"
+        }
+        assert len(walls) == 1  # both trials record the one simulation's clock
+        for name in CACHING:
+            assert _matches_baseline(tmp_path, name), name
+
+    def test_testbed_figures_group_by_simulation_kwargs(self):
+        specs = get_scenario(FIG16).trials("quick") + get_scenario(
+            "fig17_testbed_fixpoint"
+        ).trials("quick")
+        groups = group_by_simulation(specs)
+        shared = [[spec.trial_id for spec in group] for group in groups if len(group) > 1]
+        assert shared == [
+            [f"mode={mode}", f"size=40/mode={mode}"] for mode in ("value", "ref", "none")
+        ]
+        assert len(groups) == len(specs) - 3
+
+    def test_each_traced_trial_gets_its_own_trace(self, tmp_path):
+        traces = tmp_path / "traces"
+        run(["11", "12"], results_dir=str(tmp_path), env=ExecutionEnv(trace_dir=str(traces)))
+        assert len(glob.glob(str(traces / "TRACE_*.json"))) == 4
+        for name in CACHING:
+            trials = load_artifact(artifact_path(str(tmp_path), name))["trials"]
+            assert all("phases" in trial for trial in trials)
+            assert _matches_baseline(tmp_path, name), name
 
 
 # ---------------------------------------------------------------------- #

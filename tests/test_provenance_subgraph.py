@@ -270,3 +270,31 @@ def test_a_query_indexes_vids_only_where_it_meets_base_tuples():
     for node in indexed.nodes.values():
         node.store.fact_for_vid("")
     assert indexed.execute(request).canonical_bytes() == answer.canonical_bytes()
+
+
+TWO_WAYS = """
+r1 t(@N) :- a(@N).
+r2 t(@N) :- b(@N).
+"""
+
+
+def test_the_walk_resolves_each_vertex_fact_once(monkeypatch):
+    """A tuple with two derivations has two ``prov`` rows and one fact lookup."""
+    network = ExspanNetwork(line_topology(1), parse_program(TWO_WAYS), config=ExspanConfig(seed=0))
+    for name in ("a", "b"):
+        network.insert_fact(Fact(name, ("n0",)))
+    network.run_to_fixpoint()
+    lookups = []
+    store_lookup = ProvenanceStore.fact_for_vid
+    monkeypatch.setattr(
+        ProvenanceStore,
+        "fact_for_vid",
+        lambda self, vid: lookups.append(vid) or store_lookup(self, vid),
+    )
+    root = Fact("t", ("n0",))
+    graph = network.provenance_graph(root=root)
+    monkeypatch.undo()
+
+    assert len(graph.derivations_of(fact_vid(root))) == 2
+    assert sorted(lookups) == sorted(graph.tuples)  # t, a and b: once each
+    assert graph.tuples[fact_vid(root)].fact == root
