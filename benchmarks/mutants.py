@@ -79,14 +79,43 @@ MUTANTS: List[Mutant] = [
     Mutant(
         "support_record_keeps_retracted_match",
         "datalog/engine.py",
-        "                matches.remove(match)\n"
-        "                if not matches:\n"
-        "                    del support[derived]\n",
+        "                at = matches.index(match)\n"
+        "                if len(matches) == 1:\n"
+        "                    del support[derived]\n"
+        "                else:\n"
+        "                    support[derived] = matches[:at] + matches[at + 1 :]\n",
         "                pass\n",
         (
             "tests/test_from_scratch.py::test_grid_cut_keeps_every_route",
             "tests/test_from_scratch.py::test_cost_update_replaces_the_winner",
             "tests/test_plan_subsystem.py::TestSupportFedJoinBacks",
+        ),
+    ),
+    # -- index buckets: a 1-tuple, promoted at two rows, demoted at one - #
+    Mutant(
+        "bucket_promotion_drops_first_row",
+        "storage/memory.py",
+        "{bucket[0]: None, values: None}",
+        "{values: None}",
+        (
+            "tests/test_order_sensitive_rewrites.py::test_single_function_table_mutations_equal_the_ladder",
+            "tests/test_plan_subsystem.py::TestIndexMaintenance::"
+            "test_index_stays_consistent_under_derivation_counted_deletes",
+            "tests/test_from_scratch.py::test_cost_update_replaces_the_winner",
+        ),
+    ),
+    Mutant(
+        "bucket_delete_empties_two_row_bucket",
+        "storage/memory.py",
+        "                    if len(bucket) == 1:\n"
+        "                        index[key] = (*bucket,)\n",
+        "                    if len(bucket) == 1:\n"
+        "                        del index[key]\n",
+        (
+            "tests/test_order_sensitive_rewrites.py::test_single_function_table_mutations_equal_the_ladder",
+            "tests/test_plan_subsystem.py::TestIndexMaintenance::"
+            "test_index_stays_consistent_under_derivation_counted_deletes",
+            "tests/test_from_scratch.py::test_cost_update_replaces_the_winner",
         ),
     ),
     Mutant(
@@ -233,6 +262,16 @@ MUTANTS: List[Mutant] = [
         "dependents = tuple(self._dependents.pop(key, ()))",
         "dependents = ()",
         ("tests/test_core_cache_and_api.py",),
+    ),
+    Mutant(
+        "eviction_reads_dependent_as_pair",
+        "core/cache.py",
+        "displaced.update(dict.fromkeys(self._dependents.pop(victim_key, ())))",
+        "displaced.update(self._dependents.pop(victim_key, {}))",
+        (
+            "tests/test_query_concurrency.py::TestBoundedCache::"
+            "test_eviction_displaces_dependents_for_notification",
+        ),
     ),
     Mutant(
         "prov_update_invalidates_itself",

@@ -12,13 +12,14 @@ invalidation walks those reverse pointers, sending a small invalidation flag
 between nodes rather than re-shipping provenance (Section 6.1, "Cache
 invalidation").
 
-The cache is **bounded**: entries live in LRU order and inserting past
-``capacity`` evicts the least recently used entry.  Eviction is handled as
-a (conservative) invalidation of the evicted entry's dependents — their
-cached results are still correct, but once the reverse pointer is dropped
-there would be no way to reach them when the underlying tuple *does*
-change, so they are recomputed on their next miss instead of risking
-staleness.  This is what lets eviction garbage-collect the per-key
+The cache is **bounded**: entries live in LRU order (a plain dict: a hit
+re-inserts its key at the end, eviction takes the first key) and inserting
+past ``capacity`` evicts the least recently used entry.  Eviction is
+handled as a (conservative) invalidation of the evicted entry's
+dependents — their cached results are still correct, but once the reverse
+pointer is dropped there would be no way to reach them when the
+underlying tuple *does* change, so they are recomputed on their next miss
+instead of risking staleness.  This is what lets eviction garbage-collect the per-key
 dependent bookkeeping outright, keeping memory proportional to the bound.
 
 Two further structural properties:
@@ -29,7 +30,8 @@ Two further structural properties:
   actually drops instead of a scan over all entries;
 * dependents are kept in insertion order and returned as ordered tuples,
   so the invalidation fan-out (and therefore message ordering) is
-  deterministic under any ``PYTHONHASHSEED``.
+  deterministic under any ``PYTHONHASHSEED``; a key with one dependent
+  (most have one parent) holds the 1-tuple ``(dependent,)``, not a dict.
 
 Generational dependents
 -----------------------
@@ -44,9 +46,8 @@ key can race, and both sets of parents consumed an identical value.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "CacheKey",
@@ -95,7 +96,6 @@ class CacheEntry:
 
     key: CacheKey
     result: Any
-    cached_at: float
     height: int = 0
     hits: int = 0
 
@@ -117,10 +117,11 @@ class QueryResultCache:
         self.node = node
         self.capacity = capacity
         self.on_watch = on_watch
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
-        # key -> ordered set (dict keyed by dependent, value unused) of the
-        # (parent node, parent key) pairs that consumed this result.
-        self._dependents: Dict[CacheKey, Dict[Dependent, None]] = {}
+        # key -> entry, least recently used first.
+        self._entries: Dict[CacheKey, CacheEntry] = {}
+        # key -> the (parent node, parent key) pairs that consumed this
+        # result: ``(dependent,)``, or from two on an ordered set (dict).
+        self._dependents: Dict[CacheKey, Collection[Dependent]] = {}
         # (kind, identifier) -> ordered set of keys present in _entries
         # and/or _dependents; replaces invalidate_vertex's O(entries) scan.
         self._by_vertex: Dict[Tuple[str, str], Dict[CacheKey, None]] = {}
@@ -168,11 +169,14 @@ class QueryResultCache:
         self,
         key: CacheKey,
         result: Any,
-        now: float,
+        _now: Any = None,
         dependents: Iterable[Dependent] = (),
         height: int = 0,
     ) -> Tuple[Dependent, ...]:
         """Cache *result* under *key*; returns dependents displaced by eviction.
+
+        Entries keep no timestamp; the third parameter is ignored (the perf
+        ruler's ``benchmarks/perf/kernels.py`` still passes one).
 
         *dependents* are the consumers of this result generation.  They
         replace any dependents left over from a previous generation of the
@@ -191,19 +195,18 @@ class QueryResultCache:
             # Fresh generation: reverse pointers recorded against any prior
             # (invalidated / evicted) generation must not leak into it.
             self._dependents.pop(key, None)
-        fresh = {dependent: None for dependent in dependents}
-        if fresh:
-            self._dependents.setdefault(key, {}).update(fresh)
-        self._entries[key] = CacheEntry(
-            key=key, result=result, cached_at=now, height=height
-        )
+        for dependent in dependents:
+            self._add(key, dependent)
+        self._entries[key] = CacheEntry(key=key, result=result, height=height)
         self._index_add(key)
         displaced: Dict[Dependent, None] = {}
         while len(self._entries) > self.capacity:
-            victim_key, victim = self._entries.popitem(last=False)
+            victim_key = next(iter(self._entries))
+            victim = self._entries.pop(victim_key)
             self.evictions += 1
             self.retired_hits += victim.hits
-            displaced.update(self._dependents.pop(victim_key, {}))
+            # fromkeys: a 1-tuple of pairs would ``update`` as a key/value pair.
+            displaced.update(dict.fromkeys(self._dependents.pop(victim_key, ())))
             self._index_discard(victim_key)
         return tuple(displaced)
 
@@ -219,7 +222,8 @@ class QueryResultCache:
         if entry is None or (budget is not None and budget < entry.height):
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        del self._entries[key]
+        self._entries[key] = entry  # now the most recently used
         entry.hits += 1
         self.hits += 1
         return entry
@@ -232,8 +236,18 @@ class QueryResultCache:
     # ------------------------------------------------------------------ #
     def add_dependent(self, key: CacheKey, parent_node: Any, parent_key: CacheKey) -> None:
         """Record that *parent_key* at *parent_node* was computed from *key*."""
-        self._dependents.setdefault(key, {})[(parent_node, parent_key)] = None
+        self._add(key, (parent_node, parent_key))
         self._index_add(key)
+
+    def _add(self, key: CacheKey, dependent: Dependent) -> None:
+        """Append *dependent* to *key*'s ordered set (promoting a 1-tuple)."""
+        held = self._dependents.get(key, ())
+        if held.__class__ is dict:
+            held[dependent] = None
+        elif not held:
+            self._dependents[key] = (dependent,)
+        elif held[0] != dependent:
+            self._dependents[key] = {held[0]: None, dependent: None}
 
     # ------------------------------------------------------------------ #
     # invalidation

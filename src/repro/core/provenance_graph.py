@@ -262,16 +262,18 @@ def build_global_graph(stores: Iterable[ProvenanceStore]) -> ProvenanceGraph:
 
     This reads every store's ``prov`` and ``ruleExec`` tables whole
     (:meth:`ProvenanceStore.rows`: the raw rows the query service probes one
-    VID or RID at a time) and copies each row in, so its cost is linear in
-    the network.  It is the offline analysis helper, the centralized
-    baseline's view and the oracle the tests compare
-    :func:`build_rooted_graph` against; requests about one tuple are served
-    by the rooted walk, and the distributed query engine needs neither.
+    VID or RID at a time) and copies each row in, resolving each tuple
+    vertex's fact once, so its cost is linear in the network.  It is the
+    offline analysis helper, the centralized baseline's view and the oracle
+    the tests compare :func:`build_rooted_graph` against; requests about one
+    tuple are served by the rooted walk, and the distributed query engine
+    needs neither.
     """
     graph = ProvenanceGraph()
     for store in stores:
         for row in store.rows(PROV_TABLE):
-            graph.add_prov_entry(row, fact=store.fact_for_vid(row[1]))
+            fact = None if row[1] in graph.tuples else store.fact_for_vid(row[1])
+            graph.add_prov_entry(row, fact=fact)
         for row in store.rows(RULE_EXEC_TABLE):
             graph.add_rule_exec(row)
     return graph

@@ -638,7 +638,7 @@ class ProvenanceQueryService:
                 self._notify_dependents(parents)
             elif height is not None:
                 displaced = self.cache.put(
-                    record.key, result, self.clock(), dependents=parents, height=height
+                    record.key, result, dependents=parents, height=height
                 )
                 if displaced:
                     self._notify_dependents(displaced)

@@ -119,8 +119,9 @@ class _CompiledAggregateRule:
     A group is dropped once its state is empty.  Under reference provenance
     a MIN/MAX rule has a ``<label>_ptmp`` twin, Section 4.2.2's join-back of
     the derived row against the body; when :func:`_feeds_twin` holds, the
-    twin's plans read ``support`` (derived row -> the body matches that yield
-    it, in the order they appeared; a one-atom body's match is its row) and
+    twin's plans read ``support`` (derived row -> a tuple of the body
+    matches that yield it, in the order they appeared; a one-atom body's
+    match is its row) and
     ``folded`` (the ``(derived row, match)`` pairs ``folded_delta`` folded,
     looked up in ``head``) instead of joining.
     """
@@ -130,7 +131,7 @@ class _CompiledAggregateRule:
     spec: AggregateSpec
     groups: Dict[Tuple[Any, ...], AggregateState] = field(default_factory=dict)
     emitted: Dict[Tuple[Any, ...], Tuple[Any, ...]] = field(default_factory=dict)
-    support: Optional[Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]] = None
+    support: Optional[Dict[Tuple[Any, ...], Tuple[Tuple[Any, ...], ...]]] = None
     head: Optional[Table] = None
     folded_delta: Optional[Delta] = None
     folded: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = field(default_factory=list)
@@ -557,17 +558,17 @@ class NDlogEngine:
             state.delete(value)
         support = compiled.support
         if support is not None and derived is not None:
-            # A list, not a set: removal compares, appending hashes nothing.
-            matches = support.get(derived)
+            # A tuple, not a set: removal compares, appending hashes
+            # nothing, and the collector stops tracking a tuple of rows.
+            matches = support.get(derived, ())
             if action == INSERT:
-                if matches is None:
-                    support[derived] = [match]
-                else:
-                    matches.append(match)
-            elif matches is not None and match in matches:
-                matches.remove(match)
-                if not matches:
+                support[derived] = matches + (match,)
+            elif match in matches:
+                at = matches.index(match)
+                if len(matches) == 1:
                     del support[derived]
+                else:
+                    support[derived] = matches[:at] + matches[at + 1 :]
             if compiled.folded_delta is not delta:
                 compiled.folded_delta, compiled.folded = delta, []
             compiled.folded.append((derived, match))
@@ -611,7 +612,7 @@ class NDlogEngine:
                 if (result := finalize(rule, binding)) is not None:
                     derived = result[0][:index] + (result[1],) + result[0][index:]
                     body = match[0] if len(match) == 1 else match
-                    compiled.support.setdefault(derived, []).append(body)
+                    compiled.support[derived] = compiled.support.get(derived, ()) + (body,)
 
     # ------------------------------------------------------------------ #
     # emission

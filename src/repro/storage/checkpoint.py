@@ -6,7 +6,9 @@ bit-identically:
 
 * per node, every table's rows **in insertion order** with their PSN
   derivation counts (insertion order is part of determinism: index buckets
-  and equal-cost tie-breaks enumerate in that order);
+  and equal-cost tie-breaks enumerate in that order).  Buckets are not
+  stored: reloading the rows in order rebuilds each one, a 1-tuple or a
+  dict, as it was;
 * per node, the value-provenance annotations in their canonical encoded
   form (BDDs in bottom-up node order, polynomials as expression trees);
 * per node, the engine's evaluation counters (so post-restore counter
@@ -29,7 +31,7 @@ so they come back for free with the rows.
 
 The file is written atomically (temp file + fsync + rename): a crash at
 any point leaves either the old checkpoint or the new one, never a torn
-file.  Format: ``{"format": "exspan-checkpoint", "version": 1, ...}`` —
+file.  Format: ``{"format": "exspan-checkpoint", "version": 2, ...}`` —
 see ``docs/STORAGE.md`` for the full schema.
 """
 

@@ -21,7 +21,8 @@ Rows are plain tuples, and a table is one dict from each stored row to its
 derivation count — plado's ``Table = set[tuple]`` plus counts.  The
 primary-key map and every secondary-index bucket hold the same tuple
 object the dict keys on, so a new row costs its dict entries and nothing
-else: no per-row wrapper object, no Python-level ``__hash__``.  Rows the
+else: no per-row wrapper object, no Python-level ``__hash__``, and a
+one-row bucket is the 1-tuple ``(row,)``, not a one-entry dict.  Rows the
 engine builds are hashable tuples from birth and are stored as they are;
 only rows handed in from outside (lists, sets) are frozen on the way in.
 
@@ -38,6 +39,7 @@ from operator import itemgetter
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -119,14 +121,12 @@ class Table:
         self._rows: Dict[Tuple[Any, ...], int] = {}
         # primary key -> full tuple (only when key_positions declared)
         self._by_key: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
-        # (positions) -> {values -> ordered set (dict) of full tuples}.
-        # Buckets are insertion-ordered dicts, NOT sets: indexed lookups must
-        # enumerate rows in the same order a full scan of ``_rows`` would, so
-        # that planned and naive evaluation break equal-cost ties (e.g. two
-        # best paths of the same length) identically.
-        self._indexes: Dict[
-            Tuple[int, ...], Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], None]]
-        ] = {}
+        # (positions) -> {values -> bucket of full tuples}: ``(row,)``, or from
+        # two rows on an insertion-ordered dict (row -> None).  Never a set:
+        # indexed lookups must enumerate rows in the same order a full scan of
+        # ``_rows`` would, so that planned and naive evaluation break
+        # equal-cost ties (e.g. two best paths of the same length) identically.
+        self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Collection]] = {}
         # Maintenance view of _indexes: (max position, key getter, index
         # dict) triples, so insert/delete skip per-row position loops.
         self._index_list: List[
@@ -198,7 +198,12 @@ class Table:
         length = len(values)
         for max_position, getter, index in self._index_list:
             if max_position < length:  # else: too short to ever match
-                index.setdefault(getter(values), {})[values] = None
+                key = getter(values)
+                bucket = index.get(key)
+                if bucket.__class__ is dict:
+                    bucket[values] = None
+                else:  # none yet, or (row,): promote
+                    index[key] = (values,) if bucket is None else {bucket[0]: None, values: None}
         if replaced is None:
             return _INSERTED_NEW
         return InsertOutcome(became_visible=True, replaced=replaced)
@@ -228,11 +233,13 @@ class Table:
         for max_position, getter, index in self._index_list:
             if max_position < length:
                 key = getter(values)
-                bucket = index.get(key)
-                if bucket is not None:
-                    bucket.pop(values, None)
-                    if not bucket:
-                        del index[key]
+                bucket = index[key]  # a stored row is in its bucket
+                if bucket.__class__ is tuple:
+                    del index[key]
+                else:
+                    del bucket[values]
+                    if len(bucket) == 1:
+                        index[key] = (*bucket,)
         return _DELETED_GONE
 
     def _remove_row(self, row: Tuple[Any, ...]) -> None:
@@ -247,7 +254,7 @@ class Table:
         """Checkpoint-restore entry point: install one row with its count.
 
         Rows must be loaded in their original insertion order — ``_rows``
-        and every index bucket are insertion-ordered dicts, and planned
+        and every index bucket enumerate in insertion order, and planned
         evaluation's equal-cost tie-breaks depend on that order — so a
         restored table enumerates identically to the table it snapshots.
         Bypasses primary-key replacement (a checkpoint never contains two
@@ -263,18 +270,16 @@ class Table:
     # ------------------------------------------------------------------ #
     # indexes
     # ------------------------------------------------------------------ #
-    def _ensure_index(
-        self, positions: Tuple[int, ...]
-    ) -> Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], None]]:
+    def _ensure_index(self, positions: Tuple[int, ...]) -> Dict[Tuple[Any, ...], Collection]:
         index = self._indexes.get(positions)
         if index is None:
-            index = {}
             getter = _subkey_getter(positions)
             max_position = positions[-1] if positions else -1
+            grouped: Dict[Tuple[Any, ...], Dict[Tuple[Any, ...], None]] = {}
             for row in self._rows:
-                if max_position >= len(row):
-                    continue
-                index.setdefault(getter(row), {})[row] = None
+                if max_position < len(row):
+                    grouped.setdefault(getter(row), {})[row] = None
+            index = {key: (*rows,) if len(rows) == 1 else rows for key, rows in grouped.items()}
             self._indexes[positions] = index
             self._index_list.append((max_position, getter, index))
         return index
@@ -342,13 +347,14 @@ class Table:
 
     def probe(
         self, positions: Tuple[int, ...], key: Tuple[Any, ...]
-    ) -> Optional[Dict[Tuple[Any, ...], None]]:
+    ) -> Optional[Collection[Tuple[Any, ...]]]:
         """The index bucket for *key* over *positions* (``None`` when empty).
 
         The compiled execution path uses this instead of :meth:`lookup`: the
         caller has already computed the canonical position tuple and the
-        frozen key, so the bucket (an insertion-ordered dict of rows) is
-        returned directly with no per-row generator machinery.  Callers must
+        frozen key, so the bucket is returned directly with no per-row
+        generator machinery; it is ``(row,)`` or an insertion-ordered dict of
+        rows, so iterate it and take its length, nothing else.  Callers must
         not mutate the table while iterating the bucket — rule evaluation
         never does (all table mutation happens between deltas).
         """

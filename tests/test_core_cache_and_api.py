@@ -30,7 +30,7 @@ class TestQueryResultCache:
         cache = QueryResultCache("n")
         key = ("v", "spec", "vid1")
         assert cache.get(key) is None
-        cache.put(key, "result", now=1.0)
+        cache.put(key, "result")
         entry = cache.get(key)
         assert entry.result == "result"
         assert cache.hits == 1
@@ -41,7 +41,7 @@ class TestQueryResultCache:
         cache = QueryResultCache("n")
         key = ("v", "spec", "vid1")
         parent = ("r", "spec", "rid9")
-        cache.put(key, "x", now=0.0)
+        cache.put(key, "x")
         cache.add_dependent(key, "other-node", parent)
         dependents = cache.invalidate(key)
         # dependents come back as an ordered tuple (deterministic fan-out)
@@ -52,9 +52,9 @@ class TestQueryResultCache:
 
     def test_invalidate_vertex_hits_all_specs(self):
         cache = QueryResultCache("n")
-        cache.put(("v", "a", "vid1"), 1, now=0.0)
-        cache.put(("v", "b", "vid1"), 2, now=0.0)
-        cache.put(("v", "a", "vid2"), 3, now=0.0)
+        cache.put(("v", "a", "vid1"), 1)
+        cache.put(("v", "b", "vid1"), 2)
+        cache.put(("v", "a", "vid2"), 3)
         cache.invalidate_vertex("v", "vid1")
         assert len(cache) == 1
         assert cached(cache, ("v", "a", "vid2"))
@@ -67,7 +67,7 @@ class TestQueryResultCache:
 
     def test_stats_count_entries(self):
         cache = QueryResultCache("n")
-        cache.put(("v", "a", "x"), 1, now=0.0)
+        cache.put(("v", "a", "x"), 1)
         stats = cache.stats()
         assert stats["entries"] == 1
 

@@ -37,6 +37,7 @@ from repro.storage.memory import (
     InsertOutcome,
     Table,
     _freeze,
+    _subkey_getter,
 )
 
 from helpers import compaction, table_state
@@ -365,6 +366,20 @@ class LadderTable(Table):
         if key is not None and self._by_key.get(key) == row:
             del self._by_key[key]
         self._index_remove(row)
+
+    def _ensure_index(self, positions):
+        """Every bucket an insertion-ordered dict, a one-row bucket too."""
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            getter = _subkey_getter(positions)
+            max_position = positions[-1] if positions else -1
+            for row in self._rows:
+                if max_position < len(row):
+                    index.setdefault(getter(row), {})[row] = None
+            self._indexes[positions] = index
+            self._index_list.append((max_position, getter, index))
+        return index
 
     def _index_add(self, row):
         length = len(row)

@@ -298,3 +298,25 @@ def test_the_walk_resolves_each_vertex_fact_once(monkeypatch):
     assert len(graph.derivations_of(fact_vid(root))) == 2
     assert sorted(lookups) == sorted(graph.tuples)  # t, a and b: once each
     assert graph.tuples[fact_vid(root)].fact == root
+
+
+def test_the_whole_graph_resolves_each_vertex_fact_once(monkeypatch):
+    """A grid route with two equal-cost derivations: two ``prov`` rows, one lookup."""
+    network = ExspanNetwork(grid_topology(2, 2), mincost_program(), config=ExspanConfig(seed=0))
+    network.seed_links()
+    network.run_to_fixpoint()
+    lookups = []
+    store_lookup = ProvenanceStore.fact_for_vid
+    monkeypatch.setattr(
+        ProvenanceStore,
+        "fact_for_vid",
+        lambda self, vid: lookups.append(vid) or store_lookup(self, vid),
+    )
+    graph = network.provenance_graph()
+    monkeypatch.undo()
+
+    route = fact_vid(Fact("pathCost", ("g0_0", "g1_1", 2)))
+    assert len(graph.tuples[route].derivations) == 2
+    assert lookups.count(route) == 1
+    assert sorted(lookups) == sorted(graph.tuples)  # every vertex once
+    assert graph.tuples[route].fact == Fact("pathCost", ("g0_0", "g1_1", 2))

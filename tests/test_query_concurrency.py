@@ -366,10 +366,10 @@ class TestBoundedCache:
             ("v", "s", "vid2"),
             ("v", "s", "vid3"),
         )
-        cache.put(k1, 1, now=0.0)
-        cache.put(k2, 2, now=1.0)
+        cache.put(k1, 1)
+        cache.put(k2, 2)
         assert cache.get(k1).result == 1  # refresh k1 -> k2 is now LRU
-        cache.put(k3, 3, now=2.0)
+        cache.put(k3, 3)
         assert len(cache) == 2
         assert cached(cache, k1) and cached(cache, k3)
         assert not cached(cache, k2)
@@ -379,8 +379,8 @@ class TestBoundedCache:
         cache = QueryResultCache("n", capacity=1)
         k1, k2 = ("v", "s", "vid1"), ("v", "s", "vid2")
         parent = ("r", "s", "rid1")
-        cache.put(k1, 1, now=0.0, dependents=[("other", parent)])
-        displaced = cache.put(k2, 2, now=1.0)
+        cache.put(k1, 1, dependents=[("other", parent)])
+        displaced = cache.put(k2, 2)
         # k1 was evicted; its reverse pointer is returned for notification
         # and garbage-collected from the cache's bookkeeping.
         assert displaced == (("other", parent),)
@@ -394,14 +394,14 @@ class TestBoundedCache:
         key = ("v", "s", "vid1")
         old_parent = ("node-b", ("r", "s", "rid-old"))
         new_parent = ("node-c", ("r", "s", "rid-new"))
-        cache.put(key, "gen1", now=0.0)
+        cache.put(key, "gen1")
         cache.add_dependent(key, *old_parent)
         assert cache.invalidate(key) == (old_parent,)
         # a stale registration arrives from the dead generation (e.g. a
         # resolution that was in flight across the invalidation)
         cache.add_dependent(key, *old_parent)
         # re-query caches generation 2 with its own consumers
-        cache.put(key, "gen2", now=1.0, dependents=[new_parent])
+        cache.put(key, "gen2", dependents=[new_parent])
         assert dependents(cache, key) == (new_parent,)
         # the second invalidation notifies only generation 2's consumer
         assert cache.invalidate(key) == (new_parent,)
@@ -412,22 +412,22 @@ class TestBoundedCache:
         cache = QueryResultCache("n")
         key = ("v", "s", "vid1")
         p1, p2 = ("b", ("r", "s", "r1")), ("c", ("r", "s", "r2"))
-        cache.put(key, "x", now=0.0, dependents=[p1])
-        cache.put(key, "x", now=0.1, dependents=[p2])
+        cache.put(key, "x", dependents=[p1])
+        cache.put(key, "x", dependents=[p2])
         assert set(dependents(cache, key)) == {p1, p2}
 
     def test_hit_counters_stay_consistent_across_eviction_and_reput(self):
         """Regression: entry.hits and cache.hits drifted after evict/re-put."""
         cache = QueryResultCache("n", capacity=2)
         k1, k2, k3 = ("v", "s", "a"), ("v", "s", "b"), ("v", "s", "c")
-        cache.put(k1, 1, now=0.0)
-        cache.put(k2, 2, now=0.0)
+        cache.put(k1, 1)
+        cache.put(k2, 2)
         for _ in range(3):
             cache.get(k1)
         cache.get(k2)
-        cache.put(k3, 3, now=1.0)  # evicts k1 (k2 was touched last)
+        cache.put(k3, 3)  # evicts k1 (k2 was touched last)
         cache.get(k3)
-        cache.put(k1, 10, now=2.0)  # re-inserting k1 evicts k2
+        cache.put(k1, 10)  # re-inserting k1 evicts k2
         cache.get(k1)
         stats = cache.stats()
         assert stats["hits"] == 6
@@ -438,10 +438,10 @@ class TestBoundedCache:
 
     def test_vertex_index_matches_full_scan_semantics(self):
         cache = QueryResultCache("n")
-        cache.put(("v", "spec-a", "vid1"), 1, now=0.0)
-        cache.put(("v", "spec-b", "vid1"), 2, now=0.0)
-        cache.put(("r", "spec-a", "vid1"), 3, now=0.0)  # rule key, same id
-        cache.put(("v", "spec-a", "vid2"), 4, now=0.0)
+        cache.put(("v", "spec-a", "vid1"), 1)
+        cache.put(("v", "spec-b", "vid1"), 2)
+        cache.put(("r", "spec-a", "vid1"), 3)  # rule key, same id
+        cache.put(("v", "spec-a", "vid2"), 4)
         cache.invalidate_vertex("v", "vid1")
         assert not cached(cache, ("v", "spec-a", "vid1"))
         assert not cached(cache, ("v", "spec-b", "vid1"))
